@@ -3,9 +3,11 @@
 Builds a mixed-integer model over per-flow link fractions (R), placement
 indicators (P), and processed-flow fractions (PS); exports it in CPLEX-LP
 text form for external solvers; and solves desk-scale instances with a
-built-in search: exhaustive (or shortlisted, under a budget) enumeration of
-per-group placements, with per-placement sequential flow routing over a
-layered waypoint graph.
+built-in search over per-group placements (all of them, or a shortlist
+under a budget).  The search visits placements best-first by an admissible
+lower bound on their objective, routes flows sequentially over a layered
+waypoint graph for each one it visits, and stops once the next bound
+exceeds the best objective found.
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       fraction of demand (u,v) on link (i,j)
@@ -88,6 +90,8 @@ class Solution:
     routing: dict            # (u,v) -> [(weight, (node, ...))]
     objective: float
     exact: bool              # exhaustive search, routing never congested
+    candidates: int = 1      # placements in the searched product
+    examined: int = 1        # candidates whose routing was started
 
 
 # ---------------------------------------------------------------- build
@@ -314,18 +318,36 @@ def export_lp(m: MILPModel) -> str:
 
 # ---------------------------------------------------------------- solve
 
-def _bfs_dist(topo, source: str) -> dict:
+def _distances(topo, source: str, weight) -> dict:
+    """Cheapest distance from `source` to every reachable node, with
+    `weight(link)` as the length of a link."""
     dist = {source: 0}
-    q = [source]
-    while q:
-        nxt = []
-        for n in q:
-            for l in topo.out_links(n):
-                if l.dst not in dist:
-                    dist[l.dst] = dist[n] + 1
-                    nxt.append(l.dst)
-        q = nxt
+    pq = [(0, source)]
+    while pq:
+        d, n = heapq.heappop(pq)
+        if d > dist[n]:
+            continue
+        for l in topo.out_links(n):
+            d2 = d + weight(l)
+            if d2 < dist.get(l.dst, float("inf")):
+                dist[l.dst] = d2
+                heapq.heappush(pq, (d2, l.dst))
     return dist
+
+
+def _preds(needed: frozenset, dep: frozenset) -> dict:
+    """Variable -> the variables of `needed` that must be visited first."""
+    return {s: frozenset(a for (a, b) in dep if b == s and a in needed)
+            for s in needed}
+
+
+def _dep_orders(needed, preds: dict):
+    """Every order of the variables in `needed` that lists each one after
+    its prerequisites in `preds`."""
+    for perm in itertools.permutations(sorted(needed)):
+        pos = {s: i for i, s in enumerate(perm)}
+        if not any(pos[a] > pos[s] for s in perm for a in preds[s]):
+            yield perm
 
 
 def _closure(node: str, visited: frozenset, needed: frozenset,
@@ -345,12 +367,11 @@ def _closure(node: str, visited: frozenset, needed: frozenset,
 
 
 def _route_one(topo, src: str, snk: str, needed: frozenset, owner: dict,
-               dep: frozenset, loads: dict, cache: dict | None = None):
+               dep: frozenset, loads: dict):
     """Cheapest node-simple path src->snk visiting owners of `needed` in a
     dep-consistent order.  Layered Dijkstra first; if its answer revisits a
     node, a budgeted search over simple paths."""
-    preds = {s: frozenset(a for (a, b) in dep if b == s and a in needed)
-             for s in needed}
+    preds = _preds(needed, dep)
 
     def cost(link) -> float:
         c = link.capacity
@@ -391,15 +412,10 @@ def _route_one(topo, src: str, snk: str, needed: frozenset, owner: dict,
     hops = list(zip(path, path[1:]))
     if len(set(hops)) == len(hops):
         return tuple(path)
-    # phase-walk fallback; feasibility does not depend on current loads,
-    # so the result may be reused across placement candidates
-    ck = (src, snk, frozenset((s, owner[s]) for s in needed))
-    if cache is not None and ck in cache:
-        return cache[ck]
-    walk = _route_link_distinct(topo, src, snk, needed, owner, preds, cost)
-    if cache is not None:
-        cache[ck] = walk
-    return walk
+    # phase-walk fallback; not memoized, because its segments follow the
+    # current loads and a candidate's routing must not depend on which
+    # candidates the search routed before it
+    return _route_link_distinct(topo, src, snk, needed, owner, preds, cost)
 
 
 def _segment(topo, src: str, dst: str, used: set, cost):
@@ -435,10 +451,7 @@ def _route_link_distinct(topo, src, snk, needed, owner, preds, cost):
     variables, chain per-phase shortest paths over the remaining links."""
     best = None
     tried = set()
-    for perm in itertools.permutations(sorted(needed)):
-        pos = {s: i for i, s in enumerate(perm)}
-        if any(pos[a] > pos[s] for s in perm for a in preds[s]):
-            continue
+    for perm in _dep_orders(needed, preds):
         targets = []
         for s in perm:
             n = owner[s]
@@ -480,14 +493,17 @@ def _route_link_distinct(topo, src, snk, needed, owner, preds, cost):
 def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
                  loads: dict, obj_so_far: float = 0.0,
                  abort_above: float | None = None,
-                 cache: dict | None = None):
+                 rest: list | None = None):
     """Route the given flows (in order) on top of `loads`, mutating it.
     Returns (routing, objective) or None if some flow cannot be routed or
-    the running objective already exceeds `abort_above`."""
+    the running objective already exceeds `abort_above`.  `rest[i]`, when
+    given, is a lower bound on what the flows after the i-th add to the
+    objective; routing also stops once the running objective plus that
+    bound exceeds `abort_above`."""
     topo = m.topo
     routing = {}
     obj = obj_so_far
-    for (u, v) in flow_keys:
+    for i, (u, v) in enumerate(flow_keys):
         vol, svars = m.flows[(u, v)]
         src = topo.node_of_port(u)
         snk = topo.node_of_port(v)
@@ -498,25 +514,18 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
             routing[(u, v)] = (src,)
             continue
         path = _route_one(topo, src, snk, frozenset(svars), placement,
-                          m.dep, loads, cache=cache)
+                          m.dep, loads)
         if path is None:
             return None
         routing[(u, v)] = path
         for a, b in zip(path, path[1:]):
             loads[(a, b)] = loads.get((a, b), 0.0) + vol
             obj += vol / topo.links[(a, b)].capacity
-        if abort_above is not None and obj > abort_above + 1e-12:
+        if abort_above is not None and (
+                obj > abort_above + 1e-12
+                or rest is not None and obj + rest[i] > abort_above + 1e-9):
             return None
     return routing, obj
-
-
-def _objective_of(m: MILPModel, routing: dict) -> float:
-    loads: dict = {}
-    for (u, v), path in routing.items():
-        vol = m.flows[(u, v)][0]
-        for a, b in zip(path, path[1:]):
-            loads[(a, b)] = loads.get((a, b), 0.0) + vol
-    return sum(load / m.topo.links[l].capacity for l, load in loads.items())
 
 
 def _congested(m: MILPModel, routing: dict) -> bool:
@@ -533,11 +542,106 @@ def _flow_order(m: MILPModel) -> list:
     return sorted(m.flows, key=lambda k: (-m.flows[k][0], k))
 
 
+class _Bounds:
+    """Admissible lower bounds on what a flow adds to the objective.
+
+    A routed flow walks from its ingress switch through the owners of its
+    variables, in an order that respects their dependencies, to its egress
+    switch, and adds volume/capacity for every link it crosses.  No routing
+    of it is therefore cheaper than its volume times the cheapest chain
+    src -> owner(s1) -> ... -> owner(sk) -> snk over those orders, with
+    1/capacity as the length of a link."""
+
+    def __init__(self, m: MILPModel):
+        topo = m.topo
+        self.dist = {n: _distances(topo, n, lambda l: 1.0 / l.capacity)
+                     for n in sorted(topo.nodes)}
+        self.flows = {}
+        for (u, v), (vol, svars) in m.flows.items():
+            needed = frozenset(svars)
+            self.flows[(u, v)] = (
+                vol, topo.node_of_port(u), topo.node_of_port(v), svars,
+                list(_dep_orders(needed, _preds(needed, m.dep))))
+
+    def flow(self, key, placement: dict) -> float:
+        """Bound for flow `key` under `placement`; inf when no walk
+        exists, which makes the placement infeasible."""
+        vol, src, snk, _, orders = self.flows[key]
+        best = float("inf")
+        for order in orders:
+            total, cur = 0.0, src
+            for s in order:
+                total += self.dist[cur].get(placement[s], float("inf"))
+                cur = placement[s]
+            best = min(best, total + self.dist[cur].get(snk, float("inf")))
+        return best if best == float("inf") else vol * best
+
+    def suffixes(self, flow_keys: list, placement: dict) -> list:
+        """Entry i bounds the flows after the i-th: `rest` of
+        `_route_flows`."""
+        out = [0.0] * len(flow_keys)
+        for i in range(len(flow_keys) - 1, 0, -1):
+            out[i - 1] = out[i] + self.flow(flow_keys[i], placement)
+        return out
+
+    def candidates(self, flow_keys: list, groups: list, cand: list,
+                   base: float) -> list:
+        """(base + bound of `flow_keys`, index) for every candidate of
+        itertools.product(*cand), where cand[g] lists the switches group
+        g may take.  A flow's bound depends only on the switches of the
+        groups its variables belong to, so flows are summed per set of
+        groups into a table over those groups' switches, and a
+        candidate's bound adds one table entry per set."""
+        group_of = {s: g for g, members in enumerate(groups) for s in members}
+        by_set: dict = {}
+        for k in flow_keys:
+            gs = tuple(sorted({group_of[s] for s in self.flows[k][3]}))
+            by_set.setdefault(gs, []).append(k)
+        tables = []
+        for gs, keys in by_set.items():
+            table = []
+            for combo in itertools.product(*(cand[g] for g in gs)):
+                placement = {s: n for g, n in zip(gs, combo)
+                             for s in groups[g]}
+                table.append(sum(self.flow(k, placement) for k in keys))
+            tables.append((gs, table))
+        radix = [len(c) for c in cand]
+        out = []
+        for i, digits in enumerate(itertools.product(*map(range, radix))):
+            bound = base
+            for gs, table in tables:
+                j = 0
+                for g in gs:
+                    j = j * radix[g] + digits[g]
+                bound += table[j]
+            out.append((bound, i))
+        return out
+
+
+def _nth_combo(i: int, cand: list) -> list:
+    """The i-th element of itertools.product(*cand)."""
+    out = []
+    for c in reversed(cand):
+        i, r = divmod(i, len(c))
+        out.append(c[r])
+    return out[::-1]
+
+
 def solve_builtin(m: MILPModel, budget: int = 4096,
                   time_limit: float | None = None) -> Solution:
-    """Enumerate placements of tied groups over switches (exhaustively when
-    the space fits in `budget`, otherwise a demand-weighted shortlist) and
-    route flows sequentially for each candidate.  Deterministic."""
+    """Search placements of tied groups over switches (exhaustively when
+    the space fits in `budget`, otherwise over a demand-weighted
+    shortlist), routing flows sequentially for each candidate.
+
+    Candidates are visited best-first by an admissible lower bound on
+    their objective (`_Bounds`), ties in enumeration order, and the search
+    stops at the first whose bound exceeds the best objective found.  A
+    candidate's routing also stops once its running objective plus the
+    bound of its unrouted flows exceeds it.  Only a strictly larger bound
+    prunes, so the answer is the least (objective, sorted placement) over
+    every candidate, as full enumeration would give.  `time_limit` cuts
+    off the least promising candidates and clears `exact`.
+    Deterministic."""
     topo = m.topo
     nodes = sorted(topo.nodes)
     t0 = time.monotonic()
@@ -560,53 +664,49 @@ def solve_builtin(m: MILPModel, budget: int = 4096,
     exhaustive = total <= budget
 
     if exhaustive:
-        cand = {g: nodes for g in range(len(groups))}
+        cand = [nodes] * len(groups)
     else:
-        cand = _shortlists(m, groups, nodes, budget)
+        short = _shortlists(m, groups, nodes, budget)
+        cand = [short[g] for g in range(len(groups))]
 
     # flows whose path never depends on placement can be routed once
-    state_flows = [k for k in _flow_order(m) if m.flows[k][1]]
-    base_flows = [k for k in _flow_order(m) if not m.flows[k][1]]
-    reroute_all = exhaustive
+    flows = _flow_order(m)
     base_loads: dict = {}
     base_routing: dict = {}
     base_obj = 0.0
-    if not reroute_all:
-        r = _route_flows(m, {}, base_flows, base_loads)
+    if not exhaustive:
+        r = _route_flows(m, {}, [k for k in flows if not m.flows[k][1]],
+                         base_loads)
         if r is None:
             raise InfeasibleError("a stateless flow has no path")
         base_routing, base_obj = r
+        flows = [k for k in flows if m.flows[k][1]]
 
+    bounds = _Bounds(m)
+    scored = bounds.candidates(flows, groups, cand, base_obj)
+    scored.sort()
     best = None
     examined = 0
-    walk_cache: dict = {}
-    for combo in itertools.product(*(cand[g] for g in range(len(groups)))):
+    for bound, i in scored:
+        if bound == float("inf") or (best is not None
+                                     and bound > best[0][0] + 1e-9):
+            break
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             exhaustive = False
             break
         examined += 1
         placement = {}
-        for gi, node in enumerate(combo):
+        for gi, node in enumerate(_nth_combo(i, cand)):
             for s in groups[gi]:
                 placement[s] = node
-        abort_above = best[0][0] if best is not None else None
-        if reroute_all:
-            loads: dict = {}
-            r = _route_flows(m, placement, _flow_order(m), loads,
-                             abort_above=abort_above, cache=walk_cache)
-            routing, obj = r if r is not None else (None, None)
-        else:
-            loads = dict(base_loads)
-            r = _route_flows(m, placement, state_flows, loads,
-                             obj_so_far=base_obj, abort_above=abort_above,
-                             cache=walk_cache)
-            if r is None:
-                routing, obj = None, None
-            else:
-                routing, obj = {**base_routing, **r[0]}, r[1]
-        if routing is None:
+        r = _route_flows(m, placement, flows, dict(base_loads),
+                         obj_so_far=base_obj,
+                         abort_above=best[0][0] if best else None,
+                         rest=bounds.suffixes(flows, placement))
+        if r is None:
             continue
-        rt = {k: [(1.0, p)] for k, p in routing.items()}
+        routing, obj = r
+        rt = {k: [(1.0, p)] for k, p in {**base_routing, **routing}.items()}
         key = (obj, tuple(sorted(placement.items())))
         if best is None or key < best[0]:
             best = (key, placement, rt)
@@ -615,7 +715,8 @@ def solve_builtin(m: MILPModel, budget: int = 4096,
                               "routing for every flow")
     _, placement, rt = best
     exact = exhaustive and not _congested(m, rt_paths(rt))
-    return Solution(placement, rt, best[0][0], exact=exact)
+    return Solution(placement, rt, best[0][0], exact=exact,
+                    candidates=len(scored), examined=examined)
 
 
 def rt_paths(rt: dict) -> dict:
@@ -649,7 +750,7 @@ def _shortlists(m: MILPModel, groups: list, nodes: list,
     topo = m.topo
     k = max(1, int(budget ** (1.0 / max(1, len(groups)))))
     k = min(k, len(nodes))
-    dists = {n: _bfs_dist(topo, n) for n in nodes}
+    dists = {n: _distances(topo, n, lambda l: 1) for n in nodes}
     out = {}
     for gi, group in enumerate(groups):
         gset = set(group)

@@ -37,10 +37,18 @@ class Topology:
         return sorted(out)
 
     def node_of_port(self, port: int) -> str:
-        for n in sorted(self.nodes):
-            if port in self.nodes[n].external_ports:
-                return n
-        raise KeyError(f"no node exposes external port {port}")
+        # cached like _adjacency; the first node in sorted order wins
+        cache = getattr(self, "_port_cache", None)
+        if cache is None or cache[0] != len(self.nodes):
+            owner: dict = {}
+            for n in sorted(self.nodes):
+                for p in self.nodes[n].external_ports:
+                    owner.setdefault(p, n)
+            cache = (len(self.nodes), owner)
+            self._port_cache = cache
+        if port not in cache[1]:
+            raise KeyError(f"no node exposes external port {port}")
+        return cache[1][port]
 
     def _adjacency(self) -> tuple:
         # treated as immutable after construction; cache keyed on size

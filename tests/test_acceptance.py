@@ -106,7 +106,6 @@ def test_criterion_2_placement_optimality_on_running_example():
     nodes = sorted(t.nodes)
     vars_ = ("orphan", "susp-client", "blacklist")
     flow_order = opt._flow_order(m)
-    cache: dict = {}
     best = None
     best_placements = []
     count = 0
@@ -114,7 +113,7 @@ def test_criterion_2_placement_optimality_on_running_example():
         count += 1
         placement = dict(zip(vars_, combo))
         r = opt._route_flows(m, placement, flow_order, {},
-                             abort_above=best, cache=cache)
+                             abort_above=best)
         if r is None:
             continue
         _, obj = r

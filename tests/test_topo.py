@@ -11,6 +11,8 @@ def test_example12_shape():
     assert len(t.nodes) == 12
     assert t.external_ports() == [1, 2, 3, 4, 5, 6]
     assert t.node_of_port(6) == "D4"
+    with pytest.raises(KeyError):
+        t.node_of_port(7)
     # every link is paired with its reverse
     for (s, d) in t.links:
         assert (d, s) in t.links
