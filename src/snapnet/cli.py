@@ -3,6 +3,7 @@
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success, 1 compile errors (parse, race,
 unsupported composition), 2 infeasible placement/routing, 3 I/O errors.
+A routing over link capacity is reported on stderr and still exits 0.
 The environment variable SNAPNET_SEED overrides --seed.
 """
 
@@ -21,7 +22,7 @@ PHASES = [
     ("P1", "state dependency"),
     ("P2", "xFDD generation"),
     ("P3", "packet-state mapping"),
-    ("P4", "MILP creation"),
+    ("P4", "placement problem"),
     ("P5", "MILP solving"),
     ("P6", "rule generation"),
 ]
@@ -48,6 +49,14 @@ def _print_phases(times: dict) -> None:
             print(f"{key} {label}: {times[key]:.3f}s", file=sys.stderr)
 
 
+def _warn_overloaded(t, routing: dict) -> None:
+    """One stderr line per link the routing loads beyond its capacity.
+    The exit code stays 0: `exact` is false and the result stands."""
+    for (a, b), load, cap in opt.overloaded_links(t, routing):
+        print(f"warning: link {a}->{b} carries {load:.2f} > capacity {cap}",
+              file=sys.stderr)
+
+
 def _fixed_placement(args) -> dict | None:
     if getattr(args, "placement", None) is None:
         return None
@@ -66,6 +75,7 @@ def cmd_compile(args) -> int:
                              fixed=_fixed_placement(args),
                              budget=args.budget, phase_times=times)
     _print_phases(times)
+    _warn_overloaded(t, bundle.routing)
     rulegen.write_bundle(bundle, args.output)
     print(json.dumps({"placement": opt.placement_to_json(bundle.placement),
                       "objective": bundle.objective,
@@ -126,6 +136,7 @@ def cmd_place(args) -> int:
     order, demand = _demand(prog, t)
     m = opt.build_milp(t, demand, order)
     sol = opt.solve_builtin(m, budget=args.budget)
+    _warn_overloaded(t, sol.routing)
     print(json.dumps({"placement": opt.placement_to_json(sol.placement),
                       "routing": opt.routing_to_json(sol.routing),
                       "objective": sol.objective, "exact": sol.exact},
@@ -145,6 +156,7 @@ def cmd_reroute(args) -> int:
         return 3
     m = opt.build_milp(t, demand, order, mode="TE", fixed=fixed)
     sol = opt.solve_builtin(m, budget=args.budget)
+    _warn_overloaded(t, sol.routing)
     print(json.dumps({"placement": opt.placement_to_json(sol.placement),
                       "routing": opt.routing_to_json(sol.routing),
                       "objective": sol.objective, "exact": sol.exact},

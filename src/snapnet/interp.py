@@ -98,11 +98,6 @@ class Store:
     def var_map(self, var: str) -> dict:
         return self.cells[var]
 
-    def with_var(self, var: str, var_map: dict) -> "Store":
-        cells = dict(self.cells)
-        cells[var] = var_map
-        return Store(self.decls, cells)
-
     def __eq__(self, other):
         return isinstance(other, Store) and self.cells == other.cells
 

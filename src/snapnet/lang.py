@@ -704,16 +704,6 @@ def parse(text: str) -> Program:
     return _Parser(tokenize(text)).program()
 
 
-def parse_policy(text: str, prog: Program) -> Policy:
-    """Parse a bare policy against an existing program's declarations."""
-    p = _Parser(tokenize(text))
-    p.states = dict(prog.states)
-    p.fields = dict(prog.fields)
-    pol = p.policy()
-    p.expect("EOF")
-    return pol
-
-
 def compose(a: Program, b: Program) -> Program:
     """Sequence two programs: declarations merged (duplicates must agree),
     assumptions conjoined, bodies sequenced (`id` bodies elided)."""

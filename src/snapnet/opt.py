@@ -1,13 +1,16 @@
 """Joint state placement and routing.
 
-Builds a mixed-integer model over per-flow link fractions (R), placement
-indicators (P), and processed-flow fractions (PS); exports it in CPLEX-LP
-text form for external solvers; and solves desk-scale instances with a
-built-in search over per-group placements (all of them, or a shortlist
-under a budget).  The search visits placements best-first by an admissible
-lower bound on their objective, routes flows sequentially over a layered
-waypoint graph for each one it visits, and stops once the next bound
-exceeds the best objective found.
+`build_milp` collects the placement problem: flows with their volumes and
+needed state variables, the dependency and tie relations, and the mode.
+Its mixed-integer model over per-flow link fractions (R), placement
+indicators (P), and processed-flow fractions (PS) is built lazily, the
+first time a row is read: by `export_lp` (CPLEX-LP text for external
+solvers) and `check_solution`, but never by the built-in solver.  That
+solver handles desk-scale instances with a search over per-group
+placements (all of them, or a shortlist under a budget).  It visits
+placements best-first by an admissible lower bound on their objective,
+routes flows sequentially over a layered waypoint graph for each one it
+visits, and stops once the next bound exceeds the best objective found.
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       fraction of demand (u,v) on link (i,j)
@@ -22,7 +25,8 @@ import itertools
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InfeasibleError
 
@@ -55,18 +59,43 @@ class Constraint:
 
 @dataclass
 class MILPModel:
-    objective: dict          # var -> coefficient (minimization)
-    constraints: list        # [Constraint]
-    bounds: dict             # var -> (lo, hi)
-    binaries: frozenset      # subset of variable names
-    # data needed to re-verify / solve
-    topo: object = None
-    flows: dict = field(default_factory=dict)   # (u,v) -> (demand, vars tuple)
+    """The placement problem, plus its LP rows on demand.
+
+    The fields are all `solve_builtin` reads.  `objective`, `constraints`,
+    `bounds` and `binaries` are built together by `_fill_rows` the first
+    time any of them is read (by `export_lp`, `check_solution`,
+    `objective_value` or `variables`), and kept."""
+    topo: object
+    flows: dict                                 # (u,v) -> (demand, vars tuple)
     state_vars: tuple = ()
     tied: frozenset = frozenset()
     dep: frozenset = frozenset()
     mode: str = "ST"
     fixed: dict | None = None                   # TE-mode placement
+
+    @cached_property
+    def objective(self) -> dict:
+        """var -> coefficient (minimization)."""
+        _fill_rows(self)
+        return self.objective
+
+    @cached_property
+    def constraints(self) -> list:
+        """[Constraint], sorted by name."""
+        _fill_rows(self)
+        return self.constraints
+
+    @cached_property
+    def bounds(self) -> dict:
+        """var -> (lo, hi)."""
+        _fill_rows(self)
+        return self.bounds
+
+    @cached_property
+    def binaries(self) -> frozenset:
+        """Subset of the variable names."""
+        _fill_rows(self)
+        return self.binaries
 
     def variables(self) -> list:
         names = set(self.objective)
@@ -99,12 +128,31 @@ class Solution:
 def build_milp(topo, demand, order, mode: str = "ST",
                fixed: dict | None = None) -> MILPModel:
     """demand: psm.StateDemand; order: deps.OrderSpec.
-    mode "TE" treats `fixed` (state var -> switch) as constants."""
+    mode "TE" treats `fixed` (state var -> switch) as constants.
+
+    Cheap: it collects each flow's volume and needed variables and the
+    state variables in rank order.  The LP rows are built only when one of
+    them is first read (see `MILPModel`)."""
     if mode not in ("ST", "TE"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "TE" and fixed is None:
         raise ValueError("TE mode needs a fixed placement")
 
+    state_vars = tuple(sorted(order.state_rank, key=lambda s:
+                              (order.state_rank[s], s)))
+    flows = {}
+    for (u, v), vol in sorted(topo.demands.items()):
+        flows[(u, v)] = (vol, tuple(demand.states_for(u, v)))
+    return MILPModel(topo=topo, flows=flows, state_vars=state_vars,
+                     tied=order.tied, dep=order.dep, mode=mode,
+                     fixed=dict(fixed) if fixed else None)
+
+
+def _fill_rows(m: MILPModel) -> None:
+    """Build the objective, constraint rows, bounds and binaries of `m`
+    and store all four on it."""
+    topo, flows, mode = m.topo, m.flows, m.mode
+    fixed = m.fixed or {}
     nodes = sorted(topo.nodes)
     links = sorted(topo.links)
     in_of: dict = {n: [] for n in nodes}
@@ -112,11 +160,6 @@ def build_milp(topo, demand, order, mode: str = "ST",
     for (i, j) in links:
         out_of[i].append((i, j))
         in_of[j].append((i, j))
-    state_vars = tuple(sorted(order.state_rank, key=lambda s:
-                              (order.state_rank[s], s)))
-    flows = {}
-    for (u, v), vol in sorted(topo.demands.items()):
-        flows[(u, v)] = (vol, tuple(demand.states_for(u, v)))
 
     def pval(s, n):
         """In TE mode placement indicators are constants."""
@@ -230,7 +273,7 @@ def build_milp(topo, demand, order, mode: str = "ST",
 
         # ordering: when the flow needs both s and t with s before t, the
         # switch hosting t must only see flow that already passed s
-        for (s, t) in sorted(order.dep):
+        for (s, t) in sorted(m.dep):
             if s not in svars or t not in svars:
                 continue
             for n in nodes:
@@ -254,25 +297,22 @@ def build_milp(topo, demand, order, mode: str = "ST",
                 topo.links[(i, j)].capacity)
 
     if mode == "ST":
-        for s in state_vars:
+        for s in m.state_vars:
             for n in nodes:
                 name = pname(s, n)
                 bounds[name] = (0.0, 1.0)
                 binaries.add(name)
             add(f"place_{_san(s)}",
                 {pname(s, n): 1.0 for n in nodes}, "=", 1.0)
-        for pair in sorted(order.tied, key=sorted):
+        for pair in sorted(m.tied, key=sorted):
             s, t = sorted(pair)
             for n in nodes:
                 add(f"tied_{_san(s)}_{_san(t)}_{_san(n)}",
                     {pname(s, n): 1.0, pname(t, n): -1.0}, "=", 0.0)
 
     constraints.sort(key=lambda c: c.name)
-    return MILPModel(objective=objective, constraints=constraints,
-                     bounds=bounds, binaries=frozenset(binaries),
-                     topo=topo, flows=flows, state_vars=state_vars,
-                     tied=order.tied, dep=order.dep, mode=mode,
-                     fixed=dict(fixed) if fixed else None)
+    m.__dict__.update(objective=objective, constraints=constraints,
+                      bounds=bounds, binaries=frozenset(binaries))
 
 
 # ---------------------------------------------------------------- export
@@ -528,14 +568,19 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
     return routing, obj
 
 
-def _congested(m: MILPModel, routing: dict) -> bool:
+def overloaded_links(topo, routing: dict) -> list:
+    """[((a, b), load, capacity)] for every link whose load under
+    `routing` ({(u,v): [(weight, path)]}, each flow carrying its demand in
+    `topo`) exceeds its capacity, sorted by link."""
     loads: dict = {}
-    for (u, v), path in routing.items():
-        vol = m.flows[(u, v)][0]
-        for a, b in zip(path, path[1:]):
-            loads[(a, b)] = loads.get((a, b), 0.0) + vol
-    return any(load > m.topo.links[l].capacity + 1e-9
-               for l, load in loads.items())
+    for (u, v), paths in routing.items():
+        vol = topo.demands[(u, v)]
+        for w, path in paths:
+            for a, b in zip(path, path[1:]):
+                loads[(a, b)] = loads.get((a, b), 0.0) + w * vol
+    return [(l, load, topo.links[l].capacity)
+            for l, load in sorted(loads.items())
+            if load > topo.links[l].capacity + 1e-9]
 
 
 def _flow_order(m: MILPModel) -> list:
@@ -656,7 +701,7 @@ def solve_builtin(m: MILPModel, budget: int = 4096,
         routing, obj = r
         rt = {k: [(1.0, p)] for k, p in routing.items()}
         return Solution(placement, rt, obj,
-                        exact=not _congested(m, rt_paths(rt)))
+                        exact=not overloaded_links(topo, rt))
 
     # group variables that must be co-located
     groups = _placement_groups(m)
@@ -714,7 +759,7 @@ def solve_builtin(m: MILPModel, budget: int = 4096,
         raise InfeasibleError("no placement admits an order-respecting "
                               "routing for every flow")
     _, placement, rt = best
-    exact = exhaustive and not _congested(m, rt_paths(rt))
+    exact = exhaustive and not overloaded_links(topo, rt)
     return Solution(placement, rt, best[0][0], exact=exact,
                     candidates=len(scored), examined=examined)
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from snapnet import cli
+from snapnet import cli, topo
 
 from conftest import TOPO_DIR, policy_path
 
@@ -60,6 +60,7 @@ def test_compile_simulate_check_pipeline(tmp_path, capsys):
     assert info["exact"] is True
     assert set(info["placement"]) == {"orphan", "susp-client", "blacklist"}
     assert "P5 MILP solving" in err  # phase timings go to stderr
+    assert "warning" not in err  # no link is loaded beyond its capacity
 
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps({
@@ -132,6 +133,49 @@ def test_place_and_reroute(tmp_path, capsys):
                             "-t", TOPO, "--placement", str(pfile)], capsys)
     assert code == 0
     assert json.loads(out)["placement"] == sol["placement"]
+
+
+def test_over_capacity_routing_warns_and_exits_0(tmp_path, capsys):
+    """stateful-fw on generated(20, 3) under a budget of 64 is routed over
+    the capacity of links at S15: every command that solves says so on
+    stderr, one line per link, and still exits 0 with its usual JSON."""
+    tfile = tmp_path / "g20.json"
+    tfile.write_text(json.dumps(topo.to_json(topo.generated(20, 3))))
+    policy = ["-p", policy_path("stateful-fw"),
+              "-p", policy_path("assign-egress")]
+    bundle = tmp_path / "b"
+    code, out, err = run_cli(["compile", *policy, "-t", str(tfile),
+                              "-o", str(bundle), "--budget", "64"], capsys)
+    assert code == 0
+    info = json.loads(out)
+    assert set(info) == {"placement", "objective", "exact", "output"}
+    assert info["exact"] is False
+    assert info["placement"] == {"established": "S15"}
+    warnings = [l for l in err.splitlines() if l.startswith("warning:")]
+    assert "warning: link S15->S3 carries 19.29 > capacity 10.0" in warnings
+    assert len(warnings) == 6
+    assert all("S15" in l for l in warnings)
+
+    code, out, err2 = run_cli(["place", *policy, "-t", str(tfile),
+                               "--budget", "64"], capsys)
+    assert code == 0
+    assert json.loads(out)["exact"] is False
+    assert [l for l in err2.splitlines() if l.startswith("warning:")] \
+        == warnings
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"placement": info["placement"]}))
+    code, out, err3 = run_cli(["reroute", *policy, "-t", str(tfile),
+                               "--placement", str(pfile)], capsys)
+    assert code == 0
+    assert json.loads(out)["exact"] is False
+    assert "warning: link S15->S3" in err3
+
+    # the certificate check still refuses the routing
+    code, out, _ = run_cli(["check", "--bundle", str(bundle),
+                            "--topo", str(tfile), *policy], capsys)
+    assert code == 2
+    assert any(p.startswith("cap_S15_S3:")
+               for p in json.loads(out)["problems"])
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,12 @@
 """Placement/routing model tests: building, solving, LP export, and
 independent re-verification of solutions and hand-made violations."""
 
+import hashlib
 import re
 
 import pytest
 
-from snapnet import deps, lang, opt, psm, topo, xfdd
+from snapnet import deps, lang, opt, psm, rulegen, topo, xfdd
 from snapnet.errors import InfeasibleError
 
 from conftest import policy_src
@@ -201,6 +202,72 @@ def test_lp_export_parse_back_preserves_counts(m_dns):
     assert len(rows) == len(m_dns.constraints)
     assert rows == [c.name for c in m_dns.constraints]
     assert vars_seen == set(m_dns.variables())
+
+
+def test_lp_export_is_pinned():
+    """The exported model, byte for byte, as the rows were first built;
+    their order, names and coefficients must not drift."""
+    m = model_for(["dns-tunnel-detect", "assign-egress"])
+    text = opt.export_lp(m)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "86662f646c3c5dcf5861371754d7052d77730eb40f955b42d8071189e138c396")
+    assert len(m.constraints) == 4618
+    assert len(m.variables()) == 2886
+
+
+def _bundle_bytes(path) -> dict:
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def test_compile_never_builds_rows(tmp_path, monkeypatch):
+    """compile reads no row, ST or TE; its bundles are the same bytes as
+    those of a compile that may build them."""
+    prog = lang.compose_all([lang.parse(policy_src(n))
+                             for n in ["dns-tunnel-detect", "assign-egress"]])
+    t = topo.example12()
+    fixed = {"orphan": "C1", "susp-client": "C1", "blacklist": "C5"}
+    kinds = {"st": {}, "te": {"fixed": fixed}}
+    for kind, kw in kinds.items():
+        rulegen.write_bundle(rulegen.compile(prog, t, **kw),
+                             str(tmp_path / f"{kind}-rows"))
+
+    def no_rows(m):
+        raise AssertionError("LP rows built on the compile path")
+
+    monkeypatch.setattr(opt, "_fill_rows", no_rows)
+    for kind, kw in kinds.items():
+        bundle = rulegen.compile(prog, t, **kw)
+        rulegen.write_bundle(bundle, str(tmp_path / kind))
+        assert _bundle_bytes(tmp_path / kind) == \
+            _bundle_bytes(tmp_path / f"{kind}-rows")
+    with pytest.raises(AssertionError, match="compile path"):
+        model_for(["dns-tunnel-detect", "assign-egress"]).constraints
+
+
+def test_rows_are_built_once(monkeypatch, m_dns, sol_dns):
+    calls = []
+    fill = opt._fill_rows
+
+    def counting(m):
+        calls.append(m)
+        fill(m)
+
+    monkeypatch.setattr(opt, "_fill_rows", counting)
+    fresh = model_for(["dns-tunnel-detect", "assign-egress", "assumption"])
+    read = model_for(["dns-tunnel-detect", "assign-egress", "assumption"])
+    assert calls == []
+    rows = read.constraints
+    assert read.constraints is rows
+    read.objective, read.bounds, read.binaries, read.variables()
+    assert len(calls) == 1 and calls[0] is read
+    placement = dict(sol_dns.placement)
+    del placement["blacklist"]
+    for p in (sol_dns.placement, placement):
+        assert opt.check_solution(fresh, p, sol_dns.routing) == \
+            opt.check_solution(read, p, sol_dns.routing)
+    assert len(calls) == 2 and calls[1] is fresh
+    assert read.constraints is rows
 
 
 def test_te_mode_has_no_placement_variables(m_dns, sol_dns):

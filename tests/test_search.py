@@ -110,7 +110,8 @@ def test_pruned_search_matches_full_enumeration(case):
     assert sol.placement == placement
     assert sol.routing == rt
     assert sol.objective == obj
-    assert sol.exact == (exhaustive and not opt._congested(m, routing))
+    assert sol.exact == (exhaustive
+                         and not opt.overloaded_links(m.topo, rt))
     assert sol.candidates == len(out) == len(list(itertools.product(*cand)))
     assert 1 <= sol.examined <= sol.candidates
 
