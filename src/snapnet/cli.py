@@ -17,6 +17,7 @@ import time
 
 from . import deps, interp, lang, opt, psm, rulegen, simnet, topo, xfdd
 from .errors import CompileError, InfeasibleError
+from .values import value_to_json
 
 PHASES = [
     ("P1", "state dependency"),
@@ -189,7 +190,6 @@ def cmd_simulate(args) -> int:
     if args.mode == "interleaved":
         net.run()
         emitted = net.emissions
-    from .values import value_to_json
     for port, pkt in emitted:
         print(json.dumps({"port": port,
                           "packet": {f: value_to_json(v)

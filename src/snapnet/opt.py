@@ -9,8 +9,10 @@ solvers) and `check_solution`, but never by the built-in solver.  That
 solver handles desk-scale instances with a search over per-group
 placements (all of them, or a shortlist under a budget).  It visits
 placements best-first by an admissible lower bound on their objective,
-routes flows sequentially over a layered waypoint graph for each one it
-visits, and stops once the next bound exceeds the best objective found.
+routes the flows of each one it visits one after another, and stops once
+the next bound exceeds the best objective found.  A flow's walk visits the
+owners of its variables in a dependency-respecting order and never reuses
+a link (`_route`); `exec_positions` says where each variable runs on it.
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       fraction of demand (u,v) on link (i,j)
@@ -390,72 +392,22 @@ def _dep_orders(needed, preds: dict):
             yield perm
 
 
-def _closure(node: str, visited: frozenset, needed: frozenset,
-             owner: dict, preds: dict) -> frozenset:
-    """Collect every variable owned here whose prerequisites are done."""
-    out = set(visited)
-    changed = True
-    while changed:
-        changed = False
-        for s in needed:
-            if s in out or owner[s] != node:
-                continue
-            if preds[s] <= out:
-                out.add(s)
-                changed = True
-    return frozenset(out)
-
-
-def _route_one(topo, src: str, snk: str, needed: frozenset, owner: dict,
-               dep: frozenset, loads: dict):
-    """Cheapest node-simple path src->snk visiting owners of `needed` in a
-    dep-consistent order.  Layered Dijkstra first; if its answer revisits a
-    node, a budgeted search over simple paths."""
-    preds = _preds(needed, dep)
-
-    def cost(link) -> float:
-        c = link.capacity
-        return (1.0 / c) * (1.0 + loads.get((link.src, link.dst), 0.0) / c)
-
-    start = (src, _closure(src, frozenset(), needed, owner, preds))
-    best: dict = {start: 0.0}
-    parent: dict = {start: None}
-    pq = [(0.0, start)]
-    goal = None
-    while pq:
-        d, st = heapq.heappop(pq)
-        if d > best.get(st, float("inf")):
-            continue
-        node, vis = st
-        if node == snk and vis == needed:
-            goal = st
-            break
-        for l in topo.out_links(node):
-            vis2 = _closure(l.dst, vis, needed, owner, preds)
-            st2 = (l.dst, vis2)
-            d2 = d + cost(l)
-            if d2 < best.get(st2, float("inf")) - 1e-15:
-                best[st2] = d2
-                parent[st2] = st
-                heapq.heappush(pq, (d2, st2))
-    if goal is None:
-        return None
-    path = []
-    st = goal
-    while st is not None:
-        path.append(st[0])
-        st = parent[st]
-    path.reverse()
-    # A node may repeat across execution phases (each visit happens under a
-    # distinct forwarding key), but a directed link can carry the flow only
-    # once: the link indicator below is binary.
-    hops = list(zip(path, path[1:]))
-    if len(set(hops)) == len(hops):
-        return tuple(path)
-    # phase-walk fallback; not memoized, because its segments follow the
-    # current loads and a candidate's routing must not depend on which
-    # candidates the search routed before it
-    return _route_link_distinct(topo, src, snk, needed, owner, preds, cost)
+def exec_positions(path, needed, owner: dict, dep) -> dict:
+    """Position along the walk `path` where each variable of `needed`
+    runs: the first visit to its owner at which every prerequisite has
+    already run.  A variable that never runs is left out."""
+    preds = _preds(frozenset(needed), dep)
+    done: dict = {}
+    for i, n in enumerate(path):
+        changed = True
+        while changed:
+            changed = False
+            for s in needed:
+                if s not in done and owner.get(s) == n \
+                        and all(p in done for p in preds[s]):
+                    done[s] = i
+                    changed = True
+    return done
 
 
 def _segment(topo, src: str, dst: str, used: set, cost):
@@ -484,49 +436,50 @@ def _segment(topo, src: str, dst: str, used: set, cost):
     return None
 
 
-def _route_link_distinct(topo, src, snk, needed, owner, preds, cost):
-    """Walks that never reuse a directed link (the link indicators are
-    binary) but may revisit a node between execution phases.  Built
-    constructively: for every dependency-consistent order of the needed
-    variables, chain per-phase shortest paths over the remaining links."""
+def _route(topo, src: str, snk: str, needed: frozenset, owner: dict,
+           dep: frozenset, loads: dict):
+    """Cheapest walk src->snk on which every variable of `needed` runs
+    (see `exec_positions`).  The walk may revisit a switch between
+    execution phases but never reuses a directed link: the link indicators
+    are binary.  For every order of visits to the owners' switches in
+    which each visit runs a variable, chain per-phase cheapest paths over
+    the links not used yet, and keep the least (cost, walk).  Not
+    memoized: link costs follow the current loads, and a candidate's
+    routing must not depend on which candidates the search routed before
+    it."""
+    def cost(link) -> float:
+        c = link.capacity
+        return (1.0 / c) * (1.0 + loads.get((link.src, link.dst), 0.0) / c)
+
+    preds = _preds(needed, dep)
+
+    def visit_orders(visits: list):
+        done = set(exec_positions(visits, needed, owner, dep))
+        if len(done) == len(needed):
+            yield visits + [snk]
+        for n in sorted({owner[s] for s in needed - done
+                         if preds[s] <= done}):
+            yield from visit_orders(visits + [n])
+
     best = None
-    tried = set()
-    for perm in _dep_orders(needed, preds):
-        targets = []
-        for s in perm:
-            n = owner[s]
-            if not targets or targets[-1] != n:
-                targets.append(n)
-        targets.append(snk)
-        tkey = tuple(targets)
-        if tkey in tried:
-            continue
-        tried.add(tkey)
-        cur = src
+    for visits in visit_orders([src]):
         used: set = set()
         path = [src]
         total = 0.0
-        for tgt in targets:
-            if cur == tgt:
+        for tgt in visits[1:]:
+            if path[-1] == tgt:
                 continue
-            seg = _segment(topo, cur, tgt, used, cost)
+            seg = _segment(topo, path[-1], tgt, used, cost)
             if seg is None:
-                path = None
                 break
             nodes, d = seg
             used.update(zip(nodes, nodes[1:]))
             total += d
             path.extend(nodes[1:])
-            cur = tgt
-        if path is None:
-            continue
-        vis: frozenset = frozenset()
-        for n in path:
-            vis = _closure(n, vis, needed, owner, preds)
-        if vis != needed:
-            continue
-        if best is None or (total, tuple(path)) < best:
-            best = (total, tuple(path))
+        else:
+            if len(exec_positions(path, needed, owner, dep)) == len(needed) \
+                    and (best is None or (total, tuple(path)) < best):
+                best = (total, tuple(path))
     return best[1] if best else None
 
 
@@ -553,8 +506,8 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
                     return None
             routing[(u, v)] = (src,)
             continue
-        path = _route_one(topo, src, snk, frozenset(svars), placement,
-                          m.dep, loads)
+        path = _route(topo, src, snk, frozenset(svars), placement, m.dep,
+                      loads)
         if path is None:
             return None
         routing[(u, v)] = path

@@ -174,25 +174,6 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
 
 # ---------------------------------------------------------------- routing
 
-def _exec_positions(path, svars, placement: dict, dep) -> dict:
-    """Position along the walk where each needed variable executes: the
-    first visit to its owner at which every prerequisite has already run."""
-    preds = {s: frozenset(a for (a, b) in dep if b == s and a in svars)
-             for s in svars}
-    done: dict = {}
-    for i, n in enumerate(path):
-        changed = True
-        while changed:
-            changed = False
-            for s in svars:
-                if s in done or placement.get(s) != n:
-                    continue
-                if all(p in done for p in preds[s]):
-                    done[s] = i
-                    changed = True
-    return done
-
-
 def gen_routing(rt: dict, placement: dict, demand, topo,
                 nodes: dict, dep=frozenset()) -> tuple:
     """Per-switch routing tables.
@@ -227,8 +208,7 @@ def gen_routing(rt: dict, placement: dict, demand, topo,
             svars = demand.states_for(u, v)
             if s not in svars:
                 continue
-            stop = _exec_positions(path, frozenset(svars),
-                                   placement, dep).get(s)
+            stop = opt.exec_positions(path, svars, placement, dep).get(s)
             if stop is None:
                 continue
             w = topo.demands.get((u, v), 0.0)

@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 
 from . import lang, rulegen, xfdd
 from .errors import EvalError
+from .interp import eval_expr, eval_index
 from .rulegen import DONE, UNRESOLVED, SnapHeader
-from .values import canon_key, check_int_range, test_match, values_equal
+from .values import (canon_key, check_int_range, test_match, value_from_loose,
+                     value_to_json, values_equal)
 
 
 # ---------------------------------------------------------------- instr IR
@@ -386,7 +388,6 @@ class SimNetwork:
 
     def _eval_test(self, sid: str, test, body: dict, reg):
         if isinstance(test, tuple) and test[0] == "cell":
-            from .interp import eval_expr
             return values_equal(reg, eval_expr(test[1], body))
         if isinstance(test, xfdd.TFieldValue):
             return test_match(body[test.field], test.value)
@@ -395,7 +396,6 @@ class SimNetwork:
         raise EvalError(f"cannot evaluate test {test!r}")
 
     def _run_instrs(self, sid: str, copy: _Copy, ip: int):
-        from .interp import eval_index
         prog = self.programs[sid]
         reg = None
         while True:
@@ -455,7 +455,6 @@ class SimNetwork:
             self._run_leaf(sid, c, nid, c.hdr.resume_node[2])
 
     def _run_leaf(self, sid: str, copy: _Copy, nid: int, ei: int):
-        from .interp import eval_expr, eval_index
         elems = self.bundle.configs[sid].nodes[nid][1]
         elem = elems[ei]
         owns = set(self.bundle.configs[sid].owns)
@@ -553,7 +552,6 @@ def race_probe(net: SimNetwork, scenario: dict) -> dict:
 # ---------------------------------------------------------------- traces
 
 def trace_to_json(events: list) -> list:
-    from .values import value_to_json
     return [{"time": e.time, "switch": e.switch, "kind": e.kind,
              "detail": repr(e.detail),
              "packet": {f: value_to_json(v) for f, v in e.packet.items()}}
@@ -562,7 +560,6 @@ def trace_to_json(events: list) -> list:
 
 def read_trace(path: str) -> list:
     """Trace input: JSON lines, each {"port": int, "packet": {field: value}}."""
-    from .values import value_from_loose
     out = []
     with open(path) as f:
         for line in f:

@@ -1259,43 +1259,6 @@ class Builder:
         return tuple(ops) + tail
 
 
-# ---------------------------------------------------------------- export
-
-def to_dot(arena: Arena, root: int) -> str:
-    lines = ["digraph xfdd {", "  node [shape=box];"]
-    seen = set()
-
-    def fmt_atom(x) -> str:
-        if x is DROP:
-            return "drop"
-        return lang.pretty_policy(x)
-
-    def fmt_elem(e) -> str:
-        if isinstance(e, Poison):
-            return f"conflict({e.var})"
-        return ", ".join(fmt_atom(x) for x in e) or "id"
-
-    def go(i: int):
-        if i in seen:
-            return
-        seen.add(i)
-        if arena.is_leaf(i):
-            label = "{" + "; ".join(
-                fmt_elem(e)
-                for e in sorted(arena.elems(i), key=elem_key)) + "}"
-            lines.append(f'  n{i} [shape=ellipse, label="{label}"];')
-            return
-        lines.append(f'  n{i} [label="{format_test(arena.test_of(i))}"];')
-        go(arena.hi(i))
-        go(arena.lo(i))
-        lines.append(f"  n{i} -> n{arena.hi(i)} [style=solid];")
-        lines.append(f"  n{i} -> n{arena.lo(i)} [style=dashed];")
-
-    go(root)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # -------------------------------------------------------------- validation
 
 def validate(arena: Arena, root: int, prog: lang.Program,

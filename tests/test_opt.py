@@ -324,6 +324,42 @@ def test_same_switch_flow_pins_state():
     assert opt.check_solution(m, sol.placement, sol.routing) == []
 
 
+def _unit_topology(edges):
+    """Switches joined both ways by unit-capacity links, with no ports."""
+    links = {}
+    for a, b in edges:
+        links[(a, b)] = topo.Link(a, b, 1.0)
+        links[(b, a)] = topo.Link(b, a, 1.0)
+    return topo.Topology({n: topo.Node(n) for e in edges for n in e},
+                         links, {})
+
+
+def test_router_comes_back_through_owner_without_reusing_links():
+    """c on X needs a on Y first, and d on Y needs c: the flow passes X
+    before a has run, comes back to X for c, and must reach Y a second
+    time over a link it has not used yet (through Z)."""
+    t = _unit_topology([("I", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "X"),
+                        ("X", "E")])
+    needed = frozenset({"a", "c", "d"})
+    owner = {"a": "Y", "c": "X", "d": "Y"}
+    dep = frozenset({("a", "c"), ("c", "d")})
+    path = opt._route(t, "I", "E", needed, owner, dep, {})
+    hops = list(zip(path, path[1:]))
+    assert len(set(hops)) == len(hops)
+    assert opt.exec_positions(path, needed, owner, dep) == \
+        {"a": 2, "c": 3, "d": 5}
+    assert path == ("I", "X", "Y", "X", "Z", "Y", "Z", "X", "E")
+
+
+def test_router_takes_the_cheapest_visit_order():
+    """a on Y and b on Z are independent.  Visiting Y first costs four
+    hops (I Y Z Y E); Z first costs three."""
+    t = _unit_topology([("I", "Y"), ("I", "Z"), ("Y", "Z"), ("Y", "E")])
+    path = opt._route(t, "I", "E", frozenset({"a", "b"}),
+                      {"a": "Y", "b": "Z"}, frozenset(), {})
+    assert path == ("I", "Z", "Y", "E")
+
+
 def test_routing_json_round_trip(sol_dns):
     rows = opt.routing_to_json(sol_dns.routing)
     assert opt.routing_from_json(rows) == sol_dns.routing

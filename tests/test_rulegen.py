@@ -4,7 +4,7 @@ bundle serialization, and structural validation."""
 import filecmp
 import os
 
-from snapnet import deps, lang, rulegen, topo, xfdd
+from snapnet import deps, lang, opt, rulegen, topo, xfdd
 
 from conftest import policy_src
 
@@ -47,13 +47,12 @@ def test_exec_positions_follow_dependencies():
     dep = frozenset({("a", "c"), ("b", "c")})
     placement = {"a": "X", "b": "Y", "c": "X"}
     path = ("I", "X", "Y", "X", "E")
-    pos = rulegen._exec_positions(path, frozenset({"a", "b", "c"}),
-                                  placement, dep)
+    pos = opt.exec_positions(path, frozenset({"a", "b", "c"}),
+                             placement, dep)
     assert pos == {"a": 1, "b": 2, "c": 3}
     # with a straight-through path, c never becomes executable
-    pos2 = rulegen._exec_positions(("I", "X", "E"),
-                                   frozenset({"a", "b", "c"}),
-                                   placement, dep)
+    pos2 = opt.exec_positions(("I", "X", "E"), frozenset({"a", "b", "c"}),
+                              placement, dep)
     assert pos2 == {"a": 1}
 
 

@@ -78,6 +78,12 @@ def reference(m, budget: int):
                              obj_so_far=base_obj)
         if r is not None:
             r = ({**base_routing, **r[0]}, r[1])
+            # every walk reuses no link and runs every variable its flow needs
+            assert all(
+                len(set(zip(p, p[1:]))) == len(p) - 1
+                and len(opt.exec_positions(p, m.flows[k][1], placement,
+                                           m.dep)) == len(m.flows[k][1])
+                for k, p in r[0].items()), placement
         out.append((placement, r))
     return groups, cand, flows, base_obj, exhaustive, out
 
