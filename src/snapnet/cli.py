@@ -2,7 +2,8 @@
 
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success, 1 compile errors (parse, race,
-unsupported composition), 2 infeasible placement/routing, 3 I/O errors.
+unsupported composition), 2 infeasible placement/routing, 3 I/O errors
+and malformed topology or placement files.
 A routing over link capacity is reported on stderr and still exits 0.
 The environment variable SNAPNET_SEED overrides --seed.
 """
@@ -16,7 +17,7 @@ import sys
 import time
 
 from . import deps, interp, lang, opt, psm, rulegen, simnet, topo, xfdd
-from .errors import CompileError, InfeasibleError
+from .errors import CompileError, InfeasibleError, InputError
 from .values import value_to_json
 
 PHASES = [
@@ -317,6 +318,9 @@ def main(argv: list | None = None) -> int:
         return 1
     except (OSError, json.JSONDecodeError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
+        return 3
+    except InputError as e:
+        print(f"bad input: {e}", file=sys.stderr)
         return 3
 
 

@@ -34,3 +34,7 @@ class UnsupportedCompositionError(CompileError):
 
 class InfeasibleError(Exception):
     """No placement/routing satisfies the constraints (CLI exit code 2)."""
+
+
+class InputError(ValueError):
+    """A malformed topology or placement file (CLI exit code 3)."""

@@ -7,14 +7,12 @@ with conflict detection via log consistency).  Clarity over speed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import lang
 from .errors import EvalError
 from .values import (
-    canon_key, check_int_range, format_value, test_match, value_from_json,
-    value_to_json, values_equal,
+    canon_key, check_int_range, format_value, test_match, values_equal,
 )
 
 
@@ -285,54 +283,3 @@ def eval_program(prog: lang.Program, m: Store, pkt: dict):
     if prog.assumption is not None:
         pol = lang.Seq(prog.assumption, prog.body)
     return eval(pol, m, pkt)
-
-
-# ---------------------------------------------------------------- traces
-
-def packet_to_json(pkt: dict) -> dict:
-    return {f: value_to_json(v) for f, v in sorted(pkt.items())}
-
-
-def packet_from_json(d: dict) -> dict:
-    return {f: value_from_json(v) for f, v in d.items()}
-
-
-def store_delta_json(store: Store) -> dict:
-    """Non-default cells, var -> sorted [index-list, value] pairs."""
-    out = {}
-    for var in sorted(store.cells):
-        rows = []
-        for k in sorted(store.cells[var]):
-            idx, val = store.cells[var][k]
-            rows.append([[value_to_json(i) for i in idx], value_to_json(val)])
-        if rows:
-            out[var] = rows
-    return out
-
-
-def trace_line(policy_ref: str, pkt: dict, result) -> str:
-    rec = {"policy-ref": policy_ref, "packet": packet_to_json(pkt)}
-    if result is UNDEFINED:
-        rec["expected-packets"] = None
-        rec["expected-store-delta"] = None
-    else:
-        rec["expected-packets"] = [packet_to_json(q) for q in result.packet_list()]
-        rec["expected-store-delta"] = store_delta_json(result.store)
-    return json.dumps(rec, sort_keys=True)
-
-
-def check_trace_line(prog: lang.Program, store: Store, line: str):
-    """Golden-trace check: returns (ok, result, record)."""
-    rec = json.loads(line)
-    pkt = make_packet(prog, packet_from_json(rec["packet"]))
-    r = eval_program(prog, store, pkt)
-    if rec["expected-packets"] is None:
-        return r is UNDEFINED, r, rec
-    if r is UNDEFINED:
-        return False, r, rec
-    got_pkts = sorted(json.dumps(packet_to_json(q), sort_keys=True)
-                      for q in r.packet_list())
-    want_pkts = sorted(json.dumps(q, sort_keys=True)
-                       for q in rec["expected-packets"])
-    ok = got_pkts == want_pkts and store_delta_json(r.store) == rec["expected-store-delta"]
-    return ok, r, rec

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, InputError
 
 
 def _san(x) -> str:
@@ -142,6 +142,10 @@ def build_milp(topo, demand, order, mode: str = "ST",
 
     state_vars = tuple(sorted(order.state_rank, key=lambda s:
                               (order.state_rank[s], s)))
+    for s in state_vars:
+        if mode == "TE" and fixed.get(s) not in topo.nodes:
+            raise InputError(f"placement has no known switch for state "
+                             f"variable {s!r} (got {fixed.get(s)!r})")
     flows = {}
     for (u, v), vol in sorted(topo.demands.items()):
         flows[(u, v)] = (vol, tuple(demand.states_for(u, v)))
@@ -383,13 +387,18 @@ def _preds(needed: frozenset, dep: frozenset) -> dict:
             for s in needed}
 
 
-def _dep_orders(needed, preds: dict):
+def _dep_orders(needed: frozenset, preds: dict):
     """Every order of the variables in `needed` that lists each one after
-    its prerequisites in `preds`."""
-    for perm in itertools.permutations(sorted(needed)):
-        pos = {s: i for i, s in enumerate(perm)}
-        if not any(pos[a] > pos[s] for s in perm for a in preds[s]):
-            yield perm
+    its prerequisites in `preds` (other than itself), in lexicographic
+    order: a prefix grows by each variable, in sorted order, whose
+    prerequisites it already holds."""
+    def grow(prefix: tuple, done: frozenset):
+        if len(prefix) == len(needed):
+            yield prefix
+        for s in sorted(needed - done):
+            if preds[s] - {s} <= done:
+                yield from grow(prefix + (s,), done | {s})
+    return grow((), frozenset())
 
 
 def exec_positions(path, needed, owner: dict, dep) -> dict:

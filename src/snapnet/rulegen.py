@@ -198,31 +198,24 @@ def gen_routing(rt: dict, placement: dict, demand, topo,
             resolved[a][(u, v)] = ("fwd", b)
         resolved[path[-1]][(u, v)] = ("emit", v)
 
-    points = state_resume_points(nodes)
-    for key in sorted(points):
-        s = points[key]
-        owner = placement.get(s)
-        if owner is None:
-            continue
-        for (u, v), path in sorted(paths.items()):
-            svars = demand.states_for(u, v)
-            if s not in svars:
-                continue
-            stop = opt.exec_positions(path, svars, placement, dep).get(s)
-            if stop is None:
-                continue
-            w = topo.demands.get((u, v), 0.0)
+    keys_of: dict = {}
+    for key, s in sorted(state_resume_points(nodes).items()):
+        keys_of.setdefault(s, []).append(key)
+    for (u, v), path in sorted(paths.items()):
+        w = topo.demands.get((u, v), 0.0)
+        stops = opt.exec_positions(path, demand.states_for(u, v),
+                                   placement, dep)
+        for s, stop in stops.items():
             # a walk may pass a switch more than once before the owner; a
             # packet still blocked on s there is on its latest visit, so
             # keep the hop of the last occurrence
             last_at: dict = {}
             for ai in range(stop):
                 last_at[path[ai]] = ai
-            for a, ai in sorted(last_at.items()):
-                entry = (w, v, path[ai + 1])
-                rows = unresolved[a].setdefault((u, key), [])
-                if entry not in rows:
-                    rows.append(entry)
+            for a, ai in last_at.items():
+                for key in keys_of.get(s, ()):
+                    unresolved[a].setdefault((u, key), []).append(
+                        (w, v, path[ai + 1]))
     for sid in unresolved:
         unresolved[sid] = {k: tuple(sorted(rows, key=lambda e: (e[1], e[2])))
                            for k, rows in unresolved[sid].items()}

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .errors import InputError
+
 
 @dataclass
 class Node:
@@ -91,21 +93,27 @@ class Topology:
 
 
 def from_json(data: dict) -> Topology:
-    nodes = {}
-    for n in data["nodes"]:
-        nodes[n["id"]] = Node(n["id"], tuple(n.get("external_ports", [])))
-    links = {}
-    for l in data["links"]:
-        key = (l["from"], l["to"])
-        links[key] = Link(l["from"], l["to"], float(l["capacity"]))
-        if l.get("bidirectional", True) and (l["to"], l["from"]) not in links:
-            links[(l["to"], l["from"])] = Link(l["to"], l["from"],
-                                               float(l["capacity"]))
-    demands = {}
-    for d in data.get("demands", []):
-        demands[(int(d["u"]), int(d["v"]))] = float(d["volume"])
-    t = Topology(nodes, links, demands)
-    t.validate()
+    """The topology `data` describes; InputError if it is malformed or
+    fails `Topology.validate`."""
+    try:
+        nodes = {}
+        for n in data["nodes"]:
+            nodes[n["id"]] = Node(n["id"], tuple(n.get("external_ports", [])))
+        links = {}
+        for l in data["links"]:
+            key = (l["from"], l["to"])
+            links[key] = Link(l["from"], l["to"], float(l["capacity"]))
+            if l.get("bidirectional", True) \
+                    and (l["to"], l["from"]) not in links:
+                links[(l["to"], l["from"])] = Link(l["to"], l["from"],
+                                                   float(l["capacity"]))
+        demands = {}
+        for d in data.get("demands", []):
+            demands[(int(d["u"]), int(d["v"]))] = float(d["volume"])
+        t = Topology(nodes, links, demands)
+        t.validate()
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise InputError(f"topology: {type(e).__name__}: {e}") from e
     return t
 
 

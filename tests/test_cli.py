@@ -99,6 +99,39 @@ def test_missing_file_is_io_error(capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize("data", [{"nodes": 3}, {"nodes": [], "links": []}],
+                         ids=["nodes-not-a-list", "empty"])
+def test_malformed_topology_exits_3(tmp_path, capsys, data):
+    bad = tmp_path / "topo.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "b"
+    code, _, err = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                            "-t", str(bad), "-o", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("bad input: topology: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("placement", [{"nope": "S1"},
+                                       {"established": "S1"}],
+                         ids=["unplaced", "unknown-switch"])
+def test_bad_fixed_placement_exits_3(tmp_path, capsys, placement):
+    """reroute and compile --placement both refuse a placement that leaves
+    a variable without a switch of the topology."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"placement": placement}))
+    policies = ["-p", policy_path("stateful-fw"),
+                "-p", policy_path("assign-egress")]
+    for argv in (["reroute", *policies, "-t", TOPO],
+                 ["compile", *policies, "-t", TOPO,
+                  "-o", str(tmp_path / "b")]):
+        code, out, err = run_cli([*argv, "--placement", str(pfile)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("bad input: ") and err.count("\n") == 1
+        assert "'established'" in err
+    assert not (tmp_path / "b").exists()
+
+
 def test_check_damaged_bundle_exits_2(tmp_path, capsys):
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),

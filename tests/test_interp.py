@@ -147,16 +147,6 @@ def test_tuple_index():
     assert r.store.get("u", (0, 7)) == 0
 
 
-def test_trace_round_trip():
-    prog = lang.parse(UNIVERSE_SRC + "\ns[0] <- 1; a <- 1")
-    st = Store.initial(prog)
-    pkt = interp.make_packet(prog, {**PKT, "inport": 0, "outport": 0})
-    r = interp.eval_program(prog, st, pkt)
-    line = interp.trace_line("x", pkt, r)
-    ok, _, _ = interp.check_trace_line(prog, st, line)
-    assert ok
-
-
 def test_bool_and_network_values_round_trip():
     prog = lang.parse("field f : ip in {10.0.1.10};\nstate s[1] default False;\n"
                       "if f = 10.0.1.0/24 then s[0] <- True else id")

@@ -2,7 +2,10 @@
 independent re-verification of solutions and hand-made violations."""
 
 import hashlib
+import itertools
+import random
 import re
+import signal
 
 import pytest
 
@@ -358,6 +361,58 @@ def test_router_takes_the_cheapest_visit_order():
     path = opt._route(t, "I", "E", frozenset({"a", "b"}),
                       {"a": "Y", "b": "Z"}, frozenset(), {})
     assert path == ("I", "Z", "Y", "E")
+
+
+def _permutation_orders(needed, preds):
+    """Reference: every permutation of the sorted variables in which no
+    variable comes before one of its prerequisites."""
+    for perm in itertools.permutations(sorted(needed)):
+        pos = {s: i for i, s in enumerate(perm)}
+        if not any(pos[a] > pos[s] for s in perm for a in preds[s]):
+            yield perm
+
+
+def test_dep_orders_equal_the_permutation_filter():
+    """Same orders, in the same lexicographic order, on seeded random
+    dependency relations over up to 7 variables; the relations include
+    cycles (no order), self-dependencies and variables not needed."""
+    rng = random.Random("dep-orders")
+    kinds = set()
+    for _ in range(300):
+        needed = frozenset(f"s{i}" for i in range(rng.randint(0, 7)))
+        names = sorted(needed) + ["x"]
+        density = rng.random() * 0.4
+        dep = frozenset((a, b) for a in names for b in names
+                        if rng.random() < density)
+        preds = opt._preds(needed, dep)
+        got = list(opt._dep_orders(needed, preds))
+        assert got == list(_permutation_orders(needed, preds))
+        kinds.add(min(len(got), 2))
+    assert kinds == {0, 1, 2}
+
+
+def test_unpinned_eleven_variable_composition_compiles():
+    """Four DNS applications and assign-egress: 11 variables, unpinned,
+    budget 64.  The search's bounds list every dependency order of each
+    flow's variables; filtering all 11! permutations never finished, so
+    an alarm turns a hang into a failure."""
+    names = ["dns-tunnel-detect", "many-ip-domains", "many-domain-ips",
+             "dns-ttl-change", "assign-egress"]
+    prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
+    t = topo.example12()
+
+    def too_slow(signum, frame):
+        raise TimeoutError("unpinned compile took over 60 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        bundle = rulegen.compile(prog, t, budget=64)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert len(prog.states) == len(bundle.placement) == 11
+    assert rulegen.validate_bundle(bundle, t) == []
 
 
 def test_routing_json_round_trip(sol_dns):

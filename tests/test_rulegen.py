@@ -2,9 +2,10 @@
 bundle serialization, and structural validation."""
 
 import filecmp
+import hashlib
 import os
 
-from snapnet import deps, lang, opt, rulegen, topo, xfdd
+from snapnet import deps, lang, opt, psm, rulegen, topo, xfdd
 
 from conftest import policy_src
 
@@ -160,6 +161,52 @@ def test_walk_routing_with_revisited_switch_generates_rules():
     for path in walks:
         hops = list(zip(path, path[1:]))
         assert len(set(hops)) == len(hops)
+
+
+REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
+
+
+def test_revisiting_walk_bundle_is_pinned(tmp_path):
+    """The bundle of a TE compile in which 20 of the 30 walks revisit a
+    switch, byte for byte as rule generation first wrote it: the last
+    visit before the owner keeps the unresolved entry."""
+    _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
+                                 fixed=REVISIT_FIXED)
+    walks = opt.rt_paths(bundle.routing).values()
+    assert sum(len(set(p)) < len(p) for p in walks) == 20
+    assert len(walks) == 30
+    rulegen.write_bundle(bundle, str(tmp_path))
+    listing = "".join(
+        f"{p.relative_to(tmp_path).as_posix()} "
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in sorted(tmp_path.rglob("*")) if p.is_file())
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "169410a5091b8e2a787272ba7f4fbbd3da9f49aedee7880c53f7ab059d1327a8")
+
+
+def test_gen_routing_reads_exec_positions_once_per_flow(monkeypatch):
+    calls = []
+    real = opt.exec_positions
+
+    def counted(path, *args):
+        calls.append(path)
+        return real(path, *args)
+
+    prog = lang.compose_all([lang.parse(policy_src(n))
+                             for n in ["dns-tunnel-detect", "assign-egress"]])
+    t = topo.example12()
+    bundle = rulegen.compile(prog, t, fixed=REVISIT_FIXED)
+    order = deps.order_spec_program(prog)
+    b = xfdd.Builder(prog, order)
+    d = b.prune_vacuous(b.to_xfdd_program())
+    demand = psm.packet_state_map(b, d, t, order)
+    nodes, _ = rulegen.number_nodes(b.arena, d)
+    monkeypatch.setattr(opt, "exec_positions", counted)
+    rulegen.gen_routing(bundle.routing, bundle.placement, demand, t, nodes,
+                        dep=order.dep)
+    paths = opt.rt_paths(bundle.routing)
+    assert sorted(calls) == sorted(paths.values())
+    assert len(calls) == len(paths) == 30
 
 
 def test_phase_times_reported():
