@@ -3,7 +3,7 @@
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success, 1 compile errors (parse, race,
 unsupported composition), 2 infeasible placement/routing, 3 I/O errors
-and malformed topology or placement files.
+and malformed topology, placement or trace files.
 A routing over link capacity is reported on stderr and still exits 0.
 The environment variable SNAPNET_SEED overrides --seed.
 """
@@ -64,7 +64,13 @@ def _fixed_placement(args) -> dict | None:
         return None
     with open(args.placement) as f:
         data = json.load(f)
-    return opt.placement_from_json(data.get("placement", data))
+    if isinstance(data, dict):
+        data = data.get("placement", data)
+    if not (isinstance(data, dict)
+            and all(isinstance(x, str) for kv in data.items() for x in kv)):
+        raise InputError("placement: not an object mapping state variables "
+                         "to switches")
+    return opt.placement_from_json(data)
 
 
 # ---------------------------------------------------------------- commands

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import lang, rulegen, xfdd
-from .errors import EvalError
+from .errors import EvalError, InputError
 from .interp import eval_expr, eval_index
 from .rulegen import DONE, UNRESOLVED, SnapHeader
 from .values import (canon_key, check_int_range, test_match, value_from_loose,
@@ -559,15 +559,29 @@ def trace_to_json(events: list) -> list:
 
 
 def read_trace(path: str) -> list:
-    """Trace input: JSON lines, each {"port": int, "packet": {field: value}}."""
+    """Trace input: JSON lines, each {"port": int, "packet": {field: value}};
+    InputError naming the line if one is not of that shape."""
     out = []
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            out.append((d["port"],
-                        {f: value_from_loose(v)
-                         for f, v in d["packet"].items()}))
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise InputError(f"trace line {n}: {e.msg}") from e
+            if not (isinstance(d, dict) and "port" in d and "packet" in d):
+                raise InputError(f"trace line {n}: expected an object with "
+                                 f"'port' and 'packet'")
+            port, pkt = d["port"], d["packet"]
+            if not isinstance(pkt, dict):
+                raise InputError(f"trace line {n}: packet is not an object")
+            if not isinstance(port, int) or isinstance(port, bool):
+                raise InputError(f"trace line {n}: port is not an int")
+            try:
+                pkt = {f: value_from_loose(v) for f, v in pkt.items()}
+            except (KeyError, OverflowError, TypeError, ValueError) as e:
+                raise InputError(f"trace line {n}: {e}") from e
+            out.append((port, pkt))
     return out

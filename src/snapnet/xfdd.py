@@ -209,20 +209,63 @@ class Contradiction(Exception):
     """Internal error: a contradicting fact was added to a Context."""
 
 
+def _settle_cands(c: dict):
+    """A class left with no candidate value is a contradiction; one left
+    with a single candidate has that value."""
+    if c["cands"] is not None:
+        if not c["cands"]:
+            raise Contradiction(f"empty domain for {min(c['members'])}")
+        if c["val"] is None and len(c["cands"]) == 1:
+            c["val"] = c["cands"][0]
+
+
 class Context:
     """Immutable set of (test, polarity) path facts with an implication
     closure: same-field value exclusion, finite field domains, prefix
-    containment, field-equality transitivity, and state-cell facts."""
+    containment, field-equality transitivity, and state-cell facts.
 
-    __slots__ = ("schema", "facts", "_parent", "_classes", "_neq", "_st")
+    `Context(schema)` is the empty context, and `add` is the only way a
+    fact enters one.  It applies that one fact to the parent's closure,
+    copy-on-write, and shares every table the fact leaves alone:
+      * a state test copies `_st` and replaces the one cell slot it changes;
+      * a field=value or prefix fact copies `_classes` and the one field
+        class it touches, and narrows that class's candidate values by the
+        new predicate alone; when the class gains a value, only the
+        disequalities that involve the class are checked;
+      * a field=field equality merges two classes in a copied union-find,
+        settles the merged class from its members' domains and facts, and
+        remaps `_neq`; a disequality appends one pair to `_neq`.
+    `add` raises Contradiction when the fact leaves no packet and store on
+    the path, as far as the closure can tell."""
 
-    def __init__(self, schema, facts: tuple = ()):
-        self.schema = schema          # lang.Program (for field domains)
-        self.facts = facts
-        self._build()
+    __slots__ = ("schema", "_n", "_parent", "_classes", "_neq", "_st")
+
+    def __init__(self, schema):
+        self.schema = schema    # lang.Program (for field domains)
+        self._n = 0             # facts so far; orders a class's facts
+        self._parent = {}       # union-find over equal fields; rep = least
+        self._classes = {}      # rep -> class of every field a fact names
+        self._neq = ()          # (rep, rep) pairs of unequal classes
+        self._st = {}           # (var, index key) -> cell slot
 
     def add(self, t, polarity: bool) -> "Context":
-        return Context(self.schema, self.facts + ((t, bool(polarity)),))
+        ctx = object.__new__(Context)
+        ctx.schema = self.schema
+        ctx._n = self._n + 1
+        ctx._parent = self._parent
+        ctx._classes = self._classes
+        ctx._neq = self._neq
+        ctx._st = self._st
+        b = bool(polarity)
+        if isinstance(t, TStateTest):
+            ctx._add_state(t, b)
+        elif isinstance(t, TFieldValue):
+            ctx._add_value(t, b)
+        elif isinstance(t, TFieldField):
+            ctx._add_fields(t, b)
+        else:
+            raise TypeError(f"not a test: {t!r}")
+        return ctx
 
     # -- closure construction
 
@@ -231,123 +274,130 @@ class Context:
             f = self._parent[f]
         return f
 
-    def _union(self, f: str, g: str):
-        rf, rg = self._rep(f), self._rep(g)
-        if rf != rg:
-            if rg < rf:
-                rf, rg = rg, rf
-            self._parent[rg] = rf
+    def _add_state(self, t, b: bool):
+        # a cell slot: "yes" is the key of the rhs the cell equals (the
+        # first one asserted), "rhs" maps it to that expression, and "no"
+        # holds the keys of the rhs the cell differs from
+        k = (t.var, expr_key(t.index))
+        rk = expr_key(t.rhs)
+        slot = self._st.get(k)
+        yes, no, rhs = ((slot["yes"], slot["no"], slot["rhs"]) if slot
+                        else (None, frozenset(), {}))
+        if b:
+            # two literal right-hand sides cannot both hold; a non-literal
+            # one is only contradictory if provably unequal, so it is not
+            if (yes is not None and yes != rk
+                    and isinstance(rhs[yes], lang.Lit)
+                    and isinstance(t.rhs, lang.Lit)):
+                raise Contradiction(format_test(t))
+            if rk in no:
+                raise Contradiction(format_test(t))
+            if yes is None:
+                yes, rhs = rk, {rk: t.rhs}
+        else:
+            if yes == rk:
+                raise Contradiction(format_test(t))
+            no = no | {rk}
+        self._st = {**self._st, k: {"yes": yes, "no": no, "rhs": rhs}}
 
-    def _build(self):
-        self._parent: dict = {}
-        eqs, rest = [], []
-        for t, b in self.facts:
-            (eqs if isinstance(t, TFieldField) and b else rest).append((t, b))
-        for t, _ in eqs:
-            self._union(t.f1, t.f2)
+    def _settle(self, members: frozenset, facts: tuple) -> dict:
+        """A field class from scratch: its members' common finite domain
+        (None if none is declared) narrowed by its field=value facts,
+        given as (fact number, value, polarity) in the order added."""
+        dom = None
+        for f in sorted(members):
+            d = self.schema.domain_of(f) if self.schema else None
+            if d is not None:
+                dom = tuple(v for v in d if dom is None
+                            or any(values_equal(v, x) for x in dom))
+        c = {"members": members, "facts": (), "val": None, "noval": (),
+             "pyes": (), "pno": (), "cands": dom}
+        _settle_cands(c)
+        for i, v, b in facts:
+            c = self._narrow(c, i, v, b)
+        return c
 
-        # per-class facts
-        val: dict = {}
-        noval: dict = {}
-        pyes: dict = {}
-        pno: dict = {}
-        neq: list = []
-        st: dict = {}
-        for t, b in rest:
-            if isinstance(t, TFieldField):
-                if self._rep(t.f1) == self._rep(t.f2):
-                    raise Contradiction(format_test(t))
-                neq.append((self._rep(t.f1), self._rep(t.f2)))
-            elif isinstance(t, TFieldValue):
-                r = self._rep(t.field)
-                if isinstance(t.value, IPv4Network):
-                    (pyes if b else pno).setdefault(r, []).append(t.value)
-                elif b:
-                    if r in val and not values_equal(val[r], t.value):
-                        raise Contradiction(format_test(t))
-                    val[r] = t.value
-                else:
-                    noval.setdefault(r, []).append(t.value)
-            elif isinstance(t, TStateTest):
-                k = (t.var, expr_key(t.index))
-                rk = expr_key(t.rhs)
-                slot = st.setdefault(k, {"yes": None, "no": set(),
-                                         "rhs": {}})
-                slot["rhs"][rk] = t.rhs
-                if b:
-                    if slot["yes"] is not None and slot["yes"] != rk:
-                        y1, y2 = slot["rhs"].get(slot["yes"]), t.rhs
-                        if (isinstance(y1, lang.Lit)
-                                and isinstance(y2, lang.Lit)):
-                            raise Contradiction(format_test(t))
-                        # two non-literal rhs both "yes": only contradictory
-                        # if provably unequal; treat as compatible.
-                    if slot["yes"] is None:
-                        slot["yes"] = rk
-                    if rk in slot["no"]:
-                        raise Contradiction(format_test(t))
-                else:
-                    if slot["yes"] == rk:
-                        raise Contradiction(format_test(t))
-                    slot["no"].add(rk)
+    def _narrow(self, c: dict, i: int, v, b: bool) -> dict:
+        """Class c with the fact (field = v) == b, number i, applied."""
+        c = dict(c)
+        c["facts"] += ((i, v, b),)
+        cands = c["cands"]
+        if isinstance(v, IPv4Network):
+            if b:
+                c["pyes"] += (v,)
             else:
-                raise TypeError(f"not a test: {t!r}")
-
-        # candidate sets per class, from declared finite domains
-        classes: dict = {}
-        fields = set(self._parent) | {f for f, _ in []}
-        for t, b in self.facts:
-            if isinstance(t, TFieldValue):
-                fields.add(t.field)
-            elif isinstance(t, TFieldField):
-                fields.update((t.f1, t.f2))
-        for f in fields:
-            r = self._rep(f)
-            c = classes.setdefault(r, {"members": set(), "val": val.get(r),
-                                       "noval": noval.get(r, []),
-                                       "pyes": pyes.get(r, []),
-                                       "pno": pno.get(r, []),
-                                       "cands": None})
-            c["members"].add(f)
-        for r, c in classes.items():
-            doms = []
-            for f in c["members"]:
-                d = self.schema.domain_of(f) if self.schema else None
-                if d is not None:
-                    doms.append(d)
-            cands = None
-            for d in doms:
-                s = [v for v in d
-                     if cands is None or any(values_equal(v, x) for x in cands)]
-                cands = s
-            if c["val"] is not None:
-                if cands is not None and not any(
-                        values_equal(c["val"], x) for x in cands):
-                    raise Contradiction(f"{r} = {format_value(c['val'])}")
-                cands = [c["val"]]
+                c["pno"] += (v,)
             if cands is not None:
-                cands = [v for v in cands
-                         if not any(values_equal(v, x) for x in c["noval"])]
-                for p in c["pyes"]:
-                    cands = [v for v in cands if test_match(v, p)]
-                for p in c["pno"]:
-                    cands = [v for v in cands if not test_match(v, p)]
-                if not cands:
-                    raise Contradiction(f"empty domain for {r}")
-                if len(cands) == 1 and c["val"] is None:
-                    c["val"] = cands[0]
-            c["cands"] = cands
+                cands = tuple(x for x in cands if test_match(x, v) == b)
+        elif b:
+            if cands is None:
+                # no declared domain: v is the one candidate the value
+                # facts so far leave standing, or none is
+                cands = (v,)
+                if (any(values_equal(v, x) for x in c["noval"])
+                        or not all(test_match(v, p) for p in c["pyes"])
+                        or any(test_match(v, p) for p in c["pno"])):
+                    cands = ()
+            else:
+                cands = tuple(x for x in cands if values_equal(x, v))
+            c["val"] = v
+        else:
+            c["noval"] += (v,)
+            if cands is not None:
+                cands = tuple(x for x in cands if not values_equal(x, v))
+        c["cands"] = cands
+        _settle_cands(c)
+        return c
 
-        # value-known classes that are neq-linked with equal values
-        for r1, r2 in neq:
-            a = classes.get(r1, {}).get("val")
-            b2 = classes.get(r2, {}).get("val")
-            if a is not None and b2 is not None and values_equal(a, b2):
-                raise Contradiction(f"{r1} != {r2}")
+    def _enter(self, f: str, classes: dict) -> str:
+        """The rep of f's class, entered into `classes` if new."""
+        r = self._rep(f)
+        if r not in classes:
+            classes[r] = self._settle(frozenset((f,)), ())
+        return r
 
+    def _check_neq(self, r: str):
+        """The disequalities that involve class r still hold."""
+        val = self._classes[r]["val"]
+        for a, b in self._neq:
+            if a == r or b == r:
+                if a == b:
+                    raise Contradiction(f"{a} != {b}")
+                o = self._classes[b if a == r else a]["val"]
+                if (val is not None and o is not None
+                        and values_equal(val, o)):
+                    raise Contradiction(f"{a} != {b}")
+
+    def _add_value(self, t, b: bool):
+        classes = dict(self._classes)
+        r = self._enter(t.field, classes)
+        before = classes[r]["val"]
+        classes[r] = self._narrow(classes[r], self._n, t.value, b)
         self._classes = classes
-        self._neq = neq
-        self._st = st
+        if before is None and classes[r]["val"] is not None:
+            self._check_neq(r)
+
+    def _add_fields(self, t, b: bool):
+        classes = dict(self._classes)
+        r1 = self._enter(t.f1, classes)
+        r2 = self._enter(t.f2, classes)
+        self._classes = classes
+        if not b:
+            if r1 == r2:
+                raise Contradiction(format_test(t))
+            self._neq += ((r1, r2),)
+            self._check_neq(r1)
+        elif r1 != r2:
+            r, o = min(r1, r2), max(r1, r2)
+            self._parent = {**self._parent, o: r}
+            c1, c2 = classes.pop(r1), classes.pop(r2)
+            classes[r] = self._settle(
+                c1["members"] | c2["members"],
+                tuple(sorted(c1["facts"] + c2["facts"],
+                             key=lambda fact: fact[0])))
+            self._neq = tuple((r if a == o else a, r if b2 == o else b2)
+                              for a, b2 in self._neq)
+            self._check_neq(r)
 
     # -- queries
 

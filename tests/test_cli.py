@@ -132,6 +132,54 @@ def test_bad_fixed_placement_exits_3(tmp_path, capsys, placement):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", '"D4"',
+                                     '{"placement": [1, 2]}',
+                                     '{"placement": {"established": 4}}'],
+                         ids=["list", "string", "member-list",
+                              "switch-not-a-string"])
+def test_placement_not_an_object_exits_3(tmp_path, capsys, content):
+    """A --placement file must hold an object mapping variables to switches,
+    at the top level or as its "placement" member."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(content)
+    policies = ["-p", policy_path("stateful-fw"),
+                "-p", policy_path("assign-egress")]
+    for argv in (["reroute", *policies, "-t", TOPO],
+                 ["compile", *policies, "-t", TOPO,
+                  "-o", str(tmp_path / "b")]):
+        code, out, err = run_cli([*argv, "--placement", str(pfile)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("bad input: placement: ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("line", ['{"port": 1,', '{"port": 1}',
+                                  '{"packet": {}}', '[1, {}]',
+                                  '{"port": 1, "packet": [1]}',
+                                  '{"port": "1", "packet": {}}',
+                                  '{"port": 1, "packet": {"inport": 1.5}}'],
+                         ids=["not-json", "no-packet", "no-port",
+                              "not-an-object",
+                              "packet-not-an-object", "port-not-an-int",
+                              "bad-value"])
+def test_malformed_trace_line_exits_3(tmp_path, capsys, line):
+    """simulate names the first malformed line of its trace (here the
+    second; the first is good) and exits 3."""
+    bundle = tmp_path / "bundle"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    good = json.dumps({"port": 1, "packet": {"inport": 1, "outport": 1}})
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(f"{good}\n{line}\n")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("bad input: trace line 2: ")
+    assert err.count("\n") == 1
+
+
 def test_check_damaged_bundle_exits_2(tmp_path, capsys):
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),

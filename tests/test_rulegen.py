@@ -16,6 +16,17 @@ def compile_named(names, t=None, **kw):
     return prog, t, rulegen.compile(prog, t, **kw)
 
 
+def bundle_digest(bundle, dirpath) -> str:
+    """SHA-256 of the written bundle's file listing, one line per file:
+    its path and the SHA-256 of its bytes."""
+    rulegen.write_bundle(bundle, str(dirpath))
+    listing = "".join(
+        f"{p.relative_to(dirpath).as_posix()} "
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in sorted(dirpath.rglob("*")) if p.is_file())
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
 def test_number_nodes_is_preorder_and_total():
     prog = lang.parse(policy_src("dns-tunnel-detect"))
     order = deps.order_spec_program(prog)
@@ -175,13 +186,24 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     walks = opt.rt_paths(bundle.routing).values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
-    rulegen.write_bundle(bundle, str(tmp_path))
-    listing = "".join(
-        f"{p.relative_to(tmp_path).as_posix()} "
-        f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
-        for p in sorted(tmp_path.rglob("*")) if p.is_file())
-    assert hashlib.sha256(listing.encode()).hexdigest() == (
+    assert bundle_digest(bundle, tmp_path) == (
         "169410a5091b8e2a787272ba7f4fbbd3da9f49aedee7880c53f7ab059d1327a8")
+
+
+def test_state_heavy_composition_bundle_is_pinned(tmp_path):
+    """The corpus twin of the benchmark's compose-e12: three stateful
+    applications and assign-egress with every variable on D4, byte for
+    byte as written while each path context was still rebuilt from its
+    whole fact list.  Most path facts here are state tests."""
+    names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
+             "assign-egress"]
+    prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
+    t = topo.example12()
+    bundle = rulegen.compile(prog, t,
+                             fixed={s: "D4" for s in sorted(prog.states)})
+    assert set(bundle.placement.values()) == {"D4"}
+    assert bundle_digest(bundle, tmp_path) == (
+        "923f64a2e6bf90687d29e007f021c617edbaccb48db1dc77d96bb6407255e455")
 
 
 def test_gen_routing_reads_exec_positions_once_per_flow(monkeypatch):

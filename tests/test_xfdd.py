@@ -4,10 +4,11 @@ canonicalization, and pruning."""
 
 import dataclasses
 import random
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
-from snapnet import deps, interp, lang, xfdd
+from snapnet import deps, interp, lang, values, xfdd
 from snapnet.errors import RaceError, UnsupportedCompositionError
 from snapnet.interp import UNDEFINED
 
@@ -196,3 +197,242 @@ def test_json_round_trip_for_tests_and_atoms():
              lang.Incr("s", lang.Lit(0)), xfdd.DROP)
     for a in atoms:
         assert xfdd.atom_from_json(xfdd.atom_to_json(a)) == a
+
+
+# ------------------------------------------------ closure reference
+
+class ReferenceContext(xfdd.Context):
+    """The path-fact closure as it was built before contexts were
+    extended from their parents: from scratch over the whole fact list at
+    every step.  Queries (`imply`, `value_of`) are Context's own."""
+
+    __slots__ = ("facts",)
+
+    def __init__(self, schema, facts: tuple = ()):
+        self.schema = schema
+        self.facts = facts
+        self._build()
+
+    def add(self, t, polarity: bool):
+        return ReferenceContext(self.schema,
+                                self.facts + ((t, bool(polarity)),))
+
+    def _union(self, f: str, g: str):
+        rf, rg = self._rep(f), self._rep(g)
+        if rf != rg:
+            if rg < rf:
+                rf, rg = rg, rf
+            self._parent[rg] = rf
+
+    def _build(self):
+        Contradiction = xfdd.Contradiction
+        self._parent = {}
+        eqs, rest = [], []
+        for t, b in self.facts:
+            (eqs if isinstance(t, xfdd.TFieldField) and b
+             else rest).append((t, b))
+        for t, _ in eqs:
+            self._union(t.f1, t.f2)
+
+        val, noval, pyes, pno, neq, st = {}, {}, {}, {}, [], {}
+        for t, b in rest:
+            if isinstance(t, xfdd.TFieldField):
+                if self._rep(t.f1) == self._rep(t.f2):
+                    raise Contradiction(xfdd.format_test(t))
+                neq.append((self._rep(t.f1), self._rep(t.f2)))
+            elif isinstance(t, xfdd.TFieldValue):
+                r = self._rep(t.field)
+                if isinstance(t.value, IPv4Network):
+                    (pyes if b else pno).setdefault(r, []).append(t.value)
+                elif b:
+                    if r in val and not values.values_equal(val[r], t.value):
+                        raise Contradiction(xfdd.format_test(t))
+                    val[r] = t.value
+                else:
+                    noval.setdefault(r, []).append(t.value)
+            else:
+                k = (t.var, deps.expr_key(t.index))
+                rk = deps.expr_key(t.rhs)
+                slot = st.setdefault(k, {"yes": None, "no": set(),
+                                         "rhs": {}})
+                slot["rhs"][rk] = t.rhs
+                if b:
+                    if slot["yes"] is not None and slot["yes"] != rk:
+                        y1, y2 = slot["rhs"].get(slot["yes"]), t.rhs
+                        if (isinstance(y1, lang.Lit)
+                                and isinstance(y2, lang.Lit)):
+                            raise Contradiction(xfdd.format_test(t))
+                    if slot["yes"] is None:
+                        slot["yes"] = rk
+                    if rk in slot["no"]:
+                        raise Contradiction(xfdd.format_test(t))
+                else:
+                    if slot["yes"] == rk:
+                        raise Contradiction(xfdd.format_test(t))
+                    slot["no"].add(rk)
+
+        classes = {}
+        fields = set(self._parent)
+        for t, b in self.facts:
+            if isinstance(t, xfdd.TFieldValue):
+                fields.add(t.field)
+            elif isinstance(t, xfdd.TFieldField):
+                fields.update((t.f1, t.f2))
+        for f in fields:
+            r = self._rep(f)
+            c = classes.setdefault(r, {"members": set(), "val": val.get(r),
+                                       "noval": noval.get(r, []),
+                                       "pyes": pyes.get(r, []),
+                                       "pno": pno.get(r, []),
+                                       "cands": None})
+            c["members"].add(f)
+        for r, c in classes.items():
+            cands = None
+            for f in c["members"]:
+                d = self.schema.domain_of(f)
+                if d is not None:
+                    cands = [v for v in d if cands is None
+                             or any(values.values_equal(v, x) for x in cands)]
+            if c["val"] is not None:
+                if cands is not None and not any(
+                        values.values_equal(c["val"], x) for x in cands):
+                    raise Contradiction(r)
+                cands = [c["val"]]
+            if cands is not None:
+                cands = [v for v in cands if not any(
+                    values.values_equal(v, x) for x in c["noval"])]
+                for p in c["pyes"]:
+                    cands = [v for v in cands if values.test_match(v, p)]
+                for p in c["pno"]:
+                    cands = [v for v in cands if not values.test_match(v, p)]
+                if not cands:
+                    raise Contradiction(f"empty domain for {r}")
+                if len(cands) == 1 and c["val"] is None:
+                    c["val"] = cands[0]
+            c["cands"] = cands
+
+        for r1, r2 in neq:
+            a, b2 = classes[r1]["val"], classes[r2]["val"]
+            if a is not None and b2 is not None and values.values_equal(a, b2):
+                raise Contradiction(f"{r1} != {r2}")
+        self._classes = classes
+        self._neq = neq
+        self._st = st
+
+
+CLOSURE_SRC = """
+state s[1] default 0;
+state t[1] default 0;
+field a : small in {0, 1, 2};
+field b : small in {1, 2, 3};
+field c : small in {2};
+field d : small;
+field dst : ip;
+field gw : ip;
+field src : ip in {10.0.0.1, 10.0.1.1, 10.1.0.1, 11.0.0.1};
+id
+"""
+IP_FIELDS = ("dst", "gw", "src")
+CLOSURE_INTS = (0, 1, 2, 3)
+CLOSURE_ADDRS = tuple(IPv4Address(a) for a in (
+    "10.0.0.1", "10.0.1.1", "10.1.0.1", "11.0.0.1", "12.0.0.1"))
+CLOSURE_PREFIXES = tuple(IPv4Network(p) for p in (
+    "10.0.0.0/8", "10.0.0.0/16", "10.0.1.0/24", "10.1.0.0/16",
+    "11.0.0.0/8"))
+CLOSURE_INDICES = (lang.Lit(0), lang.FieldRef("a"))
+CLOSURE_RHS = (lang.Lit(0), lang.Lit(1), lang.Lit(2), lang.FieldRef("a"),
+               lang.FieldRef("d"))
+
+
+def _closure_probes(prog) -> list:
+    probes = [xfdd.TFieldValue(f, v) for f in ("a", "b", "c", "d")
+              for v in CLOSURE_INTS]
+    probes += [xfdd.TFieldValue(f, v) for f in ("dst", "gw", "src")
+               for v in CLOSURE_ADDRS + CLOSURE_PREFIXES]
+    fields = sorted(prog.fields)
+    probes += [xfdd.make_ff(f, g) for i, f in enumerate(fields)
+               for g in fields[i + 1:]]
+    probes += [xfdd.TStateTest(var, i, rhs) for var in ("s", "t")
+               for i in CLOSURE_INDICES for rhs in CLOSURE_RHS]
+    return probes
+
+
+def _random_fact(rng):
+    k = rng.random()
+    if k < 0.25:
+        return xfdd.TFieldValue(rng.choice("abcd"), rng.choice(CLOSURE_INTS))
+    if k < 0.4:
+        return xfdd.TFieldValue(rng.choice(IP_FIELDS),
+                                rng.choice(CLOSURE_ADDRS))
+    if k < 0.55:
+        return xfdd.TFieldValue(rng.choice(IP_FIELDS),
+                                rng.choice(CLOSURE_PREFIXES))
+    if k < 0.75:
+        return xfdd.make_ff(*rng.sample(("a", "b", "c", "d") + IP_FIELDS, 2))
+    return xfdd.TStateTest(rng.choice("st"), rng.choice(CLOSURE_INDICES),
+                           rng.choice(CLOSURE_RHS))
+
+
+def _random_steps(rng) -> list:
+    """A random sequence of (fact, polarity) steps."""
+    steps = [(_random_fact(rng), rng.random() < 0.5)
+             for _ in range(rng.randint(1, 12))]
+    if rng.random() < 0.4:
+        # the chain f = x, g = y, f = h, h = g, spread over the sequence:
+        # its equalities join classes that hold values
+        f, g, h = rng.sample("abcd", 3)
+        chain = [(xfdd.TFieldValue(f, rng.choice((1, 2))), True),
+                 (xfdd.TFieldValue(g, rng.choice((1, 2))), True),
+                 (xfdd.make_ff(f, h), True), (xfdd.make_ff(h, g), True)]
+        at = sorted(rng.sample(range(len(steps) + 4), 4))
+        for i, step in zip(at, chain):
+            steps.insert(i, step)
+    return steps
+
+
+# Disjoint prefixes on two fields without a domain, then joined: the
+# closure cannot tell that no packet is left, and `imply` answers from the
+# joined class's first prefix in the order the facts were added.
+JOINED_PREFIXES = [
+    (xfdd.TFieldValue("dst", IPv4Network("10.0.0.0/8")), True),
+    (xfdd.TFieldValue("gw", IPv4Network("11.0.0.0/8")), True),
+    (xfdd.TFieldValue("dst", IPv4Network("10.0.0.0/16")), True),
+    (xfdd.make_ff("dst", "gw"), True),
+]
+
+
+def test_context_add_equals_the_rebuilt_closure():
+    """Context.add, which extends the parent's closure by one fact, agrees
+    with the closure rebuilt from the whole fact list: on 300 seeded
+    random fact sequences, each step raises Contradiction on both or on
+    neither, and the two contexts give the same `imply` and `value_of`
+    answers.  A contradicting fact is dropped and the sequence goes on."""
+    prog = lang.parse(CLOSURE_SRC)
+    probes = _closure_probes(prog)
+    rng = random.Random("context-closure")
+    seen = {"contradiction": 0, "consistent": 0, "merge-one-value": 0,
+            "merge-two-values": 0}
+    for steps in [JOINED_PREFIXES] + [_random_steps(rng) for _ in range(300)]:
+        ctx, ref = xfdd.Context(prog), ReferenceContext(prog)
+        for t, b in steps:
+            if (b and isinstance(t, xfdd.TFieldField)
+                    and ref._rep(t.f1) != ref._rep(t.f2)):
+                known = [ctx.value_of(f) is not None for f in (t.f1, t.f2)]
+                if all(known):
+                    seen["merge-two-values"] += 1
+                elif any(known):
+                    seen["merge-one-value"] += 1
+            try:
+                ref2 = ref.add(t, b)
+            except xfdd.Contradiction:
+                with pytest.raises(xfdd.Contradiction):
+                    ctx.add(t, b)
+                seen["contradiction"] += 1
+                continue
+            ctx, ref = ctx.add(t, b), ref2
+            seen["consistent"] += 1
+            for p in probes:
+                assert ctx.imply(p) == ref.imply(p), (ref.facts, p)
+            for f in prog.fields:
+                assert ctx.value_of(f) == ref.value_of(f), (ref.facts, f)
+    assert min(seen.values()) >= 30, seen
