@@ -4,6 +4,8 @@ Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success, 1 compile errors (parse, race,
 unsupported composition), 2 infeasible placement/routing, 3 I/O errors
 and malformed topology, placement or trace files.
+`compile` and `export-lp` search the placement (ST mode) unless
+`--placement` fixes it (TE mode).
 A routing over link capacity is reported on stderr and still exits 0.
 The environment variable SNAPNET_SEED overrides --seed.
 """
@@ -70,7 +72,7 @@ def _fixed_placement(args) -> dict | None:
             and all(isinstance(x, str) for kv in data.items() for x in kv)):
         raise InputError("placement: not an object mapping state variables "
                          "to switches")
-    return opt.placement_from_json(data)
+    return dict(data)
 
 
 # ---------------------------------------------------------------- commands
@@ -79,8 +81,7 @@ def cmd_compile(args) -> int:
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
     times: dict = {}
-    bundle = rulegen.compile(prog, t, mode=args.mode,
-                             fixed=_fixed_placement(args),
+    bundle = rulegen.compile(prog, t, fixed=_fixed_placement(args),
                              budget=args.budget, phase_times=times)
     _print_phases(times)
     _warn_overloaded(t, bundle.routing)
@@ -95,7 +96,7 @@ def cmd_compile(args) -> int:
 def cmd_deps(args) -> int:
     prog = _load_program(args.policy)
     g = deps.st_dep_program(prog)
-    order = deps.order_spec(g, schema=prog)
+    order = deps.order_spec(g)
     print(json.dumps({
         "groups": order.groups,
         "dep": sorted(list(p) for p in order.dep),
@@ -176,8 +177,9 @@ def cmd_export_lp(args) -> int:
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
     order, demand = _demand(prog, t)
-    m = opt.build_milp(t, demand, order, mode=args.mode,
-                       fixed=_fixed_placement(args))
+    fixed = _fixed_placement(args)
+    m = opt.build_milp(t, demand, order,
+                       mode="ST" if fixed is None else "TE", fixed=fixed)
     text = opt.export_lp(m)
     if args.output:
         with open(args.output, "w") as f:
@@ -247,8 +249,8 @@ def _parser() -> argparse.ArgumentParser:
     policy_opt(p)
     topo_opt(p)
     p.add_argument("-o", "--output", required=True, help="bundle directory")
-    p.add_argument("--mode", choices=["ST", "TE"], default="ST")
-    p.add_argument("--placement", help="fixed placement JSON (TE mode)")
+    p.add_argument("--placement",
+                   help="fixed placement JSON (TE mode; default: search)")
     p.add_argument("--budget", type=int, default=4096)
 
     p = sub.add_parser("deps", help="state dependency analysis")
@@ -278,8 +280,8 @@ def _parser() -> argparse.ArgumentParser:
     policy_opt(p)
     topo_opt(p)
     p.add_argument("-o", "--output")
-    p.add_argument("--mode", choices=["ST", "TE"], default="ST")
-    p.add_argument("--placement", help="fixed placement JSON (TE mode)")
+    p.add_argument("--placement",
+                   help="fixed placement JSON (TE mode; default: search)")
 
     p = sub.add_parser("simulate", help="run a trace through a bundle")
     p.add_argument("--bundle", required=True)

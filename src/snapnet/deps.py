@@ -33,7 +33,7 @@ def reads(p) -> set:
 
 
 def writes(p) -> set:
-    if isinstance(p, (lang.StateSet, lang.Incr, lang.Decr)):
+    if lang.is_state_op(p):
         return {p.var}
     if isinstance(p, lang.Neg):
         return writes(p.p)
@@ -85,10 +85,7 @@ def st_dep(p, extra_vars: set | None = None) -> DependencyGraph:
 
 
 def st_dep_program(prog: lang.Program) -> DependencyGraph:
-    pol = prog.body
-    if prog.assumption is not None:
-        pol = lang.Seq(prog.assumption, prog.body)
-    return st_dep(pol, extra_vars=set(prog.states))
+    return st_dep(prog.policy, extra_vars=set(prog.states))
 
 
 # ------------------------------------------------------------ SCC / order
@@ -148,7 +145,6 @@ class OrderSpec:
     dep: frozenset             # ordered cross-SCC pairs (s, t)
     state_rank: dict           # variable -> int, respecting dep
     groups: list               # list of sorted variable lists, in order
-    field_order: tuple | None = None   # optional explicit field ordering
 
     def test_key(self, t) -> tuple:
         """Total order: field-value < field-field < state tests."""
@@ -173,7 +169,7 @@ def expr_key(e) -> tuple:
     raise TypeError(f"not an expr: {e!r}")
 
 
-def order_spec(g: DependencyGraph, schema=None) -> OrderSpec:
+def order_spec(g: DependencyGraph) -> OrderSpec:
     nodes = sorted(g.nodes)
     succ = {}
     for s, t in sorted(g.edges):

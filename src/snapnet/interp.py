@@ -39,17 +39,6 @@ def pkt_key(pkt: dict) -> tuple:
     return tuple(sorted((f, canon_key(v)) for f, v in pkt.items()))
 
 
-def make_packet(prog: lang.Program, fields: dict) -> dict:
-    pkt = dict(fields)
-    missing = [f for f in prog.field_names() if f not in pkt]
-    if missing:
-        raise EvalError(f"packet missing schema fields: {missing}")
-    extra = [f for f in pkt if f not in prog.field_names()]
-    if extra:
-        raise EvalError(f"packet has unknown fields: {extra}")
-    return pkt
-
-
 # ---------------------------------------------------------------- store
 
 class Store:
@@ -278,8 +267,6 @@ def eval(p, m: Store, pkt: dict):
 
 
 def eval_program(prog: lang.Program, m: Store, pkt: dict):
-    """assumption (as a filter) sequenced before the body."""
-    pol = prog.body
-    if prog.assumption is not None:
-        pol = lang.Seq(prog.assumption, prog.body)
-    return eval(pol, m, pkt)
+    """The program's policy (its assumption, then its body) on one
+    packet."""
+    return eval(prog.policy, m, pkt)

@@ -196,6 +196,20 @@ class Program:
         d = self.fields.get(field)
         return d.domain if d else None
 
+    @property
+    def policy(self) -> Policy:
+        """The whole program as one policy: the assumption, a filter on
+        the input packet, sequenced before the body."""
+        if self.assumption is None:
+            return self.body
+        return Seq(self.assumption, self.body)
+
+
+def is_state_op(p) -> bool:
+    """Whether p updates a state cell: an assignment, increment or
+    decrement."""
+    return isinstance(p, (StateSet, Incr, Decr))
+
 
 def is_predicate(p: Policy) -> bool:
     if isinstance(p, (Id, Drop, Test, StateTest)):

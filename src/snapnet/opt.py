@@ -323,22 +323,16 @@ def _fill_rows(m: MILPModel) -> None:
 
 # ---------------------------------------------------------------- export
 
-def _fmt(x: float) -> str:
-    """12 significant digits, no exponent surprises for typical values."""
-    s = f"{x:.12g}"
-    return s
-
-
 def _fmt_terms(coeffs) -> str:
     parts = []
     for var, c in coeffs:
         if not parts:
-            parts.append(f"{_fmt(c)} {var}" if c >= 0
-                         else f"- {_fmt(-c)} {var}")
+            parts.append(f"{c:.12g} {var}" if c >= 0
+                         else f"- {-c:.12g} {var}")
         elif c >= 0:
-            parts.append(f"+ {_fmt(c)} {var}")
+            parts.append(f"+ {c:.12g} {var}")
         else:
-            parts.append(f"- {_fmt(-c)} {var}")
+            parts.append(f"- {-c:.12g} {var}")
     return " ".join(parts) if parts else "0 "
 
 
@@ -349,11 +343,11 @@ def export_lp(m: MILPModel) -> str:
     out.append("Subject To")
     for c in m.constraints:
         sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        out.append(f" {c.name}: {_fmt_terms(c.coeffs)} {sense} {_fmt(c.rhs)}")
+        out.append(f" {c.name}: {_fmt_terms(c.coeffs)} {sense} {c.rhs:.12g}")
     out.append("Bounds")
     for var in sorted(m.bounds):
         lo, hi = m.bounds[var]
-        out.append(f" {_fmt(lo)} <= {var} <= {_fmt(hi)}")
+        out.append(f" {lo:.12g} <= {var} <= {hi:.12g}")
     if m.binaries:
         out.append("Binary")
         for var in sorted(m.binaries):
@@ -833,10 +827,6 @@ def objective_value(m: MILPModel, routing: dict) -> float:
 
 def placement_to_json(placement: dict) -> dict:
     return {s: n for s, n in sorted(placement.items())}
-
-
-def placement_from_json(d: dict) -> dict:
-    return dict(d)
 
 
 def routing_to_json(routing: dict) -> list:

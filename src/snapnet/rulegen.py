@@ -77,7 +77,6 @@ class DeploymentBundle:
     configs: dict                # switch id -> SwitchConfig
     objective: float = 0.0
     exact: bool = False
-    program: lang.Program | None = None
 
 
 # ---------------------------------------------------------------- numbering
@@ -111,10 +110,6 @@ def number_nodes(arena: xfdd.Arena, root: int) -> tuple:
     return nodes, nid_of[root]
 
 
-def is_state_atom(a) -> bool:
-    return isinstance(a, (lang.StateSet, lang.Incr, lang.Decr))
-
-
 def state_resume_points(nodes: dict) -> dict:
     """Every resume key at which a packet can be blocked on a state
     variable, mapped to that variable.  Keys: ("node", nid) for state-test
@@ -128,7 +123,7 @@ def state_resume_points(nodes: dict) -> dict:
         else:
             for ei, elem in enumerate(node[1]):
                 for k, a in enumerate(elem):
-                    if is_state_atom(a):
+                    if lang.is_state_op(a):
                         out[("leaf", nid, ei, k)] = a.var
     return out
 
@@ -166,7 +161,7 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
                     and placement.get(node[1].var) == sid):
                 expand(sid, nid)
             elif node[0] == "leaf":
-                if any(is_state_atom(a) and placement.get(a.var) == sid
+                if any(lang.is_state_op(a) and placement.get(a.var) == sid
                        for elem in node[1] for a in elem):
                     frags[sid].add(nid)
     return frags
@@ -224,14 +219,15 @@ def gen_routing(rt: dict, placement: dict, demand, topo,
 
 # ---------------------------------------------------------------- pipeline
 
-def compile(prog: lang.Program, topo, mode: str = "ST",
-            fixed: dict | None = None, budget: int = 4096,
-            time_limit: float | None = None,
+def compile(prog: lang.Program, topo, fixed: dict | None = None,
+            budget: int = 4096, time_limit: float | None = None,
             phase_times: dict | None = None) -> DeploymentBundle:
     """End-to-end pipeline: dependency order, diagram construction, flow
     demand mapping, placement/routing optimization, rule generation.
-    `fixed` forces a placement (traffic-engineering reruns and controlled
-    experiments); recompiling identical inputs yields an identical bundle."""
+    `fixed` forces a placement and selects TE mode (traffic-engineering
+    reruns and controlled experiments); without it the placement is
+    searched (ST mode).  Recompiling identical inputs yields an identical
+    bundle."""
     times = phase_times if phase_times is not None else {}
 
     t0 = time.monotonic()
@@ -249,8 +245,7 @@ def compile(prog: lang.Program, topo, mode: str = "ST",
     times["P3"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    if fixed is not None:
-        mode = "TE"
+    mode = "ST" if fixed is None else "TE"
     m = opt.build_milp(topo, demand, order, mode=mode, fixed=fixed)
     times["P4"] = time.monotonic() - t0
 
@@ -278,7 +273,7 @@ def compile(prog: lang.Program, topo, mode: str = "ST",
     return DeploymentBundle(mode=mode, placement=dict(sol.placement),
                             routing=sol.routing, nodes=nodes, root=root,
                             configs=configs, objective=sol.objective,
-                            exact=sol.exact, program=prog)
+                            exact=sol.exact)
 
 
 # ---------------------------------------------------------------- dot
@@ -418,7 +413,7 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
     for c in configs.values():
         nodes.update(c.nodes)
     return DeploymentBundle(
-        mode=pl["mode"], placement=opt.placement_from_json(pl["placement"]),
+        mode=pl["mode"], placement=dict(pl["placement"]),
         routing=opt.routing_from_json(rj["flows"]), nodes=nodes,
         root=rj["root"], configs=configs, objective=pl["objective"],
         exact=pl["exact"])

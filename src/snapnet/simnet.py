@@ -460,7 +460,7 @@ class SimNetwork:
         owns = set(self.bundle.configs[sid].owns)
         done = set(copy.hdr.done_atoms)
         pending = [k for k, a in enumerate(elem)
-                   if rulegen.is_state_atom(a) and k not in done]
+                   if lang.is_state_op(a) and k not in done]
         for k in pending[:]:
             a = elem[k]
             if a.var not in owns:

@@ -6,6 +6,13 @@ sequences.  Construction goes through a hash-consing arena; composition
 operators carry a Context of path facts so contradicting and redundant
 tests never survive in the result.
 
+As in a BDD package, union and intersection are one pair walk
+(`Builder._apply`) that differ only in how they combine two leaves;
+negation and the leaf passes (merging outputs, stripping annotations,
+assembling fan-out) are one leaf map (`Builder._map_leaves`); and
+sequencing decides a test it cannot push down with one split
+(`Builder._split`): build each side, restrict it to its half, join.
+
 Conflict detection mirrors the evaluator's log discipline exactly:
 parallel composition checks its two operands' read/write sets against
 each other, and sequential composition checks the per-output-packet runs
@@ -133,15 +140,13 @@ def canon_seq(atoms: tuple) -> tuple:
 def seq_writes(atoms: tuple) -> frozenset:
     if isinstance(atoms, Poison):
         return frozenset()
-    return frozenset(a.var for a in atoms
-                     if isinstance(a, (lang.StateSet, lang.Incr, lang.Decr)))
+    return frozenset(a.var for a in atoms if lang.is_state_op(a))
 
 
 def seq_state_ops(atoms: tuple) -> tuple:
     if isinstance(atoms, Poison):
         return ()
-    return tuple(a for a in atoms
-                 if isinstance(a, (lang.StateSet, lang.Incr, lang.Decr)))
+    return tuple(a for a in atoms if lang.is_state_op(a))
 
 
 def seq_effect(atoms: tuple) -> tuple:
@@ -535,7 +540,6 @@ class Builder:
         self.prog = prog
         self.order = order
         self.arena = arena if arena is not None else Arena(order)
-        self._neg_memo: dict = {}
 
     # -- small helpers
 
@@ -571,21 +575,17 @@ class Builder:
     # -- public operators -------------------------------------------------
 
     def neg(self, d: int) -> int:
-        a = self.arena
-        if d in self._neg_memo:
-            return self._neg_memo[d]
-        if a.is_leaf(d):
-            elems = self._merge_by_effect(a.elems(d))
+        """Predicate negation: every id leaf becomes drop and vice versa."""
+
+        def flip(elems: frozenset) -> set:
+            elems = self._merge_by_effect(elems)
             if elems == {()}:
-                r = self.drop_leaf()
-            elif elems == {DROP_SEQ}:
-                r = self.id_leaf()
-            else:
-                raise ValueError("negation of a non-predicate diagram")
-        else:
-            r = a.branch(a.test_of(d), self.neg(a.hi(d)), self.neg(a.lo(d)))
-        self._neg_memo[d] = r
-        return r
+                return {DROP_SEQ}
+            if elems == {DROP_SEQ}:
+                return {()}
+            raise ValueError("negation of a non-predicate diagram")
+
+        return self._map_leaves(d, flip)
 
     def _ctx2(self, ctx: Context, t) -> tuple:
         """(hi ctx, lo ctx) for a test, with None marking a side the path
@@ -610,6 +610,20 @@ class Builder:
         if clo is None:
             return fhi(chi)
         return self.arena.branch(t, fhi(chi), flo(clo))
+
+    def _split(self, t, ctx: Context, fhi, flo) -> int:
+        """Decide t under ctx: build each side the path facts allow,
+        restrict it to its half of t, and join the halves by unchecked
+        union.  Sequencing splits this way on every test it decides."""
+        chi, clo = self._ctx2(ctx, t)
+        if chi is None:
+            return flo(clo)
+        if clo is None:
+            return fhi(chi)
+        hi, lo = fhi(chi), flo(clo)
+        return self._apply(self.restrict(hi, t, True),
+                           self.restrict(lo, t, False), ctx,
+                           frozenset.union, same=True)
 
     def refine(self, d: int, ctx: Context) -> int:
         a = self.arena
@@ -649,9 +663,10 @@ class Builder:
         """Public checked union of two plain diagrams."""
         if ctx is None:
             ctx = self.empty_ctx()
-        a1 = self._annotate(d1)
-        a2 = self._annotate(d2)
-        return self._strip(self._plus(a1, a2, ctx, checked=True))
+        d = self._apply(self._annotate(d1), self._annotate(d2), ctx,
+                        self._join)
+        return self._map_leaves(d, lambda elems: {
+            e if isinstance(e, Poison) else e.atoms for e in elems})
 
     def seq(self, d1: int, d2: int, ctx: Context | None = None) -> int:
         if ctx is None:
@@ -659,49 +674,9 @@ class Builder:
         a = self.arena
         if a.is_leaf(d1):
             return self._seq_leaf(a.elems(d1), d2, ctx)
-        t = a.test_of(d1)
-        chi, clo = self._ctx2(ctx, t)
-        if chi is None:
-            return self.seq(a.lo(d1), d2, clo)
-        if clo is None:
-            return self.seq(a.hi(d1), d2, chi)
-        hi = self.seq(a.hi(d1), d2, chi)
-        lo = self.seq(a.lo(d1), d2, clo)
-        return self._plus(self.restrict(hi, t, True),
-                          self.restrict(lo, t, False), ctx, checked=False)
-
-    def conj(self, d1: int, d2: int, ctx: Context) -> int:
-        """Predicate intersection: passes where both operands pass."""
-        a = self.arena
-        d1 = self.refine(d1, ctx)
-        d2 = self.refine(d2, ctx)
-        l1, l2 = a.is_leaf(d1), a.is_leaf(d2)
-        if l1 and l2:
-            ok = (() in a.elems(d1)) and (() in a.elems(d2))
-            return self.id_leaf() if ok else self.drop_leaf()
-        if l1:
-            t = a.test_of(d2)
-            return self._branch_ctx(t, ctx,
-                                    lambda c: self.conj(d1, a.hi(d2), c),
-                                    lambda c: self.conj(d1, a.lo(d2), c))
-        if l2:
-            t = a.test_of(d1)
-            return self._branch_ctx(t, ctx,
-                                    lambda c: self.conj(a.hi(d1), d2, c),
-                                    lambda c: self.conj(a.lo(d1), d2, c))
-        t1, t2 = a.test_of(d1), a.test_of(d2)
-        if t1 == t2:
-            return self._branch_ctx(
-                t1, ctx,
-                lambda c: self.conj(a.hi(d1), a.hi(d2), c),
-                lambda c: self.conj(a.lo(d1), a.lo(d2), c))
-        if self.key(t1) < self.key(t2):
-            return self._branch_ctx(t1, ctx,
-                                    lambda c: self.conj(a.hi(d1), d2, c),
-                                    lambda c: self.conj(a.lo(d1), d2, c))
-        return self._branch_ctx(t2, ctx,
-                                lambda c: self.conj(d1, a.hi(d2), c),
-                                lambda c: self.conj(d1, a.lo(d2), c))
+        return self._split(a.test_of(d1), ctx,
+                           lambda c: self.seq(a.hi(d1), d2, c),
+                           lambda c: self.seq(a.lo(d1), d2, c))
 
     def check_races(self, d: int):
         """Final validator: no leaf may hold two sequences writing one var."""
@@ -754,8 +729,8 @@ class Builder:
     # -- translation ------------------------------------------------------
 
     def to_xfdd(self, p) -> int:
-        d = self._translate(p)
-        d = self._normalize_leaves(d)
+        # merge leaf elements with one packet effect (one output packet)
+        d = self._map_leaves(self._translate(p), self._merge_by_effect)
         self.check_races(d)
         return d
 
@@ -787,8 +762,8 @@ class Builder:
         if isinstance(p, lang.And):
             # intersection evaluates both operands on the original packet,
             # so both structures (and their state reads) must survive
-            return self.conj(self._translate(p.p), self._translate(p.q),
-                             self.empty_ctx())
+            return self._apply(self._translate(p.p), self._translate(p.q),
+                               self.empty_ctx(), self._meet)
         if isinstance(p, lang.Seq):
             return self.seq(self._translate(p.p), self._translate(p.q))
         if isinstance(p, lang.If):
@@ -796,59 +771,51 @@ class Builder:
             ctx = self.empty_ctx()
             dt = self.seq(dc, self._translate(p.then), ctx)
             de = self.seq(self.neg(dc), self._translate(p.els), ctx)
-            return self._plus(dt, de, ctx, checked=False)
+            return self._apply(dt, de, ctx, frozenset.union, same=True)
         if isinstance(p, lang.Atomic):
             return self._translate(p.p)
         raise TypeError(f"not a policy: {p!r}")
 
     def to_xfdd_program(self) -> int:
-        pol = self.prog.body
-        if self.prog.assumption is not None:
-            pol = lang.Seq(self.prog.assumption, self.prog.body)
-        return self.to_xfdd(pol)
+        return self.to_xfdd(self.prog.policy)
 
-    # -- plus (shared recursion, plain or annotated) ----------------------
+    # -- the pair walk and the leaf map ----------------------------------
 
-    def _plus(self, d1: int, d2: int, ctx: Context, checked: bool) -> int:
+    def _apply(self, d1: int, d2: int, ctx: Context, leaves,
+               same: bool = False) -> int:
+        """The pair walk behind union and intersection (BDD apply): both
+        operands refined under the path facts, branching on the lesser of
+        their top tests, and each pair of leaves combined into the leaf
+        with elements `leaves(elems1, elems2)`.  With `same`, equal
+        operands are their own result (unchecked union)."""
         a = self.arena
         d1 = self.refine(d1, ctx)
         d2 = self.refine(d2, ctx)
-        if d1 == d2 and not checked:
+        if same and d1 == d2:
             return d1
-        l1, l2 = a.is_leaf(d1), a.is_leaf(d2)
-        if l1 and l2:
-            return a.leaf(self._join(a.elems(d1), a.elems(d2), checked))
-        if l1:
-            t = a.test_of(d2)
-            return self._branch_ctx(
-                t, ctx,
-                lambda c: self._plus(d1, a.hi(d2), c, checked),
-                lambda c: self._plus(d1, a.lo(d2), c, checked))
-        if l2:
-            t = a.test_of(d1)
-            return self._branch_ctx(
-                t, ctx,
-                lambda c: self._plus(a.hi(d1), d2, c, checked),
-                lambda c: self._plus(a.lo(d1), d2, c, checked))
-        t1, t2 = a.test_of(d1), a.test_of(d2)
-        if t1 == t2:
-            return self._branch_ctx(
-                t1, ctx,
-                lambda c: self._plus(a.hi(d1), a.hi(d2), c, checked),
-                lambda c: self._plus(a.lo(d1), a.lo(d2), c, checked))
-        if self.key(t1) < self.key(t2):
-            return self._branch_ctx(
-                t1, ctx,
-                lambda c: self._plus(a.hi(d1), d2, c, checked),
-                lambda c: self._plus(a.lo(d1), d2, c, checked))
+        n1, n2 = a.nodes[d1], a.nodes[d2]
+        if n1[0] == "L":
+            if n2[0] == "L":
+                return a.leaf(leaves(n1[1], n2[1]))
+            t, h1, o1, h2, o2 = n2[1], d1, d1, n2[2], n2[3]
+        elif n2[0] == "L":
+            t, h1, o1, h2, o2 = n1[1], n1[2], n1[3], d2, d2
+        else:
+            t, t2 = n1[1], n2[1]
+            if t == t2:
+                h1, o1, h2, o2 = n1[2], n1[3], n2[2], n2[3]
+            elif self.key(t) < self.key(t2):
+                h1, o1, h2, o2 = n1[2], n1[3], d2, d2
+            else:
+                t, h1, o1, h2, o2 = t2, d1, d1, n2[2], n2[3]
         return self._branch_ctx(
-            t2, ctx,
-            lambda c: self._plus(d1, a.hi(d2), c, checked),
-            lambda c: self._plus(d1, a.lo(d2), c, checked))
+            t, ctx, lambda c: self._apply(h1, h2, c, leaves, same),
+            lambda c: self._apply(o1, o2, c, leaves, same))
 
-    def _join(self, e1: frozenset, e2: frozenset, checked: bool) -> frozenset:
-        if not checked:
-            return e1 | e2
+    @staticmethod
+    def _join(e1: frozenset, e2: frozenset) -> frozenset:
+        """Checked union of two annotated leaves: each pair of runs where
+        one writes what the other reads or writes adds a Poison."""
         poison = set()
         for x in e1:
             if isinstance(x, Poison):
@@ -861,7 +828,30 @@ class Builder:
                     poison.add(Poison(min(bad)))
         return e1 | e2 | poison
 
-    # -- annotation / stripping -------------------------------------------
+    @staticmethod
+    def _meet(e1: frozenset, e2: frozenset) -> set:
+        """Intersection of two predicate leaves: id where both pass."""
+        return {()} if () in e1 and () in e2 else {DROP_SEQ}
+
+    def _map_leaves(self, d: int, f) -> int:
+        """d with each leaf's elements replaced by f(elements)."""
+        a = self.arena
+        memo: dict = {}
+
+        def go(i: int) -> int:
+            r = memo.get(i)
+            if r is None:
+                n = a.nodes[i]
+                if n[0] == "L":
+                    r = a.leaf(f(n[1]))
+                else:
+                    r = a.branch(n[1], go(n[2]), go(n[3]))
+                memo[i] = r
+            return r
+
+        return go(d)
+
+    # -- annotation and leaf merging --------------------------------------
 
     def _annotate(self, d: int) -> int:
         """Plain -> annotated: each element learns its own write set and the
@@ -885,41 +875,6 @@ class Builder:
             return out
 
         return go(d, frozenset())
-
-    def _strip(self, d: int) -> int:
-        a = self.arena
-        memo: dict = {}
-
-        def go(i: int) -> int:
-            if i in memo:
-                return memo[i]
-            if a.is_leaf(i):
-                out = a.leaf({e if isinstance(e, Poison) else e.atoms
-                              for e in a.elems(i)})
-            else:
-                out = a.branch(a.test_of(i), go(a.hi(i)), go(a.lo(i)))
-            memo[i] = out
-            return out
-
-        return go(d)
-
-    def _normalize_leaves(self, d: int) -> int:
-        """Merge leaf elements with identical packet effect (they correspond
-        to one output packet); drop redundant pure-drop elements."""
-        a = self.arena
-        memo: dict = {}
-
-        def go(i: int) -> int:
-            if i in memo:
-                return memo[i]
-            if a.is_leaf(i):
-                out = a.leaf(self._merge_by_effect(a.elems(i)))
-            else:
-                out = a.branch(a.test_of(i), go(a.hi(i)), go(a.lo(i)))
-            memo[i] = out
-            return out
-
-        return go(d)
 
     def _merge_by_effect(self, elems: frozenset) -> set:
         out = set()
@@ -1016,17 +971,10 @@ class Builder:
         # must be split on those values so grouping is exact per context.
         tests = self._collision_tests(runs, ctx)
         if tests:
-            t = tests[0]
-            chi, clo = self._ctx2(ctx, t)
-            if chi is None:
-                return self._seq_leaf(elems, d2, clo)
-            if clo is None:
-                return self._seq_leaf(elems, d2, chi)
-            hi = self._seq_leaf(elems, d2, chi)
-            lo = self._seq_leaf(elems, d2, clo)
-            return self._plus(self.restrict(hi, t, True),
-                              self.restrict(lo, t, False),
-                              ctx, checked=False)
+            def again(c: Context) -> int:
+                return self._seq_leaf(elems, d2, c)
+
+            return self._split(tests[0], ctx, again, again)
 
         pending: dict = {}
         for e in sorted(runs, key=elem_key):
@@ -1045,8 +993,9 @@ class Builder:
                 operands.append(self._resolve(e, d2, ctx, pending))
         acc = operands[0]
         for x in operands[1:]:
-            acc = self._plus(acc, x, ctx, checked=True)
-        return self._finalize_fanout(acc)
+            acc = self._apply(acc, x, ctx, self._join)
+        return self._map_leaves(acc, lambda elems: self._merge_by_effect(
+            self._assemble(elems)))
 
     @staticmethod
     def _pops(atoms: tuple) -> tuple:
@@ -1111,16 +1060,8 @@ class Builder:
             else:
                 hi_i, lo_i = a.hi(i), a.lo(i)
                 r2 = reads2
-            chi, clo = self._ctx2(ctx2, t2)
-            if chi is None:
-                return go(lo_i, clo, r2)
-            if clo is None:
-                return go(hi_i, chi, r2)
-            hi = go(hi_i, chi, r2)
-            lo = go(lo_i, clo, r2)
-            return self._plus(self.restrict(hi, t2, True),
-                              self.restrict(lo, t2, False),
-                              ctx2, checked=False)
+            return self._split(t2, ctx2, lambda c: go(hi_i, c, r2),
+                               lambda c: go(lo_i, c, r2))
 
         return go(d2, ctx, frozenset())
 
@@ -1238,24 +1179,7 @@ class Builder:
         imp = ctx.imply(t)
         return imp if imp is not None else ("need", t)
 
-    # -- fan-out finalization ----------------------------------------------
-
-    def _finalize_fanout(self, d: int) -> int:
-        a = self.arena
-        memo: dict = {}
-
-        def go(i: int) -> int:
-            if i in memo:
-                return memo[i]
-            if a.is_leaf(i):
-                out = a.leaf(self._merge_by_effect(
-                    self._assemble(a.elems(i))))
-            else:
-                out = a.branch(a.test_of(i), go(a.hi(i)), go(a.lo(i)))
-            memo[i] = out
-            return out
-
-        return go(d)
+    # -- fan-out assembly --------------------------------------------------
 
     def _assemble(self, elems: frozenset) -> set:
         """Move first-phase writes of variable s into the element whose run
@@ -1278,14 +1202,14 @@ class Builder:
             if src is dst:
                 continue
             n = src[1][var]
-            moved = [x for x in src[0] if isinstance(
-                x, (lang.StateSet, lang.Incr, lang.Decr)) and x.var == var][:n]
+            moved = [x for x in src[0]
+                     if lang.is_state_op(x) and x.var == var][:n]
             for x in moved:
                 src[0].remove(x)
             # insert before dst's ops on var (stable by-var canonical order)
             pos = 0
             for k, x in enumerate(dst[0]):
-                if isinstance(x, (lang.StateSet, lang.Incr, lang.Decr)):
+                if lang.is_state_op(x):
                     if x.var >= var:
                         pos = k
                         break
@@ -1296,17 +1220,9 @@ class Builder:
             else:
                 pos = len(dst[0])
             dst[0][pos:pos] = moved
-        return {self._recanon(atoms) for atoms, _, _ in items} | poisons
-
-    @staticmethod
-    def _recanon(atoms: list) -> tuple:
-        ops = [x for x in atoms
-               if isinstance(x, (lang.StateSet, lang.Incr, lang.Decr))]
-        ops.sort(key=lambda x: x.var)
-        mods = [x for x in atoms if isinstance(x, lang.Mod)]
-        dropped = any(x is DROP for x in atoms)
-        tail = (DROP,) if dropped else tuple(mods)
-        return tuple(ops) + tail
+        # each move keeps both sequences canonical (state ops stably sorted
+        # by variable, then mods or drop), so none needs canon_seq again
+        return {tuple(atoms) for atoms, _, _ in items} | poisons
 
 
 # -------------------------------------------------------------- validation

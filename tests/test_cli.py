@@ -203,6 +203,22 @@ def test_export_lp(tmp_path, capsys):
     assert text.startswith("Minimize") and text.rstrip().endswith("End")
 
 
+def test_export_lp_with_placement_writes_te_rows(tmp_path, capsys):
+    """A --placement file fixes the placement, as it does for compile: the
+    rows are the TE model's, with no placement rows and no binaries."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"placement": {"established": "C5"}}))
+    lp = tmp_path / "m.lp"
+    code, _, _ = run_cli(["export-lp", "-p", policy_path("stateful-fw"),
+                          "-t", TOPO, "--placement", str(pfile),
+                          "-o", str(lp)], capsys)
+    assert code == 0
+    lines = lp.read_text().splitlines()
+    assert any(line.startswith(" cover_") for line in lines)
+    assert not any(line.startswith(" place_") for line in lines)
+    assert "Binary" not in lines
+
+
 def test_place_and_reroute(tmp_path, capsys):
     code, out, _ = run_cli(["place", "-p", policy_path("stateful-fw"),
                             "-t", TOPO], capsys)

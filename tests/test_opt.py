@@ -418,5 +418,3 @@ def test_unpinned_eleven_variable_composition_compiles():
 def test_routing_json_round_trip(sol_dns):
     rows = opt.routing_to_json(sol_dns.routing)
     assert opt.routing_from_json(rows) == sol_dns.routing
-    p = opt.placement_to_json(sol_dns.placement)
-    assert opt.placement_from_json(p) == sol_dns.placement

@@ -3,12 +3,13 @@ evaluator via an independent brute-force walker, plus conflict detection,
 canonicalization, and pruning."""
 
 import dataclasses
+import hashlib
 import random
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
-from snapnet import deps, interp, lang, values, xfdd
+from snapnet import deps, interp, lang, rulegen, values, xfdd
 from snapnet.errors import RaceError, UnsupportedCompositionError
 from snapnet.interp import UNDEFINED
 
@@ -69,6 +70,30 @@ def test_random_differential():
                 agree(prog, b, root, st, p)
         checked += 1
     assert checked > 50 and races > 5
+
+
+def test_random_diagram_structure_is_pinned():
+    """The numbered diagrams of 600 random programs (or the error each
+    raises), hashed as the operators first built them.  The corpus rarely
+    reaches intersection or negation and the differential tests check
+    only semantics, so this pins the structure union, intersection,
+    negation and sequencing give a diagram."""
+    rng = random.Random(8)
+    prog0 = universe_prog()
+    h = hashlib.sha256()
+    errors = 0
+    for _ in range(600):
+        prog = dataclasses.replace(prog0, body=random_policy(rng, 4))
+        try:
+            b, root = build(prog)
+            out = repr(rulegen.number_nodes(b.arena, root))
+        except (RaceError, UnsupportedCompositionError) as e:
+            out = f"{type(e).__name__}: {e}"
+            errors += 1
+        h.update(out.encode() + b"\n")
+    assert errors == 150
+    assert h.hexdigest() == (
+        "09e6090cb386bac2c3b7b3695994cf3d6f3f1c5069cb3560f276d69358ecdd73")
 
 
 def test_counter_differential():
