@@ -1,9 +1,10 @@
 """Command-line driver for the compiler pipeline and the simulator.
 
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
-simulate, check.  Exit codes: 0 success, 1 compile errors (parse, race,
-unsupported composition), 2 infeasible placement/routing, 3 I/O errors
-and malformed topology, placement or trace files.
+simulate, check.  Exit codes: 0 success (and --help), 1 compile errors
+(parse, race, unsupported composition), 2 infeasible placement/routing
+or a failed check, 3 usage errors (an unknown option, a missing required
+one), I/O errors and malformed topology, placement, trace or bundle files.
 `compile` and `export-lp` search the placement (ST mode) unless
 `--placement` fixes it (TE mode).
 A routing over link capacity is reported on stderr and still exits 0.
@@ -191,7 +192,8 @@ def cmd_export_lp(args) -> int:
 
 def cmd_simulate(args) -> int:
     t = topo.load(args.topology)
-    net = simnet.load(args.bundle, t, seed=_seed(args))
+    net = simnet.load(args.bundle, t, seed=_seed(args),
+                      events=bool(args.events))
     injections = simnet.read_trace(args.trace)
     emitted = []
     for port, pkt in injections:
@@ -229,8 +231,16 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError (exit 3): argparse's own exit code 2
+    means an infeasible placement or a failed check here."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="snapnet",
         description="Compile stateful one-big-switch policies to "
                     "distributed switch configurations and simulate them.")
@@ -315,8 +325,8 @@ COMMANDS = {
 
 
 def main(argv: list | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return COMMANDS[args.cmd](args)
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)

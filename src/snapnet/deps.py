@@ -2,7 +2,7 @@
 
 Builds the read-before-write dependency graph over state variables,
 condenses it into SCCs (tied groups), topologically orders the groups,
-and derives the global total order on diagram tests.
+and ranks the variables; `xfdd.test_key` orders diagram tests by that rank.
 """
 
 from __future__ import annotations
@@ -145,18 +145,6 @@ class OrderSpec:
     dep: frozenset             # ordered cross-SCC pairs (s, t)
     state_rank: dict           # variable -> int, respecting dep
     groups: list               # list of sorted variable lists, in order
-
-    def test_key(self, t) -> tuple:
-        """Total order: field-value < field-field < state tests."""
-        from . import xfdd  # cycle-free: only used for isinstance
-        if isinstance(t, xfdd.TFieldValue):
-            return (0, t.field, canon_key(t.value))
-        if isinstance(t, xfdd.TFieldField):
-            return (1, t.f1, t.f2)
-        if isinstance(t, xfdd.TStateTest):
-            return (2, self.state_rank[t.var],
-                    expr_key(t.index), expr_key(t.rhs))
-        raise TypeError(f"not a test: {t!r}")
 
 
 def expr_key(e) -> tuple:

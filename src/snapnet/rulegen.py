@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import deps, lang, opt, psm, xfdd
+from .errors import InputError
 from .values import value_from_json, value_to_json
 
 UNRESOLVED = "unresolved"
@@ -396,27 +397,43 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
         f.write(bundle_dot(bundle.nodes, bundle.root))
 
 
+def _read_part(path: str, decode):
+    """decode(the JSON object in `path`); InputError naming the file when
+    it is not an object, lacks a key or holds a value of the wrong shape."""
+    with open(path) as f:
+        d = json.load(f)
+    if not isinstance(d, dict):
+        raise InputError(f"{path}: not a JSON object")
+    try:
+        return decode(d)
+    except KeyError as e:
+        raise InputError(f"{path}: missing key {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from e
+
+
 def load_bundle(dirpath: str) -> DeploymentBundle:
-    with open(os.path.join(dirpath, "placement.json")) as f:
-        pl = json.load(f)
-    with open(os.path.join(dirpath, "routing.json")) as f:
-        rj = json.load(f)
+    """Read a bundle directory written by write_bundle."""
+    kw = _read_part(os.path.join(dirpath, "placement.json"),
+                    lambda d: {"mode": d["mode"],
+                               "placement": dict(d["placement"]),
+                               "objective": d["objective"],
+                               "exact": d["exact"]})
+    kw.update(_read_part(os.path.join(dirpath, "routing.json"),
+                         lambda d: {"root": d["root"],
+                                    "routing": opt.routing_from_json(
+                                        d["flows"])}))
     configs = {}
     swdir = os.path.join(dirpath, "switch")
     for name in sorted(os.listdir(swdir)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(swdir, name)) as f:
-            c = _config_from_json(json.load(f))
+        c = _read_part(os.path.join(swdir, name), _config_from_json)
         configs[c.switch] = c
     nodes: dict = {}
     for c in configs.values():
         nodes.update(c.nodes)
-    return DeploymentBundle(
-        mode=pl["mode"], placement=dict(pl["placement"]),
-        routing=opt.routing_from_json(rj["flows"]), nodes=nodes,
-        root=rj["root"], configs=configs, objective=pl["objective"],
-        exact=pl["exact"])
+    return DeploymentBundle(nodes=nodes, configs=configs, **kw)
 
 
 # ---------------------------------------------------------------- checks

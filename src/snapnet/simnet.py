@@ -17,6 +17,14 @@ Two execution modes:
 Per-switch processing is atomic: one packet's instruction run at a switch
 is never interleaved with another's on the same switch.  Links deliver in
 FIFO order with a uniform latency of one tick.
+
+The event trace (`SimNetwork.trace`: one `TraceEvent` holding a copy of the
+packet per step) is recorded only when the network is built with
+`events=True`, as `snapnet simulate --events` does; otherwise it stays an
+empty list.  Counters are always kept, each an int or a dict keyed by
+switch or by link (a, b): `injected` packets, `hops` sent, per switch
+`processed` packet visits, `state_reads` and `state_writes`, and per link
+`link_sent` packets and `link_max_queue`, the deepest its queue has been.
 """
 
 from __future__ import annotations
@@ -177,7 +185,7 @@ class _Copy:
 
 class SimNetwork:
     def __init__(self, bundle: rulegen.DeploymentBundle, topo,
-                 seed: int = 0):
+                 seed: int = 0, events: bool = False):
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
@@ -192,7 +200,14 @@ class SimNetwork:
                 self.defaults[s] = dv
         self.points = rulegen.state_resume_points(bundle.nodes)
         self.clock = 0
-        self.trace: list = []
+        self.events = events
+        self.trace: list = []              # TraceEvents, only with events
+        self.injected = 0
+        self.processed = dict.fromkeys(topo.nodes, 0)
+        self.state_reads = dict.fromkeys(topo.nodes, 0)
+        self.state_writes = dict.fromkeys(topo.nodes, 0)
+        self.link_sent = dict.fromkeys(topo.links, 0)
+        self.link_max_queue = dict.fromkeys(topo.links, 0)
         self.emissions: list = []          # (port, packet)
         self._wrr: dict = {}
         self._events: list = []            # heap of (time, tb, serial, fn)
@@ -208,7 +223,7 @@ class SimNetwork:
     def _validate(self):
         problems = rulegen.validate_bundle(self.bundle, self.topo)
         if problems:
-            raise ValueError("inconsistent bundle: " + "; ".join(problems))
+            raise InputError("inconsistent bundle: " + "; ".join(problems))
 
     def _tiebreak(self, serial: int) -> int:
         if self._mode == "serialized":
@@ -225,6 +240,11 @@ class SimNetwork:
     def _log(self, sid: str, body: dict, kind: str, detail=None):
         self.trace.append(TraceEvent(self.clock, sid, dict(body),
                                      kind, detail))
+
+    @property
+    def hops(self) -> int:
+        """Packet copies sent over links so far."""
+        return sum(self.link_sent.values())
 
     # -- state tables
 
@@ -263,7 +283,9 @@ class SimNetwork:
                          resume_node=("node", self.bundle.root))
         self._uid += 1
         copy = _Copy(dict(pkt), hdr, self._uid)
-        self._log(sid, pkt, "ingress", port)
+        self.injected += 1
+        if self.events:
+            self._log(sid, pkt, "ingress", port)
         before = len(self.emissions)
         self._schedule(self.clock, lambda: self._process(sid, copy))
         if mode == "serialized":
@@ -283,8 +305,13 @@ class SimNetwork:
         link = (a, b)
         if link not in self.topo.links:
             raise EvalError(f"no link {a}->{b}")
-        self._linkq.setdefault(link, []).append(copy)
-        self._log(a, copy.body, "hop", (a, b))
+        q = self._linkq.setdefault(link, [])
+        q.append(copy)
+        self.link_sent[link] += 1
+        if len(q) > self.link_max_queue[link]:
+            self.link_max_queue[link] = len(q)
+        if self.events:
+            self._log(a, copy.body, "hop", (a, b))
         self._schedule(self.clock + 1, lambda: self._deliver(link))
 
     def _deliver(self, link):
@@ -351,7 +378,8 @@ class SimNetwork:
                     u, chosen[1], copy.hdr.resume_node,
                     copy.hdr.action_offset, copy.hdr.done_atoms,
                     copy.hdr.emitter)
-                self._log(sid, copy.body, "tag", (key, chosen[1]))
+                if self.events:
+                    self._log(sid, copy.body, "tag", (key, chosen[1]))
             self._send(sid, chosen[2], copy)
             return
         var = self.points[key]
@@ -364,6 +392,7 @@ class SimNetwork:
     # -- per-switch execution (atomic)
 
     def _process(self, sid: str, copy: _Copy):
+        self.processed[sid] += 1
         hdr = copy.hdr
         if hdr.resume_node == DONE:
             self._route_final(sid, copy)
@@ -403,7 +432,9 @@ class SimNetwork:
             if isinstance(instr, StateLookup):
                 idx = eval_index(instr.index, copy.body)
                 reg = self._cell(sid, instr.var, idx)
-                self._log(sid, copy.body, "state-read", (instr.var, idx))
+                self.state_reads[sid] += 1
+                if self.events:
+                    self._log(sid, copy.body, "state-read", (instr.var, idx))
                 ip += 1
             elif isinstance(instr, Branch):
                 ok = self._eval_test(sid, instr.test, copy.body, reg)
@@ -434,22 +465,23 @@ class SimNetwork:
         """One copy per action sequence; copies whose output packet would
         duplicate an earlier copy's only carry state updates."""
         elems = self.bundle.configs[sid].nodes[nid][1]
+        many = len(elems) > 1
         seen: set = set()
         copies = []
         for ei, elem in enumerate(elems):
-            dropped, final = self._final_packet(elem, copy.body)
             emitter = True
-            if not dropped:
-                key = tuple(sorted((f, canon_key(v))
-                                   for f, v in final.items()))
-                if key in seen:
-                    emitter = False
-                seen.add(key)
+            if many:
+                dropped, final = self._final_packet(elem, copy.body)
+                if not dropped:
+                    key = tuple(sorted((f, canon_key(v))
+                                       for f, v in final.items()))
+                    emitter = key not in seen
+                    seen.add(key)
             hdr = SnapHeader(copy.hdr.obs_inport, copy.hdr.obs_outport,
                              ("leaf", nid, ei), 0, frozenset(), emitter)
             self._uid += 1
             copies.append(_Copy(dict(copy.body), hdr, self._uid))
-        if len(copies) > 1:
+        if many and self.events:
             self._log(sid, copy.body, "fork", (nid, len(copies)))
         for c in copies:
             self._run_leaf(sid, c, nid, c.hdr.resume_node[2])
@@ -457,7 +489,7 @@ class SimNetwork:
     def _run_leaf(self, sid: str, copy: _Copy, nid: int, ei: int):
         elems = self.bundle.configs[sid].nodes[nid][1]
         elem = elems[ei]
-        owns = set(self.bundle.configs[sid].owns)
+        owns = self.bundle.configs[sid].owns
         done = set(copy.hdr.done_atoms)
         pending = [k for k, a in enumerate(elem)
                    if lang.is_state_op(a) and k not in done]
@@ -476,7 +508,9 @@ class SimNetwork:
                 val = check_int_range(
                     old + (1 if isinstance(a, lang.Incr) else -1))
             self._store(sid, a.var, idx, val)
-            self._log(sid, copy.body, "state-write", (a.var, idx, val))
+            self.state_writes[sid] += 1
+            if self.events:
+                self._log(sid, copy.body, "state-write", (a.var, idx, val))
             done.add(k)
             pending.remove(k)
         if pending:
@@ -488,8 +522,9 @@ class SimNetwork:
             return
         dropped, final = self._final_packet(elem, copy.body)
         if dropped or not copy.hdr.emitter:
-            self._log(sid, copy.body, "drop",
-                      "dropped" if dropped else "duplicate-copy")
+            if self.events:
+                self._log(sid, copy.body, "drop",
+                          "dropped" if dropped else "duplicate-copy")
             return
         copy.body = final
         copy.hdr = SnapHeader(copy.hdr.obs_inport, final.get("outport"),
@@ -502,12 +537,14 @@ class SimNetwork:
         if v in ports:
             # header stripped: the emitted packet is the bare body
             self.emissions.append((v, dict(copy.body)))
-            self._log(sid, copy.body, "emit", v)
+            if self.events:
+                self._log(sid, copy.body, "emit", v)
             return
         try:
             target = self.topo.node_of_port(v)
         except KeyError:
-            self._log(sid, copy.body, "drop", f"unknown egress port {v}")
+            if self.events:
+                self._log(sid, copy.body, "drop", f"unknown egress port {v}")
             return
         rule = self.bundle.configs[sid].resolved.get(
             (copy.hdr.obs_inport, v))
@@ -519,11 +556,12 @@ class SimNetwork:
 
 # ---------------------------------------------------------------- loading
 
-def load(bundle, topo, seed: int = 0) -> SimNetwork:
-    """bundle: a DeploymentBundle or a bundle directory path."""
+def load(bundle, topo, seed: int = 0, events: bool = False) -> SimNetwork:
+    """bundle: a DeploymentBundle or a bundle directory path.  `events`
+    records the event trace in `SimNetwork.trace`."""
     if isinstance(bundle, str):
         bundle = rulegen.load_bundle(bundle)
-    return SimNetwork(bundle, topo, seed=seed)
+    return SimNetwork(bundle, topo, seed=seed, events=events)
 
 
 # ---------------------------------------------------------------- probes

@@ -1,10 +1,10 @@
 """Extended forwarding decision diagrams.
 
 Branch nodes test one of three test kinds (field=value, field=field,
-state-cell=expr) in a global total order; leaves hold sets of action
-sequences.  Construction goes through a hash-consing arena; composition
-operators carry a Context of path facts so contradicting and redundant
-tests never survive in the result.
+state-cell=expr) in a global total order (`test_key`); leaves hold
+sets of action sequences.  Construction goes through a hash-consing
+arena; composition operators carry a Context of path facts so
+contradicting and redundant tests never survive in the result.
 
 As in a BDD package, union and intersection are one pair walk
 (`Builder._apply`) that differ only in how they combine two leaves;
@@ -29,8 +29,8 @@ from . import lang
 from .deps import OrderSpec, expr_key
 from .errors import RaceError, UnsupportedCompositionError
 from .values import (
-    IPv4Network, format_value, test_match, value_from_json, value_to_json,
-    values_equal,
+    IPv4Network, canon_key, format_value, test_match, value_from_json,
+    value_to_json, values_equal,
 )
 
 
@@ -56,6 +56,19 @@ class TStateTest:
     var: str
     index: object   # lang Expr
     rhs: object     # lang Expr
+
+
+def test_key(order: OrderSpec, t) -> tuple:
+    """Total order on tests: field-value < field-field < state tests, and
+    state tests by their variable's rank in `order`."""
+    if isinstance(t, TFieldValue):
+        return (0, t.field, canon_key(t.value))
+    if isinstance(t, TFieldField):
+        return (1, t.f1, t.f2)
+    if isinstance(t, TStateTest):
+        return (2, order.state_rank[t.var],
+                expr_key(t.index), expr_key(t.rhs))
+    raise TypeError(f"not a test: {t!r}")
 
 
 def make_ff(f: str, g: str) -> TFieldField:
@@ -171,7 +184,6 @@ def atom_key(a) -> tuple:
     if a is DROP:
         return (9,)
     if isinstance(a, lang.Mod):
-        from .values import canon_key
         return (1, a.field, canon_key(a.value))
     if isinstance(a, lang.StateSet):
         return (2, a.var, expr_key(a.index), expr_key(a.rhs))
@@ -544,7 +556,7 @@ class Builder:
     # -- small helpers
 
     def key(self, t):
-        return self.order.test_key(t)
+        return test_key(self.order, t)
 
     def empty_ctx(self) -> Context:
         return Context(self.prog)
@@ -1239,7 +1251,7 @@ def validate(arena: Arena, root: int, prog: lang.Program,
                 assert e == canon_seq(e), f"non-canonical leaf element {e}"
             return
         t = arena.test_of(i)
-        k = order.test_key(t)
+        k = test_key(order, t)
         assert last_key is None or last_key < k, f"order violated at node {i}"
         assert ctx.imply(t) is None, f"redundant test at node {i}"
         go(arena.hi(i), ctx.add(t, True), k)

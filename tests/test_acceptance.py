@@ -442,7 +442,7 @@ def test_criterion_8_unresolved_egress_split_is_demand_proportional():
     t = Topology(nodes, links, demands)
     t.validate()
     bundle = rulegen.compile(prog, t)
-    net = simnet.load(bundle, t)
+    net = simnet.load(bundle, t, events=True)
     counts = {2: 0, 3: 0}
     for _ in range(1000):
         before = len(net.trace)

@@ -194,6 +194,65 @@ def test_check_damaged_bundle_exits_2(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("extra, says", [
+    (["-t", TOPO, "--mode", "TE"], "unrecognized arguments: --mode TE"),
+    ([], "required: -t/--topology")], ids=["unknown-flag", "missing-option"])
+def test_usage_error_exits_3(tmp_path, capsys, extra, says):
+    """Usage errors exit 3 with one line; exit 2 means infeasible or a
+    failed check."""
+    out = tmp_path / "b"
+    code, stdout, err = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                                 "-o", str(out), *extra], capsys)
+    assert code == 3 and stdout == ""
+    assert err.startswith("bad input: snapnet") and says in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("part, damage, says", [
+    ("placement.json", lambda d: {k: v for k, v in d.items() if k != "mode"},
+     "missing key 'mode'"),
+    ("routing.json", lambda d: {"root": d["root"]}, "missing key 'flows'"),
+    ("switch/D4.json", lambda d: [d], "not a JSON object"),
+    ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable")],
+    ids=["placement-no-mode", "routing-no-flows", "switch-a-list",
+         "switch-nodes-a-number"])
+def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
+    """simulate and check name the damaged bundle file and exit 3."""
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    path = bundle / part
+    d = json.loads(path.read_text())
+    path.write_text(json.dumps(damage(d)))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
+    for argv in (["simulate", "--trace", str(trace)], ["check"]):
+        code, out, err = run_cli([*argv, "--bundle", str(bundle),
+                                  "--topo", TOPO], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"bad input: {path}: ") and says in err
+        assert err.count("\n") == 1
+
+
+def test_simulate_inconsistent_bundle_exits_3(tmp_path, capsys):
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    pl = json.loads((bundle / "placement.json").read_text())
+    pl["placement"] = {k: "nowhere" for k in pl["placement"]}
+    (bundle / "placement.json").write_text(json.dumps(pl))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("bad input: inconsistent bundle: ")
+    assert err.count("\n") == 1
+
+
 def test_export_lp(tmp_path, capsys):
     lp = tmp_path / "m.lp"
     code, _, _ = run_cli(["export-lp", "-p", policy_path("stateful-fw"),

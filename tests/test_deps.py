@@ -117,7 +117,7 @@ def test_test_key_orders_field_before_state():
     spec = deps.order_spec_program(prog)
     tf = xfdd.TFieldValue("dstip", 0)
     ts = xfdd.TStateTest("orphan", lang.Lit(0), lang.Lit(1))
-    assert spec.test_key(tf) < spec.test_key(ts)
+    assert xfdd.test_key(spec, tf) < xfdd.test_key(spec, ts)
 
 
 def test_to_dot_lists_nodes_and_edges():

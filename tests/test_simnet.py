@@ -12,7 +12,7 @@ from snapnet import interp, lang, rulegen, simnet, topo
 from snapnet.values import canon_key
 from snapnet.topo import Link, Node, Topology
 
-from conftest import policy_src
+from conftest import CORPUS, policy_src
 
 
 def canon_emissions(pairs):
@@ -145,7 +145,7 @@ def test_unresolved_split_is_demand_proportional():
                       " seen[0]++")
     t = _wrr_topology()
     bundle = rulegen.compile(prog, t)
-    net = simnet.load(bundle, t)
+    net = simnet.load(bundle, t, events=True)
     counts = {2: 0, 3: 0}
     for _ in range(1000):
         before = len(net.trace)
@@ -239,10 +239,123 @@ def test_read_trace_accepts_loose_values(tmp_path):
 
 def test_trace_events_serializable(deployed):
     prog, t, bundle = deployed
-    net = simnet.load(bundle, t)
+    net = simnet.load(bundle, t, events=True)
     rng = random.Random(8)
     port, pkt = gen_packet(prog, rng, t.external_ports())
     net.inject(port, dict(pkt), mode="serialized")
     rows = simnet.trace_to_json(net.trace)
     assert rows and json.dumps(rows)
     assert {"time", "switch", "kind", "detail", "packet"} <= set(rows[0])
+
+
+@pytest.fixture(scope="module")
+def corpus_bundles():
+    t = topo.example12()
+    out = []
+    for name in CORPUS:
+        prog = lang.compose_all([lang.parse(policy_src(name)),
+                                 lang.parse(policy_src("assign-egress"))])
+        out.append((name, prog, rulegen.compile(prog, t)))
+    return t, out
+
+
+def _counters(net):
+    return (net.injected, net.hops, net.processed, net.state_reads,
+            net.state_writes, net.link_sent, net.link_max_queue)
+
+
+def test_event_trace_changes_no_behaviour(corpus_bundles):
+    """Recording the trace or not gives the same emissions, final state
+    and counters, serialized and interleaved."""
+    t, bundles = corpus_bundles
+    ports = t.external_ports()
+    for name, prog, bundle in bundles:
+        rng = random.Random(name)
+        trace = [gen_packet(prog, rng, ports) for _ in range(200)]
+        on = simnet.load(bundle, t, seed=3, events=True)
+        off = simnet.load(bundle, t, seed=3)
+        for port, pkt in trace:
+            assert (on.inject(port, dict(pkt))
+                    == off.inject(port, dict(pkt))), name
+        on_i = simnet.load(bundle, t, seed=3, events=True)
+        off_i = simnet.load(bundle, t, seed=3)
+        for start in range(0, len(trace), 8):
+            for net in (on_i, off_i):
+                for port, pkt in trace[start:start + 8]:
+                    net.inject(port, dict(pkt), mode="interleaved")
+                net.run()
+        for a, b in ((on, off), (on_i, off_i)):
+            assert a.emissions == b.emissions, name
+            assert a.aggregate_state() == b.aggregate_state(), name
+            assert _counters(a) == _counters(b), name
+            assert a.trace and b.trace == [], name
+
+
+def test_counters_match_the_trace(corpus_bundles):
+    t, bundles = corpus_bundles
+    ports = t.external_ports()
+    for name, prog, bundle in bundles:
+        rng = random.Random(name)
+        net = simnet.load(bundle, t, seed=4, events=True)
+        for i in range(200):
+            port, pkt = gen_packet(prog, rng, ports)
+            net.inject(port, pkt, mode="interleaved" if i % 2 else
+                       "serialized")
+        net.run()
+        kinds = {}
+        for e in net.trace:
+            key = (e.kind, e.detail if e.kind == "hop" else e.switch)
+            kinds[key] = kinds.get(key, 0) + 1
+        assert net.injected == 200 == sum(
+            n for (k, _), n in kinds.items() if k == "ingress"), name
+        assert net.hops == sum(n for (k, _), n in kinds.items()
+                               if k == "hop"), name
+        for link, sent in net.link_sent.items():
+            assert sent == kinds.get(("hop", link), 0), (name, link)
+            assert (sent > 0) == (net.link_max_queue[link] > 0), name
+            assert net.link_max_queue[link] <= sent, name
+        for sid in t.nodes:
+            reads = kinds.get(("state-read", sid), 0)
+            writes = kinds.get(("state-write", sid), 0)
+            assert net.state_reads[sid] == reads, (name, sid)
+            assert net.state_writes[sid] == writes, (name, sid)
+        assert sum(net.processed.values()) == 200 + net.hops, name
+
+
+def test_link_queue_depth_counts_packets_in_flight():
+    """Four packets injected together queue four deep on each link of a
+    line; one at a time they never queue more than one deep."""
+    nodes = {"E1": Node("E1", (1,)), "X": Node("X", ()),
+             "E2": Node("E2", (2,))}
+    links = {}
+    for a, b in [("E1", "X"), ("X", "E2")]:
+        links[(a, b)] = Link(a, b, 10.0)
+        links[(b, a)] = Link(b, a, 10.0)
+    t = Topology(nodes, links, {(1, 2): 1.0, (2, 1): 1.0})
+    t.validate()
+    bundle = rulegen.compile(lang.parse("outport <- 2"), t)
+    for mode, depth in (("serialized", 1), ("interleaved", 4)):
+        net = simnet.load(bundle, t)
+        for _ in range(4):
+            net.inject(1, {"inport": 1, "outport": 1}, mode=mode)
+        net.run()
+        assert len(net.emissions) == 4
+        assert net.link_sent == {("E1", "X"): 4, ("X", "E2"): 4,
+                                 ("X", "E1"): 0, ("E2", "X"): 0}
+        assert net.link_max_queue == {("E1", "X"): depth,
+                                      ("X", "E2"): depth,
+                                      ("X", "E1"): 0, ("E2", "X"): 0}
+        assert net.processed == {"E1": 4, "X": 4, "E2": 4}
+
+
+def test_trace_stays_empty_without_events(deployed):
+    prog, t, bundle = deployed
+    net = simnet.load(bundle, t)
+    rng = random.Random(10)
+    for _ in range(2000):
+        port, pkt = gen_packet(prog, rng, t.external_ports())
+        net.inject(port, pkt)
+    assert net.trace == []
+    assert net.injected == 2000 and net.hops > 0
+    assert sum(net.state_reads.values()) > 0
+    assert sum(net.state_writes.values()) > 0
