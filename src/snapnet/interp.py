@@ -1,12 +1,15 @@
 """Reference evaluator for the policy language.
 
-This is the oracle every other stage is tested against: a direct
-transcription of the denotational equations (store x packet-set x log,
-with conflict detection via log consistency).  Clarity over speed.
+This is the oracle every other stage is tested against: the denotational
+equations (store x packet-set x log, with conflict detection via log
+consistency), one function per equation, dispatched on the policy node's
+type.  A result's packets are keyed by `pkt_key`; each packet's key is
+computed once and handed down with the packet.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import lang
@@ -88,10 +91,6 @@ class Store:
     def __eq__(self, other):
         return isinstance(other, Store) and self.cells == other.cells
 
-    def __hash__(self):
-        return hash(tuple(sorted(
-            (v, tuple(sorted(m.keys()))) for v, m in self.cells.items())))
-
     def __repr__(self):
         parts = []
         for var in sorted(self.cells):
@@ -161,109 +160,157 @@ def eval_index(e, pkt: dict) -> tuple:
     return v if isinstance(e, lang.TupleExpr) else (v,)
 
 
-def _one(pkt: dict) -> dict:
-    return {pkt_key(pkt): pkt}
-
-
 def _incr_value(old, delta: int):
     if isinstance(old, bool) or not isinstance(old, int):
         raise EvalError(f"++/-- on non-integer cell value {old!r}")
     return check_int_range(old + delta)
 
 
-def eval(p, m: Store, pkt: dict):
-    """The semantics equations; returns EvalResult or UNDEFINED."""
-    if isinstance(p, lang.Id):
-        return EvalResult(m, _one(pkt), ())
-    if isinstance(p, lang.Drop):
-        return EvalResult(m, {}, ())
-    if isinstance(p, lang.Test):
-        if p.field not in pkt:
-            raise EvalError(f"unknown field {p.field!r}")
-        ok = test_match(pkt[p.field], p.value)
-        return EvalResult(m, _one(pkt) if ok else {}, ())
-    if isinstance(p, lang.StateTest):
-        cell = m.get(p.var, eval_index(p.index, pkt))
-        ok = values_equal(cell, eval_expr(p.rhs, pkt))
-        return EvalResult(m, _one(pkt) if ok else {}, (("R", p.var),))
-    if isinstance(p, lang.Mod):
-        if p.field not in pkt:
-            raise EvalError(f"unknown field {p.field!r}")
-        new = dict(pkt)
-        new[p.field] = p.value
-        return EvalResult(m, _one(new), ())
-    if isinstance(p, lang.StateSet):
-        m2 = m.set(p.var, eval_index(p.index, pkt), eval_expr(p.rhs, pkt))
-        return EvalResult(m2, _one(pkt), (("W", p.var),))
-    if isinstance(p, (lang.Incr, lang.Decr)):
-        idx = eval_index(p.index, pkt)
-        delta = 1 if isinstance(p, lang.Incr) else -1
-        m2 = m.set(p.var, idx, _incr_value(m.get(p.var, idx), delta))
-        return EvalResult(m2, _one(pkt), (("W", p.var),))
-    if isinstance(p, lang.Neg):
-        r = eval(p.p, m, pkt)
+# One function per equation.  Each takes the packet's key (`pkt_key(pkt)`)
+# along with the packet, so a key is computed once per packet: at `eval`
+# for the input, and at `_mod` for the one packet it makes.
+
+def _id(p, m, pkt, key):
+    return EvalResult(m, {key: pkt}, ())
+
+
+def _drop(p, m, pkt, key):
+    return EvalResult(m, {}, ())
+
+
+def _test(p, m, pkt, key):
+    if p.field not in pkt:
+        raise EvalError(f"unknown field {p.field!r}")
+    ok = test_match(pkt[p.field], p.value)
+    return EvalResult(m, {key: pkt} if ok else {}, ())
+
+
+def _state_test(p, m, pkt, key):
+    cell = m.get(p.var, eval_index(p.index, pkt))
+    ok = values_equal(cell, eval_expr(p.rhs, pkt))
+    return EvalResult(m, {key: pkt} if ok else {}, (("R", p.var),))
+
+
+def _mod(p, m, pkt, key):
+    if p.field not in pkt:
+        raise EvalError(f"unknown field {p.field!r}")
+    new = dict(pkt)
+    new[p.field] = p.value
+    # Field names are unique, so the key's entries sort by field alone and
+    # replacing the field's entry in place keeps the key sorted.
+    i = bisect_left(key, (p.field,))
+    new_key = key[:i] + ((p.field, canon_key(p.value)),) + key[i + 1:]
+    return EvalResult(m, {new_key: new}, ())
+
+
+def _state_set(p, m, pkt, key):
+    m2 = m.set(p.var, eval_index(p.index, pkt), eval_expr(p.rhs, pkt))
+    return EvalResult(m2, {key: pkt}, (("W", p.var),))
+
+
+def _incr_decr(p, m, pkt, key):
+    idx = eval_index(p.index, pkt)
+    delta = 1 if type(p) is lang.Incr else -1
+    m2 = m.set(p.var, idx, _incr_value(m.get(p.var, idx), delta))
+    return EvalResult(m2, {key: pkt}, (("W", p.var),))
+
+
+def _neg(p, m, pkt, key):
+    r = _eval(p.p, m, pkt, key)
+    if r is UNDEFINED:
+        return UNDEFINED
+    return EvalResult(m, {} if key in r.packets else {key: pkt}, r.log)
+
+
+def _or(p, m, pkt, key):
+    r1 = _eval(p.p, m, pkt, key)
+    r2 = _eval(p.q, m, pkt, key)
+    if r1 is UNDEFINED or r2 is UNDEFINED:
+        return UNDEFINED
+    return EvalResult(m, {**r1.packets, **r2.packets}, r1.log + r2.log)
+
+
+def _and(p, m, pkt, key):
+    r1 = _eval(p.p, m, pkt, key)
+    r2 = _eval(p.q, m, pkt, key)
+    if r1 is UNDEFINED or r2 is UNDEFINED:
+        return UNDEFINED
+    out = {k: v for k, v in r1.packets.items() if k in r2.packets}
+    return EvalResult(m, out, r1.log + r2.log)
+
+
+def _par(p, m, pkt, key):
+    r1 = _eval(p.p, m, pkt, key)
+    r2 = _eval(p.q, m, pkt, key)
+    if r1 is UNDEFINED or r2 is UNDEFINED:
+        return UNDEFINED
+    if not consistent(r1.log, r2.log):
+        return UNDEFINED
+    return EvalResult(merge(m, r1.store, r2.store),
+                      {**r1.packets, **r2.packets}, r1.log + r2.log)
+
+
+def _seq(p, m, pkt, key):
+    r1 = _eval(p.p, m, pkt, key)
+    if r1 is UNDEFINED:
+        return UNDEFINED
+    runs = []
+    for k in sorted(r1.packets):
+        r = _eval(p.q, r1.store, r1.packets[k], k)
         if r is UNDEFINED:
             return UNDEFINED
-        mine = _one(pkt)
-        out = {k: v for k, v in mine.items() if k not in r.packets}
-        return EvalResult(m, out, r.log)
-    if isinstance(p, lang.Or):
-        r1 = eval(p.p, m, pkt)
-        r2 = eval(p.q, m, pkt)
-        if r1 is UNDEFINED or r2 is UNDEFINED:
-            return UNDEFINED
-        return EvalResult(m, {**r1.packets, **r2.packets}, r1.log + r2.log)
-    if isinstance(p, lang.And):
-        r1 = eval(p.p, m, pkt)
-        r2 = eval(p.q, m, pkt)
-        if r1 is UNDEFINED or r2 is UNDEFINED:
-            return UNDEFINED
-        out = {k: v for k, v in r1.packets.items() if k in r2.packets}
-        return EvalResult(m, out, r1.log + r2.log)
-    if isinstance(p, lang.Par):
-        r1 = eval(p.p, m, pkt)
-        r2 = eval(p.q, m, pkt)
-        if r1 is UNDEFINED or r2 is UNDEFINED:
-            return UNDEFINED
-        if not consistent(r1.log, r2.log):
-            return UNDEFINED
-        return EvalResult(merge(m, r1.store, r2.store),
-                          {**r1.packets, **r2.packets}, r1.log + r2.log)
-    if isinstance(p, lang.Seq):
-        r1 = eval(p.p, m, pkt)
-        if r1 is UNDEFINED:
-            return UNDEFINED
-        runs = []
-        for k in sorted(r1.packets):
-            r = eval(p.q, r1.store, r1.packets[k])
-            if r is UNDEFINED:
+        runs.append(r)
+    if not runs:
+        return EvalResult(r1.store, {}, r1.log)
+    if len(runs) == 1:    # merge_many of one store is that store
+        r = runs[0]
+        return EvalResult(r.store, r.packets, r1.log + r.log)
+    for i in range(len(runs)):
+        for j in range(i + 1, len(runs)):
+            if not consistent(runs[i].log, runs[j].log):
                 return UNDEFINED
-            runs.append(r)
-        for i in range(len(runs)):
-            for j in range(i + 1, len(runs)):
-                if not consistent(runs[i].log, runs[j].log):
-                    return UNDEFINED
-        if not runs:
-            return EvalResult(r1.store, {}, r1.log)
-        packets = {}
-        log = r1.log
-        for r in runs:
-            packets.update(r.packets)
-            log = log + r.log
-        return EvalResult(merge_many(r1.store, [r.store for r in runs]),
-                          packets, log)
-    if isinstance(p, lang.If):
-        rc = eval(p.cond, m, pkt)
-        if rc is UNDEFINED:
-            return UNDEFINED
-        branch = p.then if rc.packets else p.els
-        rb = eval(branch, m, pkt)
-        if rb is UNDEFINED:
-            return UNDEFINED
-        return EvalResult(rb.store, rb.packets, rc.log + rb.log)
-    if isinstance(p, lang.Atomic):
-        return eval(p.p, m, pkt)
-    raise EvalError(f"not a policy: {p!r}")
+    packets = {}
+    log = r1.log
+    for r in runs:
+        packets.update(r.packets)
+        log = log + r.log
+    return EvalResult(merge_many(r1.store, [r.store for r in runs]),
+                      packets, log)
+
+
+def _if(p, m, pkt, key):
+    rc = _eval(p.cond, m, pkt, key)
+    if rc is UNDEFINED:
+        return UNDEFINED
+    rb = _eval(p.then if rc.packets else p.els, m, pkt, key)
+    if rb is UNDEFINED:
+        return UNDEFINED
+    return EvalResult(rb.store, rb.packets, rc.log + rb.log)
+
+
+def _atomic(p, m, pkt, key):
+    return _eval(p.p, m, pkt, key)
+
+
+_RULES = {
+    lang.Id: _id, lang.Drop: _drop, lang.Test: _test,
+    lang.StateTest: _state_test, lang.Mod: _mod, lang.StateSet: _state_set,
+    lang.Incr: _incr_decr, lang.Decr: _incr_decr, lang.Neg: _neg,
+    lang.Or: _or, lang.And: _and, lang.Par: _par, lang.Seq: _seq,
+    lang.If: _if, lang.Atomic: _atomic,
+}
+
+
+def _eval(p, m: Store, pkt: dict, key: tuple):
+    rule = _RULES.get(type(p))
+    if rule is None:
+        raise EvalError(f"not a policy: {p!r}")
+    return rule(p, m, pkt, key)
+
+
+def eval(p, m: Store, pkt: dict):
+    """The semantics equations; returns EvalResult or UNDEFINED."""
+    return _eval(p, m, pkt, pkt_key(pkt))
 
 
 def eval_program(prog: lang.Program, m: Store, pkt: dict):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from . import lang, rulegen, xfdd
 from .errors import EvalError, InputError
-from .interp import eval_expr, eval_index
+from .interp import eval_expr, eval_index, pkt_key
 from .rulegen import DONE, UNRESOLVED, SnapHeader
 from .values import (canon_key, check_int_range, test_match, value_from_loose,
                      value_to_json, values_equal)
@@ -473,8 +473,7 @@ class SimNetwork:
             if many:
                 dropped, final = self._final_packet(elem, copy.body)
                 if not dropped:
-                    key = tuple(sorted((f, canon_key(v))
-                                       for f, v in final.items()))
+                    key = pkt_key(final)
                     emitter = key not in seen
                     seen.add(key)
             hdr = SnapHeader(copy.hdr.obs_inport, copy.hdr.obs_outport,

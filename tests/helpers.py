@@ -1,13 +1,119 @@
-"""Shared test utilities: a brute-force diagram walker (independent of the
-compiler's own machinery) and a random policy generator over a small
-universe of fields, values, and state variables."""
+"""Shared test utilities: the reference evaluator's former isinstance
+chain, a brute-force diagram walker (independent of the compiler's own
+machinery) and a random policy generator over a small universe of fields,
+values, and state variables."""
 
 import itertools
 import random
 
 from snapnet import interp, lang, xfdd
-from snapnet.errors import RaceError, UnsupportedCompositionError
+from snapnet.errors import EvalError, RaceError, UnsupportedCompositionError
 from snapnet.values import test_match, values_equal
+
+
+# ---------------------------------------------------------------- reference
+
+def reference_eval(p, m, pkt):
+    """The semantics equations as one isinstance chain that recomputes
+    each result packet's key, as `interp.eval` was written before it
+    dispatched on node type and handed each packet's key down; kept only
+    to check `interp.eval` against."""
+    def one(q):
+        return {interp.pkt_key(q): q}
+
+    R = interp.EvalResult
+    if isinstance(p, lang.Id):
+        return R(m, one(pkt), ())
+    if isinstance(p, lang.Drop):
+        return R(m, {}, ())
+    if isinstance(p, lang.Test):
+        if p.field not in pkt:
+            raise EvalError(f"unknown field {p.field!r}")
+        ok = test_match(pkt[p.field], p.value)
+        return R(m, one(pkt) if ok else {}, ())
+    if isinstance(p, lang.StateTest):
+        cell = m.get(p.var, interp.eval_index(p.index, pkt))
+        ok = values_equal(cell, interp.eval_expr(p.rhs, pkt))
+        return R(m, one(pkt) if ok else {}, (("R", p.var),))
+    if isinstance(p, lang.Mod):
+        if p.field not in pkt:
+            raise EvalError(f"unknown field {p.field!r}")
+        new = dict(pkt)
+        new[p.field] = p.value
+        return R(m, one(new), ())
+    if isinstance(p, lang.StateSet):
+        m2 = m.set(p.var, interp.eval_index(p.index, pkt),
+                   interp.eval_expr(p.rhs, pkt))
+        return R(m2, one(pkt), (("W", p.var),))
+    if isinstance(p, (lang.Incr, lang.Decr)):
+        idx = interp.eval_index(p.index, pkt)
+        delta = 1 if isinstance(p, lang.Incr) else -1
+        m2 = m.set(p.var, idx, interp._incr_value(m.get(p.var, idx), delta))
+        return R(m2, one(pkt), (("W", p.var),))
+    if isinstance(p, lang.Neg):
+        r = reference_eval(p.p, m, pkt)
+        if r is interp.UNDEFINED:
+            return interp.UNDEFINED
+        mine = one(pkt)
+        out = {k: v for k, v in mine.items() if k not in r.packets}
+        return R(m, out, r.log)
+    if isinstance(p, lang.Or):
+        r1 = reference_eval(p.p, m, pkt)
+        r2 = reference_eval(p.q, m, pkt)
+        if r1 is interp.UNDEFINED or r2 is interp.UNDEFINED:
+            return interp.UNDEFINED
+        return R(m, {**r1.packets, **r2.packets}, r1.log + r2.log)
+    if isinstance(p, lang.And):
+        r1 = reference_eval(p.p, m, pkt)
+        r2 = reference_eval(p.q, m, pkt)
+        if r1 is interp.UNDEFINED or r2 is interp.UNDEFINED:
+            return interp.UNDEFINED
+        out = {k: v for k, v in r1.packets.items() if k in r2.packets}
+        return R(m, out, r1.log + r2.log)
+    if isinstance(p, lang.Par):
+        r1 = reference_eval(p.p, m, pkt)
+        r2 = reference_eval(p.q, m, pkt)
+        if r1 is interp.UNDEFINED or r2 is interp.UNDEFINED:
+            return interp.UNDEFINED
+        if not interp.consistent(r1.log, r2.log):
+            return interp.UNDEFINED
+        return R(interp.merge(m, r1.store, r2.store),
+                 {**r1.packets, **r2.packets}, r1.log + r2.log)
+    if isinstance(p, lang.Seq):
+        r1 = reference_eval(p.p, m, pkt)
+        if r1 is interp.UNDEFINED:
+            return interp.UNDEFINED
+        runs = []
+        for k in sorted(r1.packets):
+            r = reference_eval(p.q, r1.store, r1.packets[k])
+            if r is interp.UNDEFINED:
+                return interp.UNDEFINED
+            runs.append(r)
+        for i in range(len(runs)):
+            for j in range(i + 1, len(runs)):
+                if not interp.consistent(runs[i].log, runs[j].log):
+                    return interp.UNDEFINED
+        if not runs:
+            return R(r1.store, {}, r1.log)
+        packets = {}
+        log = r1.log
+        for r in runs:
+            packets.update(r.packets)
+            log = log + r.log
+        return R(interp.merge_many(r1.store, [r.store for r in runs]),
+                 packets, log)
+    if isinstance(p, lang.If):
+        rc = reference_eval(p.cond, m, pkt)
+        if rc is interp.UNDEFINED:
+            return interp.UNDEFINED
+        branch = p.then if rc.packets else p.els
+        rb = reference_eval(branch, m, pkt)
+        if rb is interp.UNDEFINED:
+            return interp.UNDEFINED
+        return R(rb.store, rb.packets, rc.log + rb.log)
+    if isinstance(p, lang.Atomic):
+        return reference_eval(p.p, m, pkt)
+    raise EvalError(f"not a policy: {p!r}")
 
 
 # ---------------------------------------------------------------- walker

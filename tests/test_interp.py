@@ -1,5 +1,7 @@
 """Reference-evaluator tests: merge rules, fan-out, conflicts, counters."""
 
+import random
+
 import pytest
 
 from snapnet import interp, lang
@@ -7,7 +9,10 @@ from snapnet.errors import EvalError
 from snapnet.interp import UNDEFINED, Store
 from snapnet.values import Atom, IPv4Address, IPv4Network, TRUE
 
-from helpers import UNIVERSE_SRC
+from helpers import (
+    UNIVERSE_SRC, all_packets, all_stores, random_policy, reference_eval,
+    universe_prog,
+)
 
 
 def run(src, pkt, store=None):
@@ -154,3 +159,30 @@ def test_bool_and_network_values_round_trip():
     r = interp.eval_program(prog, Store.initial(prog), pkt)
     assert r.store.get("s", (0,)) == TRUE
     assert isinstance(prog.body.cond.value, IPv4Network)
+
+
+def test_eval_matches_reference_on_random_policies():
+    """The dispatch table and the handed-down packet keys give the former
+    isinstance chain's results bit for bit: the `Mod`s inside `Seq` and
+    `Par` make multi-packet fan-out, duplicate outputs and keys that must
+    follow each packet through every later node."""
+    prog = universe_prog()
+    stores = all_stores(prog)
+    pkts = all_packets(prog)
+    rng = random.Random(20161)
+    undefined = fan_out = 0
+    for _ in range(2000):
+        p = random_policy(rng, 3)
+        for st in stores:
+            for pkt in pkts:
+                want = reference_eval(p, st, dict(pkt))
+                got = interp.eval(p, st, dict(pkt))
+                assert (got is UNDEFINED) == (want is UNDEFINED), p
+                if want is UNDEFINED:
+                    undefined += 1
+                    continue
+                assert got.packets == want.packets, p
+                assert got.store.cells == want.store.cells, p
+                assert got.log == want.log, p
+                fan_out += len(want.packets) > 1
+    assert undefined and fan_out

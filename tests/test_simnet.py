@@ -359,3 +359,42 @@ def test_trace_stays_empty_without_events(deployed):
     assert net.injected == 2000 and net.hops > 0
     assert sum(net.state_reads.values()) > 0
     assert sum(net.state_writes.values()) > 0
+
+
+def test_duplicate_copy_carries_only_state():
+    """In `outport <- 2; (id + (a <- 1; s[0]++))` one leaf holds two action
+    sequences, and on a packet with a = 1 both give the same packet.  The
+    interpreter's packet set holds it once; the simulator emits it once
+    too, from the first copy, and the second copy only increments s."""
+    nodes = {"E1": Node("E1", (1,)), "X": Node("X", ()),
+             "E2": Node("E2", (2,))}
+    links = {}
+    for a, b in [("E1", "X"), ("X", "E2")]:
+        links[(a, b)] = Link(a, b, 10.0)
+        links[(b, a)] = Link(b, a, 10.0)
+    t = Topology(nodes, links, {(1, 2): 1.0, (2, 1): 1.0})
+    t.validate()
+    prog = lang.parse("state s[1] default 0;\nfield a : small in {0, 1};\n"
+                      "field b : small in {0, 1};\n"
+                      "outport <- 2; (id + (a <- 1; s[0]++))")
+    bundle = rulegen.compile(prog, t)
+    pkts = [{"a": a, "b": b, "inport": 1, "outport": 1}
+            for a in (0, 1) for b in (0, 1)]
+    store = interp.Store.initial(prog)
+    want = []
+    net_s = simnet.load(bundle, t)
+    for pkt in pkts:
+        r = interp.eval_program(prog, store, dict(pkt))
+        store = r.store
+        assert len(r.packets) == (1 if pkt["a"] == 1 else 2)
+        want += oracle_emissions(r)
+        got = net_s.inject(1, dict(pkt), mode="serialized")
+        assert canon_emissions(got) == oracle_emissions(r)
+    net_i = simnet.load(bundle, t, seed=3)
+    for pkt in pkts:
+        net_i.inject(1, dict(pkt), mode="interleaved")
+    net_i.run()
+    assert canon_emissions(net_i.emissions) == sorted(want)
+    for net in (net_s, net_i):
+        assert aggregate_net(net) == aggregate_oracle(store)
+    assert store.get("s", (0,)) == 4
