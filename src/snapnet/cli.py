@@ -5,8 +5,9 @@ simulate, check.  Exit codes: 0 success (and --help), 1 compile errors
 (parse, race, unsupported composition), 2 infeasible placement/routing
 or a failed check, 3 usage errors (an unknown option, a missing required
 one), I/O errors and malformed topology, placement, trace or bundle files.
-`compile` and `export-lp` search the placement (ST mode) unless
-`--placement` fixes it (TE mode).
+`place` and `compile` search the placement (ST mode), and `export-lp`
+writes that model; `reroute`, and `compile` and `export-lp` given
+`--placement`, hold the placement fixed and only route (TE mode).
 A routing over link capacity is reported on stderr and still exits 0.
 The environment variable SNAPNET_SEED overrides --seed.
 """
@@ -141,31 +142,14 @@ def cmd_map(args) -> int:
 
 
 def cmd_place(args) -> int:
+    """`place` searches the placement and routes; `reroute` routes only,
+    with the `--placement` held fixed (e.g. after a topology or demand
+    change), so it takes no search budget."""
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
     order, demand = _demand(prog, t)
-    m = opt.build_milp(t, demand, order)
-    sol = opt.solve_builtin(m, budget=args.budget)
-    _warn_overloaded(t, sol.routing)
-    print(json.dumps({"placement": opt.placement_to_json(sol.placement),
-                      "routing": opt.routing_to_json(sol.routing),
-                      "objective": sol.objective, "exact": sol.exact},
-                     sort_keys=True))
-    return 0
-
-
-def cmd_reroute(args) -> int:
-    """Routing-only re-optimization with the placement held fixed (e.g.
-    after a topology or demand change)."""
-    prog = _load_program(args.policy)
-    t = topo.load(args.topology)
-    order, demand = _demand(prog, t)
-    fixed = _fixed_placement(args)
-    if fixed is None:
-        print("reroute requires --placement", file=sys.stderr)
-        return 3
-    m = opt.build_milp(t, demand, order, mode="TE", fixed=fixed)
-    sol = opt.solve_builtin(m, budget=args.budget)
+    m = opt.build_milp(t, demand, order, fixed=_fixed_placement(args))
+    sol = opt.solve_builtin(m, budget=getattr(args, "budget", 4096))
     _warn_overloaded(t, sol.routing)
     print(json.dumps({"placement": opt.placement_to_json(sol.placement),
                       "routing": opt.routing_to_json(sol.routing),
@@ -178,9 +162,7 @@ def cmd_export_lp(args) -> int:
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
     order, demand = _demand(prog, t)
-    fixed = _fixed_placement(args)
-    m = opt.build_milp(t, demand, order,
-                       mode="ST" if fixed is None else "TE", fixed=fixed)
+    m = opt.build_milp(t, demand, order, fixed=_fixed_placement(args))
     text = opt.export_lp(m)
     if args.output:
         with open(args.output, "w") as f:
@@ -283,8 +265,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reroute", help="re-route with placement fixed")
     policy_opt(p)
     topo_opt(p)
-    p.add_argument("--placement", required=True)
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--placement", required=True,
+                   help="fixed placement JSON")
 
     p = sub.add_parser("export-lp", help="write the optimization as LP text")
     policy_opt(p)
@@ -317,7 +299,7 @@ COMMANDS = {
     "xfdd": cmd_xfdd,
     "map": cmd_map,
     "place": cmd_place,
-    "reroute": cmd_reroute,
+    "reroute": cmd_place,
     "export-lp": cmd_export_lp,
     "simulate": cmd_simulate,
     "check": cmd_check,

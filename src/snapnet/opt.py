@@ -1,18 +1,20 @@
 """Joint state placement and routing.
 
 `build_milp` collects the placement problem: flows with their volumes and
-needed state variables, the dependency and tie relations, and the mode.
-Its mixed-integer model over per-flow link fractions (R), placement
-indicators (P), and processed-flow fractions (PS) is built lazily, the
-first time a row is read: by `export_lp` (CPLEX-LP text for external
-solvers) and `check_solution`, but never by the built-in solver.  That
-solver handles desk-scale instances with a search over per-group
+needed state variables, the dependency and tie relations, and, in TE mode,
+the fixed placement.  Its mixed-integer model over per-flow link fractions
+(R), placement indicators (P), and processed-flow fractions (PS) is built
+lazily, the first time a row is read: by `export_lp` (CPLEX-LP text for
+external solvers) and `check_solution`, but never by the built-in solver.
+That solver handles desk-scale instances with a search over per-group
 placements (all of them, or a shortlist under a budget).  It visits
 placements best-first by an admissible lower bound on their objective,
 routes the flows of each one it visits one after another, and stops once
-the next bound exceeds the best objective found.  A flow's walk visits the
+the next bound exceeds the best objective found.  In TE mode it only
+routes, under the fixed placement.  A flow's walk visits the
 owners of its variables in a dependency-respecting order and never reuses
-a link (`_route`); `exec_positions` says where each variable runs on it.
+a link (`_route`); `exec_positions` says where each variable runs on it,
+for the router, the checker and rule generation alike.
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       fraction of demand (u,v) on link (i,j)
@@ -26,7 +28,6 @@ import heapq
 import itertools
 import json
 import re
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,14 +66,15 @@ class MILPModel:
 
     The fields are all `solve_builtin` reads.  `objective`, `constraints`,
     `bounds` and `binaries` are built together by `_fill_rows` the first
-    time any of them is read (by `export_lp`, `check_solution`,
-    `objective_value` or `variables`), and kept."""
+    time any of them is read (by `export_lp`, `check_solution` or
+    `variables`), and kept.  A `fixed` placement (state var -> switch)
+    makes it a TE-mode model: routing only, with the placement indicators
+    as constants."""
     topo: object
     flows: dict                                 # (u,v) -> (demand, vars tuple)
     state_vars: tuple = ()
     tied: frozenset = frozenset()
     dep: frozenset = frozenset()
-    mode: str = "ST"
     fixed: dict | None = None                   # TE-mode placement
 
     @cached_property
@@ -127,38 +129,39 @@ class Solution:
 
 # ---------------------------------------------------------------- build
 
-def build_milp(topo, demand, order, mode: str = "ST",
-               fixed: dict | None = None) -> MILPModel:
-    """demand: psm.StateDemand; order: deps.OrderSpec.
-    mode "TE" treats `fixed` (state var -> switch) as constants.
+def build_milp(topo, demand, order, fixed: dict | None = None) -> MILPModel:
+    """demand: psm.StateDemand; order: deps.OrderSpec.  A `fixed`
+    placement (state var -> switch) selects TE mode and is taken as
+    constants; it must place every state variable, and only those, on a
+    switch of `topo` (`InputError` otherwise).  Without it the placement
+    is searched (ST mode).
 
     Cheap: it collects each flow's volume and needed variables and the
     state variables in rank order.  The LP rows are built only when one of
     them is first read (see `MILPModel`)."""
-    if mode not in ("ST", "TE"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "TE" and fixed is None:
-        raise ValueError("TE mode needs a fixed placement")
-
     state_vars = tuple(sorted(order.state_rank, key=lambda s:
                               (order.state_rank[s], s)))
-    for s in state_vars:
-        if mode == "TE" and fixed.get(s) not in topo.nodes:
-            raise InputError(f"placement has no known switch for state "
-                             f"variable {s!r} (got {fixed.get(s)!r})")
+    if fixed is not None:
+        for s in state_vars:
+            if fixed.get(s) not in topo.nodes:
+                raise InputError(f"placement has no known switch for state "
+                                 f"variable {s!r} (got {fixed.get(s)!r})")
+        extra = sorted(set(fixed) - set(state_vars))
+        if extra:
+            raise InputError(f"placement names {extra[0]!r}, which is not "
+                             f"a declared state variable")
     flows = {}
     for (u, v), vol in sorted(topo.demands.items()):
         flows[(u, v)] = (vol, tuple(demand.states_for(u, v)))
     return MILPModel(topo=topo, flows=flows, state_vars=state_vars,
-                     tied=order.tied, dep=order.dep, mode=mode,
-                     fixed=dict(fixed) if fixed else None)
+                     tied=order.tied, dep=order.dep,
+                     fixed=dict(fixed) if fixed is not None else None)
 
 
 def _fill_rows(m: MILPModel) -> None:
     """Build the objective, constraint rows, bounds and binaries of `m`
     and store all four on it."""
-    topo, flows, mode = m.topo, m.flows, m.mode
-    fixed = m.fixed or {}
+    topo, flows, fixed = m.topo, m.flows, m.fixed
     nodes = sorted(topo.nodes)
     links = sorted(topo.links)
     in_of: dict = {n: [] for n in nodes}
@@ -169,7 +172,7 @@ def _fill_rows(m: MILPModel) -> None:
 
     def pval(s, n):
         """In TE mode placement indicators are constants."""
-        if mode == "TE":
+        if fixed is not None:
             return None, 1.0 if fixed.get(s) == n else 0.0
         return pname(s, n), None
 
@@ -302,7 +305,7 @@ def _fill_rows(m: MILPModel) -> None:
             add(f"cap_{_san(i)}_{_san(j)}", dict(cap_rows[(i, j)]), "<=",
                 topo.links[(i, j)].capacity)
 
-    if mode == "ST":
+    if fixed is None:
         for s in m.state_vars:
             for n in nodes:
                 name = pname(s, n)
@@ -628,8 +631,7 @@ def _nth_combo(i: int, cand: list) -> list:
     return out[::-1]
 
 
-def solve_builtin(m: MILPModel, budget: int = 4096,
-                  time_limit: float | None = None) -> Solution:
+def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     """Search placements of tied groups over switches (exhaustively when
     the space fits in `budget`, otherwise over a demand-weighted
     shortlist), routing flows sequentially for each candidate.
@@ -640,14 +642,13 @@ def solve_builtin(m: MILPModel, budget: int = 4096,
     candidate's routing also stops once its running objective plus the
     bound of its unrouted flows exceeds it.  Only a strictly larger bound
     prunes, so the answer is the least (objective, sorted placement) over
-    every candidate, as full enumeration would give.  `time_limit` cuts
-    off the least promising candidates and clears `exact`.
+    every candidate, as full enumeration would give.  A TE-mode model
+    (`m.fixed` set) is routed under its placement, without a search.
     Deterministic."""
     topo = m.topo
     nodes = sorted(topo.nodes)
-    t0 = time.monotonic()
 
-    if m.mode == "TE":
+    if m.fixed is not None:
         placement = dict(m.fixed)
         loads: dict = {}
         r = _route_flows(m, placement, _flow_order(m), loads)
@@ -691,9 +692,6 @@ def solve_builtin(m: MILPModel, budget: int = 4096,
     for bound, i in scored:
         if bound == float("inf") or (best is not None
                                      and bound > best[0][0] + 1e-9):
-            break
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
-            exhaustive = False
             break
         examined += 1
         placement = {}
@@ -775,7 +773,9 @@ def _shortlists(m: MILPModel, groups: list, nodes: list,
 # ---------------------------------------------------------------- check
 
 def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
-    """Expand (Placement, Routing) into a full variable assignment."""
+    """Expand (Placement, Routing) into a full variable assignment.  A
+    flow has passed a variable (PS) on every link after the position
+    where `exec_positions` runs it."""
     vals: dict = {}
     for s in m.state_vars:
         for n in sorted(m.topo.nodes):
@@ -783,19 +783,12 @@ def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
     for (u, v), paths in routing.items():
         _, svars = m.flows.get((u, v), (0.0, ()))
         for w, path in paths:
-            done: set = set()
-            placed_here = {}
-            for n in path:
-                for s in svars:
-                    if placement.get(s) == n:
-                        placed_here.setdefault(n, []).append(s)
-            for a, b in zip(path, path[1:]):
-                for s in placed_here.get(a, ()):
-                    done.add(s)
+            ran = exec_positions(path, svars, placement, m.dep)
+            for k, (a, b) in enumerate(zip(path, path[1:])):
                 key = rname(u, v, a, b)
                 vals[key] = vals.get(key, 0.0) + w
-                for s in svars:
-                    if s in done:
+                for s, i in ran.items():
+                    if i <= k:
                         k2 = psname(s, u, v, a, b)
                         vals[k2] = vals.get(k2, 0.0) + w
     return vals
@@ -816,11 +809,6 @@ def check_solution(m: MILPModel, placement: dict, routing: dict,
         if not ok:
             out.append(Violation(c.name, lhs, c.sense, c.rhs))
     return out
-
-
-def objective_value(m: MILPModel, routing: dict) -> float:
-    vals = _routing_values(m, {}, routing)
-    return sum(c * vals.get(v, 0.0) for v, c in m.objective.items())
 
 
 # ---------------------------------------------------------------- JSON

@@ -221,14 +221,14 @@ def gen_routing(rt: dict, placement: dict, demand, topo,
 # ---------------------------------------------------------------- pipeline
 
 def compile(prog: lang.Program, topo, fixed: dict | None = None,
-            budget: int = 4096, time_limit: float | None = None,
+            budget: int = 4096,
             phase_times: dict | None = None) -> DeploymentBundle:
     """End-to-end pipeline: dependency order, diagram construction, flow
     demand mapping, placement/routing optimization, rule generation.
     `fixed` forces a placement and selects TE mode (traffic-engineering
     reruns and controlled experiments); without it the placement is
-    searched (ST mode).  Recompiling identical inputs yields an identical
-    bundle."""
+    searched (ST mode) under `budget`.  The bundle's `mode` records which.
+    Recompiling identical inputs yields an identical bundle."""
     times = phase_times if phase_times is not None else {}
 
     t0 = time.monotonic()
@@ -246,12 +246,11 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
     times["P3"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    mode = "ST" if fixed is None else "TE"
-    m = opt.build_milp(topo, demand, order, mode=mode, fixed=fixed)
+    m = opt.build_milp(topo, demand, order, fixed=fixed)
     times["P4"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    sol = opt.solve_builtin(m, budget=budget, time_limit=time_limit)
+    sol = opt.solve_builtin(m, budget=budget)
     times["P5"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -271,7 +270,8 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
             resolved=resolved[sid], unresolved=unresolved[sid])
     times["P6"] = time.monotonic() - t0
 
-    return DeploymentBundle(mode=mode, placement=dict(sol.placement),
+    return DeploymentBundle(mode="ST" if fixed is None else "TE",
+                            placement=dict(sol.placement),
                             routing=sol.routing, nodes=nodes, root=root,
                             configs=configs, objective=sol.objective,
                             exact=sol.exact)

@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 
 from . import lang, rulegen, xfdd
 from .errors import EvalError, InputError
-from .interp import eval_expr, eval_index, pkt_key
+from .interp import _incr_value, eval_expr, eval_index, pkt_key
 from .rulegen import DONE, UNRESOLVED, SnapHeader
-from .values import (canon_key, check_int_range, test_match, value_from_loose,
-                     value_to_json, values_equal)
+from .values import (canon_key, test_match, value_from_loose, value_to_json,
+                     values_equal)
 
 
 # ---------------------------------------------------------------- instr IR
@@ -415,7 +415,7 @@ class SimNetwork:
             self._forward_blocked(
                 sid, copy, ("leaf", nid, ei, hdr.action_offset))
 
-    def _eval_test(self, sid: str, test, body: dict, reg):
+    def _eval_test(self, test, body: dict, reg):
         if isinstance(test, tuple) and test[0] == "cell":
             return values_equal(reg, eval_expr(test[1], body))
         if isinstance(test, xfdd.TFieldValue):
@@ -437,7 +437,7 @@ class SimNetwork:
                     self._log(sid, copy.body, "state-read", (instr.var, idx))
                 ip += 1
             elif isinstance(instr, Branch):
-                ok = self._eval_test(sid, instr.test, copy.body, reg)
+                ok = self._eval_test(instr.test, copy.body, reg)
                 ip = instr.target_true if ok else instr.target_false
             elif isinstance(instr, TagResume):
                 copy.hdr = SnapHeader(
@@ -500,12 +500,8 @@ class SimNetwork:
             if isinstance(a, lang.StateSet):
                 val = eval_expr(a.rhs, copy.body)
             else:
-                old = self._cell(sid, a.var, idx)
-                if isinstance(old, bool) or not isinstance(old, int):
-                    raise EvalError(
-                        f"++/-- on non-integer cell value {old!r}")
-                val = check_int_range(
-                    old + (1 if isinstance(a, lang.Incr) else -1))
+                val = _incr_value(self._cell(sid, a.var, idx),
+                                  1 if isinstance(a, lang.Incr) else -1)
             self._store(sid, a.var, idx, val)
             self.state_writes[sid] += 1
             if self.events:

@@ -209,8 +209,8 @@ def test_criterion_4_race_detection_and_benign_variants():
 
 
 def test_criterion_5_checker_flags_violations_and_lp_round_trips():
-    """check_solution flags five hand-made single-row violations (placement
-    totality, tied co-location, coverage, processed-completeness, ordering),
+    """check_solution flags five hand-made violations (placement totality,
+    tied co-location, coverage, processed-completeness, ordering),
     passes the solver's own outputs, and the LP export parses back with
     exactly the model's row and column counts."""
     t = topo.example12()
@@ -255,17 +255,22 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
                for x in vs)
     flagged.append("pfull_")
 
-    # 5: dependent variable reached before its prerequisites (isolated:
-    # a straight path under a placement that demands a detour)
+    # 5: dependent variable reached before its prerequisites (isolated to
+    # its rows on one flow: a straight path under a placement that demands
+    # a detour; the variable never runs, so its processed-flow rows at its
+    # owner and at the sink fail with the ordering rows)
     placement = {"domain-ip-pair": "C5", "num-of-domains": "C5",
                  "mal-ip-list": "C1"}
-    te = opt.build_milp(t, demand, order, mode="TE", fixed=placement)
+    te = opt.build_milp(t, demand, order, fixed=placement)
     te_sol = opt.solve_builtin(te)
     assert opt.check_solution(m, placement, te_sol.routing) == []
     r5 = dict(te_sol.routing)
     r5[(1, 5)] = [(1.0, ("I1", "C1", "C5", "D3"))]
     vs = opt.check_solution(m, placement, r5)
-    assert vs and all(x.constraint.startswith("ord_") for x in vs)
+    assert {x.constraint for x in vs} == {
+        "ord_domain_ip_pair_mal_ip_list_u1_v5_C1",
+        "ord_num_of_domains_mal_ip_list_u1_v5_C1",
+        "pcons_mal_ip_list_u1_v5_C1", "pfull_mal_ip_list_u1_v5"}
     flagged.append("ord_")
 
     assert flagged == ["place_", "tied_", "cover_", "pfull_", "ord_"]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from snapnet import cli, topo
+from snapnet import cli, rulegen, topo
 
 from conftest import TOPO_DIR, policy_path
 
@@ -112,12 +112,15 @@ def test_malformed_topology_exits_3(tmp_path, capsys, data):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("placement", [{"nope": "S1"},
-                                       {"established": "S1"}],
-                         ids=["unplaced", "unknown-switch"])
-def test_bad_fixed_placement_exits_3(tmp_path, capsys, placement):
+@pytest.mark.parametrize("placement, named", [
+    ({"nope": "S1"}, "established"),
+    ({"established": "S1"}, "established"),
+    ({"established": "C5", "bogus": "C1"}, "bogus")],
+    ids=["unplaced", "unknown-switch", "undeclared-variable"])
+def test_bad_fixed_placement_exits_3(tmp_path, capsys, placement, named):
     """reroute and compile --placement both refuse a placement that leaves
-    a variable without a switch of the topology."""
+    a variable without a switch of the topology, or that places a variable
+    the program does not declare."""
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"placement": placement}))
     policies = ["-p", policy_path("stateful-fw"),
@@ -128,7 +131,7 @@ def test_bad_fixed_placement_exits_3(tmp_path, capsys, placement):
         code, out, err = run_cli([*argv, "--placement", str(pfile)], capsys)
         assert code == 3 and out == ""
         assert err.startswith("bad input: ") and err.count("\n") == 1
-        assert "'established'" in err
+        assert f"'{named}'" in err
     assert not (tmp_path / "b").exists()
 
 
@@ -289,6 +292,21 @@ def test_place_and_reroute(tmp_path, capsys):
                             "-t", TOPO, "--placement", str(pfile)], capsys)
     assert code == 0
     assert json.loads(out)["placement"] == sol["placement"]
+
+
+def test_empty_placement_routes_a_stateless_program(tmp_path, capsys):
+    """An empty --placement is still a fixed placement: a program without
+    state variables is routed under it in TE mode."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text("{}")
+    argv = ["-p", policy_path("assign-egress"), "-t", TOPO,
+            "--placement", str(pfile)]
+    code, out, _ = run_cli(["reroute", *argv], capsys)
+    assert code == 0 and json.loads(out)["placement"] == {}
+    code, out, _ = run_cli(["compile", *argv, "-o", str(tmp_path / "b")],
+                           capsys)
+    assert code == 0 and json.loads(out)["placement"] == {}
+    assert rulegen.load_bundle(str(tmp_path / "b")).mode == "TE"
 
 
 def test_over_capacity_routing_warns_and_exits_0(tmp_path, capsys):

@@ -15,14 +15,14 @@ from snapnet.errors import InfeasibleError
 from conftest import policy_src
 
 
-def model_for(names, t=None, mode="ST", fixed=None):
+def model_for(names, t=None, fixed=None):
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
     order = deps.order_spec_program(prog)
     b = xfdd.Builder(prog, order)
     root = b.to_xfdd_program()
     t = t if t is not None else topo.example12()
     demand = psm.packet_state_map(b, root, t, order)
-    return opt.build_milp(t, demand, order, mode=mode, fixed=fixed)
+    return opt.build_milp(t, demand, order, fixed=fixed)
 
 
 @pytest.fixture(scope="module")
@@ -65,16 +65,13 @@ def test_solver_is_deterministic(m_dns, sol_dns):
 
 
 def test_objective_matches_model(m_dns, sol_dns):
-    assert abs(opt.objective_value(m_dns, sol_dns.routing)
-               - sol_dns.objective) < 1e-9
+    vals = opt._routing_values(m_dns, sol_dns.placement, sol_dns.routing)
+    value = sum(c * vals.get(v, 0.0) for v, c in m_dns.objective.items())
+    assert abs(value - sol_dns.objective) < 1e-9
 
 
 def names(violations):
     return {v.constraint for v in violations}
-
-
-def prefixes(violations):
-    return {v.constraint.split("_")[0] for v in violations}
 
 
 def test_missing_placement_violates_place_row(m_dns, sol_dns):
@@ -148,8 +145,10 @@ def _detour_flow(m, sol, owner):
 
 def test_order_violation_is_flagged_and_isolated():
     """Place the dependent variable upstream of its prerequisites and route
-    one flow straight through: only ordering rows can fail.  Demands are
-    scaled down so the detour-heavy placement stays within capacities."""
+    one flow straight through: only that variable's rows on that flow fail.
+    It never runs, so besides the ordering rows its processed-flow rows at
+    its owner and at the sink fail.  Demands are scaled down so the
+    detour-heavy placement stays within capacities."""
     t = topo.example12()
     for k in t.demands:
         t.demands[k] = 0.25
@@ -157,15 +156,17 @@ def test_order_violation_is_flagged_and_isolated():
                  "mal-ip-list": "C1"}
     m = model_for(["many-ip-domains", "assign-egress"], t=t)
     te = model_for(["many-ip-domains", "assign-egress"], t=t,
-                   mode="TE", fixed=placement)
+                   fixed=placement)
     sol = opt.solve_builtin(te)
     base = opt.check_solution(m, placement, sol.routing)
     assert base == []
     routing = dict(sol.routing)
     routing[(1, 5)] = [(1.0, ("I1", "C1", "C5", "D3"))]
     vs = opt.check_solution(m, placement, routing)
-    assert vs and prefixes(vs) == {"ord"}
-    assert any("mal_ip_list" in v.constraint for v in vs)
+    assert names(vs) == {"ord_domain_ip_pair_mal_ip_list_u1_v5_C1",
+                         "ord_num_of_domains_mal_ip_list_u1_v5_C1",
+                         "pcons_mal_ip_list_u1_v5_C1",
+                         "pfull_mal_ip_list_u1_v5"}
 
 
 def test_constraint_families_present(m_mid):
@@ -275,26 +276,13 @@ def test_rows_are_built_once(monkeypatch, m_dns, sol_dns):
 
 def test_te_mode_has_no_placement_variables(m_dns, sol_dns):
     te = model_for(["dns-tunnel-detect", "assign-egress", "assumption"],
-                   mode="TE", fixed=sol_dns.placement)
+                   fixed=sol_dns.placement)
     assert te.binaries == frozenset()
     assert not any(v.startswith("P_") for v in te.variables())
     sol = opt.solve_builtin(te)
     assert sol.placement == sol_dns.placement
     # the rerouted traffic still satisfies the full joint model
     assert opt.check_solution(m_dns, sol.placement, sol.routing) == []
-
-
-def test_mode_argument_validation(m_dns):
-    with pytest.raises(ValueError):
-        opt.build_milp(m_dns.topo, psm.StateDemand({}),
-                       deps.order_spec(deps.DependencyGraph(frozenset(),
-                                                            frozenset())),
-                       mode="XX")
-    with pytest.raises(ValueError):
-        opt.build_milp(m_dns.topo, psm.StateDemand({}),
-                       deps.order_spec(deps.DependencyGraph(frozenset(),
-                                                            frozenset())),
-                       mode="TE")
 
 
 def test_disconnected_topology_is_infeasible():
@@ -352,6 +340,26 @@ def test_router_comes_back_through_owner_without_reusing_links():
     assert opt.exec_positions(path, needed, owner, dep) == \
         {"a": 2, "c": 3, "d": 5}
     assert path == ("I", "X", "Y", "X", "Z", "Y", "Z", "X", "E")
+
+
+def test_checker_passes_a_variable_where_it_runs():
+    """c on X needs a on Y.  The walk passes X before a has run, so c runs
+    only at the second visit to X: the checker's PS values follow
+    `exec_positions`, not the first visit to c's owner."""
+    t = _unit_topology([("I", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "X"),
+                        ("X", "E")])
+    path = ("I", "X", "Y", "X", "Z", "Y", "Z", "X", "E")
+    m = opt.MILPModel(topo=t, flows={(1, 2): (1.0, ("a", "c"))},
+                      state_vars=("a", "c"), dep=frozenset({("a", "c")}))
+    placement = {"a": "Y", "c": "X"}
+    vals = opt._routing_values(m, placement, {(1, 2): [(1.0, path)]})
+    hops = list(zip(path, path[1:]))
+    assert opt.exec_positions(path, ("a", "c"), placement, m.dep) == \
+        {"a": 2, "c": 3}
+    assert [vals.get(opt.psname("c", 1, 2, *h), 0.0) for h in hops] == \
+        [0, 0, 0, 1, 1, 1, 1, 1]
+    assert [vals.get(opt.psname("a", 1, 2, *h), 0.0) for h in hops] == \
+        [0, 0, 1, 1, 1, 1, 1, 1]
 
 
 def test_router_takes_the_cheapest_visit_order():
