@@ -9,7 +9,8 @@ one), I/O errors and malformed topology, placement, trace or bundle files.
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
 A routing over link capacity is reported on stderr and still exits 0.
-The environment variable SNAPNET_SEED overrides --seed.
+The environment variable SNAPNET_SEED overrides --seed (exit 3 if it is
+not an integer).
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ def _load_program(paths: list) -> lang.Program:
 def _seed(args) -> int:
     env = os.environ.get("SNAPNET_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"SNAPNET_SEED {env!r} is not an int") from None
     return getattr(args, "seed", 0) or 0
 
 
@@ -176,7 +180,7 @@ def cmd_simulate(args) -> int:
     t = topo.load(args.topology)
     net = simnet.load(args.bundle, t, seed=_seed(args),
                       events=bool(args.events))
-    injections = simnet.read_trace(args.trace)
+    injections = simnet.read_trace(args.trace, t)
     emitted = []
     for port, pkt in injections:
         emitted.extend(net.inject(port, pkt, mode=args.mode))

@@ -345,8 +345,8 @@ def export_lp(m: MILPModel) -> str:
     out.append(" obj: " + _fmt_terms(obj_terms))
     out.append("Subject To")
     for c in m.constraints:
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        out.append(f" {c.name}: {_fmt_terms(c.coeffs)} {sense} {c.rhs:.12g}")
+        out.append(f" {c.name}: {_fmt_terms(c.coeffs)} {c.sense} "
+                   f"{c.rhs:.12g}")
     out.append("Bounds")
     for var in sorted(m.bounds):
         lo, hi = m.bounds[var]

@@ -440,8 +440,9 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
 
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: placement totality, fragment coverage of
-    every state resume point, no dangling node references.  Returns a list
-    of problem strings (empty means ok)."""
+    every state resume point, no dangling node references, a config for
+    every topology switch.  Returns a list of problem strings (empty means
+    ok)."""
     problems = []
     for s, sid in sorted(bundle.placement.items()):
         if sid not in topo.nodes:
@@ -477,6 +478,6 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                         f"switch {sid}: rule next hop {nh!r} is not "
                         "a neighbor")
     for sid in topo.nodes:
-        if topo.nodes[sid].external_ports and sid not in bundle.configs:
-            problems.append(f"ingress switch {sid!r} has no config")
+        if sid not in bundle.configs:
+            problems.append(f"switch {sid!r} has no config")
     return problems

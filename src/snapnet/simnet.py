@@ -1,9 +1,10 @@
-"""Software-switch IR and discrete-event network simulator.
+"""Discrete-event network simulator for deployment bundles.
 
-Loads a deployment bundle onto a topology, lowers each switch's diagram
-fragment to a loop-free instruction DAG, and executes injected packets
-under the distributed protocol described in the rule generator: the packet
-body in flight is the entry packet, state operations run at their owners
+Loads a deployment bundle onto a topology and executes injected packets
+under the distributed protocol described in the rule generator.  Each
+switch walks its own fragment of the program diagram (`SwitchConfig.nodes`)
+as given, until a leaf or a node it does not hold; the packet body in
+flight is the entry packet, state operations run at their owners
 (opportunistically when an owner is passed en route), and field
 modifications are applied once no state operations remain.
 
@@ -14,9 +15,10 @@ Two execution modes:
     switch-visit per event, with a seeded deterministic tie-break among
     concurrent events, so cross-packet interleavings are reproducible.
 
-Per-switch processing is atomic: one packet's instruction run at a switch
-is never interleaved with another's on the same switch.  Links deliver in
-FIFO order with a uniform latency of one tick.
+Per-switch processing is atomic: one packet's walk of a switch's fragment,
+and the leaf actions it runs there, is never interleaved with another
+packet's on the same switch.  Links deliver in FIFO order with a uniform
+latency of one tick.
 
 The event trace (`SimNetwork.trace`: one `TraceEvent` holding a copy of the
 packet per step) is recorded only when the network is built with
@@ -32,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lang, rulegen, xfdd
 from .errors import EvalError, InputError
@@ -40,128 +42,6 @@ from .interp import _incr_value, eval_expr, eval_index, pkt_key
 from .rulegen import DONE, UNRESOLVED, SnapHeader
 from .values import (canon_key, test_match, value_from_loose, value_to_json,
                      values_equal)
-
-
-# ---------------------------------------------------------------- instr IR
-
-@dataclass(frozen=True)
-class Branch:
-    test: object          # diagram test, or ("cell", rhs expr) after a lookup
-    target_true: int
-    target_false: int
-
-
-@dataclass(frozen=True)
-class ApplyAtom:
-    atom: object          # field modification
-
-
-@dataclass(frozen=True)
-class StateLookup:
-    var: str
-    index: object         # entry-relative index expression
-
-
-@dataclass(frozen=True)
-class StateWrite:
-    var: str
-    index: object
-    atom: object          # StateSet / Incr / Decr carrying the value expr
-
-
-@dataclass(frozen=True)
-class TagResume:
-    node: object          # resume key
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class ForwardGroup:
-    key: object           # (obs_inport-independent) unresolved-rule key
-
-
-@dataclass(frozen=True)
-class Fork:
-    leaf: int             # leaf node id whose action sequences fork
-
-
-@dataclass(frozen=True)
-class Emit:
-    port: object          # None: the final packet's own outport
-
-
-@dataclass(frozen=True)
-class Drop:
-    pass
-
-
-@dataclass
-class SwitchProgram:
-    instrs: list
-    node_entry: dict      # nid -> instruction index
-    leaf_entry: dict      # (nid, elem) -> first atom's instruction index
-
-
-def lower_fragment(cfg: rulegen.SwitchConfig) -> SwitchProgram:
-    """Fragment -> loop-free DAG of instruction indices."""
-    instrs: list = []
-    node_entry: dict = {}
-    leaf_entry: dict = {}
-
-    def emit(i) -> int:
-        instrs.append(i)
-        return len(instrs) - 1
-
-    def lower_node(nid: int) -> int:
-        if nid in node_entry:
-            return node_entry[nid]
-        node = cfg.nodes.get(nid)
-        if node is None:
-            # foreign boundary: tag the resume point and forward
-            at = emit(TagResume(("node", nid)))
-            emit(ForwardGroup(("node", nid)))
-            node_entry[nid] = at
-            return at
-        if node[0] == "leaf":
-            at = emit(Fork(nid))
-            node_entry[nid] = at
-            for ei, elem in enumerate(node[1]):
-                start = None
-                dropped = False
-                for a in elem:
-                    if a is xfdd.DROP:
-                        k = emit(Drop())
-                        dropped = True
-                    elif isinstance(a, lang.Mod):
-                        k = emit(ApplyAtom(a))
-                    else:
-                        k = emit(StateWrite(a.var, a.index, a))
-                    if start is None:
-                        start = k
-                if not dropped:
-                    k = emit(Emit(None))
-                    if start is None:
-                        start = k
-                leaf_entry[(nid, ei)] = start
-            return at
-        test = node[1]
-        # reserve slots so targets can be lowered depth-first afterwards
-        if isinstance(test, xfdd.TStateTest):
-            at = emit(StateLookup(test.var, test.index))
-            slot = emit(None)
-            node_entry[nid] = at
-            hi, lo = lower_node(node[2]), lower_node(node[3])
-            instrs[slot] = Branch(("cell", test.rhs), hi, lo)
-        else:
-            at = emit(None)
-            node_entry[nid] = at
-            hi, lo = lower_node(node[2]), lower_node(node[3])
-            instrs[at] = Branch(test, hi, lo)
-        return at
-
-    for nid in sorted(cfg.nodes):
-        lower_node(nid)
-    return SwitchProgram(instrs, node_entry, leaf_entry)
 
 
 # ---------------------------------------------------------------- network
@@ -180,7 +60,6 @@ class _Copy:
     """One in-flight packet copy: entry body plus protocol header."""
     body: dict
     hdr: SnapHeader
-    uid: int
 
 
 class SimNetwork:
@@ -189,8 +68,6 @@ class SimNetwork:
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
-        self.programs = {sid: lower_fragment(cfg)
-                         for sid, cfg in bundle.configs.items()}
         # state tables: var -> canonical index key -> (index, value)
         self.tables = {sid: {s: {} for s in cfg.owns}
                        for sid, cfg in bundle.configs.items()}
@@ -212,7 +89,6 @@ class SimNetwork:
         self._wrr: dict = {}
         self._events: list = []            # heap of (time, tb, serial, fn)
         self._serial = 0
-        self._uid = 0
         self._linkq: dict = {}             # (a, b) -> fifo list
         self._fallback: dict = {}          # (sid, target) -> next hop
         self._mode = "serialized"
@@ -281,8 +157,7 @@ class SimNetwork:
         sid = self.topo.node_of_port(port)
         hdr = SnapHeader(obs_inport=port, obs_outport=UNRESOLVED,
                          resume_node=("node", self.bundle.root))
-        self._uid += 1
-        copy = _Copy(dict(pkt), hdr, self._uid)
+        copy = _Copy(dict(pkt), hdr)
         self.injected += 1
         if self.events:
             self._log(sid, pkt, "ingress", port)
@@ -396,60 +271,49 @@ class SimNetwork:
         hdr = copy.hdr
         if hdr.resume_node == DONE:
             self._route_final(sid, copy)
-            return
-        kind = hdr.resume_node[0]
-        if kind == "node":
-            nid = hdr.resume_node[1]
-            prog = self.programs.get(sid)
-            if prog is None or nid not in self.bundle.configs[sid].nodes:
-                self._forward_blocked(sid, copy, ("node", nid))
-                return
-            self._run_instrs(sid, copy, prog.node_entry[nid])
-            return
-        # leaf continuation
-        _, nid, ei = hdr.resume_node
-        prog = self.programs.get(sid)
-        if prog is not None and (nid, ei) in prog.leaf_entry:
-            self._run_leaf(sid, copy, nid, ei)
+        elif hdr.resume_node[0] == "node":
+            self._run_nodes(sid, copy, hdr.resume_node[1])
         else:
-            self._forward_blocked(
-                sid, copy, ("leaf", nid, ei, hdr.action_offset))
+            _, nid, ei = hdr.resume_node
+            if nid in self.bundle.configs[sid].nodes:
+                self._run_leaf(sid, copy, nid, ei)
+            else:
+                self._forward_blocked(
+                    sid, copy, ("leaf", nid, ei, hdr.action_offset))
 
-    def _eval_test(self, test, body: dict, reg):
-        if isinstance(test, tuple) and test[0] == "cell":
-            return values_equal(reg, eval_expr(test[1], body))
-        if isinstance(test, xfdd.TFieldValue):
-            return test_match(body[test.field], test.value)
-        if isinstance(test, xfdd.TFieldField):
-            return values_equal(body[test.f1], body[test.f2])
-        raise EvalError(f"cannot evaluate test {test!r}")
-
-    def _run_instrs(self, sid: str, copy: _Copy, ip: int):
-        prog = self.programs[sid]
-        reg = None
+    def _run_nodes(self, sid: str, copy: _Copy, nid: int):
+        """Walk the switch's fragment from node `nid` down to a leaf, which
+        forks the copy, or to a node the switch does not hold, where the
+        copy is tagged with that resume point and forwarded."""
+        nodes = self.bundle.configs[sid].nodes
+        body = copy.body
         while True:
-            instr = prog.instrs[ip]
-            if isinstance(instr, StateLookup):
-                idx = eval_index(instr.index, copy.body)
-                reg = self._cell(sid, instr.var, idx)
+            node = nodes.get(nid)
+            if node is None:
+                key = ("node", nid)
+                copy.hdr = SnapHeader(
+                    copy.hdr.obs_inport, copy.hdr.obs_outport, key, 0,
+                    frozenset(), copy.hdr.emitter)
+                self._forward_blocked(sid, copy, key)
+                return
+            if node[0] == "leaf":
+                self._fork(sid, copy, nid)
+                return
+            test = node[1]
+            if isinstance(test, xfdd.TStateTest):
+                idx = eval_index(test.index, body)
+                cell = self._cell(sid, test.var, idx)
                 self.state_reads[sid] += 1
                 if self.events:
-                    self._log(sid, copy.body, "state-read", (instr.var, idx))
-                ip += 1
-            elif isinstance(instr, Branch):
-                ok = self._eval_test(instr.test, copy.body, reg)
-                ip = instr.target_true if ok else instr.target_false
-            elif isinstance(instr, TagResume):
-                copy.hdr = SnapHeader(
-                    copy.hdr.obs_inport, copy.hdr.obs_outport, instr.node,
-                    instr.offset, frozenset(), copy.hdr.emitter)
-                self._forward_blocked(sid, copy, instr.node)
-                return
-            elif isinstance(instr, Fork):
-                self._fork(sid, copy, instr.leaf)
-                return
+                    self._log(sid, body, "state-read", (test.var, idx))
+                ok = values_equal(cell, eval_expr(test.rhs, body))
+            elif isinstance(test, xfdd.TFieldValue):
+                ok = test_match(body[test.field], test.value)
+            elif isinstance(test, xfdd.TFieldField):
+                ok = values_equal(body[test.f1], body[test.f2])
             else:
-                raise EvalError(f"unexpected instruction {instr!r}")
+                raise EvalError(f"cannot evaluate test {test!r}")
+            nid = node[2] if ok else node[3]
 
     def _final_packet(self, elem: tuple, body: dict):
         """(dropped, final packet) preview for one action sequence."""
@@ -478,8 +342,7 @@ class SimNetwork:
                     seen.add(key)
             hdr = SnapHeader(copy.hdr.obs_inport, copy.hdr.obs_outport,
                              ("leaf", nid, ei), 0, frozenset(), emitter)
-            self._uid += 1
-            copies.append(_Copy(dict(copy.body), hdr, self._uid))
+            copies.append(_Copy(dict(copy.body), hdr))
         if many and self.events:
             self._log(sid, copy.body, "fork", (nid, len(copies)))
         for c in copies:
@@ -591,9 +454,11 @@ def trace_to_json(events: list) -> list:
             for e in events]
 
 
-def read_trace(path: str) -> list:
-    """Trace input: JSON lines, each {"port": int, "packet": {field: value}};
-    InputError naming the line if one is not of that shape."""
+def read_trace(path: str, topo) -> list:
+    """Trace input: JSON lines, each {"port": int, "packet": {field: value}}
+    with an external port of `topo`; InputError naming the line if one is
+    not of that shape."""
+    ports = set(topo.external_ports())
     out = []
     with open(path) as f:
         for n, line in enumerate(f, 1):
@@ -612,6 +477,9 @@ def read_trace(path: str) -> list:
                 raise InputError(f"trace line {n}: packet is not an object")
             if not isinstance(port, int) or isinstance(port, bool):
                 raise InputError(f"trace line {n}: port is not an int")
+            if port not in ports:
+                raise InputError(f"trace line {n}: no switch exposes "
+                                 f"port {port}")
             try:
                 pkt = {f: value_from_loose(v) for f, v in pkt.items()}
             except (KeyError, OverflowError, TypeError, ValueError) as e:

@@ -161,11 +161,12 @@ def test_placement_not_an_object_exits_3(tmp_path, capsys, content):
                                   '{"packet": {}}', '[1, {}]',
                                   '{"port": 1, "packet": [1]}',
                                   '{"port": "1", "packet": {}}',
-                                  '{"port": 1, "packet": {"inport": 1.5}}'],
+                                  '{"port": 1, "packet": {"inport": 1.5}}',
+                                  '{"port": 999, "packet": {"inport": 1}}'],
                          ids=["not-json", "no-packet", "no-port",
                               "not-an-object",
                               "packet-not-an-object", "port-not-an-int",
-                              "bad-value"])
+                              "bad-value", "unknown-port"])
 def test_malformed_trace_line_exits_3(tmp_path, capsys, line):
     """simulate names the first malformed line of its trace (here the
     second; the first is good) and exits 3."""
@@ -237,6 +238,28 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
         assert code == 3 and out == ""
         assert err.startswith(f"bad input: {path}: ") and says in err
         assert err.count("\n") == 1
+
+
+def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
+    """A bundle missing one switch's config fails `check` (exit 2) and
+    `simulate` refuses it (exit 3), naming the switch."""
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-p", policy_path("assign-egress"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    (bundle / "switch" / "C3.json").unlink()
+    code, out, _ = run_cli(["check", "--bundle", str(bundle),
+                            "--topo", TOPO], capsys)
+    assert code == 2
+    assert json.loads(out)["problems"] == ["switch 'C3' has no config"]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err == ("bad input: inconsistent bundle: "
+                   "switch 'C3' has no config\n")
 
 
 def test_simulate_inconsistent_bundle_exits_3(tmp_path, capsys):
@@ -367,6 +390,19 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
                           "--topo", TOPO, "--trace", str(trace),
                           "--mode", "interleaved"], capsys)
     assert code == 0
+
+
+def test_non_integer_seed_env_exits_3(tmp_path, capsys, monkeypatch):
+    bundle = tmp_path / "b"
+    run_cli(["compile", "-p", policy_path("stateful-fw"),
+             "-t", TOPO, "-o", str(bundle)], capsys)
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
+    monkeypatch.setenv("SNAPNET_SEED", "abc")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err == "bad input: SNAPNET_SEED 'abc' is not an int\n"
 
 
 def test_console_entry_point_help():

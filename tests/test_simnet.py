@@ -2,6 +2,7 @@
 FIFO links, interleaved quiescence, weighted load splitting, and the
 atomicity probe."""
 
+import hashlib
 import json
 import random
 from ipaddress import IPv4Address
@@ -9,7 +10,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from snapnet import interp, lang, rulegen, simnet, topo
-from snapnet.values import canon_key
+from snapnet.values import canon_key, value_to_json
 from snapnet.topo import Link, Node, Topology
 
 from conftest import CORPUS, policy_src
@@ -227,7 +228,7 @@ def test_read_trace_accepts_loose_values(tmp_path):
                                "flag": True, "proto": "tcp", "n": 7}},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    out = simnet.read_trace(str(path))
+    out = simnet.read_trace(str(path), topo.example12())
     assert len(out) == 1
     port, pkt = out[0]
     assert port == 1
@@ -264,11 +265,30 @@ def _counters(net):
             net.state_writes, net.link_sent, net.link_max_queue)
 
 
+def _run_digest(nets) -> str:
+    """SHA-256 over the event traces and emissions of `nets`, in order."""
+    h = hashlib.sha256()
+    for net in nets:
+        emitted = [[p, {f: value_to_json(v) for f, v in b.items()}]
+                   for p, b in net.emissions]
+        for rows in (simnet.trace_to_json(net.trace), emitted):
+            h.update(json.dumps(rows, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# The digest of every event and emission of the traced runs below.  Any
+# change to what the simulator does, or in what order, changes it.
+TRACE_DIGEST = ("d1189e7c9b5b64b576558c9e021a5036"
+                "68705152ae76ace2c52f7c2c4a425374")
+
+
 def test_event_trace_changes_no_behaviour(corpus_bundles):
     """Recording the trace or not gives the same emissions, final state
-    and counters, serialized and interleaved."""
+    and counters, serialized and interleaved; the traced runs match the
+    pinned digest."""
     t, bundles = corpus_bundles
     ports = t.external_ports()
+    traced = []
     for name, prog, bundle in bundles:
         rng = random.Random(name)
         trace = [gen_packet(prog, rng, ports) for _ in range(200)]
@@ -289,6 +309,8 @@ def test_event_trace_changes_no_behaviour(corpus_bundles):
             assert a.aggregate_state() == b.aggregate_state(), name
             assert _counters(a) == _counters(b), name
             assert a.trace and b.trace == [], name
+        traced += [on, on_i]
+    assert _run_digest(traced) == TRACE_DIGEST
 
 
 def test_counters_match_the_trace(corpus_bundles):
