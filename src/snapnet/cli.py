@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import deps, interp, lang, opt, psm, rulegen, simnet, topo, xfdd
-from .errors import CompileError, InfeasibleError, InputError
+from .errors import CompileError, EvalError, InfeasibleError, InputError
 from .values import value_to_json
 
 PHASES = [
@@ -182,11 +182,15 @@ def cmd_simulate(args) -> int:
                       events=bool(args.events))
     injections = simnet.read_trace(args.trace, t)
     emitted = []
-    for port, pkt in injections:
-        emitted.extend(net.inject(port, pkt, mode=args.mode))
-    if args.mode == "interleaved":
-        net.run()
-        emitted = net.emissions
+    try:
+        for port, pkt in injections:
+            emitted.extend(net.inject(port, pkt, mode=args.mode))
+        if args.mode == "interleaved":
+            net.run()
+            emitted = net.emissions
+    except EvalError as e:
+        # e.g. a trace packet without a field the diagram tests
+        raise InputError(f"simulation: {e}") from e
     for port, pkt in emitted:
         print(json.dumps({"port": port,
                           "packet": {f: value_to_json(v)

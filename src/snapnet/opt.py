@@ -3,18 +3,19 @@
 `build_milp` collects the placement problem: flows with their volumes and
 needed state variables, the dependency and tie relations, and, in TE mode,
 the fixed placement.  Its mixed-integer model over per-flow link fractions
-(R), placement indicators (P), and processed-flow fractions (PS) is built
-lazily, the first time a row is read: by `export_lp` (CPLEX-LP text for
-external solvers) and `check_solution`, but never by the built-in solver.
-That solver handles desk-scale instances with a search over per-group
-placements (all of them, or a shortlist under a budget).  It visits
-placements best-first by an admissible lower bound on their objective,
-routes the flows of each one it visits one after another, and stops once
-the next bound exceeds the best objective found.  In TE mode it only
-routes, under the fixed placement.  A flow's walk visits the
-owners of its variables in a dependency-respecting order and never reuses
-a link (`_route`); `exec_positions` says where each variable runs on it,
-for the router, the checker and rule generation alike.
+(R), placement indicators (P), and processed-flow fractions (PS) is
+generated flow by flow each time its rows are read, and no one keeps the
+rows: `check_solution` walks them once, keeping only violations, and
+`export_lp` (CPLEX-LP text for external solvers) sorts them by name.  The
+built-in solver never reads them: it handles desk-scale instances with a
+search over per-group placements (all of them, or a shortlist under a
+budget).  It visits placements best-first by an admissible lower bound on
+their objective, routes the flows of each one it visits one after
+another, and stops once the next bound exceeds the best objective found.
+In TE mode it only routes, under the fixed placement.  A flow's walk
+visits the owners of its variables in a dependency-respecting order and
+never reuses a link (`_route`); `exec_positions` says where each variable
+runs on it, for the router, the checker and rule generation alike.
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       fraction of demand (u,v) on link (i,j)
@@ -29,11 +30,15 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InfeasibleError, InputError
 
 
+# A pass over a model's rows names a few hundred nodes, ports and state
+# variables millions of times; the cache is bounded, so it cannot grow with
+# the process.
+@lru_cache(maxsize=4096, typed=True)
 def _san(x) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(x))
 
@@ -60,16 +65,34 @@ class Constraint:
     rhs: float
 
 
+class _Rows:
+    """The constraint rows of a model, as a sized, re-iterable view: every
+    iteration generates them again with `_rows`, flow by flow, and `len`
+    counts them.  Nothing keeps them, so code that wants them in a list
+    sorts `iter(rows)`: `sorted` and `list` call `len` first, which would
+    generate every row twice."""
+
+    def __init__(self, m: MILPModel):
+        self.m = m
+
+    def __iter__(self):
+        return _rows(self.m)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in _rows(self.m))
+
+
 @dataclass
 class MILPModel:
-    """The placement problem, plus its LP rows on demand.
+    """The placement problem, plus its LP rows and columns on demand.
 
-    The fields are all `solve_builtin` reads.  `objective`, `constraints`,
-    `bounds` and `binaries` are built together by `_fill_rows` the first
-    time any of them is read (by `export_lp`, `check_solution` or
-    `variables`), and kept.  A `fixed` placement (state var -> switch)
-    makes it a TE-mode model: routing only, with the placement indicators
-    as constants."""
+    The fields are all `solve_builtin` reads.  `constraints` is a view
+    that generates the rows again on every read (`_rows`), in no
+    particular order, and keeps none of them.  `objective`, `bounds` and
+    `binaries` are built together by `_fill_columns` the first time any
+    of them is read (by `export_lp` or `variables`), and kept.  A `fixed`
+    placement (state var -> switch) makes it a TE-mode model: routing
+    only, with the placement indicators as constants."""
     topo: object
     flows: dict                                 # (u,v) -> (demand, vars tuple)
     state_vars: tuple = ()
@@ -77,28 +100,27 @@ class MILPModel:
     dep: frozenset = frozenset()
     fixed: dict | None = None                   # TE-mode placement
 
+    @property
+    def constraints(self) -> _Rows:
+        """Every Constraint, generated again on each iteration."""
+        return _Rows(self)
+
     @cached_property
     def objective(self) -> dict:
         """var -> coefficient (minimization)."""
-        _fill_rows(self)
+        _fill_columns(self)
         return self.objective
-
-    @cached_property
-    def constraints(self) -> list:
-        """[Constraint], sorted by name."""
-        _fill_rows(self)
-        return self.constraints
 
     @cached_property
     def bounds(self) -> dict:
         """var -> (lo, hi)."""
-        _fill_rows(self)
+        _fill_columns(self)
         return self.bounds
 
     @cached_property
     def binaries(self) -> frozenset:
         """Subset of the variable names."""
-        _fill_rows(self)
+        _fill_columns(self)
         return self.binaries
 
     def variables(self) -> list:
@@ -137,8 +159,8 @@ def build_milp(topo, demand, order, fixed: dict | None = None) -> MILPModel:
     is searched (ST mode).
 
     Cheap: it collects each flow's volume and needed variables and the
-    state variables in rank order.  The LP rows are built only when one of
-    them is first read (see `MILPModel`)."""
+    state variables in rank order.  The LP rows are generated only when
+    they are read (see `MILPModel`)."""
     state_vars = tuple(sorted(order.state_rank, key=lambda s:
                               (order.state_rank[s], s)))
     if fixed is not None:
@@ -158,10 +180,35 @@ def build_milp(topo, demand, order, fixed: dict | None = None) -> MILPModel:
                      fixed=dict(fixed) if fixed is not None else None)
 
 
-def _fill_rows(m: MILPModel) -> None:
-    """Build the objective, constraint rows, bounds and binaries of `m`
-    and store all four on it."""
-    topo, flows, fixed = m.topo, m.flows, m.fixed
+def _fill_columns(m: MILPModel) -> None:
+    """Build the objective, bounds and binaries of `m` and store all three
+    on it."""
+    topo = m.topo
+    links = sorted(topo.links.items())
+    objective: dict = {}
+    bounds: dict = {}
+    for (u, v), (vol, svars) in m.flows.items():
+        if topo.node_of_port(u) == topo.node_of_port(v):
+            continue
+        for (i, j), link in links:
+            name = rname(u, v, i, j)
+            objective[name] = vol / link.capacity
+            bounds[name] = (0.0, 1.0)
+            for s in svars:
+                bounds[psname(s, u, v, i, j)] = (0.0, 1.0)
+    binaries: frozenset = frozenset()
+    if m.fixed is None:
+        binaries = frozenset(pname(s, n) for s in m.state_vars
+                             for n in topo.nodes)
+        bounds.update(dict.fromkeys(binaries, (0.0, 1.0)))
+    m.__dict__.update(objective=objective, bounds=bounds, binaries=binaries)
+
+
+def _rows(m: MILPModel):
+    """Generate the constraint rows of `m`: each flow's rows, flow by flow,
+    then the capacity, placement and tie rows.  Each row is built on its
+    own and kept by no one."""
+    topo, fixed = m.topo, m.fixed
     nodes = sorted(topo.nodes)
     links = sorted(topo.links)
     in_of: dict = {n: [] for n in nodes}
@@ -176,20 +223,14 @@ def _fill_rows(m: MILPModel) -> None:
             return None, 1.0 if fixed.get(s) == n else 0.0
         return pname(s, n), None
 
-    objective: dict = {}
-    constraints: list = []
-    bounds: dict = {}
-    binaries: set = set()
-
-    def add(name, coeffs: dict, sense: str, rhs: float):
+    def constraint(name, coeffs: dict, sense: str, rhs: float) -> Constraint:
         # fold constant (None-keyed) contributions into the rhs
         rhs -= coeffs.pop(None, 0.0)
         items = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
-        constraints.append(Constraint(name, items, sense, float(rhs)))
+        return Constraint(name, items, sense, float(rhs))
 
-    cap_rows: dict = {l: {} for l in links}
-
-    for (u, v), (vol, svars) in flows.items():
+    moving = []                 # (u, v, volume) of flows leaving their switch
+    for (u, v), (vol, svars) in m.flows.items():
         src = topo.node_of_port(u)
         snk = topo.node_of_port(v)
         fu, fv = _san(u), _san(v)
@@ -202,32 +243,26 @@ def _fill_rows(m: MILPModel) -> None:
                 if var is None:
                     if const != 1.0:
                         # impossible to satisfy; surface as an explicit row
-                        add(f"pin_{_san(s)}_u{fu}_v{fv}", {None: const},
-                            "=", 1.0)
+                        yield constraint(f"pin_{_san(s)}_u{fu}_v{fv}",
+                                         {None: const}, "=", 1.0)
                 else:
-                    add(f"pin_{_san(s)}_u{fu}_v{fv}", {var: 1.0}, "=", 1.0)
+                    yield constraint(f"pin_{_san(s)}_u{fu}_v{fv}",
+                                     {var: 1.0}, "=", 1.0)
             continue
 
-        rvars = {}
-        for (i, j) in links:
-            name = rname(u, v, i, j)
-            rvars[(i, j)] = name
-            bounds[name] = (0.0, 1.0)
-            objective[name] = objective.get(name, 0.0) + \
-                vol / topo.links[(i, j)].capacity
-            cap_rows[(i, j)][name] = vol
-
-        add(f"src_u{fu}_v{fv}",
-            {rvars[l]: 1.0 for l in out_of[src]}, "=", 1.0)
-        add(f"snk_u{fu}_v{fv}",
-            {rvars[l]: 1.0 for l in in_of[snk]}, "=", 1.0)
+        moving.append((u, v, vol))
+        rvars = {(i, j): rname(u, v, i, j) for (i, j) in links}
+        yield constraint(f"src_u{fu}_v{fv}",
+                         {rvars[l]: 1.0 for l in out_of[src]}, "=", 1.0)
+        yield constraint(f"snk_u{fu}_v{fv}",
+                         {rvars[l]: 1.0 for l in in_of[snk]}, "=", 1.0)
         for n in nodes:
             if n in (src, snk):
                 continue
             row = {rvars[l]: 1.0 for l in in_of[n]}
             for l in out_of[n]:
                 row[rvars[l]] = row.get(rvars[l], 0.0) - 1.0
-            add(f"cons_u{fu}_v{fv}_{_san(n)}", row, "=", 0.0)
+            yield constraint(f"cons_u{fu}_v{fv}_{_san(n)}", row, "=", 0.0)
         # a node may be entered once per execution phase: stateless flows
         # follow simple paths, stateful flows may detour back for a variable
         # whose prerequisites were satisfied on a later switch
@@ -235,7 +270,8 @@ def _fill_rows(m: MILPModel) -> None:
         for n in nodes:
             row = {rvars[l]: 1.0 for l in in_of[n]}
             if row:
-                add(f"loop_u{fu}_v{fv}_{_san(n)}", row, "<=", visits)
+                yield constraint(f"loop_u{fu}_v{fv}_{_san(n)}", row, "<=",
+                                 visits)
 
         for s in svars:
             fs = _san(s)
@@ -243,8 +279,8 @@ def _fill_rows(m: MILPModel) -> None:
             for (i, j) in links:
                 name = psname(s, u, v, i, j)
                 psvars[(i, j)] = name
-                bounds[name] = (0.0, 1.0)
-                add(f"pslim_{fs}_u{fu}_v{fv}_{_san(i)}_{_san(j)}",
+                yield constraint(
+                    f"pslim_{fs}_u{fu}_v{fv}_{_san(i)}_{_san(j)}",
                     {name: 1.0, rvars[(i, j)]: -1.0}, "<=", 0.0)
             # a switch hosting s must see the whole flow (waived at the
             # ingress switch, where the flow starts out)
@@ -257,7 +293,8 @@ def _fill_rows(m: MILPModel) -> None:
                     row[None] = -const
                 else:
                     row[var] = -1.0
-                add(f"cover_{fs}_u{fu}_v{fv}_{_san(n)}", row, ">=", 0.0)
+                yield constraint(f"cover_{fs}_u{fu}_v{fv}_{_san(n)}", row,
+                                 ">=", 0.0)
             # processed-flow conservation (all nodes but the sink)
             for n in nodes:
                 if n == snk:
@@ -270,7 +307,8 @@ def _fill_rows(m: MILPModel) -> None:
                     row[None] = row.get(None, 0.0) + const
                 else:
                     row[var] = row.get(var, 0.0) + 1.0
-                add(f"pcons_{fs}_u{fu}_v{fv}_{_san(n)}", row, "=", 0.0)
+                yield constraint(f"pcons_{fs}_u{fu}_v{fv}_{_san(n)}", row,
+                                 "=", 0.0)
             # everything reaching the sink has been processed
             row = {psvars[l]: 1.0 for l in in_of[snk]}
             var, const = pval(s, snk)
@@ -278,7 +316,7 @@ def _fill_rows(m: MILPModel) -> None:
                 row[None] = const
             else:
                 row[var] = 1.0
-            add(f"pfull_{fs}_u{fu}_v{fv}", row, "=", 1.0)
+            yield constraint(f"pfull_{fs}_u{fu}_v{fv}", row, "=", 1.0)
 
         # ordering: when the flow needs both s and t with s before t, the
         # switch hosting t must only see flow that already passed s
@@ -297,31 +335,27 @@ def _fill_rows(m: MILPModel) -> None:
                     row[None] = row.get(None, 0.0) + ct
                 else:
                     row[vt] = row.get(vt, 0.0) - 1.0
-                add(f"ord_{_san(s)}_{_san(t)}_u{fu}_v{fv}_{_san(n)}",
+                yield constraint(
+                    f"ord_{_san(s)}_{_san(t)}_u{fu}_v{fv}_{_san(n)}",
                     row, ">=", 0.0)
 
-    for (i, j) in links:
-        if cap_rows[(i, j)]:
-            add(f"cap_{_san(i)}_{_san(j)}", dict(cap_rows[(i, j)]), "<=",
+    if moving:
+        for (i, j) in links:
+            yield constraint(
+                f"cap_{_san(i)}_{_san(j)}",
+                {rname(u, v, i, j): vol for u, v, vol in moving}, "<=",
                 topo.links[(i, j)].capacity)
 
     if fixed is None:
         for s in m.state_vars:
-            for n in nodes:
-                name = pname(s, n)
-                bounds[name] = (0.0, 1.0)
-                binaries.add(name)
-            add(f"place_{_san(s)}",
-                {pname(s, n): 1.0 for n in nodes}, "=", 1.0)
+            yield constraint(f"place_{_san(s)}",
+                             {pname(s, n): 1.0 for n in nodes}, "=", 1.0)
         for pair in sorted(m.tied, key=sorted):
             s, t = sorted(pair)
             for n in nodes:
-                add(f"tied_{_san(s)}_{_san(t)}_{_san(n)}",
-                    {pname(s, n): 1.0, pname(t, n): -1.0}, "=", 0.0)
-
-    constraints.sort(key=lambda c: c.name)
-    m.__dict__.update(objective=objective, constraints=constraints,
-                      bounds=bounds, binaries=frozenset(binaries))
+                yield constraint(f"tied_{_san(s)}_{_san(t)}_{_san(n)}",
+                                 {pname(s, n): 1.0, pname(t, n): -1.0},
+                                 "=", 0.0)
 
 
 # ---------------------------------------------------------------- export
@@ -344,7 +378,7 @@ def export_lp(m: MILPModel) -> str:
     obj_terms = tuple(sorted(m.objective.items()))
     out.append(" obj: " + _fmt_terms(obj_terms))
     out.append("Subject To")
-    for c in m.constraints:
+    for c in sorted(iter(m.constraints), key=lambda c: c.name):
         out.append(f" {c.name}: {_fmt_terms(c.coeffs)} {c.sense} "
                    f"{c.rhs:.12g}")
     out.append("Bounds")
@@ -796,9 +830,9 @@ def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
 
 def check_solution(m: MILPModel, placement: dict, routing: dict,
                    tol: float = 1e-9) -> list:
-    """Independent re-verification of every constraint row.  Returns the
-    list of violations (empty means ok).  Capacity rows are checked like
-    any other row."""
+    """Independent re-verification of every constraint row, read once from
+    the stream.  Returns the violations sorted by row name (empty means
+    ok).  Capacity rows are checked like any other row."""
     vals = _routing_values(m, placement, routing)
     out = []
     for c in m.constraints:
@@ -808,7 +842,7 @@ def check_solution(m: MILPModel, placement: dict, routing: dict,
               abs(lhs - c.rhs) <= tol)
         if not ok:
             out.append(Violation(c.name, lhs, c.sense, c.rhs))
-    return out
+    return sorted(out, key=lambda v: v.constraint)
 
 
 # ---------------------------------------------------------------- JSON

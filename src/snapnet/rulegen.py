@@ -382,7 +382,14 @@ def _dump(path: str, obj) -> None:
 
 
 def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
-    os.makedirs(os.path.join(dirpath, "switch"), exist_ok=True)
+    """Write the bundle into `dirpath`, removing the switch configs that an
+    earlier bundle left there (`load_bundle` reads every one)."""
+    swdir = os.path.join(dirpath, "switch")
+    os.makedirs(swdir, exist_ok=True)
+    keep = {f"{sid}.json" for sid in bundle.configs}
+    for name in os.listdir(swdir):
+        if name.endswith(".json") and name not in keep:
+            os.remove(os.path.join(swdir, name))
     _dump(os.path.join(dirpath, "placement.json"),
           {"mode": bundle.mode, "objective": bundle.objective,
            "exact": bundle.exact,
@@ -391,7 +398,7 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
           {"root": bundle.root,
            "flows": opt.routing_to_json(bundle.routing)})
     for sid in sorted(bundle.configs):
-        _dump(os.path.join(dirpath, "switch", f"{sid}.json"),
+        _dump(os.path.join(swdir, f"{sid}.json"),
               _config_to_json(bundle.configs[sid]))
     with open(os.path.join(dirpath, "xfdd.dot"), "w") as f:
         f.write(bundle_dot(bundle.nodes, bundle.root))

@@ -307,10 +307,18 @@ class SimNetwork:
                 if self.events:
                     self._log(sid, body, "state-read", (test.var, idx))
                 ok = values_equal(cell, eval_expr(test.rhs, body))
+            # a packet without the tested field fails as in the reference
+            # interpreter
             elif isinstance(test, xfdd.TFieldValue):
-                ok = test_match(body[test.field], test.value)
+                try:
+                    ok = test_match(body[test.field], test.value)
+                except KeyError:
+                    raise EvalError(f"unknown field {test.field!r}") from None
             elif isinstance(test, xfdd.TFieldField):
-                ok = values_equal(body[test.f1], body[test.f2])
+                try:
+                    ok = values_equal(body[test.f1], body[test.f2])
+                except KeyError as e:
+                    raise EvalError(f"unknown field {e.args[0]!r}") from None
             else:
                 raise EvalError(f"cannot evaluate test {test!r}")
             nid = node[2] if ok else node[3]

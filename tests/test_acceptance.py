@@ -279,7 +279,7 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     text = opt.export_lp(m)
     rows, cols = _parse_lp(text)
     assert len(rows) == len(m.constraints)
-    assert rows == [c.name for c in m.constraints]
+    assert rows == sorted(c.name for c in m.constraints)
     assert cols == set(m.variables())
     print(f"CRITERION 5: PASS (violations {flagged}, LP {len(rows)} rows x "
           f"{len(cols)} columns)")

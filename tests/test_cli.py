@@ -184,6 +184,63 @@ def test_malformed_trace_line_exits_3(tmp_path, capsys, line):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["serialized", "interleaved"])
+def test_trace_packet_missing_a_tested_field_exits_3(tmp_path, capsys,
+                                                     mode):
+    """A trace packet without a field the diagram tests ends simulate with
+    one line naming the first such field the diagram tests, in the
+    reference interpreter's words, and exit 3."""
+    bundle = tmp_path / "bundle"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-p", policy_path("assign-egress"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"port": 1, "packet": {"inport": 1}}\n')
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace),
+                              "--mode", mode], capsys)
+    assert code == 3 and out == ""
+    assert err == "bad input: simulation: unknown field 'dstip'\n"
+
+
+def _run_child(argv, tmp_path) -> tuple:
+    """(exit code, stdout, peak RSS in MB) of `snapnet argv` in a child
+    process of its own."""
+    with open(tmp_path / "child.out", "w+") as out:
+        child = subprocess.Popen([sys.executable, "-m", "snapnet.cli",
+                                  *argv], stdout=out,
+                                 stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        return child.returncode, out.read(), usage.ru_maxrss / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_checking_a_fifty_switch_solution_stays_under_100_mb(tmp_path):
+    """check -p on generated(50, 7) with dns-tunnel-detect;assign-egress
+    (budget 64) walks its 259,717 rows without keeping them: it flags the
+    five src_/snk_ rows of the router's revisiting walks and peaks under
+    100 MB (266 MB when the model kept its rows in a list)."""
+    tfile = tmp_path / "g50.json"
+    tfile.write_text(json.dumps(topo.to_json(topo.generated(50, 7))))
+    policy = ["-p", policy_path("dns-tunnel-detect"),
+              "-p", policy_path("assign-egress")]
+    bundle = str(tmp_path / "b")
+    code, _, _ = _run_child(["compile", *policy, "-t", str(tfile),
+                             "--budget", "64", "-o", bundle], tmp_path)
+    assert code == 0
+    code, out, peak_mb = _run_child(["check", "--bundle", bundle,
+                                     "--topo", str(tfile), *policy],
+                                    tmp_path)
+    assert code == 2
+    assert [p.split(":")[0] for p in json.loads(out)["problems"]] == [
+        "snk_u14_v5", "snk_u19_v5", "snk_u33_v5", "src_u15_v4", "src_u7_v6"]
+    assert peak_mb < 100
+
+
 def test_check_damaged_bundle_exits_2(tmp_path, capsys):
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),

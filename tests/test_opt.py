@@ -1,18 +1,21 @@
 """Placement/routing model tests: building, solving, LP export, and
 independent re-verification of solutions and hand-made violations."""
 
+import dataclasses
 import hashlib
 import itertools
+import json
+import os
 import random
 import re
 import signal
 
 import pytest
 
-from snapnet import deps, lang, opt, psm, rulegen, topo, xfdd
+from snapnet import cli, deps, lang, opt, psm, rulegen, topo, xfdd
 from snapnet.errors import InfeasibleError
 
-from conftest import policy_src
+from conftest import CORPUS, TOPO_DIR, policy_path, policy_src
 
 
 def model_for(names, t=None, fixed=None):
@@ -114,6 +117,14 @@ def test_owner_avoiding_path_violates_pfull_row(m_mid, sol_mid):
 
 def _detour_flow(m, sol, owner):
     """A stateful flow plus a valid-shape path for it avoiding `owner`."""
+    for found in _detours(m, owner):
+        return found
+    raise AssertionError("no detourable flow found")
+
+
+def _detours(m, owner):
+    """Each stateful flow with a valid-shape path for it avoiding `owner`,
+    with that path."""
     t = m.topo
     for (u, v) in sorted(m.flows):
         vol, svars = m.flows[(u, v)]
@@ -139,8 +150,7 @@ def _detour_flow(m, sol, owner):
         while n is not None:
             path.append(n)
             n = prev[n]
-        return (u, v), tuple(reversed(path))
-    raise AssertionError("no detourable flow found")
+        yield (u, v), tuple(reversed(path))
 
 
 def test_order_violation_is_flagged_and_isolated():
@@ -204,7 +214,7 @@ def test_lp_export_parse_back_preserves_counts(m_dns):
     text = opt.export_lp(m_dns)
     rows, vars_seen = _parse_lp(text)
     assert len(rows) == len(m_dns.constraints)
-    assert rows == [c.name for c in m_dns.constraints]
+    assert rows == sorted(c.name for c in m_dns.constraints)
     assert vars_seen == set(m_dns.variables())
 
 
@@ -224,11 +234,11 @@ def _bundle_bytes(path) -> dict:
             for p in sorted(path.rglob("*")) if p.is_file()}
 
 
-def test_compile_never_builds_rows(tmp_path, monkeypatch):
-    """compile reads no row, ST or TE; its bundles are the same bytes as
-    those of a compile that may build them."""
-    prog = lang.compose_all([lang.parse(policy_src(n))
-                             for n in ["dns-tunnel-detect", "assign-egress"]])
+def test_compile_never_builds_rows(tmp_path, monkeypatch, capsys):
+    """compile (ST and TE), place and reroute read no row and no column;
+    the bundles are the same bytes as those of a compile that may."""
+    policies = ["dns-tunnel-detect", "assign-egress"]
+    prog = lang.compose_all([lang.parse(policy_src(n)) for n in policies])
     t = topo.example12()
     fixed = {"orphan": "C1", "susp-client": "C1", "blacklist": "C5"}
     kinds = {"st": {}, "te": {"fixed": fixed}}
@@ -239,39 +249,83 @@ def test_compile_never_builds_rows(tmp_path, monkeypatch):
     def no_rows(m):
         raise AssertionError("LP rows built on the compile path")
 
-    monkeypatch.setattr(opt, "_fill_rows", no_rows)
+    monkeypatch.setattr(opt, "_rows", no_rows)
+    monkeypatch.setattr(opt, "_fill_columns", no_rows)
     for kind, kw in kinds.items():
         bundle = rulegen.compile(prog, t, **kw)
         rulegen.write_bundle(bundle, str(tmp_path / kind))
         assert _bundle_bytes(tmp_path / kind) == \
             _bundle_bytes(tmp_path / f"{kind}-rows")
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(fixed))
+    argv = [a for n in policies for a in ("-p", policy_path(n))] + \
+        ["-t", os.path.join(TOPO_DIR, "example12.json")]
+    assert cli.main(["place", *argv]) == 0
+    assert cli.main(["reroute", *argv, "--placement", str(pfile)]) == 0
+    capsys.readouterr()
+    m = model_for(policies)
     with pytest.raises(AssertionError, match="compile path"):
-        model_for(["dns-tunnel-detect", "assign-egress"]).constraints
+        iter(m.constraints)
+    with pytest.raises(AssertionError, match="compile path"):
+        m.objective
 
 
-def test_rows_are_built_once(monkeypatch, m_dns, sol_dns):
-    calls = []
-    fill = opt._fill_rows
+def test_two_reads_yield_equal_rows(monkeypatch, m_dns):
+    """Every read of `constraints` generates the rows again and the model
+    keeps none of them: two reads yield equal rows, under unique names."""
+    reads = []
+    rows = opt._rows
 
     def counting(m):
-        calls.append(m)
-        fill(m)
+        reads.append(m)
+        return rows(m)
 
-    monkeypatch.setattr(opt, "_fill_rows", counting)
-    fresh = model_for(["dns-tunnel-detect", "assign-egress", "assumption"])
-    read = model_for(["dns-tunnel-detect", "assign-egress", "assumption"])
-    assert calls == []
-    rows = read.constraints
-    assert read.constraints is rows
-    read.objective, read.bounds, read.binaries, read.variables()
-    assert len(calls) == 1 and calls[0] is read
-    placement = dict(sol_dns.placement)
-    del placement["blacklist"]
-    for p in (sol_dns.placement, placement):
-        assert opt.check_solution(fresh, p, sol_dns.routing) == \
-            opt.check_solution(read, p, sol_dns.routing)
-    assert len(calls) == 2 and calls[1] is fresh
-    assert read.constraints is rows
+    monkeypatch.setattr(opt, "_rows", counting)
+    first = list(iter(m_dns.constraints))
+    second = list(iter(m_dns.constraints))
+    assert len(reads) == 2
+    assert first == second
+    names = [c.name for c in first]
+    assert len(set(names)) == len(names) == 2258
+    assert set(vars(m_dns)) <= {f.name for f in dataclasses.fields(m_dns)} | \
+        {"objective", "bounds", "binaries"}
+
+
+def _certificate_cases(m, sol):
+    """(case, model, routing): the solver's own routing, then three broken
+    ones: a hop dropped from a flow's walk, a stateful flow sent past the
+    owner of the first variable, and every volume ten times its demand,
+    which overloads links."""
+    rt = sol.routing
+    yield "solver", m, rt
+    key = next(k for k in sorted(rt) if len(rt[k][0][1]) > 2)
+    w, path = rt[key][0]
+    yield "dropped-hop", m, {**rt, key: [(w, path[:1] + path[2:])]}
+    detour = next(_detours(m, sol.placement[min(sol.placement)]), None)
+    if detour is not None:
+        yield "wrong-owner", m, {**rt, detour[0]: [(1.0, detour[1])]}
+    flows = {k: (10 * vol, svars) for k, (vol, svars) in m.flows.items()}
+    yield "overloaded", dataclasses.replace(m, flows=flows), rt
+
+
+def test_checker_violations_are_pinned():
+    """check_solution's violations, in order, on every corpus policy with
+    assign-egress on example12, for the solver's routing and three broken
+    ones (`_certificate_cases`), equal those the checker gave when it
+    kept a sorted row list (SHA-256 of the JSON list, lhs to 9 places)."""
+    got = []
+    for name in CORPUS:
+        m = model_for([name, "assign-egress"])
+        sol = opt.solve_builtin(m)
+        for case, model, routing in _certificate_cases(m, sol):
+            vs = opt.check_solution(model, sol.placement, routing)
+            got.append([name, case, [(v.constraint, round(v.lhs, 9), v.sense,
+                                      v.rhs) for v in vs]])
+    assert len(got) == 87
+    assert sum(len(vs) for _, case, vs in got if case == "solver") == 0
+    assert sum(len(vs) for _, _, vs in got) == 749
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == (
+        "f71ad1360379406e8db0a9c4bf6caf010675cf6bc37b706bd228425e4aaab80e")
 
 
 def test_te_mode_has_no_placement_variables(m_dns, sol_dns):

@@ -152,6 +152,19 @@ def test_bundle_round_trip(tmp_path):
     assert rulegen.validate_bundle(b2, t) == []
 
 
+def test_smaller_bundle_replaces_a_larger_one(tmp_path):
+    """A bundle written over a larger one leaves none of the larger one's
+    switch configs behind: loading it gives the smaller bundle's."""
+    _, _, big = compile_named(["stateful-fw"], topo.generated(16, 7))
+    _, t, small = compile_named(["stateful-fw"], topo.generated(8, 7))
+    rulegen.write_bundle(big, str(tmp_path))
+    rulegen.write_bundle(small, str(tmp_path))
+    loaded = rulegen.load_bundle(str(tmp_path))
+    assert set(big.configs) > set(small.configs)
+    assert loaded.configs == small.configs
+    assert rulegen.validate_bundle(loaded, t) == []
+
+
 def test_fixed_placement_forces_te_mode():
     fixed = {"orphan": "C1", "susp-client": "C1", "blacklist": "C1"}
     _, _, bundle = compile_named(
