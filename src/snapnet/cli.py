@@ -4,7 +4,8 @@ Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success (and --help), 1 compile errors
 (parse, race, unsupported composition), 2 infeasible placement/routing
 or a failed check, 3 usage errors (an unknown option, a missing required
-one), I/O errors and malformed topology, placement, trace or bundle files.
+one, a --budget below 1), I/O errors and malformed topology, placement,
+trace or bundle files.
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).

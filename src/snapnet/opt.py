@@ -678,7 +678,9 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     prunes, so the answer is the least (objective, sorted placement) over
     every candidate, as full enumeration would give.  A TE-mode model
     (`m.fixed` set) is routed under its placement, without a search.
-    Deterministic."""
+    Deterministic.  A `budget` below 1 is an `InputError`."""
+    if budget < 1:
+        raise InputError(f"search budget {budget} is below 1")
     topo = m.topo
     nodes = sorted(topo.nodes)
 

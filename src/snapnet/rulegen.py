@@ -13,7 +13,8 @@ Execution protocol (shared with the simulator):
   * A switch executes diagram nodes from its fragment until it reaches a
     node it does not hold (a state test on a foreign variable); it then
     tags the packet with that resume point and forwards it toward the
-    variable's owner.
+    variable's owner, by the switch's group for the packet's inport and
+    that variable (every resume point of one variable shares it).
   * Reaching a leaf forks one copy per action sequence.  Copies whose
     final output packet would duplicate another copy's are marked
     non-emitting; they only carry state updates.
@@ -60,12 +61,10 @@ class SnapHeader:
 @dataclass
 class SwitchConfig:
     switch: str
-    owns: tuple                  # state variables stored here
-    state_tables: dict           # var -> (arity, default)
-    fragment: tuple              # node ids this switch can evaluate
-    nodes: dict                  # nid -> node (only fragment members)
+    state_tables: dict           # var stored here -> (arity, default)
+    nodes: dict                  # nid -> node, the ones this switch holds
     resolved: dict               # (u, v) -> ("fwd", next) | ("emit", v)
-    unresolved: dict             # (u, resume key) -> ((w, tag, next), ...)
+    unresolved: dict             # (u, state var) -> ((w, tag, next), ...)
 
 
 @dataclass
@@ -171,17 +170,18 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
 # ---------------------------------------------------------------- routing
 
 def gen_routing(rt: dict, placement: dict, demand, topo,
-                nodes: dict, dep=frozenset()) -> tuple:
+                dep=frozenset()) -> tuple:
     """Per-switch routing tables.
 
     Resolved rules, keyed (obs_inport, obs_outport): next hop along the
     flow's designated path, with an emit action at the egress switch.
 
-    Unresolved rules, keyed (obs_inport, resume point): a weighted group
+    Unresolved rules, keyed (obs_inport, state variable): a weighted group
     over the candidate designated paths of flows (u, v_i) that need the
-    blocking variable and pass this switch before the variable's owner,
-    with weights proportional to the flows' demand volumes; the selection
-    also tags the packet with the chosen path identifier (u, v_i)."""
+    variable and pass this switch before its owner, with weights
+    proportional to the flows' demand volumes; the selection also tags
+    the packet with the chosen path identifier (u, v_i).  A packet blocked
+    at any resume point of the variable uses the one group."""
     paths = opt.rt_paths(rt)
     resolved: dict = {sid: {} for sid in topo.nodes}
     unresolved: dict = {sid: {} for sid in topo.nodes}
@@ -194,9 +194,6 @@ def gen_routing(rt: dict, placement: dict, demand, topo,
             resolved[a][(u, v)] = ("fwd", b)
         resolved[path[-1]][(u, v)] = ("emit", v)
 
-    keys_of: dict = {}
-    for key, s in sorted(state_resume_points(nodes).items()):
-        keys_of.setdefault(s, []).append(key)
     for (u, v), path in sorted(paths.items()):
         w = topo.demands.get((u, v), 0.0)
         stops = opt.exec_positions(path, demand.states_for(u, v),
@@ -209,9 +206,8 @@ def gen_routing(rt: dict, placement: dict, demand, topo,
             for ai in range(stop):
                 last_at[path[ai]] = ai
             for a, ai in last_at.items():
-                for key in keys_of.get(s, ()):
-                    unresolved[a].setdefault((u, key), []).append(
-                        (w, v, path[ai + 1]))
+                unresolved[a].setdefault((u, s), []).append(
+                    (w, v, path[ai + 1]))
     for sid in unresolved:
         unresolved[sid] = {k: tuple(sorted(rows, key=lambda e: (e[1], e[2])))
                            for k, rows in unresolved[sid].items()}
@@ -257,15 +253,13 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
     nodes, root = number_nodes(b.arena, d)
     frags = split_xfdd(nodes, root, sol.placement, topo)
     resolved, unresolved = gen_routing(sol.routing, sol.placement,
-                                       demand, topo, nodes, dep=m.dep)
+                                       demand, topo, dep=m.dep)
     configs = {}
     for sid in sorted(topo.nodes):
-        owns = tuple(sorted(s for s, n in sol.placement.items() if n == sid))
         tables = {s: (prog.states[s].arity, prog.states[s].default)
-                  for s in owns}
+                  for s, n in sorted(sol.placement.items()) if n == sid}
         configs[sid] = SwitchConfig(
-            switch=sid, owns=owns, state_tables=tables,
-            fragment=tuple(sorted(frags[sid])),
+            switch=sid, state_tables=tables,
             nodes={nid: nodes[nid] for nid in sorted(frags[sid])},
             resolved=resolved[sid], unresolved=unresolved[sid])
     times["P6"] = time.monotonic() - t0
@@ -326,35 +320,21 @@ def _node_from_json(d: dict):
                       d["hi"], d["lo"]))
 
 
-def _resume_to_json(key) -> dict:
-    if key[0] == "node":
-        return {"kind": "node", "id": key[1]}
-    return {"kind": "leaf", "id": key[1], "elem": key[2], "offset": key[3]}
-
-
-def _resume_from_json(d: dict):
-    if d["kind"] == "node":
-        return ("node", d["id"])
-    return ("leaf", d["id"], d["elem"], d["offset"])
-
-
 def _config_to_json(c: SwitchConfig) -> dict:
     return {
         "id": c.switch,
-        "owns": list(c.owns),
         "state_tables": {s: {"arity": a, "default": value_to_json(dv)}
                          for s, (a, dv) in sorted(c.state_tables.items())},
-        "fragment": list(c.fragment),
         "nodes": [_node_to_json(nid, c.nodes[nid])
                   for nid in sorted(c.nodes)],
         "rules": {
             "resolved": [{"inport": u, "outport": v,
                           "action": act[0], "arg": act[1]}
                          for (u, v), act in sorted(c.resolved.items())],
-            "unresolved": [{"inport": u, "resume": _resume_to_json(key),
+            "unresolved": [{"inport": u, "var": s,
                             "group": [{"weight": w, "tag": v, "next": nh}
                                       for w, v, nh in rows]}
-                           for (u, key), rows in sorted(c.unresolved.items())],
+                           for (u, s), rows in sorted(c.unresolved.items())],
         },
     }
 
@@ -363,16 +343,15 @@ def _config_from_json(d: dict) -> SwitchConfig:
     nodes = dict(_node_from_json(n) for n in d["nodes"])
     resolved = {(r["inport"], r["outport"]): (r["action"], r["arg"])
                 for r in d["rules"]["resolved"]}
-    unresolved = {(r["inport"], _resume_from_json(r["resume"])):
+    unresolved = {(r["inport"], r["var"]):
                   tuple((g["weight"], g["tag"], g["next"])
                         for g in r["group"])
                   for r in d["rules"]["unresolved"]}
     return SwitchConfig(
-        switch=d["id"], owns=tuple(d["owns"]),
+        switch=d["id"],
         state_tables={s: (t["arity"], value_from_json(t["default"]))
                       for s, t in d["state_tables"].items()},
-        fragment=tuple(d["fragment"]), nodes=nodes,
-        resolved=resolved, unresolved=unresolved)
+        nodes=nodes, resolved=resolved, unresolved=unresolved)
 
 
 def _dump(path: str, obj) -> None:
@@ -447,9 +426,10 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
 
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: placement totality, fragment coverage of
-    every state resume point, no dangling node references, a config for
-    every topology switch.  Returns a list of problem strings (empty means
-    ok)."""
+    every state resume point, no dangling node references, rules that
+    name placed variables, forward to neighbours and emit on the switch's
+    own external ports, a config for every topology switch and none for
+    another.  Returns a list of problem strings (empty means ok)."""
     problems = []
     for s, sid in sorted(bundle.placement.items()):
         if sid not in topo.nodes:
@@ -462,11 +442,14 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
             problems.append(f"state variable {s!r} is unplaced")
             continue
         cfg = bundle.configs.get(owner)
-        if cfg is None or key[1] not in cfg.fragment:
+        if cfg is None or key[1] not in cfg.nodes:
             problems.append(
                 f"owner {owner!r} of {s!r} lacks node {key[1]} "
                 "in its fragment")
     for sid, cfg in sorted(bundle.configs.items()):
+        if sid not in topo.nodes:
+            problems.append(f"config for unknown switch {sid!r}")
+            continue
         for nid, node in cfg.nodes.items():
             if node[0] == "branch":
                 for child in (node[2], node[3]):
@@ -474,16 +457,28 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                         problems.append(
                             f"switch {sid}: node {nid} references "
                             f"unknown node {child}")
-        for (u, key), rows in sorted(cfg.unresolved.items()):
-            if key[1] not in bundle.nodes:
+        # a list and a tuple: a target read as a list is compared, not hashed
+        nbrs = [link.dst for link in topo.out_links(sid)]
+        ports = topo.nodes[sid].external_ports
+        for (u, v), (act, arg) in cfg.resolved.items():
+            if act == "fwd" and arg not in nbrs:
                 problems.append(
-                    f"switch {sid}: rule ({u},{key}) references "
-                    f"unknown node {key[1]}")
+                    f"switch {sid}: rule ({u},{v}) next hop {arg!r} is not "
+                    "a neighbor")
+            elif act == "emit" and arg not in ports:
+                problems.append(
+                    f"switch {sid}: rule ({u},{v}) emits on {arg!r}, not "
+                    "one of its external ports")
+        for (u, s), rows in cfg.unresolved.items():
+            if s not in bundle.placement:
+                problems.append(
+                    f"switch {sid}: rule ({u},{s!r}) names a variable with "
+                    "no placement")
             for _, _, nh in rows:
-                if (sid, nh) not in topo.links:
+                if nh not in nbrs:
                     problems.append(
-                        f"switch {sid}: rule next hop {nh!r} is not "
-                        "a neighbor")
+                        f"switch {sid}: rule ({u},{s!r}) next hop {nh!r} "
+                        "is not a neighbor")
     for sid in topo.nodes:
         if sid not in bundle.configs:
             problems.append(f"switch {sid!r} has no config")

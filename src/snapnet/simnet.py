@@ -69,7 +69,7 @@ class SimNetwork:
         self.topo = topo
         self.seed = seed
         # state tables: var -> canonical index key -> (index, value)
-        self.tables = {sid: {s: {} for s in cfg.owns}
+        self.tables = {sid: {s: {} for s in cfg.state_tables}
                        for sid, cfg in bundle.configs.items()}
         self.defaults = {}
         for cfg in bundle.configs.values():
@@ -223,7 +223,8 @@ class SimNetwork:
         return hop
 
     def _swrr(self, sid: str, u: int, key, rows: tuple) -> tuple:
-        """Deterministic weighted round-robin over a rule group."""
+        """Deterministic weighted round-robin over a rule group; each
+        resume point `key` keeps its own turn in its variable's group."""
         weights = [w for w, _, _ in rows]
         total = sum(weights)
         if total <= 0:
@@ -239,7 +240,8 @@ class SimNetwork:
     def _forward_blocked(self, sid: str, copy: _Copy, key):
         cfg = self.bundle.configs[sid]
         u = copy.hdr.obs_inport
-        rows = cfg.unresolved.get((u, key))
+        var = self.points[key]
+        rows = cfg.unresolved.get((u, var))
         if rows:
             chosen = None
             if copy.hdr.obs_outport != UNRESOLVED:
@@ -257,7 +259,6 @@ class SimNetwork:
                     self._log(sid, copy.body, "tag", (key, chosen[1]))
             self._send(sid, chosen[2], copy)
             return
-        var = self.points[key]
         owner = self.bundle.placement[var]
         copy.hdr = SnapHeader(u, UNRESOLVED, copy.hdr.resume_node,
                               copy.hdr.action_offset, copy.hdr.done_atoms,
@@ -359,7 +360,7 @@ class SimNetwork:
     def _run_leaf(self, sid: str, copy: _Copy, nid: int, ei: int):
         elems = self.bundle.configs[sid].nodes[nid][1]
         elem = elems[ei]
-        owns = self.bundle.configs[sid].owns
+        owns = self.bundle.configs[sid].state_tables
         done = set(copy.hdr.done_atoms)
         pending = [k for k, a in enumerate(elem)
                    if lang.is_state_op(a) and k not in done]

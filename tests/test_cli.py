@@ -270,14 +270,38 @@ def test_usage_error_exits_3(tmp_path, capsys, extra, says):
     assert not out.exists()
 
 
+def _set_rule(kind, inport, key, field, value):
+    """Bundle damage: set `field` of the `kind` rule of `inport` whose
+    outport (resolved) or variable (unresolved) is `key`."""
+    def damage(d):
+        for r in d["rules"][kind]:
+            if r["inport"] == inport and key in (r.get("outport"),
+                                                 r.get("var")):
+                r[field] = value
+        return d
+    return damage
+
+
+def _old_format_rules(d):
+    """A switch config in the format that keyed each waiting-packet group
+    by resume point rather than by state variable."""
+    rules = d["rules"]["unresolved"]
+    assert rules
+    for r in rules:
+        r["resume"] = {"kind": "node", "id": 0}
+        del r["var"]
+    return d
+
+
 @pytest.mark.parametrize("part, damage, says", [
     ("placement.json", lambda d: {k: v for k, v in d.items() if k != "mode"},
      "missing key 'mode'"),
     ("routing.json", lambda d: {"root": d["root"]}, "missing key 'flows'"),
     ("switch/D4.json", lambda d: [d], "not a JSON object"),
-    ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable")],
+    ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable"),
+    ("switch/I1.json", _old_format_rules, "missing key 'var'")],
     ids=["placement-no-mode", "routing-no-flows", "switch-a-list",
-         "switch-nodes-a-number"])
+         "switch-nodes-a-number", "switch-rules-keyed-by-resume-point"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3."""
     bundle = tmp_path / "b"
@@ -317,6 +341,74 @@ def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == ("bad input: inconsistent bundle: "
                    "switch 'C3' has no config\n")
+
+
+@pytest.mark.parametrize("part, damage, says", [
+    ("switch/I1.json", _set_rule("resolved", 1, 2, "arg", "D4"),
+     "switch I1: rule (1,2) next hop 'D4' is not a neighbor"),
+    ("switch/I1.json", _set_rule("resolved", 1, 2, "arg", ["C1"]),
+     "switch I1: rule (1,2) next hop ['C1'] is not a neighbor"),
+    ("switch/I2.json", _set_rule("resolved", 1, 2, "arg", 3),
+     "switch I2: rule (1,2) emits on 3, not one of its external ports"),
+    ("switch/I1.json", _set_rule("unresolved", 1, "established", "var",
+                                 "nosuch"),
+     "switch I1: rule (1,'nosuch') names a variable with no placement")],
+    ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
+         "unplaced-var"])
+def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
+                                                      part, damage, says):
+    """A rule that forwards to a switch that is not a neighbour, emits on
+    another switch's port or names an unplaced variable fails `check`
+    (exit 2), and `simulate` refuses the bundle at load (exit 3), before
+    any packet reaches the rule."""
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-p", policy_path("assign-egress"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    path = bundle / part
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    code, out, _ = run_cli(["check", "--bundle", str(bundle),
+                            "--topo", TOPO], capsys)
+    assert code == 2
+    assert json.loads(out)["problems"] == [says]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"bad input: inconsistent bundle: {says}\n"
+
+
+def test_config_for_unknown_switch_fails_check(tmp_path, capsys):
+    """A switch config the topology has no switch for fails `check`."""
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    d = json.loads((bundle / "switch" / "C2.json").read_text())
+    (bundle / "switch" / "ZZ.json").write_text(json.dumps(dict(d, id="ZZ")))
+    code, out, _ = run_cli(["check", "--bundle", str(bundle),
+                            "--topo", TOPO], capsys)
+    assert code == 2
+    assert json.loads(out)["problems"] == ["config for unknown switch 'ZZ'"]
+
+
+@pytest.mark.parametrize("command", ["compile", "place"])
+@pytest.mark.parametrize("budget", ["0", "-8"])
+def test_budget_below_one_exits_3(tmp_path, capsys, command, budget):
+    """A search budget below 1 is refused with one line, not a
+    traceback."""
+    out = tmp_path / "b"
+    argv = [command, "-p", policy_path("dns-tunnel-detect"),
+            "-p", policy_path("assign-egress"), "-t", TOPO,
+            "--budget", budget]
+    if command == "compile":
+        argv += ["-o", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 3 and stdout == ""
+    assert err == f"bad input: search budget {budget} is below 1\n"
+    assert not out.exists()
 
 
 def test_simulate_inconsistent_bundle_exits_3(tmp_path, capsys):

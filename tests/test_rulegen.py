@@ -16,6 +16,12 @@ def compile_named(names, t=None, **kw):
     return prog, t, rulegen.compile(prog, t, **kw)
 
 
+def group_count(bundle) -> int:
+    """Waiting-packet groups over all switches: one per (inport, state
+    variable) a switch forwards blocked packets for."""
+    return sum(len(cfg.unresolved) for cfg in bundle.configs.values())
+
+
 def bundle_digest(bundle, dirpath) -> str:
     """SHA-256 of the written bundle's file listing, one line per file:
     its path and the SHA-256 of its bytes."""
@@ -75,7 +81,7 @@ def test_compile_bundle_structure():
     assert set(bundle.placement) == {"orphan", "susp-client", "blacklist"}
     owner = bundle.placement["orphan"]
     cfg = bundle.configs[owner]
-    assert "orphan" in cfg.owns
+    assert "orphan" in cfg.state_tables
     assert cfg.state_tables["orphan"][0] == 2  # (dstip, dns-rdata) index
     # every flow is fully wired: each hop forwards, the egress emits
     for (u, v), paths in bundle.routing.items():
@@ -144,8 +150,7 @@ def test_bundle_round_trip(tmp_path):
     assert set(b2.configs) == set(b1.configs)
     for sid in b1.configs:
         c1, c2 = b1.configs[sid], b2.configs[sid]
-        assert c2.owns == c1.owns
-        assert c2.fragment == c1.fragment
+        assert c2.state_tables == c1.state_tables
         assert c2.nodes == c1.nodes
         assert c2.resolved == c1.resolved
         assert c2.unresolved == c1.unresolved
@@ -192,7 +197,8 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
-    switch, byte for byte as rule generation first wrote it: the last
+    switch, byte for byte as rule generation first wrote it, apart from
+    the one format change that keyed the groups by variable: the last
     visit before the owner keeps the unresolved entry."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
@@ -200,14 +206,16 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path) == (
-        "169410a5091b8e2a787272ba7f4fbbd3da9f49aedee7880c53f7ab059d1327a8")
+        "24ec66cfad82b94812c9c52dac3e11fd7f1172dc979a13fc0efe054740138c3a")
+    assert group_count(bundle) == 58
 
 
 def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list.  Most path facts here are state tests."""
+    whole fact list, apart from the one format change that keyed the
+    groups by variable.  Most path facts here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -216,7 +224,11 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path) == (
-        "923f64a2e6bf90687d29e007f021c617edbaccb48db1dc77d96bb6407255e455")
+        "84bdb8d2139db4740361e0cd356c8d1b0ac710543aac8b44a3377d2961fc7887")
+    # one group per (inport, variable), not one per resume point
+    assert group_count(bundle) == 84
+    assert sum(p.stat().st_size for p in tmp_path.rglob("*")
+               if p.is_file()) < 512 * 1024
 
 
 def test_gen_routing_reads_exec_positions_once_per_flow(monkeypatch):
@@ -235,9 +247,8 @@ def test_gen_routing_reads_exec_positions_once_per_flow(monkeypatch):
     b = xfdd.Builder(prog, order)
     d = b.prune_vacuous(b.to_xfdd_program())
     demand = psm.packet_state_map(b, d, t, order)
-    nodes, _ = rulegen.number_nodes(b.arena, d)
     monkeypatch.setattr(opt, "exec_positions", counted)
-    rulegen.gen_routing(bundle.routing, bundle.placement, demand, t, nodes,
+    rulegen.gen_routing(bundle.routing, bundle.placement, demand, t,
                         dep=order.dep)
     paths = opt.rt_paths(bundle.routing)
     assert sorted(calls) == sorted(paths.values())
