@@ -395,20 +395,28 @@ def export_lp(m: MILPModel) -> str:
 
 # ---------------------------------------------------------------- solve
 
-def _distances(topo, source: str, weight) -> dict:
-    """Cheapest distance from `source` to every reachable node, with
-    `weight(link)` as the length of a link."""
+def _adjacency(topo) -> dict:
+    """Node -> [(next node, capacity)] over its out-links in link order:
+    the one adjacency that the router's length table, the search's bounds
+    and its shortlists are built from."""
+    return {n: [(l.dst, l.capacity) for l in topo.out_links(n)]
+            for n in topo.nodes}
+
+
+def _distances(lengths: dict, source: str) -> dict:
+    """Cheapest distance from `source` to every reachable node, where
+    `lengths` maps each node to its [(next node, link length)]."""
     dist = {source: 0}
     pq = [(0, source)]
     while pq:
         d, n = heapq.heappop(pq)
         if d > dist[n]:
             continue
-        for l in topo.out_links(n):
-            d2 = d + weight(l)
-            if d2 < dist.get(l.dst, float("inf")):
-                dist[l.dst] = d2
-                heapq.heappush(pq, (d2, l.dst))
+        for m, w in lengths[n]:
+            d2 = d + w
+            if d2 < dist.get(m, float("inf")):
+                dist[m] = d2
+                heapq.heappush(pq, (d2, m))
     return dist
 
 
@@ -450,14 +458,31 @@ def exec_positions(path, needed, owner: dict, dep) -> dict:
     return done
 
 
-def _segment(topo, src: str, dst: str, used: set, cost):
-    """Cheapest src->dst path over links not in `used`; deterministic."""
+def _length(capacity: float, load: float) -> float:
+    """The router's length of a link: (1/c)(1 + load/c)."""
+    return (1.0 / capacity) * (1.0 + load / capacity)
+
+
+def _length_table(topo, loads: dict) -> dict:
+    """Node -> [[next node, length]] over its out-links in link order, each
+    length `_length` of the link's capacity and its load in `loads`."""
+    return {n: [[m, _length(c, loads.get((n, m), 0.0))] for m, c in out]
+            for n, out in _adjacency(topo).items()}
+
+
+def _segment(table: dict, src: str, dst: str, used: set):
+    """Cheapest src->dst path over links not in `used`, with the lengths
+    of `table` (see `_length_table`); deterministic: the heap orders
+    (distance, node), and a path replaces a node's best only when it is
+    shorter by more than 1e-15."""
+    heappop, heappush = heapq.heappop, heapq.heappush
+    inf = float("inf")
     best = {src: 0.0}
     parent: dict = {src: None}
     pq = [(0.0, src)]
     while pq:
-        d, n = heapq.heappop(pq)
-        if d > best.get(n, float("inf")):
+        d, n = heappop(pq)
+        if d > best[n]:
             continue
         if n == dst:
             path = []
@@ -465,31 +490,32 @@ def _segment(topo, src: str, dst: str, used: set, cost):
                 path.append(n)
                 n = parent[n]
             return list(reversed(path)), d
-        for l in topo.out_links(n):
-            if (n, l.dst) in used:
+        for m, w in table[n]:
+            if used and (n, m) in used:
                 continue
-            d2 = d + cost(l)
-            if d2 < best.get(l.dst, float("inf")) - 1e-15:
-                best[l.dst] = d2
-                parent[l.dst] = n
-                heapq.heappush(pq, (d2, l.dst))
+            d2 = d + w
+            if d2 < best.get(m, inf) - 1e-15:
+                best[m] = d2
+                parent[m] = n
+                heappush(pq, (d2, m))
     return None
 
 
-def _route(topo, src: str, snk: str, needed: frozenset, owner: dict,
-           dep: frozenset, loads: dict):
+def _route(table: dict, src: str, snk: str, needed: frozenset, owner: dict,
+           dep: frozenset):
     """Cheapest walk src->snk on which every variable of `needed` runs
-    (see `exec_positions`).  The walk may revisit a switch between
-    execution phases but never reuses a directed link: the link indicators
-    are binary.  For every order of visits to the owners' switches in
-    which each visit runs a variable, chain per-phase cheapest paths over
-    the links not used yet, and keep the least (cost, walk).  Not
-    memoized: link costs follow the current loads, and a candidate's
-    routing must not depend on which candidates the search routed before
-    it."""
-    def cost(link) -> float:
-        c = link.capacity
-        return (1.0 / c) * (1.0 + loads.get((link.src, link.dst), 0.0) / c)
+    (see `exec_positions`), with the link lengths of `table` (see
+    `_length_table`).  The walk may revisit a switch between execution
+    phases but never reuses a directed link: the link indicators are
+    binary.  For every order of visits to the owners' switches in which
+    each visit runs a variable, chain per-phase cheapest paths over the
+    links not used yet, and keep the least (cost, walk); a flow that needs
+    no variable is one cheapest src->snk path.  Not memoized: the lengths
+    follow the current loads, and a candidate's routing must not depend on
+    which candidates the search routed before it."""
+    if not needed:
+        seg = _segment(table, src, snk, set())
+        return tuple(seg[0]) if seg else None
 
     preds = _preds(needed, dep)
 
@@ -509,7 +535,7 @@ def _route(topo, src: str, snk: str, needed: frozenset, owner: dict,
         for tgt in visits[1:]:
             if path[-1] == tgt:
                 continue
-            seg = _segment(topo, path[-1], tgt, used, cost)
+            seg = _segment(table, path[-1], tgt, used)
             if seg is None:
                 break
             nodes, d = seg
@@ -532,8 +558,11 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
     the running objective already exceeds `abort_above`.  `rest[i]`, when
     given, is a lower bound on what the flows after the i-th add to the
     objective; routing also stops once the running objective plus that
-    bound exceeds `abort_above`."""
+    bound exceeds `abort_above`.  One length table serves every flow: a
+    routed flow's volume updates the lengths of the links it crosses."""
     topo = m.topo
+    table = _length_table(topo, loads)
+    entry = {(n, e[0]): e for n, row in table.items() for e in row}
     routing = {}
     obj = obj_so_far
     for i, (u, v) in enumerate(flow_keys):
@@ -546,14 +575,15 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
                     return None
             routing[(u, v)] = (src,)
             continue
-        path = _route(topo, src, snk, frozenset(svars), placement, m.dep,
-                      loads)
+        path = _route(table, src, snk, frozenset(svars), placement, m.dep)
         if path is None:
             return None
         routing[(u, v)] = path
-        for a, b in zip(path, path[1:]):
-            loads[(a, b)] = loads.get((a, b), 0.0) + vol
-            obj += vol / topo.links[(a, b)].capacity
+        for link in zip(path, path[1:]):
+            c = topo.links[link].capacity
+            loads[link] = load = loads.get(link, 0.0) + vol
+            entry[link][1] = _length(c, load)
+            obj += vol / c
         if abort_above is not None and (
                 obj > abort_above + 1e-12
                 or rest is not None and obj + rest[i] > abort_above + 1e-9):
@@ -592,8 +622,9 @@ class _Bounds:
 
     def __init__(self, m: MILPModel):
         topo = m.topo
-        self.dist = {n: _distances(topo, n, lambda l: 1.0 / l.capacity)
-                     for n in sorted(topo.nodes)}
+        lengths = {n: [(nxt, 1.0 / c) for nxt, c in out]
+                   for n, out in _adjacency(topo).items()}
+        self.dist = {n: _distances(lengths, n) for n in sorted(topo.nodes)}
         self.flows = {}
         for (u, v), (vol, svars) in m.flows.items():
             needed = frozenset(svars)
@@ -785,7 +816,9 @@ def _shortlists(m: MILPModel, groups: list, nodes: list,
     topo = m.topo
     k = max(1, int(budget ** (1.0 / max(1, len(groups)))))
     k = min(k, len(nodes))
-    dists = {n: _distances(topo, n, lambda l: 1) for n in nodes}
+    hops = {n: [(nxt, 1) for nxt, _ in out]
+            for n, out in _adjacency(topo).items()}
+    dists = {n: _distances(hops, n) for n in nodes}
     out = {}
     for gi, group in enumerate(groups):
         gset = set(group)

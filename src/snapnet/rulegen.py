@@ -398,11 +398,23 @@ def _read_part(path: str, decode):
         raise InputError(f"{path}: {e}") from e
 
 
+def _placement_from_json(d) -> dict:
+    placement = dict(d)
+    for s, sid in placement.items():
+        if not isinstance(sid, str):
+            raise ValueError(f"placement of {s!r} is {sid!r}, not a "
+                             "switch name")
+    return placement
+
+
 def load_bundle(dirpath: str) -> DeploymentBundle:
-    """Read a bundle directory written by write_bundle."""
+    """Read a bundle directory written by write_bundle.  InputError when a
+    part is malformed, a placement value is not a switch name, or a
+    switch file holds the config of a switch it is not named after."""
     kw = _read_part(os.path.join(dirpath, "placement.json"),
                     lambda d: {"mode": d["mode"],
-                               "placement": dict(d["placement"]),
+                               "placement": _placement_from_json(
+                                   d["placement"]),
                                "objective": d["objective"],
                                "exact": d["exact"]})
     kw.update(_read_part(os.path.join(dirpath, "routing.json"),
@@ -414,7 +426,11 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
     for name in sorted(os.listdir(swdir)):
         if not name.endswith(".json"):
             continue
-        c = _read_part(os.path.join(swdir, name), _config_from_json)
+        path = os.path.join(swdir, name)
+        c = _read_part(path, _config_from_json)
+        if name != f"{c.switch}.json":
+            raise InputError(f"{path}: holds the config of switch "
+                             f"{c.switch!r}, not {name[:-5]!r}")
         configs[c.switch] = c
     nodes: dict = {}
     for c in configs.values():

@@ -1,12 +1,13 @@
 """Shared test utilities: the reference evaluator's former isinstance
-chain, a brute-force diagram walker (independent of the compiler's own
-machinery) and a random policy generator over a small universe of fields,
-values, and state variables."""
+chain, the router's former closure-cost Dijkstra, a brute-force diagram
+walker (independent of the compiler's own machinery) and a random policy
+generator over a small universe of fields, values, and state variables."""
 
+import heapq
 import itertools
 import random
 
-from snapnet import interp, lang, xfdd
+from snapnet import interp, lang, opt, xfdd
 from snapnet.errors import EvalError, RaceError, UnsupportedCompositionError
 from snapnet.values import test_match, values_equal
 
@@ -114,6 +115,106 @@ def reference_eval(p, m, pkt):
     if isinstance(p, lang.Atomic):
         return reference_eval(p.p, m, pkt)
     raise EvalError(f"not a policy: {p!r}")
+
+
+# ---------------------------------------------------------------- router
+
+def reference_segment(topo, src: str, dst: str, used: set, cost):
+    """Cheapest src->dst path over links not in `used`, with `cost(link)`
+    asked again for every link it relaxes, as `opt._segment` was written
+    before it read a length table."""
+    best = {src: 0.0}
+    parent: dict = {src: None}
+    pq = [(0.0, src)]
+    while pq:
+        d, n = heapq.heappop(pq)
+        if d > best.get(n, float("inf")):
+            continue
+        if n == dst:
+            path = []
+            while n is not None:
+                path.append(n)
+                n = parent[n]
+            return list(reversed(path)), d
+        for l in topo.out_links(n):
+            if (n, l.dst) in used:
+                continue
+            d2 = d + cost(l)
+            if d2 < best.get(l.dst, float("inf")) - 1e-15:
+                best[l.dst] = d2
+                parent[l.dst] = n
+                heapq.heappush(pq, (d2, l.dst))
+    return None
+
+
+def reference_route(topo, src: str, snk: str, needed: frozenset,
+                    owner: dict, dep: frozenset, loads: dict):
+    """`opt._route` as it was before the length table: every flow, stateless
+    or not, chains `reference_segment` over every visit order, with a link
+    cost computed from `loads` on each relaxation."""
+    def cost(link) -> float:
+        c = link.capacity
+        return (1.0 / c) * (1.0 + loads.get((link.src, link.dst), 0.0) / c)
+
+    preds = opt._preds(needed, dep)
+
+    def visit_orders(visits: list):
+        done = set(opt.exec_positions(visits, needed, owner, dep))
+        if len(done) == len(needed):
+            yield visits + [snk]
+        for n in sorted({owner[s] for s in needed - done
+                         if preds[s] <= done}):
+            yield from visit_orders(visits + [n])
+
+    best = None
+    for visits in visit_orders([src]):
+        used: set = set()
+        path = [src]
+        total = 0.0
+        for tgt in visits[1:]:
+            if path[-1] == tgt:
+                continue
+            seg = reference_segment(topo, path[-1], tgt, used, cost)
+            if seg is None:
+                break
+            nodes, d = seg
+            used.update(zip(nodes, nodes[1:]))
+            total += d
+            path.extend(nodes[1:])
+        else:
+            if len(opt.exec_positions(path, needed, owner, dep)) \
+                    == len(needed) \
+                    and (best is None or (total, tuple(path)) < best):
+                best = (total, tuple(path))
+    return best[1] if best else None
+
+
+def reference_route_flows(m, placement: dict, flow_keys: list, loads: dict):
+    """The routing loop of `opt._route_flows`, without its early abort,
+    over `reference_route`: route the flows in order on top of `loads`,
+    mutating it.  (routing, objective), or None at the first flow that
+    cannot be routed."""
+    topo = m.topo
+    routing = {}
+    obj = 0.0
+    for (u, v) in flow_keys:
+        vol, svars = m.flows[(u, v)]
+        src = topo.node_of_port(u)
+        snk = topo.node_of_port(v)
+        if src == snk:
+            if any(placement.get(s) != src for s in svars):
+                return None
+            routing[(u, v)] = (src,)
+            continue
+        path = reference_route(topo, src, snk, frozenset(svars), placement,
+                               m.dep, loads)
+        if path is None:
+            return None
+        routing[(u, v)] = path
+        for a, b in zip(path, path[1:]):
+            loads[(a, b)] = loads.get((a, b), 0.0) + vol
+            obj += vol / topo.links[(a, b)].capacity
+    return routing, obj
 
 
 # ---------------------------------------------------------------- walker

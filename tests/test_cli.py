@@ -296,12 +296,16 @@ def _old_format_rules(d):
 @pytest.mark.parametrize("part, damage, says", [
     ("placement.json", lambda d: {k: v for k, v in d.items() if k != "mode"},
      "missing key 'mode'"),
+    ("placement.json", lambda d: dict(d, placement=dict(
+        d["placement"], established=["C5"])),
+     "placement of 'established' is ['C5'], not a switch name"),
     ("routing.json", lambda d: {"root": d["root"]}, "missing key 'flows'"),
     ("switch/D4.json", lambda d: [d], "not a JSON object"),
     ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable"),
     ("switch/I1.json", _old_format_rules, "missing key 'var'")],
-    ids=["placement-no-mode", "routing-no-flows", "switch-a-list",
-         "switch-nodes-a-number", "switch-rules-keyed-by-resume-point"])
+    ids=["placement-no-mode", "placement-value-a-list", "routing-no-flows",
+         "switch-a-list", "switch-nodes-a-number",
+         "switch-rules-keyed-by-resume-point"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3."""
     bundle = tmp_path / "b"
@@ -319,6 +323,29 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
         assert code == 3 and out == ""
         assert err.startswith(f"bad input: {path}: ") and says in err
         assert err.count("\n") == 1
+
+
+def test_switch_file_named_for_another_switch_exits_3(tmp_path, capsys):
+    """A stray switch/ZZ.json holding I1's config would load after
+    I1.json and replace it; simulate and check refuse the bundle, naming
+    the stray file, and exit 3."""
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-p", policy_path("assign-egress"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    stray = bundle / "switch" / "ZZ.json"
+    d = json.loads((bundle / "switch" / "I1.json").read_text())
+    stray.write_text(json.dumps(dict(d, rules={"resolved": [],
+                                               "unresolved": []})))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
+    for argv in (["simulate", "--trace", str(trace)], ["check"]):
+        code, out, err = run_cli([*argv, "--bundle", str(bundle),
+                                  "--topo", TOPO], capsys)
+        assert code == 3 and out == ""
+        assert err == (f"bad input: {stray}: holds the config of switch "
+                       "'I1', not 'ZZ'\n")
 
 
 def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):

@@ -16,6 +16,7 @@ from snapnet import cli, deps, lang, opt, psm, rulegen, topo, xfdd
 from snapnet.errors import InfeasibleError
 
 from conftest import CORPUS, TOPO_DIR, policy_path, policy_src
+from helpers import reference_route_flows
 
 
 def model_for(names, t=None, fixed=None):
@@ -388,7 +389,8 @@ def test_router_comes_back_through_owner_without_reusing_links():
     needed = frozenset({"a", "c", "d"})
     owner = {"a": "Y", "c": "X", "d": "Y"}
     dep = frozenset({("a", "c"), ("c", "d")})
-    path = opt._route(t, "I", "E", needed, owner, dep, {})
+    path = opt._route(opt._length_table(t, {}), "I", "E", needed, owner,
+                      dep)
     hops = list(zip(path, path[1:]))
     assert len(set(hops)) == len(hops)
     assert opt.exec_positions(path, needed, owner, dep) == \
@@ -420,9 +422,51 @@ def test_router_takes_the_cheapest_visit_order():
     """a on Y and b on Z are independent.  Visiting Y first costs four
     hops (I Y Z Y E); Z first costs three."""
     t = _unit_topology([("I", "Y"), ("I", "Z"), ("Y", "Z"), ("Y", "E")])
-    path = opt._route(t, "I", "E", frozenset({"a", "b"}),
-                      {"a": "Y", "b": "Z"}, frozenset(), {})
+    path = opt._route(opt._length_table(t, {}), "I", "E",
+                      frozenset({"a", "b"}), {"a": "Y", "b": "Z"}, frozenset())
     assert path == ("I", "Z", "Y", "E")
+
+
+def test_router_equals_the_closure_cost_reference():
+    """`_route_flows`, which keeps one length table in step with the
+    loads, routes like the closure-cost router it replaced: the same
+    walks, the same objective and the same final loads, compared with ==
+    on floats.  Seeded random cases on generated topologies with mixed
+    capacities and non-empty starting loads, random owners, needed sets
+    and dependency relations (cycles included), and stateless flows."""
+    rng = random.Random(15)
+    routed = revisits = stateless = 0
+    for case in range(40):
+        t = topo.generated(rng.choice([5, 7, 9]), seed=case)
+        for l in t.links.values():
+            l.capacity = rng.choice([1.0, 2.5, 4.0, 10.0])
+        nodes = sorted(t.nodes)
+        svars = [f"s{i}" for i in range(rng.randrange(1, 5))]
+        owner = {s: rng.choice(nodes) for s in svars}
+        dep = frozenset((a, b) for a in svars for b in svars
+                        if a != b and rng.random() < 0.3)
+        flows = {}
+        for k in sorted(t.demands):
+            needed = tuple(s for s in svars if rng.random() < 0.4)
+            flows[k] = (rng.choice([0.5, 1.0, 3.0]), needed)
+        m = opt.MILPModel(topo=t, flows=flows, state_vars=tuple(svars),
+                          dep=dep)
+        keys = list(flows)
+        rng.shuffle(keys)
+        start = {l: rng.choice([0.0, 0.7, 2.0, 9.0])
+                 for l in sorted(t.links) if rng.random() < 0.5}
+        want_loads, got_loads = dict(start), dict(start)
+        want = reference_route_flows(m, owner, keys, want_loads)
+        got = opt._route_flows(m, owner, keys, got_loads)
+        assert got == want, case
+        assert got_loads == want_loads, case
+        if got is not None:
+            routed += 1
+            for k, path in got[0].items():
+                revisits += len(set(path)) < len(path)
+                stateless += not flows[k][1]
+    assert routed >= 20 and revisits > 0 and stateless > 0, \
+        (routed, revisits, stateless)
 
 
 def _permutation_orders(needed, preds):
