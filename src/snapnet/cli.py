@@ -3,9 +3,10 @@
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success (and --help), 1 compile errors
 (parse, race, unsupported composition), 2 infeasible placement/routing
-or a failed check, 3 usage errors (an unknown option, a missing required
-one, a --budget below 1), I/O errors and malformed topology, placement,
-trace or bundle files.
+or a failed check (of the rules and of routing.json's walks), 3 usage
+errors (an unknown option, a missing required one, a --budget below 1),
+I/O errors, malformed topology, placement, trace or bundle files, and a
+simulated packet that crosses more links than any walk may (a loop).
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
@@ -93,7 +94,7 @@ def cmd_compile(args) -> int:
     _print_phases(times)
     _warn_overloaded(t, bundle.routing)
     rulegen.write_bundle(bundle, args.output)
-    print(json.dumps({"placement": opt.placement_to_json(bundle.placement),
+    print(json.dumps({"placement": bundle.placement,
                       "objective": bundle.objective,
                       "exact": bundle.exact, "output": args.output},
                      sort_keys=True))
@@ -156,7 +157,7 @@ def cmd_place(args) -> int:
     m = opt.build_milp(t, demand, order, fixed=_fixed_placement(args))
     sol = opt.solve_builtin(m, budget=getattr(args, "budget", 4096))
     _warn_overloaded(t, sol.routing)
-    print(json.dumps({"placement": opt.placement_to_json(sol.placement),
+    print(json.dumps({"placement": sol.placement,
                       "routing": opt.routing_to_json(sol.routing),
                       "objective": sol.objective, "exact": sol.exact},
                      sort_keys=True))
@@ -190,7 +191,7 @@ def cmd_simulate(args) -> int:
             net.run()
             emitted = net.emissions
     except EvalError as e:
-        # e.g. a trace packet without a field the diagram tests
+        # a trace packet without a field the diagram tests, or a loop
         raise InputError(f"simulation: {e}") from e
     for port, pkt in emitted:
         print(json.dumps({"port": port,

@@ -2,9 +2,10 @@
 
 `build_milp` collects the placement problem: flows with their volumes and
 needed state variables, the dependency and tie relations, and, in TE mode,
-the fixed placement.  Its mixed-integer model over per-flow link fractions
-(R), placement indicators (P), and processed-flow fractions (PS) is
-generated flow by flow each time its rows are read, and no one keeps the
+the fixed placement.  Its mixed-integer model over per-flow link
+indicators (R, binary: each flow takes one walk), placement indicators
+(P), and processed-flow fractions (PS) is generated flow by flow each
+time its rows are read, and no one keeps the
 rows: `check_solution` walks them once, keeping only violations, and
 `export_lp` (CPLEX-LP text for external solvers) sorts them by name.  The
 built-in solver never reads them: it handles desk-scale instances with a
@@ -18,7 +19,7 @@ never reuses a link (`_route`); `exec_positions` says where each variable
 runs on it, for the router, the checker and rule generation alike.
 
 Variable naming (deterministic):
-    R_u{u}_v{v}_{i}_{j}       fraction of demand (u,v) on link (i,j)
+    R_u{u}_v{v}_{i}_{j}       1 iff the one walk of (u,v) crosses (i,j)
     P_{s}_{n}                 1 iff state variable s lives on switch n
     PS_{s}_u{u}_v{v}_{i}_{j}  fraction of (u,v) on (i,j) that has passed s
 """
@@ -142,7 +143,7 @@ class Violation:
 @dataclass
 class Solution:
     placement: dict          # state var -> switch id
-    routing: dict            # (u,v) -> [(weight, (node, ...))]
+    routing: dict            # (u,v) -> walk (node, ...)
     objective: float
     exact: bool              # exhaustive search, routing never congested
     candidates: int = 1      # placements in the searched product
@@ -196,12 +197,11 @@ def _fill_columns(m: MILPModel) -> None:
             bounds[name] = (0.0, 1.0)
             for s in svars:
                 bounds[psname(s, u, v, i, j)] = (0.0, 1.0)
-    binaries: frozenset = frozenset()
-    if m.fixed is None:
-        binaries = frozenset(pname(s, n) for s in m.state_vars
-                             for n in topo.nodes)
-        bounds.update(dict.fromkeys(binaries, (0.0, 1.0)))
-    m.__dict__.update(objective=objective, bounds=bounds, binaries=binaries)
+    places = ([pname(s, n) for s in m.state_vars for n in topo.nodes]
+              if m.fixed is None else [])
+    bounds.update(dict.fromkeys(places, (0.0, 1.0)))
+    m.__dict__.update(objective=objective, bounds=bounds,
+                      binaries=frozenset(objective).union(places))
 
 
 def _rows(m: MILPModel):
@@ -570,9 +570,8 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
         src = topo.node_of_port(u)
         snk = topo.node_of_port(v)
         if src == snk:
-            for s in svars:
-                if placement.get(s) != src:
-                    return None
+            if any(placement.get(s) != src for s in svars):
+                return None
             routing[(u, v)] = (src,)
             continue
         path = _route(table, src, snk, frozenset(svars), placement, m.dep)
@@ -593,14 +592,13 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
 
 def overloaded_links(topo, routing: dict) -> list:
     """[((a, b), load, capacity)] for every link whose load under
-    `routing` ({(u,v): [(weight, path)]}, each flow carrying its demand in
-    `topo`) exceeds its capacity, sorted by link."""
+    `routing` ({(u,v): walk}, each flow carrying its demand in `topo`)
+    exceeds its capacity, sorted by link."""
     loads: dict = {}
-    for (u, v), paths in routing.items():
+    for (u, v), path in routing.items():
         vol = topo.demands[(u, v)]
-        for w, path in paths:
-            for a, b in zip(path, path[1:]):
-                loads[(a, b)] = loads.get((a, b), 0.0) + w * vol
+        for a, b in zip(path, path[1:]):
+            loads[(a, b)] = loads.get((a, b), 0.0) + vol
     return [(l, load, topo.links[l].capacity)
             for l, load in sorted(loads.items())
             if load > topo.links[l].capacity + 1e-9]
@@ -698,8 +696,8 @@ def _nth_combo(i: int, cand: list) -> list:
 
 def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     """Search placements of tied groups over switches (exhaustively when
-    the space fits in `budget`, otherwise over a demand-weighted
-    shortlist), routing flows sequentially for each candidate.
+    the space fits in `budget`, otherwise over a shortlist ranked by
+    demand), routing flows sequentially for each candidate.
 
     Candidates are visited best-first by an admissible lower bound on
     their objective (`_Bounds`), ties in enumeration order, and the search
@@ -723,9 +721,8 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
             raise InfeasibleError(
                 "no order-respecting routing under the fixed placement")
         routing, obj = r
-        rt = {k: [(1.0, p)] for k, p in routing.items()}
-        return Solution(placement, rt, obj,
-                        exact=not overloaded_links(topo, rt))
+        return Solution(placement, routing, obj,
+                        exact=not overloaded_links(topo, routing))
 
     # group variables that must be co-located
     groups = _placement_groups(m)
@@ -772,22 +769,16 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
         if r is None:
             continue
         routing, obj = r
-        rt = {k: [(1.0, p)] for k, p in {**base_routing, **routing}.items()}
         key = (obj, tuple(sorted(placement.items())))
         if best is None or key < best[0]:
-            best = (key, placement, rt)
+            best = (key, placement, {**base_routing, **routing})
     if best is None:
         raise InfeasibleError("no placement admits an order-respecting "
                               "routing for every flow")
-    _, placement, rt = best
-    exact = exhaustive and not overloaded_links(topo, rt)
-    return Solution(placement, rt, best[0][0], exact=exact,
+    (obj, _), placement, routing = best
+    return Solution(placement, routing, obj,
+                    exact=exhaustive and not overloaded_links(topo, routing),
                     candidates=len(scored), examined=examined)
-
-
-def rt_paths(rt: dict) -> dict:
-    """Routing {key: [(w, path)]} -> {key: path} using the heaviest path."""
-    return {k: max(ps, key=lambda wp: wp[0])[1] for k, ps in rt.items()}
 
 
 def _placement_groups(m: MILPModel) -> list:
@@ -812,7 +803,7 @@ def _placement_groups(m: MILPModel) -> list:
 
 def _shortlists(m: MILPModel, groups: list, nodes: list,
                 budget: int) -> dict:
-    """Per-group candidate switches ranked by demand-weighted detour."""
+    """Per-group candidate switches ranked by detour times demand."""
     topo = m.topo
     k = max(1, int(budget ** (1.0 / max(1, len(groups)))))
     k = min(k, len(nodes))
@@ -843,23 +834,23 @@ def _shortlists(m: MILPModel, groups: list, nodes: list,
 
 def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
     """Expand (Placement, Routing) into a full variable assignment.  A
-    flow has passed a variable (PS) on every link after the position
-    where `exec_positions` runs it."""
+    walk adds 1 to R per crossing of a link, and has passed a variable
+    (PS) on every link after the position where `exec_positions` runs
+    it."""
     vals: dict = {}
     for s in m.state_vars:
         for n in sorted(m.topo.nodes):
             vals[pname(s, n)] = 1.0 if placement.get(s) == n else 0.0
-    for (u, v), paths in routing.items():
+    for (u, v), path in routing.items():
         _, svars = m.flows.get((u, v), (0.0, ()))
-        for w, path in paths:
-            ran = exec_positions(path, svars, placement, m.dep)
-            for k, (a, b) in enumerate(zip(path, path[1:])):
-                key = rname(u, v, a, b)
-                vals[key] = vals.get(key, 0.0) + w
-                for s, i in ran.items():
-                    if i <= k:
-                        k2 = psname(s, u, v, a, b)
-                        vals[k2] = vals.get(k2, 0.0) + w
+        ran = exec_positions(path, svars, placement, m.dep)
+        for k, (a, b) in enumerate(zip(path, path[1:])):
+            key = rname(u, v, a, b)
+            vals[key] = vals.get(key, 0.0) + 1.0
+            for s, i in ran.items():
+                if i <= k:
+                    k2 = psname(s, u, v, a, b)
+                    vals[k2] = vals.get(k2, 0.0) + 1.0
     return vals
 
 
@@ -882,20 +873,22 @@ def check_solution(m: MILPModel, placement: dict, routing: dict,
 
 # ---------------------------------------------------------------- JSON
 
-def placement_to_json(placement: dict) -> dict:
-    return {s: n for s, n in sorted(placement.items())}
-
-
 def routing_to_json(routing: dict) -> list:
-    out = []
-    for (u, v) in sorted(routing):
-        out.append({"u": u, "v": v,
-                    "paths": [{"weight": w, "nodes": list(p)}
-                              for w, p in routing[(u, v)]]})
-    return out
+    return [{"u": u, "v": v, "nodes": list(routing[(u, v)])}
+            for (u, v) in sorted(routing)]
 
 
 def routing_from_json(rows: list) -> dict:
-    return {(r["u"], r["v"]): [(p["weight"], tuple(p["nodes"]))
-                               for p in r["paths"]]
-            for r in rows}
+    """Inverse of `routing_to_json`; ValueError for a walk that is not a
+    non-empty list of switch names or a flow listed twice."""
+    out: dict = {}
+    for r in rows:
+        u, v, nodes = r["u"], r["v"], r["nodes"]
+        if not (isinstance(nodes, list) and nodes
+                and all(isinstance(n, str) for n in nodes)):
+            raise ValueError(f"flow ({u},{v}): walk {nodes!r} is not a "
+                             "non-empty list of switch names")
+        if (u, v) in out:
+            raise ValueError(f"flow ({u},{v}) is listed twice")
+        out[(u, v)] = tuple(nodes)
+    return out

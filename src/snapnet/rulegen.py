@@ -2,9 +2,9 @@
 
 Splits the compiled program diagram into per-switch fragments, defines the
 in-network header protocol that lets a packet's processing resume on the
-next switch, and emits per-switch routing tables, including proportional
-selection among candidate designated paths for packets whose egress is not
-yet known.
+next switch, and emits per-switch routing tables: each flow's rules follow
+its one designated walk, and packets whose egress is not yet known select
+among the candidate walks in proportion to the flows' demands.
 
 Execution protocol (shared with the simulator):
   * The packet body in flight is the ENTRY packet: branch tests and the
@@ -71,7 +71,7 @@ class SwitchConfig:
 class DeploymentBundle:
     mode: str
     placement: dict              # state var -> switch id
-    routing: dict                # (u, v) -> [(weight, path)]
+    routing: dict                # (u, v) -> walk (node, ...)
     nodes: dict                  # nid -> node, the whole program diagram
     root: int
     configs: dict                # switch id -> SwitchConfig
@@ -169,32 +169,26 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
 
 # ---------------------------------------------------------------- routing
 
-def gen_routing(rt: dict, placement: dict, demand, topo,
+def gen_routing(routing: dict, placement: dict, demand, topo,
                 dep=frozenset()) -> tuple:
-    """Per-switch routing tables.
+    """Per-switch routing tables for `routing` ({(u, v): walk}).
 
     Resolved rules, keyed (obs_inport, obs_outport): next hop along the
-    flow's designated path, with an emit action at the egress switch.
+    flow's walk, with an emit action at the egress switch.
 
     Unresolved rules, keyed (obs_inport, state variable): a weighted group
-    over the candidate designated paths of flows (u, v_i) that need the
+    over the candidate walks of flows (u, v_i) that need the
     variable and pass this switch before its owner, with weights
     proportional to the flows' demand volumes; the selection also tags
     the packet with the chosen path identifier (u, v_i).  A packet blocked
     at any resume point of the variable uses the one group."""
-    paths = opt.rt_paths(rt)
     resolved: dict = {sid: {} for sid in topo.nodes}
     unresolved: dict = {sid: {} for sid in topo.nodes}
 
-    for (u, v), path in sorted(paths.items()):
-        assert path, f"flow ({u},{v}) has no designated path"
-        assert path[-1] == topo.node_of_port(v), \
-            f"flow ({u},{v}) path does not end at the egress switch"
+    for (u, v), path in sorted(routing.items()):
         for a, b in zip(path, path[1:]):
             resolved[a][(u, v)] = ("fwd", b)
         resolved[path[-1]][(u, v)] = ("emit", v)
-
-    for (u, v), path in sorted(paths.items()):
         w = topo.demands.get((u, v), 0.0)
         stops = opt.exec_positions(path, demand.states_for(u, v),
                                    placement, dep)
@@ -372,7 +366,7 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
     _dump(os.path.join(dirpath, "placement.json"),
           {"mode": bundle.mode, "objective": bundle.objective,
            "exact": bundle.exact,
-           "placement": opt.placement_to_json(bundle.placement)})
+           "placement": bundle.placement})
     _dump(os.path.join(dirpath, "routing.json"),
           {"root": bundle.root,
            "flows": opt.routing_to_json(bundle.routing)})
@@ -409,8 +403,9 @@ def _placement_from_json(d) -> dict:
 
 def load_bundle(dirpath: str) -> DeploymentBundle:
     """Read a bundle directory written by write_bundle.  InputError when a
-    part is malformed, a placement value is not a switch name, or a
-    switch file holds the config of a switch it is not named after."""
+    part is malformed (a placement value or a walk that is not switch
+    names, a flow listed twice) or a switch file holds the config of a
+    switch it is not named after."""
     kw = _read_part(os.path.join(dirpath, "placement.json"),
                     lambda d: {"mode": d["mode"],
                                "placement": _placement_from_json(
@@ -445,7 +440,9 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     every state resume point, no dangling node references, rules that
     name placed variables, forward to neighbours and emit on the switch's
     own external ports, a config for every topology switch and none for
-    another.  Returns a list of problem strings (empty means ok)."""
+    another, and a walk for exactly the topology's demands, each from u's
+    switch to v's over links of the topology, none of them twice.
+    Returns a list of problem strings (empty means ok)."""
     problems = []
     for s, sid in sorted(bundle.placement.items()):
         if sid not in topo.nodes:
@@ -498,4 +495,20 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     for sid in topo.nodes:
         if sid not in bundle.configs:
             problems.append(f"switch {sid!r} has no config")
+    problems.extend(f"flow ({u},{v}) has no walk" for u, v
+                    in sorted(set(topo.demands) - set(bundle.routing)))
+    for (u, v), path in bundle.routing.items():
+        if (u, v) not in topo.demands:
+            problems.append(f"walk of flow ({u},{v}), which is not a "
+                            "demand of the topology")
+            continue
+        ends = (topo.node_of_port(u), topo.node_of_port(v))
+        if (path[0], path[-1]) != ends:
+            problems.append(f"walk of flow ({u},{v}) runs {path[0]}->"
+                            f"{path[-1]}, not {ends[0]}->{ends[1]}")
+        hops = list(zip(path, path[1:]))
+        problems.extend(f"walk of flow ({u},{v}) crosses {a}->{b}, not a "
+                        "link" for a, b in hops if (a, b) not in topo.links)
+        if len(set(hops)) < len(hops):
+            problems.append(f"walk of flow ({u},{v}) reuses a link")
     return problems

@@ -18,7 +18,9 @@ Two execution modes:
 Per-switch processing is atomic: one packet's walk of a switch's fragment,
 and the leaf actions it runs there, is never interleaved with another
 packet's on the same switch.  Links deliver in FIFO order with a uniform
-latency of one tick.
+latency of one tick.  A copy may cross switches x (state variables + 1)
+links, as many as the model's `loop_` rows let a walk enter its switches;
+one more (rules that forward in a loop) is an `EvalError`.
 
 The event trace (`SimNetwork.trace`: one `TraceEvent` holding a copy of the
 packet per step) is recorded only when the network is built with
@@ -60,6 +62,7 @@ class _Copy:
     """One in-flight packet copy: entry body plus protocol header."""
     body: dict
     hdr: SnapHeader
+    hops: int = 0         # links crossed since injection, forks included
 
 
 class SimNetwork:
@@ -76,6 +79,7 @@ class SimNetwork:
             for s, (arity, dv) in cfg.state_tables.items():
                 self.defaults[s] = dv
         self.points = rulegen.state_resume_points(bundle.nodes)
+        self.max_hops = len(topo.nodes) * (len(bundle.placement) + 1)
         self.clock = 0
         self.events = events
         self.trace: list = []              # TraceEvents, only with events
@@ -92,14 +96,12 @@ class SimNetwork:
         self._linkq: dict = {}             # (a, b) -> fifo list
         self._fallback: dict = {}          # (sid, target) -> next hop
         self._mode = "serialized"
-        self._validate()
-
-    # -- bookkeeping
-
-    def _validate(self):
-        problems = rulegen.validate_bundle(self.bundle, self.topo)
+        # every rule then forwards over a link of the topology
+        problems = rulegen.validate_bundle(bundle, topo)
         if problems:
             raise InputError("inconsistent bundle: " + "; ".join(problems))
+
+    # -- bookkeeping
 
     def _tiebreak(self, serial: int) -> int:
         if self._mode == "serialized":
@@ -178,8 +180,11 @@ class SimNetwork:
 
     def _send(self, a: str, b: str, copy: _Copy):
         link = (a, b)
-        if link not in self.topo.links:
-            raise EvalError(f"no link {a}->{b}")
+        copy.hops += 1
+        if copy.hops > self.max_hops:
+            raise EvalError(f"a packet from port {copy.hdr.obs_inport} "
+                            f"crossed {self.max_hops} links and loops on "
+                            f"{a}->{b}")
         q = self._linkq.setdefault(link, [])
         q.append(copy)
         self.link_sent[link] += 1
@@ -351,7 +356,7 @@ class SimNetwork:
                     seen.add(key)
             hdr = SnapHeader(copy.hdr.obs_inport, copy.hdr.obs_outport,
                              ("leaf", nid, ei), 0, frozenset(), emitter)
-            copies.append(_Copy(dict(copy.body), hdr))
+            copies.append(_Copy(dict(copy.body), hdr, copy.hops))
         if many and self.events:
             self._log(sid, copy.body, "fork", (nid, len(copies)))
         for c in copies:

@@ -246,7 +246,7 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     owner = sol.placement["domain-ip-pair"]
     (u, v), detour = _owner_avoiding_path(m, owner)
     r3 = dict(sol.routing)
-    r3[(u, v)] = [(1.0, detour)]
+    r3[(u, v)] = detour
     vs = opt.check_solution(m, sol.placement, r3)
     assert any(c.startswith("cover_domain_ip_pair")
                for c in (x.constraint for x in vs))
@@ -265,7 +265,7 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     te_sol = opt.solve_builtin(te)
     assert opt.check_solution(m, placement, te_sol.routing) == []
     r5 = dict(te_sol.routing)
-    r5[(1, 5)] = [(1.0, ("I1", "C1", "C5", "D3"))]
+    r5[(1, 5)] = ("I1", "C1", "C5", "D3")
     vs = opt.check_solution(m, placement, r5)
     assert {x.constraint for x in vs} == {
         "ord_domain_ip_pair_mal_ip_list_u1_v5_C1",

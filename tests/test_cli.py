@@ -293,6 +293,21 @@ def _old_format_rules(d):
     return d
 
 
+def _weighted_paths(d):
+    """A routing.json in the format that listed weighted paths per flow."""
+    return dict(d, flows=[{"u": r["u"], "v": r["v"],
+                           "paths": [{"weight": 1.0, "nodes": r["nodes"]}]}
+                          for r in d["flows"]])
+
+
+def _set_walk(i, nodes):
+    """Bundle damage: set the walk of routing.json's i-th flow."""
+    def damage(d):
+        d["flows"][i]["nodes"] = nodes
+        return d
+    return damage
+
+
 @pytest.mark.parametrize("part, damage, says", [
     ("placement.json", lambda d: {k: v for k, v in d.items() if k != "mode"},
      "missing key 'mode'"),
@@ -300,12 +315,20 @@ def _old_format_rules(d):
         d["placement"], established=["C5"])),
      "placement of 'established' is ['C5'], not a switch name"),
     ("routing.json", lambda d: {"root": d["root"]}, "missing key 'flows'"),
+    ("routing.json", _weighted_paths, "missing key 'nodes'"),
+    ("routing.json", _set_walk(0, "I1C1"),
+     "flow (1,2): walk 'I1C1' is not a non-empty list of switch names"),
+    ("routing.json", _set_walk(0, []),
+     "flow (1,2): walk [] is not a non-empty list of switch names"),
+    ("routing.json", lambda d: dict(d, flows=d["flows"][:1] + d["flows"]),
+     "flow (1,2) is listed twice"),
     ("switch/D4.json", lambda d: [d], "not a JSON object"),
     ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable"),
     ("switch/I1.json", _old_format_rules, "missing key 'var'")],
     ids=["placement-no-mode", "placement-value-a-list", "routing-no-flows",
-         "switch-a-list", "switch-nodes-a-number",
-         "switch-rules-keyed-by-resume-point"])
+         "routing-weighted-paths", "routing-walk-a-string",
+         "routing-walk-empty", "routing-flow-twice", "switch-a-list",
+         "switch-nodes-a-number", "switch-rules-keyed-by-resume-point"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3."""
     bundle = tmp_path / "b"
@@ -379,15 +402,33 @@ def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
      "switch I2: rule (1,2) emits on 3, not one of its external ports"),
     ("switch/I1.json", _set_rule("unresolved", 1, "established", "var",
                                  "nosuch"),
-     "switch I1: rule (1,'nosuch') names a variable with no placement")],
+     "switch I1: rule (1,'nosuch') names a variable with no placement"),
+    ("routing.json", lambda d: dict(d, flows=d["flows"][1:]),
+     "flow (1,2) has no walk"),
+    ("routing.json", lambda d: dict(d, flows=d["flows"] + [
+        dict(d["flows"][0], u=99)]),
+     "walk of flow (99,2), which is not a demand of the topology"),
+    ("routing.json", _set_walk(0, ["C1", "C5", "C6", "C2", "I2"]),
+     "walk of flow (1,2) runs C1->I2, not I1->I2"),
+    ("routing.json", _set_walk(0, ["I1", "C1", "C5", "C6", "C2"]),
+     "walk of flow (1,2) runs I1->C2, not I1->I2"),
+    ("routing.json", _set_walk(0, ["I1", "C1", "C6", "C2", "I2"]),
+     "walk of flow (1,2) crosses C1->C6, not a link"),
+    ("routing.json", _set_walk(0, ["I1", "C1", "I1", "C1", "C5", "C6",
+                                   "C2", "I2"]),
+     "walk of flow (1,2) reuses a link")],
     ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
-         "unplaced-var"])
+         "unplaced-var", "flow-without-walk", "walk-of-no-demand",
+         "walk-starts-elsewhere", "walk-ends-elsewhere",
+         "walk-crosses-no-link", "walk-reuses-a-link"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
     """A rule that forwards to a switch that is not a neighbour, emits on
     another switch's port or names an unplaced variable fails `check`
     (exit 2), and `simulate` refuses the bundle at load (exit 3), before
-    any packet reaches the rule."""
+    any packet reaches the rule.  So does a routing.json that does not
+    give each of the topology's demands, and no other flow, one walk from
+    u's switch to v's over links of the topology, none of them twice."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),
@@ -405,6 +446,37 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                               "--topo", TOPO, "--trace", str(trace)], capsys)
     assert code == 3 and out == ""
     assert err == f"bad input: inconsistent bundle: {says}\n"
+
+
+def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
+    """C6's rule for flow (1,2) sends its packets back to C5, whose rule
+    sends them to C6 again.  The bundle's shape is sound and check passes,
+    but simulate stops the copy once it crosses more links than any walk
+    may (12 switches x (1 state variable + 1)) and exits 3.  It runs in a
+    child process with a timeout, so a loop fails this test instead of
+    hanging the suite."""
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
+                          "-p", policy_path("assign-egress"),
+                          "-t", TOPO, "-o", str(bundle)], capsys)
+    assert code == 0
+    path = bundle / "switch" / "C6.json"
+    path.write_text(json.dumps(_set_rule("resolved", 1, 2, "arg", "C5")(
+        json.loads(path.read_text()))))
+    code, out, _ = run_cli(["check", "--bundle", str(bundle),
+                            "--topo", TOPO], capsys)
+    assert code == 0 and json.loads(out)["ok"] is True
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": {
+        "srcip": "10.0.1.10", "dstip": "10.0.2.10", "inport": 1,
+        "outport": 1}}) + "\n")
+    r = subprocess.run([sys.executable, "-m", "snapnet.cli", "simulate",
+                        "--bundle", str(bundle), "--topo", TOPO,
+                        "--trace", str(trace)],
+                       capture_output=True, text=True, timeout=30)
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == ("bad input: simulation: a packet from port 1 "
+                        "crossed 24 links and loops on C5->C6\n")
 
 
 def test_config_for_unknown_switch_fails_check(tmp_path, capsys):
@@ -466,7 +538,8 @@ def test_export_lp(tmp_path, capsys):
 
 def test_export_lp_with_placement_writes_te_rows(tmp_path, capsys):
     """A --placement file fixes the placement, as it does for compile: the
-    rows are the TE model's, with no placement rows and no binaries."""
+    rows are the TE model's, with no placement rows, and only the link
+    indicators are binary."""
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"placement": {"established": "C5"}}))
     lp = tmp_path / "m.lp"
@@ -477,7 +550,8 @@ def test_export_lp_with_placement_writes_te_rows(tmp_path, capsys):
     lines = lp.read_text().splitlines()
     assert any(line.startswith(" cover_") for line in lines)
     assert not any(line.startswith(" place_") for line in lines)
-    assert "Binary" not in lines
+    binary = lines[lines.index("Binary") + 1:lines.index("End")]
+    assert binary and all(line.startswith(" R_") for line in binary)
 
 
 def test_place_and_reroute(tmp_path, capsys):
@@ -485,6 +559,8 @@ def test_place_and_reroute(tmp_path, capsys):
                             "-t", TOPO], capsys)
     assert code == 0
     sol = json.loads(out)
+    assert sol["routing"] and all(set(r) == {"u", "v", "nodes"}
+                                  for r in sol["routing"])
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"placement": sol["placement"]}))
     code, out, _ = run_cli(["reroute", "-p", policy_path("stateful-fw"),

@@ -99,7 +99,7 @@ def test_owner_avoiding_path_violates_cover_row(m_mid, sol_mid):
     owner = sol_mid.placement["domain-ip-pair"]
     key, detour = _detour_flow(m_mid, sol_mid, owner)
     routing = dict(sol_mid.routing)
-    routing[key] = [(1.0, detour)]
+    routing[key] = detour
     vs = opt.check_solution(m_mid, sol_mid.placement, routing)
     assert any(v.constraint.startswith("cover_domain_ip_pair") and
                f"_{opt._san(owner)}" in v.constraint for v in vs)
@@ -109,7 +109,7 @@ def test_owner_avoiding_path_violates_pfull_row(m_mid, sol_mid):
     owner = sol_mid.placement["mal-ip-list"]
     key, detour = _detour_flow(m_mid, sol_mid, owner)
     routing = dict(sol_mid.routing)
-    routing[key] = [(1.0, detour)]
+    routing[key] = detour
     u, v = key
     vs = opt.check_solution(m_mid, sol_mid.placement, routing)
     want = f"pfull_mal_ip_list_u{u}_v{v}"
@@ -172,7 +172,7 @@ def test_order_violation_is_flagged_and_isolated():
     base = opt.check_solution(m, placement, sol.routing)
     assert base == []
     routing = dict(sol.routing)
-    routing[(1, 5)] = [(1.0, ("I1", "C1", "C5", "D3"))]
+    routing[(1, 5)] = ("I1", "C1", "C5", "D3")
     vs = opt.check_solution(m, placement, routing)
     assert names(vs) == {"ord_domain_ip_pair_mal_ip_list_u1_v5_C1",
                          "ord_num_of_domains_mal_ip_list_u1_v5_C1",
@@ -221,11 +221,13 @@ def test_lp_export_parse_back_preserves_counts(m_dns):
 
 def test_lp_export_is_pinned():
     """The exported model, byte for byte, as the rows were first built;
-    their order, names and coefficients must not drift."""
+    their order, names and coefficients must not drift.  Pinned again
+    when the link indicators became binary: the text then differed only
+    in the 900 R_ lines added under Binary, one per flow and link."""
     m = model_for(["dns-tunnel-detect", "assign-egress"])
     text = opt.export_lp(m)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "86662f646c3c5dcf5861371754d7052d77730eb40f955b42d8071189e138c396")
+        "86a29041655b0f032827262be1a08df2d77095c8438f19d0fbc22111fc33c770")
     assert len(m.constraints) == 4618
     assert len(m.variables()) == 2886
 
@@ -299,12 +301,12 @@ def _certificate_cases(m, sol):
     which overloads links."""
     rt = sol.routing
     yield "solver", m, rt
-    key = next(k for k in sorted(rt) if len(rt[k][0][1]) > 2)
-    w, path = rt[key][0]
-    yield "dropped-hop", m, {**rt, key: [(w, path[:1] + path[2:])]}
+    key = next(k for k in sorted(rt) if len(rt[k]) > 2)
+    path = rt[key]
+    yield "dropped-hop", m, {**rt, key: path[:1] + path[2:]}
     detour = next(_detours(m, sol.placement[min(sol.placement)]), None)
     if detour is not None:
-        yield "wrong-owner", m, {**rt, detour[0]: [(1.0, detour[1])]}
+        yield "wrong-owner", m, {**rt, detour[0]: detour[1]}
     flows = {k: (10 * vol, svars) for k, (vol, svars) in m.flows.items()}
     yield "overloaded", dataclasses.replace(m, flows=flows), rt
 
@@ -332,7 +334,9 @@ def test_checker_violations_are_pinned():
 def test_te_mode_has_no_placement_variables(m_dns, sol_dns):
     te = model_for(["dns-tunnel-detect", "assign-egress", "assumption"],
                    fixed=sol_dns.placement)
-    assert te.binaries == frozenset()
+    # only the link indicators are binary: each flow takes one walk
+    assert te.binaries and \
+        te.binaries == {v for v in te.variables() if v.startswith("R_")}
     assert not any(v.startswith("P_") for v in te.variables())
     sol = opt.solve_builtin(te)
     assert sol.placement == sol_dns.placement
@@ -408,7 +412,7 @@ def test_checker_passes_a_variable_where_it_runs():
     m = opt.MILPModel(topo=t, flows={(1, 2): (1.0, ("a", "c"))},
                       state_vars=("a", "c"), dep=frozenset({("a", "c")}))
     placement = {"a": "Y", "c": "X"}
-    vals = opt._routing_values(m, placement, {(1, 2): [(1.0, path)]})
+    vals = opt._routing_values(m, placement, {(1, 2): path})
     hops = list(zip(path, path[1:]))
     assert opt.exec_positions(path, ("a", "c"), placement, m.dep) == \
         {"a": 2, "c": 3}

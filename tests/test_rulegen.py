@@ -5,6 +5,8 @@ import filecmp
 import hashlib
 import os
 
+import pytest
+
 from snapnet import deps, lang, opt, psm, rulegen, topo, xfdd
 
 from conftest import policy_src
@@ -22,14 +24,16 @@ def group_count(bundle) -> int:
     return sum(len(cfg.unresolved) for cfg in bundle.configs.values())
 
 
-def bundle_digest(bundle, dirpath) -> str:
-    """SHA-256 of the written bundle's file listing, one line per file:
-    its path and the SHA-256 of its bytes."""
+def bundle_digest(bundle, dirpath, skip=()) -> str:
+    """SHA-256 of the written bundle's file listing, one line per file
+    other than those named in `skip`: its path and the SHA-256 of its
+    bytes."""
     rulegen.write_bundle(bundle, str(dirpath))
     listing = "".join(
         f"{p.relative_to(dirpath).as_posix()} "
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
-        for p in sorted(dirpath.rglob("*")) if p.is_file())
+        for p in sorted(dirpath.rglob("*"))
+        if p.is_file() and p.relative_to(dirpath).as_posix() not in skip)
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
@@ -84,11 +88,10 @@ def test_compile_bundle_structure():
     assert "orphan" in cfg.state_tables
     assert cfg.state_tables["orphan"][0] == 2  # (dstip, dns-rdata) index
     # every flow is fully wired: each hop forwards, the egress emits
-    for (u, v), paths in bundle.routing.items():
-        for _, path in paths:
-            for a in path[:-1]:
-                assert bundle.configs[a].resolved[(u, v)][0] == "fwd"
-            assert bundle.configs[path[-1]].resolved[(u, v)] == ("emit", v)
+    for (u, v), path in bundle.routing.items():
+        for a in path[:-1]:
+            assert bundle.configs[a].resolved[(u, v)][0] == "fwd"
+        assert bundle.configs[path[-1]].resolved[(u, v)] == ("emit", v)
 
 
 def test_validate_bundle_clean_and_detects_damage():
@@ -98,6 +101,11 @@ def test_validate_bundle_clean_and_detects_damage():
     bundle.placement["orphan"] = "nowhere"
     problems = rulegen.validate_bundle(bundle, t)
     assert any("unknown switch" in p for p in problems)
+    # a flow renamed in routing.json leaves its demand without a walk
+    bundle.routing[(99, 2)] = bundle.routing.pop((1, 2))
+    assert rulegen.validate_bundle(bundle, t)[-2:] == [
+        "flow (1,2) has no walk",
+        "walk of flow (99,2), which is not a demand of the topology"]
 
 
 def test_unresolved_rules_exist_upstream_of_owner():
@@ -105,10 +113,9 @@ def test_unresolved_rules_exist_upstream_of_owner():
         ["dns-tunnel-detect", "assign-egress", "assumption"])
     owner = bundle.placement["orphan"]
     upstream = set()
-    for (u, v), paths in bundle.routing.items():
-        for _, path in paths:
-            if owner in path:
-                upstream.update(path[:path.index(owner)])
+    for path in bundle.routing.values():
+        if owner in path:
+            upstream.update(path[:path.index(owner)])
     with_rules = {sid for sid, cfg in bundle.configs.items()
                   if cfg.unresolved}
     assert with_rules and with_rules <= upstream
@@ -157,6 +164,39 @@ def test_bundle_round_trip(tmp_path):
     assert rulegen.validate_bundle(b2, t) == []
 
 
+_DNS = ["dns-tunnel-detect", "assign-egress"]
+_THREE_APPS = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
+               "assign-egress"]
+
+# Corpus twins of the benchmark's four workloads: (policies, generated
+# topology arguments or None for example12, search budget, pinned switch).
+BENCHMARK_TWINS = {
+    "place-e12": (_DNS, None, 4096, None),
+    "scale-g50": (_DNS, (50, 7), 64, None),
+    "compose-e12": (_THREE_APPS, None, 4096, "D4"),
+    "simulate-e12": (_THREE_APPS, None, 4096, "C5"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_TWINS))
+def test_bundle_write_load_write_is_byte_identical(tmp_path, workload):
+    """A bundle written, loaded and written again is the same bytes, file
+    for file, on corpus twins of the benchmark's four workloads."""
+    names, size, budget, pin = BENCHMARK_TWINS[workload]
+    prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
+    t = topo.example12() if size is None else topo.generated(*size)
+    fixed = {s: pin for s in prog.states} if pin else None
+    bundle = rulegen.compile(prog, t, fixed=fixed, budget=budget)
+    one, two = tmp_path / "one", tmp_path / "two"
+    rulegen.write_bundle(bundle, str(one))
+    rulegen.write_bundle(rulegen.load_bundle(str(one)), str(two))
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*")
+                           if p.is_file())
+    for rel in files:
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
 def test_smaller_bundle_replaces_a_larger_one(tmp_path):
     """A bundle written over a larger one leaves none of the larger one's
     switch configs behind: loading it gives the smaller bundle's."""
@@ -184,8 +224,8 @@ def test_walk_routing_with_revisited_switch_generates_rules():
     unresolved entry."""
     _, t, bundle = compile_named(["many-ip-domains", "assign-egress"])
     assert rulegen.validate_bundle(bundle, t) == []
-    walks = [path for paths in bundle.routing.values()
-             for _, path in paths if len(set(path)) < len(path)]
+    walks = [path for path in bundle.routing.values()
+             if len(set(path)) < len(path)]
     assert walks, "expected at least one phased walk in this deployment"
     for path in walks:
         hops = list(zip(path, path[1:]))
@@ -198,15 +238,21 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    the one format change that keyed the groups by variable: the last
-    visit before the owner keeps the unresolved entry."""
+    two format changes: the one that keyed the groups by variable (the
+    last visit before the owner keeps the unresolved entry), and the one
+    that wrote each flow's routing as one walk, not a list of weighted
+    paths.  That second change moved only routing.json, so every other
+    file keeps the digest it had before it; the full digest is pinned
+    again for the walk format."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
-    walks = opt.rt_paths(bundle.routing).values()
+    walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
+    assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
+        "0930ac2c4023c9d52dc654239886a2ab9235780053eedb8d8b57a933cdb1f281")
     assert bundle_digest(bundle, tmp_path) == (
-        "24ec66cfad82b94812c9c52dac3e11fd7f1172dc979a13fc0efe054740138c3a")
+        "6ae2e1dbf255cfad2b2f7e47dd51c482c8a5c06f1e7c702dce452bddc974e1e3")
     assert group_count(bundle) == 58
 
 
@@ -214,8 +260,12 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from the one format change that keyed the
-    groups by variable.  Most path facts here are state tests."""
+    whole fact list, apart from two format changes: the one that keyed
+    the groups by variable, and the one that wrote each flow's routing as
+    one walk, not a list of weighted paths.  That second change moved only
+    routing.json, so every other file keeps the digest it had before it;
+    the full digest is pinned again for the walk format.  Most path facts
+    here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -223,8 +273,10 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     bundle = rulegen.compile(prog, t,
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
+    assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
+        "146b18e28749e96cceadde7e684b2b82f613bbfe96042a5bb84fa4a4984e3d47")
     assert bundle_digest(bundle, tmp_path) == (
-        "84bdb8d2139db4740361e0cd356c8d1b0ac710543aac8b44a3377d2961fc7887")
+        "1688823673fe1de1c5e70cc4fb41c64eef15512655222c0f4cf030ca537ee5e8")
     # one group per (inport, variable), not one per resume point
     assert group_count(bundle) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")
@@ -250,9 +302,8 @@ def test_gen_routing_reads_exec_positions_once_per_flow(monkeypatch):
     monkeypatch.setattr(opt, "exec_positions", counted)
     rulegen.gen_routing(bundle.routing, bundle.placement, demand, t,
                         dep=order.dep)
-    paths = opt.rt_paths(bundle.routing)
-    assert sorted(calls) == sorted(paths.values())
-    assert len(calls) == len(paths) == 30
+    assert sorted(calls) == sorted(bundle.routing.values())
+    assert len(calls) == len(bundle.routing) == 30
 
 
 def test_phase_times_reported():

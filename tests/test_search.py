@@ -112,12 +112,11 @@ def test_pruned_search_matches_full_enumeration(case):
     m, budget, (_, cand, _, _, exhaustive, out) = case
     sol = opt.solve_builtin(m, budget=budget)
     obj, _, placement, routing = best_of(out)
-    rt = {k: [(1.0, p)] for k, p in routing.items()}
     assert sol.placement == placement
-    assert sol.routing == rt
+    assert sol.routing == routing
     assert sol.objective == obj
     assert sol.exact == (exhaustive
-                         and not opt.overloaded_links(m.topo, rt))
+                         and not opt.overloaded_links(m.topo, routing))
     assert sol.candidates == len(out) == len(list(itertools.product(*cand)))
     assert 1 <= sol.examined <= sol.candidates
 
