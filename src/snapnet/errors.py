@@ -19,11 +19,9 @@ class EvalError(Exception):
 class RaceError(CompileError):
     """A leaf acquired parallel updates (or update/read) on one variable."""
 
-    def __init__(self, var: str, leaf_id: int | None = None):
-        where = f" (leaf {leaf_id})" if leaf_id is not None else ""
-        super().__init__(f"conflicting parallel access to state variable '{var}'{where}")
+    def __init__(self, var: str):
+        super().__init__(f"conflicting parallel access to state variable '{var}'")
         self.var = var
-        self.leaf_id = leaf_id
 
 
 class UnsupportedCompositionError(CompileError):

@@ -703,12 +703,12 @@ class Builder:
                 elems = sorted(a.elems(i), key=elem_key)
                 for e in elems:
                     if isinstance(e, Poison):
-                        raise RaceError(e.var, leaf_id=i)
+                        raise RaceError(e.var)
                 for x in range(len(elems)):
                     for y in range(x + 1, len(elems)):
                         both = seq_writes(elems[x]) & seq_writes(elems[y])
                         if both:
-                            raise RaceError(min(both), leaf_id=i)
+                            raise RaceError(min(both))
                 return
             go(a.hi(i))
             go(a.lo(i))

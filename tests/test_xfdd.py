@@ -93,7 +93,7 @@ def test_random_diagram_structure_is_pinned():
         h.update(out.encode() + b"\n")
     assert errors == 150
     assert h.hexdigest() == (
-        "09e6090cb386bac2c3b7b3695994cf3d6f3f1c5069cb3560f276d69358ecdd73")
+        "13fce672a5178510cc09aa9ccc5ceaf6fe5b7a53cc0fef003196985c67f3ad6f")
 
 
 def test_counter_differential():
