@@ -12,6 +12,11 @@ negation and the leaf passes (merging outputs, stripping annotations,
 assembling fan-out) are one leaf map (`Builder._map_leaves`); and
 sequencing decides a test it cannot push down with one split
 (`Builder._split`): build each side, restrict it to its half, join.
+Where restricting would only put the test on top of both sides, the
+split skips the restrict-and-join and puts the test on top itself
+(`Builder._lead`); each side then only gains, at every leaf, the drop
+outcome restricting gives the other half, a leaf map memoized per
+Builder.
 
 Conflict detection mirrors the evaluator's log discipline exactly:
 parallel composition checks its two operands' read/write sets against
@@ -57,6 +62,17 @@ class TStateTest:
     index: object   # lang Expr
     rhs: object     # lang Expr
 
+    def __post_init__(self):
+        # the keys the test order and the path facts read, and the hash
+        # the arena's node table reads, computed once per test
+        object.__setattr__(self, "index_key", expr_key(self.index))
+        object.__setattr__(self, "rhs_key", expr_key(self.rhs))
+        object.__setattr__(self, "_hash",
+                           hash((self.var, self.index, self.rhs)))
+
+    def __hash__(self):
+        return self._hash
+
 
 def test_key(order: OrderSpec, t) -> tuple:
     """Total order on tests: field-value < field-field < state tests, and
@@ -66,8 +82,7 @@ def test_key(order: OrderSpec, t) -> tuple:
     if isinstance(t, TFieldField):
         return (1, t.f1, t.f2)
     if isinstance(t, TStateTest):
-        return (2, order.state_rank[t.var],
-                expr_key(t.index), expr_key(t.rhs))
+        return (2, order.state_rank[t.var], t.index_key, t.rhs_key)
     raise TypeError(f"not a test: {t!r}")
 
 
@@ -295,8 +310,8 @@ class Context:
         # a cell slot: "yes" is the key of the rhs the cell equals (the
         # first one asserted), "rhs" maps it to that expression, and "no"
         # holds the keys of the rhs the cell differs from
-        k = (t.var, expr_key(t.index))
-        rk = expr_key(t.rhs)
+        k = (t.var, t.index_key)
+        rk = t.rhs_key
         slot = self._st.get(k)
         yes, no, rhs = ((slot["yes"], slot["no"], slot["rhs"]) if slot
                         else (None, frozenset(), {}))
@@ -483,10 +498,10 @@ class Context:
                     return False
             return None
         if isinstance(t, TStateTest):
-            slot = self._st.get((t.var, expr_key(t.index)))
+            slot = self._st.get((t.var, t.index_key))
             if slot is None:
                 return None
-            rk = expr_key(t.rhs)
+            rk = t.rhs_key
             if slot["yes"] == rk:
                 return True
             if rk in slot["no"]:
@@ -552,11 +567,16 @@ class Builder:
         self.prog = prog
         self.order = order
         self.arena = arena if arena is not None else Arena(order)
+        self._keys: dict = {}       # test -> test_key
+        self._drop_memo: dict = {}  # drop leaf -> {node: node + drop}
 
     # -- small helpers
 
     def key(self, t):
-        return test_key(self.order, t)
+        k = self._keys.get(t)
+        if k is None:
+            k = self._keys[t] = test_key(self.order, t)
+        return k
 
     def empty_ctx(self) -> Context:
         return Context(self.prog)
@@ -626,16 +646,49 @@ class Builder:
     def _split(self, t, ctx: Context, fhi, flo) -> int:
         """Decide t under ctx: build each side the path facts allow,
         restrict it to its half of t, and join the halves by unchecked
-        union.  Sequencing splits this way on every test it decides."""
+        union.  Sequencing splits this way on every test it decides.
+        Where restricting would only put t on top of each half, `_lead`
+        builds the join without restricting."""
         chi, clo = self._ctx2(ctx, t)
         if chi is None:
             return flo(clo)
         if clo is None:
             return fhi(chi)
         hi, lo = fhi(chi), flo(clo)
+        led = self._lead(t, ctx, hi, lo)
+        if led is not None:
+            return led
         return self._apply(self.restrict(hi, t, True),
                            self.restrict(lo, t, False), ctx,
                            frozenset.union, same=True)
+
+    def _tops(self, t, d: int) -> bool:
+        """restrict(d, t, _) would only put t on top of d."""
+        n = self.arena.nodes[d]
+        if n[0] == "L":
+            return isinstance(t, TStateTest) or not _pure_drop_elems(n[1])
+        return self.key(t) < self.key(n[1])
+
+    def _lead(self, t, ctx: Context, hi: int, lo: int) -> int | None:
+        """`_split`'s join of hi and lo, built under the two sides of t,
+        when t is open under ctx and restrict would only put t on top of
+        each; None otherwise.  Then the join branches on t, and each side
+        is its half with every leaf joined with the drop leaf restrict
+        puts on the other half: the unchecked union of a diagram built
+        under the path facts with a leaf."""
+        if (ctx.imply(t) is not None
+                or not (self._tops(t, hi) and self._tops(t, lo))):
+            return None
+        return self.arena.branch(t, self._with_drop(hi, lo),
+                                 self._with_drop(lo, hi))
+
+    def _with_drop(self, d: int, other: int) -> int:
+        """d with every leaf joined with the drop leaf restrict puts
+        beside `other`."""
+        dl = self.drop_leaf(annotated=self._leaf_annotated(other))
+        de = self.arena.elems(dl)
+        return self._map_leaves(d, lambda elems: elems | de,
+                                self._drop_memo.setdefault(dl, {}))
 
     def refine(self, d: int, ctx: Context) -> int:
         a = self.arena
@@ -845,10 +898,12 @@ class Builder:
         """Intersection of two predicate leaves: id where both pass."""
         return {()} if () in e1 and () in e2 else {DROP_SEQ}
 
-    def _map_leaves(self, d: int, f) -> int:
-        """d with each leaf's elements replaced by f(elements)."""
+    def _map_leaves(self, d: int, f, memo: dict | None = None) -> int:
+        """d with each leaf's elements replaced by f(elements); `memo`
+        keeps the results of earlier maps by the same f."""
         a = self.arena
-        memo: dict = {}
+        if memo is None:
+            memo = {}
 
         def go(i: int) -> int:
             r = memo.get(i)

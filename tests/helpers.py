@@ -1,7 +1,8 @@
 """Shared test utilities: the reference evaluator's former isinstance
-chain, the router's former closure-cost Dijkstra, a brute-force diagram
-walker (independent of the compiler's own machinery) and a random policy
-generator over a small universe of fields, values, and state variables."""
+chain, the router's former closure-cost Dijkstra, the sequencing split's
+former restrict-and-join, a brute-force diagram walker (independent of
+the compiler's own machinery) and a random policy generator over a small
+universe of fields, values, and state variables."""
 
 import heapq
 import itertools
@@ -215,6 +216,17 @@ def reference_route_flows(m, placement: dict, flow_keys: list, loads: dict):
             loads[(a, b)] = loads.get((a, b), 0.0) + vol
             obj += vol / topo.links[(a, b)].capacity
     return routing, obj
+
+
+# ---------------------------------------------------------------- join
+
+def reference_join(b, t, ctx, hi: int, lo: int) -> int:
+    """The join `xfdd.Builder._split` made of every split before
+    `_lead`: hi, built under t, and lo, built under not t, each
+    restricted to its half of t and joined by unchecked union under the
+    path facts ctx; kept only to check `_lead` against."""
+    return b._apply(b.restrict(hi, t, True), b.restrict(lo, t, False), ctx,
+                    frozenset.union, same=True)
 
 
 # ---------------------------------------------------------------- walker

@@ -13,10 +13,10 @@ from snapnet import deps, interp, lang, rulegen, values, xfdd
 from snapnet.errors import RaceError, UnsupportedCompositionError
 from snapnet.interp import UNDEFINED
 
-from conftest import policy_src
+from conftest import ALL_POLICIES, policy_src
 from helpers import (
     UNIVERSE_SRC, all_packets, all_stores, eval_xfdd, random_policy,
-    universe_prog,
+    reference_join, universe_prog,
 )
 
 
@@ -94,6 +94,57 @@ def test_random_diagram_structure_is_pinned():
     assert errors == 150
     assert h.hexdigest() == (
         "13fce672a5178510cc09aa9ccc5ceaf6fe5b7a53cc0fef003196985c67f3ad6f")
+
+
+class LeadBeside(xfdd.Builder):
+    """A Builder that runs the reference restrict-and-join beside every
+    join `_lead` builds and asserts the same node: with hash-consing,
+    the same diagram."""
+
+    def __init__(self, prog, order):
+        super().__init__(prog, order)
+        self.led = 0
+
+    def _lead(self, t, ctx, hi, lo):
+        r = super()._lead(t, ctx, hi, lo)
+        if r is not None:
+            assert r == reference_join(self, t, ctx, hi, lo), format(t)
+            self.led += 1
+        return r
+
+
+def test_lead_equals_the_restrict_and_join_reference():
+    """Every split `_lead` joins, over the random programs of the tests
+    above (the same seeds, sizes and counter settings) and each policy of
+    the corpus composed with assign-egress."""
+    prog0 = universe_prog()
+    randoms = []
+    for seed, n, depth, counters in ((7, 150, 3, False), (8, 600, 4, True),
+                                     (11, 80, 3, True)):
+        rng = random.Random(seed)
+        randoms += [dataclasses.replace(
+            prog0, body=random_policy(rng, depth, counters=counters))
+            for _ in range(n)]
+    corpus = [lang.compose_all([lang.parse(policy_src(name)),
+                                lang.parse(policy_src("assign-egress"))])
+              for name in ALL_POLICIES]
+
+    def run(progs) -> tuple:
+        built = led = 0
+        for prog in progs:
+            b = LeadBeside(prog, deps.order_spec_program(prog))
+            try:
+                b.to_xfdd_program()
+                built += 1
+            except (RaceError, UnsupportedCompositionError):
+                pass
+            led += b.led
+        return built, led
+
+    built, led = run(randoms)
+    assert built > 600 and led > 2000, (built, led)
+    built, led = run(corpus)
+    assert built == len(ALL_POLICIES) and led > 800, (built, led)
 
 
 def test_counter_differential():
