@@ -401,11 +401,17 @@ def _placement_from_json(d) -> dict:
     return placement
 
 
+def _root_from_json(v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"root {v!r} is not a node id")
+    return v
+
+
 def load_bundle(dirpath: str) -> DeploymentBundle:
     """Read a bundle directory written by write_bundle.  InputError when a
     part is malformed (a placement value or a walk that is not switch
-    names, a flow listed twice) or a switch file holds the config of a
-    switch it is not named after."""
+    names, a root that is not a node id, a flow listed twice) or a switch
+    file holds the config of a switch it is not named after."""
     kw = _read_part(os.path.join(dirpath, "placement.json"),
                     lambda d: {"mode": d["mode"],
                                "placement": _placement_from_json(
@@ -413,7 +419,7 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
                                "objective": d["objective"],
                                "exact": d["exact"]})
     kw.update(_read_part(os.path.join(dirpath, "routing.json"),
-                         lambda d: {"root": d["root"],
+                         lambda d: {"root": _root_from_json(d["root"]),
                                     "routing": opt.routing_from_json(
                                         d["flows"])}))
     configs = {}
@@ -437,16 +443,19 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
 
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: placement totality, fragment coverage of
-    every state resume point, no dangling node references, rules that
-    name placed variables, forward to neighbours and emit on the switch's
-    own external ports, a config for every topology switch and none for
-    another, and a walk for exactly the topology's demands, each from u's
-    switch to v's over links of the topology, none of them twice.
-    Returns a list of problem strings (empty means ok)."""
+    every state resume point, a root and node references that name nodes
+    of the bundle, rules that name placed variables, forward to
+    neighbours and emit on the switch's own external ports, a config for
+    every topology switch and none for another, and a walk for exactly
+    the topology's demands, each from u's switch to v's over links of the
+    topology, none of them twice.  Returns a list of problem strings
+    (empty means ok)."""
     problems = []
     for s, sid in sorted(bundle.placement.items()):
         if sid not in topo.nodes:
             problems.append(f"placement of {s!r} on unknown switch {sid!r}")
+    if bundle.root not in bundle.nodes:
+        problems.append(f"root {bundle.root} is not a node of the bundle")
     points = state_resume_points(bundle.nodes)
     for key in sorted(points):
         s = points[key]

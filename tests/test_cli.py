@@ -393,6 +393,44 @@ def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
                    "switch 'C3' has no config\n")
 
 
+@pytest.mark.parametrize("root, check_code, says", [
+    ("x", 3, "root 'x' is not a node id"),
+    (True, 3, "root True is not a node id"),
+    (1.0, 3, "root 1.0 is not a node id"),
+    (10 ** 6, 2, "root 1000000 is not a node of the bundle")],
+    ids=["string", "bool", "float", "no-such-node"])
+def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
+                                                      root, check_code,
+                                                      says):
+    """A routing.json root that is not a node id is bad input to `check
+    -p` and `simulate` (exit 3); one that is an id but no node of the
+    bundle fails `check -p` (exit 2) and `simulate` refuses the bundle
+    (exit 3).  Neither ends in a traceback."""
+    bundle = tmp_path / "b"
+    policies = ["-p", policy_path("stateful-fw"),
+                "-p", policy_path("assign-egress")]
+    code, _, _ = run_cli(["compile", *policies, "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    path = bundle / "routing.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                    root=root)))
+    code, out, err = run_cli(["check", *policies, "--bundle", str(bundle),
+                              "--topo", TOPO], capsys)
+    assert code == check_code
+    if code == 2:
+        assert json.loads(out)["problems"] == [says]
+    else:
+        assert out == "" and err == f"bad input: {path}: {says}\n"
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"bad input: inconsistent bundle: {says}\n"
+                   if check_code == 2 else f"bad input: {path}: {says}\n")
+
+
 @pytest.mark.parametrize("part, damage, says", [
     ("switch/I1.json", _set_rule("resolved", 1, 2, "arg", "D4"),
      "switch I1: rule (1,2) next hop 'D4' is not a neighbor"),
