@@ -567,8 +567,17 @@ class Builder:
         self.prog = prog
         self.order = order
         self.arena = arena if arena is not None else Arena(order)
+        # computed tables, as in a BDD package: each keeps the results of
+        # one function that reads no path context, keyed only by what the
+        # arena interns (tests, node ids, element sets, runs), so no table
+        # merges two results the arena keeps apart
         self._keys: dict = {}       # test -> test_key
         self._drop_memo: dict = {}  # drop leaf -> {node: node + drop}
+        self._merged: dict = {}     # elements -> _merge_by_effect(elements)
+        self._fanout: dict = {}     # node -> node, _seq_leaf's fan-out map
+        self._resolved: dict = {}   # (run, leaf, reads) -> _resolve's leaf
+        self._annotated: dict = {}  # node -> _leaf_annotated(node)
+        self._sorted: dict = {}     # elements -> elements by elem_key
 
     # -- small helpers
 
@@ -590,19 +599,33 @@ class Builder:
             return self.arena.leaf({e})
         return self.arena.leaf({DROP_SEQ})
 
+    def _by_key(self, elems: frozenset) -> tuple:
+        """elems sorted by elem_key."""
+        r = self._sorted.get(elems)
+        if r is None:
+            r = self._sorted[elems] = tuple(sorted(elems, key=elem_key))
+        return r
+
     def _leaf_annotated(self, d: int) -> bool:
+        r = self._annotated.get(d)
+        if r is not None:
+            return r
         a = self.arena
+        r = False
         stack = [d]
         while stack:
             i = stack.pop()
             if a.is_leaf(i):
-                for e in a.elems(i):
-                    if not isinstance(e, Poison):
-                        return isinstance(e, AnnotatedSeq)
+                e = next((e for e in a.elems(i) if not isinstance(e, Poison)),
+                         None)
+                if e is not None:
+                    r = isinstance(e, AnnotatedSeq)
+                    break
             else:
                 stack.append(a.hi(i))
                 stack.append(a.lo(i))
-        return False
+        self._annotated[d] = r
+        return r
 
     # -- public operators -------------------------------------------------
 
@@ -753,7 +776,7 @@ class Builder:
                 return
             seen.add(i)
             if a.is_leaf(i):
-                elems = sorted(a.elems(i), key=elem_key)
+                elems = self._by_key(a.elems(i))
                 for e in elems:
                     if isinstance(e, Poison):
                         raise RaceError(e.var)
@@ -943,10 +966,16 @@ class Builder:
 
         return go(d, frozenset())
 
-    def _merge_by_effect(self, elems: frozenset) -> set:
+    def _merge_by_effect(self, elems: frozenset) -> frozenset:
+        """elems with the sequences of one packet effect (one output
+        packet) merged into one, and a poison for each variable two of
+        them write."""
+        r = self._merged.get(elems)
+        if r is not None:
+            return r
         out = set()
         groups: dict = {}
-        for e in sorted(elems, key=elem_key):
+        for e in self._by_key(elems):
             if isinstance(e, Poison):
                 out.add(e)
                 continue
@@ -972,7 +1001,8 @@ class Builder:
         # a bare drop adds nothing next to other outcomes
         if len(out) > 1 and DROP_SEQ in out:
             out.discard(DROP_SEQ)
-        return out
+        r = self._merged[elems] = frozenset(out)
+        return r
 
     # -- sequential composition base case ---------------------------------
 
@@ -993,10 +1023,10 @@ class Builder:
             kept.append(x)
         return tuple(kept) if changed else e
 
-    def _collision_tests(self, runs: set, ctx: Context) -> list:
+    def _collision_tests(self, runs: frozenset, ctx: Context) -> list:
         """Tests that decide whether two distinct-looking runs are actually
         the same output packet (a one-sided mod writing the entry value)."""
-        live = [e for e in sorted(runs, key=elem_key)
+        live = [e for e in self._by_key(runs)
                 if not isinstance(e, Poison) and not (e and e[-1] is DROP)]
         out = []
         for x in range(len(live)):
@@ -1032,7 +1062,7 @@ class Builder:
         # Group the first diagram's outcomes by packet effect: each group is
         # one output packet, i.e. one run of the second diagram.
         runs = self._merge_by_effect(
-            {self._simplify_mods(e, ctx) for e in elems})
+            frozenset(self._simplify_mods(e, ctx) for e in elems))
 
         # Runs whose packets may coincide depending on entry field values
         # must be split on those values so grouping is exact per context.
@@ -1044,12 +1074,12 @@ class Builder:
             return self._split(tests[0], ctx, again, again)
 
         pending: dict = {}
-        for e in sorted(runs, key=elem_key):
+        for e in self._by_key(runs):
             for op in seq_state_ops(e):
                 pending.setdefault(op.var, []).append(op)
 
         operands = []
-        for e in sorted(runs, key=elem_key):
+        for e in self._by_key(runs):
             if isinstance(e, Poison):
                 operands.append(self.arena.leaf({e}))
             elif e and e[-1] is DROP:
@@ -1062,7 +1092,7 @@ class Builder:
         for x in operands[1:]:
             acc = self._apply(acc, x, ctx, self._join)
         return self._map_leaves(acc, lambda elems: self._merge_by_effect(
-            self._assemble(elems)))
+            self._assemble(elems)), self._fanout)
 
     @staticmethod
     def _pops(atoms: tuple) -> tuple:
@@ -1080,13 +1110,17 @@ class Builder:
         e_ops = seq_state_ops(e)
         e_mods = tuple(x for x in e if isinstance(x, lang.Mod))
 
-        def at_leaf(i: int, ctx2: Context, reads: frozenset) -> int:
+        def at_leaf(i: int, reads: frozenset) -> int:
+            k = (e, i, reads)
+            r = self._resolved.get(k)
+            if r is not None:
+                return r
             # This run's first-phase state ops must appear in exactly one
             # element of the result: the one whose second phase writes the
             # same variable (ordering), else the first surviving element.
             poisons = {q for q in a.elems(i) if isinstance(q, Poison)}
-            qelems = sorted((q for q in a.elems(i)
-                             if not isinstance(q, Poison)), key=elem_key)
+            qelems = [q for q in self._by_key(a.elems(i))
+                      if not isinstance(q, Poison)]
             qwrites = [seq_writes(q) for q in qelems]
             nondrop = [j for j, q in enumerate(qelems)
                        if not (q and q[-1] is DROP)]
@@ -1106,11 +1140,12 @@ class Builder:
             if not qelems:
                 out.update(poisons or {AnnotatedSeq(
                     canon_seq(e), frozenset(), reads, self._pops(e_ops))})
-            return a.leaf(out)
+            r = self._resolved[k] = a.leaf(out)
+            return r
 
         def go(i: int, ctx2: Context, reads: frozenset) -> int:
             if a.is_leaf(i):
-                return at_leaf(i, ctx2, reads)
+                return at_leaf(i, reads)
             t = a.test_of(i)
             reads2 = reads | ({t.var} if isinstance(t, TStateTest)
                               else frozenset())
@@ -1248,13 +1283,13 @@ class Builder:
 
     # -- fan-out assembly --------------------------------------------------
 
-    def _assemble(self, elems: frozenset) -> set:
+    def _assemble(self, elems: frozenset) -> frozenset:
         """Move first-phase writes of variable s into the element whose run
         writes s, so every variable's full update sequence lives in exactly
         one action sequence (the merged-store semantics of fan-out)."""
         poisons = {e for e in elems if isinstance(e, Poison)}
         items = [[list(e.atoms), dict(e.pops), e]
-                 for e in sorted(elems, key=elem_key)
+                 for e in self._by_key(elems)
                  if not isinstance(e, Poison)]
         movable_vars = set()
         for atoms, pops, e in items:
@@ -1289,7 +1324,7 @@ class Builder:
             dst[0][pos:pos] = moved
         # each move keeps both sequences canonical (state ops stably sorted
         # by variable, then mods or drop), so none needs canon_seq again
-        return {tuple(atoms) for atoms, _, _ in items} | poisons
+        return frozenset([tuple(atoms) for atoms, _, _ in items]) | poisons
 
 
 # -------------------------------------------------------------- validation

@@ -1,8 +1,9 @@
 """Shared test utilities: the reference evaluator's former isinstance
 chain, the router's former closure-cost Dijkstra, the sequencing split's
-former restrict-and-join, a brute-force diagram walker (independent of
-the compiler's own machinery) and a random policy generator over a small
-universe of fields, values, and state variables."""
+former restrict-and-join, a diagram builder without computed tables, a
+brute-force diagram walker (independent of the compiler's own machinery)
+and a random policy generator over a small universe of fields, values,
+and state variables."""
 
 import heapq
 import itertools
@@ -227,6 +228,28 @@ def reference_join(b, t, ctx, hi: int, lo: int) -> int:
     path facts ctx; kept only to check `_lead` against."""
     return b._apply(b.restrict(hi, t, True), b.restrict(lo, t, False), ctx,
                     frozenset.union, same=True)
+
+
+class Forgetful(dict):
+    """A table that keeps nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+    def setdefault(self, key, default=None):
+        return default
+
+
+class UncachedBuilder(xfdd.Builder):
+    """A Builder whose computed tables never store, so every leaf
+    function runs again on every call and each leaf map starts afresh;
+    kept only to check the tables against."""
+
+    def __init__(self, prog, order):
+        super().__init__(prog, order)
+        for name, table in list(vars(self).items()):
+            if isinstance(table, dict):
+                setattr(self, name, Forgetful())
 
 
 # ---------------------------------------------------------------- walker

@@ -15,8 +15,8 @@ from snapnet.interp import UNDEFINED
 
 from conftest import ALL_POLICIES, policy_src
 from helpers import (
-    UNIVERSE_SRC, all_packets, all_stores, eval_xfdd, random_policy,
-    reference_join, universe_prog,
+    UNIVERSE_SRC, UncachedBuilder, all_packets, all_stores, eval_xfdd,
+    random_policy, reference_join, universe_prog,
 )
 
 
@@ -113,10 +113,11 @@ class LeadBeside(xfdd.Builder):
         return r
 
 
-def test_lead_equals_the_restrict_and_join_reference():
-    """Every split `_lead` joins, over the random programs of the tests
-    above (the same seeds, sizes and counter settings) and each policy of
-    the corpus composed with assign-egress."""
+def reference_programs() -> tuple:
+    """(randoms, corpus): the random programs of `test_random_differential`,
+    `test_random_diagram_structure_is_pinned` and `test_counter_differential`
+    (the same seeds, sizes and counter settings), and each policy of the
+    corpus composed with assign-egress."""
     prog0 = universe_prog()
     randoms = []
     for seed, n, depth, counters in ((7, 150, 3, False), (8, 600, 4, True),
@@ -128,6 +129,12 @@ def test_lead_equals_the_restrict_and_join_reference():
     corpus = [lang.compose_all([lang.parse(policy_src(name)),
                                 lang.parse(policy_src("assign-egress"))])
               for name in ALL_POLICIES]
+    return randoms, corpus
+
+
+def test_lead_equals_the_restrict_and_join_reference():
+    """Every split `_lead` joins, over the reference programs."""
+    randoms, corpus = reference_programs()
 
     def run(progs) -> tuple:
         built = led = 0
@@ -145,6 +152,25 @@ def test_lead_equals_the_restrict_and_join_reference():
     assert built > 600 and led > 2000, (built, led)
     built, led = run(corpus)
     assert built == len(ALL_POLICIES) and led > 800, (built, led)
+
+
+def test_computed_tables_equal_the_uncached_builder():
+    """The Builder's computed tables change no result: over the reference
+    programs, a Builder and one whose tables never store return the same
+    root and the same arena, node for node, or raise the same error."""
+    randoms, corpus = reference_programs()
+    built = 0
+    for prog in randoms + corpus:
+        order = deps.order_spec_program(prog)
+        out = []
+        for b in (xfdd.Builder(prog, order), UncachedBuilder(prog, order)):
+            try:
+                out.append((b.to_xfdd_program(), b.arena.nodes))
+            except (RaceError, UnsupportedCompositionError) as e:
+                out.append((type(e), str(e)))
+        assert out[0] == out[1], prog.body
+        built += isinstance(out[0][0], int)
+    assert built > 600 + len(ALL_POLICIES), built
 
 
 def test_counter_differential():
