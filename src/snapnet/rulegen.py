@@ -169,6 +169,16 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
 
 # ---------------------------------------------------------------- routing
 
+def walk_rules(u, v, path) -> dict:
+    """The resolved rule of flow (u, v) at each switch of its walk: fwd to
+    the hop after the switch's last occurrence on the walk (a packet that
+    comes back to a switch leaves it the later way), and emit on v at the
+    walk's last switch."""
+    rules = {a: ("fwd", b) for a, b in zip(path, path[1:])}
+    rules[path[-1]] = ("emit", v)
+    return rules
+
+
 def gen_routing(routing: dict, placement: dict, demand, topo,
                 dep=frozenset()) -> tuple:
     """Per-switch routing tables for `routing` ({(u, v): walk}).
@@ -186,9 +196,8 @@ def gen_routing(routing: dict, placement: dict, demand, topo,
     unresolved: dict = {sid: {} for sid in topo.nodes}
 
     for (u, v), path in sorted(routing.items()):
-        for a, b in zip(path, path[1:]):
-            resolved[a][(u, v)] = ("fwd", b)
-        resolved[path[-1]][(u, v)] = ("emit", v)
+        for a, rule in walk_rules(u, v, path).items():
+            resolved[a][(u, v)] = rule
         w = topo.demands.get((u, v), 0.0)
         stops = opt.exec_positions(path, demand.states_for(u, v),
                                    placement, dep)
@@ -448,9 +457,15 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     neighbours and emit on the switch's own external ports, a config for
     every topology switch and none for another, and a walk for exactly
     the topology's demands, each from u's switch to v's over links of the
-    topology, none of them twice.  Returns a list of problem strings
-    (empty means ok)."""
+    topology, none of them twice.  The resolved rules must follow the
+    walks (`walk_rules`): every switch on a walk holds the flow's rule,
+    and no switch holds a rule for a flow whose walk does not pass it.
+    A rule or walk that fails one of the checks before is not compared,
+    and nor is a rule of a demand that has no walk: its one problem is
+    already listed.  Returns a list of problem strings (empty means
+    ok)."""
     problems = []
+    rules: dict = {}    # (switch, flow) -> a resolved rule of sound shape
     for s, sid in sorted(bundle.placement.items()):
         if sid not in topo.nodes:
             problems.append(f"placement of {s!r} on unknown switch {sid!r}")
@@ -491,6 +506,8 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                 problems.append(
                     f"switch {sid}: rule ({u},{v}) emits on {arg!r}, not "
                     "one of its external ports")
+            else:
+                rules[(sid, (u, v))] = (act, arg)
         for (u, s), rows in cfg.unresolved.items():
             if s not in bundle.placement:
                 problems.append(
@@ -506,11 +523,13 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
             problems.append(f"switch {sid!r} has no config")
     problems.extend(f"flow ({u},{v}) has no walk" for u, v
                     in sorted(set(topo.demands) - set(bundle.routing)))
+    sound: dict = {}    # flow -> walk_rules of a walk that passed its checks
     for (u, v), path in bundle.routing.items():
         if (u, v) not in topo.demands:
             problems.append(f"walk of flow ({u},{v}), which is not a "
                             "demand of the topology")
             continue
+        before = len(problems)
         ends = (topo.node_of_port(u), topo.node_of_port(v))
         if (path[0], path[-1]) != ends:
             problems.append(f"walk of flow ({u},{v}) runs {path[0]}->"
@@ -520,4 +539,25 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                         "link" for a, b in hops if (a, b) not in topo.links)
         if len(set(hops)) < len(hops):
             problems.append(f"walk of flow ({u},{v}) reuses a link")
+        if len(problems) == before:
+            sound[(u, v)] = walk_rules(u, v, path)
+    for (u, v), want in sound.items():
+        for sid, (act, arg) in want.items():
+            cfg = bundle.configs.get(sid)
+            have = cfg.resolved.get((u, v)) if cfg is not None else None
+            if cfg is not None and have is None:
+                problems.append(f"switch {sid}: no rule for flow ({u},{v}), "
+                                "whose walk passes it")
+            elif (sid, (u, v)) in rules and have != (act, arg):
+                problems.append(
+                    f"switch {sid}: rule ({u},{v}) is {have[0]} {have[1]!r}, "
+                    f"but the flow's walk gives {act} {arg!r}")
+    for sid, (u, v) in rules:
+        if (u, v) in sound:
+            if sid not in sound[(u, v)]:
+                problems.append(f"switch {sid}: rule ({u},{v}) is for a flow "
+                                "whose walk does not pass it")
+        elif (u, v) not in bundle.routing and (u, v) not in topo.demands:
+            problems.append(f"switch {sid}: rule ({u},{v}) is for a flow "
+                            "with no walk")
     return problems

@@ -282,6 +282,25 @@ def _set_rule(kind, inport, key, field, value):
     return damage
 
 
+def _add_rule(inport, outport, action, arg):
+    """Bundle damage: add a resolved rule."""
+    def damage(d):
+        d["rules"]["resolved"].append({"inport": inport, "outport": outport,
+                                       "action": action, "arg": arg})
+        return d
+    return damage
+
+
+def _drop_rule(inport, outport):
+    """Bundle damage: remove the resolved rule of flow (inport, outport)."""
+    def damage(d):
+        d["rules"]["resolved"] = [
+            r for r in d["rules"]["resolved"]
+            if (r["inport"], r["outport"]) != (inport, outport)]
+        return d
+    return damage
+
+
 def _old_format_rules(d):
     """A switch config in the format that keyed each waiting-packet group
     by resume point rather than by state variable."""
@@ -454,11 +473,25 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
      "walk of flow (1,2) crosses C1->C6, not a link"),
     ("routing.json", _set_walk(0, ["I1", "C1", "I1", "C1", "C5", "C6",
                                    "C2", "I2"]),
-     "walk of flow (1,2) reuses a link")],
+     "walk of flow (1,2) reuses a link"),
+    ("switch/C6.json", _set_rule("resolved", 1, 2, "arg", "C4"),
+     "switch C6: rule (1,2) is fwd 'C4', but the flow's walk gives "
+     "fwd 'C2'"),
+    ("switch/I1.json", lambda d: _add_rule(1, 2, "emit", 1)(
+        _drop_rule(1, 2)(d)),
+     "switch I1: rule (1,2) is emit 1, but the flow's walk gives fwd 'C1'"),
+    ("switch/C6.json", _drop_rule(1, 2),
+     "switch C6: no rule for flow (1,2), whose walk passes it"),
+    ("switch/C3.json", _add_rule(1, 2, "fwd", "C5"),
+     "switch C3: rule (1,2) is for a flow whose walk does not pass it"),
+    ("switch/I1.json", _add_rule(1, 1, "emit", 1),
+     "switch I1: rule (1,1) is for a flow with no walk")],
     ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
          "unplaced-var", "flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
-         "walk-crosses-no-link", "walk-reuses-a-link"])
+         "walk-crosses-no-link", "walk-reuses-a-link", "fwd-off-the-walk",
+         "emit-on-the-walk", "no-rule-on-the-walk", "rule-off-the-walk",
+         "rule-without-walk"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
     """A rule that forwards to a switch that is not a neighbour, emits on
@@ -466,7 +499,11 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     (exit 2), and `simulate` refuses the bundle at load (exit 3), before
     any packet reaches the rule.  So does a routing.json that does not
     give each of the topology's demands, and no other flow, one walk from
-    u's switch to v's over links of the topology, none of them twice."""
+    u's switch to v's over links of the topology, none of them twice, and
+    a resolved rule that does not follow the walk of its flow: one that
+    sends the packet elsewhere (C6 to C4 sends flow (1,2) off its walk
+    I1-C1-C5-C6-C2-I2), one missing on the walk, one at a switch off the
+    walk, and one for a flow with no walk."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),
@@ -487,10 +524,11 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
 
 
 def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
-    """C6's rule for flow (1,2) sends its packets back to C5, whose rule
-    sends them to C6 again.  The bundle's shape is sound and check passes,
-    but simulate stops the copy once it crosses more links than any walk
-    may (12 switches x (1 state variable + 1)) and exits 3.  It runs in a
+    """C1's group for packets from port 1 that wait on `established`
+    sends them back to I1, whose group sends them to C1 again.  Groups
+    are not yet checked against the walks, so the bundle loads, but
+    simulate stops the copy once it crosses more links than any walk may
+    (12 switches x (1 state variable + 1)) and exits 3.  It runs in a
     child process with a timeout, so a loop fails this test instead of
     hanging the suite."""
     bundle = tmp_path / "b"
@@ -498,15 +536,16 @@ def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
                           "-p", policy_path("assign-egress"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
     assert code == 0
-    path = bundle / "switch" / "C6.json"
-    path.write_text(json.dumps(_set_rule("resolved", 1, 2, "arg", "C5")(
-        json.loads(path.read_text()))))
-    code, out, _ = run_cli(["check", "--bundle", str(bundle),
-                            "--topo", TOPO], capsys)
-    assert code == 0 and json.loads(out)["ok"] is True
+    path = bundle / "switch" / "C1.json"
+    d = json.loads(path.read_text())
+    for r in d["rules"]["unresolved"]:
+        if (r["inport"], r["var"]) == (1, "established"):
+            for row in r["group"]:
+                row["next"] = "I1"
+    path.write_text(json.dumps(d))
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps({"port": 1, "packet": {
-        "srcip": "10.0.1.10", "dstip": "10.0.2.10", "inport": 1,
+        "srcip": "10.0.1.10", "dstip": "10.0.3.10", "inport": 1,
         "outport": 1}}) + "\n")
     r = subprocess.run([sys.executable, "-m", "snapnet.cli", "simulate",
                         "--bundle", str(bundle), "--topo", TOPO,
@@ -514,7 +553,7 @@ def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
                        capture_output=True, text=True, timeout=30)
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr == ("bad input: simulation: a packet from port 1 "
-                        "crossed 24 links and loops on C5->C6\n")
+                        "crossed 24 links and loops on I1->C1\n")
 
 
 def test_config_for_unknown_switch_fails_check(tmp_path, capsys):

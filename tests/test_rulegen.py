@@ -9,7 +9,7 @@ import pytest
 
 from snapnet import deps, lang, opt, psm, rulegen, topo, xfdd
 
-from conftest import policy_src
+from conftest import CORPUS, policy_src
 
 
 def compile_named(names, t=None, **kw):
@@ -254,6 +254,42 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     assert bundle_digest(bundle, tmp_path) == (
         "6ae2e1dbf255cfad2b2f7e47dd51c482c8a5c06f1e7c702dce452bddc974e1e3")
     assert group_count(bundle) == 58
+
+
+def test_compiled_rules_follow_the_walks():
+    """No false alarm from the rule agreement: every corpus policy composed
+    with assign-egress, on example12 and on generated(20, 3) at budget 64,
+    and the compile above whose walks revisit switches, passes
+    validate_bundle."""
+    g20 = topo.generated(20, 3)
+    for name in CORPUS:
+        for t in (None, g20):
+            _, t, bundle = compile_named([name, "assign-egress"], t,
+                                         budget=64)
+            assert rulegen.validate_bundle(bundle, t) == [], name
+    _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
+                                 fixed=REVISIT_FIXED)
+    assert rulegen.validate_bundle(bundle, t) == []
+
+
+def test_revisited_switch_forwards_the_later_way():
+    """A switch a walk passes twice forwards the flow the way the walk
+    leaves its last visit; the way it leaves the first visit is reported."""
+    _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
+                                 fixed=REVISIT_FIXED)
+    for (u, v), path in sorted(bundle.routing.items()):
+        want = rulegen.walk_rules(u, v, path)
+        earlier = [(a, b) for a, b in zip(path, path[1:])
+                   if want[a] != ("fwd", b)]
+        if earlier:
+            break
+    assert earlier
+    a, b = earlier[0]
+    bundle.configs[a].resolved[(u, v)] = ("fwd", b)
+    act, arg = want[a]
+    assert rulegen.validate_bundle(bundle, t) == [
+        f"switch {a}: rule ({u},{v}) is fwd {b!r}, but the flow's walk "
+        f"gives {act} {arg!r}"]
 
 
 def test_state_heavy_composition_bundle_is_pinned(tmp_path):
