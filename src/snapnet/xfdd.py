@@ -18,6 +18,13 @@ split skips the restrict-and-join and puts the test on top itself
 outcome restricting gives the other half, a leaf map memoized per
 Builder.
 
+Like a BDD package's computed table, the Builder keeps the result of
+each leaf function that reads no path context (merging by effect, the
+fan-out map, composing one run with a leaf, the annotation probe and
+sorting by `elem_key`), keyed only by node ids, element sets and runs,
+which the arena interns.  None is keyed by a Context: such a table made
+the build slower through cyclic-GC work.
+
 Conflict detection mirrors the evaluator's log discipline exactly:
 parallel composition checks its two operands' read/write sets against
 each other, and sequential composition checks the per-output-packet runs
@@ -967,9 +974,9 @@ class Builder:
         return go(d, frozenset())
 
     def _merge_by_effect(self, elems: frozenset) -> frozenset:
-        """elems with the sequences of one packet effect (one output
-        packet) merged into one, and a poison for each variable two of
-        them write."""
+        """elems with the sequences of each packet effect (one output
+        packet) merged into one; sequences of one effect that write one
+        variable stay apart beside a poison for it."""
         r = self._merged.get(elems)
         if r is not None:
             return r
