@@ -543,9 +543,10 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
             sound[(u, v)] = walk_rules(u, v, path)
     for (u, v), want in sound.items():
         for sid, (act, arg) in want.items():
-            cfg = bundle.configs.get(sid)
-            have = cfg.resolved.get((u, v)) if cfg is not None else None
-            if cfg is not None and have is None:
+            if sid not in bundle.configs:
+                continue
+            have = bundle.configs[sid].resolved.get((u, v))
+            if have is None:
                 problems.append(f"switch {sid}: no rule for flow ({u},{v}), "
                                 "whose walk passes it")
             elif (sid, (u, v)) in rules and have != (act, arg):
