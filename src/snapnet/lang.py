@@ -221,29 +221,6 @@ def is_predicate(p: Policy) -> bool:
     return False
 
 
-def state_vars(p: Policy) -> set:
-    """All state variables mentioned anywhere in p."""
-    out: set = set()
-
-    def go(n):
-        if isinstance(n, (StateTest, StateSet, Incr, Decr)):
-            out.add(n.var)
-        elif isinstance(n, Neg):
-            go(n.p)
-        elif isinstance(n, (Or, And, Par, Seq)):
-            go(n.p)
-            go(n.q)
-        elif isinstance(n, If):
-            go(n.cond)
-            go(n.then)
-            go(n.els)
-        elif isinstance(n, Atomic):
-            go(n.p)
-
-    go(p)
-    return out
-
-
 # ---------------------------------------------------------------- lexer
 
 KEYWORDS = {

@@ -97,7 +97,7 @@ class MILPModel:
     topo: object
     flows: dict                                 # (u,v) -> (demand, vars tuple)
     state_vars: tuple = ()
-    tied: frozenset = frozenset()
+    groups: tuple = ()                          # variables placed together
     dep: frozenset = frozenset()
     fixed: dict | None = None                   # TE-mode placement
 
@@ -177,7 +177,7 @@ def build_milp(topo, demand, order, fixed: dict | None = None) -> MILPModel:
     for (u, v), vol in sorted(topo.demands.items()):
         flows[(u, v)] = (vol, tuple(demand.states_for(u, v)))
     return MILPModel(topo=topo, flows=flows, state_vars=state_vars,
-                     tied=order.tied, dep=order.dep,
+                     groups=tuple(order.groups), dep=order.dep,
                      fixed=dict(fixed) if fixed is not None else None)
 
 
@@ -350,12 +350,12 @@ def _rows(m: MILPModel):
         for s in m.state_vars:
             yield constraint(f"place_{_san(s)}",
                              {pname(s, n): 1.0 for n in nodes}, "=", 1.0)
-        for pair in sorted(m.tied, key=sorted):
-            s, t = sorted(pair)
-            for n in nodes:
-                yield constraint(f"tied_{_san(s)}_{_san(t)}_{_san(n)}",
-                                 {pname(s, n): 1.0, pname(t, n): -1.0},
-                                 "=", 0.0)
+        for group in m.groups:
+            for s, t in itertools.combinations(group, 2):
+                for n in nodes:
+                    yield constraint(f"tied_{_san(s)}_{_san(t)}_{_san(n)}",
+                                     {pname(s, n): 1.0, pname(t, n): -1.0},
+                                     "=", 0.0)
 
 
 # ---------------------------------------------------------------- export
@@ -724,8 +724,7 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
         return Solution(placement, routing, obj,
                         exact=not overloaded_links(topo, routing))
 
-    # group variables that must be co-located
-    groups = _placement_groups(m)
+    groups = m.groups
     total = len(nodes) ** len(groups) if groups else 1
     exhaustive = total <= budget
 
@@ -779,26 +778,6 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     return Solution(placement, routing, obj,
                     exact=exhaustive and not overloaded_links(topo, routing),
                     candidates=len(scored), examined=examined)
-
-
-def _placement_groups(m: MILPModel) -> list:
-    """Tied variables share a group; each group is placed as a unit."""
-    parent = {s: s for s in m.state_vars}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pair in m.tied:
-        a, b = sorted(pair)
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
-    buckets: dict = {}
-    for s in m.state_vars:
-        buckets.setdefault(find(s), []).append(s)
-    return [sorted(g) for _, g in sorted(buckets.items())]
 
 
 def _shortlists(m: MILPModel, groups: list, nodes: list,

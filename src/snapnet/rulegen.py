@@ -24,6 +24,8 @@ Execution protocol (shared with the simulator):
     per-packet result is order-independent).  Once none remain, the field
     modifications are applied, the egress port is final, and the packet is
     routed to it and emitted with the header stripped.
+The simulator carries the header with the entry packet as one record,
+`simnet._Copy`, whose docstring gives its fields.
 """
 
 from __future__ import annotations
@@ -31,31 +33,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import deps, lang, opt, psm, xfdd
 from .errors import InputError
 from .values import value_from_json, value_to_json
-
-UNRESOLVED = "unresolved"
-DONE = "done"
-
-
-@dataclass(frozen=True)
-class SnapHeader:
-    """Virtual metadata record present on every inter-switch hop and
-    stripped at egress.  `resume_node` is ("node", id) while the packet is
-    mid-diagram, ("leaf", id, elem) while one action sequence is running,
-    or DONE once the packet effect is final.  `action_offset` is the
-    lowest-numbered atom still to run; `done_atoms` holds atoms already
-    run out of order at owners passed en route; `emitter` is False for
-    forked copies that only carry state updates."""
-    obs_inport: int
-    obs_outport: object = UNRESOLVED
-    resume_node: object = ("node", 0)
-    action_offset: int = 0
-    done_atoms: frozenset = frozenset()
-    emitter: bool = True
 
 
 @dataclass
@@ -179,8 +161,21 @@ def walk_rules(u, v, path) -> dict:
     return rules
 
 
-def gen_routing(routing: dict, placement: dict, demand, topo,
-                dep=frozenset()) -> tuple:
+def group_hops(path, a, owner) -> set:
+    """The next hops a waiting-packet group of switch `a` may give a flow
+    with walk `path` for a variable stored at `owner`: for each visit to
+    the owner, the hop after a's last visit before it."""
+    hops = set()
+    last = None
+    for i, n in enumerate(path):
+        if n == owner and last is not None:
+            hops.add(path[last + 1])
+        if n == a:
+            last = i
+    return hops
+
+
+def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
     """Per-switch routing tables for `routing` ({(u, v): walk}).
 
     Resolved rules, keyed (obs_inport, obs_outport): next hop along the
@@ -342,12 +337,18 @@ def _config_to_json(c: SwitchConfig) -> dict:
     }
 
 
+def _tag_from_json(v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"tag {v!r} is not a port")
+    return v
+
+
 def _config_from_json(d: dict) -> SwitchConfig:
     nodes = dict(_node_from_json(n) for n in d["nodes"])
     resolved = {(r["inport"], r["outport"]): (r["action"], r["arg"])
                 for r in d["rules"]["resolved"]}
     unresolved = {(r["inport"], r["var"]):
-                  tuple((g["weight"], g["tag"], g["next"])
+                  tuple((g["weight"], _tag_from_json(g["tag"]), g["next"])
                         for g in r["group"])
                   for r in d["rules"]["unresolved"]}
     return SwitchConfig(
@@ -460,12 +461,18 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     topology, none of them twice.  The resolved rules must follow the
     walks (`walk_rules`): every switch on a walk holds the flow's rule,
     and no switch holds a rule for a flow whose walk does not pass it.
-    A rule or walk that fails one of the checks before is not compared,
-    and nor is a rule of a demand that has no walk: its one problem is
-    already listed.  Returns a list of problem strings (empty means
-    ok)."""
+    Each row (w, v, next) of switch a's waiting-packet group (u, s) must
+    be one that `gen_routing` could give: the walk of flow (u, v) visits
+    s's owner after a, `next` is the hop after a's last visit before
+    that, and w is the flow's demand (`group_hops`).  Whether every flow
+    that needs s has a row is not checked: the bundle does not say which
+    variables a flow needs.  A rule or walk that fails one of the checks
+    before is not compared, and nor is a rule of a demand that has no
+    walk: its one problem is already listed.  Returns a list of problem
+    strings (empty means ok)."""
     problems = []
     rules: dict = {}    # (switch, flow) -> a resolved rule of sound shape
+    rows: list = []     # (switch, u, s, row): group rows of sound shape
     for s, sid in sorted(bundle.placement.items()):
         if sid not in topo.nodes:
             problems.append(f"placement of {s!r} on unknown switch {sid!r}")
@@ -508,22 +515,25 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                     "one of its external ports")
             else:
                 rules[(sid, (u, v))] = (act, arg)
-        for (u, s), rows in cfg.unresolved.items():
+        for (u, s), group in cfg.unresolved.items():
+            placed = bundle.placement.get(s) in topo.nodes
             if s not in bundle.placement:
                 problems.append(
                     f"switch {sid}: rule ({u},{s!r}) names a variable with "
                     "no placement")
-            for _, _, nh in rows:
-                if nh not in nbrs:
+            for row in group:
+                if row[2] not in nbrs:
                     problems.append(
-                        f"switch {sid}: rule ({u},{s!r}) next hop {nh!r} "
+                        f"switch {sid}: rule ({u},{s!r}) next hop {row[2]!r} "
                         "is not a neighbor")
+                elif placed:
+                    rows.append((sid, u, s, row))
     for sid in topo.nodes:
         if sid not in bundle.configs:
             problems.append(f"switch {sid!r} has no config")
     problems.extend(f"flow ({u},{v}) has no walk" for u, v
                     in sorted(set(topo.demands) - set(bundle.routing)))
-    sound: dict = {}    # flow -> walk_rules of a walk that passed its checks
+    sound: dict = {}    # flow -> its walk, if that passed the checks
     for (u, v), path in bundle.routing.items():
         if (u, v) not in topo.demands:
             problems.append(f"walk of flow ({u},{v}), which is not a "
@@ -540,9 +550,9 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
         if len(set(hops)) < len(hops):
             problems.append(f"walk of flow ({u},{v}) reuses a link")
         if len(problems) == before:
-            sound[(u, v)] = walk_rules(u, v, path)
-    for (u, v), want in sound.items():
-        for sid, (act, arg) in want.items():
+            sound[(u, v)] = path
+    for (u, v), path in sound.items():
+        for sid, (act, arg) in walk_rules(u, v, path).items():
             if sid not in bundle.configs:
                 continue
             have = bundle.configs[sid].resolved.get((u, v))
@@ -561,4 +571,22 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
         elif (u, v) not in bundle.routing and (u, v) not in topo.demands:
             problems.append(f"switch {sid}: rule ({u},{v}) is for a flow "
                             "with no walk")
+    for sid, u, s, (w, v, nh) in rows:
+        says = f"switch {sid}: group ({u},{s!r}) row ({u},{v})"
+        path = sound.get((u, v))
+        if path is None:
+            if (u, v) not in bundle.routing and (u, v) not in topo.demands:
+                problems.append(f"{says} is for a flow with no walk")
+            continue
+        owner = bundle.placement[s]
+        hops = group_hops(path, sid, owner)
+        if not hops:
+            problems.append(f"{says} is for a flow whose walk does not "
+                            f"pass it before {owner}")
+        elif nh not in hops:
+            problems.append(f"{says} forwards to {nh!r}, but the flow's walk "
+                            "gives " + " or ".join(map(repr, sorted(hops))))
+        elif w != topo.demands[(u, v)]:
+            problems.append(f"{says} weighs {w!r}, but the flow's demand is "
+                            f"{topo.demands[(u, v)]!r}")
     return problems

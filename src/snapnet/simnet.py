@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from . import lang, rulegen, xfdd
 from .errors import EvalError, InputError
 from .interp import _incr_value, eval_expr, eval_index, pkt_key
-from .rulegen import DONE, UNRESOLVED, SnapHeader
 from .values import (canon_key, test_match, value_from_loose, value_to_json,
                      values_equal)
 
@@ -57,12 +56,30 @@ class TraceEvent:
     detail: object = None  # emit | drop | fork | tag
 
 
+DONE = "done"
+
+
 @dataclass
 class _Copy:
-    """One in-flight packet copy: entry body plus protocol header."""
+    """One in-flight packet copy: the entry packet and the header the
+    protocol (see `rulegen`) carries with it from switch to switch, and
+    strips at egress.  `inport` is the port the packet entered at;
+    `outport` its egress port, None until a group tags the copy with a
+    path or its effect is final.  `resume` is where processing resumes:
+    ("node", nid) mid-diagram, ("leaf", nid, elem, offset) while action
+    sequence `elem` of leaf `nid` runs, `offset` being its lowest state
+    operation still to run, or DONE once the effect is final.  `done`
+    holds the state operations already run out of order at owners passed
+    en route; `emitter` is False for forked copies that only carry state
+    updates; `hops` counts the links crossed since injection, forks
+    included."""
     body: dict
-    hdr: SnapHeader
-    hops: int = 0         # links crossed since injection, forks included
+    inport: int
+    outport: object
+    resume: object
+    done: set
+    emitter: bool
+    hops: int
 
 
 class SimNetwork:
@@ -157,9 +174,8 @@ class SimNetwork:
             raise ValueError(f"unknown mode {mode!r}")
         self._mode = mode
         sid = self.topo.node_of_port(port)
-        hdr = SnapHeader(obs_inport=port, obs_outport=UNRESOLVED,
-                         resume_node=("node", self.bundle.root))
-        copy = _Copy(dict(pkt), hdr)
+        copy = _Copy(dict(pkt), port, None, ("node", self.bundle.root),
+                     set(), True, 0)
         self.injected += 1
         if self.events:
             self._log(sid, pkt, "ingress", port)
@@ -182,7 +198,7 @@ class SimNetwork:
         link = (a, b)
         copy.hops += 1
         if copy.hops > self.max_hops:
-            raise EvalError(f"a packet from port {copy.hdr.obs_inport} "
+            raise EvalError(f"a packet from port {copy.inport} "
                             f"crossed {self.max_hops} links and loops on "
                             f"{a}->{b}")
         q = self._linkq.setdefault(link, [])
@@ -242,50 +258,41 @@ class SimNetwork:
         cur[pick] -= total
         return rows[pick]
 
-    def _forward_blocked(self, sid: str, copy: _Copy, key):
-        cfg = self.bundle.configs[sid]
-        u = copy.hdr.obs_inport
+    def _forward_blocked(self, sid: str, copy: _Copy):
+        u, key = copy.inport, copy.resume
         var = self.points[key]
-        rows = cfg.unresolved.get((u, var))
+        rows = self.bundle.configs[sid].unresolved.get((u, var))
         if rows:
             chosen = None
-            if copy.hdr.obs_outport != UNRESOLVED:
+            if copy.outport is not None:
                 for row in rows:
-                    if row[1] == copy.hdr.obs_outport:
+                    if row[1] == copy.outport:
                         chosen = row
                         break
             if chosen is None:
                 chosen = self._swrr(sid, u, key, rows)
-                copy.hdr = SnapHeader(
-                    u, chosen[1], copy.hdr.resume_node,
-                    copy.hdr.action_offset, copy.hdr.done_atoms,
-                    copy.hdr.emitter)
+                copy.outport = chosen[1]
                 if self.events:
                     self._log(sid, copy.body, "tag", (key, chosen[1]))
             self._send(sid, chosen[2], copy)
             return
+        copy.outport = None
         owner = self.bundle.placement[var]
-        copy.hdr = SnapHeader(u, UNRESOLVED, copy.hdr.resume_node,
-                              copy.hdr.action_offset, copy.hdr.done_atoms,
-                              copy.hdr.emitter)
         self._send(sid, self._fallback_next(sid, owner), copy)
 
     # -- per-switch execution (atomic)
 
     def _process(self, sid: str, copy: _Copy):
         self.processed[sid] += 1
-        hdr = copy.hdr
-        if hdr.resume_node == DONE:
+        key = copy.resume
+        if key == DONE:
             self._route_final(sid, copy)
-        elif hdr.resume_node[0] == "node":
-            self._run_nodes(sid, copy, hdr.resume_node[1])
+        elif key[0] == "node":
+            self._run_nodes(sid, copy, key[1])
+        elif key[1] in self.bundle.configs[sid].nodes:
+            self._run_leaf(sid, copy)
         else:
-            _, nid, ei = hdr.resume_node
-            if nid in self.bundle.configs[sid].nodes:
-                self._run_leaf(sid, copy, nid, ei)
-            else:
-                self._forward_blocked(
-                    sid, copy, ("leaf", nid, ei, hdr.action_offset))
+            self._forward_blocked(sid, copy)
 
     def _run_nodes(self, sid: str, copy: _Copy, nid: int):
         """Walk the switch's fragment from node `nid` down to a leaf, which
@@ -296,11 +303,8 @@ class SimNetwork:
         while True:
             node = nodes.get(nid)
             if node is None:
-                key = ("node", nid)
-                copy.hdr = SnapHeader(
-                    copy.hdr.obs_inport, copy.hdr.obs_outport, key, 0,
-                    frozenset(), copy.hdr.emitter)
-                self._forward_blocked(sid, copy, key)
+                copy.resume = ("node", nid)
+                self._forward_blocked(sid, copy)
                 return
             if node[0] == "leaf":
                 self._fork(sid, copy, nid)
@@ -354,19 +358,19 @@ class SimNetwork:
                     key = pkt_key(final)
                     emitter = key not in seen
                     seen.add(key)
-            hdr = SnapHeader(copy.hdr.obs_inport, copy.hdr.obs_outport,
-                             ("leaf", nid, ei), 0, frozenset(), emitter)
-            copies.append(_Copy(dict(copy.body), hdr, copy.hops))
+            copies.append(_Copy(dict(copy.body), copy.inport, copy.outport,
+                                ("leaf", nid, ei, 0), set(), emitter,
+                                copy.hops))
         if many and self.events:
             self._log(sid, copy.body, "fork", (nid, len(copies)))
         for c in copies:
-            self._run_leaf(sid, c, nid, c.hdr.resume_node[2])
+            self._run_leaf(sid, c)
 
-    def _run_leaf(self, sid: str, copy: _Copy, nid: int, ei: int):
-        elems = self.bundle.configs[sid].nodes[nid][1]
-        elem = elems[ei]
+    def _run_leaf(self, sid: str, copy: _Copy):
+        _, nid, ei, _ = copy.resume
+        elem = self.bundle.configs[sid].nodes[nid][1][ei]
         owns = self.bundle.configs[sid].state_tables
-        done = set(copy.hdr.done_atoms)
+        done = copy.done
         pending = [k for k, a in enumerate(elem)
                    if lang.is_state_op(a) and k not in done]
         for k in pending[:]:
@@ -386,25 +390,22 @@ class SimNetwork:
             done.add(k)
             pending.remove(k)
         if pending:
-            off = min(pending)
-            copy.hdr = SnapHeader(copy.hdr.obs_inport, copy.hdr.obs_outport,
-                                  ("leaf", nid, ei), off, frozenset(done),
-                                  copy.hdr.emitter)
-            self._forward_blocked(sid, copy, ("leaf", nid, ei, off))
+            copy.resume = ("leaf", nid, ei, pending[0])
+            self._forward_blocked(sid, copy)
             return
         dropped, final = self._final_packet(elem, copy.body)
-        if dropped or not copy.hdr.emitter:
+        if dropped or not copy.emitter:
             if self.events:
                 self._log(sid, copy.body, "drop",
                           "dropped" if dropped else "duplicate-copy")
             return
         copy.body = final
-        copy.hdr = SnapHeader(copy.hdr.obs_inport, final.get("outport"),
-                              DONE, 0, frozenset(), True)
+        copy.outport = final.get("outport")
+        copy.resume = DONE
         self._route_final(sid, copy)
 
     def _route_final(self, sid: str, copy: _Copy):
-        v = copy.hdr.obs_outport
+        v = copy.outport
         ports = self.topo.nodes[sid].external_ports
         if v in ports:
             # header stripped: the emitted packet is the bare body
@@ -418,8 +419,7 @@ class SimNetwork:
             if self.events:
                 self._log(sid, copy.body, "drop", f"unknown egress port {v}")
             return
-        rule = self.bundle.configs[sid].resolved.get(
-            (copy.hdr.obs_inport, v))
+        rule = self.bundle.configs[sid].resolved.get((copy.inport, v))
         if rule is not None and rule[0] == "fwd":
             self._send(sid, rule[1], copy)
         else:

@@ -569,11 +569,10 @@ class Arena:
 # ---------------------------------------------------------------- builder
 
 class Builder:
-    def __init__(self, prog: lang.Program, order: OrderSpec,
-                 arena: Arena | None = None):
+    def __init__(self, prog: lang.Program, order: OrderSpec):
         self.prog = prog
         self.order = order
-        self.arena = arena if arena is not None else Arena(order)
+        self.arena = Arena(order)
         # computed tables, as in a BDD package: each keeps the results of
         # one function that reads no path context, keyed only by what the
         # arena interns (tests, node ids, element sets, runs), so no table

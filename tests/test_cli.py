@@ -282,6 +282,19 @@ def _set_rule(kind, inport, key, field, value):
     return damage
 
 
+def _set_row(inport, var, tag, field, value):
+    """Bundle damage: set `field` of the row tagged `tag` in the
+    waiting-packet group of (`inport`, `var`)."""
+    def damage(d):
+        for r in d["rules"]["unresolved"]:
+            if (r["inport"], r["var"]) == (inport, var):
+                for row in r["group"]:
+                    if row["tag"] == tag:
+                        row[field] = value
+        return d
+    return damage
+
+
 def _add_rule(inport, outport, action, arg):
     """Bundle damage: add a resolved rule."""
     def damage(d):
@@ -343,11 +356,14 @@ def _set_walk(i, nodes):
      "flow (1,2) is listed twice"),
     ("switch/D4.json", lambda d: [d], "not a JSON object"),
     ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable"),
-    ("switch/I1.json", _old_format_rules, "missing key 'var'")],
+    ("switch/I1.json", _old_format_rules, "missing key 'var'"),
+    ("switch/I1.json", _set_row(1, "established", 2, "tag", [2]),
+     "tag [2] is not a port")],
     ids=["placement-no-mode", "placement-value-a-list", "routing-no-flows",
          "routing-weighted-paths", "routing-walk-a-string",
          "routing-walk-empty", "routing-flow-twice", "switch-a-list",
-         "switch-nodes-a-number", "switch-rules-keyed-by-resume-point"])
+         "switch-nodes-a-number", "switch-rules-keyed-by-resume-point",
+         "group-tag-a-list"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3."""
     bundle = tmp_path / "b"
@@ -485,13 +501,16 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     ("switch/C3.json", _add_rule(1, 2, "fwd", "C5"),
      "switch C3: rule (1,2) is for a flow whose walk does not pass it"),
     ("switch/I1.json", _add_rule(1, 1, "emit", 1),
-     "switch I1: rule (1,1) is for a flow with no walk")],
+     "switch I1: rule (1,1) is for a flow with no walk"),
+    ("switch/C1.json", _set_row(1, "established", 2, "next", "I1"),
+     "switch C1: group (1,'established') row (1,2) forwards to 'I1', but "
+     "the flow's walk gives 'C5'")],
     ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
          "unplaced-var", "flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
          "walk-crosses-no-link", "walk-reuses-a-link", "fwd-off-the-walk",
          "emit-on-the-walk", "no-rule-on-the-walk", "rule-off-the-walk",
-         "rule-without-walk"])
+         "rule-without-walk", "group-off-the-walk"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
     """A rule that forwards to a switch that is not a neighbour, emits on
@@ -503,7 +522,9 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     a resolved rule that does not follow the walk of its flow: one that
     sends the packet elsewhere (C6 to C4 sends flow (1,2) off its walk
     I1-C1-C5-C6-C2-I2), one missing on the walk, one at a switch off the
-    walk, and one for a flow with no walk."""
+    walk, and one for a flow with no walk; and a waiting-packet group row
+    that sends the flow off its walk (C1 back to I1 before the owner C5
+    of `established`)."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),
@@ -523,31 +544,41 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     assert err == f"bad input: inconsistent bundle: {says}\n"
 
 
+# simulate, with C1's group for packets from port 1 that wait on
+# `established` sent back to I1 once the bundle has passed its checks
+LOOPING_SIMULATE = """
+import sys
+from snapnet import cli, simnet
+load = simnet.load
+def load_then_loop(*args, **kwargs):
+    net = load(*args, **kwargs)
+    group = net.bundle.configs["C1"].unresolved
+    group[1, "established"] = tuple((w, v, "I1")
+                                    for w, v, _ in group[1, "established"])
+    return net
+simnet.load = load_then_loop
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
     """C1's group for packets from port 1 that wait on `established`
-    sends them back to I1, whose group sends them to C1 again.  Groups
-    are not yet checked against the walks, so the bundle loads, but
-    simulate stops the copy once it crosses more links than any walk may
-    (12 switches x (1 state variable + 1)) and exits 3.  It runs in a
-    child process with a timeout, so a loop fails this test instead of
-    hanging the suite."""
+    sends them back to I1, whose group sends them to C1 again.  `check`
+    rejects such a group, so it is changed after `simnet.load` has
+    checked the bundle; simulate stops the copy once it crosses more
+    links than any walk may (12 switches x (1 state variable + 1)) and
+    exits 3.  It runs in a child process with a timeout, so a loop fails
+    this test instead of hanging the suite."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
     assert code == 0
-    path = bundle / "switch" / "C1.json"
-    d = json.loads(path.read_text())
-    for r in d["rules"]["unresolved"]:
-        if (r["inport"], r["var"]) == (1, "established"):
-            for row in r["group"]:
-                row["next"] = "I1"
-    path.write_text(json.dumps(d))
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps({"port": 1, "packet": {
         "srcip": "10.0.1.10", "dstip": "10.0.3.10", "inport": 1,
         "outport": 1}}) + "\n")
-    r = subprocess.run([sys.executable, "-m", "snapnet.cli", "simulate",
+    r = subprocess.run([sys.executable, "-c", LOOPING_SIMULATE, "simulate",
                         "--bundle", str(bundle), "--topo", TOPO,
                         "--trace", str(trace)],
                        capture_output=True, text=True, timeout=30)

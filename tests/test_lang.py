@@ -147,9 +147,3 @@ def test_compose_conjoins_assumptions():
     b = lang.parse("field g : small in {0, 1};\nassume g = 1;\nid")
     c = lang.compose(a, b)
     assert isinstance(c.assumption, lang.And)
-
-
-def test_state_vars_collection():
-    prog = lang.parse(policy_src("dns-tunnel-detect"))
-    assert lang.state_vars(prog.body) == {"orphan", "susp-client",
-                                          "blacklist"}

@@ -272,6 +272,47 @@ def test_compiled_rules_follow_the_walks():
     assert rulegen.validate_bundle(bundle, t) == []
 
 
+def test_each_group_row_fault_is_one_problem():
+    """A waiting-packet group row is reported once for each fault: a row
+    for a flow with no walk, one at a switch the flow's walk passes only
+    after the owner, one that forwards off the walk, and one whose weight
+    is not the flow's demand.  Flow (1,2) walks I1-C1-C5-C6-C2-I2 and
+    `established` is on C5."""
+    _, t, bundle = compile_named(["stateful-fw", "assign-egress"])
+    assert bundle.routing[(1, 2)] == ("I1", "C1", "C5", "C6", "C2", "I2")
+    assert bundle.placement == {"established": "C5"}
+    c1 = bundle.configs["C1"].unresolved
+    rows = {v: (w, v, nh) for w, v, nh in c1[(1, "established")]}
+    rows[2] = (2.5, 2, "C5")
+    rows[3] = (1.0, 3, "I1")
+    rows[1] = (1.0, 1, "C5")
+    c1[(1, "established")] = tuple(rows.values())
+    bundle.configs["C6"].unresolved[(1, "established")] = ((1.0, 2, "C2"),)
+    assert rulegen.validate_bundle(bundle, t) == [
+        "switch C1: group (1,'established') row (1,2) weighs 2.5, but the "
+        "flow's demand is 1.0",
+        "switch C1: group (1,'established') row (1,3) forwards to 'I1', but "
+        "the flow's walk gives 'C5'",
+        "switch C1: group (1,'established') row (1,1) is for a flow with no "
+        "walk",
+        "switch C6: group (1,'established') row (1,2) is for a flow whose "
+        "walk does not pass it before C5"]
+
+
+def test_group_hops_keep_the_last_visit_before_each_owner_visit():
+    """A switch visited twice before the owner gives the hop after its
+    later visit; a walk that visits the owner twice allows the hop before
+    each visit."""
+    walk = ("A", "B", "A", "C", "D", "C", "B", "E")
+    assert rulegen.group_hops(walk, "A", "C") == {"C"}
+    assert rulegen.group_hops(walk, "B", "C") == {"A"}
+    assert rulegen.group_hops(walk, "D", "C") == {"C"}
+    assert rulegen.group_hops(walk, "E", "C") == set()
+    assert rulegen.group_hops(walk, "C", "C") == {"D"}
+    assert rulegen.group_hops(("A", "O", "A", "X", "O"), "A", "O") == {
+        "O", "X"}
+
+
 def test_revisited_switch_forwards_the_later_way():
     """A switch a walk passes twice forwards the flow the way the walk
     leaves its last visit; the way it leaves the first visit is reported."""

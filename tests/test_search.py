@@ -58,7 +58,7 @@ def reference(m, budget: int):
     lists, the constant part of every objective, and per candidate its
     placement and (routing, objective), or None when it is infeasible."""
     nodes = sorted(m.topo.nodes)
-    groups = opt._placement_groups(m)
+    groups = m.groups
     exhaustive = len(nodes) ** len(groups) <= budget
     if exhaustive:
         cand = [nodes] * len(groups)
@@ -159,17 +159,22 @@ def ring(n: int, ports: dict):
 
 
 def test_tie_break_prefers_smallest_sorted_placement():
-    """On a five-switch ring several placements tie.  a and c are tied,
+    """On a six-switch ring several placements tie.  a and c are tied,
     and their group is enumerated after b's, so enumeration meets the
-    winner (a, c on N2; b on N3) only after another tie: the search must
-    keep routing candidates whose bound equals the incumbent."""
-    nodes, links = ring(5, {2: 1, 3: 2, 4: 3})
-    t = topo.Topology(nodes, links, {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
+    winner (a, c on N0; b on N4) only after another tie: the search must
+    keep routing candidates whose bound equals the incumbent.  The
+    groups are enumerated in `deps` order, which puts b's first only
+    because b must run before a; no flow needs both, so that changes no
+    walk.  Groups that no dependency orders come by least name, the
+    order the tie-break sorts placements in, and then the first tie met
+    is the winner."""
+    nodes, links = ring(6, {0: 1, 2: 2, 3: 3})
+    t = topo.Topology(nodes, links, {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 1.0})
     t.validate()
     order = deps.order_spec(deps.DependencyGraph(
-        frozenset("abc"), frozenset({("a", "c"), ("c", "a")})))
-    demand = psm.StateDemand({(1, 2): ("a", "c", "b"),
-                              (1, 3): ("a", "c", "b")})
+        frozenset("abc"), frozenset({("a", "c"), ("c", "a"), ("b", "a")})))
+    assert order.groups == [["b"], ["a", "c"]]
+    demand = psm.StateDemand({(1, 2): ("a", "c"), (1, 3): ("b",)})
     m = opt.build_milp(t, demand, order)
     *_, out = reference(m, 4096)
     obj, _, placement, _ = best_of(out)
@@ -177,6 +182,6 @@ def test_tie_break_prefers_smallest_sorted_placement():
     assert len(ties) > 1
     assert ties[0] != placement
     sol = opt.solve_builtin(m)
-    assert sol.placement == placement == {"a": "N2", "b": "N3", "c": "N2"}
+    assert sol.placement == placement == {"a": "N0", "b": "N4", "c": "N0"}
     assert sol.objective == obj
     assert sol.examined > 1
