@@ -18,6 +18,7 @@ not an integer).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -108,7 +109,8 @@ def cmd_deps(args) -> int:
     print(json.dumps({
         "groups": order.groups,
         "dep": sorted(list(p) for p in order.dep),
-        "tied": sorted(sorted(p) for p in order.tied),
+        "tied": sorted(list(p) for g in order.groups
+                       for p in itertools.combinations(g, 2)),
         "rank": order.state_rank,
     }, sort_keys=True))
     if args.dot:

@@ -141,10 +141,9 @@ def _tarjan(nodes: list, succ: dict) -> list:
 
 @dataclass
 class OrderSpec:
-    tied: frozenset            # unordered pairs frozenset({s, t}), same SCC
     dep: frozenset             # ordered cross-SCC pairs (s, t)
     state_rank: dict           # variable -> int, respecting dep
-    groups: list               # list of sorted variable lists, in order
+    groups: list               # tied groups (SCCs) as sorted lists, in order
 
 
 def expr_key(e) -> tuple:
@@ -197,19 +196,13 @@ def order_spec(g: DependencyGraph) -> OrderSpec:
             state_rank[v] = rank
             rank += 1
 
-    tied = set()
-    for comp in groups:
-        for i in range(len(comp)):
-            for j in range(i + 1, len(comp)):
-                tied.add(frozenset({comp[i], comp[j]}))
-
     dep = set()
     for s, t in g.edges:
         if comp_of[s] != comp_of[t]:
             dep.add((s, t))
 
-    return OrderSpec(tied=frozenset(tied), dep=frozenset(dep),
-                     state_rank=state_rank, groups=groups)
+    return OrderSpec(dep=frozenset(dep), state_rank=state_rank,
+                     groups=groups)
 
 
 def order_spec_program(prog: lang.Program) -> OrderSpec:

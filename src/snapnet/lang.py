@@ -228,10 +228,6 @@ KEYWORDS = {
     "state", "field", "default", "assume", "in", "True", "False",
 }
 
-_SYMBOLS = ("<-", "++", "--", ";", "+", "|", "&", "!", "(", ")",
-            "{", "}", "[", "]", "=", ",", ":", "/")
-
-
 @dataclass(frozen=True)
 class Token:
     kind: str      # IDENT NUM IP PREFIX SYM KEYWORD EOF
@@ -488,17 +484,10 @@ class _Parser:
 
     def predicate(self) -> Policy:
         """`|`/`&`/`!` chain without the seq level (used after `assume`)."""
-        p = self.pred_and()
+        p = self.and_()
         while self.at("SYM", "|"):
             t = self.next()
-            p = Or(p, self.pred_and(), span=Span(t.line, t.col))
-        return p
-
-    def pred_and(self) -> Policy:
-        p = self.not_()
-        while self.at("SYM", "&"):
-            t = self.next()
-            p = And(p, self.not_(), span=Span(t.line, t.col))
+            p = Or(p, self.and_(), span=Span(t.line, t.col))
         return p
 
     def par(self) -> Policy:

@@ -4,8 +4,9 @@
 needed state variables, the dependency and tie relations, and, in TE mode,
 the fixed placement.  Its mixed-integer model over per-flow link
 indicators (R, binary: each flow takes one walk), placement indicators
-(P), and processed-flow fractions (PS) is generated flow by flow each
-time its rows are read, and no one keeps the
+(P, binary), and processed-flow fractions (PS) has the same rows in both
+modes; TE mode only fixes the bounds of each P to 0 or 1.  The rows are
+generated flow by flow each time they are read, and no one keeps the
 rows: `check_solution` walks them once, keeping only violations, and
 `export_lp` (CPLEX-LP text for external solvers) sorts them by name.  The
 built-in solver never reads them: it handles desk-scale instances with a
@@ -93,7 +94,8 @@ class MILPModel:
     `binaries` are built together by `_fill_columns` the first time any
     of them is read (by `export_lp` or `variables`), and kept.  A `fixed`
     placement (state var -> switch) makes it a TE-mode model: routing
-    only, with the placement indicators as constants."""
+    only, with each placement indicator bounded to its value under the
+    placement; the rows are the same as without it."""
     topo: object
     flows: dict                                 # (u,v) -> (demand, vars tuple)
     state_vars: tuple = ()
@@ -154,10 +156,10 @@ class Solution:
 
 def build_milp(topo, demand, order, fixed: dict | None = None) -> MILPModel:
     """demand: psm.StateDemand; order: deps.OrderSpec.  A `fixed`
-    placement (state var -> switch) selects TE mode and is taken as
-    constants; it must place every state variable, and only those, on a
-    switch of `topo` (`InputError` otherwise).  Without it the placement
-    is searched (ST mode).
+    placement (state var -> switch) selects TE mode and fixes the bounds
+    of the placement indicators; it must place every state variable, and
+    only those, on a switch of `topo` (`InputError` otherwise).  Without
+    it the placement is searched (ST mode).
 
     Cheap: it collects each flow's volume and needed variables and the
     state variables in rank order.  The LP rows are generated only when
@@ -183,7 +185,8 @@ def build_milp(topo, demand, order, fixed: dict | None = None) -> MILPModel:
 
 def _fill_columns(m: MILPModel) -> None:
     """Build the objective, bounds and binaries of `m` and store all three
-    on it."""
+    on it.  The one place the modes differ: in TE mode each placement
+    indicator is fixed, to 1 on the switch of `m.fixed` and 0 elsewhere."""
     topo = m.topo
     links = sorted(topo.links.items())
     objective: dict = {}
@@ -197,9 +200,16 @@ def _fill_columns(m: MILPModel) -> None:
             bounds[name] = (0.0, 1.0)
             for s in svars:
                 bounds[psname(s, u, v, i, j)] = (0.0, 1.0)
-    places = ([pname(s, n) for s in m.state_vars for n in topo.nodes]
-              if m.fixed is None else [])
-    bounds.update(dict.fromkeys(places, (0.0, 1.0)))
+    places = []
+    for s in m.state_vars:
+        for n in topo.nodes:
+            name = pname(s, n)
+            places.append(name)
+            if m.fixed is None:
+                bounds[name] = (0.0, 1.0)
+            else:
+                on = 1.0 if m.fixed[s] == n else 0.0
+                bounds[name] = (on, on)
     m.__dict__.update(objective=objective, bounds=bounds,
                       binaries=frozenset(objective).union(places))
 
@@ -207,8 +217,8 @@ def _fill_columns(m: MILPModel) -> None:
 def _rows(m: MILPModel):
     """Generate the constraint rows of `m`: each flow's rows, flow by flow,
     then the capacity, placement and tie rows.  Each row is built on its
-    own and kept by no one."""
-    topo, fixed = m.topo, m.fixed
+    own and kept by no one.  The rows are the same in both modes."""
+    topo = m.topo
     nodes = sorted(topo.nodes)
     links = sorted(topo.links)
     in_of: dict = {n: [] for n in nodes}
@@ -217,15 +227,7 @@ def _rows(m: MILPModel):
         out_of[i].append((i, j))
         in_of[j].append((i, j))
 
-    def pval(s, n):
-        """In TE mode placement indicators are constants."""
-        if fixed is not None:
-            return None, 1.0 if fixed.get(s) == n else 0.0
-        return pname(s, n), None
-
     def constraint(name, coeffs: dict, sense: str, rhs: float) -> Constraint:
-        # fold constant (None-keyed) contributions into the rhs
-        rhs -= coeffs.pop(None, 0.0)
         items = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
         return Constraint(name, items, sense, float(rhs))
 
@@ -239,15 +241,8 @@ def _rows(m: MILPModel):
             # degenerate flow: never leaves its switch, so any needed state
             # must be placed there
             for s in svars:
-                var, const = pval(s, src)
-                if var is None:
-                    if const != 1.0:
-                        # impossible to satisfy; surface as an explicit row
-                        yield constraint(f"pin_{_san(s)}_u{fu}_v{fv}",
-                                         {None: const}, "=", 1.0)
-                else:
-                    yield constraint(f"pin_{_san(s)}_u{fu}_v{fv}",
-                                     {var: 1.0}, "=", 1.0)
+                yield constraint(f"pin_{_san(s)}_u{fu}_v{fv}",
+                                 {pname(s, src): 1.0}, "=", 1.0)
             continue
 
         moving.append((u, v, vol))
@@ -287,35 +282,23 @@ def _rows(m: MILPModel):
             for n in nodes:
                 if n == src:
                     continue
-                var, const = pval(s, n)
                 row = {rvars[l]: 1.0 for l in in_of[n]}
-                if var is None:
-                    row[None] = -const
-                else:
-                    row[var] = -1.0
+                row[pname(s, n)] = -1.0
                 yield constraint(f"cover_{fs}_u{fu}_v{fv}_{_san(n)}", row,
                                  ">=", 0.0)
             # processed-flow conservation (all nodes but the sink)
             for n in nodes:
                 if n == snk:
                     continue
-                var, const = pval(s, n)
                 row = {psvars[l]: 1.0 for l in in_of[n]}
                 for l in out_of[n]:
                     row[psvars[l]] = row.get(psvars[l], 0.0) - 1.0
-                if var is None:
-                    row[None] = row.get(None, 0.0) + const
-                else:
-                    row[var] = row.get(var, 0.0) + 1.0
+                row[pname(s, n)] = 1.0
                 yield constraint(f"pcons_{fs}_u{fu}_v{fv}_{_san(n)}", row,
                                  "=", 0.0)
             # everything reaching the sink has been processed
             row = {psvars[l]: 1.0 for l in in_of[snk]}
-            var, const = pval(s, snk)
-            if var is None:
-                row[None] = const
-            else:
-                row[var] = 1.0
+            row[pname(s, snk)] = 1.0
             yield constraint(f"pfull_{fs}_u{fu}_v{fv}", row, "=", 1.0)
 
         # ordering: when the flow needs both s and t with s before t, the
@@ -325,16 +308,8 @@ def _rows(m: MILPModel):
                 continue
             for n in nodes:
                 row = {psname(s, u, v, i, j): 1.0 for (i, j) in in_of[n]}
-                vs, cs = pval(s, n)
-                if vs is None:
-                    row[None] = row.get(None, 0.0) - cs
-                else:
-                    row[vs] = row.get(vs, 0.0) + 1.0
-                vt, ct = pval(t, n)
-                if vt is None:
-                    row[None] = row.get(None, 0.0) + ct
-                else:
-                    row[vt] = row.get(vt, 0.0) - 1.0
+                row[pname(s, n)] = 1.0
+                row[pname(t, n)] = -1.0
                 yield constraint(
                     f"ord_{_san(s)}_{_san(t)}_u{fu}_v{fv}_{_san(n)}",
                     row, ">=", 0.0)
@@ -346,16 +321,15 @@ def _rows(m: MILPModel):
                 {rname(u, v, i, j): vol for u, v, vol in moving}, "<=",
                 topo.links[(i, j)].capacity)
 
-    if fixed is None:
-        for s in m.state_vars:
-            yield constraint(f"place_{_san(s)}",
-                             {pname(s, n): 1.0 for n in nodes}, "=", 1.0)
-        for group in m.groups:
-            for s, t in itertools.combinations(group, 2):
-                for n in nodes:
-                    yield constraint(f"tied_{_san(s)}_{_san(t)}_{_san(n)}",
-                                     {pname(s, n): 1.0, pname(t, n): -1.0},
-                                     "=", 0.0)
+    for s in m.state_vars:
+        yield constraint(f"place_{_san(s)}",
+                         {pname(s, n): 1.0 for n in nodes}, "=", 1.0)
+    for group in m.groups:
+        for s, t in itertools.combinations(group, 2):
+            for n in nodes:
+                yield constraint(f"tied_{_san(s)}_{_san(t)}_{_san(n)}",
+                                 {pname(s, n): 1.0, pname(t, n): -1.0},
+                                 "=", 0.0)
 
 
 # ---------------------------------------------------------------- export
@@ -811,6 +785,9 @@ def _shortlists(m: MILPModel, groups: list, nodes: list,
 
 # ---------------------------------------------------------------- check
 
+CHECK_TOL = 1e-9            # slack `check_solution` allows on every row
+
+
 def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
     """Expand (Placement, Routing) into a full variable assignment.  A
     walk adds 1 to R per crossing of a link, and has passed a variable
@@ -833,8 +810,7 @@ def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
     return vals
 
 
-def check_solution(m: MILPModel, placement: dict, routing: dict,
-                   tol: float = 1e-9) -> list:
+def check_solution(m: MILPModel, placement: dict, routing: dict) -> list:
     """Independent re-verification of every constraint row, read once from
     the stream.  Returns the violations sorted by row name (empty means
     ok).  Capacity rows are checked like any other row."""
@@ -842,9 +818,9 @@ def check_solution(m: MILPModel, placement: dict, routing: dict,
     out = []
     for c in m.constraints:
         lhs = sum(coef * vals.get(var, 0.0) for var, coef in c.coeffs)
-        ok = (lhs <= c.rhs + tol if c.sense == "<=" else
-              lhs >= c.rhs - tol if c.sense == ">=" else
-              abs(lhs - c.rhs) <= tol)
+        ok = (lhs <= c.rhs + CHECK_TOL if c.sense == "<=" else
+              lhs >= c.rhs - CHECK_TOL if c.sense == ">=" else
+              abs(lhs - c.rhs) <= CHECK_TOL)
         if not ok:
             out.append(Violation(c.name, lhs, c.sense, c.rhs))
     return sorted(out, key=lambda v: v.constraint)

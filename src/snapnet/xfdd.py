@@ -526,8 +526,7 @@ class Context:
 class Arena:
     """Hash-consing arena; node ids are dense ints, structurally unique."""
 
-    def __init__(self, order: OrderSpec):
-        self.order = order
+    def __init__(self):
         self.nodes: list = []
         self._ids: dict = {}
 
@@ -572,7 +571,7 @@ class Builder:
     def __init__(self, prog: lang.Program, order: OrderSpec):
         self.prog = prog
         self.order = order
-        self.arena = Arena(order)
+        self.arena = Arena()
         # computed tables, as in a BDD package: each keeps the results of
         # one function that reads no path context, keyed only by what the
         # arena interns (tests, node ids, element sets, runs), so no table

@@ -27,6 +27,11 @@ def test_deps_command(capsys):
     d = json.loads(out)
     assert d["groups"] == [["orphan"], ["susp-client"], ["blacklist"]]
     assert ["orphan", "susp-client"] in d["dep"]
+    assert d["tied"] == []
+    code, out, _ = run_cli(["deps", "-p", policy_path("many-ip-domains")],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["tied"] == [["domain-ip-pair", "num-of-domains"]]
 
 
 def test_map_command(capsys):
@@ -644,10 +649,10 @@ def test_export_lp(tmp_path, capsys):
     assert text.startswith("Minimize") and text.rstrip().endswith("End")
 
 
-def test_export_lp_with_placement_writes_te_rows(tmp_path, capsys):
+def test_export_lp_with_placement_fixes_the_placement(tmp_path, capsys):
     """A --placement file fixes the placement, as it does for compile: the
-    rows are the TE model's, with no placement rows, and only the link
-    indicators are binary."""
+    rows are those of the ST model, and each placement indicator is bound
+    to 1 on the file's switch and to 0 on every other."""
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"placement": {"established": "C5"}}))
     lp = tmp_path / "m.lp"
@@ -657,9 +662,14 @@ def test_export_lp_with_placement_writes_te_rows(tmp_path, capsys):
     assert code == 0
     lines = lp.read_text().splitlines()
     assert any(line.startswith(" cover_") for line in lines)
-    assert not any(line.startswith(" place_") for line in lines)
-    binary = lines[lines.index("Binary") + 1:lines.index("End")]
-    assert binary and all(line.startswith(" R_") for line in binary)
+    assert any(line.startswith(" place_established:") for line in lines)
+    bounds = [line for line in
+              lines[lines.index("Bounds") + 1:lines.index("Binary")]
+              if line.split()[2].startswith("P_established_")]
+    assert " 1 <= P_established_C5 <= 1" in bounds
+    assert len(bounds) == len(topo.example12().nodes)
+    assert all(line.startswith(" 0 <= ") and line.endswith(" <= 0")
+               for line in bounds if "_C5 " not in line)
 
 
 def test_place_and_reroute(tmp_path, capsys):

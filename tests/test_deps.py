@@ -38,14 +38,13 @@ def test_atomic_ties_touched_variables():
     g = deps.st_dep(prog.body)
     assert ("s", "t") in g.edges and ("t", "s") in g.edges
     spec = deps.order_spec(g)
-    assert frozenset({"s", "t"}) in spec.tied
+    assert ["s", "t"] in spec.groups
 
 
 def test_dns_tunnel_order():
     prog = lang.parse(policy_src("dns-tunnel-detect"))
     spec = deps.order_spec_program(prog)
     assert spec.groups == [["orphan"], ["susp-client"], ["blacklist"]]
-    assert spec.tied == frozenset()
     assert spec.dep == frozenset({("orphan", "susp-client"),
                                   ("susp-client", "blacklist")})
     r = spec.state_rank
@@ -55,7 +54,7 @@ def test_dns_tunnel_order():
 def test_tied_pair_in_many_ip_domains():
     prog = lang.parse(policy_src("many-ip-domains"))
     spec = deps.order_spec_program(prog)
-    assert frozenset({"domain-ip-pair", "num-of-domains"}) in spec.tied
+    assert ["domain-ip-pair", "num-of-domains"] in spec.groups
     assert ("domain-ip-pair", "mal-ip-list") in spec.dep
     assert ("num-of-domains", "mal-ip-list") in spec.dep
 

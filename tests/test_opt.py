@@ -331,17 +331,57 @@ def test_checker_violations_are_pinned():
         "f71ad1360379406e8db0a9c4bf6caf010675cf6bc37b706bd228425e4aaab80e")
 
 
-def test_te_mode_has_no_placement_variables(m_dns, sol_dns):
+def test_te_mode_fixes_the_placement_columns(m_dns, sol_dns):
+    """A TE model has the ST model's rows and columns; only the bounds of
+    the placement indicators differ, fixed to 1 on each variable's switch
+    and to 0 elsewhere."""
     te = model_for(["dns-tunnel-detect", "assign-egress", "assumption"],
                    fixed=sol_dns.placement)
-    # only the link indicators are binary: each flow takes one walk
-    assert te.binaries and \
-        te.binaries == {v for v in te.variables() if v.startswith("R_")}
-    assert not any(v.startswith("P_") for v in te.variables())
+    assert list(iter(te.constraints)) == list(iter(m_dns.constraints))
+    assert te.variables() == m_dns.variables()
+    assert te.binaries == m_dns.binaries
+    assert te.objective == m_dns.objective
+    changed = {v for v in te.bounds if te.bounds[v] != m_dns.bounds[v]}
+    places = {opt.pname(s, n) for s in te.state_vars for n in te.topo.nodes}
+    assert changed <= places
+    for s in te.state_vars:
+        for n in te.topo.nodes:
+            on = 1.0 if sol_dns.placement[s] == n else 0.0
+            assert te.bounds[opt.pname(s, n)] == (on, on)
     sol = opt.solve_builtin(te)
     assert sol.placement == sol_dns.placement
     # the rerouted traffic still satisfies the full joint model
     assert opt.check_solution(m_dns, sol.placement, sol.routing) == []
+    assert opt.check_solution(te, sol.placement, sol.routing) == []
+
+
+@pytest.mark.parametrize("names, placement, kinds", [
+    # last-ttl must run before ttl-change: the TE model once read its
+    # ordering rows with the placement terms' signs swapped, and reported
+    # 20 ord_ violations the ST model does not have
+    (["dns-ttl-change", "assign-egress"],
+     {"last-ttl": "C1", "ttl-change": "C5"}, {"cap"}),
+    # the two variables are tied: splitting them breaks tied_ rows
+    (["spam-detection", "assign-egress"],
+     {"mta-mails": "C1", "spam-mta": "C5"}, {"cap", "tied"}),
+], ids=["dns-ttl-change", "spam-detection"])
+def test_te_checker_equals_st_checker_on_split_placements(names, placement,
+                                                          kinds):
+    """check_solution gives a routing the same verdict under the TE model
+    of its placement as under the ST model, and export_lp of the TE model
+    fixes each placement indicator of the placement's switch to 1."""
+    st = model_for(names)
+    te = model_for(names, fixed=placement)
+    sol = opt.solve_builtin(te)
+    assert sol.placement == placement
+    vs = opt.check_solution(te, placement, sol.routing)
+    assert vs == opt.check_solution(st, placement, sol.routing)
+    assert {v.constraint.split("_")[0] for v in vs} == kinds
+    lines = opt.export_lp(te).splitlines()
+    for s, n in placement.items():
+        assert f" 1 <= {opt.pname(s, n)} <= 1" in lines
+        other = "C6" if n != "C6" else "C1"
+        assert f" 0 <= {opt.pname(s, other)} <= 0" in lines
 
 
 def test_disconnected_topology_is_infeasible():

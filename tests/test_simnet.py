@@ -2,6 +2,7 @@
 FIFO links, interleaved quiescence, weighted load splitting, and the
 atomicity probe."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -158,6 +159,34 @@ def test_unresolved_split_is_demand_proportional():
     assert total == 1000
     assert abs(counts[2] - 750) <= 1
     assert abs(counts[3] - 250) <= 1
+
+
+def test_all_zero_group_weights_fall_back_to_round_robin():
+    """With every demand volume 0 the compile costs nothing and every rule
+    group weighs 0.0 throughout; the simulator then splits each group
+    evenly, and 200 packets still match the interpreter."""
+    prog = lang.compose_all([lang.parse(policy_src("stateful-fw")),
+                             lang.parse(policy_src("assign-egress"))])
+    t = topo.example12()
+    t = dataclasses.replace(t, demands=dict.fromkeys(t.demands, 0.0))
+    bundle = rulegen.compile(prog, t)
+    assert bundle.objective == 0.0
+    weights = [w for c in bundle.configs.values()
+               for rows in c.unresolved.values() for w, _, _ in rows]
+    assert weights and set(weights) == {0.0}
+    assert rulegen.validate_bundle(bundle, t) == []
+    net = simnet.load(bundle, t, events=True)
+    store = interp.Store.initial(prog)
+    rng = random.Random(7)
+    for _ in range(200):
+        port, pkt = gen_packet(prog, rng, t.external_ports())
+        r = interp.eval_program(prog, store, dict(pkt))
+        assert r is not interp.UNDEFINED
+        store = r.store
+        got = net.inject(port, dict(pkt), mode="serialized")
+        assert canon_emissions(got) == oracle_emissions(r)
+    assert aggregate_net(net) == aggregate_oracle(store)
+    assert any(e.kind == "tag" for e in net.trace)
 
 
 RACE_SRC = """
