@@ -119,11 +119,15 @@ def cmd_deps(args) -> int:
     return 0
 
 
-def cmd_xfdd(args) -> int:
-    prog = _load_program(args.policy)
+def _diagram(prog):
+    """(order, builder, pruned diagram) of `prog`."""
     order = deps.order_spec_program(prog)
     b = xfdd.Builder(prog, order)
-    d = b.prune_vacuous(b.to_xfdd_program())
+    return order, b, b.prune_vacuous(b.to_xfdd_program())
+
+
+def cmd_xfdd(args) -> int:
+    _, b, d = _diagram(_load_program(args.policy))
     nodes, root = rulegen.number_nodes(b.arena, d)
     dot = rulegen.bundle_dot(nodes, root)
     if args.output:
@@ -135,9 +139,7 @@ def cmd_xfdd(args) -> int:
 
 
 def _demand(prog, t):
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    d = b.prune_vacuous(b.to_xfdd_program())
+    order, b, d = _diagram(prog)
     return order, psm.packet_state_map(b, d, t, order)
 
 

@@ -23,6 +23,13 @@ Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       1 iff the one walk of (u,v) crosses (i,j)
     P_{s}_{n}                 1 iff state variable s lives on switch n
     PS_{s}_u{u}_v{v}_{i}_{j}  fraction of (u,v) on (i,j) that has passed s
+
+Row families (`_rows`): `cons_`, `loop_`, `pin_` per flow; `pslim_`,
+`cover_`, `pcons_`, `ord_` per flow and needed variable; `cap_`, `place_`,
+`tied_` across flows.  Conservation is in net-flow form, one row per node
+n, so a walk may pass its source or sink again: R in - out is [n = sink] -
+[n = source], and PS in - out + P(s, n) is [n = sink].  HiGHS solves the
+exported text in `tests/test_oracle.py`, against the built-in solver.
 """
 
 from __future__ import annotations
@@ -231,6 +238,13 @@ def _rows(m: MILPModel):
         items = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
         return Constraint(name, items, sense, float(rhs))
 
+    def net(cols: dict, n) -> dict:
+        """In-flow minus out-flow at node n over the link columns `cols`."""
+        row = {cols[l]: 1.0 for l in in_of[n]}
+        for l in out_of[n]:
+            row[cols[l]] = row.get(cols[l], 0.0) - 1.0
+        return row
+
     moving = []                 # (u, v, volume) of flows leaving their switch
     for (u, v), (vol, svars) in m.flows.items():
         src = topo.node_of_port(u)
@@ -247,17 +261,10 @@ def _rows(m: MILPModel):
 
         moving.append((u, v, vol))
         rvars = {(i, j): rname(u, v, i, j) for (i, j) in links}
-        yield constraint(f"src_u{fu}_v{fv}",
-                         {rvars[l]: 1.0 for l in out_of[src]}, "=", 1.0)
-        yield constraint(f"snk_u{fu}_v{fv}",
-                         {rvars[l]: 1.0 for l in in_of[snk]}, "=", 1.0)
+        # net flow: one walk from the source to the sink, passing any node
         for n in nodes:
-            if n in (src, snk):
-                continue
-            row = {rvars[l]: 1.0 for l in in_of[n]}
-            for l in out_of[n]:
-                row[rvars[l]] = row.get(rvars[l], 0.0) - 1.0
-            yield constraint(f"cons_u{fu}_v{fv}_{_san(n)}", row, "=", 0.0)
+            yield constraint(f"cons_u{fu}_v{fv}_{_san(n)}", net(rvars, n),
+                             "=", (n == snk) - (n == src))
         # a node may be entered once per execution phase: stateless flows
         # follow simple paths, stateful flows may detour back for a variable
         # whose prerequisites were satisfied on a later switch
@@ -270,10 +277,8 @@ def _rows(m: MILPModel):
 
         for s in svars:
             fs = _san(s)
-            psvars = {}
-            for (i, j) in links:
-                name = psname(s, u, v, i, j)
-                psvars[(i, j)] = name
+            psvars = {l: psname(s, u, v, *l) for l in links}
+            for (i, j), name in psvars.items():
                 yield constraint(
                     f"pslim_{fs}_u{fu}_v{fv}_{_san(i)}_{_san(j)}",
                     {name: 1.0, rvars[(i, j)]: -1.0}, "<=", 0.0)
@@ -286,20 +291,12 @@ def _rows(m: MILPModel):
                 row[pname(s, n)] = -1.0
                 yield constraint(f"cover_{fs}_u{fu}_v{fv}_{_san(n)}", row,
                                  ">=", 0.0)
-            # processed-flow conservation (all nodes but the sink)
+            # processed-flow conservation: s's owner processes the flow,
+            # and all of it arrives at the sink processed
             for n in nodes:
-                if n == snk:
-                    continue
-                row = {psvars[l]: 1.0 for l in in_of[n]}
-                for l in out_of[n]:
-                    row[psvars[l]] = row.get(psvars[l], 0.0) - 1.0
-                row[pname(s, n)] = 1.0
-                yield constraint(f"pcons_{fs}_u{fu}_v{fv}_{_san(n)}", row,
-                                 "=", 0.0)
-            # everything reaching the sink has been processed
-            row = {psvars[l]: 1.0 for l in in_of[snk]}
-            row[pname(s, snk)] = 1.0
-            yield constraint(f"pfull_{fs}_u{fu}_v{fv}", row, "=", 1.0)
+                yield constraint(f"pcons_{fs}_u{fu}_v{fv}_{_san(n)}",
+                                 {**net(psvars, n), pname(s, n): 1.0}, "=",
+                                 n == snk)
 
         # ordering: when the flow needs both s and t with s before t, the
         # switch hosting t must only see flow that already passed s

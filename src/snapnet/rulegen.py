@@ -465,11 +465,11 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     be one that `gen_routing` could give: the walk of flow (u, v) visits
     s's owner after a, `next` is the hop after a's last visit before
     that, and w is the flow's demand (`group_hops`).  Whether every flow
-    that needs s has a row is not checked: the bundle does not say which
-    variables a flow needs.  A rule or walk that fails one of the checks
-    before is not compared, and nor is a rule of a demand that has no
-    walk: its one problem is already listed.  Returns a list of problem
-    strings (empty means ok)."""
+    that needs s has a row is not checked yet, though the bundle's
+    pruned diagram says which variables each flow needs.  A rule or walk
+    that fails one of the checks before is not compared, and nor is a
+    rule of a demand that has no walk: its one problem is already listed.
+    Returns a list of problem strings (empty means ok)."""
     problems = []
     rules: dict = {}    # (switch, flow) -> a resolved rule of sound shape
     rows: list = []     # (switch, u, s, row): group rows of sound shape

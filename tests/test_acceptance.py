@@ -242,7 +242,8 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     flagged.append("tied_")
 
     # 3 and 4: a flow rerouted around the owner switch misses both the
-    # coverage row and the processed-completeness row
+    # coverage row and the processed-flow row of its sink, which says all
+    # of the flow arrives processed
     owner = sol.placement["domain-ip-pair"]
     (u, v), detour = _owner_avoiding_path(m, owner)
     r3 = dict(sol.routing)
@@ -251,9 +252,10 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     assert any(c.startswith("cover_domain_ip_pair")
                for c in (x.constraint for x in vs))
     flagged.append("cover_")
-    assert any(x.constraint == f"pfull_domain_ip_pair_u{u}_v{v}"
+    assert any(x.constraint ==
+               f"pcons_domain_ip_pair_u{u}_v{v}_{opt._san(detour[-1])}"
                for x in vs)
-    flagged.append("pfull_")
+    flagged.append("pcons_")
 
     # 5: dependent variable reached before its prerequisites (isolated to
     # its rows on one flow: a straight path under a placement that demands
@@ -270,10 +272,10 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     assert {x.constraint for x in vs} == {
         "ord_domain_ip_pair_mal_ip_list_u1_v5_C1",
         "ord_num_of_domains_mal_ip_list_u1_v5_C1",
-        "pcons_mal_ip_list_u1_v5_C1", "pfull_mal_ip_list_u1_v5"}
+        "pcons_mal_ip_list_u1_v5_C1", "pcons_mal_ip_list_u1_v5_D3"}
     flagged.append("ord_")
 
-    assert flagged == ["place_", "tied_", "cover_", "pfull_", "ord_"]
+    assert flagged == ["place_", "tied_", "cover_", "pcons_", "ord_"]
 
     # LP export parse-back
     text = opt.export_lp(m)

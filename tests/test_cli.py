@@ -226,9 +226,10 @@ def _run_child(argv, tmp_path) -> tuple:
                     reason="ru_maxrss is in kilobytes on Linux only")
 def test_checking_a_fifty_switch_solution_stays_under_100_mb(tmp_path):
     """check -p on generated(50, 7) with dns-tunnel-detect;assign-egress
-    (budget 64) walks its 259,717 rows without keeping them: it flags the
-    five src_/snk_ rows of the router's revisiting walks and peaks under
-    100 MB (266 MB when the model kept its rows in a list)."""
+    (budget 64) walks its 259,717 rows without keeping them: the router's
+    walks, five of which pass their source or sink again, break no row,
+    and it peaks under 100 MB (266 MB when the model kept its rows in a
+    list)."""
     tfile = tmp_path / "g50.json"
     tfile.write_text(json.dumps(topo.to_json(topo.generated(50, 7))))
     policy = ["-p", policy_path("dns-tunnel-detect"),
@@ -240,9 +241,7 @@ def test_checking_a_fifty_switch_solution_stays_under_100_mb(tmp_path):
     code, out, peak_mb = _run_child(["check", "--bundle", bundle,
                                      "--topo", str(tfile), *policy],
                                     tmp_path)
-    assert code == 2
-    assert [p.split(":")[0] for p in json.loads(out)["problems"]] == [
-        "snk_u14_v5", "snk_u19_v5", "snk_u33_v5", "src_u15_v4", "src_u7_v6"]
+    assert (code, json.loads(out)) == (0, {"ok": True, "problems": []})
     assert peak_mb < 100
 
 

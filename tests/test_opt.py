@@ -105,14 +105,16 @@ def test_owner_avoiding_path_violates_cover_row(m_mid, sol_mid):
                f"_{opt._san(owner)}" in v.constraint for v in vs)
 
 
-def test_owner_avoiding_path_violates_pfull_row(m_mid, sol_mid):
+def test_owner_avoiding_path_violates_the_sinks_pcons_row(m_mid, sol_mid):
+    """A flow that never meets its variable's owner reaches its sink
+    unprocessed, which the sink's processed-flow conservation row flags."""
     owner = sol_mid.placement["mal-ip-list"]
     key, detour = _detour_flow(m_mid, sol_mid, owner)
     routing = dict(sol_mid.routing)
     routing[key] = detour
     u, v = key
     vs = opt.check_solution(m_mid, sol_mid.placement, routing)
-    want = f"pfull_mal_ip_list_u{u}_v{v}"
+    want = f"pcons_mal_ip_list_u{u}_v{v}_{opt._san(detour[-1])}"
     assert any(viol.constraint == want for viol in vs)
 
 
@@ -177,13 +179,15 @@ def test_order_violation_is_flagged_and_isolated():
     assert names(vs) == {"ord_domain_ip_pair_mal_ip_list_u1_v5_C1",
                          "ord_num_of_domains_mal_ip_list_u1_v5_C1",
                          "pcons_mal_ip_list_u1_v5_C1",
-                         "pfull_mal_ip_list_u1_v5"}
+                         "pcons_mal_ip_list_u1_v5_D3"}
 
 
 def test_constraint_families_present(m_mid):
+    """Nine of the ten row families; the tenth, pin_, is only for a flow
+    that never leaves its switch (`test_same_switch_flow_pins_state`)."""
     fams = {c.name.split("_")[0] for c in m_mid.constraints}
-    assert {"src", "snk", "cons", "loop", "pslim", "cover", "pcons",
-            "pfull", "ord", "cap", "place", "tied"} <= fams
+    assert fams == {"cons", "loop", "pslim", "cover", "pcons", "ord", "cap",
+                    "place", "tied"}
 
 
 def _parse_lp(text):
@@ -223,11 +227,14 @@ def test_lp_export_is_pinned():
     """The exported model, byte for byte, as the rows were first built;
     their order, names and coefficients must not drift.  Pinned again
     when the link indicators became binary: the text then differed only
-    in the 900 R_ lines added under Binary, one per flow and link."""
+    in the 900 R_ lines added under Binary, one per flow and link.  And
+    again when flow conservation took its net-flow form: the 30 src_,
+    30 snk_ and 65 pfull_ rows gave way to the cons_ rows of each flow's
+    source and sink and the pcons_ rows of its sink, as many rows."""
     m = model_for(["dns-tunnel-detect", "assign-egress"])
     text = opt.export_lp(m)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "86a29041655b0f032827262be1a08df2d77095c8438f19d0fbc22111fc33c770")
+        "6fd6e914d1385f9c312b8a099688d1921a70852b27668e5c1302dc3da600f111")
     assert len(m.constraints) == 4618
     assert len(m.variables()) == 2886
 
@@ -315,7 +322,10 @@ def test_checker_violations_are_pinned():
     """check_solution's violations, in order, on every corpus policy with
     assign-egress on example12, for the solver's routing and three broken
     ones (`_certificate_cases`), equal those the checker gave when it
-    kept a sorted row list (SHA-256 of the JSON list, lhs to 9 places)."""
+    kept a sorted row list (SHA-256 of the JSON list, lhs to 9 places).
+    Pinned again for the net-flow conservation rows: each dropped hop's
+    src_ violation is now its source's cons_ row, and each wrong-owner
+    pfull_ violation its sink's pcons_ row, with the same count."""
     got = []
     for name in CORPUS:
         m = model_for([name, "assign-egress"])
@@ -328,7 +338,26 @@ def test_checker_violations_are_pinned():
     assert sum(len(vs) for _, case, vs in got if case == "solver") == 0
     assert sum(len(vs) for _, _, vs in got) == 749
     assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == (
-        "f71ad1360379406e8db0a9c4bf6caf010675cf6bc37b706bd228425e4aaab80e")
+        "3dce6d9a63b2072c5c4a43b3f9a90db16504b76e7e94d6264d36f65d76de90ac")
+
+
+@pytest.mark.parametrize("make_topo, budget", [
+    (topo.example12, 4096), (lambda: topo.generated(20, 3), 64)],
+    ids=["example12", "generated-20-3"])
+def test_solver_walks_break_only_the_capacity_of_overloaded_links(
+        make_topo, budget):
+    """On every corpus policy with assign-egress, the rows the solver's own
+    placement and walks break are exactly the capacity rows of the links
+    `overloaded_links` reports: the rows admit every walk the router
+    gives, including those that pass the source or the sink again."""
+    for name in CORPUS:
+        m = model_for([name, "assign-egress"], t=make_topo())
+        sol = opt.solve_builtin(m, budget=budget)
+        vs = opt.check_solution(m, sol.placement, sol.routing)
+        assert names(vs) == {
+            f"cap_{opt._san(a)}_{opt._san(b)}"
+            for (a, b), _, _ in opt.overloaded_links(m.topo, sol.routing)
+        }, name
 
 
 def test_te_mode_fixes_the_placement_columns(m_dns, sol_dns):
