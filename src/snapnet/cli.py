@@ -163,8 +163,9 @@ def cmd_place(args) -> int:
     _warn_overloaded(t, sol.routing)
     print(json.dumps({"placement": sol.placement,
                       "routing": opt.routing_to_json(sol.routing),
-                      "objective": sol.objective, "exact": sol.exact},
-                     sort_keys=True))
+                      "objective": sol.objective, "exact": sol.exact,
+                      "candidates": sol.candidates,
+                      "examined": sol.examined}, sort_keys=True))
     return 0
 
 

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 
 from .errors import InfeasibleError, InputError
 
@@ -377,8 +378,8 @@ def _adjacency(topo) -> dict:
 def _distances(lengths: dict, source: str) -> dict:
     """Cheapest distance from `source` to every reachable node, where
     `lengths` maps each node to its [(next node, link length)]."""
-    dist = {source: 0}
-    pq = [(0, source)]
+    dist = {source: 0.0}
+    pq = [(0.0, source)]
     while pq:
         d, n = heapq.heappop(pq)
         if d > dist[n]:
@@ -395,20 +396,6 @@ def _preds(needed: frozenset, dep: frozenset) -> dict:
     """Variable -> the variables of `needed` that must be visited first."""
     return {s: frozenset(a for (a, b) in dep if b == s and a in needed)
             for s in needed}
-
-
-def _dep_orders(needed: frozenset, preds: dict):
-    """Every order of the variables in `needed` that lists each one after
-    its prerequisites in `preds` (other than itself), in lexicographic
-    order: a prefix grows by each variable, in sorted order, whose
-    prerequisites it already holds."""
-    def grow(prefix: tuple, done: frozenset):
-        if len(prefix) == len(needed):
-            yield prefix
-        for s in sorted(needed - done):
-            if preds[s] - {s} <= done:
-                yield from grow(prefix + (s,), done | {s})
-    return grow((), frozenset())
 
 
 def exec_positions(path, needed, owner: dict, dep) -> dict:
@@ -579,6 +566,73 @@ def _flow_order(m: MILPModel) -> list:
     return sorted(m.flows, key=lambda k: (-m.flows[k][0], k))
 
 
+class _Grid:
+    """The placements of itertools.product(*cands): column c holds, per
+    placement, the switch cands[c] gives it.  `leg` is the distance
+    between two columns in every placement, computed once per grid over
+    the two columns' switches and shared by every flow that asks.  The
+    flows bounded on one grid map their variables to its columns alike."""
+
+    def __init__(self, dist: dict, cands: list):
+        self.dist = dist
+        self.cands = list(cands)
+        self.radix = [len(c) for c in cands]
+        self.size = math.prod(self.radix)
+        self._at: dict = {}
+        self._legs: dict = {}
+        self.prefixes: dict = {}         # see `_Bounds._prefixes`
+
+    def column(self, switch) -> int:
+        """A column holding `switch` in every placement: one more column
+        of a single switch, which leaves the placements as they are."""
+        c = self._at.get(switch)
+        if c is None:
+            c = self._at[switch] = len(self.cands)
+            self.cands.append([switch])
+            self.radix.append(1)
+        return c
+
+    def leg(self, a: int, b: int) -> list:
+        v = self._legs.get((a, b))
+        if v is None:
+            dist, inf = self.dist, float("inf")
+            ca, cb = self.cands[a], self.cands[b]
+            if a == b:
+                table = [dist[x].get(x, inf) for x in ca]
+            elif a < b:
+                table = [dist[x].get(y, inf) for x in ca for y in cb]
+            else:
+                table = [dist[x].get(y, inf) for y in cb for x in ca]
+            v = self._legs[(a, b)] = _spread(table, {a, b}, self.radix)
+        return v
+
+
+def _spread(table: list, keep, radix: list) -> list:
+    """`table`, a list over the product of radix[p] for the positions p in
+    `keep`, as a list over the product of every radix: each element takes
+    the entry of its digits at `keep`.  Built from the last position out,
+    one block per digit prefix at `keep`."""
+    blocks = [[x] for x in table]
+    for p in reversed(range(len(radix))):
+        r = radix[p]
+        if p in keep:
+            blocks = [list(itertools.chain.from_iterable(blocks[i:i + r]))
+                      for i in range(0, len(blocks), r)]
+        else:
+            blocks = [b * r for b in blocks]
+    return blocks[0]
+
+
+def _least(vectors: list, size: int) -> list:
+    """Entry-wise least of `vectors`, all inf when there are none."""
+    if not vectors:
+        return [float("inf")] * size
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = [x if x <= y else y for x, y in zip(out, v)]
+    return out
+
+
 class _Bounds:
     """Admissible lower bounds on what a flow adds to the objective.
 
@@ -587,40 +641,107 @@ class _Bounds:
     switch, and adds volume/capacity for every link it crosses.  No routing
     of it is therefore cheaper than its volume times the cheapest chain
     src -> owner(s1) -> ... -> owner(sk) -> snk over those orders, with
-    1/capacity as the length of a link."""
+    1/capacity as the length of a link.
+
+    `table` finds that chain for every placement of a product at once, by
+    dynamic programming over the order ideals of the flow's variables
+    (Held-Karp restricted to ideals): the state (ideal I, last variable s)
+    holds the cheapest prefix that runs the variables of I and ends at s,
+    and extends to (I + {t}, t) by one distance.  Rounding is monotone, so
+    adding after taking the least gives the same float as taking the least
+    after adding: every entry equals the least over the orders of the
+    chain summed left to right from the source."""
 
     def __init__(self, m: MILPModel):
         topo = m.topo
         lengths = {n: [(nxt, 1.0 / c) for nxt, c in out]
                    for n, out in _adjacency(topo).items()}
         self.dist = {n: _distances(lengths, n) for n in sorted(topo.nodes)}
-        self.flows = {}
-        for (u, v), (vol, svars) in m.flows.items():
-            needed = frozenset(svars)
-            self.flows[(u, v)] = (
-                vol, topo.node_of_port(u), topo.node_of_port(v), svars,
-                list(_dep_orders(needed, _preds(needed, m.dep))))
+        self.dep = m.dep
+        self.flows = {k: (vol, topo.node_of_port(k[0]),
+                          topo.node_of_port(k[1]), svars)
+                      for k, (vol, svars) in m.flows.items()}
+        self._layers: dict = {}
+
+    def _ideals(self, needed: frozenset) -> list:
+        """The DP's states over `needed`, one layer per ideal size: layer k
+        lists (t, prev) for each state (ideal of k + 1 variables, last
+        variable t), where prev indexes the states of layer k - 1 that it
+        extends.  Built once per set of variables."""
+        layers = self._layers.get(needed)
+        if layers is None:
+            preds = _preds(needed, self.dep)
+            states = [(frozenset({t}), t) for t in sorted(needed)
+                      if preds[t] <= {t}]
+            layers = [[(t, ()) for _, t in states]]
+            for _ in range(len(needed) - 1):
+                grown: dict = {}
+                for i, (done, _) in enumerate(states):
+                    for t in sorted(needed - done):
+                        if preds[t] - {t} <= done:
+                            grown.setdefault((done | {t}, t), []).append(i)
+                states = list(grown)
+                layers.append([(t, tuple(prev))
+                               for (_, t), prev in grown.items()])
+            self._layers[needed] = layers
+        return layers
+
+    def table(self, key, grid: _Grid, col: dict) -> list:
+        """Bound for flow `key` under every placement of `grid`, where its
+        variable s sits on column col[s]; inf where no walk exists, which
+        makes the placement infeasible."""
+        vol, src, snk, svars = self.flows[key]
+        here, there = grid.column(src), grid.column(snk)
+        if svars:
+            last, cur = self._prefixes(grid, col, here, frozenset(svars))
+            best = _least([list(map(add, v, grid.leg(c, there)))
+                           for v, c in zip(cur, last)], grid.size)
+        else:
+            best = grid.leg(here, there)
+        inf = float("inf")
+        return [vol * x if x < inf else x for x in best]
+
+    def _prefixes(self, grid: _Grid, col: dict, here: int,
+                  needed: frozenset) -> tuple:
+        """The last layer of the DP from column `here` over `needed`: the
+        column of each state's last variable, and its cheapest prefix per
+        placement.  Only the current layer is kept while it runs; the
+        result is kept on `grid`, for every flow from the same switch that
+        needs the same variables."""
+        memo = grid.prefixes.get((here, needed))
+        if memo is None:
+            layers = self._ideals(needed)
+            last = [col[t] for t, _ in layers[0]]
+            cur = [grid.leg(here, c) for c in last]
+            for layer in layers[1:]:
+                nxt = [col[t] for t, _ in layer]
+                cur = [_least([cur[i] if last[i] == c else
+                               list(map(add, cur[i], grid.leg(last[i], c)))
+                               for i in prev], grid.size)
+                       for c, (_, prev) in zip(nxt, layer)]
+                last = nxt
+            memo = grid.prefixes[(here, needed)] = (last, cur)
+        return memo
 
     def flow(self, key, placement: dict) -> float:
-        """Bound for flow `key` under `placement`; inf when no walk
-        exists, which makes the placement infeasible."""
-        vol, src, snk, _, orders = self.flows[key]
-        best = float("inf")
-        for order in orders:
-            total, cur = 0.0, src
-            for s in order:
-                total += self.dist[cur].get(placement[s], float("inf"))
-                cur = placement[s]
-            best = min(best, total + self.dist[cur].get(snk, float("inf")))
-        return best if best == float("inf") else vol * best
+        """Bound for flow `key` under `placement`."""
+        return self.table(key, *self._point(placement))[0]
 
     def suffixes(self, flow_keys: list, placement: dict) -> list:
         """Entry i bounds the flows after the i-th: `rest` of
         `_route_flows`."""
+        grid, col = self._point(placement)
         out = [0.0] * len(flow_keys)
         for i in range(len(flow_keys) - 1, 0, -1):
-            out[i - 1] = out[i] + self.flow(flow_keys[i], placement)
+            out[i - 1] = out[i] + self.table(flow_keys[i], grid, col)[0]
         return out
+
+    def _point(self, placement: dict) -> tuple:
+        """A grid of the one placement `placement`, with a column per
+        variable, and the column of each variable."""
+        names = list(placement)
+        return (_Grid(self.dist, [[placement[s]] for s in names]),
+                {s: c for c, s in enumerate(names)})
 
     def candidates(self, flow_keys: list, groups: list, cand: list,
                    base: float) -> list:
@@ -635,25 +756,15 @@ class _Bounds:
         for k in flow_keys:
             gs = tuple(sorted({group_of[s] for s in self.flows[k][3]}))
             by_set.setdefault(gs, []).append(k)
-        tables = []
-        for gs, keys in by_set.items():
-            table = []
-            for combo in itertools.product(*(cand[g] for g in gs)):
-                placement = {s: n for g, n in zip(gs, combo)
-                             for s in groups[g]}
-                table.append(sum(self.flow(k, placement) for k in keys))
-            tables.append((gs, table))
         radix = [len(c) for c in cand]
-        out = []
-        for i, digits in enumerate(itertools.product(*map(range, radix))):
-            bound = base
-            for gs, table in tables:
-                j = 0
-                for g in gs:
-                    j = j * radix[g] + digits[g]
-                bound += table[j]
-            out.append((bound, i))
-        return out
+        out = [base] * math.prod(radix)
+        for gs, keys in by_set.items():
+            grid = _Grid(self.dist, [cand[g] for g in gs])
+            col = {s: c for c, g in enumerate(gs) for s in groups[g]}
+            table = list(map(sum, zip(*[self.table(k, grid, col)
+                                        for k in keys])))
+            out = list(map(add, out, _spread(table, gs, radix)))
+        return list(zip(out, itertools.count()))
 
 
 def _nth_combo(i: int, cand: list) -> list:
@@ -667,11 +778,15 @@ def _nth_combo(i: int, cand: list) -> list:
 
 def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     """Search placements of tied groups over switches (exhaustively when
-    the space fits in `budget`, otherwise over a shortlist ranked by
-    demand), routing flows sequentially for each candidate.
+    the space fits in `budget`, otherwise over each group's
+    `_shortlist_size` best switches, ranked by detour times demand),
+    routing flows sequentially for each candidate.
 
     Candidates are visited best-first by an admissible lower bound on
-    their objective (`_Bounds`), ties in enumeration order, and the search
+    their objective (`_Bounds`), tabulated for every candidate before any
+    is routed: one table per flow over the switches of the groups it
+    touches, filled by dynamic programming over the order ideals of its
+    variables.  Ties go in enumeration order, and the search
     stops at the first whose bound exceeds the best objective found.  A
     candidate's routing also stops once its running objective plus the
     bound of its unrouted flows exceeds it.  Only a strictly larger bound
@@ -751,12 +866,22 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
                     candidates=len(scored), examined=examined)
 
 
+def _shortlist_size(budget: int, groups: int, switches: int) -> int:
+    """The most switches k, at least 1 and at most `switches`, such that
+    k ** groups <= budget, in integer arithmetic: a float root falls short
+    (64 ** (1/3) is 3.9999999999999996)."""
+    k = 1
+    while k < switches and (k + 1) ** groups <= budget:
+        k += 1
+    return k
+
+
 def _shortlists(m: MILPModel, groups: list, nodes: list,
                 budget: int) -> dict:
-    """Per-group candidate switches ranked by detour times demand."""
+    """Per-group candidate switches ranked by detour times demand, the
+    first `_shortlist_size` of them."""
     topo = m.topo
-    k = max(1, int(budget ** (1.0 / max(1, len(groups)))))
-    k = min(k, len(nodes))
+    k = _shortlist_size(budget, len(groups), len(nodes))
     hops = {n: [(nxt, 1) for nxt, _ in out]
             for n, out in _adjacency(topo).items()}
     dists = {n: _distances(hops, n) for n in nodes}

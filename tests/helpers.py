@@ -1,6 +1,7 @@
 """Shared test utilities: the reference evaluator's former isinstance
 chain, the router's former closure-cost Dijkstra, the sequencing split's
-former restrict-and-join, a diagram builder without computed tables, a
+former restrict-and-join, the placement search's former enumeration of
+dependency orders, a diagram builder without computed tables, a
 brute-force diagram walker (independent of the compiler's own machinery)
 and a random policy generator over a small universe of fields, values,
 and state variables."""
@@ -217,6 +218,82 @@ def reference_route_flows(m, placement: dict, flow_keys: list, loads: dict):
             loads[(a, b)] = loads.get((a, b), 0.0) + vol
             obj += vol / topo.links[(a, b)].capacity
     return routing, obj
+
+
+# ---------------------------------------------------------------- bounds
+
+def reference_dep_orders(needed: frozenset, preds: dict):
+    """Every order of the variables in `needed` that lists each one after
+    its prerequisites in `preds` (other than itself), in lexicographic
+    order: a prefix grows by each variable, in sorted order, whose
+    prerequisites it already holds.  `opt._Bounds` enumerated these before
+    it took the least chain by dynamic programming over order ideals."""
+    def grow(prefix: tuple, done: frozenset):
+        if len(prefix) == len(needed):
+            yield prefix
+        for s in sorted(needed - done):
+            if preds[s] - {s} <= done:
+                yield from grow(prefix + (s,), done | {s})
+    return grow((), frozenset())
+
+
+def reference_distances(topo) -> dict:
+    """Switch -> {switch: cheapest distance} with 1/capacity as the length
+    of a link, as `opt._Bounds` kept them before the dynamic program."""
+    lengths = {n: [(nxt, 1.0 / c) for nxt, c in out]
+               for n, out in opt._adjacency(topo).items()}
+    return {n: opt._distances(lengths, n) for n in sorted(topo.nodes)}
+
+
+def reference_flow_bound(m, dist, key, placement: dict) -> float:
+    """`opt._Bounds.flow` as it was written before the dynamic program:
+    the least chain src -> owner(s1) -> ... -> snk over every dependency
+    order of the flow's variables, each summed left to right, times the
+    flow's volume; inf when no walk exists.  `dist` is
+    `reference_distances(m.topo)`."""
+    vol, svars = m.flows[key]
+    src = m.topo.node_of_port(key[0])
+    snk = m.topo.node_of_port(key[1])
+    needed = frozenset(svars)
+    best = float("inf")
+    for order in reference_dep_orders(needed, opt._preds(needed, m.dep)):
+        total, cur = 0.0, src
+        for s in order:
+            total += dist[cur].get(placement[s], float("inf"))
+            cur = placement[s]
+        best = min(best, total + dist[cur].get(snk, float("inf")))
+    return best if best == float("inf") else vol * best
+
+
+def reference_candidates(m, dist, flow_keys: list, groups: list,
+                         cand: list, base: float) -> list:
+    """`opt._Bounds.candidates` as it was written before the dynamic
+    program: one `reference_flow_bound` per flow and placement of the
+    groups it touches, summed per set of groups, then per candidate."""
+    group_of = {s: g for g, members in enumerate(groups) for s in members}
+    by_set: dict = {}
+    for k in flow_keys:
+        gs = tuple(sorted({group_of[s] for s in m.flows[k][1]}))
+        by_set.setdefault(gs, []).append(k)
+    tables = []
+    for gs, keys in by_set.items():
+        table = []
+        for combo in itertools.product(*(cand[g] for g in gs)):
+            placement = {s: n for g, n in zip(gs, combo) for s in groups[g]}
+            table.append(sum(reference_flow_bound(m, dist, k, placement)
+                             for k in keys))
+        tables.append((gs, table))
+    radix = [len(c) for c in cand]
+    out = []
+    for i, digits in enumerate(itertools.product(*map(range, radix))):
+        bound = base
+        for gs, table in tables:
+            j = 0
+            for g in gs:
+                j = j * radix[g] + digits[g]
+            bound += table[j]
+        out.append((bound, i))
+    return out
 
 
 # ---------------------------------------------------------------- join

@@ -678,12 +678,17 @@ def test_place_and_reroute(tmp_path, capsys):
     sol = json.loads(out)
     assert sol["routing"] and all(set(r) == {"u", "v", "nodes"}
                                   for r in sol["routing"])
+    # the search's work: every placement of the one group on 12 switches
+    assert sol["candidates"] == 12 ** len(sol["placement"]) == 12
+    assert 1 <= sol["examined"] <= sol["candidates"]
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"placement": sol["placement"]}))
     code, out, _ = run_cli(["reroute", "-p", policy_path("stateful-fw"),
                             "-t", TOPO, "--placement", str(pfile)], capsys)
     assert code == 0
-    assert json.loads(out)["placement"] == sol["placement"]
+    te = json.loads(out)
+    assert te["placement"] == sol["placement"]
+    assert te["candidates"] == te["examined"] == 1
 
 
 def test_empty_placement_routes_a_stateless_program(tmp_path, capsys):

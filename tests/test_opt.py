@@ -16,7 +16,7 @@ from snapnet import cli, deps, lang, opt, psm, rulegen, topo, xfdd
 from snapnet.errors import InfeasibleError
 
 from conftest import CORPUS, TOPO_DIR, policy_path, policy_src
-from helpers import reference_route_flows
+from helpers import reference_dep_orders, reference_route_flows
 
 
 def model_for(names, t=None, fixed=None):
@@ -552,9 +552,11 @@ def _permutation_orders(needed, preds):
 
 
 def test_dep_orders_equal_the_permutation_filter():
-    """Same orders, in the same lexicographic order, on seeded random
-    dependency relations over up to 7 variables; the relations include
-    cycles (no order), self-dependencies and variables not needed."""
+    """The enumeration the search's bounds once read, and still the
+    reference for them: the same orders, in the same lexicographic order,
+    on seeded random dependency relations over up to 7 variables; the
+    relations include cycles (no order), self-dependencies and variables
+    not needed."""
     rng = random.Random("dep-orders")
     kinds = set()
     for _ in range(300):
@@ -564,7 +566,7 @@ def test_dep_orders_equal_the_permutation_filter():
         dep = frozenset((a, b) for a in names for b in names
                         if rng.random() < density)
         preds = opt._preds(needed, dep)
-        got = list(opt._dep_orders(needed, preds))
+        got = list(reference_dep_orders(needed, preds))
         assert got == list(_permutation_orders(needed, preds))
         kinds.add(min(len(got), 2))
     assert kinds == {0, 1, 2}
@@ -572,9 +574,10 @@ def test_dep_orders_equal_the_permutation_filter():
 
 def test_unpinned_eleven_variable_composition_compiles():
     """Four DNS applications and assign-egress: 11 variables, unpinned,
-    budget 64.  The search's bounds list every dependency order of each
-    flow's variables; filtering all 11! permutations never finished, so
-    an alarm turns a hang into a failure."""
+    budget 64.  The search's bounds take the least chain over the order
+    ideals of each flow's variables; when they still filtered all 11!
+    permutations the compile never finished, so an alarm turns a hang
+    into a failure."""
     names = ["dns-tunnel-detect", "many-ip-domains", "many-domain-ips",
              "dns-ttl-change", "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
