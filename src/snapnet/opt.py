@@ -5,19 +5,21 @@ needed state variables, the dependency and tie relations, and, in TE mode,
 the fixed placement.  Its mixed-integer model over per-flow link
 indicators (R, binary: each flow takes one walk), placement indicators
 (P, binary), and processed-flow fractions (PS) has the same rows in both
-modes; TE mode only fixes the bounds of each P to 0 or 1.  The rows are
-generated flow by flow each time they are read, and no one keeps the
-rows: `check_solution` walks them once, keeping only violations, and
-`export_lp` (CPLEX-LP text for external solvers) sorts them by name.  The
-built-in solver never reads them: it handles desk-scale instances with a
-search over per-group placements (all of them, or a shortlist under a
-budget).  It visits placements best-first by an admissible lower bound on
-their objective, routes the flows of each one it visits one after
-another, and stops once the next bound exceeds the best objective found.
-In TE mode it only routes, under the fixed placement.  A flow's walk
-visits the owners of its variables in a dependency-respecting order and
-never reuses a link (`_route`); `exec_positions` says where each variable
-runs on it, for the router, the checker and rule generation alike.
+modes; TE mode only fixes the bounds of each P to 0 or 1.  That model,
+rows and column bounds alike, is the one definition of a valid routing.
+Its rows (`_rows`) and columns (`_columns`) are generated flow by flow
+each time they are read, and no one keeps them: `check_solution` walks
+each once, keeping only violations, and `export_lp` (CPLEX-LP text for
+external solvers) sorts them by name.  The built-in solver never reads
+them: it handles desk-scale instances with a search over per-group
+placements (all of them, or a shortlist under a budget).  It visits
+placements best-first by an admissible lower bound on their objective,
+routes the flows of each one it visits one after another, and stops once
+the next bound exceeds the best objective found.  In TE mode it only
+routes, under the fixed placement.  A flow's walk visits the owners of its
+variables in a dependency-respecting order and never reuses a link
+(`_route`); `exec_positions` says where each variable runs on it, for the
+router, the checker and rule generation alike.
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       1 iff the one walk of (u,v) crosses (i,j)
@@ -39,7 +41,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 
 from .errors import InfeasibleError, InputError
@@ -75,34 +77,42 @@ class Constraint:
     rhs: float
 
 
-class _Rows:
-    """The constraint rows of a model, as a sized, re-iterable view: every
-    iteration generates them again with `_rows`, flow by flow, and `len`
-    counts them.  Nothing keeps them, so code that wants them in a list
-    sorts `iter(rows)`: `sorted` and `list` call `len` first, which would
-    generate every row twice."""
+@dataclass(frozen=True)
+class Column:
+    name: str
+    cost: float | None       # objective coefficient; None: not in it
+    lo: float
+    hi: float
+    binary: bool
 
-    def __init__(self, m: MILPModel):
+
+class _Stream:
+    """A model's rows or columns as a sized, re-iterable view: every
+    iteration generates them again with `gen` (`_rows` or `_columns`),
+    and `len` counts them.  Nothing keeps them, so code that wants them
+    in a list sorts `iter(view)`: `sorted` and `list` call `len` first,
+    which would generate everything twice."""
+
+    def __init__(self, gen, m: MILPModel):
+        self.gen = gen
         self.m = m
 
     def __iter__(self):
-        return _rows(self.m)
+        return self.gen(self.m)
 
     def __len__(self) -> int:
-        return sum(1 for _ in _rows(self.m))
+        return sum(1 for _ in self.gen(self.m))
 
 
 @dataclass
 class MILPModel:
     """The placement problem, plus its LP rows and columns on demand.
 
-    The fields are all `solve_builtin` reads.  `constraints` is a view
-    that generates the rows again on every read (`_rows`), in no
-    particular order, and keeps none of them.  `objective`, `bounds` and
-    `binaries` are built together by `_fill_columns` the first time any
-    of them is read (by `export_lp` or `variables`), and kept.  A `fixed`
+    The fields are all `solve_builtin` reads.  `constraints` and
+    `columns` are views that generate the rows (`_rows`) and the columns
+    (`_columns`) again on every read, and keep none of them.  A `fixed`
     placement (state var -> switch) makes it a TE-mode model: routing
-    only, with each placement indicator bounded to its value under the
+    only, with each placement column bounded to its value under the
     placement; the rows are the same as without it."""
     topo: object
     flows: dict                                 # (u,v) -> (demand, vars tuple)
@@ -112,34 +122,17 @@ class MILPModel:
     fixed: dict | None = None                   # TE-mode placement
 
     @property
-    def constraints(self) -> _Rows:
+    def constraints(self) -> _Stream:
         """Every Constraint, generated again on each iteration."""
-        return _Rows(self)
+        return _Stream(_rows, self)
 
-    @cached_property
-    def objective(self) -> dict:
-        """var -> coefficient (minimization)."""
-        _fill_columns(self)
-        return self.objective
-
-    @cached_property
-    def bounds(self) -> dict:
-        """var -> (lo, hi)."""
-        _fill_columns(self)
-        return self.bounds
-
-    @cached_property
-    def binaries(self) -> frozenset:
-        """Subset of the variable names."""
-        _fill_columns(self)
-        return self.binaries
+    @property
+    def columns(self) -> _Stream:
+        """Every Column, generated again on each iteration."""
+        return _Stream(_columns, self)
 
     def variables(self) -> list:
-        names = set(self.objective)
-        for c in self.constraints:
-            names.update(v for v, _ in c.coeffs)
-        names.update(self.bounds)
-        return sorted(names)
+        return sorted(c.name for c in self.columns)
 
 
 @dataclass(frozen=True)
@@ -191,35 +184,27 @@ def build_milp(topo, demand, order, fixed: dict | None = None) -> MILPModel:
                      fixed=dict(fixed) if fixed is not None else None)
 
 
-def _fill_columns(m: MILPModel) -> None:
-    """Build the objective, bounds and binaries of `m` and store all three
-    on it.  The one place the modes differ: in TE mode each placement
-    indicator is fixed, to 1 on the switch of `m.fixed` and 0 elsewhere."""
+def _columns(m: MILPModel):
+    """Generate the columns of `m`, each once: per moving flow and link its
+    R column, with volume/capacity in the objective, and the PS column of
+    each variable the flow needs; then the P columns.  The one place the
+    modes differ: in TE mode each P column is fixed, to 1 on the switch of
+    `m.fixed` and 0 elsewhere."""
     topo = m.topo
     links = sorted(topo.links.items())
-    objective: dict = {}
-    bounds: dict = {}
     for (u, v), (vol, svars) in m.flows.items():
         if topo.node_of_port(u) == topo.node_of_port(v):
             continue
         for (i, j), link in links:
-            name = rname(u, v, i, j)
-            objective[name] = vol / link.capacity
-            bounds[name] = (0.0, 1.0)
+            yield Column(rname(u, v, i, j), vol / link.capacity, 0.0, 1.0,
+                         True)
             for s in svars:
-                bounds[psname(s, u, v, i, j)] = (0.0, 1.0)
-    places = []
+                yield Column(psname(s, u, v, i, j), None, 0.0, 1.0, False)
     for s in m.state_vars:
         for n in topo.nodes:
-            name = pname(s, n)
-            places.append(name)
-            if m.fixed is None:
-                bounds[name] = (0.0, 1.0)
-            else:
-                on = 1.0 if m.fixed[s] == n else 0.0
-                bounds[name] = (on, on)
-    m.__dict__.update(objective=objective, bounds=bounds,
-                      binaries=frozenset(objective).union(places))
+            lo, hi = ((0.0, 1.0) if m.fixed is None
+                      else (float(m.fixed[s] == n),) * 2)
+            yield Column(pname(s, n), None, lo, hi, True)
 
 
 def _rows(m: MILPModel):
@@ -346,21 +331,20 @@ def _fmt_terms(coeffs) -> str:
 
 
 def export_lp(m: MILPModel) -> str:
+    cols = sorted(iter(m.columns), key=lambda c: c.name)
     out = ["Minimize"]
-    obj_terms = tuple(sorted(m.objective.items()))
+    obj_terms = tuple((c.name, c.cost) for c in cols if c.cost is not None)
     out.append(" obj: " + _fmt_terms(obj_terms))
     out.append("Subject To")
     for c in sorted(iter(m.constraints), key=lambda c: c.name):
         out.append(f" {c.name}: {_fmt_terms(c.coeffs)} {c.sense} "
                    f"{c.rhs:.12g}")
     out.append("Bounds")
-    for var in sorted(m.bounds):
-        lo, hi = m.bounds[var]
-        out.append(f" {lo:.12g} <= {var} <= {hi:.12g}")
-    if m.binaries:
-        out.append("Binary")
-        for var in sorted(m.binaries):
-            out.append(f" {var}")
+    for c in cols:
+        out.append(f" {c.lo:.12g} <= {c.name} <= {c.hi:.12g}")
+    binaries = [f" {c.name}" for c in cols if c.binary]
+    if binaries:
+        out += ["Binary", *binaries]
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -369,8 +353,8 @@ def export_lp(m: MILPModel) -> str:
 
 def _adjacency(topo) -> dict:
     """Node -> [(next node, capacity)] over its out-links in link order:
-    the one adjacency that the router's length table, the search's bounds
-    and its shortlists are built from."""
+    the one adjacency that the router's length table and the search's
+    bounds (and so its shortlists) are built from."""
     return {n: [(l.dst, l.capacity) for l in topo.out_links(n)]
             for n in topo.nodes}
 
@@ -392,6 +376,9 @@ def _distances(lengths: dict, source: str) -> dict:
     return dist
 
 
+# The router, `exec_positions` and the bounds ask for the same few sets of
+# variables again and again.  Bounded; callers must not mutate the result.
+@lru_cache(maxsize=1024)
 def _preds(needed: frozenset, dep: frozenset) -> dict:
     """Variable -> the variables of `needed` that must be visited first."""
     return {s: frozenset(a for (a, b) in dep if b == s and a in needed)
@@ -814,10 +801,11 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     total = len(nodes) ** len(groups) if groups else 1
     exhaustive = total <= budget
 
+    bounds = _Bounds(m)
     if exhaustive:
         cand = [nodes] * len(groups)
     else:
-        short = _shortlists(m, groups, nodes, budget)
+        short = _shortlists(bounds, groups, nodes, budget)
         cand = [short[g] for g in range(len(groups))]
 
     # flows whose path never depends on placement can be routed once
@@ -833,7 +821,6 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
         base_routing, base_obj = r
         flows = [k for k in flows if m.flows[k][1]]
 
-    bounds = _Bounds(m)
     scored = bounds.candidates(flows, groups, cand, base_obj)
     scored.sort()
     best = None
@@ -876,26 +863,24 @@ def _shortlist_size(budget: int, groups: int, switches: int) -> int:
     return k
 
 
-def _shortlists(m: MILPModel, groups: list, nodes: list,
+def _shortlists(bounds: _Bounds, groups: list, nodes: list,
                 budget: int) -> dict:
     """Per-group candidate switches ranked by detour times demand, the
-    first `_shortlist_size` of them."""
-    topo = m.topo
+    first `_shortlist_size` of them.  A detour src -> n -> snk is measured
+    in the bounds' distances (`_Bounds.dist`, 1/capacity per link): on
+    equal capacities that ranks switches as hop counts would, and on
+    unequal ones it follows the objective's link length."""
     k = _shortlist_size(budget, len(groups), len(nodes))
-    hops = {n: [(nxt, 1) for nxt, _ in out]
-            for n, out in _adjacency(topo).items()}
-    dists = {n: _distances(hops, n) for n in nodes}
     out = {}
     for gi, group in enumerate(groups):
         gset = set(group)
         score = {n: 0.0 for n in nodes}
-        for (u, v), (vol, svars) in m.flows.items():
+        for vol, src, snk, svars in bounds.flows.values():
             if not gset & set(svars):
                 continue
-            src, snk = topo.node_of_port(u), topo.node_of_port(v)
             for n in nodes:
-                d1 = dists[src].get(n)
-                d2 = dists[n].get(snk)
+                d1 = bounds.dist[src].get(n)
+                d2 = bounds.dist[n].get(snk)
                 if d1 is None or d2 is None:
                     score[n] += 1e9
                 else:
@@ -907,7 +892,7 @@ def _shortlists(m: MILPModel, groups: list, nodes: list,
 
 # ---------------------------------------------------------------- check
 
-CHECK_TOL = 1e-9            # slack `check_solution` allows on every row
+CHECK_TOL = 1e-9            # slack `check_solution` allows on rows and bounds
 
 
 def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
@@ -933,9 +918,13 @@ def _routing_values(m: MILPModel, placement: dict, routing: dict) -> dict:
 
 
 def check_solution(m: MILPModel, placement: dict, routing: dict) -> list:
-    """Independent re-verification of every constraint row, read once from
-    the stream.  Returns the violations sorted by row name (empty means
-    ok).  Capacity rows are checked like any other row."""
+    """Independent re-verification of a placement and routing against the
+    model, in one pass over its rows and one over its columns.  Violations
+    are the rows that do not hold (capacity rows like any other), the
+    values outside their column's bounds (a link crossed twice breaks its
+    binary R column; in TE mode, a placement other than `m.fixed` breaks
+    its P columns) and the values on columns the model lacks, such as a
+    hop over a non-link.  Sorted by name; empty means ok."""
     vals = _routing_values(m, placement, routing)
     out = []
     for c in m.constraints:
@@ -945,6 +934,14 @@ def check_solution(m: MILPModel, placement: dict, routing: dict) -> list:
               abs(lhs - c.rhs) <= CHECK_TOL)
         if not ok:
             out.append(Violation(c.name, lhs, c.sense, c.rhs))
+    for c in m.columns:
+        x = vals.pop(c.name, 0.0)
+        if x > c.hi + CHECK_TOL:
+            out.append(Violation(c.name, x, "<=", c.hi))
+        elif x < c.lo - CHECK_TOL:
+            out.append(Violation(c.name, x, ">=", c.lo))
+    # what is left names no column: the model holds it at 0
+    out.extend(Violation(name, x, "=", 0.0) for name, x in vals.items())
     return sorted(out, key=lambda v: v.constraint)
 
 

@@ -70,7 +70,8 @@ def test_solver_is_deterministic(m_dns, sol_dns):
 
 def test_objective_matches_model(m_dns, sol_dns):
     vals = opt._routing_values(m_dns, sol_dns.placement, sol_dns.routing)
-    value = sum(c * vals.get(v, 0.0) for v, c in m_dns.objective.items())
+    value = sum(c.cost * vals.get(c.name, 0.0) for c in m_dns.columns
+                if c.cost is not None)
     assert abs(value - sol_dns.objective) < 1e-9
 
 
@@ -223,6 +224,7 @@ def test_lp_export_parse_back_preserves_counts(m_dns):
     assert vars_seen == set(m_dns.variables())
 
 
+@pytest.mark.pinned
 def test_lp_export_is_pinned():
     """The exported model, byte for byte, as the rows were first built;
     their order, names and coefficients must not drift.  Pinned again
@@ -260,7 +262,7 @@ def test_compile_never_builds_rows(tmp_path, monkeypatch, capsys):
         raise AssertionError("LP rows built on the compile path")
 
     monkeypatch.setattr(opt, "_rows", no_rows)
-    monkeypatch.setattr(opt, "_fill_columns", no_rows)
+    monkeypatch.setattr(opt, "_columns", no_rows)
     for kind, kw in kinds.items():
         bundle = rulegen.compile(prog, t, **kw)
         rulegen.write_bundle(bundle, str(tmp_path / kind))
@@ -277,7 +279,7 @@ def test_compile_never_builds_rows(tmp_path, monkeypatch, capsys):
     with pytest.raises(AssertionError, match="compile path"):
         iter(m.constraints)
     with pytest.raises(AssertionError, match="compile path"):
-        m.objective
+        iter(m.columns)
 
 
 def test_two_reads_yield_equal_rows(monkeypatch, m_dns):
@@ -297,8 +299,7 @@ def test_two_reads_yield_equal_rows(monkeypatch, m_dns):
     assert first == second
     names = [c.name for c in first]
     assert len(set(names)) == len(names) == 2258
-    assert set(vars(m_dns)) <= {f.name for f in dataclasses.fields(m_dns)} | \
-        {"objective", "bounds", "binaries"}
+    assert set(vars(m_dns)) == {f.name for f in dataclasses.fields(m_dns)}
 
 
 def _certificate_cases(m, sol):
@@ -318,6 +319,7 @@ def _certificate_cases(m, sol):
     yield "overloaded", dataclasses.replace(m, flows=flows), rt
 
 
+@pytest.mark.pinned
 def test_checker_violations_are_pinned():
     """check_solution's violations, in order, on every corpus policy with
     assign-egress on example12, for the solver's routing and three broken
@@ -325,7 +327,11 @@ def test_checker_violations_are_pinned():
     kept a sorted row list (SHA-256 of the JSON list, lhs to 9 places).
     Pinned again for the net-flow conservation rows: each dropped hop's
     src_ violation is now its source's cons_ row, and each wrong-owner
-    pfull_ violation its sink's pcons_ row, with the same count."""
+    pfull_ violation its sink's pcons_ row, with the same count.  And
+    again when the checker read the column bounds too: the 749 row
+    violations are all still listed (their list keeps its old digest),
+    and each of the 22 dropped hops adds the R column of its hop over a
+    non-link, which the model holds at 0."""
     got = []
     for name in CORPUS:
         m = model_for([name, "assign-egress"])
@@ -336,9 +342,18 @@ def test_checker_violations_are_pinned():
                                       v.rhs) for v in vs]])
     assert len(got) == 87
     assert sum(len(vs) for _, case, vs in got if case == "solver") == 0
-    assert sum(len(vs) for _, _, vs in got) == 749
+    assert sum(len(vs) for _, _, vs in got) == 771
     assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == (
+        "f5d9dbbc5bf58cf55205699ee9f4e1c7d593f5b4011e3950dab98d4e793425ac")
+    columns = ("R_", "P_", "PS_")
+    rows = [[name, case, [v for v in vs if not v[0].startswith(columns)]]
+            for name, case, vs in got]
+    assert sum(len(vs) for _, _, vs in rows) == 749
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
         "3dce6d9a63b2072c5c4a43b3f9a90db16504b76e7e94d6264d36f65d76de90ac")
+    added = [(case, v[0][:2], v[1:]) for _, case, vs in got for v in vs
+             if v[0].startswith(columns)]
+    assert added == [("dropped-hop", "R_", (1.0, "=", 0.0))] * 22
 
 
 @pytest.mark.parametrize("make_topo, budget", [
@@ -367,16 +382,18 @@ def test_te_mode_fixes_the_placement_columns(m_dns, sol_dns):
     te = model_for(["dns-tunnel-detect", "assign-egress", "assumption"],
                    fixed=sol_dns.placement)
     assert list(iter(te.constraints)) == list(iter(m_dns.constraints))
-    assert te.variables() == m_dns.variables()
-    assert te.binaries == m_dns.binaries
-    assert te.objective == m_dns.objective
-    changed = {v for v in te.bounds if te.bounds[v] != m_dns.bounds[v]}
+    st_cols = list(iter(m_dns.columns))
+    te_cols = list(iter(te.columns))
+    assert [(c.name, c.cost, c.binary) for c in te_cols] == \
+        [(c.name, c.cost, c.binary) for c in st_cols]
+    changed = {c.name for c, d in zip(te_cols, st_cols) if c != d}
     places = {opt.pname(s, n) for s in te.state_vars for n in te.topo.nodes}
     assert changed <= places
+    bounds = {c.name: (c.lo, c.hi) for c in te_cols}
     for s in te.state_vars:
         for n in te.topo.nodes:
             on = 1.0 if sol_dns.placement[s] == n else 0.0
-            assert te.bounds[opt.pname(s, n)] == (on, on)
+            assert bounds[opt.pname(s, n)] == (on, on)
     sol = opt.solve_builtin(te)
     assert sol.placement == sol_dns.placement
     # the rerouted traffic still satisfies the full joint model
@@ -394,6 +411,7 @@ def test_te_mode_fixes_the_placement_columns(m_dns, sol_dns):
     (["spam-detection", "assign-egress"],
      {"mta-mails": "C1", "spam-mta": "C5"}, {"cap", "tied"}),
 ], ids=["dns-ttl-change", "spam-detection"])
+@pytest.mark.pinned
 def test_te_checker_equals_st_checker_on_split_placements(names, placement,
                                                           kinds):
     """check_solution gives a routing the same verdict under the TE model
@@ -411,6 +429,48 @@ def test_te_checker_equals_st_checker_on_split_placements(names, placement,
         assert f" 1 <= {opt.pname(s, n)} <= 1" in lines
         other = "C6" if n != "C6" else "C1"
         assert f" 0 <= {opt.pname(s, other)} <= 0" in lines
+
+
+@pytest.fixture(scope="module")
+def m_fw():
+    return model_for(["stateful-fw", "assign-egress"])
+
+
+@pytest.fixture(scope="module")
+def sol_fw(m_fw):
+    return opt.solve_builtin(m_fw)
+
+
+def test_walk_crossing_a_link_twice_breaks_its_r_column(m_fw, sol_fw):
+    """Every row admits this walk of flow (1,2), which crosses I1->C1
+    twice, but its R column is binary: at most 1."""
+    walk = ("I1", "C1", "I1", "C1", "C5", "C6", "C2", "I2")
+    assert sol_fw.placement == {"established": "C5"}
+    vs = opt.check_solution(m_fw, sol_fw.placement,
+                            {**sol_fw.routing, (1, 2): walk})
+    assert vs == [opt.Violation(opt.rname(1, 2, "I1", "C1"), 2.0, "<=", 1.0)]
+
+
+def test_te_model_rejects_a_placement_other_than_its_own(m_fw, sol_fw):
+    """A TE model fixes each placement column: the solver's placement
+    (established on C5) breaks the model fixed to C6 on both columns."""
+    te = model_for(["stateful-fw", "assign-egress"],
+                   fixed={"established": "C6"})
+    vs = opt.check_solution(te, sol_fw.placement, sol_fw.routing)
+    assert vs == [opt.Violation("P_established_C5", 1.0, "<=", 0.0),
+                  opt.Violation("P_established_C6", 0.0, ">=", 1.0)]
+    assert opt.check_solution(m_fw, sol_fw.placement, sol_fw.routing) == []
+
+
+def test_hop_over_a_non_link_is_reported_by_column_name(m_fw, sol_fw):
+    """The model has no column for a hop over a pair of switches that no
+    link joins, so it holds that hop at 0."""
+    assert ("I1", "C5") not in m_fw.topo.links
+    walk = ("I1", "C5", "C6", "C2", "I2")
+    vs = opt.check_solution(m_fw, sol_fw.placement,
+                            {**sol_fw.routing, (1, 2): walk})
+    assert opt.Violation(opt.rname(1, 2, "I1", "C5"), 1.0, "=", 0.0) in vs
+    assert opt.rname(1, 2, "I1", "C5") not in m_fw.variables()
 
 
 def test_disconnected_topology_is_infeasible():
@@ -500,6 +560,7 @@ def test_router_takes_the_cheapest_visit_order():
     assert path == ("I", "Z", "Y", "E")
 
 
+@pytest.mark.pinned
 def test_router_equals_the_closure_cost_reference():
     """`_route_flows`, which keeps one length table in step with the
     loads, routes like the closure-cost router it replaced: the same

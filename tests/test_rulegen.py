@@ -179,6 +179,7 @@ BENCHMARK_TWINS = {
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_TWINS))
+@pytest.mark.pinned
 def test_bundle_write_load_write_is_byte_identical(tmp_path, workload):
     """A bundle written, loaded and written again is the same bytes, file
     for file, on corpus twins of the benchmark's four workloads."""
@@ -235,6 +236,7 @@ def test_walk_routing_with_revisited_switch_generates_rules():
 REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 
 
+@pytest.mark.pinned
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
@@ -256,6 +258,7 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     assert group_count(bundle) == 58
 
 
+@pytest.mark.pinned
 def test_compiled_rules_follow_the_walks():
     """No false alarm from the rule agreement: every corpus policy composed
     with assign-egress, on example12 and on generated(20, 3) at budget 64,
@@ -333,6 +336,7 @@ def test_revisited_switch_forwards_the_later_way():
         f"gives {act} {arg!r}"]
 
 
+@pytest.mark.pinned
 def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for

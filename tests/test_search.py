@@ -93,7 +93,7 @@ def search_space(m, budget: int):
     if exhaustive:
         cand = [nodes] * len(groups)
     else:
-        short = opt._shortlists(m, groups, nodes, budget)
+        short = opt._shortlists(opt._Bounds(m), groups, nodes, budget)
         cand = [short[g] for g in range(len(groups))]
     flows = opt._flow_order(m)
     base_loads, base_routing, base_obj = {}, {}, 0.0
@@ -228,6 +228,7 @@ def test_tie_break_prefers_smallest_sorted_placement():
     assert sol.examined > 1
 
 
+@pytest.mark.pinned
 def test_shortlist_size_is_the_integer_root():
     """The largest k with k ** groups <= budget, capped at the switch
     count; a float cube root gives 3 for 64, 15 for 4096 and 4 for
@@ -240,6 +241,7 @@ def test_shortlist_size_is_the_integer_root():
     assert opt._shortlist_size(10 ** 9, 1, 50) == 50
 
 
+@pytest.mark.pinned
 def test_scale_shortlist_searches_the_whole_budget():
     sol = opt.solve_builtin(dns_model(topo.generated(50, 7)), budget=64)
     assert sol.candidates == 64
@@ -327,6 +329,7 @@ BOUND_MODELS = {
 
 
 @pytest.mark.parametrize("kind", BOUND_MODELS)
+@pytest.mark.pinned
 def test_bound_tables_equal_the_enumeration_reference(kind):
     """`_Bounds.candidates` and `_Bounds.flow`, a dynamic program over
     order ideals, give exactly (==) the floats of the enumeration of

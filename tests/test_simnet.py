@@ -311,6 +311,7 @@ TRACE_DIGEST = ("d1189e7c9b5b64b576558c9e021a5036"
                 "68705152ae76ace2c52f7c2c4a425374")
 
 
+@pytest.mark.pinned
 def test_event_trace_changes_no_behaviour(corpus_bundles):
     """Recording the trace or not gives the same emissions, final state
     and counters, serialized and interleaved; the traced runs match the

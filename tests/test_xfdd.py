@@ -72,6 +72,7 @@ def test_random_differential():
     assert checked > 50 and races > 5
 
 
+@pytest.mark.pinned
 def test_random_diagram_structure_is_pinned():
     """The numbered diagrams of 600 random programs (or the error each
     raises), hashed as the operators first built them.  The corpus rarely
@@ -132,6 +133,7 @@ def reference_programs() -> tuple:
     return randoms, corpus
 
 
+@pytest.mark.pinned
 def test_lead_equals_the_restrict_and_join_reference():
     """Every split `_lead` joins, over the reference programs."""
     randoms, corpus = reference_programs()
@@ -154,6 +156,7 @@ def test_lead_equals_the_restrict_and_join_reference():
     assert built == len(ALL_POLICIES) and led > 800, (built, led)
 
 
+@pytest.mark.pinned
 def test_computed_tables_equal_the_uncached_builder():
     """The Builder's computed tables change no result: over the reference
     programs, a Builder and one whose tables never store return the same
