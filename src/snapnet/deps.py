@@ -1,49 +1,17 @@
 """State dependency analysis.
 
-Builds the read-before-write dependency graph over state variables,
-condenses it into SCCs (tied groups), topologically orders the groups,
-and ranks the variables; `xfdd.test_key` orders diagram tests by that rank.
+Builds the read-before-write dependency graph over state variables in one
+walk of the program, ties the variables that reach each other into groups,
+orders the groups, and ranks the variables; `xfdd.test_key` orders diagram
+tests by that rank.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from . import lang
 from .values import canon_key
-
-
-# ------------------------------------------------------------ reads/writes
-
-def reads(p) -> set:
-    if isinstance(p, lang.StateTest):
-        return {p.var}
-    if isinstance(p, (lang.Incr, lang.Decr)):
-        return {p.var}          # reads the old value before bumping it
-    if isinstance(p, lang.Neg):
-        return reads(p.p)
-    if isinstance(p, (lang.Or, lang.And, lang.Par, lang.Seq)):
-        return reads(p.p) | reads(p.q)
-    if isinstance(p, lang.If):
-        return reads(p.cond) | reads(p.then) | reads(p.els)
-    if isinstance(p, lang.Atomic):
-        return reads(p.p)
-    return set()
-
-
-def writes(p) -> set:
-    if lang.is_state_op(p):
-        return {p.var}
-    if isinstance(p, lang.Neg):
-        return writes(p.p)
-    if isinstance(p, (lang.Or, lang.And, lang.Par, lang.Seq)):
-        return writes(p.p) | writes(p.q)
-    if isinstance(p, lang.If):
-        return writes(p.cond) | writes(p.then) | writes(p.els)
-    if isinstance(p, lang.Atomic):
-        return writes(p.p)
-    return set()
 
 
 # ------------------------------------------------------------ graph
@@ -54,96 +22,52 @@ class DependencyGraph:
     edges: frozenset           # ordered pairs (s, t): t written after reading s
 
 
+def _walk(p) -> tuple:
+    """(reads, writes, edges) of p, in one post-order pass.  Edge rules:
+    seq crosses the reads of p with the writes of q; an if-condition's
+    reads cross both branches' writes; atomic ties everything it
+    touches.  A counter reads the old value before bumping it."""
+    if isinstance(p, lang.StateTest):
+        return {p.var}, set(), set()
+    if isinstance(p, (lang.Incr, lang.Decr)):
+        return {p.var}, {p.var}, set()
+    if isinstance(p, lang.StateSet):
+        return set(), {p.var}, set()
+    if isinstance(p, (lang.Neg, lang.Atomic)):
+        kids = [_walk(p.p)]
+    elif isinstance(p, (lang.Or, lang.And, lang.Par, lang.Seq)):
+        kids = [_walk(p.p), _walk(p.q)]
+    elif isinstance(p, lang.If):
+        kids = [_walk(p.cond), _walk(p.then), _walk(p.els)]
+    else:
+        return set(), set(), set()
+    rd, wr, edges = (set().union(*part) for part in zip(*kids))
+    if isinstance(p, lang.Seq):
+        edges |= {(s, t) for s in kids[0][0] for t in kids[1][1]}
+    elif isinstance(p, lang.If):
+        edges |= {(s, t) for s in kids[0][0] for t in kids[1][1] | kids[2][1]}
+    elif isinstance(p, lang.Atomic):
+        edges |= {(s, t) for s in rd | wr for t in rd | wr}
+    return rd, wr, edges
+
+
 def st_dep(p, extra_vars: set | None = None) -> DependencyGraph:
-    """Edge rules: seq crosses reads of p with writes of q; an if-condition's
-    reads cross both branches' writes; atomic ties everything it touches."""
-
-    def go(n) -> set:
-        if isinstance(n, lang.Par):
-            return go(n.p) | go(n.q)
-        if isinstance(n, lang.Seq):
-            return ({(s, t) for s in reads(n.p) for t in writes(n.q)}
-                    | go(n.p) | go(n.q))
-        if isinstance(n, lang.If):
-            wr = writes(n.then) | writes(n.els)
-            return ({(s, t) for s in reads(n.cond) for t in wr}
-                    | go(n.then) | go(n.els))
-        if isinstance(n, lang.Atomic):
-            touched = reads(n.p) | writes(n.p)
-            return {(s, t) for s in touched for t in touched}
-        if isinstance(n, (lang.Or, lang.And)):
-            return go(n.p) | go(n.q)
-        if isinstance(n, lang.Neg):
-            return go(n.p)
-        return set()
-
-    edges = go(p)
-    nodes = reads(p) | writes(p) | {v for e in edges for v in e}
-    if extra_vars:
-        nodes |= extra_vars
-    return DependencyGraph(frozenset(nodes), frozenset(edges))
+    rd, wr, edges = _walk(p)
+    return DependencyGraph(frozenset(rd | wr | (extra_vars or set())),
+                           frozenset(edges))
 
 
 def st_dep_program(prog: lang.Program) -> DependencyGraph:
     return st_dep(prog.policy, extra_vars=set(prog.states))
 
 
-# ------------------------------------------------------------ SCC / order
-
-def _tarjan(nodes: list, succ: dict) -> list:
-    """Iterative Tarjan; returns SCCs as lists (reverse topological order)."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
+# ------------------------------------------------------------ order
 
 @dataclass
 class OrderSpec:
-    dep: frozenset             # ordered cross-SCC pairs (s, t)
+    dep: frozenset             # ordered cross-group pairs (s, t)
     state_rank: dict           # variable -> int, respecting dep
-    groups: list               # tied groups (SCCs) as sorted lists, in order
+    groups: list               # tied groups as sorted lists, in order
 
 
 def expr_key(e) -> tuple:
@@ -157,52 +81,38 @@ def expr_key(e) -> tuple:
 
 
 def order_spec(g: DependencyGraph) -> OrderSpec:
-    nodes = sorted(g.nodes)
-    succ = {}
-    for s, t in sorted(g.edges):
-        succ.setdefault(s, []).append(t)
-    sccs = _tarjan(nodes, succ)
-
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-
-    # condensation edges + Kahn with lexicographic-min tie-break
-    cond_succ = {i: set() for i in range(len(sccs))}
-    indeg = {i: 0 for i in range(len(sccs))}
+    """A tied group is a class of variables that reach each other along
+    the edges; the groups are ordered by taking, again and again, the
+    ready group (every group that reaches it already taken) with the
+    least first member.  Variables rank in that order, and by name
+    within a group."""
+    succ: dict = {v: [] for v in g.nodes}
     for s, t in g.edges:
-        a, b = comp_of[s], comp_of[t]
-        if a != b and b not in cond_succ[a]:
-            cond_succ[a].add(b)
-            indeg[b] += 1
-    heap = [(sccs[i][0], i) for i in indeg if indeg[i] == 0]
-    heapq.heapify(heap)
-    topo = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        topo.append(i)
-        for j in sorted(cond_succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, (sccs[j][0], j))
-    assert len(topo) == len(sccs), "condensation must be acyclic"
-
-    groups = [sccs[i] for i in topo]
-    state_rank = {}
-    rank = 0
-    for comp in groups:
-        for v in comp:            # already sorted lexicographically
-            state_rank[v] = rank
-            rank += 1
-
-    dep = set()
-    for s, t in g.edges:
-        if comp_of[s] != comp_of[t]:
-            dep.add((s, t))
-
-    return OrderSpec(dep=frozenset(dep), state_rank=state_rank,
-                     groups=groups)
+        succ[s].append(t)
+    reach = {}                 # v -> the variables reachable from v, v too
+    for v in g.nodes:
+        seen, todo = {v}, [v]
+        while todo:
+            for t in succ[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[v] = seen
+    group_of = {v: tuple(sorted(w for w in reach[v] if v in reach[w]))
+                for v in g.nodes}
+    above = {grp: {group_of[v] for v in g.nodes if grp[0] in reach[v]} - {grp}
+             for grp in group_of.values()}
+    groups: list = []
+    taken: set = set()
+    for _ in above:
+        grp = min(x for x in above if x not in taken and above[x] <= taken)
+        groups.append(list(grp))
+        taken.add(grp)
+    order = [v for grp in groups for v in grp]
+    return OrderSpec(
+        dep=frozenset(e for e in g.edges if group_of[e[0]] != group_of[e[1]]),
+        state_rank={v: rank for rank, v in enumerate(order)},
+        groups=groups)
 
 
 def order_spec_program(prog: lang.Program) -> OrderSpec:

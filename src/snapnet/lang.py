@@ -1,7 +1,8 @@
 """Policy language: AST, recursive-descent parser, and pretty-printer.
 
 Grammar summary (full EBNF in docs/grammar.md).  Operator precedence from
-loosest to tightest binding: `+`  `|`  `;`  `&`  `!`.  `if ... then ... else`
+loosest to tightest binding (`_OPS`, read by the parser and the printer):
+`+`  `|`  `;`  `&`  `!`.  `if ... then ... else`
 branches extend as far right as possible, so a sequenced `if` needs parens:
 `(if a then p else q); r`.
 """
@@ -159,6 +160,13 @@ Policy = (
     Id | Drop | Test | Neg | Or | And | StateTest | Mod | StateSet
     | Incr | Decr | Par | Seq | If | Atomic
 )
+
+
+# The binary operators from loosest to tightest binding, all
+# left-associative; `!` binds tighter than any of them.  The parser and the
+# printer both read this table.
+_OPS = (("+", Par), ("|", Or), (";", Seq), ("&", And))
+_PREDICATE_OPS = tuple(op for op in _OPS if op[1] in (Or, And))
 
 
 @dataclass(frozen=True)
@@ -478,51 +486,28 @@ class _Parser:
             return FieldRef(t.text, span=sp)
         return Lit(self.literal(), span=sp)
 
-    # -- policy precedence chain: + | ; & !
+    # -- policy precedence chain: _OPS, then `!`
     def policy(self) -> Policy:
-        return self.par()
+        return self.chain(_OPS)
 
     def predicate(self) -> Policy:
-        """`|`/`&`/`!` chain without the seq level (used after `assume`)."""
-        p = self.and_()
-        while self.at("SYM", "|"):
-            t = self.next()
-            p = Or(p, self.and_(), span=Span(t.line, t.col))
-        return p
+        """The `|` `&` `!` levels only (used after `assume`)."""
+        return self.chain(_PREDICATE_OPS)
 
-    def par(self) -> Policy:
-        p = self.or_()
-        while self.at("SYM", "+"):
+    def chain(self, ops: tuple) -> Policy:
+        """A left-associative chain of ops[0]'s operator over chains of
+        ops[1:]; with no operators left, a `!` or a primary."""
+        if not ops:
+            if self.at("SYM", "!"):
+                t = self.next()
+                return Neg(self.chain(ops), span=Span(t.line, t.col))
+            return self.primary()
+        (sym, node), rest = ops[0], ops[1:]
+        p = self.chain(rest)
+        while self.at("SYM", sym):
             t = self.next()
-            p = Par(p, self.or_(), span=Span(t.line, t.col))
+            p = node(p, self.chain(rest), span=Span(t.line, t.col))
         return p
-
-    def or_(self) -> Policy:
-        p = self.seq()
-        while self.at("SYM", "|"):
-            t = self.next()
-            p = Or(p, self.seq(), span=Span(t.line, t.col))
-        return p
-
-    def seq(self) -> Policy:
-        p = self.and_()
-        while self.at("SYM", ";"):
-            t = self.next()
-            p = Seq(p, self.and_(), span=Span(t.line, t.col))
-        return p
-
-    def and_(self) -> Policy:
-        p = self.not_()
-        while self.at("SYM", "&"):
-            t = self.next()
-            p = And(p, self.not_(), span=Span(t.line, t.col))
-        return p
-
-    def not_(self) -> Policy:
-        if self.at("SYM", "!"):
-            t = self.next()
-            return Neg(self.not_(), span=Span(t.line, t.col))
-        return self.primary()
 
     def primary(self) -> Policy:
         t = self.peek()
@@ -726,9 +711,6 @@ def compose_all(progs: list) -> Program:
 
 # ---------------------------------------------------------------- pretty
 
-_LEVEL = {"par": 0, "or": 1, "seq": 2, "and": 3, "not": 4, "atom": 5}
-
-
 def pretty_expr(e: Expr) -> str:
     if isinstance(e, Lit):
         return format_value(e.value)
@@ -769,23 +751,13 @@ def pretty_policy(p: Policy, level: int = 0) -> str:
     if isinstance(p, Decr):
         return f"{p.var}{_idx_brackets(p.index)}--"
     if isinstance(p, Neg):
-        return wrap(f"!{pretty_policy(p.p, _LEVEL['not'])}", _LEVEL["not"])
-    if isinstance(p, And):
-        lhs = pretty_policy(p.p, _LEVEL["and"])
-        rhs = pretty_policy(p.q, _LEVEL["and"] + 1)
-        return wrap(f"{lhs} & {rhs}", _LEVEL["and"])
-    if isinstance(p, Seq):
-        lhs = pretty_policy(p.p, _LEVEL["seq"])
-        rhs = pretty_policy(p.q, _LEVEL["seq"] + 1)
-        return wrap(f"{lhs}; {rhs}", _LEVEL["seq"])
-    if isinstance(p, Or):
-        lhs = pretty_policy(p.p, _LEVEL["or"])
-        rhs = pretty_policy(p.q, _LEVEL["or"] + 1)
-        return wrap(f"{lhs} | {rhs}", _LEVEL["or"])
-    if isinstance(p, Par):
-        lhs = pretty_policy(p.p, _LEVEL["par"])
-        rhs = pretty_policy(p.q, _LEVEL["par"] + 1)
-        return wrap(f"{lhs} + {rhs}", _LEVEL["par"])
+        return wrap(f"!{pretty_policy(p.p, len(_OPS))}", len(_OPS))
+    for my, (sym, node) in enumerate(_OPS):
+        if isinstance(p, node):
+            lhs = pretty_policy(p.p, my)
+            rhs = pretty_policy(p.q, my + 1)
+            sep = "; " if sym == ";" else f" {sym} "
+            return wrap(f"{lhs}{sep}{rhs}", my)
     if isinstance(p, If):
         return (f"(if {pretty_policy(p.cond)} then {pretty_policy(p.then)} "
                 f"else {pretty_policy(p.els)})")

@@ -43,6 +43,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 from .errors import InfeasibleError, InputError
 
@@ -69,16 +70,16 @@ def psname(s, u, v, i, j) -> str:
 
 # ---------------------------------------------------------------- model
 
-@dataclass(frozen=True)
-class Constraint:
+# NamedTuples, not frozen dataclasses: a check builds one per row and per
+# column, and a frozen dataclass sets each field through object.__setattr__.
+class Constraint(NamedTuple):
     name: str
     coeffs: tuple            # ((var, coef), ...), vars unique
     sense: str               # "<=" | ">=" | "="
     rhs: float
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     name: str
     cost: float | None       # objective coefficient; None: not in it
     lo: float
@@ -496,21 +497,18 @@ def _route(table: dict, src: str, snk: str, needed: frozenset, owner: dict,
 
 def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
                  loads: dict, obj_so_far: float = 0.0,
-                 abort_above: float | None = None,
-                 rest: list | None = None):
+                 abort_above: float | None = None):
     """Route the given flows (in order) on top of `loads`, mutating it.
     Returns (routing, objective) or None if some flow cannot be routed or
-    the running objective already exceeds `abort_above`.  `rest[i]`, when
-    given, is a lower bound on what the flows after the i-th add to the
-    objective; routing also stops once the running objective plus that
-    bound exceeds `abort_above`.  One length table serves every flow: a
-    routed flow's volume updates the lengths of the links it crosses."""
+    the running objective already exceeds `abort_above`.  One length
+    table serves every flow: a routed flow's volume updates the lengths
+    of the links it crosses."""
     topo = m.topo
     table = _length_table(topo, loads)
     entry = {(n, e[0]): e for n, row in table.items() for e in row}
     routing = {}
     obj = obj_so_far
-    for i, (u, v) in enumerate(flow_keys):
+    for u, v in flow_keys:
         vol, svars = m.flows[(u, v)]
         src = topo.node_of_port(u)
         snk = topo.node_of_port(v)
@@ -528,9 +526,7 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
             loads[link] = load = loads.get(link, 0.0) + vol
             entry[link][1] = _length(c, load)
             obj += vol / c
-        if abort_above is not None and (
-                obj > abort_above + 1e-12
-                or rest is not None and obj + rest[i] > abort_above + 1e-9):
+        if abort_above is not None and obj > abort_above + 1e-12:
             return None
     return routing, obj
 
@@ -710,26 +706,6 @@ class _Bounds:
             memo = grid.prefixes[(here, needed)] = (last, cur)
         return memo
 
-    def flow(self, key, placement: dict) -> float:
-        """Bound for flow `key` under `placement`."""
-        return self.table(key, *self._point(placement))[0]
-
-    def suffixes(self, flow_keys: list, placement: dict) -> list:
-        """Entry i bounds the flows after the i-th: `rest` of
-        `_route_flows`."""
-        grid, col = self._point(placement)
-        out = [0.0] * len(flow_keys)
-        for i in range(len(flow_keys) - 1, 0, -1):
-            out[i - 1] = out[i] + self.table(flow_keys[i], grid, col)[0]
-        return out
-
-    def _point(self, placement: dict) -> tuple:
-        """A grid of the one placement `placement`, with a column per
-        variable, and the column of each variable."""
-        names = list(placement)
-        return (_Grid(self.dist, [[placement[s]] for s in names]),
-                {s: c for c, s in enumerate(names)})
-
     def candidates(self, flow_keys: list, groups: list, cand: list,
                    base: float) -> list:
         """(base + bound of `flow_keys`, index) for every candidate of
@@ -775,10 +751,10 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     touches, filled by dynamic programming over the order ideals of its
     variables.  Ties go in enumeration order, and the search
     stops at the first whose bound exceeds the best objective found.  A
-    candidate's routing also stops once its running objective plus the
-    bound of its unrouted flows exceeds it.  Only a strictly larger bound
-    prunes, so the answer is the least (objective, sorted placement) over
-    every candidate, as full enumeration would give.  A TE-mode model
+    candidate's routing also stops once its running objective exceeds
+    it.  Only a strictly larger bound or objective prunes, so the answer
+    is the least (objective, sorted placement) over every candidate, as
+    full enumeration would give.  A TE-mode model
     (`m.fixed` set) is routed under its placement, without a search.
     Deterministic.  A `budget` below 1 is an `InputError`."""
     if budget < 1:
@@ -836,8 +812,7 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
                 placement[s] = node
         r = _route_flows(m, placement, flows, dict(base_loads),
                          obj_so_far=base_obj,
-                         abort_above=best[0][0] if best else None,
-                         rest=bounds.suffixes(flows, placement))
+                         abort_above=best[0][0] if best else None)
         if r is None:
             continue
         routing, obj = r

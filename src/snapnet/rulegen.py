@@ -383,8 +383,6 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
     for sid in sorted(bundle.configs):
         _dump(os.path.join(swdir, f"{sid}.json"),
               _config_to_json(bundle.configs[sid]))
-    with open(os.path.join(dirpath, "xfdd.dot"), "w") as f:
-        f.write(bundle_dot(bundle.nodes, bundle.root))
 
 
 def _read_part(path: str, decode):

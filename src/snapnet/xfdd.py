@@ -546,9 +546,6 @@ class Arena:
     def branch(self, t, hi: int, lo: int) -> int:
         return self._intern(("B", t, hi, lo))
 
-    def node(self, i: int):
-        return self.nodes[i]
-
     def is_leaf(self, i: int) -> bool:
         return self.nodes[i][0] == "L"
 

@@ -1,10 +1,14 @@
 """State-variable dependency analysis and test-ordering tests."""
 
+import hashlib
 import random
+
+import pytest
 
 from snapnet import deps, lang
 
-from conftest import policy_src
+from conftest import ALL_POLICIES, policy_src
+from helpers import random_policy
 
 
 def test_reads_writes():
@@ -12,14 +16,16 @@ def test_reads_writes():
         "state s[1] default 0;\nstate t[1] default 0;\n"
         "field a : small in {0, 1};\n"
         "if s[0] = 1 then t[0] <- 1 else id")
-    assert deps.reads(prog.body) == {"s"}
-    assert deps.writes(prog.body) == {"t"}
+    reads, writes, _ = deps._walk(prog.body)
+    assert reads == {"s"}
+    assert writes == {"t"}
 
 
 def test_counter_is_both_read_and_write():
     prog = lang.parse("state s[1] default 0;\ns[0]++")
-    assert deps.reads(prog.body) == {"s"}
-    assert deps.writes(prog.body) == {"s"}
+    reads, writes, _ = deps._walk(prog.body)
+    assert reads == {"s"}
+    assert writes == {"s"}
 
 
 def test_seq_crosses_reads_with_later_writes():
@@ -125,3 +131,44 @@ def test_to_dot_lists_nodes_and_edges():
     dot = deps.to_dot(g)
     assert '"orphan" -> "susp-client";' in dot
     assert dot.startswith("digraph")
+
+
+def _pinned_graph(rng):
+    """1-8 variables, edges drawn with replacement: cycles and self-loops
+    are common."""
+    nodes = [f"v{i}" for i in range(rng.randrange(1, 9))]
+    edges = {(rng.choice(nodes), rng.choice(nodes))
+             for _ in range(rng.randrange(0, 3 * len(nodes)))}
+    return deps.DependencyGraph(frozenset(nodes), frozenset(edges))
+
+
+@pytest.mark.pinned
+def test_dependency_analysis_is_pinned():
+    """`st_dep`'s nodes and edges and `order_spec`'s groups, dependency
+    pairs and ranks over every `ALL_POLICIES` program, seeded
+    `random_policy` programs and seeded random graphs.  The digest was
+    computed with the per-node `reads`/`writes` walks, Tarjan's SCCs and
+    the heap-ordered Kahn pass that `_walk` and the reachability closure
+    replaced."""
+    h = hashlib.sha256()
+
+    def record(*items):
+        h.update(repr(items).encode())
+        h.update(b"\n")
+
+    def record_spec(spec):
+        record(spec.groups, sorted(spec.dep), sorted(spec.state_rank.items()))
+
+    for name in ALL_POLICIES:
+        g = deps.st_dep_program(lang.parse(policy_src(name)))
+        record(name, sorted(g.nodes), sorted(g.edges))
+        record_spec(deps.order_spec(g))
+    rng = random.Random("deps:pinned")
+    for _ in range(1000):
+        g = deps.st_dep(random_policy(rng, 4))
+        record(sorted(g.nodes), sorted(g.edges))
+    for _ in range(10_000):
+        record_spec(deps.order_spec(_pinned_graph(rng)))
+    assert h.hexdigest() == (
+        "3dfd7f3d32aa5fa1de498e77d8793a4f"
+        "395e63a30a4a77d95557e61c9aa6a03f")

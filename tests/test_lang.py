@@ -1,12 +1,18 @@
 """Parser, pretty-printer, and composition tests."""
 
+import dataclasses
+import hashlib
+import pathlib
+import random
+
 import pytest
 
 from snapnet import lang
 from snapnet.errors import ParseError
 from snapnet.values import Atom, FALSE, IPv4Address, IPv4Network, TRUE
 
-from conftest import ALL_POLICIES, policy_src
+from conftest import ALL_POLICIES, POLICY_DIR, policy_src
+from helpers import UNIVERSE_SRC, random_policy
 
 
 def test_round_trip_over_corpus():
@@ -147,3 +153,52 @@ def test_compose_conjoins_assumptions():
     b = lang.parse("field g : small in {0, 1};\nassume g = 1;\nid")
     c = lang.compose(a, b)
     assert isinstance(c.assumption, lang.And)
+
+
+def _spans(x):
+    """(node type, span) of every AST node under x, in field order."""
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _spans(y)
+    elif dataclasses.is_dataclass(x) and hasattr(x, "span"):
+        yield type(x).__name__, x.span
+        for f in dataclasses.fields(x):
+            if f.name != "span":
+                yield from _spans(getattr(x, f.name))
+
+
+def _parse_outcome(text: str) -> tuple:
+    """What parsing `text` gives: the pretty text, AST repr and spans of
+    the program, or the error's type and text.  A dotted quad with an
+    empty octet (`10.0..10`) passes the tokenizer and ends in ipaddress's
+    ValueError, not a ParseError."""
+    try:
+        prog = lang.parse(text)
+    except (ParseError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return (lang.pretty(prog), repr(prog),
+            list(_spans((prog.assumption, prog.body))))
+
+
+@pytest.mark.pinned
+def test_parser_and_printer_are_pinned():
+    """Parse outcomes over every example program, seeded `random_policy`
+    programs and seeded one-character deletions of both.  The digest was
+    computed with the per-level parser methods (`par`, `or_`, `seq`,
+    `and_`) and the printer's own precedence table that `_OPS` replaced."""
+    texts = [path.read_text()
+             for path in sorted(pathlib.Path(POLICY_DIR).glob("*.snap"))]
+    rng = random.Random("lang:pinned")
+    texts += [UNIVERSE_SRC + lang.pretty_policy(random_policy(rng, 4))
+              for _ in range(1000)]
+    for text in list(texts):
+        for _ in range(2):
+            i = rng.randrange(len(text))
+            texts.append(text[:i] + text[i + 1:])
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(repr(_parse_outcome(text)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == (
+        "17aaf85e603487665d2f6937b5b1c92d"
+        "1d38f7ef8b31d3bd772514817fb91e97")

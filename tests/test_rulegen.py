@@ -139,7 +139,10 @@ def test_recompile_is_byte_identical(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     rulegen.write_bundle(b1, str(d1))
     rulegen.write_bundle(b2, str(d2))
-    for rel in ("placement.json", "routing.json", "xfdd.dot"):
+    assert sorted(os.listdir(d1)) == ["placement.json", "routing.json",
+                                      "switch"]
+    assert all(name.endswith(".json") for name in os.listdir(d1 / "switch"))
+    for rel in ("placement.json", "routing.json"):
         assert filecmp.cmp(d1 / rel, d2 / rel, shallow=False), rel
     for name in sorted(os.listdir(d1 / "switch")):
         assert filecmp.cmp(d1 / "switch" / name, d2 / "switch" / name,
@@ -240,21 +243,22 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    two format changes: the one that keyed the groups by variable (the
-    last visit before the owner keeps the unresolved entry), and the one
+    three format changes: the one that keyed the groups by variable (the
+    last visit before the owner keeps the unresolved entry), the one
     that wrote each flow's routing as one walk, not a list of weighted
-    paths.  That second change moved only routing.json, so every other
-    file keeps the digest it had before it; the full digest is pinned
-    again for the walk format."""
+    paths, and the one that stopped writing xfdd.dot.  The walk change
+    moved only routing.json, so every other file keeps the digest it had
+    before it.  Both digests were pinned again when xfdd.dot went, with
+    the values the commit before wrote for every file but xfdd.dot."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "0930ac2c4023c9d52dc654239886a2ab9235780053eedb8d8b57a933cdb1f281")
+        "77720554d4004789e5904389084968632d16300b5c46a91ae257ef72ddab7e9f")
     assert bundle_digest(bundle, tmp_path) == (
-        "6ae2e1dbf255cfad2b2f7e47dd51c482c8a5c06f1e7c702dce452bddc974e1e3")
+        "baaf377d5ebd0af456482bb157bdcdb50db6a88a1055980bf941a8f3fb9a500f")
     assert group_count(bundle) == 58
 
 
@@ -341,12 +345,13 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from two format changes: the one that keyed
-    the groups by variable, and the one that wrote each flow's routing as
-    one walk, not a list of weighted paths.  That second change moved only
-    routing.json, so every other file keeps the digest it had before it;
-    the full digest is pinned again for the walk format.  Most path facts
-    here are state tests."""
+    whole fact list, apart from three format changes: the one that keyed
+    the groups by variable, the one that wrote each flow's routing as one
+    walk, not a list of weighted paths, and the one that stopped writing
+    xfdd.dot.  The walk change moved only routing.json, so every other
+    file keeps the digest it had before it.  Both digests were pinned
+    again when xfdd.dot went, with the values the commit before wrote for
+    every file but xfdd.dot.  Most path facts here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -355,9 +360,9 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "146b18e28749e96cceadde7e684b2b82f613bbfe96042a5bb84fa4a4984e3d47")
+        "dcc4f2b89b2774dde38e0ef000ba0b1fcb0734de875bfe599340de5a3a95d2d7")
     assert bundle_digest(bundle, tmp_path) == (
-        "1688823673fe1de1c5e70cc4fb41c64eef15512655222c0f4cf030ca537ee5e8")
+        "78ceb9af83f0577fc58e7077a0ed170fb0eb99ea1e64504cc6b00f96aa9cec30")
     # one group per (inport, variable), not one per resume point
     assert group_count(bundle) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")
