@@ -340,6 +340,22 @@ def tokenize(src: str) -> list:
 
 # ---------------------------------------------------------------- parser
 
+# the value of each numeric token kind, and its name in an error
+_NUMBERS = {"NUM": (int, "number"), "IP": (IPv4Address, "address"),
+            "PREFIX": (IPv4Network, "prefix")}
+
+
+def _number(t: Token):
+    """The value of a numeric token; a ParseError at the token when its
+    text is no such value (an octet above 255, an empty octet, or a
+    digit `int` does not read, such as a superscript)."""
+    make, name = _NUMBERS[t.kind]
+    try:
+        return make(t.text)
+    except ValueError as e:
+        raise ParseError(f"bad {name} literal: {e}", t.line, t.col)
+
+
 class _Parser:
     def __init__(self, toks: list):
         self.toks = toks
@@ -400,7 +416,7 @@ class _Parser:
         self.expect("KEYWORD", "state")
         name = self.expect("IDENT").text
         self.expect("SYM", "[")
-        arity = int(self.expect("NUM").text)
+        arity = _number(self.expect("NUM"))
         self.expect("SYM", "]")
         self.expect("KEYWORD", "default")
         default = self.literal()
@@ -436,18 +452,9 @@ class _Parser:
     # -- literals / exprs
     def literal(self):
         t = self.peek()
-        if t.kind == "NUM":
+        if t.kind in _NUMBERS:
             self.next()
-            return int(t.text)
-        if t.kind == "IP":
-            self.next()
-            return IPv4Address(t.text)
-        if t.kind == "PREFIX":
-            self.next()
-            try:
-                return IPv4Network(t.text)
-            except ValueError as e:
-                raise ParseError(f"bad prefix literal: {e}", t.line, t.col)
+            return _number(t)
         if t.kind == "KEYWORD" and t.text in ("True", "False"):
             self.next()
             return TRUE if t.text == "True" else FALSE

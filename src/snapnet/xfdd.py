@@ -20,10 +20,10 @@ Builder.
 
 Like a BDD package's computed table, the Builder keeps the result of
 each leaf function that reads no path context (merging by effect, the
-fan-out map, composing one run with a leaf, the annotation probe and
-sorting by `elem_key`), keyed only by node ids, element sets and runs,
-which the arena interns.  None is keyed by a Context: such a table made
-the build slower through cyclic-GC work.
+fan-out map, composing one run with a leaf and sorting by `elem_key`),
+keyed only by node ids, element sets and runs, which the arena interns.
+None is keyed by a Context: such a table made the build slower through
+cyclic-GC work.
 
 Conflict detection mirrors the evaluator's log discipline exactly:
 parallel composition checks its two operands' read/write sets against
@@ -225,11 +225,21 @@ def elem_key(e) -> tuple:
 
 @dataclass(frozen=True)
 class AnnotatedSeq:
-    """Leaf element carrying per-run bookkeeping during checked unions."""
+    """Leaf element carrying per-run bookkeeping during checked unions.
+    Built only by `annotated`, so a run with nothing to note stays a plain
+    tuple and each run has one form in the arena."""
     atoms: tuple
     qw: frozenset        # state vars written by this run's second phase
     qr: frozenset        # state vars read by this run (incl. resolved reads)
     pops: tuple          # ((var, count), ...): leading first-phase ops per var
+
+
+def annotated(atoms: tuple, qw: frozenset, qr: frozenset, pops: tuple):
+    """The run `atoms` with its bookkeeping: the plain run when there is
+    none."""
+    if qw or qr or pops:
+        return AnnotatedSeq(atoms, qw, qr, pops)
+    return atoms
 
 
 def _pure_drop_elems(elems: frozenset) -> bool:
@@ -574,11 +584,10 @@ class Builder:
         # arena interns (tests, node ids, element sets, runs), so no table
         # merges two results the arena keeps apart
         self._keys: dict = {}       # test -> test_key
-        self._drop_memo: dict = {}  # drop leaf -> {node: node + drop}
+        self._drop_memo: dict = {}  # node -> node + drop
         self._merged: dict = {}     # elements -> _merge_by_effect(elements)
         self._fanout: dict = {}     # node -> node, _seq_leaf's fan-out map
         self._resolved: dict = {}   # (run, leaf, reads) -> _resolve's leaf
-        self._annotated: dict = {}  # node -> _leaf_annotated(node)
         self._sorted: dict = {}     # elements -> elements by elem_key
 
     # -- small helpers
@@ -595,10 +604,7 @@ class Builder:
     def id_leaf(self) -> int:
         return self.arena.leaf({()})
 
-    def drop_leaf(self, annotated: bool = False) -> int:
-        if annotated:
-            e = AnnotatedSeq(DROP_SEQ, frozenset(), frozenset(), ())
-            return self.arena.leaf({e})
+    def drop_leaf(self) -> int:
         return self.arena.leaf({DROP_SEQ})
 
     def _by_key(self, elems: frozenset) -> tuple:
@@ -606,27 +612,6 @@ class Builder:
         r = self._sorted.get(elems)
         if r is None:
             r = self._sorted[elems] = tuple(sorted(elems, key=elem_key))
-        return r
-
-    def _leaf_annotated(self, d: int) -> bool:
-        r = self._annotated.get(d)
-        if r is not None:
-            return r
-        a = self.arena
-        r = False
-        stack = [d]
-        while stack:
-            i = stack.pop()
-            if a.is_leaf(i):
-                e = next((e for e in a.elems(i) if not isinstance(e, Poison)),
-                         None)
-                if e is not None:
-                    r = isinstance(e, AnnotatedSeq)
-                    break
-            else:
-                stack.append(a.hi(i))
-                stack.append(a.lo(i))
-        self._annotated[d] = r
         return r
 
     # -- public operators -------------------------------------------------
@@ -704,16 +689,13 @@ class Builder:
         if (ctx.imply(t) is not None
                 or not (self._tops(t, hi) and self._tops(t, lo))):
             return None
-        return self.arena.branch(t, self._with_drop(hi, lo),
-                                 self._with_drop(lo, hi))
+        return self.arena.branch(t, self._with_drop(hi),
+                                 self._with_drop(lo))
 
-    def _with_drop(self, d: int, other: int) -> int:
-        """d with every leaf joined with the drop leaf restrict puts
-        beside `other`."""
-        dl = self.drop_leaf(annotated=self._leaf_annotated(other))
-        de = self.arena.elems(dl)
-        return self._map_leaves(d, lambda elems: elems | de,
-                                self._drop_memo.setdefault(dl, {}))
+    def _with_drop(self, d: int) -> int:
+        """d with every leaf joined with the drop leaf."""
+        return self._map_leaves(d, lambda elems: elems | {DROP_SEQ},
+                                self._drop_memo)
 
     def refine(self, d: int, ctx: Context) -> int:
         a = self.arena
@@ -726,8 +708,7 @@ class Builder:
 
     def restrict(self, d: int, t, polarity: bool) -> int:
         a = self.arena
-        ann = self._leaf_annotated(d)
-        dl = self.drop_leaf(annotated=ann)
+        dl = self.drop_leaf()
 
         def wrap(x: int) -> int:
             return (a.branch(t, x, dl) if polarity else a.branch(t, dl, x))
@@ -749,14 +730,12 @@ class Builder:
         return a.branch(t1, self.restrict(a.hi(d), t, polarity),
                         self.restrict(a.lo(d), t, polarity))
 
-    def plus(self, d1: int, d2: int, ctx: Context | None = None) -> int:
+    def plus(self, d1: int, d2: int) -> int:
         """Public checked union of two plain diagrams."""
-        if ctx is None:
-            ctx = self.empty_ctx()
-        d = self._apply(self._annotate(d1), self._annotate(d2), ctx,
-                        self._join)
+        d = self._apply(self._annotate(d1), self._annotate(d2),
+                        self.empty_ctx(), self._join)
         return self._map_leaves(d, lambda elems: {
-            e if isinstance(e, Poison) else e.atoms for e in elems})
+            e.atoms if isinstance(e, AnnotatedSeq) else e for e in elems})
 
     def seq(self, d1: int, d2: int, ctx: Context | None = None) -> int:
         if ctx is None:
@@ -905,13 +884,14 @@ class Builder:
     @staticmethod
     def _join(e1: frozenset, e2: frozenset) -> frozenset:
         """Checked union of two annotated leaves: each pair of runs where
-        one writes what the other reads or writes adds a Poison."""
+        one writes what the other reads or writes adds a Poison.  Poisons
+        and plain runs read and write nothing."""
         poison = set()
         for x in e1:
-            if isinstance(x, Poison):
+            if not isinstance(x, AnnotatedSeq):
                 continue
             for y in e2:
-                if isinstance(y, Poison):
+                if not isinstance(y, AnnotatedSeq):
                     continue
                 bad = ((x.qw & (y.qr | y.qw)) | (y.qw & x.qr))
                 if bad:
@@ -957,7 +937,7 @@ class Builder:
                 return memo[k]
             if a.is_leaf(i):
                 out = a.leaf({e if isinstance(e, Poison)
-                              else AnnotatedSeq(e, seq_writes(e), reads, ())
+                              else annotated(e, seq_writes(e), reads, ())
                               for e in a.elems(i)})
             else:
                 t = a.test_of(i)
@@ -1085,9 +1065,8 @@ class Builder:
             if isinstance(e, Poison):
                 operands.append(self.arena.leaf({e}))
             elif e and e[-1] is DROP:
-                ann = AnnotatedSeq(e, frozenset(), frozenset(),
-                                   self._pops(e))
-                operands.append(self.arena.leaf({ann}))
+                operands.append(self.arena.leaf({annotated(
+                    e, frozenset(), frozenset(), self._pops(e))}))
             else:
                 operands.append(self._resolve(e, d2, ctx, pending))
         acc = operands[0]
@@ -1137,10 +1116,10 @@ class Builder:
             for j, q in enumerate(qelems):
                 ops_j = tuple(op for op in e_ops if carrier[op.var] == j)
                 atoms = canon_seq(ops_j + e_mods + q)
-                out.add(AnnotatedSeq(atoms, seq_writes(q), reads,
-                                     self._pops(ops_j)))
+                out.add(annotated(atoms, seq_writes(q), reads,
+                                  self._pops(ops_j)))
             if not qelems:
-                out.update(poisons or {AnnotatedSeq(
+                out.update(poisons or {annotated(
                     canon_seq(e), frozenset(), reads, self._pops(e_ops))})
             r = self._resolved[k] = a.leaf(out)
             return r
@@ -1290,15 +1269,16 @@ class Builder:
         writes s, so every variable's full update sequence lives in exactly
         one action sequence (the merged-store semantics of fan-out)."""
         poisons = {e for e in elems if isinstance(e, Poison)}
-        items = [[list(e.atoms), dict(e.pops), e]
+        items = [[list(e.atoms), dict(e.pops), e.qw]
+                 if isinstance(e, AnnotatedSeq) else [list(e), {}, ()]
                  for e in self._by_key(elems)
                  if not isinstance(e, Poison)]
         movable_vars = set()
-        for atoms, pops, e in items:
+        for atoms, pops, qw in items:
             movable_vars |= set(pops)
         for var in sorted(movable_vars):
             owners = [it for it in items if it[1].get(var)]
-            qwriters = [it for it in items if var in it[2].qw]
+            qwriters = [it for it in items if var in it[2]]
             if not owners or not qwriters:
                 continue
             src = owners[0]

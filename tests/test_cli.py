@@ -98,6 +98,25 @@ def test_compile_error_exit_code_names_variable(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("src, at", [
+    ("field f : ip in {10.0..10};\nid\n", "1:18"),
+    ("field f : ip in {10.0.0.300};\nid\n", "1:18"),
+    ("f = 10.0.0.300\n", "1:5"),
+    ("f = \u00b2\n", "1:5"),
+    ("state s[\u00b2] default 0;\nid\n", "1:9"),
+], ids=["empty-octet", "octet-in-domain", "octet-in-test",
+        "superscript-value", "superscript-arity"])
+def test_literal_that_is_no_value_exits_1(tmp_path, capsys, src, at):
+    """A literal that tokenizes but is no value (an empty octet, an octet
+    above 255, a superscript digit) is a parse error at the literal: exit
+    1 and one `error:` line, not a traceback."""
+    pol = tmp_path / "p.snap"
+    pol.write_text(src, encoding="utf-8")
+    code, out, err = run_cli(["xfdd", "-p", str(pol)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {at}: bad ") and err.count("\n") == 1
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run_cli(["deps", "-p", "/nonexistent.snap"], capsys)
     assert code == 3

@@ -4,7 +4,10 @@ canonicalization, and pruning."""
 
 import dataclasses
 import hashlib
+import importlib.util
+import pathlib
 import random
+import sys
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -174,6 +177,42 @@ def test_computed_tables_equal_the_uncached_builder():
         assert out[0] == out[1], prog.body
         built += isinstance(out[0][0], int)
     assert built > 600 + len(ALL_POLICIES), built
+
+
+def workload_programs() -> list:
+    """The programs of the four benchmark workloads, seed 1, as
+    `perfbench/inputs.py` builds them."""
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "perfbench" / "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs     # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    lit = inputs.draw_literals(1)
+    return [inputs.build_program(w, lit) for w in inputs.WORKLOADS.values()]
+
+
+def test_a_run_with_nothing_to_annotate_is_plain():
+    """No leaf the builder makes holds an `AnnotatedSeq` with no write
+    set, no read set and no pops: such a run is the plain tuple, so each
+    run has one node in the arena.  Over the reference programs and the
+    workload programs."""
+    randoms, corpus = reference_programs()
+    leaves = 0
+    for prog in randoms + corpus + workload_programs():
+        b = xfdd.Builder(prog, deps.order_spec_program(prog))
+        try:
+            b.to_xfdd_program()
+        except (RaceError, UnsupportedCompositionError):
+            pass
+        for node in b.arena.nodes:
+            if node[0] != "L":
+                continue
+            leaves += 1
+            for e in node[1]:
+                assert not (isinstance(e, xfdd.AnnotatedSeq)
+                            and not (e.qw or e.qr or e.pops)), e
+    assert leaves > 10000, leaves
 
 
 def test_counter_differential():
