@@ -24,7 +24,7 @@ import os
 import sys
 import time
 
-from . import deps, interp, lang, opt, psm, rulegen, simnet, topo, xfdd
+from . import deps, interp, lang, opt, psm, rulegen, simnet, topo
 from .errors import CompileError, EvalError, InfeasibleError, InputError
 from .values import value_to_json
 
@@ -119,17 +119,10 @@ def cmd_deps(args) -> int:
     return 0
 
 
-def _diagram(prog):
-    """(order, builder, pruned diagram) of `prog`."""
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    return order, b, b.prune_vacuous(b.to_xfdd_program())
-
-
 def cmd_xfdd(args) -> int:
-    _, b, d = _diagram(_load_program(args.policy))
-    nodes, root = rulegen.number_nodes(b.arena, d)
-    dot = rulegen.bundle_dot(nodes, root)
+    prog = _load_program(args.policy)
+    dot = rulegen.bundle_dot(*rulegen.diagram(
+        prog, deps.order_spec_program(prog)))
     if args.output:
         with open(args.output, "w") as f:
             f.write(dot)
@@ -139,8 +132,10 @@ def cmd_xfdd(args) -> int:
 
 
 def _demand(prog, t):
-    order, b, d = _diagram(prog)
-    return order, psm.packet_state_map(b, d, t, order)
+    """(order, flow demand map) of `prog` on topology `t`."""
+    order = deps.order_spec_program(prog)
+    nodes, root = rulegen.diagram(prog, order)
+    return order, psm.packet_state_map(nodes, root, t, order, prog)
 
 
 def cmd_map(args) -> int:

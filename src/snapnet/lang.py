@@ -347,10 +347,12 @@ _NUMBERS = {"NUM": (int, "number"), "IP": (IPv4Address, "address"),
 
 def _number(t: Token):
     """The value of a numeric token; a ParseError at the token when its
-    text is no such value (an octet above 255, an empty octet, or a
-    digit `int` does not read, such as a superscript)."""
+    text is no such value (an octet above 255, an empty octet, or a digit
+    other than ASCII 0-9, such as a superscript or an Arabic-Indic one)."""
     make, name = _NUMBERS[t.kind]
     try:
+        if not t.text.isascii():
+            raise ValueError(f"{t.text!r} has a digit other than 0-9")
         return make(t.text)
     except ValueError as e:
         raise ParseError(f"bad {name} literal: {e}", t.line, t.col)

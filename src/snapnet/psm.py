@@ -1,6 +1,6 @@
 """Packet-state mapping: which flows need which state variables.
 
-Walks every satisfiable root-to-leaf path of the program diagram.  A path
+Walks every satisfiable root-to-leaf path of the numbered diagram.  A path
 constrains the possible ingress ports (inport tests) and egress ports
 (outport assignments in the leaf, or outport tests on the path when no
 assignment fixes it); the state variables read on the path and written in
@@ -33,25 +33,19 @@ class StateDemand:
         return out
 
 
-def packet_state_map(builder, d: int, topo, order) -> StateDemand:
-    """builder: the xfdd Builder that produced d (for its arena and schema).
-    The assumption must already be compiled into d (program = assume; body).
-    """
-    arena = builder.arena
-    # tests that cannot influence any outcome are unobservable, and must not
-    # drag their flows to the variable's owner
-    d = builder.prune_vacuous(d)
+def packet_state_map(nodes: dict, root: int, topo, order, prog) -> StateDemand:
+    """`nodes`, `root`: the numbered diagram of `prog` (`rulegen.diagram`),
+    assumption included and unobservable tests pruned; `prog`'s field
+    domains bound the paths, as they did while the diagram was built."""
     ports = topo.external_ports()
-    if not ports:
-        raise ValueError("topology exposes no external ports")
     acc: dict = {}
 
-    def leaf(ctx: Context, path_vars: frozenset, i: int):
+    def leaf(ctx: Context, path_vars: frozenset, elems: tuple):
         us = [u for u in ports
               if ctx.imply(TFieldValue("inport", u)) is not False]
         default_vs = [v for v in ports
                       if ctx.imply(TFieldValue("outport", v)) is not False]
-        for e in arena.elems(i):
+        for e in elems:
             if isinstance(e, Poison):
                 continue
             need = path_vars | seq_writes(e)
@@ -69,21 +63,22 @@ def packet_state_map(builder, d: int, topo, order) -> StateDemand:
                 for v in vs:
                     acc.setdefault((u, v), set()).update(need)
 
-    def walk(i: int, ctx: Context, path_vars: frozenset):
-        if arena.is_leaf(i):
-            leaf(ctx, path_vars, i)
+    def walk(nid: int, ctx: Context, path_vars: frozenset):
+        node = nodes[nid]
+        if node[0] == "leaf":
+            leaf(ctx, path_vars, node[1])
             return
-        t = arena.test_of(i)
+        _, t, hi, lo = node
         pv = path_vars | ({t.var} if isinstance(t, TStateTest)
                           else frozenset())
-        for pol, child in ((True, arena.hi(i)), (False, arena.lo(i))):
+        for pol, child in ((True, hi), (False, lo)):
             try:
                 ctx2 = ctx.add(t, pol)
             except Contradiction:
                 continue
             walk(child, ctx2, pv)
 
-    walk(d, builder.empty_ctx(), frozenset())
+    walk(root, Context(prog), frozenset())
 
     rank = order.state_rank
     flows = {k: tuple(sorted(vs, key=lambda s: (rank.get(s, len(rank)), s)))

@@ -92,6 +92,13 @@ def number_nodes(arena: xfdd.Arena, root: int) -> tuple:
     return nodes, nid_of[root]
 
 
+def diagram(prog: lang.Program, order) -> tuple:
+    """The program diagram every phase after P2 reads: built, race-checked,
+    pruned of tests no outcome depends on, and numbered (`number_nodes`)."""
+    b = xfdd.Builder(prog, order)
+    return number_nodes(b.arena, b.prune_vacuous(b.to_xfdd_program()))
+
+
 def state_resume_points(nodes: dict) -> dict:
     """Every resume key at which a packet can be blocked on a state
     variable, mapped to that variable.  Keys: ("node", nid) for state-test
@@ -217,8 +224,9 @@ def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
 def compile(prog: lang.Program, topo, fixed: dict | None = None,
             budget: int = 4096,
             phase_times: dict | None = None) -> DeploymentBundle:
-    """End-to-end pipeline: dependency order, diagram construction, flow
-    demand mapping, placement/routing optimization, rule generation.
+    """End-to-end pipeline: dependency order (P1), the numbered diagram
+    (P2, `diagram`), flow demand mapping (P3), placement/routing (P4, P5)
+    and rule generation (P6); no phase after P2 sees the builder.
     `fixed` forces a placement and selects TE mode (traffic-engineering
     reruns and controlled experiments); without it the placement is
     searched (ST mode) under `budget`.  The bundle's `mode` records which.
@@ -230,13 +238,11 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
     times["P1"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    b = xfdd.Builder(prog, order)
-    d = b.to_xfdd_program()
-    d = b.prune_vacuous(d)
+    nodes, root = diagram(prog, order)
     times["P2"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    demand = psm.packet_state_map(b, d, topo, order)
+    demand = psm.packet_state_map(nodes, root, topo, order, prog)
     times["P3"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -248,7 +254,6 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
     times["P5"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    nodes, root = number_nodes(b.arena, d)
     frags = split_xfdd(nodes, root, sol.placement, topo)
     resolved, unresolved = gen_routing(sol.routing, sol.placement,
                                        demand, topo, dep=m.dep)

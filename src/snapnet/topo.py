@@ -80,6 +80,8 @@ class Topology:
                 if p in seen_ports:
                     raise ValueError(f"external port {p} exposed twice")
                 seen_ports.add(p)
+        if not seen_ports:
+            raise ValueError("topology exposes no external ports")
         for (s, d), l in self.links.items():
             if s not in self.nodes or d not in self.nodes:
                 raise ValueError(f"link {s}->{d} references unknown node")

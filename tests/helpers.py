@@ -2,7 +2,7 @@
 chain, the router's former closure-cost Dijkstra, the sequencing split's
 former restrict-and-join, the placement search's former enumeration of
 dependency orders, a diagram builder without computed tables, a
-brute-force diagram walker (independent of the compiler's own machinery)
+program's flow demand map as a compile's P1-P3 give it, a brute-force diagram walker (independent of the compiler's own machinery)
 and a random policy generator over a small universe of fields, values,
 and state variables."""
 
@@ -10,7 +10,7 @@ import heapq
 import itertools
 import random
 
-from snapnet import interp, lang, opt, xfdd
+from snapnet import deps, interp, lang, opt, psm, rulegen, xfdd
 from snapnet.errors import EvalError, RaceError, UnsupportedCompositionError
 from snapnet.values import test_match, values_equal
 
@@ -330,6 +330,14 @@ class UncachedBuilder(xfdd.Builder):
 
 
 # ---------------------------------------------------------------- walker
+
+def demand_map(prog, t) -> tuple:
+    """(order, flow demand map) of `prog` on topology `t`: P1, P2 and P3
+    of a compile."""
+    order = deps.order_spec_program(prog)
+    nodes, root = rulegen.diagram(prog, order)
+    return order, psm.packet_state_map(nodes, root, t, order, prog)
+
 
 def eval_test(t, store, pkt):
     if isinstance(t, xfdd.TFieldValue):

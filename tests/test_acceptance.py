@@ -13,7 +13,7 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from snapnet import deps, interp, lang, opt, psm, rulegen, simnet, topo, xfdd
+from snapnet import deps, interp, lang, opt, rulegen, simnet, topo, xfdd
 from snapnet.errors import RaceError
 from snapnet.interp import UNDEFINED
 from snapnet.values import canon_key
@@ -21,7 +21,8 @@ from snapnet.topo import Link, Node, Topology
 
 from conftest import CORPUS, policy_src
 from helpers import (
-    all_packets, all_stores, eval_xfdd, random_policy, universe_prog,
+    all_packets, all_stores, demand_map, eval_xfdd, random_policy,
+    universe_prog,
 )
 
 
@@ -92,10 +93,7 @@ def test_criterion_2_placement_optimality_on_running_example():
     t0 = time.monotonic()
     prog = _compose(["dns-tunnel-detect", "assign-egress", "assumption"])
     t = topo.example12()
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    d = b.to_xfdd_program()
-    demand = psm.packet_state_map(b, d, t, order)
+    order, demand = demand_map(prog, t)
     m = opt.build_milp(t, demand, order)
     sol = opt.solve_builtin(m)
     assert sol.exact
@@ -217,9 +215,7 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     for k in t.demands:
         t.demands[k] = 0.25      # headroom for the adversarial placement
     prog = _compose(["many-ip-domains", "assign-egress"])
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    demand = psm.packet_state_map(b, b.to_xfdd_program(), t, order)
+    order, demand = demand_map(prog, t)
     m = opt.build_milp(t, demand, order)
     sol = opt.solve_builtin(m)
     assert opt.check_solution(m, sol.placement, sol.routing) == []
@@ -471,9 +467,7 @@ def test_criterion_9_fifty_switch_compile_under_ten_minutes():
     t = topo.generated(50)
     bundle = rulegen.compile(prog, t, budget=64)
     assert rulegen.validate_bundle(bundle, t) == []
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    demand = psm.packet_state_map(b, b.to_xfdd_program(), t, order)
+    order, demand = demand_map(prog, t)
     m = opt.build_milp(t, demand, order)
     assert opt.check_solution(m, bundle.placement, bundle.routing) == []
     elapsed = time.monotonic() - t0

@@ -104,12 +104,15 @@ def test_compile_error_exit_code_names_variable(tmp_path, capsys):
     ("f = 10.0.0.300\n", "1:5"),
     ("f = \u00b2\n", "1:5"),
     ("state s[\u00b2] default 0;\nid\n", "1:9"),
+    ("state s[\u0663] default 0;\nid\n", "1:9"),
+    ("f = \u0663\n", "1:5"),
 ], ids=["empty-octet", "octet-in-domain", "octet-in-test",
-        "superscript-value", "superscript-arity"])
+        "superscript-value", "superscript-arity", "arabic-indic-arity",
+        "arabic-indic-value"])
 def test_literal_that_is_no_value_exits_1(tmp_path, capsys, src, at):
     """A literal that tokenizes but is no value (an empty octet, an octet
-    above 255, a superscript digit) is a parse error at the literal: exit
-    1 and one `error:` line, not a traceback."""
+    above 255, a digit other than ASCII 0-9) is a parse error at the
+    literal: exit 1 and one `error:` line, not a traceback."""
     pol = tmp_path / "p.snap"
     pol.write_text(src, encoding="utf-8")
     code, out, err = run_cli(["xfdd", "-p", str(pol)], capsys)
@@ -123,8 +126,10 @@ def test_missing_file_is_io_error(capsys):
     assert "i/o error" in err
 
 
-@pytest.mark.parametrize("data", [{"nodes": 3}, {"nodes": [], "links": []}],
-                         ids=["nodes-not-a-list", "empty"])
+@pytest.mark.parametrize("data", [
+    {"nodes": 3}, {"nodes": [], "links": []},
+    {"nodes": [{"id": "A"}], "links": []}],
+    ids=["nodes-not-a-list", "empty", "no-external-port"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))

@@ -12,20 +12,17 @@ import signal
 
 import pytest
 
-from snapnet import cli, deps, lang, opt, psm, rulegen, topo, xfdd
+from snapnet import cli, deps, lang, opt, psm, rulegen, topo
 from snapnet.errors import InfeasibleError
 
 from conftest import CORPUS, TOPO_DIR, policy_path, policy_src
-from helpers import reference_dep_orders, reference_route_flows
+from helpers import demand_map, reference_dep_orders, reference_route_flows
 
 
 def model_for(names, t=None, fixed=None):
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    root = b.to_xfdd_program()
     t = t if t is not None else topo.example12()
-    demand = psm.packet_state_map(b, root, t, order)
+    order, demand = demand_map(prog, t)
     return opt.build_milp(t, demand, order, fixed=fixed)
 
 

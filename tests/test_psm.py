@@ -1,17 +1,19 @@
 """Flow-to-state demand mapping tests."""
 
-from snapnet import deps, lang, psm, topo, xfdd
+import hashlib
+import json
 
-from conftest import policy_src
+import pytest
+
+from snapnet import lang, psm, rulegen, topo
+
+from conftest import CORPUS, policy_src
+from helpers import demand_map
 
 
 def demand_for(names):
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    root = b.to_xfdd_program()
-    t = topo.example12()
-    return prog, psm.packet_state_map(b, root, t, order)
+    return prog, demand_map(prog, topo.example12())[1]
 
 
 def test_dns_tunnel_demand_shape():
@@ -39,19 +41,13 @@ def test_states_listed_in_dependency_order():
 
 def test_stateless_flows_absent():
     prog = lang.parse(policy_src("assign-egress"))
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    root = b.to_xfdd_program()
-    dem = psm.packet_state_map(b, root, topo.example12(), order)
+    _, dem = demand_map(prog, topo.example12())
     assert dem.flows == {}
 
 
 def test_unconstrained_ingress_charges_all_ports():
     prog = lang.parse("state s[1] default 0;\ns[0]++; outport <- 3")
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    root = b.to_xfdd_program()
-    dem = psm.packet_state_map(b, root, topo.example12(), order)
+    _, dem = demand_map(prog, topo.example12())
     for u in [1, 2, 3, 4, 5, 6]:
         assert dem.states_for(u, 3) == ("s",)
         for v in [1, 2, 4, 5, 6]:
@@ -66,3 +62,29 @@ def test_json_lines_sorted_and_complete():
     assert len(rows) == len(dem.flows)
     for r in rows:
         assert tuple(r["states"]) == dem.states_for(r["u"], r["v"])
+
+
+@pytest.mark.pinned
+def test_flow_maps_are_pinned_and_read_from_a_bundle(tmp_path):
+    """The flow -> variables map of every corpus policy composed with
+    assign-egress, on example12 and on generated(20, 3), hashes to the
+    digest the walk over the builder's arena gave before P3 read the
+    numbered diagram.  Each compile's bundle, written and loaded again,
+    holds the diagram that gives the same map."""
+    h = hashlib.sha256()
+    g20 = topo.generated(20, 3)
+    for name in CORPUS:
+        prog = lang.compose_all([lang.parse(policy_src(n))
+                                 for n in (name, "assign-egress")])
+        for t, budget in ((topo.example12(), 4096), (g20, 64)):
+            order, demand = demand_map(prog, t)
+            h.update(json.dumps(demand.to_json_lines(), sort_keys=True)
+                     .encode() + b"\n")
+            out = tmp_path / f"{name}-{len(t.nodes)}"
+            rulegen.write_bundle(rulegen.compile(prog, t, budget=budget),
+                                 str(out))
+            loaded = rulegen.load_bundle(str(out))
+            assert psm.packet_state_map(loaded.nodes, loaded.root, t, order,
+                                        prog) == demand, (name, len(t.nodes))
+    assert h.hexdigest() == (
+        "9bfb6f1c8a1beb878b6c3baf13d0de81e8b8443829d7507054b284e9fedb7958")

@@ -7,9 +7,10 @@ import os
 
 import pytest
 
-from snapnet import deps, lang, opt, psm, rulegen, topo, xfdd
+from snapnet import deps, lang, opt, rulegen, topo, xfdd
 
 from conftest import CORPUS, policy_src
+from helpers import demand_map
 
 
 def compile_named(names, t=None, **kw):
@@ -39,10 +40,7 @@ def bundle_digest(bundle, dirpath, skip=()) -> str:
 
 def test_number_nodes_is_preorder_and_total():
     prog = lang.parse(policy_src("dns-tunnel-detect"))
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    d = b.prune_vacuous(b.to_xfdd_program())
-    nodes, root = rulegen.number_nodes(b.arena, d)
+    nodes, root = rulegen.diagram(prog, deps.order_spec_program(prog))
     assert root == 0
     assert sorted(nodes) == list(range(len(nodes)))
     for nid, node in nodes.items():
@@ -56,9 +54,7 @@ def test_state_resume_points():
     prog = lang.parse("state s[1] default 0;\nstate t[1] default 0;\n"
                       "field a : small in {0, 1};\n"
                       "if s[0] = 1 then t[0]++ else a <- 1")
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    nodes, root = rulegen.number_nodes(b.arena, b.to_xfdd_program())
+    nodes, _ = rulegen.diagram(prog, deps.order_spec_program(prog))
     points = rulegen.state_resume_points(nodes)
     assert "s" in points.values() and "t" in points.values()
     kinds = {k[0] for k in points}
@@ -381,10 +377,7 @@ def test_gen_routing_reads_exec_positions_once_per_flow(monkeypatch):
                              for n in ["dns-tunnel-detect", "assign-egress"]])
     t = topo.example12()
     bundle = rulegen.compile(prog, t, fixed=REVISIT_FIXED)
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    d = b.prune_vacuous(b.to_xfdd_program())
-    demand = psm.packet_state_map(b, d, t, order)
+    order, demand = demand_map(prog, t)
     monkeypatch.setattr(opt, "exec_positions", counted)
     rulegen.gen_routing(bundle.routing, bundle.placement, demand, t,
                         dep=order.dep)

@@ -13,7 +13,7 @@ import pytest
 
 import helpers
 from conftest import CORPUS, policy_src
-from snapnet import deps, lang, opt, psm, topo, xfdd
+from snapnet import deps, lang, opt, psm, topo
 
 
 def dns_tunnel(n_subnets: int, watched: int) -> str:
@@ -50,10 +50,8 @@ def egress(n_subnets: int) -> str:
 
 def model_of(sources: list, t):
     prog = lang.compose_all([lang.parse(text) for text in sources])
-    order = deps.order_spec_program(prog)
-    b = xfdd.Builder(prog, order)
-    d = b.prune_vacuous(b.to_xfdd_program())
-    return opt.build_milp(t, psm.packet_state_map(b, d, t, order), order)
+    order, demand = helpers.demand_map(prog, t)
+    return opt.build_milp(t, demand, order)
 
 
 def dns_model(t):

@@ -67,6 +67,8 @@ def test_validate_rejects_bad_inputs():
         Topology({"A": a}, {}, {(1, 1): -1.0}).validate()
     with pytest.raises(ValueError):
         Topology({}, {}, {}).validate()
+    with pytest.raises(ValueError):
+        Topology({"A": Node("A")}, {}, {}).validate()   # no external port
 
 
 def test_adjacency():
