@@ -11,8 +11,6 @@ simulated packet that crosses more links than any walk may (a loop).
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
 A routing over link capacity is reported on stderr and still exits 0.
-The environment variable SNAPNET_SEED overrides --seed (exit 3 if it is
-not an integer).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 
@@ -44,16 +41,6 @@ def _load_program(paths: list) -> lang.Program:
         with open(p) as f:
             progs.append(lang.parse(f.read()))
     return lang.compose_all(progs)
-
-
-def _seed(args) -> int:
-    env = os.environ.get("SNAPNET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"SNAPNET_SEED {env!r} is not an int") from None
-    return getattr(args, "seed", 0) or 0
 
 
 def _print_phases(times: dict) -> None:
@@ -180,7 +167,7 @@ def cmd_export_lp(args) -> int:
 
 def cmd_simulate(args) -> int:
     t = topo.load(args.topology)
-    net = simnet.load(args.bundle, t, seed=_seed(args),
+    net = simnet.load(args.bundle, t, seed=args.seed,
                       events=bool(args.events))
     injections = simnet.read_trace(args.trace, t)
     emitted = []

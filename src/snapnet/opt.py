@@ -19,7 +19,9 @@ the next bound exceeds the best objective found.  In TE mode it only
 routes, under the fixed placement.  A flow's walk visits the owners of its
 variables in a dependency-respecting order and never reuses a link
 (`_route`); `exec_positions` says where each variable runs on it, for the
-router, the checker and rule generation alike.
+router, the checker and rule generation alike.  The router and the
+search's bounds read one length table (`_length_table`) through one
+shortest-path search (`_search`).
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       1 iff the one walk of (u,v) crosses (i,j)
@@ -27,10 +29,13 @@ Variable naming (deterministic):
     PS_{s}_u{u}_v{v}_{i}_{j}  fraction of (u,v) on (i,j) that has passed s
 
 Row families (`_rows`): `cons_`, `loop_`, `pin_` per flow; `pslim_`,
-`cover_`, `pcons_`, `ord_` per flow and needed variable; `cap_`, `place_`,
-`tied_` across flows.  Conservation is in net-flow form, one row per node
-n, so a walk may pass its source or sink again: R in - out is [n = sink] -
-[n = source], and PS in - out + P(s, n) is [n = sink].  HiGHS solves the
+`pcons_`, `ord_` per flow and needed variable; `cap_`, `place_`, `tied_`
+across flows.  Conservation is in net-flow form, one row per node n, so a
+walk may pass its source or sink again: R in - out is [n = sink] -
+[n = source], and PS in - out + P(s, n) is [n = sink].  That a switch
+hosting s sees the whole flow (R into n >= P(s, n) away from the source)
+needs no row of its own: `cons_` - `pcons_` - the `pslim_` rows out of n
++ PS >= 0 on the links into n is that inequality.  HiGHS solves the
 exported text in `tests/test_oracle.py`, against the built-in solver.
 """
 
@@ -149,7 +154,9 @@ class Solution:
     placement: dict          # state var -> switch id
     routing: dict            # (u,v) -> walk (node, ...)
     objective: float
-    exact: bool              # exhaustive search, routing never congested
+    exact: bool              # exhaustive search or a fixed placement that
+                             # keeps every group together, routing never
+                             # congested
     candidates: int = 1      # placements in the searched product
     examined: int = 1        # candidates whose routing was started
 
@@ -269,15 +276,6 @@ def _rows(m: MILPModel):
                 yield constraint(
                     f"pslim_{fs}_u{fu}_v{fv}_{_san(i)}_{_san(j)}",
                     {name: 1.0, rvars[(i, j)]: -1.0}, "<=", 0.0)
-            # a switch hosting s must see the whole flow (waived at the
-            # ingress switch, where the flow starts out)
-            for n in nodes:
-                if n == src:
-                    continue
-                row = {rvars[l]: 1.0 for l in in_of[n]}
-                row[pname(s, n)] = -1.0
-                yield constraint(f"cover_{fs}_u{fu}_v{fv}_{_san(n)}", row,
-                                 ">=", 0.0)
             # processed-flow conservation: s's owner processes the flow,
             # and all of it arrives at the sink processed
             for n in nodes:
@@ -352,31 +350,6 @@ def export_lp(m: MILPModel) -> str:
 
 # ---------------------------------------------------------------- solve
 
-def _adjacency(topo) -> dict:
-    """Node -> [(next node, capacity)] over its out-links in link order:
-    the one adjacency that the router's length table and the search's
-    bounds (and so its shortlists) are built from."""
-    return {n: [(l.dst, l.capacity) for l in topo.out_links(n)]
-            for n in topo.nodes}
-
-
-def _distances(lengths: dict, source: str) -> dict:
-    """Cheapest distance from `source` to every reachable node, where
-    `lengths` maps each node to its [(next node, link length)]."""
-    dist = {source: 0.0}
-    pq = [(0.0, source)]
-    while pq:
-        d, n = heapq.heappop(pq)
-        if d > dist[n]:
-            continue
-        for m, w in lengths[n]:
-            d2 = d + w
-            if d2 < dist.get(m, float("inf")):
-                dist[m] = d2
-                heapq.heappush(pq, (d2, m))
-    return dist
-
-
 # The router, `exec_positions` and the bounds ask for the same few sets of
 # variables again and again.  Bounded; callers must not mutate the result.
 @lru_cache(maxsize=1024)
@@ -411,16 +384,20 @@ def _length(capacity: float, load: float) -> float:
 
 def _length_table(topo, loads: dict) -> dict:
     """Node -> [[next node, length]] over its out-links in link order, each
-    length `_length` of the link's capacity and its load in `loads`."""
-    return {n: [[m, _length(c, loads.get((n, m), 0.0))] for m, c in out]
-            for n, out in _adjacency(topo).items()}
+    length `_length` of the link's capacity and its load in `loads`: the
+    one length table that the router and, unloaded, the search's bounds
+    (and so its shortlists) read."""
+    return {n: [[l.dst, _length(l.capacity, loads.get((n, l.dst), 0.0))]
+                for l in topo.out_links(n)] for n in topo.nodes}
 
 
-def _segment(table: dict, src: str, dst: str, used: set):
-    """Cheapest src->dst path over links not in `used`, with the lengths
-    of `table` (see `_length_table`); deterministic: the heap orders
-    (distance, node), and a path replaces a node's best only when it is
-    shorter by more than 1e-15."""
+def _search(table: dict, src: str, dst: str | None = None, used=()):
+    """Dijkstra from `src` over the links of `table` (see `_length_table`)
+    not in `used`, stopping once `dst` is settled: (best, parent), the
+    cheapest distance to each node reached and its predecessor on a
+    cheapest path, a tree rooted at `src` (parent None).  Deterministic:
+    the heap orders (distance, node), and a path replaces a node's best
+    only when it is shorter by more than 1e-15."""
     heappop, heappush = heapq.heappop, heapq.heappush
     inf = float("inf")
     best = {src: 0.0}
@@ -431,11 +408,7 @@ def _segment(table: dict, src: str, dst: str, used: set):
         if d > best[n]:
             continue
         if n == dst:
-            path = []
-            while n is not None:
-                path.append(n)
-                n = parent[n]
-            return list(reversed(path)), d
+            break
         for m, w in table[n]:
             if used and (n, m) in used:
                 continue
@@ -444,7 +417,19 @@ def _segment(table: dict, src: str, dst: str, used: set):
                 best[m] = d2
                 parent[m] = n
                 heappush(pq, (d2, m))
-    return None
+    return best, parent
+
+
+def _segment(table: dict, src: str, dst: str, used: set):
+    """(cheapest src->dst path over links not in `used`, its length) by
+    `_search`, or None if there is none."""
+    best, parent = _search(table, src, dst, used)
+    if dst not in best:
+        return None
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1], best[dst]
 
 
 def _route(table: dict, src: str, snk: str, needed: frozenset, owner: dict,
@@ -637,9 +622,9 @@ class _Bounds:
 
     def __init__(self, m: MILPModel):
         topo = m.topo
-        lengths = {n: [(nxt, 1.0 / c) for nxt, c in out]
-                   for n, out in _adjacency(topo).items()}
-        self.dist = {n: _distances(lengths, n) for n in sorted(topo.nodes)}
+        # unloaded, `_length` is 1/capacity to the bit
+        table = _length_table(topo, {})
+        self.dist = {n: _search(table, n)[0] for n in sorted(topo.nodes)}
         self.dep = m.dep
         self.flows = {k: (vol, topo.node_of_port(k[0]),
                           topo.node_of_port(k[1]), svars)
@@ -755,8 +740,10 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     it.  Only a strictly larger bound or objective prunes, so the answer
     is the least (objective, sorted placement) over every candidate, as
     full enumeration would give.  A TE-mode model
-    (`m.fixed` set) is routed under its placement, without a search.
-    Deterministic.  A `budget` below 1 is an `InputError`."""
+    (`m.fixed` set) is routed under its placement, without a search; it
+    is not `exact` when that placement splits a group, whose `tied_`
+    rows it then breaks.  Deterministic.  A `budget` below 1 is an
+    `InputError`."""
     if budget < 1:
         raise InputError(f"search budget {budget} is below 1")
     topo = m.topo
@@ -770,8 +757,9 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
             raise InfeasibleError(
                 "no order-respecting routing under the fixed placement")
         routing, obj = r
+        together = all(len({placement[s] for s in g}) == 1 for g in m.groups)
         return Solution(placement, routing, obj,
-                        exact=not overloaded_links(topo, routing))
+                        exact=together and not overloaded_links(topo, routing))
 
     groups = m.groups
     total = len(nodes) ** len(groups) if groups else 1

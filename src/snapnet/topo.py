@@ -8,6 +8,7 @@ volumes between external port pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -72,11 +73,16 @@ class Topology:
         return self._adjacency()[2][node]
 
     def validate(self):
+        """ValueError unless the topology is well formed: ports are ints
+        (not bools), exposed once, and at least one; links join known
+        nodes with a finite positive capacity; demands join known ports
+        with a finite volume >= 0."""
         if not self.nodes:
             raise ValueError("empty topology")
         seen_ports = set()
         for n in self.nodes.values():
             for p in n.external_ports:
+                _check_port(p, f"switch {n.id} external port")
                 if p in seen_ports:
                     raise ValueError(f"external port {p} exposed twice")
                 seen_ports.add(p)
@@ -85,13 +91,23 @@ class Topology:
         for (s, d), l in self.links.items():
             if s not in self.nodes or d not in self.nodes:
                 raise ValueError(f"link {s}->{d} references unknown node")
-            if l.capacity <= 0:
-                raise ValueError(f"link {s}->{d} capacity must be positive")
+            if not (math.isfinite(l.capacity) and l.capacity > 0):
+                raise ValueError(f"link {s}->{d} capacity must be finite "
+                                 "and positive")
         for (u, v), vol in self.demands.items():
+            _check_port(u, "demand port")
+            _check_port(v, "demand port")
             if u not in seen_ports or v not in seen_ports:
                 raise ValueError(f"demand ({u},{v}) uses unknown port")
-            if vol < 0:
-                raise ValueError(f"demand ({u},{v}) volume must be >= 0")
+            if not (math.isfinite(vol) and vol >= 0):
+                raise ValueError(f"demand ({u},{v}) volume must be finite "
+                                 "and >= 0")
+
+
+def _check_port(p, what: str) -> None:
+    # bool is a subclass of int, and JSON's true is no port
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"{what} {p!r} is not an int")
 
 
 def from_json(data: dict) -> Topology:
@@ -111,7 +127,7 @@ def from_json(data: dict) -> Topology:
                                                    float(l["capacity"]))
         demands = {}
         for d in data.get("demands", []):
-            demands[(int(d["u"]), int(d["v"]))] = float(d["volume"])
+            demands[(d["u"], d["v"])] = float(d["volume"])
         t = Topology(nodes, links, demands)
         t.validate()
     except (AttributeError, KeyError, TypeError, ValueError) as e:

@@ -239,10 +239,23 @@ def reference_dep_orders(needed: frozenset, preds: dict):
 
 def reference_distances(topo) -> dict:
     """Switch -> {switch: cheapest distance} with 1/capacity as the length
-    of a link, as `opt._Bounds` kept them before the dynamic program."""
-    lengths = {n: [(nxt, 1.0 / c) for nxt, c in out]
-               for n, out in opt._adjacency(topo).items()}
-    return {n: opt._distances(lengths, n) for n in sorted(topo.nodes)}
+    of a link, as `opt._Bounds` kept them before the dynamic program: a
+    plain Dijkstra per source, with none of the code it checks."""
+    def distances(source: str) -> dict:
+        dist = {source: 0.0}
+        pq = [(0.0, source)]
+        while pq:
+            d, n = heapq.heappop(pq)
+            if d > dist[n]:
+                continue
+            for l in topo.out_links(n):
+                d2 = d + 1.0 / l.capacity
+                if d2 < dist.get(l.dst, float("inf")):
+                    dist[l.dst] = d2
+                    heapq.heappush(pq, (d2, l.dst))
+        return dist
+
+    return {n: distances(n) for n in sorted(topo.nodes)}
 
 
 def reference_flow_bound(m, dist, key, placement: dict) -> float:

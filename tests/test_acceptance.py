@@ -237,21 +237,22 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
     assert any(v.constraint.startswith("tied_") for v in vs)
     flagged.append("tied_")
 
-    # 3 and 4: a flow rerouted around the owner switch misses both the
-    # coverage row and the processed-flow row of its sink, which says all
-    # of the flow arrives processed
+    # 3 and 4: a flow rerouted around the owner switch breaks the
+    # processed-flow rows of the owner, which must process all of it
+    # (coverage), and of its sink, where all of it arrives processed
     owner = sol.placement["domain-ip-pair"]
     (u, v), detour = _owner_avoiding_path(m, owner)
     r3 = dict(sol.routing)
     r3[(u, v)] = detour
     vs = opt.check_solution(m, sol.placement, r3)
-    assert any(c.startswith("cover_domain_ip_pair")
-               for c in (x.constraint for x in vs))
-    flagged.append("cover_")
+    assert any(x.constraint ==
+               f"pcons_domain_ip_pair_u{u}_v{v}_{opt._san(owner)}"
+               for x in vs)
+    flagged.append("pcons_ at the owner")
     assert any(x.constraint ==
                f"pcons_domain_ip_pair_u{u}_v{v}_{opt._san(detour[-1])}"
                for x in vs)
-    flagged.append("pcons_")
+    flagged.append("pcons_ at the sink")
 
     # 5: dependent variable reached before its prerequisites (isolated to
     # its rows on one flow: a straight path under a placement that demands
@@ -271,7 +272,8 @@ def test_criterion_5_checker_flags_violations_and_lp_round_trips():
         "pcons_mal_ip_list_u1_v5_C1", "pcons_mal_ip_list_u1_v5_D3"}
     flagged.append("ord_")
 
-    assert flagged == ["place_", "tied_", "cover_", "pcons_", "ord_"]
+    assert flagged == ["place_", "tied_", "pcons_ at the owner",
+                       "pcons_ at the sink", "ord_"]
 
     # LP export parse-back
     text = opt.export_lp(m)

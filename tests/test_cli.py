@@ -126,10 +126,20 @@ def test_missing_file_is_io_error(capsys):
     assert "i/o error" in err
 
 
+def _two_switches(capacity=10.0, u=1, volume=1.0) -> dict:
+    return {"nodes": [{"id": "A", "external_ports": [1]},
+                      {"id": "B", "external_ports": [2]}],
+            "links": [{"from": "A", "to": "B", "capacity": capacity}],
+            "demands": [{"u": u, "v": 2, "volume": volume}]}
+
+
 @pytest.mark.parametrize("data", [
     {"nodes": 3}, {"nodes": [], "links": []},
-    {"nodes": [{"id": "A"}], "links": []}],
-    ids=["nodes-not-a-list", "empty", "no-external-port"])
+    {"nodes": [{"id": "A"}], "links": []},
+    _two_switches(capacity="nan"), _two_switches(volume="nan"),
+    _two_switches(u=1.9), _two_switches(u=True)],
+    ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
+         "nan-volume", "fractional-port", "bool-port"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))
@@ -684,7 +694,7 @@ def test_export_lp_with_placement_fixes_the_placement(tmp_path, capsys):
                           "-o", str(lp)], capsys)
     assert code == 0
     lines = lp.read_text().splitlines()
-    assert any(line.startswith(" cover_") for line in lines)
+    assert any(line.startswith(" pslim_") for line in lines)
     assert any(line.startswith(" place_established:") for line in lines)
     bounds = [line for line in
               lines[lines.index("Bounds") + 1:lines.index("Binary")]
@@ -771,36 +781,6 @@ def test_over_capacity_routing_warns_and_exits_0(tmp_path, capsys):
     assert code == 2
     assert any(p.startswith("cap_S15_S3:")
                for p in json.loads(out)["problems"])
-
-
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    bundle = tmp_path / "b"
-    run_cli(["compile", "-p", policy_path("stateful-fw"),
-             "-t", TOPO, "-o", str(bundle)], capsys)
-    trace = tmp_path / "t.jsonl"
-    trace.write_text(json.dumps({
-        "port": 1, "packet": {"inport": 1, "outport": 1,
-                              "srcip": "10.0.1.10", "dstip": "10.0.6.10",
-                              "srcport": 80, "dstport": 80,
-                              "dns-rdata": "10.9.0.1"}}) + "\n")
-    monkeypatch.setenv("SNAPNET_SEED", "17")
-    code, _, _ = run_cli(["simulate", "--bundle", str(bundle),
-                          "--topo", TOPO, "--trace", str(trace),
-                          "--mode", "interleaved"], capsys)
-    assert code == 0
-
-
-def test_non_integer_seed_env_exits_3(tmp_path, capsys, monkeypatch):
-    bundle = tmp_path / "b"
-    run_cli(["compile", "-p", policy_path("stateful-fw"),
-             "-t", TOPO, "-o", str(bundle)], capsys)
-    trace = tmp_path / "t.jsonl"
-    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
-    monkeypatch.setenv("SNAPNET_SEED", "abc")
-    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
-                              "--topo", TOPO, "--trace", str(trace)], capsys)
-    assert code == 3 and out == ""
-    assert err == "bad input: SNAPNET_SEED 'abc' is not an int\n"
 
 
 def test_console_entry_point_help():

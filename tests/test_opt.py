@@ -93,16 +93,6 @@ def test_split_tied_pair_violates_tied_row(m_mid, sol_mid):
                for v in vs)
 
 
-def test_owner_avoiding_path_violates_cover_row(m_mid, sol_mid):
-    owner = sol_mid.placement["domain-ip-pair"]
-    key, detour = _detour_flow(m_mid, sol_mid, owner)
-    routing = dict(sol_mid.routing)
-    routing[key] = detour
-    vs = opt.check_solution(m_mid, sol_mid.placement, routing)
-    assert any(v.constraint.startswith("cover_domain_ip_pair") and
-               f"_{opt._san(owner)}" in v.constraint for v in vs)
-
-
 def test_owner_avoiding_path_violates_the_sinks_pcons_row(m_mid, sol_mid):
     """A flow that never meets its variable's owner reaches its sink
     unprocessed, which the sink's processed-flow conservation row flags."""
@@ -181,11 +171,65 @@ def test_order_violation_is_flagged_and_isolated():
 
 
 def test_constraint_families_present(m_mid):
-    """Nine of the ten row families; the tenth, pin_, is only for a flow
+    """Eight of the nine row families; the ninth, pin_, is only for a flow
     that never leaves its switch (`test_same_switch_flow_pins_state`)."""
     fams = {c.name.split("_")[0] for c in m_mid.constraints}
-    assert fams == {"cons", "loop", "pslim", "cover", "pcons", "ord", "cap",
-                    "place", "tied"}
+    assert fams == {"cons", "loop", "pslim", "pcons", "ord", "cap", "place",
+                    "tied"}
+
+
+def test_cover_rows_follow_from_the_others():
+    """A switch hosting s sees the whole flow: R into n >= P(s, n) at every
+    node n but the flow's source.  The model has no row for it because
+    the others imply it, in the LP relaxation too: cons_(n) - pcons_(s, n)
+    - the pslim_(s, l) rows of the links l out of n + PS_l >= 0 on the
+    links l into n is that row, with right-hand side 0.  Subtracting a <=
+    row and adding a column's lower bound keep the sense >=.  Checked for
+    every moving flow, needed variable and node on every corpus policy."""
+    checked = 0
+    for name in CORPUS:
+        m = model_for([name, "assign-egress"])
+        rows = {c.name: c for c in m.constraints}
+        lower = {c.name: c.lo for c in m.columns}
+        t = m.topo
+        for (u, v), (_, svars) in m.flows.items():
+            src = t.node_of_port(u)
+            if src == t.node_of_port(v):
+                continue
+            fu, fv = opt._san(u), opt._san(v)
+            for s, n in itertools.product(svars, sorted(t.nodes)):
+                if n == src:
+                    continue
+                fs, fn = opt._san(s), opt._san(n)
+                terms: dict = {}
+                rhs = 0.0
+
+                def add(row, k):
+                    nonlocal rhs
+                    for var, c in row.coeffs:
+                        terms[var] = terms.get(var, 0.0) + k * c
+                    rhs += k * row.rhs
+
+                cons = rows[f"cons_u{fu}_v{fv}_{fn}"]
+                pcons = rows[f"pcons_{fs}_u{fu}_v{fv}_{fn}"]
+                assert cons.sense == pcons.sense == "="
+                add(cons, 1.0)
+                add(pcons, -1.0)
+                for l in t.out_links(n):
+                    pslim = rows[f"pslim_{fs}_u{fu}_v{fv}_{fn}_"
+                                 f"{opt._san(l.dst)}"]
+                    assert pslim.sense == "<="
+                    add(pslim, -1.0)
+                for l in t.in_links(n):
+                    ps = opt.psname(s, u, v, l.src, n)
+                    assert lower[ps] == 0.0
+                    terms[ps] = terms.get(ps, 0.0) + 1.0
+                want = {opt.rname(u, v, l.src, n): 1.0 for l in t.in_links(n)}
+                want[opt.pname(s, n)] = -1.0
+                assert {k: c for k, c in terms.items() if c != 0.0} == want
+                assert rhs == 0.0
+                checked += 1
+    assert checked == 14245
 
 
 def _parse_lp(text):
@@ -229,12 +273,15 @@ def test_lp_export_is_pinned():
     in the 900 R_ lines added under Binary, one per flow and link.  And
     again when flow conservation took its net-flow form: the 30 src_,
     30 snk_ and 65 pfull_ rows gave way to the cons_ rows of each flow's
-    source and sink and the pcons_ rows of its sink, as many rows."""
+    source and sink and the pcons_ rows of its sink, as many rows.  And
+    again when the cover_ rows, which the others imply
+    (`test_cover_rows_follow_from_the_others`), were deleted: the text
+    lost exactly its 715 cover_ lines."""
     m = model_for(["dns-tunnel-detect", "assign-egress"])
     text = opt.export_lp(m)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "6fd6e914d1385f9c312b8a099688d1921a70852b27668e5c1302dc3da600f111")
-    assert len(m.constraints) == 4618
+        "db893fddcbcd734c758ae6a83f70ed36d780079bf8a277cd76bce65b399b0c0c")
+    assert len(m.constraints) == 3903
     assert len(m.variables()) == 2886
 
 
@@ -295,7 +342,7 @@ def test_two_reads_yield_equal_rows(monkeypatch, m_dns):
     assert len(reads) == 2
     assert first == second
     names = [c.name for c in first]
-    assert len(set(names)) == len(names) == 2258
+    assert len(set(names)) == len(names) == 1983
     assert set(vars(m_dns)) == {f.name for f in dataclasses.fields(m_dns)}
 
 
@@ -328,7 +375,9 @@ def test_checker_violations_are_pinned():
     again when the checker read the column bounds too: the 749 row
     violations are all still listed (their list keeps its old digest),
     and each of the 22 dropped hops adds the R column of its hop over a
-    non-link, which the model holds at 0."""
+    non-link, which the model holds at 0.  And again when the cover_
+    rows were deleted: the list is the one before without its 86 cover_
+    violations, and every broken routing still breaks another row."""
     got = []
     for name in CORPUS:
         m = model_for([name, "assign-egress"])
@@ -339,15 +388,16 @@ def test_checker_violations_are_pinned():
                                       v.rhs) for v in vs]])
     assert len(got) == 87
     assert sum(len(vs) for _, case, vs in got if case == "solver") == 0
-    assert sum(len(vs) for _, _, vs in got) == 771
+    assert sum(len(vs) for _, _, vs in got) == 685
+    assert all(vs for _, case, vs in got if case != "solver")
     assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == (
-        "f5d9dbbc5bf58cf55205699ee9f4e1c7d593f5b4011e3950dab98d4e793425ac")
+        "14a5b13b4733107dfd0da5c69dfd8ce009639a28bb023afba16294a0e7c17e17")
     columns = ("R_", "P_", "PS_")
     rows = [[name, case, [v for v in vs if not v[0].startswith(columns)]]
             for name, case, vs in got]
-    assert sum(len(vs) for _, _, vs in rows) == 749
+    assert sum(len(vs) for _, _, vs in rows) == 663
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "3dce6d9a63b2072c5c4a43b3f9a90db16504b76e7e94d6264d36f65d76de90ac")
+        "b749768d5627bda1e9779d0fa0a428c7d5181e4ff152beea73f690a9b4d979cb")
     added = [(case, v[0][:2], v[1:]) for _, case, vs in got for v in vs
              if v[0].startswith(columns)]
     assert added == [("dropped-hop", "R_", (1.0, "=", 0.0))] * 22
@@ -426,6 +476,25 @@ def test_te_checker_equals_st_checker_on_split_placements(names, placement,
         assert f" 1 <= {opt.pname(s, n)} <= 1" in lines
         other = "C6" if n != "C6" else "C1"
         assert f" 0 <= {opt.pname(s, other)} <= 0" in lines
+
+
+@pytest.mark.parametrize("names, placement", [
+    (["conn-affinity", "assign-egress"],
+     {"affinity": "C1", "next-replica": "C2"}),
+    (["honeypot", "assign-egress"], {"hon-dstport": "C1", "hon-ip": "C2"}),
+], ids=["conn-affinity", "honeypot"])
+def test_te_routing_under_a_split_group_is_not_exact(names, placement):
+    """A fixed placement that splits a tied group breaks its tied_ rows,
+    so the TE routing is not exact even where no link is overloaded; the
+    same variables on one switch are."""
+    te = model_for(names, fixed=placement)
+    sol = opt.solve_builtin(te)
+    assert opt.overloaded_links(te.topo, sol.routing) == []
+    assert sol.exact is False
+    vs = opt.check_solution(te, placement, sol.routing)
+    assert vs and {v.constraint.split("_")[0] for v in vs} == {"tied"}
+    together = dict.fromkeys(placement, "C1")
+    assert opt.solve_builtin(model_for(names, fixed=together)).exact is True
 
 
 @pytest.fixture(scope="module")

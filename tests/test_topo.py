@@ -69,6 +69,18 @@ def test_validate_rejects_bad_inputs():
         Topology({}, {}, {}).validate()
     with pytest.raises(ValueError):
         Topology({"A": Node("A")}, {}, {}).validate()   # no external port
+    two = {"A": Node("A", (1,)), "B": Node("B", (2,))}
+    for cap in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="capacity"):
+            Topology(two, {("A", "B"): Link("A", "B", cap)}, {}).validate()
+    for vol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="volume"):
+            Topology(two, {}, {(1, 2): vol}).validate()
+    for port in (1.9, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an int"):
+            Topology(two, {}, {(port, 2): 1.0}).validate()
+        with pytest.raises(ValueError, match="not an int"):
+            Topology({"A": Node("A", (port,))}, {}, {}).validate()
 
 
 def test_adjacency():
