@@ -73,12 +73,15 @@ class Topology:
         return self._adjacency()[2][node]
 
     def validate(self):
-        """ValueError unless the topology is well formed: ports are ints
-        (not bools), exposed once, and at least one; links join known
-        nodes with a finite positive capacity; demands join known ports
-        with a finite volume >= 0."""
+        """ValueError unless the topology is well formed: switch ids are
+        strings; ports are ints (not bools), exposed once, and at least
+        one; links join known nodes with a finite positive capacity;
+        demands join known ports with a finite volume >= 0."""
         if not self.nodes:
             raise ValueError("empty topology")
+        for sid in self.nodes:
+            if not isinstance(sid, str):
+                raise ValueError(f"switch id {sid!r} is not a string")
         seen_ports = set()
         for n in self.nodes.values():
             for p in n.external_ports:
@@ -110,24 +113,35 @@ def _check_port(p, what: str) -> None:
         raise ValueError(f"{what} {p!r} is not an int")
 
 
+def _number(x, what: str) -> float:
+    # as for ports, JSON's true is no number; nor is a string of digits
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} {x!r} is not a number")
+    return float(x)
+
+
 def from_json(data: dict) -> Topology:
-    """The topology `data` describes; InputError if it is malformed or
+    """The topology `data` describes; InputError if it is malformed (a
+    switch listed twice, a capacity or volume that is not a number) or
     fails `Topology.validate`."""
     try:
         nodes = {}
         for n in data["nodes"]:
+            if n["id"] in nodes:
+                raise ValueError(f"switch {n['id']!r} listed twice")
             nodes[n["id"]] = Node(n["id"], tuple(n.get("external_ports", [])))
         links = {}
         for l in data["links"]:
-            key = (l["from"], l["to"])
-            links[key] = Link(l["from"], l["to"], float(l["capacity"]))
+            cap = _number(l["capacity"],
+                          f"link {l['from']}->{l['to']} capacity")
+            links[(l["from"], l["to"])] = Link(l["from"], l["to"], cap)
             if l.get("bidirectional", True) \
                     and (l["to"], l["from"]) not in links:
-                links[(l["to"], l["from"])] = Link(l["to"], l["from"],
-                                                   float(l["capacity"]))
+                links[(l["to"], l["from"])] = Link(l["to"], l["from"], cap)
         demands = {}
         for d in data.get("demands", []):
-            demands[(d["u"], d["v"])] = float(d["volume"])
+            demands[(d["u"], d["v"])] = _number(
+                d["volume"], f"demand ({d['u']},{d['v']}) volume")
         t = Topology(nodes, links, demands)
         t.validate()
     except (AttributeError, KeyError, TypeError, ValueError) as e:
@@ -184,21 +198,26 @@ def example12() -> Topology:
     return t
 
 
-def generated(n_switches: int, seed: int = 7, edge_fraction: float = 0.7,
-              capacity: float = 10.0,
-              demand_volume: float | None = None) -> Topology:
-    """Random connected topology; the lowest-degree fraction of switches
-    become edges, each exposing one external port.  Demand units are
-    abstract; the default volume is scaled so the all-pairs demand matrix
-    fits the link capacities with room to spare."""
+EDGE_FRACTION = 0.7     # share of a generated topology's switches at its edge
+LINK_CAPACITY = 10.0    # capacity of each generated link
+
+
+def generated(n_switches: int, seed: int = 7) -> Topology:
+    """Random connected topology of links of capacity `LINK_CAPACITY`
+    (10.0); the lowest-degree `EDGE_FRACTION` (0.7) of the switches, and
+    at least two, become edges, each exposing one external port.  Every
+    ordered pair of edge ports has a demand of `LINK_CAPACITY` over twice
+    the number of edge ports, in abstract units: an edge switch must sink
+    one flow from every other edge over as few as two links, so the
+    all-pairs demand fits the link capacities with room to spare."""
     import random
     rng = random.Random(seed)
     names = [f"S{i}" for i in range(n_switches)]
     links = {}
 
     def add(a, b):
-        links[(a, b)] = Link(a, b, capacity)
-        links[(b, a)] = Link(b, a, capacity)
+        links[(a, b)] = Link(a, b, LINK_CAPACITY)
+        links[(b, a)] = Link(b, a, LINK_CAPACITY)
 
     # random spanning tree, then extra chords
     order = names[:]
@@ -215,7 +234,7 @@ def generated(n_switches: int, seed: int = 7, edge_fraction: float = 0.7,
     for (s, _) in links:
         degree[s] += 1
     by_degree = sorted(names, key=lambda n: (degree[n], n))
-    n_edge = max(2, int(round(edge_fraction * n_switches)))
+    n_edge = max(2, int(round(EDGE_FRACTION * n_switches)))
     edge_nodes = by_degree[:n_edge]
 
     nodes = {}
@@ -227,10 +246,7 @@ def generated(n_switches: int, seed: int = 7, edge_fraction: float = 0.7,
         else:
             nodes[n] = Node(n, ())
     ports = [nodes[n].external_ports[0] for n in edge_nodes]
-    if demand_volume is None:
-        # an edge switch must sink (n_ports - 1) flows over as few as two
-        # links; keep the aggregate comfortably under the link capacity
-        demand_volume = capacity / (2 * max(1, len(ports)))
+    demand_volume = LINK_CAPACITY / (2 * max(1, len(ports)))
     demands = {}
     for u in ports:
         for v in ports:

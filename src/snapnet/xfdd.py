@@ -11,12 +11,9 @@ As in a BDD package, union and intersection are one pair walk
 negation and the leaf passes (merging outputs, stripping annotations,
 assembling fan-out) are one leaf map (`Builder._map_leaves`); and
 sequencing decides a test it cannot push down with one split
-(`Builder._split`): build each side, restrict it to its half, join.
-Where restricting would only put the test on top of both sides, the
-split skips the restrict-and-join and puts the test on top itself
-(`Builder._lead`); each side then only gains, at every leaf, the drop
-outcome restricting gives the other half, a leaf map memoized per
-Builder.
+(`Builder._split`): build each side under its half of the test, then
+join the two with one ordered ITE walk (`Builder._ite`) that decides
+the tests before it and puts it over both sides as they were built.
 
 Like a BDD package's computed table, the Builder keeps the result of
 each leaf function that reads no path context (merging by effect, the
@@ -584,7 +581,6 @@ class Builder:
         # arena interns (tests, node ids, element sets, runs), so no table
         # merges two results the arena keeps apart
         self._keys: dict = {}       # test -> test_key
-        self._drop_memo: dict = {}  # node -> node + drop
         self._merged: dict = {}     # elements -> _merge_by_effect(elements)
         self._fanout: dict = {}     # node -> node, _seq_leaf's fan-out map
         self._resolved: dict = {}   # (run, leaf, reads) -> _resolve's leaf
@@ -654,48 +650,54 @@ class Builder:
         return self.arena.branch(t, fhi(chi), flo(clo))
 
     def _split(self, t, ctx: Context, fhi, flo) -> int:
-        """Decide t under ctx: build each side the path facts allow,
-        restrict it to its half of t, and join the halves by unchecked
-        union.  Sequencing splits this way on every test it decides.
-        Where restricting would only put t on top of each half, `_lead`
-        builds the join without restricting."""
+        """Decide t under ctx: build each side the path facts allow and
+        put t over the two (`_ite`).  Sequencing splits this way on every
+        test it decides."""
         chi, clo = self._ctx2(ctx, t)
         if chi is None:
             return flo(clo)
         if clo is None:
             return fhi(chi)
-        hi, lo = fhi(chi), flo(clo)
-        led = self._lead(t, ctx, hi, lo)
-        if led is not None:
-            return led
-        return self._apply(self.restrict(hi, t, True),
-                           self.restrict(lo, t, False), ctx,
-                           frozenset.union, same=True)
+        return self._ite(t, fhi(chi), flo(clo), ctx, top=True)
 
-    def _tops(self, t, d: int) -> bool:
-        """restrict(d, t, _) would only put t on top of d."""
-        n = self.arena.nodes[d]
-        if n[0] == "L":
-            return isinstance(t, TStateTest) or not _pure_drop_elems(n[1])
-        return self.key(t) < self.key(n[1])
-
-    def _lead(self, t, ctx: Context, hi: int, lo: int) -> int | None:
-        """`_split`'s join of hi and lo, built under the two sides of t,
-        when t is open under ctx and restrict would only put t on top of
-        each; None otherwise.  Then the join branches on t, and each side
-        is its half with every leaf joined with the drop leaf restrict
-        puts on the other half: the unchecked union of a diagram built
-        under the path facts with a leaf."""
-        if (ctx.imply(t) is not None
-                or not (self._tops(t, hi) and self._tops(t, lo))):
-            return None
-        return self.arena.branch(t, self._with_drop(hi),
-                                 self._with_drop(lo))
-
-    def _with_drop(self, d: int) -> int:
-        """d with every leaf joined with the drop leaf."""
-        return self._map_leaves(d, lambda elems: elems | {DROP_SEQ},
-                                self._drop_memo)
+    def _ite(self, t, hi: int, lo: int, ctx: Context,
+             top: bool = False) -> int:
+        """If t then hi else lo, for hi built under ctx and t and lo under
+        ctx and not t (BDD ITE): decide under ctx every test of either half
+        that comes before t, as `_apply` does, then put t over the two
+        halves.  At the `top`, where no fact has joined ctx since the
+        halves were built, they go under t as they are; deeper, each is
+        refined under its side of t, and a ctx that decides t keeps that
+        side alone.  Over two pure-drop halves a field test goes and their
+        drop outcomes join; a state test stays, a read the run performs."""
+        a = self.arena
+        if not top:
+            hi, lo = self.refine(hi, ctx), self.refine(lo, ctx)
+        n1, n2 = a.nodes[hi], a.nodes[lo]
+        k = self.key(t)
+        before = [n[1] for n in (n1, n2)
+                  if n[0] == "B" and self.key(n[1]) < k]
+        if before:
+            s = min(before, key=self.key)
+            h1, o1 = ((n1[2], n1[3]) if n1[0] == "B" and n1[1] == s
+                      else (hi, hi))
+            h2, o2 = ((n2[2], n2[3]) if n2[0] == "B" and n2[1] == s
+                      else (lo, lo))
+            return self._branch_ctx(
+                s, ctx, lambda c: self._ite(t, h1, h2, c),
+                lambda c: self._ite(t, o1, o2, c))
+        if (not isinstance(t, TStateTest) and n1[0] == n2[0] == "L"
+                and _pure_drop_elems(n1[1]) and _pure_drop_elems(n2[1])):
+            return a.leaf(n1[1] | n2[1])
+        dec = ctx.imply(t)
+        if dec is not None:
+            d = hi if dec else lo
+            return self._apply(d, d, ctx, self._keep)
+        if top:
+            return a.branch(t, hi, lo)
+        return self._branch_ctx(
+            t, ctx, lambda c: self._apply(hi, hi, c, self._keep),
+            lambda c: self._apply(lo, lo, c, self._keep))
 
     def refine(self, d: int, ctx: Context) -> int:
         a = self.arena
@@ -705,30 +707,6 @@ class Builder:
                 return d
             d = a.hi(d) if dec else a.lo(d)
         return d
-
-    def restrict(self, d: int, t, polarity: bool) -> int:
-        a = self.arena
-        dl = self.drop_leaf()
-
-        def wrap(x: int) -> int:
-            return (a.branch(t, x, dl) if polarity else a.branch(t, dl, x))
-
-        if a.is_leaf(d):
-            # drop absorbs field tests, but a state test is a store read the
-            # run still performs; keep it so read tracking sees it
-            if (_pure_drop_elems(a.elems(d))
-                    and not isinstance(t, TStateTest)):
-                return d
-            return wrap(d)
-        t1 = a.test_of(d)
-        if t1 == t:
-            if polarity:
-                return a.branch(t1, a.hi(d), dl)
-            return a.branch(t1, dl, a.lo(d))
-        if self.key(t) < self.key(t1):
-            return wrap(d)
-        return a.branch(t1, self.restrict(a.hi(d), t, polarity),
-                        self.restrict(a.lo(d), t, polarity))
 
     def plus(self, d1: int, d2: int) -> int:
         """Public checked union of two plain diagrams."""
@@ -897,6 +875,11 @@ class Builder:
                 if bad:
                     poison.add(Poison(min(bad)))
         return e1 | e2 | poison
+
+    @staticmethod
+    def _keep(e1: frozenset, e2: frozenset) -> frozenset:
+        """A leaf of one diagram walked beside itself, kept as it is."""
+        return e1
 
     @staticmethod
     def _meet(e1: frozenset, e2: frozenset) -> set:

@@ -1,10 +1,12 @@
 """Shared test utilities: the reference evaluator's former isinstance
-chain, the router's former closure-cost Dijkstra, the sequencing split's
-former restrict-and-join, the placement search's former enumeration of
+chain, the router's former closure-cost Dijkstra, a Builder whose
+sequencing split restricts both halves and joins them as the split did
+before its ITE walk, the placement search's former enumeration of
 dependency orders, a diagram builder without computed tables, a
-program's flow demand map as a compile's P1-P3 give it, a brute-force diagram walker (independent of the compiler's own machinery)
-and a random policy generator over a small universe of fields, values,
-and state variables."""
+program's flow demand map as a compile's P1-P3 give it, a brute-force
+diagram walker (independent of the compiler's own machinery) and a
+random policy generator over a small universe of fields, values, and
+state variables."""
 
 import heapq
 import itertools
@@ -311,13 +313,79 @@ def reference_candidates(m, dist, flow_keys: list, groups: list,
 
 # ---------------------------------------------------------------- join
 
-def reference_join(b, t, ctx, hi: int, lo: int) -> int:
-    """The join `xfdd.Builder._split` made of every split before
-    `_lead`: hi, built under t, and lo, built under not t, each
-    restricted to its half of t and joined by unchecked union under the
-    path facts ctx; kept only to check `_lead` against."""
-    return b._apply(b.restrict(hi, t, True), b.restrict(lo, t, False), ctx,
-                    frozenset.union, same=True)
+class RestrictJoinBuilder(xfdd.Builder):
+    """A Builder whose sequencing split joins its halves as `_split` did
+    before it put its test over the halves as they were built: each half
+    restricted to its half of t and joined by unchecked union, or, where
+    restricting would only put t on top of both halves (`_lead`), t put
+    on top of both with the drop leaf restrict gives the other half
+    joined into every leaf; kept only to check `_split` against."""
+
+    def __init__(self, prog, order):
+        super().__init__(prog, order)
+        self._drop_memo: dict = {}  # node -> node + drop
+
+    def _split(self, t, ctx, fhi, flo):
+        chi, clo = self._ctx2(ctx, t)
+        if chi is None:
+            return flo(clo)
+        if clo is None:
+            return fhi(chi)
+        hi, lo = fhi(chi), flo(clo)
+        led = self._lead(t, ctx, hi, lo)
+        if led is not None:
+            return led
+        return self._apply(self.restrict(hi, t, True),
+                           self.restrict(lo, t, False), ctx,
+                           frozenset.union, same=True)
+
+    def _tops(self, t, d: int) -> bool:
+        """restrict(d, t, _) would only put t on top of d."""
+        n = self.arena.nodes[d]
+        if n[0] == "L":
+            return (isinstance(t, xfdd.TStateTest)
+                    or not xfdd._pure_drop_elems(n[1]))
+        return self.key(t) < self.key(n[1])
+
+    def _lead(self, t, ctx, hi: int, lo: int):
+        """The restrict-and-join of hi and lo when t is open under ctx and
+        restrict would only put t on top of each; None otherwise."""
+        if (ctx.imply(t) is not None
+                or not (self._tops(t, hi) and self._tops(t, lo))):
+            return None
+        return self.arena.branch(t, self._with_drop(hi),
+                                 self._with_drop(lo))
+
+    def _with_drop(self, d: int) -> int:
+        """d with every leaf joined with the drop leaf."""
+        return self._map_leaves(d, lambda elems: elems | {xfdd.DROP_SEQ},
+                                self._drop_memo)
+
+    def restrict(self, d: int, t, polarity: bool) -> int:
+        """d where t has `polarity`, the drop leaf elsewhere, with t at
+        its place in the test order."""
+        a = self.arena
+        dl = self.drop_leaf()
+
+        def wrap(x: int) -> int:
+            return (a.branch(t, x, dl) if polarity else a.branch(t, dl, x))
+
+        if a.is_leaf(d):
+            # drop absorbs field tests, but a state test is a store read the
+            # run still performs; keep it so read tracking sees it
+            if (xfdd._pure_drop_elems(a.elems(d))
+                    and not isinstance(t, xfdd.TStateTest)):
+                return d
+            return wrap(d)
+        t1 = a.test_of(d)
+        if t1 == t:
+            if polarity:
+                return a.branch(t1, a.hi(d), dl)
+            return a.branch(t1, dl, a.lo(d))
+        if self.key(t) < self.key(t1):
+            return wrap(d)
+        return a.branch(t1, self.restrict(a.hi(d), t, polarity),
+                        self.restrict(a.lo(d), t, polarity))
 
 
 class Forgetful(dict):

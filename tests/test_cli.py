@@ -126,10 +126,14 @@ def test_missing_file_is_io_error(capsys):
     assert "i/o error" in err
 
 
-def _two_switches(capacity=10.0, u=1, volume=1.0) -> dict:
-    return {"nodes": [{"id": "A", "external_ports": [1]},
-                      {"id": "B", "external_ports": [2]}],
-            "links": [{"from": "A", "to": "B", "capacity": capacity}],
+def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
+                  again=None) -> dict:
+    nodes = [{"id": a, "external_ports": [1]},
+             {"id": "B", "external_ports": [2]}]
+    if again is not None:    # switch `a` listed a second time
+        nodes.append({"id": a, "external_ports": [again]})
+    return {"nodes": nodes,
+            "links": [{"from": a, "to": "B", "capacity": capacity}],
             "demands": [{"u": u, "v": 2, "volume": volume}]}
 
 
@@ -137,9 +141,13 @@ def _two_switches(capacity=10.0, u=1, volume=1.0) -> dict:
     {"nodes": 3}, {"nodes": [], "links": []},
     {"nodes": [{"id": "A"}], "links": []},
     _two_switches(capacity="nan"), _two_switches(volume="nan"),
-    _two_switches(u=1.9), _two_switches(u=True)],
+    _two_switches(u=1.9), _two_switches(u=True), _two_switches(a=5),
+    _two_switches(capacity=True), _two_switches(volume="1e0"),
+    _two_switches(again=3, u=3)],
     ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
-         "nan-volume", "fractional-port", "bool-port"])
+         "nan-volume", "fractional-port", "bool-port",
+         "switch-id-not-a-string", "bool-capacity", "string-volume",
+         "switch-listed-twice"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))

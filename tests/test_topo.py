@@ -5,6 +5,7 @@ import os
 import pytest
 
 from snapnet import topo
+from snapnet.errors import InputError
 from snapnet.topo import Link, Node, Topology
 
 from conftest import TOPO_DIR
@@ -81,6 +82,30 @@ def test_validate_rejects_bad_inputs():
             Topology(two, {}, {(port, 2): 1.0}).validate()
         with pytest.raises(ValueError, match="not an int"):
             Topology({"A": Node("A", (port,))}, {}, {}).validate()
+    with pytest.raises(ValueError, match="not a string"):
+        Topology({5: Node(5, (1,)), "B": Node("B", (2,))}, {}, {}).validate()
+    # what only the JSON form can say wrong
+    for data, what in ((_two_switches(a=5), "not a string"),
+                       (_two_switches(capacity=True), "not a number"),
+                       (_two_switches(capacity="10"), "not a number"),
+                       (_two_switches(volume="1e0"), "not a number"),
+                       (_two_switches(volume=False), "not a number"),
+                       (_two_switches(again=3, u=3), "listed twice")):
+        with pytest.raises(InputError, match=what):
+            topo.from_json(data)
+
+
+def _two_switches(a="A", capacity=10, volume=1, again=None, u=1) -> dict:
+    """Switches `a` (port 1) and B (port 2), linked, with a demand from
+    port u to port 2, and switch `a` listed a second time with port
+    `again` if given."""
+    nodes = [{"id": a, "external_ports": [1]},
+             {"id": "B", "external_ports": [2]}]
+    if again is not None:
+        nodes.append({"id": a, "external_ports": [again]})
+    return {"nodes": nodes,
+            "links": [{"from": a, "to": "B", "capacity": capacity}],
+            "demands": [{"u": u, "v": 2, "volume": volume}]}
 
 
 def test_adjacency():
