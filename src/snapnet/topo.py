@@ -122,8 +122,8 @@ def _number(x, what: str) -> float:
 
 def from_json(data: dict) -> Topology:
     """The topology `data` describes; InputError if it is malformed (a
-    switch listed twice, a capacity or volume that is not a number) or
-    fails `Topology.validate`."""
+    switch or demand listed twice, a capacity or volume that is not a
+    number) or fails `Topology.validate`."""
     try:
         nodes = {}
         for n in data["nodes"]:
@@ -140,6 +140,8 @@ def from_json(data: dict) -> Topology:
                 links[(l["to"], l["from"])] = Link(l["to"], l["from"], cap)
         demands = {}
         for d in data.get("demands", []):
+            if (d["u"], d["v"]) in demands:
+                raise ValueError(f"demand ({d['u']},{d['v']}) listed twice")
             demands[(d["u"], d["v"])] = _number(
                 d["volume"], f"demand ({d['u']},{d['v']}) volume")
         t = Topology(nodes, links, demands)

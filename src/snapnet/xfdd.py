@@ -7,13 +7,13 @@ arena; composition operators carry a Context of path facts so
 contradicting and redundant tests never survive in the result.
 
 As in a BDD package, union and intersection are one pair walk
-(`Builder._apply`) that differ only in how they combine two leaves;
-negation and the leaf passes (merging outputs, stripping annotations,
-assembling fan-out) are one leaf map (`Builder._map_leaves`); and
-sequencing decides a test it cannot push down with one split
-(`Builder._split`): build each side under its half of the test, then
-join the two with one ordered ITE walk (`Builder._ite`) that decides
-the tests before it and puts it over both sides as they were built.
+(`Builder._apply`) that differ only in how they combine two leaves; the
+leaf passes (merging outputs, stripping annotations, assembling
+fan-out) are one leaf map (`Builder._map_leaves`); and sequencing and
+if-then-else are one walk (`Builder._walk`) that decides each test of
+their first operand with one split (`Builder._split`, `Builder._ite`)
+and runs at each of its leaves the second operand or, as the evaluator
+does, the branch the predicate picks.
 
 Like a BDD package's computed table, the Builder keeps the result of
 each leaf function that reads no path context (merging by effect, the
@@ -612,19 +612,6 @@ class Builder:
 
     # -- public operators -------------------------------------------------
 
-    def neg(self, d: int) -> int:
-        """Predicate negation: every id leaf becomes drop and vice versa."""
-
-        def flip(elems: frozenset) -> set:
-            elems = self._merge_by_effect(elems)
-            if elems == {()}:
-                return {DROP_SEQ}
-            if elems == {DROP_SEQ}:
-                return {()}
-            raise ValueError("negation of a non-predicate diagram")
-
-        return self._map_leaves(d, flip)
-
     def _ctx2(self, ctx: Context, t) -> tuple:
         """(hi ctx, lo ctx) for a test, with None marking a side the path
         facts (including declared field domains) rule out entirely."""
@@ -709,21 +696,42 @@ class Builder:
         return d
 
     def plus(self, d1: int, d2: int) -> int:
-        """Public checked union of two plain diagrams."""
+        """Public checked union of two plain diagrams.  A bare drop beside
+        another outcome adds nothing, so it is left out."""
+
+        def strip(elems: frozenset) -> set:
+            out = {e.atoms if isinstance(e, AnnotatedSeq) else e
+                   for e in elems}
+            return out - {DROP_SEQ} if len(out) > 1 else out
+
         d = self._apply(self._annotate(d1), self._annotate(d2),
                         self.empty_ctx(), self._join)
-        return self._map_leaves(d, lambda elems: {
-            e.atoms if isinstance(e, AnnotatedSeq) else e for e in elems})
+        return self._map_leaves(d, strip)
 
-    def seq(self, d1: int, d2: int, ctx: Context | None = None) -> int:
-        if ctx is None:
-            ctx = self.empty_ctx()
+    def seq(self, d1: int, d2: int) -> int:
+        return self._walk(d1, self.empty_ctx(),
+                          lambda elems, c: self._seq_leaf(elems, d2, c))
+
+    def _cond(self, dc: int, dt: int, de: int) -> int:
+        """If dc then dt else de, as the evaluator runs it: dt where a leaf
+        of the predicate dc passes the packet, de where it drops it.  `!a`
+        is if a then drop else id."""
+
+        def branch(elems: frozenset, c: Context) -> int:
+            if elems not in ({()}, {DROP_SEQ}):
+                raise ValueError("condition is not a predicate diagram")
+            return self._seq_leaf({()}, dt if () in elems else de, c)
+
+        return self._walk(dc, self.empty_ctx(), branch)
+
+    def _walk(self, d1: int, ctx: Context, leaf) -> int:
+        """`leaf(elements, ctx)` at each leaf of d1, split on its tests."""
         a = self.arena
         if a.is_leaf(d1):
-            return self._seq_leaf(a.elems(d1), d2, ctx)
+            return leaf(a.elems(d1), ctx)
         return self._split(a.test_of(d1), ctx,
-                           lambda c: self.seq(a.hi(d1), d2, c),
-                           lambda c: self.seq(a.lo(d1), d2, c))
+                           lambda c: self._walk(a.hi(d1), c, leaf),
+                           lambda c: self._walk(a.lo(d1), c, leaf))
 
     def check_races(self, d: int):
         """Final validator: no leaf may hold two sequences writing one var."""
@@ -794,16 +802,10 @@ class Builder:
             t = TStateTest(p.var, subst_expr(p.index, {}),
                            subst_expr(p.rhs, {}))
             return a.branch(t, self.id_leaf(), self.drop_leaf())
-        if isinstance(p, lang.Mod):
-            return a.leaf({canon_seq((lang.Mod(p.field, p.value),))})
-        if isinstance(p, lang.StateSet):
-            return a.leaf({canon_seq((lang.StateSet(p.var, p.index, p.rhs),))})
-        if isinstance(p, lang.Incr):
-            return a.leaf({canon_seq((lang.Incr(p.var, p.index),))})
-        if isinstance(p, lang.Decr):
-            return a.leaf({canon_seq((lang.Decr(p.var, p.index),))})
+        if isinstance(p, (lang.Mod, lang.StateSet, lang.Incr, lang.Decr)):
+            return a.leaf({canon_seq((p,))})    # canon_seq drops the spans
         if isinstance(p, lang.Neg):
-            return self.neg(self._translate(p.p))
+            return self._translate(lang.If(p.p, lang.Drop(), lang.Id()))
         if isinstance(p, (lang.Or, lang.Par)):
             return self.plus(self._translate(p.p), self._translate(p.q))
         if isinstance(p, lang.And):
@@ -814,11 +816,9 @@ class Builder:
         if isinstance(p, lang.Seq):
             return self.seq(self._translate(p.p), self._translate(p.q))
         if isinstance(p, lang.If):
-            dc = self._translate(p.cond)
-            ctx = self.empty_ctx()
-            dt = self.seq(dc, self._translate(p.then), ctx)
-            de = self.seq(self.neg(dc), self._translate(p.els), ctx)
-            return self._apply(dt, de, ctx, frozenset.union, same=True)
+            return self._cond(self._translate(p.cond),
+                              self._translate(p.then),
+                              self._translate(p.els))
         if isinstance(p, lang.Atomic):
             return self._translate(p.p)
         raise TypeError(f"not a policy: {p!r}")
@@ -828,18 +828,14 @@ class Builder:
 
     # -- the pair walk and the leaf map ----------------------------------
 
-    def _apply(self, d1: int, d2: int, ctx: Context, leaves,
-               same: bool = False) -> int:
+    def _apply(self, d1: int, d2: int, ctx: Context, leaves) -> int:
         """The pair walk behind union and intersection (BDD apply): both
         operands refined under the path facts, branching on the lesser of
         their top tests, and each pair of leaves combined into the leaf
-        with elements `leaves(elems1, elems2)`.  With `same`, equal
-        operands are their own result (unchecked union)."""
+        with elements `leaves(elems1, elems2)`."""
         a = self.arena
         d1 = self.refine(d1, ctx)
         d2 = self.refine(d2, ctx)
-        if same and d1 == d2:
-            return d1
         n1, n2 = a.nodes[d1], a.nodes[d2]
         if n1[0] == "L":
             if n2[0] == "L":
@@ -856,8 +852,8 @@ class Builder:
             else:
                 t, h1, o1, h2, o2 = t2, d1, d1, n2[2], n2[3]
         return self._branch_ctx(
-            t, ctx, lambda c: self._apply(h1, h2, c, leaves, same),
-            lambda c: self._apply(o1, o2, c, leaves, same))
+            t, ctx, lambda c: self._apply(h1, h2, c, leaves),
+            lambda c: self._apply(o1, o2, c, leaves))
 
     @staticmethod
     def _join(e1: frozenset, e2: frozenset) -> frozenset:

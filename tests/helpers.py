@@ -314,16 +314,50 @@ def reference_candidates(m, dist, flow_keys: list, groups: list,
 # ---------------------------------------------------------------- join
 
 class RestrictJoinBuilder(xfdd.Builder):
-    """A Builder whose sequencing split joins its halves as `_split` did
-    before it put its test over the halves as they were built: each half
-    restricted to its half of t and joined by unchecked union, or, where
-    restricting would only put t on top of both halves (`_lead`), t put
-    on top of both with the drop leaf restrict gives the other half
-    joined into every leaf; kept only to check `_split` against."""
+    """A Builder that joins as the Builder did before its split put its
+    test over the halves as they were built and before the conditional
+    walked its predicate; kept only to check the Builder against.
+      * The sequencing split restricts each half to its half of t and
+        joins them by unchecked union, or, where restricting would only
+        put t on top of both halves (`_lead`), puts t on top of both with
+        the drop leaf restrict gives the other half joined into every
+        leaf.
+      * `if a then p else q` is `(a;p) + (!a;q)`: both sequenced, joined
+        by unchecked union, and `!a` flips each id leaf to drop and each
+        drop leaf to id.
+      * `+` keeps a bare drop beside other outcomes."""
 
     def __init__(self, prog, order):
         super().__init__(prog, order)
         self._drop_memo: dict = {}  # node -> node + drop
+
+    def _translate(self, p):
+        if isinstance(p, lang.Neg):
+            return self.neg(self._translate(p.p))
+        if isinstance(p, lang.If):
+            dc = self._translate(p.cond)
+            dt = self.seq(dc, self._translate(p.then))
+            de = self.seq(self.neg(dc), self._translate(p.els))
+            return self._apply(dt, de, self.empty_ctx(), frozenset.union)
+        return super()._translate(p)
+
+    def neg(self, d: int) -> int:
+        def flip(elems):
+            elems = self._merge_by_effect(elems)
+            if elems == {()}:
+                return {xfdd.DROP_SEQ}
+            if elems == {xfdd.DROP_SEQ}:
+                return {()}
+            raise ValueError("negation of a non-predicate diagram")
+
+        return self._map_leaves(d, flip)
+
+    def plus(self, d1: int, d2: int) -> int:
+        d = self._apply(self._annotate(d1), self._annotate(d2),
+                        self.empty_ctx(), self._join)
+        return self._map_leaves(d, lambda elems: {
+            e.atoms if isinstance(e, xfdd.AnnotatedSeq) else e
+            for e in elems})
 
     def _split(self, t, ctx, fhi, flo):
         chi, clo = self._ctx2(ctx, t)
@@ -337,7 +371,7 @@ class RestrictJoinBuilder(xfdd.Builder):
             return led
         return self._apply(self.restrict(hi, t, True),
                            self.restrict(lo, t, False), ctx,
-                           frozenset.union, same=True)
+                           frozenset.union)
 
     def _tops(self, t, d: int) -> bool:
         """restrict(d, t, _) would only put t on top of d."""

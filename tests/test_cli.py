@@ -127,14 +127,14 @@ def test_missing_file_is_io_error(capsys):
 
 
 def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
-                  again=None) -> dict:
+                  again=None, demands=1) -> dict:
     nodes = [{"id": a, "external_ports": [1]},
              {"id": "B", "external_ports": [2]}]
     if again is not None:    # switch `a` listed a second time
         nodes.append({"id": a, "external_ports": [again]})
     return {"nodes": nodes,
             "links": [{"from": a, "to": "B", "capacity": capacity}],
-            "demands": [{"u": u, "v": 2, "volume": volume}]}
+            "demands": [{"u": u, "v": 2, "volume": volume}] * demands}
 
 
 @pytest.mark.parametrize("data", [
@@ -143,11 +143,11 @@ def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
     _two_switches(capacity="nan"), _two_switches(volume="nan"),
     _two_switches(u=1.9), _two_switches(u=True), _two_switches(a=5),
     _two_switches(capacity=True), _two_switches(volume="1e0"),
-    _two_switches(again=3, u=3)],
+    _two_switches(again=3, u=3), _two_switches(demands=2)],
     ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
          "nan-volume", "fractional-port", "bool-port",
          "switch-id-not-a-string", "bool-capacity", "string-volume",
-         "switch-listed-twice"])
+         "switch-listed-twice", "demand-listed-twice"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))

@@ -90,22 +90,24 @@ def test_validate_rejects_bad_inputs():
                        (_two_switches(capacity="10"), "not a number"),
                        (_two_switches(volume="1e0"), "not a number"),
                        (_two_switches(volume=False), "not a number"),
-                       (_two_switches(again=3, u=3), "listed twice")):
+                       (_two_switches(again=3, u=3), "listed twice"),
+                       (_two_switches(demands=2), "listed twice")):
         with pytest.raises(InputError, match=what):
             topo.from_json(data)
 
 
-def _two_switches(a="A", capacity=10, volume=1, again=None, u=1) -> dict:
+def _two_switches(a="A", capacity=10, volume=1, again=None, u=1,
+                  demands=1) -> dict:
     """Switches `a` (port 1) and B (port 2), linked, with a demand from
-    port u to port 2, and switch `a` listed a second time with port
-    `again` if given."""
+    port u to port 2 listed `demands` times, and switch `a` listed a
+    second time with port `again` if given."""
     nodes = [{"id": a, "external_ports": [1]},
              {"id": "B", "external_ports": [2]}]
     if again is not None:
         nodes.append({"id": a, "external_ports": [again]})
     return {"nodes": nodes,
             "links": [{"from": a, "to": "B", "capacity": capacity}],
-            "demands": [{"u": u, "v": 2, "volume": volume}]}
+            "demands": [{"u": u, "v": 2, "volume": volume}] * demands}
 
 
 def test_adjacency():
