@@ -457,7 +457,8 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: placement totality, fragment coverage of
     every state resume point, a root and node references that name nodes
-    of the bundle, rules that name placed variables, forward to
+    of the bundle, state tables on each switch for exactly the variables
+    placed on it, rules that name placed variables, forward to
     neighbours and emit on the switch's own external ports, a config for
     every topology switch and none for another, and a walk for exactly
     the topology's demands, each from u's switch to v's over links of the
@@ -476,9 +477,11 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     problems = []
     rules: dict = {}    # (switch, flow) -> a resolved rule of sound shape
     rows: list = []     # (switch, u, s, row): group rows of sound shape
+    owned: dict = {}    # switch -> the variables placed on it
     for s, sid in sorted(bundle.placement.items()):
         if sid not in topo.nodes:
             problems.append(f"placement of {s!r} on unknown switch {sid!r}")
+        owned.setdefault(sid, set()).add(s)
     if bundle.root not in bundle.nodes:
         problems.append(f"root {bundle.root} is not a node of the bundle")
     points = state_resume_points(bundle.nodes)
@@ -497,6 +500,13 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
         if sid not in topo.nodes:
             problems.append(f"config for unknown switch {sid!r}")
             continue
+        mine, tables = owned.get(sid, set()), set(cfg.state_tables)
+        for s in sorted(mine - tables):
+            problems.append(f"switch {sid}: no state table for {s!r}, "
+                            "which is placed there")
+        for s in sorted(tables - mine):
+            problems.append(f"switch {sid}: state table for {s!r}, which "
+                            f"is placed on {bundle.placement.get(s)!r}")
         for nid, node in cfg.nodes.items():
             if node[0] == "branch":
                 for child in (node[2], node[3]):

@@ -122,8 +122,9 @@ def _number(x, what: str) -> float:
 
 def from_json(data: dict) -> Topology:
     """The topology `data` describes; InputError if it is malformed (a
-    switch or demand listed twice, a capacity or volume that is not a
-    number) or fails `Topology.validate`."""
+    switch, link or demand listed twice, a capacity or volume that is not
+    a number) or fails `Topology.validate`.  A link listed from a to b
+    overrides the b->a link that a bidirectional entry implies."""
     try:
         nodes = {}
         for n in data["nodes"]:
@@ -131,7 +132,11 @@ def from_json(data: dict) -> Topology:
                 raise ValueError(f"switch {n['id']!r} listed twice")
             nodes[n["id"]] = Node(n["id"], tuple(n.get("external_ports", [])))
         links = {}
+        listed = set()
         for l in data["links"]:
+            if (l["from"], l["to"]) in listed:
+                raise ValueError(f"link {l['from']}->{l['to']} listed twice")
+            listed.add((l["from"], l["to"]))
             cap = _number(l["capacity"],
                           f"link {l['from']}->{l['to']} capacity")
             links[(l["from"], l["to"])] = Link(l["from"], l["to"], cap)

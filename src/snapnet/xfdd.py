@@ -4,7 +4,10 @@ Branch nodes test one of three test kinds (field=value, field=field,
 state-cell=expr) in a global total order (`test_key`); leaves hold
 sets of action sequences.  Construction goes through a hash-consing
 arena; composition operators carry a Context of path facts so
-contradicting and redundant tests never survive in the result.
+contradicting and redundant tests never survive in the result.  One
+place decides a test that becomes a node (`Builder._ctx2`): it asks
+whether the facts imply the test or its negation, and adds a fact only
+for a test they leave open.
 
 As in a BDD package, union and intersection are one pair walk
 (`Builder._apply`) that differ only in how they combine two leaves; the
@@ -13,7 +16,8 @@ fan-out) are one leaf map (`Builder._map_leaves`); and sequencing and
 if-then-else are one walk (`Builder._walk`) that decides each test of
 their first operand with one split (`Builder._split`, `Builder._ite`)
 and runs at each of its leaves the second operand or, as the evaluator
-does, the branch the predicate picks.
+does, the branch the predicate picks.  Below the split's top, the walk
+restricts under the path facts only a half that missed a fact it added.
 
 Like a BDD package's computed table, the Builder keeps the result of
 each leaf function that reads no path context (merging by effect, the
@@ -614,7 +618,13 @@ class Builder:
 
     def _ctx2(self, ctx: Context, t) -> tuple:
         """(hi ctx, lo ctx) for a test, with None marking a side the path
-        facts (including declared field domains) rule out entirely."""
+        facts (including declared field domains) rule out entirely.  The
+        one place a test is decided: facts that imply t or not t keep one
+        side with ctx unchanged; otherwise a side goes when adding its
+        fact contradicts them."""
+        dec = ctx.imply(t)
+        if dec is not None:
+            return (ctx, None) if dec else (None, ctx)
         try:
             hi = ctx.add(t, True)
         except Contradiction:
@@ -637,63 +647,54 @@ class Builder:
         return self.arena.branch(t, fhi(chi), flo(clo))
 
     def _split(self, t, ctx: Context, fhi, flo) -> int:
-        """Decide t under ctx: build each side the path facts allow and
-        put t over the two (`_ite`).  Sequencing splits this way on every
-        test it decides."""
+        """Decide t under ctx (`_ctx2`): build each side the path facts
+        allow and put t over the two (`_ite`).  Sequencing splits this way
+        on every test it decides."""
         chi, clo = self._ctx2(ctx, t)
         if chi is None:
             return flo(clo)
         if clo is None:
             return fhi(chi)
-        return self._ite(t, fhi(chi), flo(clo), ctx, top=True)
+        return self._ite(t, fhi(chi), flo(clo), ctx)
 
     def _ite(self, t, hi: int, lo: int, ctx: Context,
-             top: bool = False) -> int:
+             stale: tuple | None = None) -> int:
         """If t then hi else lo, for hi built under ctx and t and lo under
-        ctx and not t (BDD ITE): decide under ctx every test of either half
-        that comes before t, as `_apply` does, then put t over the two
-        halves.  At the `top`, where no fact has joined ctx since the
-        halves were built, they go under t as they are; deeper, each is
-        refined under its side of t, and a ctx that decides t keeps that
-        side alone.  Over two pure-drop halves a field test goes and their
-        drop outcomes join; a state test stays, a read the run performs."""
+        ctx and not t (BDD ITE): branch under ctx on every test of either
+        half that comes before t, lesser first, as `_apply` does, then put
+        t over the two halves.  At the split's top (`stale` None) no fact
+        has joined ctx since the halves were built, so they go under t as
+        they are.  Deeper, `stale` flags each half whose top was not some
+        test the walk branched on; only such a half missed a fact, so only
+        it is restricted under its side of t, and a ctx that decides t
+        keeps that side alone.  Over two pure-drop halves a field test goes
+        and their drop outcomes join; a state test stays, a read the run
+        performs."""
         a = self.arena
-        if not top:
-            hi, lo = self.refine(hi, ctx), self.refine(lo, ctx)
         n1, n2 = a.nodes[hi], a.nodes[lo]
         k = self.key(t)
         before = [n[1] for n in (n1, n2)
                   if n[0] == "B" and self.key(n[1]) < k]
         if before:
             s = min(before, key=self.key)
-            h1, o1 = ((n1[2], n1[3]) if n1[0] == "B" and n1[1] == s
-                      else (hi, hi))
-            h2, o2 = ((n2[2], n2[3]) if n2[0] == "B" and n2[1] == s
-                      else (lo, lo))
+            s1 = n1[0] == "B" and n1[1] == s
+            s2 = n2[0] == "B" and n2[1] == s
+            h1, o1 = (n1[2], n1[3]) if s1 else (hi, hi)
+            h2, o2 = (n2[2], n2[3]) if s2 else (lo, lo)
+            was = stale or (False, False)
+            st = (was[0] or not s1, was[1] or not s2)
             return self._branch_ctx(
-                s, ctx, lambda c: self._ite(t, h1, h2, c),
-                lambda c: self._ite(t, o1, o2, c))
+                s, ctx, lambda c: self._ite(t, h1, h2, c, st),
+                lambda c: self._ite(t, o1, o2, c, st))
         if (not isinstance(t, TStateTest) and n1[0] == n2[0] == "L"
                 and _pure_drop_elems(n1[1]) and _pure_drop_elems(n2[1])):
             return a.leaf(n1[1] | n2[1])
-        dec = ctx.imply(t)
-        if dec is not None:
-            d = hi if dec else lo
-            return self._apply(d, d, ctx, self._keep)
-        if top:
+        if stale is None:
             return a.branch(t, hi, lo)
         return self._branch_ctx(
-            t, ctx, lambda c: self._apply(hi, hi, c, self._keep),
-            lambda c: self._apply(lo, lo, c, self._keep))
-
-    def refine(self, d: int, ctx: Context) -> int:
-        a = self.arena
-        while not a.is_leaf(d):
-            dec = ctx.imply(a.test_of(d))
-            if dec is None:
-                return d
-            d = a.hi(d) if dec else a.lo(d)
-        return d
+            t, ctx,
+            lambda c: self._apply(hi, hi, c, self._keep) if stale[0] else hi,
+            lambda c: self._apply(lo, lo, c, self._keep) if stale[1] else lo)
 
     def plus(self, d1: int, d2: int) -> int:
         """Public checked union of two plain diagrams.  A bare drop beside
@@ -829,13 +830,11 @@ class Builder:
     # -- the pair walk and the leaf map ----------------------------------
 
     def _apply(self, d1: int, d2: int, ctx: Context, leaves) -> int:
-        """The pair walk behind union and intersection (BDD apply): both
-        operands refined under the path facts, branching on the lesser of
-        their top tests, and each pair of leaves combined into the leaf
-        with elements `leaves(elems1, elems2)`."""
+        """The pair walk behind union and intersection (BDD apply): branch
+        on the lesser of the operands' top tests, keeping only the side of
+        a test the path facts decide, and combine each pair of leaves into
+        the leaf with elements `leaves(elems1, elems2)`."""
         a = self.arena
-        d1 = self.refine(d1, ctx)
-        d2 = self.refine(d2, ctx)
         n1, n2 = a.nodes[d1], a.nodes[d2]
         if n1[0] == "L":
             if n2[0] == "L":
@@ -1128,12 +1127,13 @@ class Builder:
         return go(d2, ctx, frozenset())
 
     def _decide(self, t, subst: dict, pending: dict, ctx: Context):
-        """True | False | ("test", t') | ("split", equality-test)."""
+        """True | False where the run's mods and pending updates decide t;
+        else ("test", t') for `_split` to decide under the path facts, or
+        ("split", equality-test) to decide first."""
         if isinstance(t, TFieldValue):
             if t.field in subst:
                 return test_match(subst[t.field], t.value)
-            imp = ctx.imply(t)
-            return imp if imp is not None else ("test", t)
+            return ("test", t)
         if isinstance(t, TFieldField):
             va, vb = subst.get(t.f1), subst.get(t.f2)
             if va is not None and vb is not None:
@@ -1144,11 +1144,8 @@ class Builder:
                 if isinstance(known, IPv4Network):
                     raise UnsupportedCompositionError(
                         other, "prefix-valued field in a field-field test")
-                t2 = TFieldValue(other, known)
-                imp = ctx.imply(t2)
-                return imp if imp is not None else ("test", t2)
-            imp = ctx.imply(t)
-            return imp if imp is not None else ("test", t)
+                return ("test", TFieldValue(other, known))
+            return ("test", t)
         if isinstance(t, TStateTest):
             idx = subst_expr(t.index, subst)
             rhs = subst_expr(t.rhs, subst)
@@ -1178,9 +1175,7 @@ class Builder:
         cell_expr is None); decide `cell == rhs`."""
         if delta == 0:
             if cell_expr is None:
-                t2 = TStateTest(var, idx, rhs)
-                imp = ctx.imply(t2)
-                return imp if imp is not None else ("test", t2)
+                return ("test", TStateTest(var, idx, rhs))
             eq = self._expr_eq(cell_expr, rhs, ctx)
             if isinstance(eq, tuple):
                 return ("test", eq[1])
@@ -1192,18 +1187,14 @@ class Builder:
                 var, "increment composed against a non-literal test")
         want = rhs.value - delta
         if cell_expr is None:
-            t2 = TStateTest(var, idx, lang.Lit(want))
-            imp = ctx.imply(t2)
-            return imp if imp is not None else ("test", t2)
+            return ("test", TStateTest(var, idx, lang.Lit(want)))
         if isinstance(cell_expr, lang.Lit):
             if isinstance(cell_expr.value, int) and not isinstance(
                     cell_expr.value, bool):
                 return cell_expr.value == want
             return False
         if isinstance(cell_expr, lang.FieldRef):
-            t2 = TFieldValue(cell_expr.name, want)
-            imp = ctx.imply(t2)
-            return imp if imp is not None else ("test", t2)
+            return ("test", TFieldValue(cell_expr.name, want))
         raise UnsupportedCompositionError(
             var, "increment composed over a structured stored value")
 

@@ -1,12 +1,12 @@
 """Shared test utilities: the reference evaluator's former isinstance
 chain, the router's former closure-cost Dijkstra, a Builder whose
 sequencing split restricts both halves and joins them as the split did
-before its ITE walk, the placement search's former enumeration of
-dependency orders, a diagram builder without computed tables, a
-program's flow demand map as a compile's P1-P3 give it, a brute-force
-diagram walker (independent of the compiler's own machinery) and a
-random policy generator over a small universe of fields, values, and
-state variables."""
+before its ITE walk and decides a test wherever it meets one, the
+placement search's former enumeration of dependency orders, a diagram
+builder without computed tables, a program's flow demand map as a
+compile's P1-P3 give it, a brute-force diagram walker (independent of
+the compiler's own machinery) and a random policy generator over a
+small universe of fields, values, and state variables."""
 
 import heapq
 import itertools
@@ -325,7 +325,11 @@ class RestrictJoinBuilder(xfdd.Builder):
       * `if a then p else q` is `(a;p) + (!a;q)`: both sequenced, joined
         by unchecked union, and `!a` flips each id leaf to drop and each
         drop leaf to id.
-      * `+` keeps a bare drop beside other outcomes."""
+      * `+` keeps a bare drop beside other outcomes.
+      * A test is decided where it is met: `_ctx2` rules out a side only
+        when adding its fact contradicts the path facts, the pair walk
+        first refines each operand's top under them (`refine`), and the
+        split leaves a test the facts imply to the refining join."""
 
     def __init__(self, prog, order):
         super().__init__(prog, order)
@@ -358,6 +362,32 @@ class RestrictJoinBuilder(xfdd.Builder):
         return self._map_leaves(d, lambda elems: {
             e.atoms if isinstance(e, xfdd.AnnotatedSeq) else e
             for e in elems})
+
+    def _ctx2(self, ctx, t):
+        try:
+            hi = ctx.add(t, True)
+        except xfdd.Contradiction:
+            hi = None
+        try:
+            lo = ctx.add(t, False)
+        except xfdd.Contradiction:
+            lo = None
+        if hi is None and lo is None:
+            raise xfdd.Contradiction(xfdd.format_test(t))
+        return hi, lo
+
+    def refine(self, d: int, ctx) -> int:
+        a = self.arena
+        while not a.is_leaf(d):
+            dec = ctx.imply(a.test_of(d))
+            if dec is None:
+                return d
+            d = a.hi(d) if dec else a.lo(d)
+        return d
+
+    def _apply(self, d1, d2, ctx, leaves):
+        return super()._apply(self.refine(d1, ctx), self.refine(d2, ctx),
+                              ctx, leaves)
 
     def _split(self, t, ctx, fhi, flo):
         chi, clo = self._ctx2(ctx, t)

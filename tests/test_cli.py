@@ -127,13 +127,15 @@ def test_missing_file_is_io_error(capsys):
 
 
 def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
-                  again=None, demands=1) -> dict:
+                  again=None, demands=1, relink=None) -> dict:
     nodes = [{"id": a, "external_ports": [1]},
              {"id": "B", "external_ports": [2]}]
     if again is not None:    # switch `a` listed a second time
         nodes.append({"id": a, "external_ports": [again]})
-    return {"nodes": nodes,
-            "links": [{"from": a, "to": "B", "capacity": capacity}],
+    links = [{"from": a, "to": "B", "capacity": capacity}]
+    if relink is not None:   # link a->B listed a second time
+        links.append({"from": a, "to": "B", "capacity": relink})
+    return {"nodes": nodes, "links": links,
             "demands": [{"u": u, "v": 2, "volume": volume}] * demands}
 
 
@@ -143,11 +145,13 @@ def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
     _two_switches(capacity="nan"), _two_switches(volume="nan"),
     _two_switches(u=1.9), _two_switches(u=True), _two_switches(a=5),
     _two_switches(capacity=True), _two_switches(volume="1e0"),
-    _two_switches(again=3, u=3), _two_switches(demands=2)],
+    _two_switches(again=3, u=3), _two_switches(demands=2),
+    _two_switches(relink=5)],
     ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
          "nan-volume", "fractional-port", "bool-port",
          "switch-id-not-a-string", "bool-capacity", "string-volume",
-         "switch-listed-twice", "demand-listed-twice"])
+         "switch-listed-twice", "demand-listed-twice",
+         "link-listed-twice"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))
@@ -550,13 +554,20 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
      "switch I1: rule (1,1) is for a flow with no walk"),
     ("switch/C1.json", _set_row(1, "established", 2, "next", "I1"),
      "switch C1: group (1,'established') row (1,2) forwards to 'I1', but "
-     "the flow's walk gives 'C5'")],
+     "the flow's walk gives 'C5'"),
+    ("switch/C5.json", lambda d: dict(d, state_tables={}),
+     "switch C5: no state table for 'established', which is placed there"),
+    ("switch/C1.json", lambda d: dict(d, state_tables={
+        "established": {"arity": 2,
+                        "default": {"t": "atom", "v": "False"}}}),
+     "switch C1: state table for 'established', which is placed on 'C5'")],
     ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
          "unplaced-var", "flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
          "walk-crosses-no-link", "walk-reuses-a-link", "fwd-off-the-walk",
          "emit-on-the-walk", "no-rule-on-the-walk", "rule-off-the-walk",
-         "rule-without-walk", "group-off-the-walk"])
+         "rule-without-walk", "group-off-the-walk", "owner-lacks-table",
+         "table-off-the-owner"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
     """A rule that forwards to a switch that is not a neighbour, emits on
@@ -570,7 +581,9 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     I1-C1-C5-C6-C2-I2), one missing on the walk, one at a switch off the
     walk, and one for a flow with no walk; and a waiting-packet group row
     that sends the flow off its walk (C1 back to I1 before the owner C5
-    of `established`)."""
+    of `established`).  So does a switch whose state tables are not
+    exactly the variables placed on it: C5 without the table of
+    `established`, placed there, or C1 with one."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),

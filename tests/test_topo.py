@@ -43,14 +43,21 @@ def test_committed_example12_matches_builtin():
 
 
 def test_bidirectional_default_in_json():
-    t = topo.from_json({
-        "nodes": [{"id": "A", "external_ports": [1]},
-                  {"id": "B", "external_ports": [2]}],
-        "links": [{"from": "A", "to": "B", "capacity": 5}],
-        "demands": [{"u": 1, "v": 2, "volume": 1}],
-    })
+    """A link is bidirectional unless it says otherwise, and a link listed
+    from B to A sets B->A, before or after an A-B entry implies it."""
+    nodes = [{"id": "A", "external_ports": [1]},
+             {"id": "B", "external_ports": [2]}]
+    demands = [{"u": 1, "v": 2, "volume": 1}]
+    ab = {"from": "A", "to": "B", "capacity": 5}
+    t = topo.from_json({"nodes": nodes, "links": [ab], "demands": demands})
     assert ("B", "A") in t.links
     assert t.links[("A", "B")].capacity == 5.0
+    ba = {"from": "B", "to": "A", "capacity": 3, "bidirectional": False}
+    for links in ([ab, ba], [ba, ab]):
+        t = topo.from_json({"nodes": nodes, "links": links,
+                            "demands": demands})
+        assert t.links[("A", "B")].capacity == 5.0
+        assert t.links[("B", "A")].capacity == 3.0
 
 
 def test_validate_rejects_bad_inputs():

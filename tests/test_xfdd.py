@@ -38,14 +38,23 @@ def agree(prog, builder, root, store, pkt):
 
 
 def test_corpus_programs_validate():
-    for name in ("dns-tunnel-detect", "sidejacking", "stateful-fw",
-                 "basic-tcp-reassembly", "race-honeypot-plain",
-                 "race-honeypot-atomic", "parallel-distinct-vars"):
-        prog = lang.parse(policy_src(name))
+    """Every diagram of the reference programs and the workload programs,
+    before and after `prune_vacuous`, passes `xfdd.validate`: its tests
+    keep the order, no test the path facts decide is left, and each leaf
+    element is canonical."""
+    randoms, corpus = reference_programs()
+    built = 0
+    for prog in randoms + corpus + workload_programs():
         order = deps.order_spec_program(prog)
         b = xfdd.Builder(prog, order)
-        root = b.to_xfdd_program()
+        try:
+            root = b.to_xfdd_program()
+        except (RaceError, UnsupportedCompositionError):
+            continue
         xfdd.validate(b.arena, root, prog, order)
+        xfdd.validate(b.arena, b.prune_vacuous(root), prog, order)
+        built += 1
+    assert built == 676, built
 
 
 def test_random_differential():
@@ -157,11 +166,12 @@ def test_split_equals_the_restrict_and_join_reference():
 
 
 def test_split_decides_what_the_path_facts_decide():
-    """Below its top, `_split` refines each half under the facts the
-    other half's tests add; where the path facts decide its test it keeps
-    one half, also for a prefix test the facts imply but whose other side
-    they do not contradict.  The reference restrict-and-join does both,
-    and no test the path decides is left."""
+    """Below its top, `_split` restricts a half that did not branch on a
+    test of the other half under the fact that test adds; where the path
+    facts decide its test it keeps one half, also for a prefix test the
+    facts imply but whose other side they do not contradict.  The
+    reference restrict-and-join does both, and no test the path decides
+    is left."""
     prog = lang.parse("field a; field b; field c; field e; field dstip;\nid")
     order = deps.order_spec_program(prog)
     fv = xfdd.TFieldValue
