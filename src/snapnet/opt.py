@@ -21,7 +21,14 @@ variables in a dependency-respecting order and never reuses a link
 (`_route`); `exec_positions` says where each variable runs on it, for the
 router, the checker and rule generation alike.  The router and the
 search's bounds read one length table (`_length_table`) through one
-shortest-path search (`_search`).
+shortest-path search (`_search`).  The unloaded distances and trees
+between all switches (`_unloaded`) are built once per solve: the bounds
+and the shortlists read them, and they bound each of the router's
+point-to-point searches.  A load only lengthens a link, so a node whose
+distance plus its unloaded distance to the target exceeds the current
+length of the unloaded shortest walk cannot lie on a cheapest path; the
+search leaves such nodes out of its heap and finds every walk it found
+without the bound.
 
 Variable naming (deterministic):
     R_u{u}_v{v}_{i}_{j}       1 iff the one walk of (u,v) crosses (i,j)
@@ -385,24 +392,65 @@ def _length(capacity: float, load: float) -> float:
 def _length_table(topo, loads: dict) -> dict:
     """Node -> [[next node, length]] over its out-links in link order, each
     length `_length` of the link's capacity and its load in `loads`: the
-    one length table that the router and, unloaded, the search's bounds
-    (and so its shortlists) read."""
+    one length table that the router reads and, unloaded (`_unloaded`),
+    the search's bounds, its shortlists and the router's bounds."""
     return {n: [[l.dst, _length(l.capacity, loads.get((n, l.dst), 0.0))]
                 for l in topo.out_links(n)] for n in topo.nodes}
 
 
-def _search(table: dict, src: str, dst: str | None = None, used=()):
+def _unloaded(topo) -> tuple:
+    """(dist, tree), the shortest paths of `topo` between every pair of
+    switches under the unloaded length 1/capacity (`_length` at load 0,
+    to the bit): dist[a][b] is the distance from a to b, absent when b is
+    unreachable, and tree[a] is the parent map of `_search` from a."""
+    table = _length_table(topo, {})
+    dist: dict = {}
+    tree: dict = {}
+    for n in sorted(topo.nodes):
+        dist[n], tree[n] = _search(table, n)
+    return dist, tree
+
+
+def _search(table: dict, src: str, dst: str | None = None, used=(),
+            unloaded: tuple | None = None):
     """Dijkstra from `src` over the links of `table` (see `_length_table`)
     not in `used`, stopping once `dst` is settled: (best, parent), the
     cheapest distance to each node reached and its predecessor on a
     cheapest path, a tree rooted at `src` (parent None).  Deterministic:
     the heap orders (distance, node), and a path replaces a node's best
-    only when it is shorter by more than 1e-15."""
+    only when it is shorter by more than 1e-15.
+
+    With a `dst` and the `unloaded` paths of the table's switches (see
+    `_unloaded`) the search is bounded, and returns at once when they
+    do not reach `dst`.  A relaxed node still takes its new best and
+    parent, but enters the heap only if its distance plus its unloaded
+    distance to `dst` is at most the limit, the current length of the
+    unloaded shortest src -> dst walk (unbounded when that walk crosses
+    a link in `used`).  A load only lengthens a link, so the unloaded
+    distance is a lower bound, and no node left out could lie on a
+    cheapest path to `dst` or tie an offer to one.  The limit's slack,
+    1e-9 of it plus 1e-15 per node, covers rounding and a chain of ties,
+    so the kept nodes settle with the same distances, parents and order,
+    and the search settles `dst` as the unbounded one does."""
     heappop, heappush = heapq.heappop, heapq.heappush
     inf = float("inf")
     best = {src: 0.0}
     parent: dict = {src: None}
     pq = [(0.0, src)]
+    dist = limit = None
+    if unloaded is not None and dst is not None:
+        dist, tree = unloaded[0], unloaded[1][src]
+        if dst not in tree:
+            return best, parent
+        n, walk = dst, 0.0
+        while tree[n] is not None:
+            p = tree[n]
+            if (p, n) in used:
+                walk = inf
+                break
+            walk += next(w for m, w in table[p] if m == n)
+            n = p
+        limit = walk * (1 + 1e-9) + len(table) * 1e-15
     while pq:
         d, n = heappop(pq)
         if d > best[n]:
@@ -416,14 +464,17 @@ def _search(table: dict, src: str, dst: str | None = None, used=()):
             if d2 < best.get(m, inf) - 1e-15:
                 best[m] = d2
                 parent[m] = n
-                heappush(pq, (d2, m))
+                if dist is None or d2 + dist[m].get(dst, inf) <= limit:
+                    heappush(pq, (d2, m))
     return best, parent
 
 
-def _segment(table: dict, src: str, dst: str, used: set):
+def _segment(table: dict, unloaded: tuple, src: str, dst: str, used: set):
     """(cheapest src->dst path over links not in `used`, its length) by
-    `_search`, or None if there is none."""
-    best, parent = _search(table, src, dst, used)
+    `_search`, bounded by the `unloaded` paths, or None if there is none.
+    The bound leaves out only nodes that cannot change the path, so it is
+    the path and length of the unbounded search."""
+    best, parent = _search(table, src, dst, used, unloaded)
     if dst not in best:
         return None
     path = [dst]
@@ -432,11 +483,12 @@ def _segment(table: dict, src: str, dst: str, used: set):
     return path[::-1], best[dst]
 
 
-def _route(table: dict, src: str, snk: str, needed: frozenset, owner: dict,
-           dep: frozenset):
+def _route(table: dict, unloaded: tuple, src: str, snk: str,
+           needed: frozenset, owner: dict, dep: frozenset):
     """Cheapest walk src->snk on which every variable of `needed` runs
     (see `exec_positions`), with the link lengths of `table` (see
-    `_length_table`).  The walk may revisit a switch between execution
+    `_length_table`), each segment's search bounded by the `unloaded`
+    paths (see `_search`).  The walk may revisit a switch between execution
     phases but never reuses a directed link: the link indicators are
     binary.  For every order of visits to the owners' switches in which
     each visit runs a variable, chain per-phase cheapest paths over the
@@ -445,7 +497,7 @@ def _route(table: dict, src: str, snk: str, needed: frozenset, owner: dict,
     follow the current loads, and a candidate's routing must not depend on
     which candidates the search routed before it."""
     if not needed:
-        seg = _segment(table, src, snk, set())
+        seg = _segment(table, unloaded, src, snk, set())
         return tuple(seg[0]) if seg else None
 
     preds = _preds(needed, dep)
@@ -466,7 +518,7 @@ def _route(table: dict, src: str, snk: str, needed: frozenset, owner: dict,
         for tgt in visits[1:]:
             if path[-1] == tgt:
                 continue
-            seg = _segment(table, path[-1], tgt, used)
+            seg = _segment(table, unloaded, path[-1], tgt, used)
             if seg is None:
                 break
             nodes, d = seg
@@ -481,13 +533,14 @@ def _route(table: dict, src: str, snk: str, needed: frozenset, owner: dict,
 
 
 def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
-                 loads: dict, obj_so_far: float = 0.0,
+                 loads: dict, unloaded: tuple, obj_so_far: float = 0.0,
                  abort_above: float | None = None):
     """Route the given flows (in order) on top of `loads`, mutating it.
     Returns (routing, objective) or None if some flow cannot be routed or
     the running objective already exceeds `abort_above`.  One length
     table serves every flow: a routed flow's volume updates the lengths
-    of the links it crosses."""
+    of the links it crosses.  The searches are bounded by the `unloaded`
+    paths of `m.topo` (see `_unloaded`)."""
     topo = m.topo
     table = _length_table(topo, loads)
     entry = {(n, e[0]): e for n, row in table.items() for e in row}
@@ -502,7 +555,8 @@ def _route_flows(m: MILPModel, placement: dict, flow_keys: list,
                 return None
             routing[(u, v)] = (src,)
             continue
-        path = _route(table, src, snk, frozenset(svars), placement, m.dep)
+        path = _route(table, unloaded, src, snk, frozenset(svars), placement,
+                      m.dep)
         if path is None:
             return None
         routing[(u, v)] = path
@@ -622,9 +676,8 @@ class _Bounds:
 
     def __init__(self, m: MILPModel):
         topo = m.topo
-        # unloaded, `_length` is 1/capacity to the bit
-        table = _length_table(topo, {})
-        self.dist = {n: _search(table, n)[0] for n in sorted(topo.nodes)}
+        self.unloaded = _unloaded(topo)
+        self.dist = self.unloaded[0]
         self.dep = m.dep
         self.flows = {k: (vol, topo.node_of_port(k[0]),
                           topo.node_of_port(k[1]), svars)
@@ -752,7 +805,8 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     if m.fixed is not None:
         placement = dict(m.fixed)
         loads: dict = {}
-        r = _route_flows(m, placement, _flow_order(m), loads)
+        r = _route_flows(m, placement, _flow_order(m), loads,
+                         _unloaded(topo))
         if r is None:
             raise InfeasibleError(
                 "no order-respecting routing under the fixed placement")
@@ -779,7 +833,7 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
     base_obj = 0.0
     if not exhaustive:
         r = _route_flows(m, {}, [k for k in flows if not m.flows[k][1]],
-                         base_loads)
+                         base_loads, bounds.unloaded)
         if r is None:
             raise InfeasibleError("a stateless flow has no path")
         base_routing, base_obj = r
@@ -799,7 +853,7 @@ def solve_builtin(m: MILPModel, budget: int = 4096) -> Solution:
             for s in groups[gi]:
                 placement[s] = node
         r = _route_flows(m, placement, flows, dict(base_loads),
-                         obj_so_far=base_obj,
+                         bounds.unloaded, obj_so_far=base_obj,
                          abort_above=best[0][0] if best else None)
         if r is None:
             continue
@@ -832,24 +886,30 @@ def _shortlists(bounds: _Bounds, groups: list, nodes: list,
     first `_shortlist_size` of them.  A detour src -> n -> snk is measured
     in the bounds' distances (`_Bounds.dist`, 1/capacity per link): on
     equal capacities that ranks switches as hop counts would, and on
-    unequal ones it follows the objective's link length."""
+    unequal ones it follows the objective's link length.  A switch that
+    cannot join src to snk scores 1e9 for that flow.  The scores are
+    lists over `nodes`, one pass per flow over the distances from its
+    source and to its sink."""
     k = _shortlist_size(budget, len(groups), len(nodes))
+    dist = bounds.dist
+    flows = bounds.flows.values()
+    fro = {src: [dist[src].get(n) for n in nodes]
+           for src in {f[1] for f in flows}}
+    to = {snk: [dist[n].get(snk) for n in nodes]
+          for snk in {f[2] for f in flows}}
     out = {}
     for gi, group in enumerate(groups):
         gset = set(group)
-        score = {n: 0.0 for n in nodes}
-        for vol, src, snk, svars in bounds.flows.values():
-            if not gset & set(svars):
+        score = [0.0] * len(nodes)
+        for vol, src, snk, svars in flows:
+            if gset.isdisjoint(svars):
                 continue
-            for n in nodes:
-                d1 = bounds.dist[src].get(n)
-                d2 = bounds.dist[n].get(snk)
-                if d1 is None or d2 is None:
-                    score[n] += 1e9
-                else:
-                    score[n] += max(vol, 1e-9) * (d1 + d2)
-        ranked = sorted(nodes, key=lambda n: (score[n], n))
-        out[gi] = ranked[:k]
+            w = max(vol, 1e-9)
+            score = [s + 1e9 if d1 is None or d2 is None
+                     else s + w * (d1 + d2)
+                     for s, d1, d2 in zip(score, fro[src], to[snk])]
+        ranked = sorted(range(len(nodes)), key=lambda i: (score[i], nodes[i]))
+        out[gi] = [nodes[i] for i in ranked[:k]]
     return out
 
 

@@ -122,10 +122,14 @@ def _number(x, what: str) -> float:
 
 def from_json(data: dict) -> Topology:
     """The topology `data` describes; InputError if it is malformed (a
-    switch, link or demand listed twice, a capacity or volume that is not
-    a number) or fails `Topology.validate`.  A link listed from a to b
-    overrides the b->a link that a bidirectional entry implies."""
+    top-level key missing or unknown, a switch, link or demand listed
+    twice, a capacity or volume that is not a number, a `bidirectional`
+    that is not a bool) or fails `Topology.validate`.  A link listed from
+    a to b overrides the b->a link that a bidirectional entry implies."""
     try:
+        unknown = sorted(set(data) - {"nodes", "links", "demands"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         nodes = {}
         for n in data["nodes"]:
             if n["id"] in nodes:
@@ -140,11 +144,14 @@ def from_json(data: dict) -> Topology:
             cap = _number(l["capacity"],
                           f"link {l['from']}->{l['to']} capacity")
             links[(l["from"], l["to"])] = Link(l["from"], l["to"], cap)
-            if l.get("bidirectional", True) \
-                    and (l["to"], l["from"]) not in links:
+            both = l.get("bidirectional", True)
+            if not isinstance(both, bool):
+                raise ValueError(f"link {l['from']}->{l['to']} "
+                                 f"bidirectional {both!r} is not a bool")
+            if both and (l["to"], l["from"]) not in links:
                 links[(l["to"], l["from"])] = Link(l["to"], l["from"], cap)
         demands = {}
-        for d in data.get("demands", []):
+        for d in data["demands"]:
             if (d["u"], d["v"]) in demands:
                 raise ValueError(f"demand ({d['u']},{d['v']}) listed twice")
             demands[(d["u"], d["v"])] = _number(

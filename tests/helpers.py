@@ -2,7 +2,8 @@
 chain, the router's former closure-cost Dijkstra, a Builder whose
 sequencing split restricts both halves and joins them as the split did
 before its ITE walk and decides a test wherever it meets one, the
-placement search's former enumeration of dependency orders, a diagram
+placement search's former enumeration of dependency orders and its
+former per-switch shortlist loop, a diagram
 builder without computed tables, a program's flow demand map as a
 compile's P1-P3 give it, a brute-force diagram walker (independent of
 the compiler's own machinery) and a random policy generator over a
@@ -308,6 +309,32 @@ def reference_candidates(m, dist, flow_keys: list, groups: list,
                 j = j * radix[g] + digits[g]
             bound += table[j]
         out.append((bound, i))
+    return out
+
+
+def reference_shortlists(bounds, groups: list, nodes: list,
+                         budget: int) -> dict:
+    """`opt._shortlists` as it was written before it scored every switch
+    of a flow in one list pass: a loop over the flows of each group and,
+    per flow, over the switches, adding each one's detour to a dict of
+    scores."""
+    k = opt._shortlist_size(budget, len(groups), len(nodes))
+    out = {}
+    for gi, group in enumerate(groups):
+        gset = set(group)
+        score = {n: 0.0 for n in nodes}
+        for vol, src, snk, svars in bounds.flows.values():
+            if not gset & set(svars):
+                continue
+            for n in nodes:
+                d1 = bounds.dist[src].get(n)
+                d2 = bounds.dist[n].get(snk)
+                if d1 is None or d2 is None:
+                    score[n] += 1e9
+                else:
+                    score[n] += max(vol, 1e-9) * (d1 + d2)
+        ranked = sorted(nodes, key=lambda n: (score[n], n))
+        out[gi] = ranked[:k]
     return out
 
 

@@ -107,10 +107,11 @@ def test_criterion_2_placement_optimality_on_running_example():
     best = None
     best_placements = []
     count = 0
+    unloaded = opt._unloaded(t)
     for combo in itertools.product(nodes, repeat=3):
         count += 1
         placement = dict(zip(vars_, combo))
-        r = opt._route_flows(m, placement, flow_order, {},
+        r = opt._route_flows(m, placement, flow_order, {}, unloaded,
                              abort_above=best)
         if r is None:
             continue

@@ -127,16 +127,19 @@ def test_missing_file_is_io_error(capsys):
 
 
 def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
-                  again=None, demands=1, relink=None) -> dict:
+                  again=None, demands=1, relink=None, both=True,
+                  demands_key="demands", **extra) -> dict:
     nodes = [{"id": a, "external_ports": [1]},
              {"id": "B", "external_ports": [2]}]
     if again is not None:    # switch `a` listed a second time
         nodes.append({"id": a, "external_ports": [again]})
-    links = [{"from": a, "to": "B", "capacity": capacity}]
+    links = [{"from": a, "to": "B", "capacity": capacity,
+              "bidirectional": both}]
     if relink is not None:   # link a->B listed a second time
         links.append({"from": a, "to": "B", "capacity": relink})
     return {"nodes": nodes, "links": links,
-            "demands": [{"u": u, "v": 2, "volume": volume}] * demands}
+            demands_key: [{"u": u, "v": 2, "volume": volume}] * demands,
+            **extra}
 
 
 @pytest.mark.parametrize("data", [
@@ -146,12 +149,14 @@ def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
     _two_switches(u=1.9), _two_switches(u=True), _two_switches(a=5),
     _two_switches(capacity=True), _two_switches(volume="1e0"),
     _two_switches(again=3, u=3), _two_switches(demands=2),
-    _two_switches(relink=5)],
+    _two_switches(relink=5), _two_switches(demands_key="demand"),
+    _two_switches(capcity=3), _two_switches(both="false")],
     ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
          "nan-volume", "fractional-port", "bool-port",
          "switch-id-not-a-string", "bool-capacity", "string-volume",
          "switch-listed-twice", "demand-listed-twice",
-         "link-listed-twice"])
+         "link-listed-twice", "demands-misspelled", "unknown-key",
+         "bidirectional-not-a-bool"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))

@@ -588,8 +588,8 @@ def test_router_comes_back_through_owner_without_reusing_links():
     needed = frozenset({"a", "c", "d"})
     owner = {"a": "Y", "c": "X", "d": "Y"}
     dep = frozenset({("a", "c"), ("c", "d")})
-    path = opt._route(opt._length_table(t, {}), "I", "E", needed, owner,
-                      dep)
+    path = opt._route(opt._length_table(t, {}), opt._unloaded(t), "I", "E",
+                      needed, owner, dep)
     hops = list(zip(path, path[1:]))
     assert len(set(hops)) == len(hops)
     assert opt.exec_positions(path, needed, owner, dep) == \
@@ -621,7 +621,7 @@ def test_router_takes_the_cheapest_visit_order():
     """a on Y and b on Z are independent.  Visiting Y first costs four
     hops (I Y Z Y E); Z first costs three."""
     t = _unit_topology([("I", "Y"), ("I", "Z"), ("Y", "Z"), ("Y", "E")])
-    path = opt._route(opt._length_table(t, {}), "I", "E",
+    path = opt._route(opt._length_table(t, {}), opt._unloaded(t), "I", "E",
                       frozenset({"a", "b"}), {"a": "Y", "b": "Z"}, frozenset())
     assert path == ("I", "Z", "Y", "E")
 
@@ -657,7 +657,7 @@ def test_router_equals_the_closure_cost_reference():
                  for l in sorted(t.links) if rng.random() < 0.5}
         want_loads, got_loads = dict(start), dict(start)
         want = reference_route_flows(m, owner, keys, want_loads)
-        got = opt._route_flows(m, owner, keys, got_loads)
+        got = opt._route_flows(m, owner, keys, got_loads, opt._unloaded(t))
         assert got == want, case
         assert got_loads == want_loads, case
         if got is not None:
@@ -667,6 +667,71 @@ def test_router_equals_the_closure_cost_reference():
                 stateless += not flows[k][1]
     assert routed >= 20 and revisits > 0 and stateless > 0, \
         (routed, revisits, stateless)
+
+
+def _bounding_walk(unloaded, src: str, dst: str) -> list:
+    """The links of the unloaded shortest src -> dst walk, whose current
+    length bounds `_segment`'s search."""
+    tree, n, links = unloaded[1][src], dst, []
+    while tree[n] is not None:
+        links.append((tree[n], n))
+        n = tree[n]
+    return links
+
+
+@pytest.mark.pinned
+def test_pruned_search_equals_the_full_search():
+    """`_segment`, whose search pushes only the nodes that the unloaded
+    distances leave within the bounding walk's current length, finds the
+    walk and length (==) of `_search` run without the bound.  Seeded
+    cases built to make the bound bite: generated topologies of 12 to 45
+    switches, mixed capacities or uniform ones (ties everywhere), light
+    to heavy starting loads, `used` sets that cut the bounding walk or
+    take random links, a switch that only sends and one that only
+    receives (targets no walk reaches)."""
+    rng = random.Random("pruned-search")
+    seen = {"blocked": 0, "unreachable": 0, "pruned": 0}
+    for case in range(40):
+        g = topo.generated(rng.randint(12, 45), seed=case)
+        uniform = case % 2 == 0
+        nodes = {**g.nodes, "X": topo.Node("X"), "Y": topo.Node("Y")}
+        links = {**g.links}
+        links[("X", "S0")] = topo.Link("X", "S0", 1.0)
+        links[("S1", "Y")] = topo.Link("S1", "Y", 1.0)
+        for l in links.values():
+            l.capacity = 10.0 if uniform else rng.choice([1.0, 2.5, 4.0,
+                                                          10.0])
+        t = topo.Topology(nodes, links, {})
+        heavy = rng.choice([0.5, 5.0, 40.0])
+        loads = {l: rng.choice([0.0, heavy / 4, heavy]) for l in sorted(links)
+                 if rng.random() < 0.6}
+        table = opt._length_table(t, loads)
+        unloaded = opt._unloaded(t)
+        names = sorted(nodes)
+        for _ in range(40):
+            src, dst = rng.sample(names, 2)
+            walk = _bounding_walk(unloaded, src, dst) \
+                if dst in unloaded[1][src] else []
+            kind = rng.randrange(4)
+            used = (set() if kind == 0 or not walk else
+                    {rng.choice(walk)} if kind == 1 else
+                    set(walk) if kind == 2 else
+                    set(rng.sample(sorted(links), len(links) // 4)))
+            best, parent = opt._search(table, src, dst, used)
+            want = None
+            if dst in best:
+                path = [dst]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                want = (path[::-1], best[dst])
+            assert opt._segment(table, unloaded, src, dst, used) == want, \
+                (case, src, dst)
+            seen["blocked"] += bool(used & set(walk))
+            seen["unreachable"] += want is None
+            seen["pruned"] += want is not None and len(
+                opt._search(table, src, dst, used, unloaded)[0]) < len(best)
+    assert seen["blocked"] > 500 and seen["unreachable"] > 100 \
+        and seen["pruned"] > 300, seen
 
 
 def _permutation_orders(needed, preds):

@@ -5,7 +5,9 @@ bound against every routed objective and against the enumeration of
 dependency orders it replaced, and pin the tie-break, the shortlist size
 and an unpinned twelve-variable search."""
 
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -88,16 +90,18 @@ def search_space(m, budget: int):
     nodes = sorted(m.topo.nodes)
     groups = m.groups
     exhaustive = len(nodes) ** len(groups) <= budget
+    bounds = opt._Bounds(m)
     if exhaustive:
         cand = [nodes] * len(groups)
     else:
-        short = opt._shortlists(opt._Bounds(m), groups, nodes, budget)
+        short = opt._shortlists(bounds, groups, nodes, budget)
         cand = [short[g] for g in range(len(groups))]
     flows = opt._flow_order(m)
     base_loads, base_routing, base_obj = {}, {}, 0.0
     if not exhaustive:
         base_routing, base_obj = opt._route_flows(
-            m, {}, [k for k in flows if not m.flows[k][1]], base_loads)
+            m, {}, [k for k in flows if not m.flows[k][1]], base_loads,
+            bounds.unloaded)
         flows = [k for k in flows if m.flows[k][1]]
     return (groups, cand, flows, exhaustive,
             (base_loads, base_routing, base_obj))
@@ -110,11 +114,12 @@ def reference(m, budget: int):
     placement and (routing, objective), or None when it is infeasible."""
     groups, cand, flows, exhaustive, base = search_space(m, budget)
     base_loads, base_routing, base_obj = base
+    unloaded = opt._unloaded(m.topo)
     out = []
     for combo in itertools.product(*cand):
         placement = {s: n for g, n in zip(groups, combo) for s in g}
         r = opt._route_flows(m, placement, flows, dict(base_loads),
-                             obj_so_far=base_obj)
+                             unloaded, obj_so_far=base_obj)
         if r is not None:
             r = ({**base_routing, **r[0]}, r[1])
             # every walk reuses no link and runs every variable its flow needs
@@ -239,6 +244,50 @@ def test_scale_shortlist_searches_the_whole_budget():
     sol = opt.solve_builtin(dns_model(topo.generated(50, 7)), budget=64)
     assert sol.candidates == 64
     assert 1 <= sol.examined <= sol.candidates
+
+
+@pytest.mark.pinned
+def test_shortlists_equal_the_per_switch_reference():
+    """`_shortlists`, which scores every switch of a flow in one list pass
+    over the distances from its source and to its sink, gives the lists
+    (==) of the per-switch loop it replaced
+    (`helpers.reference_shortlists`): every corpus policy with
+    assign-egress on generated(20, 3), the scale-g50 model and a model
+    with switches some flows cannot pass (score 1e9), at budgets 64 and
+    8."""
+    t = topo.generated(20, 3)
+    models = [model_of([policy_src(name), policy_src("assign-egress")], t)
+              for name in CORPUS]
+    models.append(dns_model(topo.generated(50, 7)))
+    models.extend(m for m, *_ in _unreachable_owner(None))
+    for m in models:
+        bounds = opt._Bounds(m)
+        nodes = sorted(m.topo.nodes)
+        for budget in (64, 8):
+            assert opt._shortlists(bounds, m.groups, nodes, budget) == \
+                helpers.reference_shortlists(bounds, m.groups, nodes,
+                                             budget), budget
+
+
+@pytest.mark.pinned
+def test_hundred_switch_search_is_pinned():
+    """The scale-g50 program (dns-tunnel-detect;assign-egress) at budget
+    64 on generated(100, 7), 4,830 flows: the placement, the objective
+    and a SHA-256 of the routing JSON are the ones the router gave before
+    its searches were bounded by the unloaded distances."""
+    prog = lang.compose_all([lang.parse(policy_src(name)) for name in
+                             ("dns-tunnel-detect", "assign-egress")])
+    t = topo.generated(100, 7)
+    order, demand = helpers.demand_map(prog, t)
+    m = opt.build_milp(t, demand, order)
+    sol = opt.solve_builtin(m, budget=64)
+    routing = json.dumps(opt.routing_to_json(sol.routing)).encode()
+    assert len(m.flows) == 4830
+    assert sol.placement == {"orphan": "S33", "susp-client": "S33",
+                             "blacklist": "S72"}
+    assert sol.objective == 134.99999999998025
+    assert hashlib.sha256(routing).hexdigest() == \
+        "76988bf59b5489e2d9b824c037fa9be6af5bfebcc06865e9b5613872592dc5b1"
 
 
 def _searched(m, budget: int) -> tuple:
