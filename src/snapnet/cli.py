@@ -198,6 +198,14 @@ def cmd_check(args) -> int:
     problems = [str(p) for p in rulegen.validate_bundle(bundle, t)]
     if args.policy:
         prog = _load_program(args.policy)
+        for kind, ours, theirs in (("state", bundle.states, prog.states),
+                                   ("field", bundle.fields, prog.fields)):
+            for name in sorted(ours.keys() | theirs.keys()):
+                a, b = (lang.pretty_decl(d[name]) if name in d else "nothing"
+                        for d in (ours, theirs))
+                if a != b:
+                    problems.append(f"{kind} {name!r}: the bundle declares "
+                                    f"{a}, the program {b}")
         order, demand = _demand(prog, t)
         m = opt.build_milp(t, demand, order)
         for v in opt.check_solution(m, bundle.placement,

@@ -775,17 +775,21 @@ def pretty_policy(p: Policy, level: int = 0) -> str:
     raise TypeError(f"not a policy: {p!r}")
 
 
+def pretty_decl(d: StateDecl | FieldDecl) -> str:
+    """A state or field declaration as source, without its `;`."""
+    if isinstance(d, StateDecl):
+        return f"state {d.name}[{d.arity}] default {format_value(d.default)}"
+    decl = f"field {d.name}"
+    if d.kind:
+        decl += f" : {d.kind}"
+    if d.domain:
+        decl += " in {" + ", ".join(format_value(v) for v in d.domain) + "}"
+    return decl
+
+
 def pretty(prog: Program) -> str:
-    lines = []
-    for d in prog.states.values():
-        lines.append(f"state {d.name}[{d.arity}] default {format_value(d.default)};")
-    for f in prog.fields.values():
-        decl = f"field {f.name}"
-        if f.kind:
-            decl += f" : {f.kind}"
-        if f.domain:
-            decl += " in {" + ", ".join(format_value(v) for v in f.domain) + "}"
-        lines.append(decl + ";")
+    lines = [pretty_decl(d) + ";" for d in (*prog.states.values(),
+                                            *prog.fields.values())]
     if prog.assumption is not None:
         lines.append(f"assume {pretty_policy(prog.assumption)};")
     lines.append(pretty_policy(prog.body))

@@ -25,7 +25,9 @@ Execution protocol (shared with the simulator):
     modifications are applied, the egress port is final, and the packet is
     routed to it and emitted with the header stripped.
 The simulator carries the header with the entry packet as one record,
-`simnet._Copy`, whose docstring gives its fields.
+`simnet._Copy`, whose docstring gives its fields.  A bundle says each
+fact once: the program's declarations (`program.snap`), the placement,
+the walks and, per switch, its fragment and rules (`write_bundle`).
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ import time
 from dataclasses import dataclass
 
 from . import deps, lang, opt, psm, xfdd
-from .errors import InputError
-from .values import value_from_json, value_to_json
+from .errors import InputError, ParseError
 
 
 @dataclass
 class SwitchConfig:
     switch: str
-    state_tables: dict           # var stored here -> (arity, default)
     nodes: dict                  # nid -> node, the ones this switch holds
     resolved: dict               # (u, v) -> ("fwd", next) | ("emit", v)
     unresolved: dict             # (u, state var) -> ((w, tag, next), ...)
@@ -57,6 +57,8 @@ class DeploymentBundle:
     nodes: dict                  # nid -> node, the whole program diagram
     root: int
     configs: dict                # switch id -> SwitchConfig
+    states: dict                 # the program's declarations
+    fields: dict                 # (`lang.Program.states`, `.fields`)
     objective: float = 0.0
     exact: bool = False
 
@@ -259,18 +261,16 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
                                        demand, topo, dep=m.dep)
     configs = {}
     for sid in sorted(topo.nodes):
-        tables = {s: (prog.states[s].arity, prog.states[s].default)
-                  for s, n in sorted(sol.placement.items()) if n == sid}
         configs[sid] = SwitchConfig(
-            switch=sid, state_tables=tables,
-            nodes={nid: nodes[nid] for nid in sorted(frags[sid])},
+            switch=sid, nodes={nid: nodes[nid] for nid in sorted(frags[sid])},
             resolved=resolved[sid], unresolved=unresolved[sid])
     times["P6"] = time.monotonic() - t0
 
     return DeploymentBundle(mode="ST" if fixed is None else "TE",
                             placement=dict(sol.placement),
                             routing=sol.routing, nodes=nodes, root=root,
-                            configs=configs, objective=sol.objective,
+                            configs=configs, states=prog.states,
+                            fields=prog.fields, objective=sol.objective,
                             exact=sol.exact)
 
 
@@ -326,8 +326,6 @@ def _node_from_json(d: dict):
 def _config_to_json(c: SwitchConfig) -> dict:
     return {
         "id": c.switch,
-        "state_tables": {s: {"arity": a, "default": value_to_json(dv)}
-                         for s, (a, dv) in sorted(c.state_tables.items())},
         "nodes": [_node_to_json(nid, c.nodes[nid])
                   for nid in sorted(c.nodes)],
         "rules": {
@@ -356,11 +354,8 @@ def _config_from_json(d: dict) -> SwitchConfig:
                   tuple((g["weight"], _tag_from_json(g["tag"]), g["next"])
                         for g in r["group"])
                   for r in d["rules"]["unresolved"]}
-    return SwitchConfig(
-        switch=d["id"],
-        state_tables={s: (t["arity"], value_from_json(t["default"]))
-                      for s, t in d["state_tables"].items()},
-        nodes=nodes, resolved=resolved, unresolved=unresolved)
+    return SwitchConfig(switch=d["id"], nodes=nodes, resolved=resolved,
+                        unresolved=unresolved)
 
 
 def _dump(path: str, obj) -> None:
@@ -371,13 +366,17 @@ def _dump(path: str, obj) -> None:
 
 def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
     """Write the bundle into `dirpath`, removing the switch configs that an
-    earlier bundle left there (`load_bundle` reads every one)."""
+    earlier bundle left there (`load_bundle` reads every one), and the
+    program's declarations, with body `id`, to `program.snap`."""
     swdir = os.path.join(dirpath, "switch")
     os.makedirs(swdir, exist_ok=True)
     keep = {f"{sid}.json" for sid in bundle.configs}
     for name in os.listdir(swdir):
         if name.endswith(".json") and name not in keep:
             os.remove(os.path.join(swdir, name))
+    with open(os.path.join(dirpath, "program.snap"), "w") as f:
+        f.write(lang.pretty(lang.Program(bundle.states, bundle.fields,
+                                         None, lang.Id())))
     _dump(os.path.join(dirpath, "placement.json"),
           {"mode": bundle.mode, "objective": bundle.objective,
            "exact": bundle.exact,
@@ -423,8 +422,19 @@ def _root_from_json(v) -> int:
 def load_bundle(dirpath: str) -> DeploymentBundle:
     """Read a bundle directory written by write_bundle.  InputError when a
     part is malformed (a placement value or a walk that is not switch
-    names, a root that is not a node id, a flow listed twice) or a switch
+    names, a root that is not a node id, a flow listed twice, a
+    `program.snap` that does not parse) or missing (`program.snap`, in a
+    bundle written before the declarations moved there), or a switch
     file holds the config of a switch it is not named after."""
+    path = os.path.join(dirpath, "program.snap")
+    try:
+        with open(path) as f:
+            prog = lang.parse(f.read())
+    except FileNotFoundError:
+        raise InputError(f"{path}: not found; compile the bundle "
+                         "again") from None
+    except (ParseError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from e
     kw = _read_part(os.path.join(dirpath, "placement.json"),
                     lambda d: {"mode": d["mode"],
                                "placement": _placement_from_json(
@@ -449,16 +459,18 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
     nodes: dict = {}
     for c in configs.values():
         nodes.update(c.nodes)
-    return DeploymentBundle(nodes=nodes, configs=configs, **kw)
+    return DeploymentBundle(nodes=nodes, configs=configs,
+                            states=prog.states, fields=prog.fields, **kw)
 
 
 # ---------------------------------------------------------------- checks
 
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
-    """Structural validators: placement totality, fragment coverage of
-    every state resume point, a root and node references that name nodes
-    of the bundle, state tables on each switch for exactly the variables
-    placed on it, rules that name placed variables, forward to
+    """Structural validators: a placement of exactly the declared
+    variables (`bundle.states`) and of those the diagram names, on
+    switches of the topology, fragment coverage of every state resume
+    point, a root and node references that name nodes of the bundle,
+    rules that name placed variables, forward to
     neighbours and emit on the switch's own external ports, a config for
     every topology switch and none for another, and a walk for exactly
     the topology's demands, each from u's switch to v's over links of the
@@ -474,25 +486,24 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     that fails one of the checks before is not compared, and nor is a
     rule of a demand that has no walk: its one problem is already listed.
     Returns a list of problem strings (empty means ok)."""
-    problems = []
     rules: dict = {}    # (switch, flow) -> a resolved rule of sound shape
     rows: list = []     # (switch, u, s, row): group rows of sound shape
-    owned: dict = {}    # switch -> the variables placed on it
+    declared = set(bundle.states)
+    points = state_resume_points(bundle.nodes)
+    problems = [f"state variable {s!r} is unplaced" for s in sorted(
+        (declared | set(points.values())) - set(bundle.placement))]
     for s, sid in sorted(bundle.placement.items()):
-        if sid not in topo.nodes:
+        if s not in declared:
+            problems.append(f"placement of {s!r}, which the program does "
+                            "not declare")
+        elif sid not in topo.nodes:
             problems.append(f"placement of {s!r} on unknown switch {sid!r}")
-        owned.setdefault(sid, set()).add(s)
     if bundle.root not in bundle.nodes:
         problems.append(f"root {bundle.root} is not a node of the bundle")
-    points = state_resume_points(bundle.nodes)
-    for key in sorted(points):
-        s = points[key]
+    for key, s in sorted(points.items()):
         owner = bundle.placement.get(s)
-        if owner is None:
-            problems.append(f"state variable {s!r} is unplaced")
-            continue
         cfg = bundle.configs.get(owner)
-        if cfg is None or key[1] not in cfg.nodes:
+        if owner is not None and (cfg is None or key[1] not in cfg.nodes):
             problems.append(
                 f"owner {owner!r} of {s!r} lacks node {key[1]} "
                 "in its fragment")
@@ -500,13 +511,6 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
         if sid not in topo.nodes:
             problems.append(f"config for unknown switch {sid!r}")
             continue
-        mine, tables = owned.get(sid, set()), set(cfg.state_tables)
-        for s in sorted(mine - tables):
-            problems.append(f"switch {sid}: no state table for {s!r}, "
-                            "which is placed there")
-        for s in sorted(tables - mine):
-            problems.append(f"switch {sid}: state table for {s!r}, which "
-                            f"is placed on {bundle.placement.get(s)!r}")
         for nid, node in cfg.nodes.items():
             if node[0] == "branch":
                 for child in (node[2], node[3]):
@@ -530,7 +534,8 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                 rules[(sid, (u, v))] = (act, arg)
         for (u, s), group in cfg.unresolved.items():
             placed = bundle.placement.get(s) in topo.nodes
-            if s not in bundle.placement:
+            # a declared variable left unplaced is reported once above
+            if s not in bundle.placement and s not in declared:
                 problems.append(
                     f"switch {sid}: rule ({u},{s!r}) names a variable with "
                     "no placement")

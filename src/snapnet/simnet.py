@@ -2,7 +2,9 @@
 
 Loads a deployment bundle onto a topology and executes injected packets
 under the distributed protocol described in the rule generator.  Each
-switch walks its own fragment of the program diagram (`SwitchConfig.nodes`)
+switch keeps the tables of the variables placed on it, at the defaults
+of the bundle's declarations (`DeploymentBundle.states`) until written,
+and walks its own fragment of the program diagram (`SwitchConfig.nodes`)
 as given, until a leaf or a node it does not hold; the packet body in
 flight is the entry packet, state operations run at their owners
 (opportunistically when an owner is passed en route), and field
@@ -85,16 +87,17 @@ class _Copy:
 class SimNetwork:
     def __init__(self, bundle: rulegen.DeploymentBundle, topo,
                  seed: int = 0, events: bool = False):
+        # rules then forward over links; each declared variable has an owner
+        problems = rulegen.validate_bundle(bundle, topo)
+        if problems:
+            raise InputError("inconsistent bundle: " + "; ".join(problems))
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
-        # state tables: var -> canonical index key -> (index, value)
-        self.tables = {sid: {s: {} for s in cfg.state_tables}
-                       for sid, cfg in bundle.configs.items()}
-        self.defaults = {}
-        for cfg in bundle.configs.values():
-            for s, (arity, dv) in cfg.state_tables.items():
-                self.defaults[s] = dv
+        # switch -> var it owns -> canonical index key -> (index, value)
+        self.tables = {sid: {s: {} for s, o in bundle.placement.items()
+                             if o == sid} for sid in bundle.configs}
+        self.defaults = {s: d.default for s, d in bundle.states.items()}
         self.points = rulegen.state_resume_points(bundle.nodes)
         self.max_hops = len(topo.nodes) * (len(bundle.placement) + 1)
         self.clock = 0
@@ -113,10 +116,6 @@ class SimNetwork:
         self._linkq: dict = {}             # (a, b) -> fifo list
         self._fallback: dict = {}          # (sid, target) -> next hop
         self._mode = "serialized"
-        # every rule then forwards over a link of the topology
-        problems = rulegen.validate_bundle(bundle, topo)
-        if problems:
-            raise InputError("inconsistent bundle: " + "; ".join(problems))
 
     # -- bookkeeping
 
@@ -156,12 +155,11 @@ class SimNetwork:
             tab[k] = (idx, value)
 
     def aggregate_state(self) -> dict:
-        """Union of all switches' tables: var -> index key -> value."""
+        """Each variable's cells, from its owner: var -> index key -> value."""
         out = {s: {} for s in self.defaults}
-        for sid in sorted(self.tables):
-            for var, tab in self.tables[sid].items():
-                for k, (idx, v) in tab.items():
-                    out[var][k] = v
+        for tables in self.tables.values():
+            for var, tab in tables.items():
+                out[var] = {k: v for k, (_, v) in tab.items()}
         return out
 
     # -- injection / event loop
@@ -369,7 +367,7 @@ class SimNetwork:
     def _run_leaf(self, sid: str, copy: _Copy):
         _, nid, ei, _ = copy.resume
         elem = self.bundle.configs[sid].nodes[nid][1][ei]
-        owns = self.bundle.configs[sid].state_tables
+        owns = self.tables[sid]
         done = copy.done
         pending = [k for k, a in enumerate(elem)
                    if lang.is_state_op(a) and k not in done]

@@ -75,8 +75,8 @@ class Topology:
     def validate(self):
         """ValueError unless the topology is well formed: switch ids are
         strings; ports are ints (not bools), exposed once, and at least
-        one; links join known nodes with a finite positive capacity;
-        demands join known ports with a finite volume >= 0."""
+        one; links join two distinct known nodes with a finite positive
+        capacity; demands join known ports with a finite volume >= 0."""
         if not self.nodes:
             raise ValueError("empty topology")
         for sid in self.nodes:
@@ -92,8 +92,9 @@ class Topology:
         if not seen_ports:
             raise ValueError("topology exposes no external ports")
         for (s, d), l in self.links.items():
-            if s not in self.nodes or d not in self.nodes:
-                raise ValueError(f"link {s}->{d} references unknown node")
+            if s not in self.nodes or d not in self.nodes or s == d:
+                raise ValueError(f"link {s}->{d} does not join two distinct "
+                                 "known switches")
             if not (math.isfinite(l.capacity) and l.capacity > 0):
                 raise ValueError(f"link {s}->{d} capacity must be finite "
                                  "and positive")
@@ -120,24 +121,33 @@ def _number(x, what: str) -> float:
     return float(x)
 
 
+def _known(entry: dict, keys: set, what: str) -> None:
+    """ValueError naming `what` if `entry` has a key outside `keys`."""
+    unknown = sorted(set(entry) - keys)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what}")
+
+
 def from_json(data: dict) -> Topology:
     """The topology `data` describes; InputError if it is malformed (a
-    top-level key missing or unknown, a switch, link or demand listed
-    twice, a capacity or volume that is not a number, a `bidirectional`
-    that is not a bool) or fails `Topology.validate`.  A link listed from
-    a to b overrides the b->a link that a bidirectional entry implies."""
+    key missing, or unknown at the top level or in a switch, link or
+    demand entry, a switch, link or demand listed twice, a capacity or
+    volume that is not a number, a `bidirectional` that is not a bool)
+    or fails `Topology.validate`.  A link listed from a to b overrides
+    the b->a link that a bidirectional entry implies."""
     try:
-        unknown = sorted(set(data) - {"nodes", "links", "demands"})
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}")
+        _known(data, {"nodes", "links", "demands"}, "the topology")
         nodes = {}
         for n in data["nodes"]:
+            _known(n, {"id", "external_ports"}, "a switch entry")
             if n["id"] in nodes:
                 raise ValueError(f"switch {n['id']!r} listed twice")
             nodes[n["id"]] = Node(n["id"], tuple(n.get("external_ports", [])))
         links = {}
         listed = set()
         for l in data["links"]:
+            _known(l, {"from", "to", "capacity", "bidirectional"},
+                   "a link entry")
             if (l["from"], l["to"]) in listed:
                 raise ValueError(f"link {l['from']}->{l['to']} listed twice")
             listed.add((l["from"], l["to"]))
@@ -152,6 +162,7 @@ def from_json(data: dict) -> Topology:
                 links[(l["to"], l["from"])] = Link(l["to"], l["from"], cap)
         demands = {}
         for d in data["demands"]:
+            _known(d, {"u", "v", "volume"}, "a demand entry")
             if (d["u"], d["v"]) in demands:
                 raise ValueError(f"demand ({d['u']},{d['v']}) listed twice")
             demands[(d["u"], d["v"])] = _number(

@@ -5,13 +5,17 @@ before its ITE walk and decides a test wherever it meets one, the
 placement search's former enumeration of dependency orders and its
 former per-switch shortlist loop, a diagram
 builder without computed tables, a program's flow demand map as a
-compile's P1-P3 give it, a brute-force diagram walker (independent of
+compile's P1-P3 give it, the benchmark workloads' programs, a
+brute-force diagram walker (independent of
 the compiler's own machinery) and a random policy generator over a
 small universe of fields, values, and state variables."""
 
 import heapq
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 from snapnet import deps, interp, lang, opt, psm, rulegen, xfdd
 from snapnet.errors import EvalError, RaceError, UnsupportedCompositionError
@@ -502,6 +506,19 @@ class UncachedBuilder(xfdd.Builder):
 
 
 # ---------------------------------------------------------------- walker
+
+def workload_programs() -> list:
+    """The programs of the four benchmark workloads, seed 1, as
+    `perfbench/inputs.py` builds them."""
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "perfbench" / "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs     # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    lit = inputs.draw_literals(1)
+    return [inputs.build_program(w, lit) for w in inputs.WORKLOADS.values()]
+
 
 def demand_map(prog, t) -> tuple:
     """(order, flow demand map) of `prog` on topology `t`: P1, P2 and P3

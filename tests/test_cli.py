@@ -128,17 +128,23 @@ def test_missing_file_is_io_error(capsys):
 
 def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
                   again=None, demands=1, relink=None, both=True,
-                  demands_key="demands", **extra) -> dict:
-    nodes = [{"id": a, "external_ports": [1]},
+                  demands_key="demands", loop=False, node=(), link=(),
+                  demand=(), **extra) -> dict:
+    """Two linked switches with a demand; `node`, `link` and `demand` are
+    extra keys of the first entry of each kind."""
+    nodes = [{"id": a, "external_ports": [1], **dict(node)},
              {"id": "B", "external_ports": [2]}]
     if again is not None:    # switch `a` listed a second time
         nodes.append({"id": a, "external_ports": [again]})
     links = [{"from": a, "to": "B", "capacity": capacity,
-              "bidirectional": both}]
+              "bidirectional": both, **dict(link)}]
     if relink is not None:   # link a->B listed a second time
         links.append({"from": a, "to": "B", "capacity": relink})
+    if loop:                 # a self-loop a->a
+        links.append({"from": a, "to": a, "capacity": capacity})
     return {"nodes": nodes, "links": links,
-            demands_key: [{"u": u, "v": 2, "volume": volume}] * demands,
+            demands_key: [{"u": u, "v": 2, "volume": volume,
+                           **dict(demand)}] * demands,
             **extra}
 
 
@@ -150,13 +156,16 @@ def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
     _two_switches(capacity=True), _two_switches(volume="1e0"),
     _two_switches(again=3, u=3), _two_switches(demands=2),
     _two_switches(relink=5), _two_switches(demands_key="demand"),
-    _two_switches(capcity=3), _two_switches(both="false")],
+    _two_switches(capcity=3), _two_switches(both="false"),
+    _two_switches(node={"ports": [3]}), _two_switches(link={"capcity": 3}),
+    _two_switches(demand={"vol": 3}), _two_switches(loop=True)],
     ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
          "nan-volume", "fractional-port", "bool-port",
          "switch-id-not-a-string", "bool-capacity", "string-volume",
          "switch-listed-twice", "demand-listed-twice",
          "link-listed-twice", "demands-misspelled", "unknown-key",
-         "bidirectional-not-a-bool"])
+         "bidirectional-not-a-bool", "unknown-key-in-a-switch",
+         "unknown-key-in-a-link", "unknown-key-in-a-demand", "self-loop"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))
@@ -413,21 +422,31 @@ def _set_walk(i, nodes):
     ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable"),
     ("switch/I1.json", _old_format_rules, "missing key 'var'"),
     ("switch/I1.json", _set_row(1, "established", 2, "tag", [2]),
-     "tag [2] is not a port")],
+     "tag [2] is not a port"),
+    ("program.snap", None, "not found; compile the bundle again"),
+    ("program.snap", lambda s: s.replace("default False", "default"),
+     "1:29: expected a value literal, found ';'")],
     ids=["placement-no-mode", "placement-value-a-list", "routing-no-flows",
          "routing-weighted-paths", "routing-walk-a-string",
          "routing-walk-empty", "routing-flow-twice", "switch-a-list",
          "switch-nodes-a-number", "switch-rules-keyed-by-resume-point",
-         "group-tag-a-list"])
+         "group-tag-a-list", "program-missing", "program-does-not-parse"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
-    """simulate and check name the damaged bundle file and exit 3."""
+    """simulate and check name the damaged bundle file and exit 3.  A
+    bundle without `program.snap` (every bundle written before the
+    declarations moved there) is one, and so is a `program.snap` that
+    does not parse: bad input, not a compile error (exit 1)."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
     assert code == 0
     path = bundle / part
-    d = json.loads(path.read_text())
-    path.write_text(json.dumps(damage(d)))
+    if part != "program.snap":
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    elif damage is None:
+        path.unlink()
+    else:
+        path.write_text(damage(path.read_text()))
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
     for argv in (["simulate", "--trace", str(trace)], ["check"]):
@@ -459,6 +478,41 @@ def test_switch_file_named_for_another_switch_exits_3(tmp_path, capsys):
         assert code == 3 and out == ""
         assert err == (f"bad input: {stray}: holds the config of switch "
                        "'I1', not 'ZZ'\n")
+
+
+def test_tampered_declaration_fails_check_p(tmp_path, capsys):
+    """The bundle's `program.snap` holds the program's declarations once.
+    `check -p` reports each one that differs from the program's: here
+    `established`, set to arity 7 and default True, and a field domain
+    with a port dropped.  Without -p there is no program to compare, and
+    the bundle is sound on its own."""
+    bundle = tmp_path / "b"
+    policies = ["-p", policy_path("stateful-fw"),
+                "-p", policy_path("assign-egress")]
+    code, _, _ = run_cli(["compile", *policies, "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    check = ["check", "--bundle", str(bundle), "--topo", TOPO]
+    code, out, _ = run_cli([*check, *policies], capsys)
+    assert (code, json.loads(out)) == (0, {"ok": True, "problems": []})
+    path = bundle / "program.snap"
+    text = path.read_text()
+    assert "state established[2] default False;\n" in text
+    assert "{20, 21, 25, 53, 80, 1024, 1025};\nfield dstport" in text
+    path.write_text(text.replace("established[2] default False",
+                                 "established[7] default True")
+                        .replace("1024, 1025};\nfield dstport",
+                                 "1024};\nfield dstport"))
+    code, out, _ = run_cli([*check, *policies], capsys)
+    assert code == 2
+    assert json.loads(out)["problems"] == [
+        "state 'established': the bundle declares state established[7] "
+        "default True, the program state established[2] default False",
+        "field 'srcport': the bundle declares field srcport : int in "
+        "{20, 21, 25, 53, 80, 1024}, the program field srcport : int in "
+        "{20, 21, 25, 53, 80, 1024, 1025}"]
+    code, out, _ = run_cli(check, capsys)
+    assert (code, json.loads(out)) == (0, {"ok": True, "problems": []})
 
 
 def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
@@ -560,19 +614,18 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     ("switch/C1.json", _set_row(1, "established", 2, "next", "I1"),
      "switch C1: group (1,'established') row (1,2) forwards to 'I1', but "
      "the flow's walk gives 'C5'"),
-    ("switch/C5.json", lambda d: dict(d, state_tables={}),
-     "switch C5: no state table for 'established', which is placed there"),
-    ("switch/C1.json", lambda d: dict(d, state_tables={
-        "established": {"arity": 2,
-                        "default": {"t": "atom", "v": "False"}}}),
-     "switch C1: state table for 'established', which is placed on 'C5'")],
+    ("placement.json", lambda d: dict(d, placement=dict(
+        d["placement"], bogus="C1")),
+     "placement of 'bogus', which the program does not declare"),
+    ("placement.json", lambda d: dict(d, placement={}),
+     "state variable 'established' is unplaced")],
     ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
          "unplaced-var", "flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
          "walk-crosses-no-link", "walk-reuses-a-link", "fwd-off-the-walk",
          "emit-on-the-walk", "no-rule-on-the-walk", "rule-off-the-walk",
-         "rule-without-walk", "group-off-the-walk", "owner-lacks-table",
-         "table-off-the-owner"])
+         "rule-without-walk", "group-off-the-walk", "undeclared-placed",
+         "declared-unplaced"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
     """A rule that forwards to a switch that is not a neighbour, emits on
@@ -586,9 +639,10 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     I1-C1-C5-C6-C2-I2), one missing on the walk, one at a switch off the
     walk, and one for a flow with no walk; and a waiting-packet group row
     that sends the flow off its walk (C1 back to I1 before the owner C5
-    of `established`).  So does a switch whose state tables are not
-    exactly the variables placed on it: C5 without the table of
-    `established`, placed there, or C1 with one."""
+    of `established`).  So does a placement that does not name exactly
+    the variables of the bundle's `program.snap`: one that places a
+    variable the program does not declare, or leaves `established`
+    unplaced."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),

@@ -12,7 +12,7 @@ from snapnet.errors import ParseError
 from snapnet.values import Atom, FALSE, IPv4Address, IPv4Network, TRUE
 
 from conftest import ALL_POLICIES, POLICY_DIR, policy_src
-from helpers import UNIVERSE_SRC, random_policy
+from helpers import UNIVERSE_SRC, random_policy, workload_programs
 
 
 def test_round_trip_over_corpus():
@@ -20,6 +20,21 @@ def test_round_trip_over_corpus():
         prog = lang.parse(policy_src(name))
         again = lang.parse(lang.pretty(prog))
         assert again == prog, name
+
+
+def test_declarations_round_trip():
+    """The declarations of every example program and of the four
+    benchmark workloads, printed with body `id` as a bundle's
+    `program.snap` holds them, parse back to equal states and fields."""
+    progs = [lang.parse(path.read_text())
+             for path in sorted(pathlib.Path(POLICY_DIR).glob("*.snap"))]
+    progs += workload_programs()
+    assert len(progs) == 32
+    for prog in progs:
+        again = lang.parse(lang.pretty(lang.Program(
+            prog.states, prog.fields, None, lang.Id())))
+        assert (again.states, again.fields) == (prog.states, prog.fields)
+        assert isinstance(again.body, lang.Id) and again.assumption is None
 
 
 def test_conflict_example_parses():

@@ -64,13 +64,24 @@ def test_json_lines_sorted_and_complete():
         assert tuple(r["states"]) == dem.states_for(r["u"], r["v"])
 
 
+def bundle_map(tmp_path, prog, t, order, budget=4096):
+    """The flow map of `prog`'s bundle, written and loaded again, walked
+    under the bundle's own declarations and not under `prog`."""
+    rulegen.write_bundle(rulegen.compile(prog, t, budget=budget),
+                         str(tmp_path))
+    loaded = rulegen.load_bundle(str(tmp_path))
+    declared = lang.Program(loaded.states, loaded.fields, None, lang.Id())
+    return psm.packet_state_map(loaded.nodes, loaded.root, t, order,
+                                declared)
+
+
 @pytest.mark.pinned
 def test_flow_maps_are_pinned_and_read_from_a_bundle(tmp_path):
     """The flow -> variables map of every corpus policy composed with
     assign-egress, on example12 and on generated(20, 3), hashes to the
     digest the walk over the builder's arena gave before P3 read the
     numbered diagram.  Each compile's bundle, written and loaded again,
-    holds the diagram that gives the same map."""
+    holds the diagram and the declarations that give the same map."""
     h = hashlib.sha256()
     g20 = topo.generated(20, 3)
     for name in CORPUS:
@@ -81,10 +92,25 @@ def test_flow_maps_are_pinned_and_read_from_a_bundle(tmp_path):
             h.update(json.dumps(demand.to_json_lines(), sort_keys=True)
                      .encode() + b"\n")
             out = tmp_path / f"{name}-{len(t.nodes)}"
-            rulegen.write_bundle(rulegen.compile(prog, t, budget=budget),
-                                 str(out))
-            loaded = rulegen.load_bundle(str(out))
-            assert psm.packet_state_map(loaded.nodes, loaded.root, t, order,
-                                        prog) == demand, (name, len(t.nodes))
+            assert bundle_map(out, prog, t, order, budget) == demand, (
+                name, len(t.nodes))
     assert h.hexdigest() == (
         "9bfb6f1c8a1beb878b6c3baf13d0de81e8b8443829d7507054b284e9fedb7958")
+
+
+def test_bundle_domains_bound_the_flow_map(tmp_path):
+    """With `field inport : int in {1, 2};` prepended to stateful-fw, the
+    compile charges 12 flows.  The walk over its bundle gives the same 12
+    under the bundle's declarations, which hold that domain; without any
+    domain it charges 36."""
+    prog = lang.compose_all([
+        lang.parse("field inport : int in {1, 2};\n"
+                   + policy_src("stateful-fw")),
+        lang.parse(policy_src("assign-egress"))])
+    t = topo.example12()
+    order, demand = demand_map(prog, t)
+    assert len(demand.flows) == 12
+    assert bundle_map(tmp_path, prog, t, order) == demand
+    loaded = rulegen.load_bundle(str(tmp_path))
+    assert len(psm.packet_state_map(loaded.nodes, loaded.root, t, order,
+                                    None).flows) == 36

@@ -79,10 +79,8 @@ def test_compile_bundle_structure():
         ["dns-tunnel-detect", "assign-egress", "assumption"])
     assert set(bundle.configs) == set(t.nodes)
     assert set(bundle.placement) == {"orphan", "susp-client", "blacklist"}
-    owner = bundle.placement["orphan"]
-    cfg = bundle.configs[owner]
-    assert "orphan" in cfg.state_tables
-    assert cfg.state_tables["orphan"][0] == 2  # (dstip, dns-rdata) index
+    assert bundle.states == prog.states and bundle.fields == prog.fields
+    assert bundle.states["orphan"].arity == 2  # (dstip, dns-rdata) index
     # every flow is fully wired: each hop forwards, the egress emits
     for (u, v), path in bundle.routing.items():
         for a in path[:-1]:
@@ -135,10 +133,10 @@ def test_recompile_is_byte_identical(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     rulegen.write_bundle(b1, str(d1))
     rulegen.write_bundle(b2, str(d2))
-    assert sorted(os.listdir(d1)) == ["placement.json", "routing.json",
-                                      "switch"]
+    assert sorted(os.listdir(d1)) == ["placement.json", "program.snap",
+                                      "routing.json", "switch"]
     assert all(name.endswith(".json") for name in os.listdir(d1 / "switch"))
-    for rel in ("placement.json", "routing.json"):
+    for rel in ("placement.json", "program.snap", "routing.json"):
         assert filecmp.cmp(d1 / rel, d2 / rel, shallow=False), rel
     for name in sorted(os.listdir(d1 / "switch")):
         assert filecmp.cmp(d1 / "switch" / name, d2 / "switch" / name,
@@ -153,10 +151,10 @@ def test_bundle_round_trip(tmp_path):
     assert b2.placement == b1.placement
     assert b2.routing == b1.routing
     assert b2.root == b1.root
+    assert (b2.states, b2.fields) == (b1.states, b1.fields)
     assert set(b2.configs) == set(b1.configs)
     for sid in b1.configs:
         c1, c2 = b1.configs[sid], b2.configs[sid]
-        assert c2.state_tables == c1.state_tables
         assert c2.nodes == c1.nodes
         assert c2.resolved == c1.resolved
         assert c2.unresolved == c1.unresolved
@@ -181,7 +179,8 @@ BENCHMARK_TWINS = {
 @pytest.mark.pinned
 def test_bundle_write_load_write_is_byte_identical(tmp_path, workload):
     """A bundle written, loaded and written again is the same bytes, file
-    for file, on corpus twins of the benchmark's four workloads."""
+    for file, `program.snap` included, on corpus twins of the benchmark's
+    four workloads; the loaded declarations are the program's."""
     names, size, budget, pin = BENCHMARK_TWINS[workload]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
     t = topo.example12() if size is None else topo.generated(*size)
@@ -189,8 +188,11 @@ def test_bundle_write_load_write_is_byte_identical(tmp_path, workload):
     bundle = rulegen.compile(prog, t, fixed=fixed, budget=budget)
     one, two = tmp_path / "one", tmp_path / "two"
     rulegen.write_bundle(bundle, str(one))
-    rulegen.write_bundle(rulegen.load_bundle(str(one)), str(two))
+    loaded = rulegen.load_bundle(str(one))
+    assert (loaded.states, loaded.fields) == (prog.states, prog.fields)
+    rulegen.write_bundle(loaded, str(two))
     files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert "program.snap" in map(str, files)
     assert files == sorted(p.relative_to(two) for p in two.rglob("*")
                            if p.is_file())
     for rel in files:
@@ -239,22 +241,27 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    three format changes: the one that keyed the groups by variable (the
+    four format changes: the one that keyed the groups by variable (the
     last visit before the owner keeps the unresolved entry), the one
     that wrote each flow's routing as one walk, not a list of weighted
-    paths, and the one that stopped writing xfdd.dot.  The walk change
-    moved only routing.json, so every other file keeps the digest it had
-    before it.  Both digests were pinned again when xfdd.dot went, with
-    the values the commit before wrote for every file but xfdd.dot."""
+    paths, the one that stopped writing xfdd.dot, and the one that moved
+    the declarations from each switch file's `state_tables` into
+    `program.snap`.  The walk change moved only routing.json, so every
+    other file keeps the digest it had before it.  Both digests were
+    pinned again when xfdd.dot went, with the values the commit before
+    wrote for every file but xfdd.dot, and again when `program.snap`
+    came: placement.json and routing.json kept their digests, and every
+    switch/*.json equals the one before with only its `state_tables` key
+    removed."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "77720554d4004789e5904389084968632d16300b5c46a91ae257ef72ddab7e9f")
+        "278cb59d624bc3680608e3611a2a9aeffbcd2f7271a340a036af9ff70870120b")
     assert bundle_digest(bundle, tmp_path) == (
-        "baaf377d5ebd0af456482bb157bdcdb50db6a88a1055980bf941a8f3fb9a500f")
+        "770fbb5e1f3f3fb6b3dc3df3869b1d33c8a4faa40d8c96953f301de2726eb10e")
     assert group_count(bundle) == 58
 
 
@@ -341,13 +348,17 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from three format changes: the one that keyed
+    whole fact list, apart from four format changes: the one that keyed
     the groups by variable, the one that wrote each flow's routing as one
-    walk, not a list of weighted paths, and the one that stopped writing
-    xfdd.dot.  The walk change moved only routing.json, so every other
-    file keeps the digest it had before it.  Both digests were pinned
-    again when xfdd.dot went, with the values the commit before wrote for
-    every file but xfdd.dot.  Most path facts here are state tests."""
+    walk, not a list of weighted paths, the one that stopped writing
+    xfdd.dot, and the one that moved the declarations from each switch
+    file's `state_tables` into `program.snap`.  The walk change moved
+    only routing.json, so every other file keeps the digest it had before
+    it.  Both digests were pinned again when xfdd.dot went, with the
+    values the commit before wrote for every file but xfdd.dot, and again
+    when `program.snap` came: placement.json and routing.json kept their
+    digests, and every switch/*.json equals the one before with only its
+    `state_tables` key removed.  Most path facts here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -356,9 +367,9 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "dcc4f2b89b2774dde38e0ef000ba0b1fcb0734de875bfe599340de5a3a95d2d7")
+        "cbf55e94cb9a9f62f9f71a7b87c32f0892bd22c72fd44ec72d4bf052f7dde326")
     assert bundle_digest(bundle, tmp_path) == (
-        "78ceb9af83f0577fc58e7077a0ed170fb0eb99ea1e64504cc6b00f96aa9cec30")
+        "216bff47d35ff50496db7c0ff75fb96763aa5255668d489ac0ecaf093c0415c9")
     # one group per (inport, variable), not one per resume point
     assert group_count(bundle) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")

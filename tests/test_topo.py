@@ -69,6 +69,8 @@ def test_validate_rejects_bad_inputs():
         Topology({"A": a}, {("A", "X"): Link("A", "X", 1.0)}, {}).validate()
     with pytest.raises(ValueError):
         Topology({"A": a}, {("A", "A"): Link("A", "A", 0.0)}, {}).validate()
+    with pytest.raises(ValueError, match="two distinct known switches"):
+        Topology({"A": a}, {("A", "A"): Link("A", "A", 1.0)}, {}).validate()
     with pytest.raises(ValueError):
         Topology({"A": a}, {}, {(1, 9): 1.0}).validate()
     with pytest.raises(ValueError):
@@ -100,6 +102,12 @@ def test_validate_rejects_bad_inputs():
                        (_two_switches(again=3, u=3), "listed twice"),
                        (_two_switches(demands=2), "listed twice")):
         with pytest.raises(InputError, match=what):
+            topo.from_json(data)
+    for kind, key in (("nodes", "ports"), ("links", "capcity"),
+                      ("demands", "vol")):
+        data = _two_switches()
+        data[kind][0][key] = 3
+        with pytest.raises(InputError, match=f"unknown key '{key}' in a"):
             topo.from_json(data)
 
 

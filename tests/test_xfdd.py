@@ -4,10 +4,7 @@ canonicalization, and pruning."""
 
 import dataclasses
 import hashlib
-import importlib.util
-import pathlib
 import random
-import sys
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -19,7 +16,7 @@ from snapnet.interp import UNDEFINED
 from conftest import ALL_POLICIES, policy_src
 from helpers import (
     UNIVERSE_SRC, RestrictJoinBuilder, UncachedBuilder, all_packets,
-    all_stores, eval_xfdd, random_policy, universe_prog,
+    all_stores, eval_xfdd, random_policy, universe_prog, workload_programs,
 )
 
 
@@ -221,19 +218,6 @@ def test_computed_tables_equal_the_uncached_builder():
         assert out[0] == out[1], prog.body
         built += isinstance(out[0][0], int)
     assert built > 600 + len(ALL_POLICIES), built
-
-
-def workload_programs() -> list:
-    """The programs of the four benchmark workloads, seed 1, as
-    `perfbench/inputs.py` builds them."""
-    path = (pathlib.Path(__file__).resolve().parents[1]
-            / "perfbench" / "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs     # its dataclasses look it up
-    spec.loader.exec_module(inputs)
-    lit = inputs.draw_literals(1)
-    return [inputs.build_program(w, lit) for w in inputs.WORKLOADS.values()]
 
 
 def test_a_run_with_nothing_to_annotate_is_plain():
