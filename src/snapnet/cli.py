@@ -3,10 +3,11 @@
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success (and --help), 1 compile errors
 (parse, race, unsupported composition), 2 infeasible placement/routing
-or a failed check (of the rules and of routing.json's walks), 3 usage
-errors (an unknown option, a missing required one, a --budget below 1),
-I/O errors, malformed topology, placement, trace or bundle files, and a
-simulated packet that crosses more links than any walk may (a loop).
+or a failed check (of the rules, routing.json's walks and diagram.json),
+3 usage errors (an unknown option, a missing required one, a --budget
+below 1), I/O errors, malformed topology, placement, trace or bundle
+files, and a simulated packet that crosses more links than any walk may
+(a loop).
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
@@ -119,16 +120,16 @@ def cmd_xfdd(args) -> int:
 
 
 def _demand(prog, t):
-    """(order, flow demand map) of `prog` on topology `t`."""
+    """(order, flow demand map, (nodes, root)) of `prog` on topology `t`."""
     order = deps.order_spec_program(prog)
-    nodes, root = rulegen.diagram(prog, order)
-    return order, psm.packet_state_map(nodes, root, t, order, prog)
+    diagram = rulegen.diagram(prog, order)
+    return order, psm.packet_state_map(*diagram, t, order, prog), diagram
 
 
 def cmd_map(args) -> int:
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
-    _, demand = _demand(prog, t)
+    _, demand, _ = _demand(prog, t)
     print(json.dumps({"flows": demand.to_json_lines()}, sort_keys=True))
     return 0
 
@@ -139,7 +140,7 @@ def cmd_place(args) -> int:
     change), so it takes no search budget."""
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
-    order, demand = _demand(prog, t)
+    order, demand, _ = _demand(prog, t)
     m = opt.build_milp(t, demand, order, fixed=_fixed_placement(args))
     sol = opt.solve_builtin(m, budget=getattr(args, "budget", 4096))
     _warn_overloaded(t, sol.routing)
@@ -154,7 +155,7 @@ def cmd_place(args) -> int:
 def cmd_export_lp(args) -> int:
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
-    order, demand = _demand(prog, t)
+    order, demand, _ = _demand(prog, t)
     m = opt.build_milp(t, demand, order, fixed=_fixed_placement(args))
     text = opt.export_lp(m)
     if args.output:
@@ -206,7 +207,12 @@ def cmd_check(args) -> int:
                 if a != b:
                     problems.append(f"{kind} {name!r}: the bundle declares "
                                     f"{a}, the program {b}")
-        order, demand = _demand(prog, t)
+        order, demand, (nodes, root) = _demand(prog, t)
+        if root != bundle.root:
+            problems.append(f"diagram: root {bundle.root}, not {root}")
+        problems.extend(f"diagram: node {nid} differs from the program's"
+                        for nid in sorted(nodes.keys() | bundle.nodes.keys())
+                        if nodes.get(nid) != bundle.nodes.get(nid))
         m = opt.build_milp(t, demand, order)
         for v in opt.check_solution(m, bundle.placement,
                                     bundle.routing):

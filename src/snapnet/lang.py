@@ -590,7 +590,7 @@ class _Parser:
         return TupleExpr(tuple(parts), span=sp)
 
 
-def _expr_arity(e: Expr) -> int:
+def expr_arity(e: Expr) -> int:
     return len(e.items) if isinstance(e, TupleExpr) else 1
 
 
@@ -608,10 +608,10 @@ def _validate(prog: Program) -> None:
         decl = prog.states.get(n.var)
         if decl is None:
             raise _spanned(f"undeclared state variable {n.var!r}", sp)
-        if _expr_arity(n.index) != decl.arity:
+        if expr_arity(n.index) != decl.arity:
             raise _spanned(
                 f"state {n.var!r} has arity {decl.arity}, "
-                f"index has arity {_expr_arity(n.index)}", sp)
+                f"index has arity {expr_arity(n.index)}", sp)
 
     def go(p):
         sp = getattr(p, "span", None)

@@ -1,10 +1,11 @@
 """Distributed data-plane generation.
 
-Splits the compiled program diagram into per-switch fragments, defines the
-in-network header protocol that lets a packet's processing resume on the
-next switch, and emits per-switch routing tables: each flow's rules follow
-its one designated walk, and packets whose egress is not yet known select
-among the candidate walks in proportion to the flows' demands.
+Says which part of the compiled program diagram each switch runs
+(`split_xfdd`), defines the in-network header protocol that lets a
+packet's processing resume on the next switch, and emits per-switch
+routing tables: each flow's rules follow its one designated walk, and
+packets whose egress is not yet known select among the candidate walks
+in proportion to the flows' demands.
 
 Execution protocol (shared with the simulator):
   * The packet body in flight is the ENTRY packet: branch tests and the
@@ -27,7 +28,9 @@ Execution protocol (shared with the simulator):
 The simulator carries the header with the entry packet as one record,
 `simnet._Copy`, whose docstring gives its fields.  A bundle says each
 fact once: the program's declarations (`program.snap`), the placement,
-the walks and, per switch, its fragment and rules (`write_bundle`).
+the pruned and numbered diagram (`diagram.json`), the walks and, per
+switch, its rules (`write_bundle`).  The simulator cuts each switch's
+fragment from the diagram and the placement when it loads the bundle.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import InputError, ParseError
 @dataclass
 class SwitchConfig:
     switch: str
-    nodes: dict                  # nid -> node, the ones this switch holds
     resolved: dict               # (u, v) -> ("fwd", next) | ("emit", v)
     unresolved: dict             # (u, state var) -> ((w, tag, next), ...)
 
@@ -106,29 +108,27 @@ def state_resume_points(nodes: dict) -> dict:
     variable, mapped to that variable.  Keys: ("node", nid) for state-test
     branches; ("leaf", nid, elem, offset) for leaf state operations."""
     out: dict = {}
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if node[0] == "branch":
-            if isinstance(node[1], xfdd.TStateTest):
-                out[("node", nid)] = node[1].var
-        else:
+    for nid, node in sorted(nodes.items()):
+        if node[0] == "leaf":
             for ei, elem in enumerate(node[1]):
                 for k, a in enumerate(elem):
                     if lang.is_state_op(a):
                         out[("leaf", nid, ei, k)] = a.var
+        elif isinstance(node[1], xfdd.TStateTest):
+            out[("node", nid)] = node[1].var
     return out
 
 
 # ---------------------------------------------------------------- splitting
 
 def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
-    """Per-switch fragments (sets of node ids).  Ingress switches hold the
+    """Per-switch fragments (nid -> node).  Ingress switches hold the
     stateless prefix from the root; the owner of a variable holds every
     maximal subdiagram rooted at one of its state nodes, continuing through
     stateless nodes until the next foreign state node; a leaf belongs to
     every switch owning one of its state atoms (its action sequences are
     split at foreign-state-atom boundaries at run time)."""
-    frags: dict = {sid: set() for sid in topo.nodes}
+    frags: dict = {sid: {} for sid in topo.nodes}
 
     def expand(sid: str, nid: int):
         frag = frags[sid]
@@ -138,23 +138,17 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
         if (node[0] == "branch" and isinstance(node[1], xfdd.TStateTest)
                 and placement.get(node[1].var) != sid):
             return                      # foreign boundary: resume point
-        frag.add(nid)
+        frag[nid] = node
         if node[0] == "branch":
             expand(sid, node[2])
             expand(sid, node[3])
 
-    for sid in sorted(topo.nodes):
+    for sid in topo.nodes:
         if topo.nodes[sid].external_ports:
             expand(sid, root)
-        for nid in sorted(nodes):
-            node = nodes[nid]
-            if (node[0] == "branch" and isinstance(node[1], xfdd.TStateTest)
-                    and placement.get(node[1].var) == sid):
-                expand(sid, nid)
-            elif node[0] == "leaf":
-                if any(lang.is_state_op(a) and placement.get(a.var) == sid
-                       for elem in node[1] for a in elem):
-                    frags[sid].add(nid)
+    for (_, nid, *_), s in state_resume_points(nodes).items():
+        if placement.get(s) in frags:
+            expand(placement[s], nid)
     return frags
 
 
@@ -256,14 +250,10 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
     times["P5"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    frags = split_xfdd(nodes, root, sol.placement, topo)
     resolved, unresolved = gen_routing(sol.routing, sol.placement,
                                        demand, topo, dep=m.dep)
-    configs = {}
-    for sid in sorted(topo.nodes):
-        configs[sid] = SwitchConfig(
-            switch=sid, nodes={nid: nodes[nid] for nid in sorted(frags[sid])},
-            resolved=resolved[sid], unresolved=unresolved[sid])
+    configs = {sid: SwitchConfig(sid, resolved[sid], unresolved[sid])
+               for sid in sorted(topo.nodes)}
     times["P6"] = time.monotonic() - t0
 
     return DeploymentBundle(mode="ST" if fixed is None else "TE",
@@ -314,20 +304,31 @@ def _node_to_json(nid: int, node) -> dict:
             "hi": node[2], "lo": node[3]}
 
 
+def _int_from_json(v, what: str, kind: str = "a node id") -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{what} {v!r} is not {kind}")
+    return v
+
+
 def _node_from_json(d: dict):
     if d["kind"] == "leaf":
-        return (d["id"], ("leaf", tuple(
-            tuple(xfdd.atom_from_json(a) for a in elem)
-            for elem in d["elems"])))
-    return (d["id"], ("branch", xfdd.test_from_json(d["test"]),
-                      d["hi"], d["lo"]))
+        return ("leaf", tuple(tuple(xfdd.atom_from_json(a) for a in elem)
+                              for elem in d["elems"]))
+    return ("branch", xfdd.test_from_json(d["test"]),
+            _int_from_json(d["hi"], "hi"), _int_from_json(d["lo"], "lo"))
+
+
+def _diagram_from_json(d: dict) -> dict:
+    nodes = {_int_from_json(n["id"], "node"): _node_from_json(n)
+             for n in d["nodes"]}
+    if len(nodes) < len(d["nodes"]):
+        raise ValueError("a node id is listed twice")
+    return {"root": _int_from_json(d["root"], "root"), "nodes": nodes}
 
 
 def _config_to_json(c: SwitchConfig) -> dict:
     return {
         "id": c.switch,
-        "nodes": [_node_to_json(nid, c.nodes[nid])
-                  for nid in sorted(c.nodes)],
         "rules": {
             "resolved": [{"inport": u, "outport": v,
                           "action": act[0], "arg": act[1]}
@@ -340,21 +341,15 @@ def _config_to_json(c: SwitchConfig) -> dict:
     }
 
 
-def _tag_from_json(v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"tag {v!r} is not a port")
-    return v
-
-
 def _config_from_json(d: dict) -> SwitchConfig:
-    nodes = dict(_node_from_json(n) for n in d["nodes"])
     resolved = {(r["inport"], r["outport"]): (r["action"], r["arg"])
                 for r in d["rules"]["resolved"]}
     unresolved = {(r["inport"], r["var"]):
-                  tuple((g["weight"], _tag_from_json(g["tag"]), g["next"])
+                  tuple((g["weight"], _int_from_json(g["tag"], "tag",
+                                                     "a port"), g["next"])
                         for g in r["group"])
                   for r in d["rules"]["unresolved"]}
-    return SwitchConfig(switch=d["id"], nodes=nodes, resolved=resolved,
+    return SwitchConfig(switch=d["id"], resolved=resolved,
                         unresolved=unresolved)
 
 
@@ -366,8 +361,9 @@ def _dump(path: str, obj) -> None:
 
 def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
     """Write the bundle into `dirpath`, removing the switch configs that an
-    earlier bundle left there (`load_bundle` reads every one), and the
-    program's declarations, with body `id`, to `program.snap`."""
+    earlier bundle left there (`load_bundle` reads every one), the
+    program's declarations, with body `id`, to `program.snap`, and the
+    numbered diagram once, to `diagram.json`."""
     swdir = os.path.join(dirpath, "switch")
     os.makedirs(swdir, exist_ok=True)
     keep = {f"{sid}.json" for sid in bundle.configs}
@@ -381,26 +377,37 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
           {"mode": bundle.mode, "objective": bundle.objective,
            "exact": bundle.exact,
            "placement": bundle.placement})
-    _dump(os.path.join(dirpath, "routing.json"),
+    _dump(os.path.join(dirpath, "diagram.json"),
           {"root": bundle.root,
-           "flows": opt.routing_to_json(bundle.routing)})
+           "nodes": [_node_to_json(nid, bundle.nodes[nid])
+                     for nid in sorted(bundle.nodes)]})
+    _dump(os.path.join(dirpath, "routing.json"),
+          {"flows": opt.routing_to_json(bundle.routing)})
     for sid in sorted(bundle.configs):
         _dump(os.path.join(swdir, f"{sid}.json"),
               _config_to_json(bundle.configs[sid]))
 
 
-def _read_part(path: str, decode):
-    """decode(the JSON object in `path`); InputError naming the file when
-    it is not an object, lacks a key or holds a value of the wrong shape."""
-    with open(path) as f:
-        d = json.load(f)
+def _json_object(text: str) -> dict:
+    d = json.loads(text)
     if not isinstance(d, dict):
-        raise InputError(f"{path}: not a JSON object")
+        raise ValueError("not a JSON object")
+    return d
+
+
+def _read_part(path: str, decode, parse=_json_object):
+    """decode(parse(the text of `path`)); InputError naming the file when
+    it is missing (as in a bundle written before that part came), does
+    not parse, lacks a key or holds a value of the wrong shape."""
     try:
-        return decode(d)
+        with open(path) as f:
+            return decode(parse(f.read()))
+    except FileNotFoundError:
+        raise InputError(f"{path}: not found; compile the bundle "
+                         "again") from None
     except KeyError as e:
         raise InputError(f"{path}: missing key {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, ParseError, TypeError, ValueError) as e:
         raise InputError(f"{path}: {e}") from e
 
 
@@ -413,38 +420,28 @@ def _placement_from_json(d) -> dict:
     return placement
 
 
-def _root_from_json(v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"root {v!r} is not a node id")
-    return v
-
-
 def load_bundle(dirpath: str) -> DeploymentBundle:
     """Read a bundle directory written by write_bundle.  InputError when a
-    part is malformed (a placement value or a walk that is not switch
-    names, a root that is not a node id, a flow listed twice, a
-    `program.snap` that does not parse) or missing (`program.snap`, in a
-    bundle written before the declarations moved there), or a switch
-    file holds the config of a switch it is not named after."""
-    path = os.path.join(dirpath, "program.snap")
-    try:
-        with open(path) as f:
-            prog = lang.parse(f.read())
-    except FileNotFoundError:
-        raise InputError(f"{path}: not found; compile the bundle "
-                         "again") from None
-    except (ParseError, ValueError) as e:
-        raise InputError(f"{path}: {e}") from e
-    kw = _read_part(os.path.join(dirpath, "placement.json"),
-                    lambda d: {"mode": d["mode"],
-                               "placement": _placement_from_json(
-                                   d["placement"]),
-                               "objective": d["objective"],
-                               "exact": d["exact"]})
+    part is missing (`program.snap` or `diagram.json`, in a bundle
+    written before the declarations or the diagram moved there) or
+    malformed (a placement value or a walk that is not switch names, a
+    root or child that is not a node id, a node or a flow listed twice, a
+    `program.snap` that does not parse), or a switch file holds the
+    config of a switch it is not named after."""
+    kw = _read_part(os.path.join(dirpath, "program.snap"),
+                    lambda p: {"states": p.states, "fields": p.fields},
+                    parse=lang.parse)
+    kw.update(_read_part(os.path.join(dirpath, "placement.json"),
+                         lambda d: {"mode": d["mode"],
+                                    "placement": _placement_from_json(
+                                        d["placement"]),
+                                    "objective": d["objective"],
+                                    "exact": d["exact"]}))
+    kw.update(_read_part(os.path.join(dirpath, "diagram.json"),
+                         _diagram_from_json))
     kw.update(_read_part(os.path.join(dirpath, "routing.json"),
-                         lambda d: {"root": _root_from_json(d["root"]),
-                                    "routing": opt.routing_from_json(
-                                        d["flows"])}))
+                         lambda d: {"routing": opt.routing_from_json(
+                             d["flows"])}))
     configs = {}
     swdir = os.path.join(dirpath, "switch")
     for name in sorted(os.listdir(swdir)):
@@ -456,11 +453,7 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
             raise InputError(f"{path}: holds the config of switch "
                              f"{c.switch!r}, not {name[:-5]!r}")
         configs[c.switch] = c
-    nodes: dict = {}
-    for c in configs.values():
-        nodes.update(c.nodes)
-    return DeploymentBundle(nodes=nodes, configs=configs,
-                            states=prog.states, fields=prog.fields, **kw)
+    return DeploymentBundle(configs=configs, **kw)
 
 
 # ---------------------------------------------------------------- checks
@@ -468,11 +461,11 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: a placement of exactly the declared
     variables (`bundle.states`) and of those the diagram names, on
-    switches of the topology, fragment coverage of every state resume
-    point, a root and node references that name nodes of the bundle,
-    rules that name placed variables, forward to
-    neighbours and emit on the switch's own external ports, a config for
-    every topology switch and none for another, and a walk for exactly
+    switches of the topology, a root and children that name nodes of the
+    diagram, state tests and operations that index a declared variable
+    with its declared arity, rules that name placed variables, forward
+    to neighbours and emit on the switch's own external ports, a config
+    for every topology switch and none for another, and a walk for exactly
     the topology's demands, each from u's switch to v's over links of the
     topology, none of them twice.  The resolved rules must follow the
     walks (`walk_rules`): every switch on a walk holds the flow's rule,
@@ -500,24 +493,21 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
             problems.append(f"placement of {s!r} on unknown switch {sid!r}")
     if bundle.root not in bundle.nodes:
         problems.append(f"root {bundle.root} is not a node of the bundle")
-    for key, s in sorted(points.items()):
-        owner = bundle.placement.get(s)
-        cfg = bundle.configs.get(owner)
-        if owner is not None and (cfg is None or key[1] not in cfg.nodes):
-            problems.append(
-                f"owner {owner!r} of {s!r} lacks node {key[1]} "
-                "in its fragment")
+    for nid, node in sorted(bundle.nodes.items()):
+        if node[0] == "branch":
+            problems.extend(f"node {nid} references unknown node {child}"
+                            for child in node[2:] if child not in bundle.nodes)
+            used = [node[1]] if isinstance(node[1], xfdd.TStateTest) else []
+        else:
+            used = [a for elem in node[1] for a in elem if lang.is_state_op(a)]
+        for s, n in sorted({(a.var, lang.expr_arity(a.index)) for a in used}):
+            if s in declared and n != bundle.states[s].arity:
+                problems.append(f"node {nid} indexes {s!r} with arity {n}, "
+                                f"not the declared {bundle.states[s].arity}")
     for sid, cfg in sorted(bundle.configs.items()):
         if sid not in topo.nodes:
             problems.append(f"config for unknown switch {sid!r}")
             continue
-        for nid, node in cfg.nodes.items():
-            if node[0] == "branch":
-                for child in (node[2], node[3]):
-                    if child not in bundle.nodes:
-                        problems.append(
-                            f"switch {sid}: node {nid} references "
-                            f"unknown node {child}")
         # a list and a tuple: a target read as a list is compared, not hashed
         nbrs = [link.dst for link in topo.out_links(sid)]
         ports = topo.nodes[sid].external_ports

@@ -4,9 +4,9 @@ Loads a deployment bundle onto a topology and executes injected packets
 under the distributed protocol described in the rule generator.  Each
 switch keeps the tables of the variables placed on it, at the defaults
 of the bundle's declarations (`DeploymentBundle.states`) until written,
-and walks its own fragment of the program diagram (`SwitchConfig.nodes`)
-as given, until a leaf or a node it does not hold; the packet body in
-flight is the entry packet, state operations run at their owners
+and walks its own fragment of the program diagram (`rulegen.split_xfdd`
+cuts it at load) until a leaf or a node it does not hold; the packet body
+in flight is the entry packet, state operations run at their owners
 (opportunistically when an owner is passed en route), and field
 modifications are applied once no state operations remain.
 
@@ -94,6 +94,9 @@ class SimNetwork:
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
+        # switch -> nid -> node, the fragment the switch runs
+        self.frags = rulegen.split_xfdd(bundle.nodes, bundle.root,
+                                        bundle.placement, topo)
         # switch -> var it owns -> canonical index key -> (index, value)
         self.tables = {sid: {s: {} for s, o in bundle.placement.items()
                              if o == sid} for sid in bundle.configs}
@@ -287,7 +290,7 @@ class SimNetwork:
             self._route_final(sid, copy)
         elif key[0] == "node":
             self._run_nodes(sid, copy, key[1])
-        elif key[1] in self.bundle.configs[sid].nodes:
+        elif key[1] in self.frags[sid]:
             self._run_leaf(sid, copy)
         else:
             self._forward_blocked(sid, copy)
@@ -296,7 +299,7 @@ class SimNetwork:
         """Walk the switch's fragment from node `nid` down to a leaf, which
         forks the copy, or to a node the switch does not hold, where the
         copy is tagged with that resume point and forwarded."""
-        nodes = self.bundle.configs[sid].nodes
+        nodes = self.frags[sid]
         body = copy.body
         while True:
             node = nodes.get(nid)
@@ -344,7 +347,7 @@ class SimNetwork:
     def _fork(self, sid: str, copy: _Copy, nid: int):
         """One copy per action sequence; copies whose output packet would
         duplicate an earlier copy's only carry state updates."""
-        elems = self.bundle.configs[sid].nodes[nid][1]
+        elems = self.frags[sid][nid][1]
         many = len(elems) > 1
         seen: set = set()
         copies = []
@@ -366,7 +369,7 @@ class SimNetwork:
 
     def _run_leaf(self, sid: str, copy: _Copy):
         _, nid, ei, _ = copy.resume
-        elem = self.bundle.configs[sid].nodes[nid][1][ei]
+        elem = self.frags[sid][nid][1][ei]
         owns = self.tables[sid]
         done = copy.done
         pending = [k for k, a in enumerate(elem)

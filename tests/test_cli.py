@@ -396,6 +396,16 @@ def _weighted_paths(d):
                           for r in d["flows"]])
 
 
+def _set_node(nid, key, value):
+    """Bundle damage: set `key` of diagram.json's node `nid`."""
+    def damage(d):
+        for n in d["nodes"]:
+            if n["id"] == nid:
+                n[key] = value
+        return d
+    return damage
+
+
 def _set_walk(i, nodes):
     """Bundle damage: set the walk of routing.json's i-th flow."""
     def damage(d):
@@ -410,7 +420,7 @@ def _set_walk(i, nodes):
     ("placement.json", lambda d: dict(d, placement=dict(
         d["placement"], established=["C5"])),
      "placement of 'established' is ['C5'], not a switch name"),
-    ("routing.json", lambda d: {"root": d["root"]}, "missing key 'flows'"),
+    ("routing.json", lambda d: {}, "missing key 'flows'"),
     ("routing.json", _weighted_paths, "missing key 'nodes'"),
     ("routing.json", _set_walk(0, "I1C1"),
      "flow (1,2): walk 'I1C1' is not a non-empty list of switch names"),
@@ -419,7 +429,12 @@ def _set_walk(i, nodes):
     ("routing.json", lambda d: dict(d, flows=d["flows"][:1] + d["flows"]),
      "flow (1,2) is listed twice"),
     ("switch/D4.json", lambda d: [d], "not a JSON object"),
-    ("switch/D4.json", lambda d: dict(d, nodes=3), "not iterable"),
+    ("diagram.json", lambda d: {"root": d["root"]}, "missing key 'nodes'"),
+    ("diagram.json", lambda d: dict(d, nodes=3), "not iterable"),
+    ("diagram.json", lambda d: dict(d, nodes=d["nodes"] + d["nodes"][3:4]),
+     "a node id is listed twice"),
+    ("diagram.json", _set_node(0, "hi", [1]), "hi [1] is not a node id"),
+    ("diagram.json", None, "not found; compile the bundle again"),
     ("switch/I1.json", _old_format_rules, "missing key 'var'"),
     ("switch/I1.json", _set_row(1, "established", 2, "tag", [2]),
      "tag [2] is not a port"),
@@ -429,22 +444,25 @@ def _set_walk(i, nodes):
     ids=["placement-no-mode", "placement-value-a-list", "routing-no-flows",
          "routing-weighted-paths", "routing-walk-a-string",
          "routing-walk-empty", "routing-flow-twice", "switch-a-list",
-         "switch-nodes-a-number", "switch-rules-keyed-by-resume-point",
+         "diagram-no-nodes", "diagram-nodes-a-number", "diagram-node-twice",
+         "diagram-child-a-list", "diagram-missing",
+         "switch-rules-keyed-by-resume-point",
          "group-tag-a-list", "program-missing", "program-does-not-parse"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3.  A
-    bundle without `program.snap` (every bundle written before the
-    declarations moved there) is one, and so is a `program.snap` that
-    does not parse: bad input, not a compile error (exit 1)."""
+    bundle without `program.snap` or `diagram.json` (every bundle written
+    before the declarations or the diagram moved there) is one, and so is
+    a `program.snap` that does not parse: bad input, not a compile error
+    (exit 1)."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
     assert code == 0
     path = bundle / part
-    if part != "program.snap":
-        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
-    elif damage is None:
+    if damage is None:
         path.unlink()
+    elif part != "program.snap":
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
     else:
         path.write_text(damage(path.read_text()))
     trace = tmp_path / "trace.jsonl"
@@ -484,8 +502,10 @@ def test_tampered_declaration_fails_check_p(tmp_path, capsys):
     """The bundle's `program.snap` holds the program's declarations once.
     `check -p` reports each one that differs from the program's: here
     `established`, set to arity 7 and default True, and a field domain
-    with a port dropped.  Without -p there is no program to compare, and
-    the bundle is sound on its own."""
+    with a port dropped.  Without -p there is no program to compare, but
+    the bundle's own diagram indexes `established` by two fields at seven
+    nodes: plain `check` reports each (exit 2), and `simulate` refuses
+    the bundle (exit 3)."""
     bundle = tmp_path / "b"
     policies = ["-p", policy_path("stateful-fw"),
                 "-p", policy_path("assign-egress")]
@@ -503,16 +523,51 @@ def test_tampered_declaration_fails_check_p(tmp_path, capsys):
                                  "established[7] default True")
                         .replace("1024, 1025};\nfield dstport",
                                  "1024};\nfield dstport"))
+    arity = [f"node {nid} indexes 'established' with arity 2, not the "
+             "declared 7" for nid in (2, 6, 10, 11, 16, 20, 23)]
     code, out, _ = run_cli([*check, *policies], capsys)
     assert code == 2
-    assert json.loads(out)["problems"] == [
+    assert json.loads(out)["problems"] == arity + [
         "state 'established': the bundle declares state established[7] "
         "default True, the program state established[2] default False",
         "field 'srcport': the bundle declares field srcport : int in "
         "{20, 21, 25, 53, 80, 1024}, the program field srcport : int in "
         "{20, 21, 25, 53, 80, 1024, 1025}"]
     code, out, _ = run_cli(check, capsys)
+    assert (code, json.loads(out)["problems"]) == (2, arity)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err == "bad input: inconsistent bundle: " + "; ".join(arity) + "\n"
+
+
+def test_tampered_diagram_fails_check_p(tmp_path, capsys):
+    """The bundle's `diagram.json` holds the pruned, numbered diagram once.
+    A leaf changed to send the packet out of port 6 (leaf 3 sends it out
+    of port 1) is a sound bundle on its own, so plain `check` passes it;
+    `check -p` builds the program's diagram, names the node that differs
+    and exits 2."""
+    bundle = tmp_path / "b"
+    policies = ["-p", policy_path("stateful-fw"),
+                "-p", policy_path("assign-egress")]
+    code, _, _ = run_cli(["compile", *policies, "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    path = bundle / "diagram.json"
+    d = json.loads(path.read_text())
+    leaf = next(n for n in d["nodes"] if n["id"] == 3)
+    assert leaf["elems"] == [[{"a": "mod", "field": "outport",
+                               "value": {"t": "int", "v": 1}}]]
+    leaf["elems"][0][0]["value"]["v"] = 6
+    path.write_text(json.dumps(d))
+    check = ["check", "--bundle", str(bundle), "--topo", TOPO]
+    code, out, _ = run_cli(check, capsys)
     assert (code, json.loads(out)) == (0, {"ok": True, "problems": []})
+    code, out, _ = run_cli([*check, *policies], capsys)
+    assert (code, json.loads(out)["problems"]) == (
+        2, ["diagram: node 3 differs from the program's"])
 
 
 def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
@@ -546,24 +601,26 @@ def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
 def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       root, check_code,
                                                       says):
-    """A routing.json root that is not a node id is bad input to `check
+    """A diagram.json root that is not a node id is bad input to `check
     -p` and `simulate` (exit 3); one that is an id but no node of the
     bundle fails `check -p` (exit 2) and `simulate` refuses the bundle
-    (exit 3).  Neither ends in a traceback."""
+    (exit 3); `-p` also names the program's root.  Neither ends in a
+    traceback."""
     bundle = tmp_path / "b"
     policies = ["-p", policy_path("stateful-fw"),
                 "-p", policy_path("assign-egress")]
     code, _, _ = run_cli(["compile", *policies, "-t", TOPO,
                           "-o", str(bundle)], capsys)
     assert code == 0
-    path = bundle / "routing.json"
+    path = bundle / "diagram.json"
     path.write_text(json.dumps(dict(json.loads(path.read_text()),
                                     root=root)))
     code, out, err = run_cli(["check", *policies, "--bundle", str(bundle),
                               "--topo", TOPO], capsys)
     assert code == check_code
     if code == 2:
-        assert json.loads(out)["problems"] == [says]
+        assert json.loads(out)["problems"] == [
+            says, f"diagram: root {root}, not 0"]
     else:
         assert out == "" and err == f"bad input: {path}: {says}\n"
     trace = tmp_path / "trace.jsonl"
@@ -618,14 +675,16 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
         d["placement"], bogus="C1")),
      "placement of 'bogus', which the program does not declare"),
     ("placement.json", lambda d: dict(d, placement={}),
-     "state variable 'established' is unplaced")],
+     "state variable 'established' is unplaced"),
+    ("diagram.json", _set_node(0, "lo", 999),
+     "node 0 references unknown node 999")],
     ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
          "unplaced-var", "flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
          "walk-crosses-no-link", "walk-reuses-a-link", "fwd-off-the-walk",
          "emit-on-the-walk", "no-rule-on-the-walk", "rule-off-the-walk",
          "rule-without-walk", "group-off-the-walk", "undeclared-placed",
-         "declared-unplaced"])
+         "declared-unplaced", "dangling-child"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
     """A rule that forwards to a switch that is not a neighbour, emits on
@@ -642,7 +701,8 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     of `established`).  So does a placement that does not name exactly
     the variables of the bundle's `program.snap`: one that places a
     variable the program does not declare, or leaves `established`
-    unplaced."""
+    unplaced.  So does a node of `diagram.json` whose child is no node of
+    the diagram."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),

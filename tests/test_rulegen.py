@@ -133,10 +133,12 @@ def test_recompile_is_byte_identical(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     rulegen.write_bundle(b1, str(d1))
     rulegen.write_bundle(b2, str(d2))
-    assert sorted(os.listdir(d1)) == ["placement.json", "program.snap",
-                                      "routing.json", "switch"]
+    assert sorted(os.listdir(d1)) == ["diagram.json", "placement.json",
+                                      "program.snap", "routing.json",
+                                      "switch"]
     assert all(name.endswith(".json") for name in os.listdir(d1 / "switch"))
-    for rel in ("placement.json", "program.snap", "routing.json"):
+    for rel in ("diagram.json", "placement.json", "program.snap",
+                "routing.json"):
         assert filecmp.cmp(d1 / rel, d2 / rel, shallow=False), rel
     for name in sorted(os.listdir(d1 / "switch")):
         assert filecmp.cmp(d1 / "switch" / name, d2 / "switch" / name,
@@ -150,12 +152,11 @@ def test_bundle_round_trip(tmp_path):
     b2 = rulegen.load_bundle(str(tmp_path))
     assert b2.placement == b1.placement
     assert b2.routing == b1.routing
-    assert b2.root == b1.root
+    assert (b2.root, b2.nodes) == (b1.root, b1.nodes)
     assert (b2.states, b2.fields) == (b1.states, b1.fields)
     assert set(b2.configs) == set(b1.configs)
     for sid in b1.configs:
         c1, c2 = b1.configs[sid], b2.configs[sid]
-        assert c2.nodes == c1.nodes
         assert c2.resolved == c1.resolved
         assert c2.unresolved == c1.unresolved
     assert rulegen.validate_bundle(b2, t) == []
@@ -241,27 +242,33 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    four format changes: the one that keyed the groups by variable (the
+    five format changes: the one that keyed the groups by variable (the
     last visit before the owner keeps the unresolved entry), the one
     that wrote each flow's routing as one walk, not a list of weighted
-    paths, the one that stopped writing xfdd.dot, and the one that moved
+    paths, the one that stopped writing xfdd.dot, the one that moved
     the declarations from each switch file's `state_tables` into
-    `program.snap`.  The walk change moved only routing.json, so every
-    other file keeps the digest it had before it.  Both digests were
-    pinned again when xfdd.dot went, with the values the commit before
-    wrote for every file but xfdd.dot, and again when `program.snap`
-    came: placement.json and routing.json kept their digests, and every
-    switch/*.json equals the one before with only its `state_tables` key
-    removed."""
+    `program.snap`, and the one that moved the diagram from the switch
+    files' `nodes` into `diagram.json`.  The walk change moved only
+    routing.json, so every other file keeps the digest it had before it.
+    Both digests were pinned again when xfdd.dot went, with the values
+    the commit before wrote for every file but xfdd.dot; again when
+    `program.snap` came: placement.json and routing.json kept their
+    digests, and every switch/*.json equals the one before with only its
+    `state_tables` key removed; and again when `diagram.json` came:
+    placement.json and program.snap kept their bytes, routing.json equals
+    the one before with only its `root` key removed, every
+    switch/*.json equals the one before with only its `nodes` key
+    removed, and `diagram.json` holds that root and the union of those
+    nodes."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "278cb59d624bc3680608e3611a2a9aeffbcd2f7271a340a036af9ff70870120b")
+        "f4e79a89a8c2ba611221df717436fba06ee891eb1b6d182c5bda6909b9cad753")
     assert bundle_digest(bundle, tmp_path) == (
-        "770fbb5e1f3f3fb6b3dc3df3869b1d33c8a4faa40d8c96953f301de2726eb10e")
+        "a565669917452b696e89189df49878508ac8be651920de920b6fb6b176b00722")
     assert group_count(bundle) == 58
 
 
@@ -348,17 +355,23 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from four format changes: the one that keyed
+    whole fact list, apart from five format changes: the one that keyed
     the groups by variable, the one that wrote each flow's routing as one
     walk, not a list of weighted paths, the one that stopped writing
-    xfdd.dot, and the one that moved the declarations from each switch
-    file's `state_tables` into `program.snap`.  The walk change moved
-    only routing.json, so every other file keeps the digest it had before
-    it.  Both digests were pinned again when xfdd.dot went, with the
-    values the commit before wrote for every file but xfdd.dot, and again
-    when `program.snap` came: placement.json and routing.json kept their
-    digests, and every switch/*.json equals the one before with only its
-    `state_tables` key removed.  Most path facts here are state tests."""
+    xfdd.dot, the one that moved the declarations from each switch file's
+    `state_tables` into `program.snap`, and the one that moved the
+    diagram from the switch files' `nodes` into `diagram.json`.  The walk
+    change moved only routing.json, so every other file keeps the digest
+    it had before it.  Both digests were pinned again when xfdd.dot went,
+    with the values the commit before wrote for every file but xfdd.dot;
+    again when `program.snap` came: placement.json and routing.json kept
+    their digests, and every switch/*.json equals the one before with
+    only its `state_tables` key removed; and again when `diagram.json`
+    came: placement.json and program.snap kept their bytes, routing.json
+    equals the one before with only its `root` key removed, every
+    switch/*.json equals the one before with only its `nodes` key
+    removed, and `diagram.json` holds that root and the union of those
+    nodes.  Most path facts here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -367,9 +380,9 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "cbf55e94cb9a9f62f9f71a7b87c32f0892bd22c72fd44ec72d4bf052f7dde326")
+        "dbd8ece30b7978fe656157250d2979a3edaee76fb544ec3a191eb6bc547b9562")
     assert bundle_digest(bundle, tmp_path) == (
-        "216bff47d35ff50496db7c0ff75fb96763aa5255668d489ac0ecaf093c0415c9")
+        "1e04e7195e2b5270e5fdf4e5790f70b33cdd9bcd3b2c59514e4aa5e62395cc97")
     # one group per (inport, variable), not one per resume point
     assert group_count(bundle) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")
