@@ -29,21 +29,45 @@ def _span_field():
     return dc_field(default=None, compare=False, repr=False)
 
 
+def hash_once(cls):
+    """`dataclass(frozen=True)` over cls, whose instances hash once: each
+    computes the dataclass's hash, over the fields it compares (never a
+    span), at construction and answers every later lookup from it.  The
+    diagram builder looks such nodes up again and again, and a value
+    inside one (an address) hashes in Python code.  cls's own
+    `__post_init__` runs first."""
+    own = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        if own is not None:
+            own(self)
+        object.__setattr__(self, "_hash", fields_hash(self))
+
+    def __hash__(self):
+        return self._hash
+
+    cls.__post_init__ = __post_init__   # before: the __init__ calls it
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+    cls.__hash__ = __hash__
+    return cls
+
+
 # Expressions -------------------------------------------------------
 
-@dataclass(frozen=True)
+@hash_once
 class Lit:
     value: object
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@hash_once
 class FieldRef:
     name: str
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@hash_once
 class TupleExpr:
     items: tuple
     span: Span | None = _span_field()
@@ -99,14 +123,14 @@ class StateTest:
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@hash_once
 class Mod:
     field: str
     value: object
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@hash_once
 class StateSet:
     var: str
     index: Expr
@@ -114,14 +138,14 @@ class StateSet:
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@hash_once
 class Incr:
     var: str
     index: Expr
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@hash_once
 class Decr:
     var: str
     index: Expr

@@ -458,6 +458,31 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
 
 # ---------------------------------------------------------------- checks
 
+def _back_edges(nodes: dict, root: int) -> list:
+    """The (node, child) edges that close a cycle, found by one
+    depth-first pass from the root (high child first) over the children
+    that are nodes of the diagram."""
+    if root not in nodes:
+        return []
+    out = []
+    done = set()
+    on_path = {root}
+    stack = [(root, iter(nodes[root][2:]))]
+    while stack:
+        nid, children = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            on_path.discard(nid)
+            done.add(nid)
+        elif child in on_path:
+            out.append((nid, child))
+        elif child in nodes and child not in done:
+            on_path.add(child)
+            stack.append((child, iter(nodes[child][2:])))
+    return out
+
+
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: a placement of exactly the declared
     variables (`bundle.states`) and of those the diagram names, on
@@ -478,7 +503,9 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     pruned diagram says which variables each flow needs.  A rule or walk
     that fails one of the checks before is not compared, and nor is a
     rule of a demand that has no walk: its one problem is already listed.
-    Returns a list of problem strings (empty means ok)."""
+    No child may lead back to a node above it: a packet's walk of the
+    diagram would follow that cycle for ever.  Returns a list of problem
+    strings (empty means ok)."""
     rules: dict = {}    # (switch, flow) -> a resolved rule of sound shape
     rows: list = []     # (switch, u, s, row): group rows of sound shape
     declared = set(bundle.states)
@@ -504,6 +531,8 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
             if s in declared and n != bundle.states[s].arity:
                 problems.append(f"node {nid} indexes {s!r} with arity {n}, "
                                 f"not the declared {bundle.states[s].arity}")
+    problems.extend(f"node {nid} leads back to node {child}, a cycle"
+                    for nid, child in _back_edges(bundle.nodes, bundle.root))
     for sid, cfg in sorted(bundle.configs.items()):
         if sid not in topo.nodes:
             problems.append(f"config for unknown switch {sid!r}")

@@ -42,20 +42,23 @@ from . import lang
 from .deps import OrderSpec, expr_key
 from .errors import RaceError, UnsupportedCompositionError
 from .values import (
-    IPv4Network, canon_key, format_value, test_match, value_from_json,
-    value_to_json, values_equal,
+    IPv4Network, canon_key, format_value, in_prefix, test_match,
+    value_from_json, value_to_json, values_equal,
 )
 
 
 # ---------------------------------------------------------------- tests
 
-@dataclass(frozen=True)
+# Tests hash once (`lang.hash_once`): the arena's node table, the
+# computed tables and the path facts' masks look them up.
+
+@lang.hash_once
 class TFieldValue:
     field: str
     value: object
 
 
-@dataclass(frozen=True)
+@lang.hash_once
 class TFieldField:
     f1: str
     f2: str
@@ -64,22 +67,16 @@ class TFieldField:
         assert self.f1 < self.f2, "field-field tests are canonicalized"
 
 
-@dataclass(frozen=True)
+@lang.hash_once
 class TStateTest:
     var: str
     index: object   # lang Expr
     rhs: object     # lang Expr
 
     def __post_init__(self):
-        # the keys the test order and the path facts read, and the hash
-        # the arena's node table reads, computed once per test
+        # the keys the test order and the path facts read, once per test
         object.__setattr__(self, "index_key", expr_key(self.index))
         object.__setattr__(self, "rhs_key", expr_key(self.rhs))
-        object.__setattr__(self, "_hash",
-                           hash((self.var, self.index, self.rhs)))
-
-    def __hash__(self):
-        return self._hash
 
 
 def test_key(order: OrderSpec, t) -> tuple:
@@ -259,14 +256,64 @@ class Contradiction(Exception):
     """Internal error: a contradicting fact was added to a Context."""
 
 
-def _settle_cands(c: dict):
-    """A class left with no candidate value is a contradiction; one left
-    with a single candidate has that value."""
-    if c["cands"] is not None:
-        if not c["cands"]:
-            raise Contradiction(f"empty domain for {min(c['members'])}")
-        if c["val"] is None and len(c["cands"]) == 1:
-            c["val"] = c["cands"][0]
+class _Values:
+    """The field values path facts name, one bit each, so that a field
+    class's candidate values are an int and narrowing them is one AND.
+    Values that `values_equal` equates share a bit.  The declared domains
+    take the first bits; a test value the table lacks takes the next bit
+    when its test's mask is first asked for.  A test's mask, computed once
+    and kept, holds the values the test matches: its value's bit, or for a
+    prefix the bit of every address of the table inside it, addresses
+    that enter later included.  An empty Context makes the table and every
+    context added from it shares it, so the table lives and dies with the
+    builder or walk that made that empty context."""
+
+    __slots__ = ("vals", "domains", "_bits", "_masks", "_prefixes")
+
+    def __init__(self, schema):
+        self.vals: list = []        # bit -> the value that took it
+        self.domains: dict = {}     # field -> mask of its declared domain
+        self._bits: dict = {}       # canon_key -> bit
+        self._masks: dict = {}      # field=value test -> mask
+        self._prefixes: list = []   # (test, prefix) of each prefix mask
+        for f in (schema.fields if schema else ()):
+            d = schema.domain_of(f)
+            if d is not None:
+                m = 0
+                for v in d:
+                    m |= 1 << self._bit(v)
+                self.domains[f] = m
+
+    def _bit(self, v) -> int:
+        k = canon_key(v)
+        i = self._bits.get(k)
+        if i is None:
+            i = self._bits[k] = len(self.vals)
+            self.vals.append(v)
+            for t, p in self._prefixes:
+                if in_prefix(v, p):
+                    self._masks[t] |= 1 << i
+        return i
+
+    def mask(self, t) -> int:
+        """The mask of the values the field=value test t matches."""
+        m = self._masks.get(t)
+        if m is None:
+            v = t.value
+            if isinstance(v, IPv4Network):
+                m = 0
+                for i, x in enumerate(self.vals):
+                    if in_prefix(x, v):
+                        m |= 1 << i
+                self._prefixes.append((t, v))
+            else:
+                m = 1 << self._bit(v)
+            self._masks[t] = m
+        return m
+
+    def value(self, m: int):
+        """The value of a one-bit mask."""
+        return self.vals[m.bit_length() - 1]
 
 
 class Context:
@@ -274,24 +321,33 @@ class Context:
     closure: same-field value exclusion, finite field domains, prefix
     containment, field-equality transitivity, and state-cell facts.
 
-    `Context(schema)` is the empty context, and `add` is the only way a
-    fact enters one.  It applies that one fact to the parent's closure,
-    copy-on-write, and shares every table the fact leaves alone:
+    A field class (the fields field=field facts made equal) keeps its
+    candidate values, `cands`, as a mask over the value table (`_Values`)
+    once a declared domain or a field=value fact bounds them, and None
+    before.  `imply` answers a field=value test on a class with candidates
+    from `cands & mask` alone: no candidate left is False, all of them
+    True.  A class without candidates answers from its facts: the values
+    it differs from and the prefixes it is in and out of.
+
+    `Context(schema)` is the empty context, with a new value table, and
+    `add` is the only way a fact enters one.  It applies that one fact to
+    the parent's closure, copy-on-write, and shares every table the fact
+    leaves alone, the value table always:
       * a state test copies `_st` and replaces the one cell slot it changes;
       * a field=value or prefix fact copies `_classes` and the one field
-        class it touches, and narrows that class's candidate values by the
-        new predicate alone; when the class gains a value, only the
+        class it touches, and narrows that class's candidates with one AND
+        by the fact's mask; when the class gains a value, only the
         disequalities that involve the class are checked;
       * a field=field equality merges two classes in a copied union-find,
-        settles the merged class from its members' domains and facts, and
-        remaps `_neq`; a disequality appends one pair to `_neq`.
+        settles the merged class from its members' domains ANDed and their
+        facts, and remaps `_neq`; a disequality appends one pair to `_neq`.
     `add` raises Contradiction when the fact leaves no packet and store on
     the path, as far as the closure can tell."""
 
-    __slots__ = ("schema", "_n", "_parent", "_classes", "_neq", "_st")
+    __slots__ = ("_vals", "_n", "_parent", "_classes", "_neq", "_st")
 
     def __init__(self, schema):
-        self.schema = schema    # lang.Program (for field domains)
+        self._vals = _Values(schema)    # schema: the lang.Program or None
         self._n = 0             # facts so far; orders a class's facts
         self._parent = {}       # union-find over equal fields; rep = least
         self._classes = {}      # rep -> class of every field a fact names
@@ -300,7 +356,7 @@ class Context:
 
     def add(self, t, polarity: bool) -> "Context":
         ctx = object.__new__(Context)
-        ctx.schema = self.schema
+        ctx._vals = self._vals
         ctx._n = self._n + 1
         ctx._parent = self._parent
         ctx._classes = self._classes
@@ -350,53 +406,61 @@ class Context:
             no = no | {rk}
         self._st = {**self._st, k: {"yes": yes, "no": no, "rhs": rhs}}
 
+    def _settle_cands(self, c: dict):
+        """A class left with no candidate value is a contradiction; one left
+        with a single candidate has that value."""
+        m = c["cands"]
+        if m is not None:
+            if not m:
+                raise Contradiction(f"empty domain for {min(c['members'])}")
+            if c["val"] is None and not m & (m - 1):
+                c["val"] = self._vals.value(m)
+
     def _settle(self, members: frozenset, facts: tuple) -> dict:
-        """A field class from scratch: its members' common finite domain
-        (None if none is declared) narrowed by its field=value facts,
-        given as (fact number, value, polarity) in the order added."""
+        """A field class from scratch: its members' declared domains ANDed
+        (None if none is declared) and narrowed by its field=value facts,
+        given as (fact number, test, polarity) in the order added."""
         dom = None
-        for f in sorted(members):
-            d = self.schema.domain_of(f) if self.schema else None
+        for f in members:
+            d = self._vals.domains.get(f)
             if d is not None:
-                dom = tuple(v for v in d if dom is None
-                            or any(values_equal(v, x) for x in dom))
+                dom = d if dom is None else dom & d
         c = {"members": members, "facts": (), "val": None, "noval": (),
              "pyes": (), "pno": (), "cands": dom}
-        _settle_cands(c)
-        for i, v, b in facts:
-            c = self._narrow(c, i, v, b)
+        self._settle_cands(c)
+        for i, t, b in facts:
+            c = self._narrow(c, i, t, b)
         return c
 
-    def _narrow(self, c: dict, i: int, v, b: bool) -> dict:
-        """Class c with the fact (field = v) == b, number i, applied."""
+    def _narrow(self, c: dict, i: int, t, b: bool) -> dict:
+        """Class c with the fact t == b, number i, applied."""
         c = dict(c)
-        c["facts"] += ((i, v, b),)
+        c["facts"] += ((i, t, b),)
         cands = c["cands"]
+        v = t.value
         if isinstance(v, IPv4Network):
-            if b:
-                c["pyes"] += (v,)
-            else:
-                c["pno"] += (v,)
+            c["pyes" if b else "pno"] += (v,)
             if cands is not None:
-                cands = tuple(x for x in cands if test_match(x, v) == b)
+                m = self._vals.mask(t)
+                cands &= m if b else ~m
         elif b:
             if cands is None:
                 # no declared domain: v is the one candidate the value
                 # facts so far leave standing, or none is
-                cands = (v,)
+                cands = self._vals.mask(t)
                 if (any(values_equal(v, x) for x in c["noval"])
                         or not all(test_match(v, p) for p in c["pyes"])
                         or any(test_match(v, p) for p in c["pno"])):
-                    cands = ()
+                    cands = 0
             else:
-                cands = tuple(x for x in cands if values_equal(x, v))
+                cands &= self._vals.mask(t)
             c["val"] = v
         else:
             c["noval"] += (v,)
             if cands is not None:
-                cands = tuple(x for x in cands if not values_equal(x, v))
+                cands &= ~self._vals.mask(t)
         c["cands"] = cands
-        _settle_cands(c)
+        self._settle_cands(c)
         return c
 
     def _enter(self, f: str, classes: dict) -> str:
@@ -422,7 +486,7 @@ class Context:
         classes = dict(self._classes)
         r = self._enter(t.field, classes)
         before = classes[r]["val"]
-        classes[r] = self._narrow(classes[r], self._n, t.value, b)
+        classes[r] = self._narrow(classes[r], self._n, t, b)
         self._classes = classes
         if before is None and classes[r]["val"] is not None:
             self._check_neq(r)
@@ -451,54 +515,48 @@ class Context:
 
     # -- queries
 
-    def _class(self, f: str) -> dict:
-        r = self._rep(f)
+    def _cands(self, r: str):
+        """The candidates mask of the class with rep r, or None.  A field
+        no fact names is its own class, bounded by its declared domain."""
         c = self._classes.get(r)
-        if c is not None:
-            return c
-        d = self.schema.domain_of(f) if self.schema else None
-        return {"val": None, "noval": [], "pyes": [], "pno": [],
-                "cands": list(d) if d is not None else None}
+        return c["cands"] if c is not None else self._vals.domains.get(r)
 
     def value_of(self, f: str):
-        return self._class(f)["val"]
+        c = self._classes.get(self._rep(f))
+        return c["val"] if c is not None else None
 
     def imply(self, t):
         """True / False when the path facts decide t; None otherwise."""
         if isinstance(t, TFieldValue):
-            c = self._class(t.field)
-            if c["val"] is not None:
-                return test_match(c["val"], t.value)
-            if isinstance(t.value, IPv4Network):
+            r = self._rep(t.field)
+            cands = self._cands(r)
+            if cands is not None:
+                m = cands & self._vals.mask(t)
+                if m == cands:
+                    return True
+                return None if m else False
+            c = self._classes.get(r)
+            if c is None:
+                return None
+            v = t.value
+            if isinstance(v, IPv4Network):
                 for p in c["pyes"]:
-                    if p.subnet_of(t.value):
+                    if p.subnet_of(v):
                         return True
-                    if not p.overlaps(t.value):
+                    if not p.overlaps(v):
                         return False
                 for p in c["pno"]:
-                    if t.value.subnet_of(p):
-                        return False
-                if c["cands"] is not None:
-                    hits = [test_match(v, t.value) for v in c["cands"]]
-                    if all(hits):
-                        return True
-                    if not any(hits):
+                    if v.subnet_of(p):
                         return False
                 return None
-            if any(values_equal(t.value, x) for x in c["noval"]):
+            if any(values_equal(v, x) for x in c["noval"]):
                 return False
             for p in c["pyes"]:
-                if not test_match(t.value, p):
+                if not test_match(v, p):
                     return False
             for p in c["pno"]:
-                if test_match(t.value, p):
+                if test_match(v, p):
                     return False
-            if c["cands"] is not None:
-                hits = [values_equal(v, t.value) for v in c["cands"]]
-                if not any(hits):
-                    return False
-                if all(hits):
-                    return True
             return None
         if isinstance(t, TFieldField):
             r1, r2 = self._rep(t.f1), self._rep(t.f2)
@@ -507,13 +565,12 @@ class Context:
             for a, b in self._neq:
                 if {a, b} == {r1, r2}:
                     return False
-            c1, c2 = self._class(t.f1), self._class(t.f2)
-            if c1["val"] is not None and c2["val"] is not None:
-                return values_equal(c1["val"], c2["val"])
-            if c1["cands"] is not None and c2["cands"] is not None:
-                if not any(values_equal(a, b)
-                           for a in c1["cands"] for b in c2["cands"]):
-                    return False
+            v1, v2 = self.value_of(r1), self.value_of(r2)
+            if v1 is not None and v2 is not None:
+                return values_equal(v1, v2)
+            k1, k2 = self._cands(r1), self._cands(r2)
+            if k1 is not None and k2 is not None and not k1 & k2:
+                return False
             return None
         if isinstance(t, TStateTest):
             slot = self._st.get((t.var, t.index_key))
@@ -589,6 +646,9 @@ class Builder:
         self._fanout: dict = {}     # node -> node, _seq_leaf's fan-out map
         self._resolved: dict = {}   # (run, leaf, reads) -> _resolve's leaf
         self._sorted: dict = {}     # elements -> elements by elem_key
+        # every context of the build grows from this one and shares its
+        # value table
+        self._empty = Context(prog)
 
     # -- small helpers
 
@@ -599,7 +659,7 @@ class Builder:
         return k
 
     def empty_ctx(self) -> Context:
-        return Context(self.prog)
+        return self._empty
 
     def id_leaf(self) -> int:
         return self.arena.leaf({()})

@@ -677,14 +677,16 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     ("placement.json", lambda d: dict(d, placement={}),
      "state variable 'established' is unplaced"),
     ("diagram.json", _set_node(0, "lo", 999),
-     "node 0 references unknown node 999")],
+     "node 0 references unknown node 999"),
+    ("diagram.json", _set_node(0, "lo", 0),
+     "node 0 leads back to node 0, a cycle")],
     ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
          "unplaced-var", "flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
          "walk-crosses-no-link", "walk-reuses-a-link", "fwd-off-the-walk",
          "emit-on-the-walk", "no-rule-on-the-walk", "rule-off-the-walk",
          "rule-without-walk", "group-off-the-walk", "undeclared-placed",
-         "declared-unplaced", "dangling-child"])
+         "declared-unplaced", "dangling-child", "cycle"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
     """A rule that forwards to a switch that is not a neighbour, emits on
@@ -702,7 +704,8 @@ def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     the variables of the bundle's `program.snap`: one that places a
     variable the program does not declare, or leaves `established`
     unplaced.  So does a node of `diagram.json` whose child is no node of
-    the diagram."""
+    the diagram, and one whose child leads back to it: a packet's walk of
+    the diagram would never end."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),

@@ -406,14 +406,46 @@ def test_json_round_trip_for_tests_and_atoms():
         assert xfdd.atom_from_json(xfdd.atom_to_json(a)) == a
 
 
+def _hashed_nodes(span, n: int) -> list:
+    """One instance of each class that hashes once (`lang.hash_once`),
+    with `span` where the class has one and n in a compared field."""
+    ip = IPv4Address(f"10.0.0.{n}")
+    idx = lang.TupleExpr((lang.FieldRef(f"f{n}", span), lang.Lit(ip, span)),
+                         span)
+    return [lang.Lit(ip, span), lang.FieldRef(f"f{n}", span), idx,
+            lang.Mod("outport", n, span),
+            lang.StateSet("s", idx, lang.Lit(n, span), span),
+            lang.Incr(f"s{n}", idx, span), lang.Decr(f"s{n}", idx, span),
+            xfdd.TFieldValue("dstip", IPv4Network(f"10.{n}.0.0/16")),
+            xfdd.TFieldField("a", f"f{n}"),
+            xfdd.TStateTest("s", idx, lang.Lit(n, span))]
+
+
+def test_tests_and_actions_hash_once_over_their_compared_fields():
+    """Each class that keeps its hash: two instances that differ only in
+    their span are equal and hash alike, with the hash the dataclass
+    would compute over the compared fields; a `dataclasses.replace` copy
+    hashes as a fresh instance of its fields does."""
+    for a, b, c in zip(_hashed_nodes(lang.Span(1, 1), 1),
+                       _hashed_nodes(lang.Span(3, 9), 1),
+                       _hashed_nodes(None, 2)):
+        compared = [f.name for f in dataclasses.fields(a) if f.compare]
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, f) for f in compared))
+        copy = dataclasses.replace(a, **{f: getattr(c, f) for f in compared})
+        assert copy == c and hash(copy) == hash(c) != hash(a)
+
+
 # ------------------------------------------------ closure reference
 
 class ReferenceContext(xfdd.Context):
     """The path-fact closure as it was built before contexts were
     extended from their parents: from scratch over the whole fact list at
-    every step.  Queries (`imply`, `value_of`) are Context's own."""
+    every step.  Its queries (`imply`, `value_of`) are its own too, over
+    lists of candidate values, as they were before Context kept them as
+    masks, so the test compares two independent closures."""
 
-    __slots__ = ("facts",)
+    __slots__ = ("schema", "facts")
 
     def __init__(self, schema, facts: tuple = ()):
         self.schema = schema
@@ -526,6 +558,83 @@ class ReferenceContext(xfdd.Context):
         self._neq = neq
         self._st = st
 
+    def _class(self, f: str) -> dict:
+        c = self._classes.get(self._rep(f))
+        if c is not None:
+            return c
+        d = self.schema.domain_of(f)
+        return {"val": None, "noval": [], "pyes": [], "pno": [],
+                "cands": list(d) if d is not None else None}
+
+    def value_of(self, f: str):
+        return self._class(f)["val"]
+
+    def imply(self, t):
+        test_match, values_equal = values.test_match, values.values_equal
+        if isinstance(t, xfdd.TFieldValue):
+            c = self._class(t.field)
+            if c["val"] is not None:
+                return test_match(c["val"], t.value)
+            if isinstance(t.value, IPv4Network):
+                for p in c["pyes"]:
+                    if p.subnet_of(t.value):
+                        return True
+                    if not p.overlaps(t.value):
+                        return False
+                for p in c["pno"]:
+                    if t.value.subnet_of(p):
+                        return False
+                if c["cands"] is not None:
+                    hits = [test_match(v, t.value) for v in c["cands"]]
+                    if all(hits):
+                        return True
+                    if not any(hits):
+                        return False
+                return None
+            if any(values_equal(t.value, x) for x in c["noval"]):
+                return False
+            for p in c["pyes"]:
+                if not test_match(t.value, p):
+                    return False
+            for p in c["pno"]:
+                if test_match(t.value, p):
+                    return False
+            if c["cands"] is not None:
+                hits = [values_equal(v, t.value) for v in c["cands"]]
+                if not any(hits):
+                    return False
+                if all(hits):
+                    return True
+            return None
+        if isinstance(t, xfdd.TFieldField):
+            r1, r2 = self._rep(t.f1), self._rep(t.f2)
+            if r1 == r2:
+                return True
+            for a, b in self._neq:
+                if {a, b} == {r1, r2}:
+                    return False
+            c1, c2 = self._class(t.f1), self._class(t.f2)
+            if c1["val"] is not None and c2["val"] is not None:
+                return values_equal(c1["val"], c2["val"])
+            if c1["cands"] is not None and c2["cands"] is not None:
+                if not any(values_equal(a, b)
+                           for a in c1["cands"] for b in c2["cands"]):
+                    return False
+            return None
+        slot = self._st.get((t.var, deps.expr_key(t.index)))
+        if slot is None:
+            return None
+        rk = deps.expr_key(t.rhs)
+        if slot["yes"] == rk:
+            return True
+        if rk in slot["no"]:
+            return False
+        if slot["yes"] is not None:
+            y = slot["rhs"].get(slot["yes"])
+            if isinstance(y, lang.Lit) and isinstance(t.rhs, lang.Lit):
+                return False    # cell equals a different literal
+        return None
+
 
 CLOSURE_SRC = """
 state s[1] default 0;
@@ -606,6 +715,18 @@ JOINED_PREFIXES = [
     (xfdd.TFieldValue("dst", IPv4Network("10.0.0.0/16")), True),
     (xfdd.make_ff("dst", "gw"), True),
 ]
+
+
+def test_a_prefix_mask_takes_in_addresses_that_enter_later():
+    """The contexts of one build share the value table.  A prefix test's
+    mask, computed on one path, takes in an address that enters the
+    table later, on another path."""
+    prog = lang.parse(CLOSURE_SRC)
+    root = xfdd.Context(prog)
+    p = xfdd.TFieldValue("dst", IPv4Network("10.0.0.0/8"))
+    for addr in ("10.0.0.1", "10.0.2.1", "11.0.0.1", "10.0.3.1"):
+        ctx = root.add(xfdd.TFieldValue("dst", IPv4Address(addr)), True)
+        assert ctx.imply(p) is addr.startswith("10."), addr
 
 
 def test_context_add_equals_the_rebuilt_closure():
