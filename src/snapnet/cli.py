@@ -3,11 +3,12 @@
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success (and --help), 1 compile errors
 (parse, race, unsupported composition), 2 infeasible placement/routing
-or a failed check (of the rules, routing.json's walks and diagram.json),
-3 usage errors (an unknown option, a missing required one, a --budget
-below 1), I/O errors, malformed topology, placement, trace or bundle
-files, and a simulated packet that crosses more links than any walk may
-(a loop).
+or a failed check (of the waiting-packet groups, routing.json's walks
+and their cost, and diagram.json; each switch's forwarding rules follow
+from its walks), 3 usage errors (an unknown option, a missing required
+one, a --budget below 1), I/O errors, malformed topology, placement,
+trace or bundle files, and a simulated packet that crosses more links
+than any walk may (a loop).
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).

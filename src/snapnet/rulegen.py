@@ -29,13 +29,15 @@ The simulator carries the header with the entry packet as one record,
 `simnet._Copy`, whose docstring gives its fields.  A bundle says each
 fact once: the program's declarations (`program.snap`), the placement,
 the pruned and numbered diagram (`diagram.json`), the walks and, per
-switch, its rules (`write_bundle`).  The simulator cuts each switch's
-fragment from the diagram and the placement when it loads the bundle.
+switch, its waiting-packet groups (`write_bundle`).  `load_bundle`
+derives each switch's resolved rules from the walks, and the simulator
+cuts each switch's fragment from the diagram and the placement.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -53,6 +55,8 @@ class SwitchConfig:
 
 @dataclass
 class DeploymentBundle:
+    """A compiled deployment.  Each config's resolved rules follow from
+    `routing` (`resolved_rules`), so a written bundle leaves them out."""
     mode: str
     placement: dict              # state var -> switch id
     routing: dict                # (u, v) -> walk (node, ...)
@@ -154,14 +158,21 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
 
 # ---------------------------------------------------------------- routing
 
-def walk_rules(u, v, path) -> dict:
-    """The resolved rule of flow (u, v) at each switch of its walk: fwd to
-    the hop after the switch's last occurrence on the walk (a packet that
-    comes back to a switch leaves it the later way), and emit on v at the
-    walk's last switch."""
-    rules = {a: ("fwd", b) for a, b in zip(path, path[1:])}
-    rules[path[-1]] = ("emit", v)
-    return rules
+def resolved_rules(routing: dict, switches) -> dict:
+    """switch -> {(u, v): rule} for each switch in `switches`, from the
+    walks of `routing` ({(u, v): walk}): a flow's rule at a switch of its
+    walk is fwd to the hop after the switch's last occurrence on the walk
+    (a packet that comes back to a switch leaves it the later way), and
+    emit on v at the walk's last switch.  A rule at a switch outside
+    `switches` is left out."""
+    out: dict = {sid: {} for sid in switches}
+    for (u, v), path in routing.items():
+        for a, b in zip(path, path[1:]):
+            if a in out:
+                out[a][(u, v)] = ("fwd", b)
+        if path[-1] in out:
+            out[path[-1]][(u, v)] = ("emit", v)
+    return out
 
 
 def group_hops(path, a, owner) -> set:
@@ -182,7 +193,8 @@ def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
     """Per-switch routing tables for `routing` ({(u, v): walk}).
 
     Resolved rules, keyed (obs_inport, obs_outport): next hop along the
-    flow's walk, with an emit action at the egress switch.
+    flow's walk, with an emit action at the egress switch
+    (`resolved_rules`).
 
     Unresolved rules, keyed (obs_inport, state variable): a weighted group
     over the candidate walks of flows (u, v_i) that need the
@@ -190,12 +202,8 @@ def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
     proportional to the flows' demand volumes; the selection also tags
     the packet with the chosen path identifier (u, v_i).  A packet blocked
     at any resume point of the variable uses the one group."""
-    resolved: dict = {sid: {} for sid in topo.nodes}
     unresolved: dict = {sid: {} for sid in topo.nodes}
-
     for (u, v), path in sorted(routing.items()):
-        for a, rule in walk_rules(u, v, path).items():
-            resolved[a][(u, v)] = rule
         w = topo.demands.get((u, v), 0.0)
         stops = opt.exec_positions(path, demand.states_for(u, v),
                                    placement, dep)
@@ -212,7 +220,7 @@ def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
     for sid in unresolved:
         unresolved[sid] = {k: tuple(sorted(rows, key=lambda e: (e[1], e[2])))
                            for k, rows in unresolved[sid].items()}
-    return resolved, unresolved
+    return resolved_rules(routing, topo.nodes), unresolved
 
 
 # ---------------------------------------------------------------- pipeline
@@ -326,31 +334,21 @@ def _diagram_from_json(d: dict) -> dict:
     return {"root": _int_from_json(d["root"], "root"), "nodes": nodes}
 
 
-def _config_to_json(c: SwitchConfig) -> dict:
-    return {
-        "id": c.switch,
-        "rules": {
-            "resolved": [{"inport": u, "outport": v,
-                          "action": act[0], "arg": act[1]}
-                         for (u, v), act in sorted(c.resolved.items())],
-            "unresolved": [{"inport": u, "var": s,
-                            "group": [{"weight": w, "tag": v, "next": nh}
-                                      for w, v, nh in rows]}
-                           for (u, s), rows in sorted(c.unresolved.items())],
-        },
-    }
+def _groups_to_json(c: SwitchConfig) -> dict:
+    return {"id": c.switch,
+            "groups": [{"inport": u, "var": s,
+                        "group": [{"weight": w, "tag": v, "next": nh}
+                                  for w, v, nh in rows]}
+                       for (u, s), rows in sorted(c.unresolved.items())]}
 
 
-def _config_from_json(d: dict) -> SwitchConfig:
-    resolved = {(r["inport"], r["outport"]): (r["action"], r["arg"])
-                for r in d["rules"]["resolved"]}
-    unresolved = {(r["inport"], r["var"]):
-                  tuple((g["weight"], _int_from_json(g["tag"], "tag",
-                                                     "a port"), g["next"])
-                        for g in r["group"])
-                  for r in d["rules"]["unresolved"]}
-    return SwitchConfig(switch=d["id"], resolved=resolved,
-                        unresolved=unresolved)
+def _groups_from_json(d: dict) -> tuple:
+    """(switch id, its waiting-packet groups) of a switch file."""
+    return d["id"], {(r["inport"], r["var"]):
+                     tuple((g["weight"], _int_from_json(g["tag"], "tag",
+                                                        "a port"), g["next"])
+                           for g in r["group"])
+                     for r in d["groups"]}
 
 
 def _dump(path: str, obj) -> None:
@@ -385,7 +383,7 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
           {"flows": opt.routing_to_json(bundle.routing)})
     for sid in sorted(bundle.configs):
         _dump(os.path.join(swdir, f"{sid}.json"),
-              _config_to_json(bundle.configs[sid]))
+              _groups_to_json(bundle.configs[sid]))
 
 
 def _json_object(text: str) -> dict:
@@ -420,14 +418,23 @@ def _placement_from_json(d) -> dict:
     return placement
 
 
+def _objective_from_json(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"objective {x!r} is not a number")
+    return x
+
+
 def load_bundle(dirpath: str) -> DeploymentBundle:
     """Read a bundle directory written by write_bundle.  InputError when a
     part is missing (`program.snap` or `diagram.json`, in a bundle
     written before the declarations or the diagram moved there) or
     malformed (a placement value or a walk that is not switch names, a
     root or child that is not a node id, a node or a flow listed twice, a
-    `program.snap` that does not parse), or a switch file holds the
-    config of a switch it is not named after."""
+    `program.snap` that does not parse, an objective that is not a
+    number), or a switch file holds the groups of a switch it is not
+    named after or lacks the `groups` key (a file written before the
+    resolved rules were left to `routing.json`).  Each switch's resolved
+    rules come from the walks (`resolved_rules`)."""
     kw = _read_part(os.path.join(dirpath, "program.snap"),
                     lambda p: {"states": p.states, "fields": p.fields},
                     parse=lang.parse)
@@ -435,24 +442,28 @@ def load_bundle(dirpath: str) -> DeploymentBundle:
                          lambda d: {"mode": d["mode"],
                                     "placement": _placement_from_json(
                                         d["placement"]),
-                                    "objective": d["objective"],
+                                    "objective": _objective_from_json(
+                                        d["objective"]),
                                     "exact": d["exact"]}))
     kw.update(_read_part(os.path.join(dirpath, "diagram.json"),
                          _diagram_from_json))
     kw.update(_read_part(os.path.join(dirpath, "routing.json"),
                          lambda d: {"routing": opt.routing_from_json(
                              d["flows"])}))
-    configs = {}
+    groups = {}
     swdir = os.path.join(dirpath, "switch")
     for name in sorted(os.listdir(swdir)):
         if not name.endswith(".json"):
             continue
         path = os.path.join(swdir, name)
-        c = _read_part(path, _config_from_json)
-        if name != f"{c.switch}.json":
+        sid, rows = _read_part(path, _groups_from_json)
+        if name != f"{sid}.json":
             raise InputError(f"{path}: holds the config of switch "
-                             f"{c.switch!r}, not {name[:-5]!r}")
-        configs[c.switch] = c
+                             f"{sid!r}, not {name[:-5]!r}")
+        groups[sid] = rows
+    resolved = resolved_rules(kw["routing"], groups)
+    configs = {sid: SwitchConfig(sid, resolved[sid], groups[sid])
+               for sid in groups}
     return DeploymentBundle(configs=configs, **kw)
 
 
@@ -488,25 +499,25 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     variables (`bundle.states`) and of those the diagram names, on
     switches of the topology, a root and children that name nodes of the
     diagram, state tests and operations that index a declared variable
-    with its declared arity, rules that name placed variables, forward
-    to neighbours and emit on the switch's own external ports, a config
-    for every topology switch and none for another, and a walk for exactly
-    the topology's demands, each from u's switch to v's over links of the
-    topology, none of them twice.  The resolved rules must follow the
-    walks (`walk_rules`): every switch on a walk holds the flow's rule,
-    and no switch holds a rule for a flow whose walk does not pass it.
+    with its declared arity, groups that name placed variables and
+    forward to neighbours, a config for every topology switch and none
+    for another, and a walk for exactly the topology's demands, each from
+    u's switch to v's over links of the topology, none of them twice.
+    Once every demand has such a walk, the objective must be the walks'
+    cost, each flow's demand times the sum of 1/capacity over its links,
+    to a relative 1e-9.  The resolved rules are not checked: a compile
+    and `load_bundle` both derive them from the walks (`resolved_rules`).
     Each row (w, v, next) of switch a's waiting-packet group (u, s) must
     be one that `gen_routing` could give: the walk of flow (u, v) visits
     s's owner after a, `next` is the hop after a's last visit before
     that, and w is the flow's demand (`group_hops`).  Whether every flow
     that needs s has a row is not checked yet, though the bundle's
-    pruned diagram says which variables each flow needs.  A rule or walk
+    pruned diagram says which variables each flow needs.  A row or walk
     that fails one of the checks before is not compared, and nor is a
-    rule of a demand that has no walk: its one problem is already listed.
+    row of a demand that has no walk: its one problem is already listed.
     No child may lead back to a node above it: a packet's walk of the
     diagram would follow that cycle for ever.  Returns a list of problem
     strings (empty means ok)."""
-    rules: dict = {}    # (switch, flow) -> a resolved rule of sound shape
     rows: list = []     # (switch, u, s, row): group rows of sound shape
     declared = set(bundle.states)
     points = state_resume_points(bundle.nodes)
@@ -537,20 +548,8 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
         if sid not in topo.nodes:
             problems.append(f"config for unknown switch {sid!r}")
             continue
-        # a list and a tuple: a target read as a list is compared, not hashed
+        # a list: a next hop read as a list is compared, not hashed
         nbrs = [link.dst for link in topo.out_links(sid)]
-        ports = topo.nodes[sid].external_ports
-        for (u, v), (act, arg) in cfg.resolved.items():
-            if act == "fwd" and arg not in nbrs:
-                problems.append(
-                    f"switch {sid}: rule ({u},{v}) next hop {arg!r} is not "
-                    "a neighbor")
-            elif act == "emit" and arg not in ports:
-                problems.append(
-                    f"switch {sid}: rule ({u},{v}) emits on {arg!r}, not "
-                    "one of its external ports")
-            else:
-                rules[(sid, (u, v))] = (act, arg)
         for (u, s), group in cfg.unresolved.items():
             placed = bundle.placement.get(s) in topo.nodes
             # a declared variable left unplaced is reported once above
@@ -588,26 +587,13 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
             problems.append(f"walk of flow ({u},{v}) reuses a link")
         if len(problems) == before:
             sound[(u, v)] = path
-    for (u, v), path in sound.items():
-        for sid, (act, arg) in walk_rules(u, v, path).items():
-            if sid not in bundle.configs:
-                continue
-            have = bundle.configs[sid].resolved.get((u, v))
-            if have is None:
-                problems.append(f"switch {sid}: no rule for flow ({u},{v}), "
-                                "whose walk passes it")
-            elif (sid, (u, v)) in rules and have != (act, arg):
-                problems.append(
-                    f"switch {sid}: rule ({u},{v}) is {have[0]} {have[1]!r}, "
-                    f"but the flow's walk gives {act} {arg!r}")
-    for sid, (u, v) in rules:
-        if (u, v) in sound:
-            if sid not in sound[(u, v)]:
-                problems.append(f"switch {sid}: rule ({u},{v}) is for a flow "
-                                "whose walk does not pass it")
-        elif (u, v) not in bundle.routing and (u, v) not in topo.demands:
-            problems.append(f"switch {sid}: rule ({u},{v}) is for a flow "
-                            "with no walk")
+    if len(sound) == len(topo.demands):
+        cost = sum(topo.demands[f] * sum(1 / topo.links[link].capacity
+                                         for link in zip(path, path[1:]))
+                   for f, path in sound.items())
+        if not math.isclose(bundle.objective, cost, rel_tol=1e-9):
+            problems.append(f"objective {bundle.objective!r}, but the walks "
+                            f"cost {cost!r}")
     for sid, u, s, (w, v, nh) in rows:
         says = f"switch {sid}: group ({u},{s!r}) row ({u},{v})"
         path = sound.get((u, v))

@@ -471,8 +471,8 @@ def trace_to_json(events: list) -> list:
 
 def read_trace(path: str, topo) -> list:
     """Trace input: JSON lines, each {"port": int, "packet": {field: value}}
-    with an external port of `topo`; InputError naming the line if one is
-    not of that shape."""
+    and no other key, with an external port of `topo`; InputError naming
+    the line if one is not of that shape."""
     ports = set(topo.external_ports())
     out = []
     with open(path) as f:
@@ -484,9 +484,9 @@ def read_trace(path: str, topo) -> list:
                 d = json.loads(line)
             except json.JSONDecodeError as e:
                 raise InputError(f"trace line {n}: {e.msg}") from e
-            if not (isinstance(d, dict) and "port" in d and "packet" in d):
+            if not (isinstance(d, dict) and d.keys() == {"port", "packet"}):
                 raise InputError(f"trace line {n}: expected an object with "
-                                 f"'port' and 'packet'")
+                                 "'port' and 'packet' and no other key")
             port, pkt = d["port"], d["packet"]
             if not isinstance(pkt, dict):
                 raise InputError(f"trace line {n}: packet is not an object")

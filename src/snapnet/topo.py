@@ -74,8 +74,8 @@ class Topology:
 
     def validate(self):
         """ValueError unless the topology is well formed: switch ids are
-        strings; ports are ints (not bools), exposed once, and at least
-        one; links join two distinct known nodes with a finite positive
+        strings; ports are non-negative ints (not bools), exposed once,
+        and at least one; links join two distinct known nodes with a finite positive
         capacity; demands join known ports with a finite volume >= 0."""
         if not self.nodes:
             raise ValueError("empty topology")
@@ -112,6 +112,9 @@ def _check_port(p, what: str) -> None:
     # bool is a subclass of int, and JSON's true is no port
     if isinstance(p, bool) or not isinstance(p, int):
         raise ValueError(f"{what} {p!r} is not an int")
+    # the language has no negative literal: no program could name it
+    if p < 0:
+        raise ValueError(f"{what} {p} is negative")
 
 
 def _number(x, what: str) -> float:

@@ -158,14 +158,16 @@ def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
     _two_switches(relink=5), _two_switches(demands_key="demand"),
     _two_switches(capcity=3), _two_switches(both="false"),
     _two_switches(node={"ports": [3]}), _two_switches(link={"capcity": 3}),
-    _two_switches(demand={"vol": 3}), _two_switches(loop=True)],
+    _two_switches(demand={"vol": 3}), _two_switches(loop=True),
+    _two_switches(node={"external_ports": [-1]}, u=-1)],
     ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
          "nan-volume", "fractional-port", "bool-port",
          "switch-id-not-a-string", "bool-capacity", "string-volume",
          "switch-listed-twice", "demand-listed-twice",
          "link-listed-twice", "demands-misspelled", "unknown-key",
          "bidirectional-not-a-bool", "unknown-key-in-a-switch",
-         "unknown-key-in-a-link", "unknown-key-in-a-demand", "self-loop"])
+         "unknown-key-in-a-link", "unknown-key-in-a-demand", "self-loop",
+         "negative-port"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))
@@ -227,11 +229,12 @@ def test_placement_not_an_object_exits_3(tmp_path, capsys, content):
                                   '{"port": 1, "packet": [1]}',
                                   '{"port": "1", "packet": {}}',
                                   '{"port": 1, "packet": {"inport": 1.5}}',
-                                  '{"port": 999, "packet": {"inport": 1}}'],
+                                  '{"port": 999, "packet": {"inport": 1}}',
+                                  '{"port": 1, "packet": {}, "pkt": {}}'],
                          ids=["not-json", "no-packet", "no-port",
                               "not-an-object",
                               "packet-not-an-object", "port-not-an-int",
-                              "bad-value", "unknown-port"])
+                              "bad-value", "unknown-port", "unknown-key"])
 def test_malformed_trace_line_exits_3(tmp_path, capsys, line):
     """simulate names the first malformed line of its trace (here the
     second; the first is good) and exits 3."""
@@ -334,13 +337,12 @@ def test_usage_error_exits_3(tmp_path, capsys, extra, says):
     assert not out.exists()
 
 
-def _set_rule(kind, inport, key, field, value):
-    """Bundle damage: set `field` of the `kind` rule of `inport` whose
-    outport (resolved) or variable (unresolved) is `key`."""
+def _set_group(inport, var, field, value):
+    """Bundle damage: set `field` of the waiting-packet group of
+    (`inport`, `var`)."""
     def damage(d):
-        for r in d["rules"][kind]:
-            if r["inport"] == inport and key in (r.get("outport"),
-                                                 r.get("var")):
+        for r in d["groups"]:
+            if (r["inport"], r["var"]) == (inport, var):
                 r[field] = value
         return d
     return damage
@@ -350,7 +352,7 @@ def _set_row(inport, var, tag, field, value):
     """Bundle damage: set `field` of the row tagged `tag` in the
     waiting-packet group of (`inport`, `var`)."""
     def damage(d):
-        for r in d["rules"]["unresolved"]:
+        for r in d["groups"]:
             if (r["inport"], r["var"]) == (inport, var):
                 for row in r["group"]:
                     if row["tag"] == tag:
@@ -359,34 +361,24 @@ def _set_row(inport, var, tag, field, value):
     return damage
 
 
-def _add_rule(inport, outport, action, arg):
-    """Bundle damage: add a resolved rule."""
-    def damage(d):
-        d["rules"]["resolved"].append({"inport": inport, "outport": outport,
-                                       "action": action, "arg": arg})
-        return d
-    return damage
-
-
-def _drop_rule(inport, outport):
-    """Bundle damage: remove the resolved rule of flow (inport, outport)."""
-    def damage(d):
-        d["rules"]["resolved"] = [
-            r for r in d["rules"]["resolved"]
-            if (r["inport"], r["outport"]) != (inport, outport)]
-        return d
-    return damage
-
-
 def _old_format_rules(d):
     """A switch config in the format that keyed each waiting-packet group
     by resume point rather than by state variable."""
-    rules = d["rules"]["unresolved"]
+    rules = d["groups"]
     assert rules
     for r in rules:
         r["resume"] = {"kind": "node", "id": 0}
         del r["var"]
     return d
+
+
+def _old_format_resolved(d):
+    """A switch config in the format that listed, beside the groups, the
+    resolved rule of each flow whose walk passes the switch."""
+    return {"id": d["id"],
+            "rules": {"resolved": [{"inport": 1, "outport": 2,
+                                    "action": "fwd", "arg": "C1"}],
+                      "unresolved": d["groups"]}}
 
 
 def _weighted_paths(d):
@@ -420,6 +412,8 @@ def _set_walk(i, nodes):
     ("placement.json", lambda d: dict(d, placement=dict(
         d["placement"], established=["C5"])),
      "placement of 'established' is ['C5'], not a switch name"),
+    ("placement.json", lambda d: dict(d, objective="3.0"),
+     "objective '3.0' is not a number"),
     ("routing.json", lambda d: {}, "missing key 'flows'"),
     ("routing.json", _weighted_paths, "missing key 'nodes'"),
     ("routing.json", _set_walk(0, "I1C1"),
@@ -436,23 +430,28 @@ def _set_walk(i, nodes):
     ("diagram.json", _set_node(0, "hi", [1]), "hi [1] is not a node id"),
     ("diagram.json", None, "not found; compile the bundle again"),
     ("switch/I1.json", _old_format_rules, "missing key 'var'"),
+    ("switch/I1.json", _old_format_resolved, "missing key 'groups'"),
     ("switch/I1.json", _set_row(1, "established", 2, "tag", [2]),
      "tag [2] is not a port"),
     ("program.snap", None, "not found; compile the bundle again"),
     ("program.snap", lambda s: s.replace("default False", "default"),
      "1:29: expected a value literal, found ';'")],
-    ids=["placement-no-mode", "placement-value-a-list", "routing-no-flows",
+    ids=["placement-no-mode", "placement-value-a-list",
+         "placement-objective-a-string", "routing-no-flows",
          "routing-weighted-paths", "routing-walk-a-string",
          "routing-walk-empty", "routing-flow-twice", "switch-a-list",
          "diagram-no-nodes", "diagram-nodes-a-number", "diagram-node-twice",
          "diagram-child-a-list", "diagram-missing",
          "switch-rules-keyed-by-resume-point",
+         "switch-rules-with-resolved",
          "group-tag-a-list", "program-missing", "program-does-not-parse"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3.  A
     bundle without `program.snap` or `diagram.json` (every bundle written
-    before the declarations or the diagram moved there) is one, and so is
-    a `program.snap` that does not parse: bad input, not a compile error
+    before the declarations or the diagram moved there) is one, so is a
+    switch file that lists resolved rules beside its groups (every bundle
+    written before the rules were left to the walks), and so is a
+    `program.snap` that does not parse: bad input, not a compile error
     (exit 1)."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
@@ -486,8 +485,7 @@ def test_switch_file_named_for_another_switch_exits_3(tmp_path, capsys):
     assert code == 0
     stray = bundle / "switch" / "ZZ.json"
     d = json.loads((bundle / "switch" / "I1.json").read_text())
-    stray.write_text(json.dumps(dict(d, rules={"resolved": [],
-                                               "unresolved": []})))
+    stray.write_text(json.dumps(dict(d, groups=[])))
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
     for argv in (["simulate", "--trace", str(trace)], ["check"]):
@@ -633,14 +631,7 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("part, damage, says", [
-    ("switch/I1.json", _set_rule("resolved", 1, 2, "arg", "D4"),
-     "switch I1: rule (1,2) next hop 'D4' is not a neighbor"),
-    ("switch/I1.json", _set_rule("resolved", 1, 2, "arg", ["C1"]),
-     "switch I1: rule (1,2) next hop ['C1'] is not a neighbor"),
-    ("switch/I2.json", _set_rule("resolved", 1, 2, "arg", 3),
-     "switch I2: rule (1,2) emits on 3, not one of its external ports"),
-    ("switch/I1.json", _set_rule("unresolved", 1, "established", "var",
-                                 "nosuch"),
+    ("switch/I1.json", _set_group(1, "established", "var", "nosuch"),
      "switch I1: rule (1,'nosuch') names a variable with no placement"),
     ("routing.json", lambda d: dict(d, flows=d["flows"][1:]),
      "flow (1,2) has no walk"),
@@ -656,18 +647,11 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
     ("routing.json", _set_walk(0, ["I1", "C1", "I1", "C1", "C5", "C6",
                                    "C2", "I2"]),
      "walk of flow (1,2) reuses a link"),
-    ("switch/C6.json", _set_rule("resolved", 1, 2, "arg", "C4"),
-     "switch C6: rule (1,2) is fwd 'C4', but the flow's walk gives "
-     "fwd 'C2'"),
-    ("switch/I1.json", lambda d: _add_rule(1, 2, "emit", 1)(
-        _drop_rule(1, 2)(d)),
-     "switch I1: rule (1,2) is emit 1, but the flow's walk gives fwd 'C1'"),
-    ("switch/C6.json", _drop_rule(1, 2),
-     "switch C6: no rule for flow (1,2), whose walk passes it"),
-    ("switch/C3.json", _add_rule(1, 2, "fwd", "C5"),
-     "switch C3: rule (1,2) is for a flow whose walk does not pass it"),
-    ("switch/I1.json", _add_rule(1, 1, "emit", 1),
-     "switch I1: rule (1,1) is for a flow with no walk"),
+    ("routing.json", _set_walk(0, ["I1", "C1", "C5", "C3", "C4", "C2",
+                                   "I2"]),
+     "objective 12.399999999999972, but the walks cost 12.500000000000004"),
+    ("placement.json", lambda d: dict(d, objective=12.5),
+     "objective 12.5, but the walks cost 12.400000000000004"),
     ("switch/C1.json", _set_row(1, "established", 2, "next", "I1"),
      "switch C1: group (1,'established') row (1,2) forwards to 'I1', but "
      "the flow's walk gives 'C5'"),
@@ -680,27 +664,24 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
      "node 0 references unknown node 999"),
     ("diagram.json", _set_node(0, "lo", 0),
      "node 0 leads back to node 0, a cycle")],
-    ids=["fwd-to-non-neighbor", "fwd-to-a-list", "emit-on-foreign-port",
-         "unplaced-var", "flow-without-walk", "walk-of-no-demand",
+    ids=["unplaced-var", "flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
-         "walk-crosses-no-link", "walk-reuses-a-link", "fwd-off-the-walk",
-         "emit-on-the-walk", "no-rule-on-the-walk", "rule-off-the-walk",
-         "rule-without-walk", "group-off-the-walk", "undeclared-placed",
-         "declared-unplaced", "dangling-child", "cycle"])
+         "walk-crosses-no-link", "walk-reuses-a-link",
+         "walk-of-another-cost", "objective-edited", "group-off-the-walk",
+         "undeclared-placed", "declared-unplaced", "dangling-child",
+         "cycle"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
-    """A rule that forwards to a switch that is not a neighbour, emits on
-    another switch's port or names an unplaced variable fails `check`
-    (exit 2), and `simulate` refuses the bundle at load (exit 3), before
-    any packet reaches the rule.  So does a routing.json that does not
-    give each of the topology's demands, and no other flow, one walk from
-    u's switch to v's over links of the topology, none of them twice, and
-    a resolved rule that does not follow the walk of its flow: one that
-    sends the packet elsewhere (C6 to C4 sends flow (1,2) off its walk
-    I1-C1-C5-C6-C2-I2), one missing on the walk, one at a switch off the
-    walk, and one for a flow with no walk; and a waiting-packet group row
-    that sends the flow off its walk (C1 back to I1 before the owner C5
-    of `established`).  So does a placement that does not name exactly
+    """A waiting-packet group that names an unplaced variable fails
+    `check` (exit 2), and `simulate` refuses the bundle at load (exit 3),
+    before any packet reaches the group.  So does a routing.json that
+    does not give each of the topology's demands, and no other flow, one
+    walk from u's switch to v's over links of the topology, none of them
+    twice; an objective that is not the walks' cost: flow (1,2)'s walk
+    I1-C1-C5-C6-C2-I2 changed to the longer valid I1-C1-C5-C3-C4-C2-I2,
+    whose groups stay as they were, or placement.json's objective
+    edited; and a waiting-packet group row that sends the flow off its
+    walk (C1 back to I1 before the owner C5 of `established`).  So does a placement that does not name exactly
     the variables of the bundle's `program.snap`: one that places a
     variable the program does not declare, or leaves `established`
     unplaced.  So does a node of `diagram.json` whose child is no node of

@@ -242,13 +242,14 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    five format changes: the one that keyed the groups by variable (the
+    six format changes: the one that keyed the groups by variable (the
     last visit before the owner keeps the unresolved entry), the one
     that wrote each flow's routing as one walk, not a list of weighted
     paths, the one that stopped writing xfdd.dot, the one that moved
     the declarations from each switch file's `state_tables` into
-    `program.snap`, and the one that moved the diagram from the switch
-    files' `nodes` into `diagram.json`.  The walk change moved only
+    `program.snap`, the one that moved the diagram from the switch
+    files' `nodes` into `diagram.json`, and the one that left the
+    resolved rules to routing.json's walks.  The walk change moved only
     routing.json, so every other file keeps the digest it had before it.
     Both digests were pinned again when xfdd.dot went, with the values
     the commit before wrote for every file but xfdd.dot; again when
@@ -259,34 +260,45 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     the one before with only its `root` key removed, every
     switch/*.json equals the one before with only its `nodes` key
     removed, and `diagram.json` holds that root and the union of those
-    nodes."""
+    nodes; and again when the resolved rules went: program.snap,
+    placement.json, diagram.json and routing.json kept their bytes, and
+    every switch/*.json holds the one before's `id`, and its
+    `rules.unresolved` list as `groups`, and nothing else."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "f4e79a89a8c2ba611221df717436fba06ee891eb1b6d182c5bda6909b9cad753")
+        "749edacb614b3d851920e9fd48e45f842de713c2bb1e87d19120536e37671559")
     assert bundle_digest(bundle, tmp_path) == (
-        "a565669917452b696e89189df49878508ac8be651920de920b6fb6b176b00722")
+        "e371a1b71125e4efc873913726e1b52c436d0f648d026e23f84d867165be99c3")
     assert group_count(bundle) == 58
 
 
 @pytest.mark.pinned
-def test_compiled_rules_follow_the_walks():
-    """No false alarm from the rule agreement: every corpus policy composed
-    with assign-egress, on example12 and on generated(20, 3) at budget 64,
-    and the compile above whose walks revisit switches, passes
-    validate_bundle."""
+def test_compiled_rules_follow_the_walks(tmp_path):
+    """No false alarm, and the rules a loaded bundle derives from its walks
+    are the compile's: every corpus policy composed with assign-egress, on
+    example12 and on generated(20, 3) at budget 64, and the compile above
+    whose walks revisit switches, passes validate_bundle, and so does the
+    bundle written and loaded again, whose configs equal the compile's."""
+    def check(bundle, t, name):
+        assert rulegen.validate_bundle(bundle, t) == [], name
+        rulegen.write_bundle(bundle, str(tmp_path))
+        loaded = rulegen.load_bundle(str(tmp_path))
+        assert loaded.configs == bundle.configs, name
+        assert rulegen.validate_bundle(loaded, t) == [], name
+
     g20 = topo.generated(20, 3)
     for name in CORPUS:
         for t in (None, g20):
             _, t, bundle = compile_named([name, "assign-egress"], t,
                                          budget=64)
-            assert rulegen.validate_bundle(bundle, t) == [], name
+            check(bundle, t, name)
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
-    assert rulegen.validate_bundle(bundle, t) == []
+    check(bundle, t, "revisit")
 
 
 def test_each_group_row_fault_is_one_problem():
@@ -330,24 +342,24 @@ def test_group_hops_keep_the_last_visit_before_each_owner_visit():
         "O", "X"}
 
 
-def test_revisited_switch_forwards_the_later_way():
-    """A switch a walk passes twice forwards the flow the way the walk
-    leaves its last visit; the way it leaves the first visit is reported."""
-    _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
+def test_revisited_switch_forwards_the_later_way(tmp_path):
+    """A switch a walk passes twice forwards the flow, in a loaded bundle,
+    the way the walk leaves its last visit, not its first."""
+    _, _, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
-    for (u, v), path in sorted(bundle.routing.items()):
-        want = rulegen.walk_rules(u, v, path)
+    rulegen.write_bundle(bundle, str(tmp_path))
+    loaded = rulegen.load_bundle(str(tmp_path))
+    for (u, v), path in sorted(loaded.routing.items()):
+        # the hop after each switch's last visit; the egress switch emits
+        later = {a: b for a, b in zip(path, path[1:]) if a != path[-1]}
         earlier = [(a, b) for a, b in zip(path, path[1:])
-                   if want[a] != ("fwd", b)]
+                   if a in later and later[a] != b]
         if earlier:
             break
     assert earlier
     a, b = earlier[0]
-    bundle.configs[a].resolved[(u, v)] = ("fwd", b)
-    act, arg = want[a]
-    assert rulegen.validate_bundle(bundle, t) == [
-        f"switch {a}: rule ({u},{v}) is fwd {b!r}, but the flow's walk "
-        f"gives {act} {arg!r}"]
+    assert loaded.configs[a].resolved[(u, v)] == ("fwd", later[a])
+    assert later[a] != b
 
 
 @pytest.mark.pinned
@@ -355,12 +367,13 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from five format changes: the one that keyed
+    whole fact list, apart from six format changes: the one that keyed
     the groups by variable, the one that wrote each flow's routing as one
     walk, not a list of weighted paths, the one that stopped writing
     xfdd.dot, the one that moved the declarations from each switch file's
-    `state_tables` into `program.snap`, and the one that moved the
-    diagram from the switch files' `nodes` into `diagram.json`.  The walk
+    `state_tables` into `program.snap`, the one that moved the diagram
+    from the switch files' `nodes` into `diagram.json`, and the one that
+    left the resolved rules to routing.json's walks.  The walk
     change moved only routing.json, so every other file keeps the digest
     it had before it.  Both digests were pinned again when xfdd.dot went,
     with the values the commit before wrote for every file but xfdd.dot;
@@ -371,7 +384,11 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     equals the one before with only its `root` key removed, every
     switch/*.json equals the one before with only its `nodes` key
     removed, and `diagram.json` holds that root and the union of those
-    nodes.  Most path facts here are state tests."""
+    nodes; and again when the resolved rules went: program.snap,
+    placement.json, diagram.json and routing.json kept their bytes, and
+    every switch/*.json holds the one before's `id`, and its
+    `rules.unresolved` list as `groups`, and nothing else.  Most path
+    facts here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -380,9 +397,9 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "dbd8ece30b7978fe656157250d2979a3edaee76fb544ec3a191eb6bc547b9562")
+        "b5e7c05fe6a154c771bbe683c65d9f21bf3efe9438fbe50ede7693cf72968666")
     assert bundle_digest(bundle, tmp_path) == (
-        "1e04e7195e2b5270e5fdf4e5790f70b33cdd9bcd3b2c59514e4aa5e62395cc97")
+        "8b98cbf382ace09c9702c4be5a1da6b203976c9528bb7c15745deb5ebfa75cad")
     # one group per (inport, variable), not one per resume point
     assert group_count(bundle) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")
