@@ -3,12 +3,12 @@
 Subcommands: compile, deps, xfdd, map, place, reroute, export-lp,
 simulate, check.  Exit codes: 0 success (and --help), 1 compile errors
 (parse, race, unsupported composition), 2 infeasible placement/routing
-or a failed check (of the waiting-packet groups, routing.json's walks
-and their cost, and diagram.json; each switch's forwarding rules follow
-from its walks), 3 usage errors (an unknown option, a missing required
-one, a --budget below 1), I/O errors, malformed topology, placement,
-trace or bundle files, and a simulated packet that crosses more links
-than any walk may (a loop).
+or a failed check (of routing.json's walks and their cost, the
+placement, and diagram.json; each switch's forwarding rules and
+waiting-packet groups are derived from those at load), 3 usage errors
+(an unknown option, a missing required one, a --budget below 1), I/O
+errors, malformed topology, placement, trace or bundle files, and a
+simulated packet that crosses more links than any walk may (a loop).
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     t = topo.load(args.topology)
-    bundle = rulegen.load_bundle(args.bundle)
+    bundle = rulegen.load_bundle(args.bundle, t)
     problems = [str(p) for p in rulegen.validate_bundle(bundle, t)]
     if args.policy:
         prog = _load_program(args.policy)
@@ -209,6 +209,9 @@ def cmd_check(args) -> int:
                     problems.append(f"{kind} {name!r}: the bundle declares "
                                     f"{a}, the program {b}")
         order, demand, (nodes, root) = _demand(prog, t)
+        problems.extend(f"dep: ({s!r}, {u!r}) is in the "
+                        f"{'bundle' if (s, u) in bundle.dep else 'program'}"
+                        " only" for s, u in sorted(bundle.dep ^ order.dep))
         if root != bundle.root:
             problems.append(f"diagram: root {bundle.root}, not {root}")
         problems.extend(f"diagram: node {nid} differs from the program's"

@@ -27,11 +27,13 @@ Execution protocol (shared with the simulator):
     routed to it and emitted with the header stripped.
 The simulator carries the header with the entry packet as one record,
 `simnet._Copy`, whose docstring gives its fields.  A bundle says each
-fact once: the program's declarations (`program.snap`), the placement,
-the pruned and numbered diagram (`diagram.json`), the walks and, per
-switch, its waiting-packet groups (`write_bundle`).  `load_bundle`
-derives each switch's resolved rules from the walks, and the simulator
-cuts each switch's fragment from the diagram and the placement.
+fact once: the program's declarations (`program.snap`), the placement
+and the dependency relation (`placement.json`), the pruned and numbered
+diagram (`diagram.json`) and the walks (`routing.json`), as
+`write_bundle` says.  `load_bundle` derives each switch's resolved rules
+and waiting-packet groups from them (`switch_configs`), and the
+simulator cuts each switch's fragment from the diagram and the
+placement.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class SwitchConfig:
 
 @dataclass
 class DeploymentBundle:
-    """A compiled deployment.  Each config's resolved rules follow from
-    `routing` (`resolved_rules`), so a written bundle leaves them out."""
+    """A compiled deployment.  The configs follow from the other fields
+    (`switch_configs`), so a written bundle leaves them out."""
     mode: str
     placement: dict              # state var -> switch id
     routing: dict                # (u, v) -> walk (node, ...)
@@ -65,6 +67,7 @@ class DeploymentBundle:
     configs: dict                # switch id -> SwitchConfig
     states: dict                 # the program's declarations
     fields: dict                 # (`lang.Program.states`, `.fields`)
+    dep: frozenset               # `deps.OrderSpec.dep`: pairs (s, t)
     objective: float = 0.0
     exact: bool = False
 
@@ -175,20 +178,6 @@ def resolved_rules(routing: dict, switches) -> dict:
     return out
 
 
-def group_hops(path, a, owner) -> set:
-    """The next hops a waiting-packet group of switch `a` may give a flow
-    with walk `path` for a variable stored at `owner`: for each visit to
-    the owner, the hop after a's last visit before it."""
-    hops = set()
-    last = None
-    for i, n in enumerate(path):
-        if n == owner and last is not None:
-            hops.add(path[last + 1])
-        if n == a:
-            last = i
-    return hops
-
-
 def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
     """Per-switch routing tables for `routing` ({(u, v): walk}).
 
@@ -221,6 +210,16 @@ def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
         unresolved[sid] = {k: tuple(sorted(rows, key=lambda e: (e[1], e[2])))
                            for k, rows in unresolved[sid].items()}
     return resolved_rules(routing, topo.nodes), unresolved
+
+
+def switch_configs(routing: dict, placement: dict, demand, topo,
+                   dep) -> dict:
+    """switch id -> SwitchConfig, for every switch of `topo`: the rules
+    and groups `gen_routing` gives.  A compile and `load_bundle` both
+    build the configs here."""
+    resolved, unresolved = gen_routing(routing, placement, demand, topo, dep)
+    return {sid: SwitchConfig(sid, resolved[sid], unresolved[sid])
+            for sid in sorted(topo.nodes)}
 
 
 # ---------------------------------------------------------------- pipeline
@@ -258,18 +257,15 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
     times["P5"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    resolved, unresolved = gen_routing(sol.routing, sol.placement,
-                                       demand, topo, dep=m.dep)
-    configs = {sid: SwitchConfig(sid, resolved[sid], unresolved[sid])
-               for sid in sorted(topo.nodes)}
+    configs = switch_configs(sol.routing, sol.placement, demand, topo, m.dep)
     times["P6"] = time.monotonic() - t0
 
     return DeploymentBundle(mode="ST" if fixed is None else "TE",
                             placement=dict(sol.placement),
                             routing=sol.routing, nodes=nodes, root=root,
                             configs=configs, states=prog.states,
-                            fields=prog.fields, objective=sol.objective,
-                            exact=sol.exact)
+                            fields=prog.fields, dep=m.dep,
+                            objective=sol.objective, exact=sol.exact)
 
 
 # ---------------------------------------------------------------- dot
@@ -312,9 +308,9 @@ def _node_to_json(nid: int, node) -> dict:
             "hi": node[2], "lo": node[3]}
 
 
-def _int_from_json(v, what: str, kind: str = "a node id") -> int:
+def _int_from_json(v, what: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"{what} {v!r} is not {kind}")
+        raise ValueError(f"{what} {v!r} is not a node id")
     return v
 
 
@@ -334,23 +330,6 @@ def _diagram_from_json(d: dict) -> dict:
     return {"root": _int_from_json(d["root"], "root"), "nodes": nodes}
 
 
-def _groups_to_json(c: SwitchConfig) -> dict:
-    return {"id": c.switch,
-            "groups": [{"inport": u, "var": s,
-                        "group": [{"weight": w, "tag": v, "next": nh}
-                                  for w, v, nh in rows]}
-                       for (u, s), rows in sorted(c.unresolved.items())]}
-
-
-def _groups_from_json(d: dict) -> tuple:
-    """(switch id, its waiting-packet groups) of a switch file."""
-    return d["id"], {(r["inport"], r["var"]):
-                     tuple((g["weight"], _int_from_json(g["tag"], "tag",
-                                                        "a port"), g["next"])
-                           for g in r["group"])
-                     for r in d["groups"]}
-
-
 def _dump(path: str, obj) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, sort_keys=True, indent=2)
@@ -358,32 +337,36 @@ def _dump(path: str, obj) -> None:
 
 
 def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
-    """Write the bundle into `dirpath`, removing the switch configs that an
-    earlier bundle left there (`load_bundle` reads every one), the
-    program's declarations, with body `id`, to `program.snap`, and the
-    numbered diagram once, to `diagram.json`."""
+    """Write the bundle's four files into `dirpath`: the program's
+    declarations, with body `id`, to `program.snap`; the mode, objective,
+    exactness, placement and the dependency relation `dep` (sorted
+    [s, t] pairs) to `placement.json`; the numbered diagram once, to
+    `diagram.json`; and the walks to `routing.json`.  The configs are
+    left out: `load_bundle` derives them.  An older bundle's
+    `switch/*.json` files are removed, and then its `switch/` directory
+    if that leaves it empty."""
     swdir = os.path.join(dirpath, "switch")
-    os.makedirs(swdir, exist_ok=True)
-    keep = {f"{sid}.json" for sid in bundle.configs}
-    for name in os.listdir(swdir):
-        if name.endswith(".json") and name not in keep:
-            os.remove(os.path.join(swdir, name))
+    if os.path.isdir(swdir):
+        for name in os.listdir(swdir):
+            if name.endswith(".json"):
+                os.remove(os.path.join(swdir, name))
+        if not os.listdir(swdir):
+            os.rmdir(swdir)
+    os.makedirs(dirpath, exist_ok=True)
     with open(os.path.join(dirpath, "program.snap"), "w") as f:
         f.write(lang.pretty(lang.Program(bundle.states, bundle.fields,
                                          None, lang.Id())))
     _dump(os.path.join(dirpath, "placement.json"),
           {"mode": bundle.mode, "objective": bundle.objective,
            "exact": bundle.exact,
-           "placement": bundle.placement})
+           "placement": bundle.placement,
+           "dep": sorted(list(p) for p in bundle.dep)})
     _dump(os.path.join(dirpath, "diagram.json"),
           {"root": bundle.root,
            "nodes": [_node_to_json(nid, bundle.nodes[nid])
                      for nid in sorted(bundle.nodes)]})
     _dump(os.path.join(dirpath, "routing.json"),
           {"flows": opt.routing_to_json(bundle.routing)})
-    for sid in sorted(bundle.configs):
-        _dump(os.path.join(swdir, f"{sid}.json"),
-              _groups_to_json(bundle.configs[sid]))
 
 
 def _json_object(text: str) -> dict:
@@ -409,62 +392,67 @@ def _read_part(path: str, decode, parse=_json_object):
         raise InputError(f"{path}: {e}") from e
 
 
-def _placement_from_json(d) -> dict:
-    placement = dict(d)
+def _placement_from_json(d: dict) -> dict:
+    """The keyword arguments of `DeploymentBundle` that `placement.json`
+    holds, each of its shape."""
+    if d["mode"] not in ("ST", "TE"):
+        raise ValueError(f"mode {d['mode']!r} is not \"ST\" or \"TE\"")
+    x = d["objective"]
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"objective {x!r} is not a number")
+    if not isinstance(d["exact"], bool):
+        raise ValueError(f"exact {d['exact']!r} is not true or false")
+    placement = dict(d["placement"])
     for s, sid in placement.items():
         if not isinstance(sid, str):
             raise ValueError(f"placement of {s!r} is {sid!r}, not a "
                              "switch name")
-    return placement
+    dep = d["dep"]
+    if not (isinstance(dep, list) and all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(s, str) for s in p) for p in dep)):
+        raise ValueError(f"dep {dep!r} is not a list of [state, state] "
+                         "pairs")
+    return {"mode": d["mode"], "objective": x, "exact": d["exact"],
+            "placement": placement, "dep": frozenset(map(tuple, dep))}
 
 
-def _objective_from_json(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"objective {x!r} is not a number")
-    return x
-
-
-def load_bundle(dirpath: str) -> DeploymentBundle:
-    """Read a bundle directory written by write_bundle.  InputError when a
-    part is missing (`program.snap` or `diagram.json`, in a bundle
-    written before the declarations or the diagram moved there) or
-    malformed (a placement value or a walk that is not switch names, a
-    root or child that is not a node id, a node or a flow listed twice, a
+def load_bundle(dirpath: str, topo) -> DeploymentBundle:
+    """Read a bundle directory written by write_bundle, for `topo`.
+    InputError when a part is missing (`program.snap` or `diagram.json`,
+    in a bundle written before the declarations or the diagram moved
+    there) or malformed (a mode other than "ST" or "TE", an `exact` that
+    is not a JSON bool, a `dep` that is not a list of two-name lists, or
+    no `dep` at all, as in a bundle written while switch files held the
+    groups; a placement value or a walk that is not switch names, a root
+    or child that is not a node id, a node or a flow listed twice, a
     `program.snap` that does not parse, an objective that is not a
-    number), or a switch file holds the groups of a switch it is not
-    named after or lacks the `groups` key (a file written before the
-    resolved rules were left to `routing.json`).  Each switch's resolved
-    rules come from the walks (`resolved_rules`)."""
-    kw = _read_part(os.path.join(dirpath, "program.snap"),
-                    lambda p: {"states": p.states, "fields": p.fields},
-                    parse=lang.parse)
+    number).  Each config is derived as a compile derives it
+    (`switch_configs`), from the flow map of the loaded diagram under the
+    loaded declarations.  A bundle that fails `validate_bundle` loads
+    with no configs, because the derivation may not be able to read its
+    diagram or walks; `check` reports its problems, and the simulator
+    refuses it."""
+    prog = _read_part(os.path.join(dirpath, "program.snap"), lambda p: p,
+                      parse=lang.parse)
+    kw = {"states": prog.states, "fields": prog.fields}
     kw.update(_read_part(os.path.join(dirpath, "placement.json"),
-                         lambda d: {"mode": d["mode"],
-                                    "placement": _placement_from_json(
-                                        d["placement"]),
-                                    "objective": _objective_from_json(
-                                        d["objective"]),
-                                    "exact": d["exact"]}))
+                         _placement_from_json))
     kw.update(_read_part(os.path.join(dirpath, "diagram.json"),
                          _diagram_from_json))
     kw.update(_read_part(os.path.join(dirpath, "routing.json"),
                          lambda d: {"routing": opt.routing_from_json(
                              d["flows"])}))
-    groups = {}
-    swdir = os.path.join(dirpath, "switch")
-    for name in sorted(os.listdir(swdir)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(swdir, name)
-        sid, rows = _read_part(path, _groups_from_json)
-        if name != f"{sid}.json":
-            raise InputError(f"{path}: holds the config of switch "
-                             f"{sid!r}, not {name[:-5]!r}")
-        groups[sid] = rows
-    resolved = resolved_rules(kw["routing"], groups)
-    configs = {sid: SwitchConfig(sid, resolved[sid], groups[sid])
-               for sid in groups}
-    return DeploymentBundle(configs=configs, **kw)
+    bundle = DeploymentBundle(configs={}, **kw)
+    if not validate_bundle(bundle, topo):
+        dep = bundle.dep
+        order = deps.order_spec(deps.DependencyGraph(
+            frozenset(bundle.states).union(*dep), dep))
+        demand = psm.packet_state_map(bundle.nodes, bundle.root, topo,
+                                      order, prog)
+        bundle.configs = switch_configs(bundle.routing, bundle.placement,
+                                        demand, topo, dep)
+    return bundle
 
 
 # ---------------------------------------------------------------- checks
@@ -497,28 +485,19 @@ def _back_edges(nodes: dict, root: int) -> list:
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: a placement of exactly the declared
     variables (`bundle.states`) and of those the diagram names, on
-    switches of the topology, a root and children that name nodes of the
+    switches of the topology, a `dep` over declared variables, a root and children that name nodes of the
     diagram, state tests and operations that index a declared variable
-    with its declared arity, groups that name placed variables and
-    forward to neighbours, a config for every topology switch and none
-    for another, and a walk for exactly the topology's demands, each from
-    u's switch to v's over links of the topology, none of them twice.
-    Once every demand has such a walk, the objective must be the walks'
-    cost, each flow's demand times the sum of 1/capacity over its links,
-    to a relative 1e-9.  The resolved rules are not checked: a compile
-    and `load_bundle` both derive them from the walks (`resolved_rules`).
-    Each row (w, v, next) of switch a's waiting-packet group (u, s) must
-    be one that `gen_routing` could give: the walk of flow (u, v) visits
-    s's owner after a, `next` is the hop after a's last visit before
-    that, and w is the flow's demand (`group_hops`).  Whether every flow
-    that needs s has a row is not checked yet, though the bundle's
-    pruned diagram says which variables each flow needs.  A row or walk
-    that fails one of the checks before is not compared, and nor is a
-    row of a demand that has no walk: its one problem is already listed.
-    No child may lead back to a node above it: a packet's walk of the
-    diagram would follow that cycle for ever.  Returns a list of problem
-    strings (empty means ok)."""
-    rows: list = []     # (switch, u, s, row): group rows of sound shape
+    with its declared arity, and a walk for exactly the topology's
+    demands, each from u's switch to v's over links of the topology,
+    none of them twice.  Once every demand has such a walk, the objective
+    must be the walks' cost, each flow's demand times the sum of
+    1/capacity over its links, to a relative 1e-9.  No child may lead
+    back to a node above it: a packet's walk of the diagram would follow
+    that cycle for ever.  The configs are not checked: a compile and
+    `load_bundle` both derive them from the other fields
+    (`switch_configs`), so a fault in `gen_routing` or `resolved_rules`
+    is not seen here.  Returns a list of problem strings (empty means
+    ok)."""
     declared = set(bundle.states)
     points = state_resume_points(bundle.nodes)
     problems = [f"state variable {s!r} is unplaced" for s in sorted(
@@ -529,6 +508,9 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                             "not declare")
         elif sid not in topo.nodes:
             problems.append(f"placement of {s!r} on unknown switch {sid!r}")
+    problems.extend(f"dep pair {p!r} names {s!r}, which the program does "
+                    "not declare"
+                    for p in sorted(bundle.dep) for s in p if s not in declared)
     if bundle.root not in bundle.nodes:
         problems.append(f"root {bundle.root} is not a node of the bundle")
     for nid, node in sorted(bundle.nodes.items()):
@@ -544,29 +526,6 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                                 f"not the declared {bundle.states[s].arity}")
     problems.extend(f"node {nid} leads back to node {child}, a cycle"
                     for nid, child in _back_edges(bundle.nodes, bundle.root))
-    for sid, cfg in sorted(bundle.configs.items()):
-        if sid not in topo.nodes:
-            problems.append(f"config for unknown switch {sid!r}")
-            continue
-        # a list: a next hop read as a list is compared, not hashed
-        nbrs = [link.dst for link in topo.out_links(sid)]
-        for (u, s), group in cfg.unresolved.items():
-            placed = bundle.placement.get(s) in topo.nodes
-            # a declared variable left unplaced is reported once above
-            if s not in bundle.placement and s not in declared:
-                problems.append(
-                    f"switch {sid}: rule ({u},{s!r}) names a variable with "
-                    "no placement")
-            for row in group:
-                if row[2] not in nbrs:
-                    problems.append(
-                        f"switch {sid}: rule ({u},{s!r}) next hop {row[2]!r} "
-                        "is not a neighbor")
-                elif placed:
-                    rows.append((sid, u, s, row))
-    for sid in topo.nodes:
-        if sid not in bundle.configs:
-            problems.append(f"switch {sid!r} has no config")
     problems.extend(f"flow ({u},{v}) has no walk" for u, v
                     in sorted(set(topo.demands) - set(bundle.routing)))
     sound: dict = {}    # flow -> its walk, if that passed the checks
@@ -594,22 +553,4 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
         if not math.isclose(bundle.objective, cost, rel_tol=1e-9):
             problems.append(f"objective {bundle.objective!r}, but the walks "
                             f"cost {cost!r}")
-    for sid, u, s, (w, v, nh) in rows:
-        says = f"switch {sid}: group ({u},{s!r}) row ({u},{v})"
-        path = sound.get((u, v))
-        if path is None:
-            if (u, v) not in bundle.routing and (u, v) not in topo.demands:
-                problems.append(f"{says} is for a flow with no walk")
-            continue
-        owner = bundle.placement[s]
-        hops = group_hops(path, sid, owner)
-        if not hops:
-            problems.append(f"{says} is for a flow whose walk does not "
-                            f"pass it before {owner}")
-        elif nh not in hops:
-            problems.append(f"{says} forwards to {nh!r}, but the flow's walk "
-                            "gives " + " or ".join(map(repr, sorted(hops))))
-        elif w != topo.demands[(u, v)]:
-            problems.append(f"{says} weighs {w!r}, but the flow's demand is "
-                            f"{topo.demands[(u, v)]!r}")
     return problems

@@ -433,7 +433,7 @@ def load(bundle, topo, seed: int = 0, events: bool = False) -> SimNetwork:
     """bundle: a DeploymentBundle or a bundle directory path.  `events`
     records the event trace in `SimNetwork.trace`."""
     if isinstance(bundle, str):
-        bundle = rulegen.load_bundle(bundle)
+        bundle = rulegen.load_bundle(bundle, topo)
     return SimNetwork(bundle, topo, seed=seed, events=events)
 
 

@@ -337,50 +337,6 @@ def test_usage_error_exits_3(tmp_path, capsys, extra, says):
     assert not out.exists()
 
 
-def _set_group(inport, var, field, value):
-    """Bundle damage: set `field` of the waiting-packet group of
-    (`inport`, `var`)."""
-    def damage(d):
-        for r in d["groups"]:
-            if (r["inport"], r["var"]) == (inport, var):
-                r[field] = value
-        return d
-    return damage
-
-
-def _set_row(inport, var, tag, field, value):
-    """Bundle damage: set `field` of the row tagged `tag` in the
-    waiting-packet group of (`inport`, `var`)."""
-    def damage(d):
-        for r in d["groups"]:
-            if (r["inport"], r["var"]) == (inport, var):
-                for row in r["group"]:
-                    if row["tag"] == tag:
-                        row[field] = value
-        return d
-    return damage
-
-
-def _old_format_rules(d):
-    """A switch config in the format that keyed each waiting-packet group
-    by resume point rather than by state variable."""
-    rules = d["groups"]
-    assert rules
-    for r in rules:
-        r["resume"] = {"kind": "node", "id": 0}
-        del r["var"]
-    return d
-
-
-def _old_format_resolved(d):
-    """A switch config in the format that listed, beside the groups, the
-    resolved rule of each flow whose walk passes the switch."""
-    return {"id": d["id"],
-            "rules": {"resolved": [{"inport": 1, "outport": 2,
-                                    "action": "fwd", "arg": "C1"}],
-                      "unresolved": d["groups"]}}
-
-
 def _weighted_paths(d):
     """A routing.json in the format that listed weighted paths per flow."""
     return dict(d, flows=[{"u": r["u"], "v": r["v"],
@@ -414,6 +370,19 @@ def _set_walk(i, nodes):
      "placement of 'established' is ['C5'], not a switch name"),
     ("placement.json", lambda d: dict(d, objective="3.0"),
      "objective '3.0' is not a number"),
+    ("placement.json", lambda d: dict(d, mode=5),
+     'mode 5 is not "ST" or "TE"'),
+    ("placement.json", lambda d: dict(d, exact="no"),
+     "exact 'no' is not true or false"),
+    ("placement.json", lambda d: dict(d, dep=[["established"]]),
+     "dep [['established']] is not a list of [state, state] pairs"),
+    ("placement.json", lambda d: dict(d, dep="established"),
+     "dep 'established' is not a list of [state, state] pairs"),
+    ("placement.json", lambda d: dict(d, dep=[["established", 1]]),
+     "dep [['established', 1]] is not a list of [state, state] pairs"),
+    ("placement.json", lambda d: {k: v for k, v in d.items() if k != "dep"},
+     "missing key 'dep'"),
+    ("placement.json", lambda d: [d], "not a JSON object"),
     ("routing.json", lambda d: {}, "missing key 'flows'"),
     ("routing.json", _weighted_paths, "missing key 'nodes'"),
     ("routing.json", _set_walk(0, "I1C1"),
@@ -422,37 +391,32 @@ def _set_walk(i, nodes):
      "flow (1,2): walk [] is not a non-empty list of switch names"),
     ("routing.json", lambda d: dict(d, flows=d["flows"][:1] + d["flows"]),
      "flow (1,2) is listed twice"),
-    ("switch/D4.json", lambda d: [d], "not a JSON object"),
     ("diagram.json", lambda d: {"root": d["root"]}, "missing key 'nodes'"),
     ("diagram.json", lambda d: dict(d, nodes=3), "not iterable"),
     ("diagram.json", lambda d: dict(d, nodes=d["nodes"] + d["nodes"][3:4]),
      "a node id is listed twice"),
     ("diagram.json", _set_node(0, "hi", [1]), "hi [1] is not a node id"),
     ("diagram.json", None, "not found; compile the bundle again"),
-    ("switch/I1.json", _old_format_rules, "missing key 'var'"),
-    ("switch/I1.json", _old_format_resolved, "missing key 'groups'"),
-    ("switch/I1.json", _set_row(1, "established", 2, "tag", [2]),
-     "tag [2] is not a port"),
     ("program.snap", None, "not found; compile the bundle again"),
     ("program.snap", lambda s: s.replace("default False", "default"),
      "1:29: expected a value literal, found ';'")],
     ids=["placement-no-mode", "placement-value-a-list",
-         "placement-objective-a-string", "routing-no-flows",
+         "placement-objective-a-string", "placement-mode-a-number",
+         "placement-exact-a-string", "dep-pair-of-one",
+         "dep-a-string", "dep-pair-with-a-number", "dep-missing",
+         "placement-a-list", "routing-no-flows",
          "routing-weighted-paths", "routing-walk-a-string",
-         "routing-walk-empty", "routing-flow-twice", "switch-a-list",
+         "routing-walk-empty", "routing-flow-twice",
          "diagram-no-nodes", "diagram-nodes-a-number", "diagram-node-twice",
          "diagram-child-a-list", "diagram-missing",
-         "switch-rules-keyed-by-resume-point",
-         "switch-rules-with-resolved",
-         "group-tag-a-list", "program-missing", "program-does-not-parse"])
+         "program-missing", "program-does-not-parse"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3.  A
     bundle without `program.snap` or `diagram.json` (every bundle written
     before the declarations or the diagram moved there) is one, so is a
-    switch file that lists resolved rules beside its groups (every bundle
-    written before the rules were left to the walks), and so is a
-    `program.snap` that does not parse: bad input, not a compile error
-    (exit 1)."""
+    placement.json without `dep` (every bundle written while switch files
+    held the groups), and so is a `program.snap` that does not parse: bad
+    input, not a compile error (exit 1)."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
@@ -472,28 +436,6 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
         assert code == 3 and out == ""
         assert err.startswith(f"bad input: {path}: ") and says in err
         assert err.count("\n") == 1
-
-
-def test_switch_file_named_for_another_switch_exits_3(tmp_path, capsys):
-    """A stray switch/ZZ.json holding I1's config would load after
-    I1.json and replace it; simulate and check refuse the bundle, naming
-    the stray file, and exit 3."""
-    bundle = tmp_path / "b"
-    code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
-                          "-p", policy_path("assign-egress"),
-                          "-t", TOPO, "-o", str(bundle)], capsys)
-    assert code == 0
-    stray = bundle / "switch" / "ZZ.json"
-    d = json.loads((bundle / "switch" / "I1.json").read_text())
-    stray.write_text(json.dumps(dict(d, groups=[])))
-    trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
-    for argv in (["simulate", "--trace", str(trace)], ["check"]):
-        code, out, err = run_cli([*argv, "--bundle", str(bundle),
-                                  "--topo", TOPO], capsys)
-        assert code == 3 and out == ""
-        assert err == (f"bad input: {stray}: holds the config of switch "
-                       "'I1', not 'ZZ'\n")
 
 
 def test_tampered_declaration_fails_check_p(tmp_path, capsys):
@@ -568,26 +510,54 @@ def test_tampered_diagram_fails_check_p(tmp_path, capsys):
         2, ["diagram: node 3 differs from the program's"])
 
 
-def test_switch_without_config_fails_check_and_simulate(tmp_path, capsys):
-    """A bundle missing one switch's config fails `check` (exit 2) and
-    `simulate` refuses it (exit 3), naming the switch."""
+@pytest.mark.parametrize("damage, says", [
+    (lambda dep: dep[1:],
+     "dep: ('orphan', 'susp-client') is in the program only"),
+    (lambda dep: dep + [["blacklist", "orphan"]],
+     "dep: ('blacklist', 'orphan') is in the bundle only")],
+    ids=["dep-pair-dropped", "dep-pair-added"])
+def test_dep_that_differs_fails_check_p(tmp_path, capsys, damage, says):
+    """placement.json holds the program's dependency relation, from
+    which `load_bundle` derives where each variable runs on a walk and so
+    the waiting-packet groups.  A bundle whose `dep` lost or gained a
+    pair is sound on its own, so plain `check` passes it; `check -p`
+    names the pair and exits 2."""
+    bundle = tmp_path / "b"
+    policies = ["-p", policy_path("dns-tunnel-detect"),
+                "-p", policy_path("assign-egress")]
+    code, _, _ = run_cli(["compile", *policies, "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    path = bundle / "placement.json"
+    d = json.loads(path.read_text())
+    assert d["dep"] == [["orphan", "susp-client"],
+                        ["susp-client", "blacklist"]]
+    path.write_text(json.dumps(dict(d, dep=damage(d["dep"]))))
+    check = ["check", "--bundle", str(bundle), "--topo", TOPO]
+    code, out, _ = run_cli(check, capsys)
+    assert (code, json.loads(out)) == (0, {"ok": True, "problems": []})
+    code, out, _ = run_cli([*check, *policies], capsys)
+    assert (code, json.loads(out)["problems"]) == (2, [says])
+
+
+def test_groups_are_derived_not_written(tmp_path, capsys):
+    """A compile writes no switch/ directory, so no waiting-packet group
+    can be deleted from a bundle: the loaded C1 config of
+    stateful-fw;assign-egress on example12 has the (1, established)
+    group, which sends every flow from port 1 on to `established`'s
+    owner C5."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
     assert code == 0
-    (bundle / "switch" / "C3.json").unlink()
-    code, out, _ = run_cli(["check", "--bundle", str(bundle),
-                            "--topo", TOPO], capsys)
-    assert code == 2
-    assert json.loads(out)["problems"] == ["switch 'C3' has no config"]
-    trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"port": 1, "packet": {"inport": 1}}) + "\n")
-    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
-                              "--topo", TOPO, "--trace", str(trace)], capsys)
-    assert code == 3 and out == ""
-    assert err == ("bad input: inconsistent bundle: "
-                   "switch 'C3' has no config\n")
+    assert not (bundle / "switch").exists()
+    t = topo.load(TOPO)
+    loaded = rulegen.load_bundle(str(bundle), t)
+    assert loaded.placement == {"established": "C5"}
+    group = loaded.configs["C1"].unresolved[(1, "established")]
+    assert {(v, nh) for _, v, nh in group} == {
+        (v, "C5") for u, v in t.demands if u == 1}
 
 
 @pytest.mark.parametrize("root, check_code, says", [
@@ -631,8 +601,6 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("part, damage, says", [
-    ("switch/I1.json", _set_group(1, "established", "var", "nosuch"),
-     "switch I1: rule (1,'nosuch') names a variable with no placement"),
     ("routing.json", lambda d: dict(d, flows=d["flows"][1:]),
      "flow (1,2) has no walk"),
     ("routing.json", lambda d: dict(d, flows=d["flows"] + [
@@ -652,41 +620,41 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
      "objective 12.399999999999972, but the walks cost 12.500000000000004"),
     ("placement.json", lambda d: dict(d, objective=12.5),
      "objective 12.5, but the walks cost 12.400000000000004"),
-    ("switch/C1.json", _set_row(1, "established", 2, "next", "I1"),
-     "switch C1: group (1,'established') row (1,2) forwards to 'I1', but "
-     "the flow's walk gives 'C5'"),
     ("placement.json", lambda d: dict(d, placement=dict(
         d["placement"], bogus="C1")),
      "placement of 'bogus', which the program does not declare"),
     ("placement.json", lambda d: dict(d, placement={}),
      "state variable 'established' is unplaced"),
+    ("placement.json", lambda d: dict(d, dep=d["dep"] + [
+        ["nosuch", "established"]]),
+     "dep pair ('nosuch', 'established') names 'nosuch', which the program "
+     "does not declare"),
     ("diagram.json", _set_node(0, "lo", 999),
      "node 0 references unknown node 999"),
     ("diagram.json", _set_node(0, "lo", 0),
      "node 0 leads back to node 0, a cycle")],
-    ids=["unplaced-var", "flow-without-walk", "walk-of-no-demand",
+    ids=["flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
          "walk-crosses-no-link", "walk-reuses-a-link",
-         "walk-of-another-cost", "objective-edited", "group-off-the-walk",
-         "undeclared-placed", "declared-unplaced", "dangling-child",
-         "cycle"])
+         "walk-of-another-cost", "objective-edited", "undeclared-placed",
+         "declared-unplaced", "unplaced-var", "dangling-child", "cycle"])
 def test_bad_rule_fails_check_and_simulate_refuses_it(tmp_path, capsys,
                                                       part, damage, says):
-    """A waiting-packet group that names an unplaced variable fails
-    `check` (exit 2), and `simulate` refuses the bundle at load (exit 3),
-    before any packet reaches the group.  So does a routing.json that
-    does not give each of the topology's demands, and no other flow, one
-    walk from u's switch to v's over links of the topology, none of them
-    twice; an objective that is not the walks' cost: flow (1,2)'s walk
+    """A routing.json that does not give each of the topology's demands,
+    and no other flow, one walk from u's switch to v's over links of the
+    topology, none of them twice, fails `check` (exit 2), and `simulate`
+    refuses the bundle at load (exit 3), before any packet moves.  So
+    does an objective that is not the walks' cost: flow (1,2)'s walk
     I1-C1-C5-C6-C2-I2 changed to the longer valid I1-C1-C5-C3-C4-C2-I2,
-    whose groups stay as they were, or placement.json's objective
-    edited; and a waiting-packet group row that sends the flow off its
-    walk (C1 back to I1 before the owner C5 of `established`).  So does a placement that does not name exactly
-    the variables of the bundle's `program.snap`: one that places a
-    variable the program does not declare, or leaves `established`
-    unplaced.  So does a node of `diagram.json` whose child is no node of
-    the diagram, and one whose child leads back to it: a packet's walk of
-    the diagram would never end."""
+    or placement.json's objective edited.  So does a placement that does
+    not name exactly the variables of the bundle's `program.snap`: one
+    that places a variable the program does not declare, or leaves
+    `established` unplaced, and a `dep` that orders a variable with no
+    placement, one the program does not declare, before `established`:
+    the groups derived at load would wait on it.  So does a node of
+    `diagram.json` whose child is no node of the diagram, and one whose
+    child leads back to it: a packet's walk of the diagram would never
+    end."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),
@@ -725,12 +693,13 @@ sys.exit(cli.main(sys.argv[1:]))
 
 def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
     """C1's group for packets from port 1 that wait on `established`
-    sends them back to I1, whose group sends them to C1 again.  `check`
-    rejects such a group, so it is changed after `simnet.load` has
-    checked the bundle; simulate stops the copy once it crosses more
-    links than any walk may (12 switches x (1 state variable + 1)) and
-    exits 3.  It runs in a child process with a timeout, so a loop fails
-    this test instead of hanging the suite."""
+    sends them back to I1, whose group sends them to C1 again.  A bundle
+    cannot hold such a group, since `load_bundle` derives the groups, so
+    it is changed after `simnet.load` has loaded the bundle; simulate
+    stops the copy once it crosses more links than any walk may
+    (12 switches x (1 state variable + 1)) and exits 3.  It runs in a
+    child process with a timeout, so a loop fails this test instead of
+    hanging the suite."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-p", policy_path("assign-egress"),
@@ -750,17 +719,22 @@ def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
 
 
 def test_config_for_unknown_switch_fails_check(tmp_path, capsys):
-    """A switch config the topology has no switch for fails `check`."""
+    """A bundle that names a switch the topology has none of fails
+    `check`.  The configs are derived for the topology's own switches,
+    so placement.json is where a bundle can name such a switch: here it
+    places `established` on ZZ."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
     assert code == 0
-    d = json.loads((bundle / "switch" / "C2.json").read_text())
-    (bundle / "switch" / "ZZ.json").write_text(json.dumps(dict(d, id="ZZ")))
+    path = bundle / "placement.json"
+    d = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(d, placement={"established": "ZZ"})))
     code, out, _ = run_cli(["check", "--bundle", str(bundle),
                             "--topo", TOPO], capsys)
     assert code == 2
-    assert json.loads(out)["problems"] == ["config for unknown switch 'ZZ'"]
+    assert json.loads(out)["problems"] == [
+        "placement of 'established' on unknown switch 'ZZ'"]
 
 
 @pytest.mark.parametrize("command", ["compile", "place"])
@@ -861,7 +835,8 @@ def test_empty_placement_routes_a_stateless_program(tmp_path, capsys):
     code, out, _ = run_cli(["compile", *argv, "-o", str(tmp_path / "b")],
                            capsys)
     assert code == 0 and json.loads(out)["placement"] == {}
-    assert rulegen.load_bundle(str(tmp_path / "b")).mode == "TE"
+    assert rulegen.load_bundle(str(tmp_path / "b"),
+                               topo.load(TOPO)).mode == "TE"
 
 
 def test_over_capacity_routing_warns_and_exits_0(tmp_path, capsys):

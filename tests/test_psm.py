@@ -69,7 +69,7 @@ def bundle_map(tmp_path, prog, t, order, budget=4096):
     under the bundle's own declarations and not under `prog`."""
     rulegen.write_bundle(rulegen.compile(prog, t, budget=budget),
                          str(tmp_path))
-    loaded = rulegen.load_bundle(str(tmp_path))
+    loaded = rulegen.load_bundle(str(tmp_path), t)
     declared = lang.Program(loaded.states, loaded.fields, None, lang.Id())
     return psm.packet_state_map(loaded.nodes, loaded.root, t, order,
                                 declared)
@@ -111,6 +111,6 @@ def test_bundle_domains_bound_the_flow_map(tmp_path):
     order, demand = demand_map(prog, t)
     assert len(demand.flows) == 12
     assert bundle_map(tmp_path, prog, t, order) == demand
-    loaded = rulegen.load_bundle(str(tmp_path))
+    loaded = rulegen.load_bundle(str(tmp_path), t)
     assert len(psm.packet_state_map(loaded.nodes, loaded.root, t, order,
                                     None).flows) == 36

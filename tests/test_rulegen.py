@@ -3,11 +3,13 @@ bundle serialization, and structural validation."""
 
 import filecmp
 import hashlib
+import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from snapnet import deps, lang, opt, rulegen, topo, xfdd
+from snapnet import deps, lang, opt, psm, rulegen, topo, xfdd
 
 from conftest import CORPUS, policy_src
 from helpers import demand_map
@@ -125,6 +127,10 @@ def test_unresolved_groups_are_demand_weighted():
                 assert (cfg.switch, nh) in t.links
 
 
+BUNDLE_FILES = ["diagram.json", "placement.json", "program.snap",
+                "routing.json"]
+
+
 def test_recompile_is_byte_identical(tmp_path):
     _, t, b1 = compile_named(
         ["dns-tunnel-detect", "assign-egress", "assumption"])
@@ -133,24 +139,18 @@ def test_recompile_is_byte_identical(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     rulegen.write_bundle(b1, str(d1))
     rulegen.write_bundle(b2, str(d2))
-    assert sorted(os.listdir(d1)) == ["diagram.json", "placement.json",
-                                      "program.snap", "routing.json",
-                                      "switch"]
-    assert all(name.endswith(".json") for name in os.listdir(d1 / "switch"))
-    for rel in ("diagram.json", "placement.json", "program.snap",
-                "routing.json"):
+    assert sorted(os.listdir(d1)) == BUNDLE_FILES
+    for rel in BUNDLE_FILES:
         assert filecmp.cmp(d1 / rel, d2 / rel, shallow=False), rel
-    for name in sorted(os.listdir(d1 / "switch")):
-        assert filecmp.cmp(d1 / "switch" / name, d2 / "switch" / name,
-                           shallow=False), name
 
 
 def test_bundle_round_trip(tmp_path):
     _, t, b1 = compile_named(
         ["dns-tunnel-detect", "assign-egress", "assumption"])
     rulegen.write_bundle(b1, str(tmp_path))
-    b2 = rulegen.load_bundle(str(tmp_path))
+    b2 = rulegen.load_bundle(str(tmp_path), t)
     assert b2.placement == b1.placement
+    assert b2.dep == b1.dep
     assert b2.routing == b1.routing
     assert (b2.root, b2.nodes) == (b1.root, b1.nodes)
     assert (b2.states, b2.fields) == (b1.states, b1.fields)
@@ -189,7 +189,7 @@ def test_bundle_write_load_write_is_byte_identical(tmp_path, workload):
     bundle = rulegen.compile(prog, t, fixed=fixed, budget=budget)
     one, two = tmp_path / "one", tmp_path / "two"
     rulegen.write_bundle(bundle, str(one))
-    loaded = rulegen.load_bundle(str(one))
+    loaded = rulegen.load_bundle(str(one), t)
     assert (loaded.states, loaded.fields) == (prog.states, prog.fields)
     rulegen.write_bundle(loaded, str(two))
     files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
@@ -201,16 +201,35 @@ def test_bundle_write_load_write_is_byte_identical(tmp_path, workload):
 
 
 def test_smaller_bundle_replaces_a_larger_one(tmp_path):
-    """A bundle written over a larger one leaves none of the larger one's
-    switch configs behind: loading it gives the smaller bundle's."""
+    """A bundle written over a larger one on another topology loads the
+    smaller bundle's configs, derived for its own topology."""
     _, _, big = compile_named(["stateful-fw"], topo.generated(16, 7))
     _, t, small = compile_named(["stateful-fw"], topo.generated(8, 7))
     rulegen.write_bundle(big, str(tmp_path))
     rulegen.write_bundle(small, str(tmp_path))
-    loaded = rulegen.load_bundle(str(tmp_path))
+    loaded = rulegen.load_bundle(str(tmp_path), t)
     assert set(big.configs) > set(small.configs)
     assert loaded.configs == small.configs
     assert rulegen.validate_bundle(loaded, t) == []
+
+
+def test_bundle_written_over_an_old_one_leaves_no_switch_files(tmp_path):
+    """A bundle written over one of the format whose switch/<id>.json
+    files held the groups, and whose placement.json had no `dep`, removes
+    those files and the switch/ directory: exactly the four bundle files
+    remain, and they load to the compile's configs."""
+    _, t, bundle = compile_named(["stateful-fw", "assign-egress"])
+    rulegen.write_bundle(bundle, str(tmp_path))
+    path = tmp_path / "placement.json"
+    path.write_text(json.dumps({k: v for k, v in json.loads(
+        path.read_text()).items() if k != "dep"}))
+    (tmp_path / "switch").mkdir()
+    for sid in t.nodes:
+        (tmp_path / "switch" / f"{sid}.json").write_text(
+            json.dumps({"id": sid, "groups": []}))
+    rulegen.write_bundle(bundle, str(tmp_path))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == BUNDLE_FILES
+    assert rulegen.load_bundle(str(tmp_path), t).configs == bundle.configs
 
 
 def test_fixed_placement_forces_te_mode():
@@ -242,14 +261,15 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    six format changes: the one that keyed the groups by variable (the
+    seven format changes: the one that keyed the groups by variable (the
     last visit before the owner keeps the unresolved entry), the one
     that wrote each flow's routing as one walk, not a list of weighted
     paths, the one that stopped writing xfdd.dot, the one that moved
     the declarations from each switch file's `state_tables` into
     `program.snap`, the one that moved the diagram from the switch
-    files' `nodes` into `diagram.json`, and the one that left the
-    resolved rules to routing.json's walks.  The walk change moved only
+    files' `nodes` into `diagram.json`, the one that left the resolved
+    rules to routing.json's walks, and the one that left the groups to
+    `load_bundle`.  The walk change moved only
     routing.json, so every other file keeps the digest it had before it.
     Both digests were pinned again when xfdd.dot went, with the values
     the commit before wrote for every file but xfdd.dot; again when
@@ -263,17 +283,23 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     nodes; and again when the resolved rules went: program.snap,
     placement.json, diagram.json and routing.json kept their bytes, and
     every switch/*.json holds the one before's `id`, and its
-    `rules.unresolved` list as `groups`, and nothing else."""
+    `rules.unresolved` list as `groups`, and nothing else; and again when
+    the switch files went: program.snap, diagram.json and routing.json
+    kept their bytes, placement.json gained only its `dep` key, and the
+    groups a loaded bundle derives equal the 58 the switch files held."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "749edacb614b3d851920e9fd48e45f842de713c2bb1e87d19120536e37671559")
+        "49486864421e2df0551120a14b364ef4b1801cc00bda5c90b410ead7133738ed")
     assert bundle_digest(bundle, tmp_path) == (
-        "e371a1b71125e4efc873913726e1b52c436d0f648d026e23f84d867165be99c3")
-    assert group_count(bundle) == 58
+        "8b84306b62fdcc11b1c7bcc89b62eb7f349d2401e1df5ef5262d980274390ab4")
+    assert sorted(os.listdir(tmp_path)) == BUNDLE_FILES
+    loaded = rulegen.load_bundle(str(tmp_path), t)
+    assert loaded.configs == bundle.configs
+    assert group_count(loaded) == 58
 
 
 @pytest.mark.pinned
@@ -286,7 +312,7 @@ def test_compiled_rules_follow_the_walks(tmp_path):
     def check(bundle, t, name):
         assert rulegen.validate_bundle(bundle, t) == [], name
         rulegen.write_bundle(bundle, str(tmp_path))
-        loaded = rulegen.load_bundle(str(tmp_path))
+        loaded = rulegen.load_bundle(str(tmp_path), t)
         assert loaded.configs == bundle.configs, name
         assert rulegen.validate_bundle(loaded, t) == [], name
 
@@ -301,54 +327,38 @@ def test_compiled_rules_follow_the_walks(tmp_path):
     check(bundle, t, "revisit")
 
 
-def test_each_group_row_fault_is_one_problem():
-    """A waiting-packet group row is reported once for each fault: a row
-    for a flow with no walk, one at a switch the flow's walk passes only
-    after the owner, one that forwards off the walk, and one whose weight
-    is not the flow's demand.  Flow (1,2) walks I1-C1-C5-C6-C2-I2 and
-    `established` is on C5."""
-    _, t, bundle = compile_named(["stateful-fw", "assign-egress"])
-    assert bundle.routing[(1, 2)] == ("I1", "C1", "C5", "C6", "C2", "I2")
-    assert bundle.placement == {"established": "C5"}
-    c1 = bundle.configs["C1"].unresolved
-    rows = {v: (w, v, nh) for w, v, nh in c1[(1, "established")]}
-    rows[2] = (2.5, 2, "C5")
-    rows[3] = (1.0, 3, "I1")
-    rows[1] = (1.0, 1, "C5")
-    c1[(1, "established")] = tuple(rows.values())
-    bundle.configs["C6"].unresolved[(1, "established")] = ((1.0, 2, "C2"),)
-    assert rulegen.validate_bundle(bundle, t) == [
-        "switch C1: group (1,'established') row (1,2) weighs 2.5, but the "
-        "flow's demand is 1.0",
-        "switch C1: group (1,'established') row (1,3) forwards to 'I1', but "
-        "the flow's walk gives 'C5'",
-        "switch C1: group (1,'established') row (1,1) is for a flow with no "
-        "walk",
-        "switch C6: group (1,'established') row (1,2) is for a flow whose "
-        "walk does not pass it before C5"]
-
-
-def test_group_hops_keep_the_last_visit_before_each_owner_visit():
-    """A switch visited twice before the owner gives the hop after its
-    later visit; a walk that visits the owner twice allows the hop before
-    each visit."""
+def test_groups_keep_the_last_visit_before_the_owner():
+    """A switch visited twice before a variable runs forwards a blocked
+    packet the way the walk leaves its later visit; a switch visited only
+    after that gets no group.  Flow (1, 2) walks A-B-A-C-D-C-B-E and
+    needs `s`, held at C.  When `s` must wait for `r` (dep r -> s), it
+    runs at the owner's second visit on the walk A-O-A-X-O, after `r` at
+    X, and the owner itself forwards packets still blocked on `s` at its
+    first visit."""
+    t = SimpleNamespace(nodes=dict.fromkeys("ABCDEOX"),
+                        demands={(1, 2): 2.0})
     walk = ("A", "B", "A", "C", "D", "C", "B", "E")
-    assert rulegen.group_hops(walk, "A", "C") == {"C"}
-    assert rulegen.group_hops(walk, "B", "C") == {"A"}
-    assert rulegen.group_hops(walk, "D", "C") == {"C"}
-    assert rulegen.group_hops(walk, "E", "C") == set()
-    assert rulegen.group_hops(walk, "C", "C") == {"D"}
-    assert rulegen.group_hops(("A", "O", "A", "X", "O"), "A", "O") == {
-        "O", "X"}
+    _, groups = rulegen.gen_routing(
+        {(1, 2): walk}, {"s": "C"}, psm.StateDemand({(1, 2): ("s",)}), t,
+        dep=frozenset())
+    assert {sid: g for sid, g in groups.items() if g} == {
+        "A": {(1, "s"): ((2.0, 2, "C"),)}, "B": {(1, "s"): ((2.0, 2, "A"),)}}
+    _, groups = rulegen.gen_routing(
+        {(1, 2): ("A", "O", "A", "X", "O")}, {"r": "X", "s": "O"},
+        psm.StateDemand({(1, 2): ("r", "s")}), t, dep=frozenset({("r", "s")}))
+    assert {sid: g for sid, g in groups.items() if g} == {
+        "A": {(1, "r"): ((2.0, 2, "X"),), (1, "s"): ((2.0, 2, "X"),)},
+        "O": {(1, "r"): ((2.0, 2, "A"),), (1, "s"): ((2.0, 2, "A"),)},
+        "X": {(1, "s"): ((2.0, 2, "O"),)}}
 
 
 def test_revisited_switch_forwards_the_later_way(tmp_path):
     """A switch a walk passes twice forwards the flow, in a loaded bundle,
     the way the walk leaves its last visit, not its first."""
-    _, _, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
+    _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     rulegen.write_bundle(bundle, str(tmp_path))
-    loaded = rulegen.load_bundle(str(tmp_path))
+    loaded = rulegen.load_bundle(str(tmp_path), t)
     for (u, v), path in sorted(loaded.routing.items()):
         # the hop after each switch's last visit; the egress switch emits
         later = {a: b for a, b in zip(path, path[1:]) if a != path[-1]}
@@ -367,16 +377,17 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from six format changes: the one that keyed
+    whole fact list, apart from seven format changes: the one that keyed
     the groups by variable, the one that wrote each flow's routing as one
     walk, not a list of weighted paths, the one that stopped writing
     xfdd.dot, the one that moved the declarations from each switch file's
     `state_tables` into `program.snap`, the one that moved the diagram
-    from the switch files' `nodes` into `diagram.json`, and the one that
-    left the resolved rules to routing.json's walks.  The walk
-    change moved only routing.json, so every other file keeps the digest
-    it had before it.  Both digests were pinned again when xfdd.dot went,
-    with the values the commit before wrote for every file but xfdd.dot;
+    from the switch files' `nodes` into `diagram.json`, the one that left
+    the resolved rules to routing.json's walks, and the one that left the
+    groups to `load_bundle`.  The walk change moved only routing.json, so
+    every other file keeps the digest it had before it.  Both digests
+    were pinned again when xfdd.dot went, with the values the commit
+    before wrote for every file but xfdd.dot;
     again when `program.snap` came: placement.json and routing.json kept
     their digests, and every switch/*.json equals the one before with
     only its `state_tables` key removed; and again when `diagram.json`
@@ -387,8 +398,11 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     nodes; and again when the resolved rules went: program.snap,
     placement.json, diagram.json and routing.json kept their bytes, and
     every switch/*.json holds the one before's `id`, and its
-    `rules.unresolved` list as `groups`, and nothing else.  Most path
-    facts here are state tests."""
+    `rules.unresolved` list as `groups`, and nothing else; and again when
+    the switch files went: program.snap, diagram.json and routing.json
+    kept their bytes, placement.json gained only its `dep` key, and the
+    groups a loaded bundle derives equal the 84 the switch files held.
+    Most path facts here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -397,11 +411,13 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "b5e7c05fe6a154c771bbe683c65d9f21bf3efe9438fbe50ede7693cf72968666")
+        "0e3697c4dc1f79b378fffa97ab151fcf90aca73d97b31be05aa4e7d90780de8b")
     assert bundle_digest(bundle, tmp_path) == (
-        "8b98cbf382ace09c9702c4be5a1da6b203976c9528bb7c15745deb5ebfa75cad")
+        "cf937d992dafa1c1bfda528292d94abfde1697e47963b9c79f6f07a66e377e31")
     # one group per (inport, variable), not one per resume point
-    assert group_count(bundle) == 84
+    loaded = rulegen.load_bundle(str(tmp_path), t)
+    assert loaded.configs == bundle.configs
+    assert group_count(loaded) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")
                if p.is_file()) < 512 * 1024
 
