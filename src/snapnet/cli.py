@@ -25,6 +25,7 @@ import time
 
 from . import deps, interp, lang, opt, psm, rulegen, simnet, topo
 from .errors import CompileError, EvalError, InfeasibleError, InputError
+from .shape import check
 from .values import value_to_json
 
 PHASES = [
@@ -66,11 +67,10 @@ def _fixed_placement(args) -> dict | None:
         data = json.load(f)
     if isinstance(data, dict):
         data = data.get("placement", data)
-    if not (isinstance(data, dict)
-            and all(isinstance(x, str) for kv in data.items() for x in kv)):
-        raise InputError("placement: not an object mapping state variables "
-                         "to switches")
-    return dict(data)
+    try:
+        return check(data, {str: str})
+    except InputError as e:
+        raise InputError(f"placement: {e}") from e
 
 
 # ---------------------------------------------------------------- commands
@@ -196,8 +196,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     t = topo.load(args.topology)
-    bundle = rulegen.load_bundle(args.bundle, t)
-    problems = [str(p) for p in rulegen.validate_bundle(bundle, t)]
+    bundle = rulegen.read_bundle(args.bundle)
+    problems = rulegen.validate_bundle(bundle, t)
     if args.policy:
         prog = _load_program(args.policy)
         for kind, ours, theirs in (("state", bundle.states, prog.states),

@@ -975,15 +975,18 @@ def routing_to_json(routing: dict) -> list:
             for (u, v) in sorted(routing)]
 
 
+# routing.json, whose flows `routing_to_json` writes
+ROUTING = {"flows": [{"u": int, "v": int, "nodes": [str]}]}
+
+
 def routing_from_json(rows: list) -> dict:
-    """Inverse of `routing_to_json`; ValueError for a walk that is not a
-    non-empty list of switch names or a flow listed twice."""
+    """Inverse of `routing_to_json`, for the flows of a `ROUTING`;
+    ValueError for an empty walk or a flow listed twice."""
     out: dict = {}
     for r in rows:
         u, v, nodes = r["u"], r["v"], r["nodes"]
-        if not (isinstance(nodes, list) and nodes
-                and all(isinstance(n, str) for n in nodes)):
-            raise ValueError(f"flow ({u},{v}): walk {nodes!r} is not a "
+        if not nodes:
+            raise ValueError(f"flow ({u},{v}): walk [] is not a "
                              "non-empty list of switch names")
         if (u, v) in out:
             raise ValueError(f"flow ({u},{v}) is listed twice")

@@ -44,7 +44,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from . import deps, lang, opt, psm, xfdd
+from . import deps, lang, opt, psm, shape, xfdd
 from .errors import InputError, ParseError
 
 
@@ -308,26 +308,27 @@ def _node_to_json(nid: int, node) -> dict:
             "hi": node[2], "lo": node[3]}
 
 
-def _int_from_json(v, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"{what} {v!r} is not a node id")
-    return v
+# placement.json and diagram.json, as `write_bundle` writes them
+PLACEMENT = {"mode": {"ST", "TE"}, "objective": float, "exact": bool,
+             "placement": {str: str}, "dep": [(str, str)]}
+DIAGRAM = {"root": int, "nodes": [shape.Tagged("kind", {
+    "leaf": {"id": int, "elems": [[xfdd.ATOM]]},
+    "branch": {"id": int, "test": xfdd.TEST, "hi": int, "lo": int}})]}
 
 
 def _node_from_json(d: dict):
     if d["kind"] == "leaf":
         return ("leaf", tuple(tuple(xfdd.atom_from_json(a) for a in elem)
                               for elem in d["elems"]))
-    return ("branch", xfdd.test_from_json(d["test"]),
-            _int_from_json(d["hi"], "hi"), _int_from_json(d["lo"], "lo"))
+    return ("branch", xfdd.test_from_json(d["test"]), d["hi"], d["lo"])
 
 
 def _diagram_from_json(d: dict) -> dict:
-    nodes = {_int_from_json(n["id"], "node"): _node_from_json(n)
-             for n in d["nodes"]}
+    nodes = {n["id"]: _node_from_json(n)
+             for n in shape.check(d, DIAGRAM)["nodes"]}
     if len(nodes) < len(d["nodes"]):
         raise ValueError("a node id is listed twice")
-    return {"root": _int_from_json(d["root"], "root"), "nodes": nodes}
+    return {"root": d["root"], "nodes": nodes}
 
 
 def _dump(path: str, obj) -> None:
@@ -369,89 +370,54 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
           {"flows": opt.routing_to_json(bundle.routing)})
 
 
-def _json_object(text: str) -> dict:
-    d = json.loads(text)
-    if not isinstance(d, dict):
-        raise ValueError("not a JSON object")
-    return d
-
-
-def _read_part(path: str, decode, parse=_json_object):
+def _read_part(path: str, decode, parse=json.loads):
     """decode(parse(the text of `path`)); InputError naming the file when
     it is missing (as in a bundle written before that part came), does
-    not parse, lacks a key or holds a value of the wrong shape."""
+    not parse, or is not of its table's shape."""
     try:
         with open(path) as f:
             return decode(parse(f.read()))
     except FileNotFoundError:
         raise InputError(f"{path}: not found; compile the bundle "
                          "again") from None
-    except KeyError as e:
-        raise InputError(f"{path}: missing key {e}") from e
-    except (AttributeError, ParseError, TypeError, ValueError) as e:
+    except (OverflowError, ParseError, ValueError) as e:
         raise InputError(f"{path}: {e}") from e
 
 
-def _placement_from_json(d: dict) -> dict:
-    """The keyword arguments of `DeploymentBundle` that `placement.json`
-    holds, each of its shape."""
-    if d["mode"] not in ("ST", "TE"):
-        raise ValueError(f"mode {d['mode']!r} is not \"ST\" or \"TE\"")
-    x = d["objective"]
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"objective {x!r} is not a number")
-    if not isinstance(d["exact"], bool):
-        raise ValueError(f"exact {d['exact']!r} is not true or false")
-    placement = dict(d["placement"])
-    for s, sid in placement.items():
-        if not isinstance(sid, str):
-            raise ValueError(f"placement of {s!r} is {sid!r}, not a "
-                             "switch name")
-    dep = d["dep"]
-    if not (isinstance(dep, list) and all(
-            isinstance(p, list) and len(p) == 2
-            and all(isinstance(s, str) for s in p) for p in dep)):
-        raise ValueError(f"dep {dep!r} is not a list of [state, state] "
-                         "pairs")
-    return {"mode": d["mode"], "objective": x, "exact": d["exact"],
-            "placement": placement, "dep": frozenset(map(tuple, dep))}
-
-
-def load_bundle(dirpath: str, topo) -> DeploymentBundle:
-    """Read a bundle directory written by write_bundle, for `topo`.
-    InputError when a part is missing (`program.snap` or `diagram.json`,
-    in a bundle written before the declarations or the diagram moved
-    there) or malformed (a mode other than "ST" or "TE", an `exact` that
-    is not a JSON bool, a `dep` that is not a list of two-name lists, or
-    no `dep` at all, as in a bundle written while switch files held the
-    groups; a placement value or a walk that is not switch names, a root
-    or child that is not a node id, a node or a flow listed twice, a
-    `program.snap` that does not parse, an objective that is not a
-    number).  Each config is derived as a compile derives it
-    (`switch_configs`), from the flow map of the loaded diagram under the
-    loaded declarations.  A bundle that fails `validate_bundle` loads
-    with no configs, because the derivation may not be able to read its
-    diagram or walks; `check` reports its problems, and the simulator
-    refuses it."""
+def read_bundle(dirpath: str) -> DeploymentBundle:
+    """The bundle `write_bundle` wrote to `dirpath`, without configs.
+    InputError names a part that is missing (as in a bundle written
+    before that part came) or does not parse, a JSON part not of its
+    table's shape (`PLACEMENT`, `DIAGRAM`, `opt.ROUTING`), and a node or
+    a flow listed twice."""
     prog = _read_part(os.path.join(dirpath, "program.snap"), lambda p: p,
                       parse=lang.parse)
     kw = {"states": prog.states, "fields": prog.fields}
-    kw.update(_read_part(os.path.join(dirpath, "placement.json"),
-                         _placement_from_json))
-    kw.update(_read_part(os.path.join(dirpath, "diagram.json"),
-                         _diagram_from_json))
-    kw.update(_read_part(os.path.join(dirpath, "routing.json"),
-                         lambda d: {"routing": opt.routing_from_json(
-                             d["flows"])}))
-    bundle = DeploymentBundle(configs={}, **kw)
-    if not validate_bundle(bundle, topo):
-        dep = bundle.dep
-        order = deps.order_spec(deps.DependencyGraph(
-            frozenset(bundle.states).union(*dep), dep))
-        demand = psm.packet_state_map(bundle.nodes, bundle.root, topo,
-                                      order, prog)
-        bundle.configs = switch_configs(bundle.routing, bundle.placement,
-                                        demand, topo, dep)
+    for name, decode in (
+            ("placement.json", lambda d: dict(
+                shape.check(d, PLACEMENT),
+                dep=frozenset(map(tuple, d["dep"])))),
+            ("diagram.json", _diagram_from_json),
+            ("routing.json", lambda d: {"routing": opt.routing_from_json(
+                shape.check(d, opt.ROUTING)["flows"])})):
+        kw.update(_read_part(os.path.join(dirpath, name), decode))
+    return DeploymentBundle(configs={}, **kw)
+
+
+def load_bundle(dirpath: str, topo) -> DeploymentBundle:
+    """`read_bundle`, with the configs derived as a compile derives them
+    (`switch_configs`) on `topo`.  A bundle that fails `validate_bundle`
+    raises InputError (`require_valid`) before the derivation reads it."""
+    bundle = read_bundle(dirpath)
+    require_valid(bundle, topo)
+    dep = bundle.dep
+    order = deps.order_spec(deps.DependencyGraph(
+        frozenset(bundle.states).union(*dep), dep))
+    prog = lang.Program(bundle.states, bundle.fields, None, lang.Id())
+    demand = psm.packet_state_map(bundle.nodes, bundle.root, topo, order,
+                                  prog)
+    bundle.configs = switch_configs(bundle.routing, bundle.placement,
+                                    demand, topo, dep)
     return bundle
 
 
@@ -554,3 +520,10 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
             problems.append(f"objective {bundle.objective!r}, but the walks "
                             f"cost {cost!r}")
     return problems
+
+
+def require_valid(bundle: DeploymentBundle, topo) -> None:
+    """InputError listing `validate_bundle`'s problems, if it has any."""
+    problems = validate_bundle(bundle, topo)
+    if problems:
+        raise InputError("inconsistent bundle: " + "; ".join(problems))

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from . import lang, rulegen, xfdd
 from .errors import EvalError, InputError
 from .interp import _incr_value, eval_expr, eval_index, pkt_key
+from .shape import check
 from .values import (canon_key, test_match, value_from_loose, value_to_json,
                      values_equal)
 
@@ -88,9 +89,7 @@ class SimNetwork:
     def __init__(self, bundle: rulegen.DeploymentBundle, topo,
                  seed: int = 0, events: bool = False):
         # rules then forward over links; each declared variable has an owner
-        problems = rulegen.validate_bundle(bundle, topo)
-        if problems:
-            raise InputError("inconsistent bundle: " + "; ".join(problems))
+        rulegen.require_valid(bundle, topo)
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
@@ -469,10 +468,14 @@ def trace_to_json(events: list) -> list:
             for e in events]
 
 
+# a trace line; `value_from_loose` reads each packet value
+TRACE_LINE = {"port": int, "packet": dict}
+
+
 def read_trace(path: str, topo) -> list:
-    """Trace input: JSON lines, each {"port": int, "packet": {field: value}}
-    and no other key, with an external port of `topo`; InputError naming
-    the line if one is not of that shape."""
+    """Trace input: JSON lines, each of shape `TRACE_LINE`, with an
+    external port of `topo`; InputError naming the line, and the packet
+    field whose value is bad, if one is not."""
     ports = set(topo.external_ports())
     out = []
     with open(path) as f:
@@ -481,23 +484,18 @@ def read_trace(path: str, topo) -> list:
             if not line:
                 continue
             try:
-                d = json.loads(line)
+                d = check(json.loads(line), TRACE_LINE)
+                if d["port"] not in ports:
+                    raise InputError(f"no switch exposes port {d['port']}")
+                pkt = {}
+                for field, v in d["packet"].items():
+                    try:
+                        pkt[field] = value_from_loose(v)
+                    except (OverflowError, TypeError, ValueError) as e:
+                        raise InputError(f"packet.{field}: {e}") from e
+                out.append((d["port"], pkt))
             except json.JSONDecodeError as e:
                 raise InputError(f"trace line {n}: {e.msg}") from e
-            if not (isinstance(d, dict) and d.keys() == {"port", "packet"}):
-                raise InputError(f"trace line {n}: expected an object with "
-                                 "'port' and 'packet' and no other key")
-            port, pkt = d["port"], d["packet"]
-            if not isinstance(pkt, dict):
-                raise InputError(f"trace line {n}: packet is not an object")
-            if not isinstance(port, int) or isinstance(port, bool):
-                raise InputError(f"trace line {n}: port is not an int")
-            if port not in ports:
-                raise InputError(f"trace line {n}: no switch exposes "
-                                 f"port {port}")
-            try:
-                pkt = {f: value_from_loose(v) for f, v in pkt.items()}
-            except (KeyError, OverflowError, TypeError, ValueError) as e:
+            except ValueError as e:
                 raise InputError(f"trace line {n}: {e}") from e
-            out.append((port, pkt))
     return out

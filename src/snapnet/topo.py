@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
+from .shape import check
 
 
 @dataclass
@@ -117,63 +118,42 @@ def _check_port(p, what: str) -> None:
         raise ValueError(f"{what} {p} is negative")
 
 
-def _number(x, what: str) -> float:
-    # as for ports, JSON's true is no number; nor is a string of digits
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"{what} {x!r} is not a number")
-    return float(x)
-
-
-def _known(entry: dict, keys: set, what: str) -> None:
-    """ValueError naming `what` if `entry` has a key outside `keys`."""
-    unknown = sorted(set(entry) - keys)
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {what}")
+# the topology file, as `to_json` writes it
+TOPOLOGY = {
+    "nodes": [{"id": str, "external_ports?": [int]}],
+    "links": [{"from": str, "to": str, "capacity": float,
+               "bidirectional?": bool}],
+    "demands": [{"u": int, "v": int, "volume": float}],
+}
 
 
 def from_json(data: dict) -> Topology:
-    """The topology `data` describes; InputError if it is malformed (a
-    key missing, or unknown at the top level or in a switch, link or
-    demand entry, a switch, link or demand listed twice, a capacity or
-    volume that is not a number, a `bidirectional` that is not a bool)
-    or fails `Topology.validate`.  A link listed from a to b overrides
-    the b->a link that a bidirectional entry implies."""
+    """The topology `data` describes; InputError if it is malformed (not
+    of shape `TOPOLOGY`, or a switch, link or demand listed twice) or
+    fails `Topology.validate`.  A link listed from a to b overrides the
+    b->a link that a bidirectional entry implies."""
     try:
-        _known(data, {"nodes", "links", "demands"}, "the topology")
-        nodes = {}
-        for n in data["nodes"]:
-            _known(n, {"id", "external_ports"}, "a switch entry")
+        nodes, links, listed, demands = {}, {}, set(), {}
+        for n in check(data, TOPOLOGY)["nodes"]:
             if n["id"] in nodes:
                 raise ValueError(f"switch {n['id']!r} listed twice")
             nodes[n["id"]] = Node(n["id"], tuple(n.get("external_ports", [])))
-        links = {}
-        listed = set()
         for l in data["links"]:
-            _known(l, {"from", "to", "capacity", "bidirectional"},
-                   "a link entry")
-            if (l["from"], l["to"]) in listed:
-                raise ValueError(f"link {l['from']}->{l['to']} listed twice")
-            listed.add((l["from"], l["to"]))
-            cap = _number(l["capacity"],
-                          f"link {l['from']}->{l['to']} capacity")
-            links[(l["from"], l["to"])] = Link(l["from"], l["to"], cap)
-            both = l.get("bidirectional", True)
-            if not isinstance(both, bool):
-                raise ValueError(f"link {l['from']}->{l['to']} "
-                                 f"bidirectional {both!r} is not a bool")
-            if both and (l["to"], l["from"]) not in links:
-                links[(l["to"], l["from"])] = Link(l["to"], l["from"], cap)
-        demands = {}
+            a, b, cap = l["from"], l["to"], float(l["capacity"])
+            if (a, b) in listed:
+                raise ValueError(f"link {a}->{b} listed twice")
+            listed.add((a, b))
+            links[(a, b)] = Link(a, b, cap)
+            if l.get("bidirectional", True) and (b, a) not in links:
+                links[(b, a)] = Link(b, a, cap)
         for d in data["demands"]:
-            _known(d, {"u", "v", "volume"}, "a demand entry")
             if (d["u"], d["v"]) in demands:
                 raise ValueError(f"demand ({d['u']},{d['v']}) listed twice")
-            demands[(d["u"], d["v"])] = _number(
-                d["volume"], f"demand ({d['u']},{d['v']}) volume")
+            demands[(d["u"], d["v"])] = float(d["volume"])
         t = Topology(nodes, links, demands)
         t.validate()
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise InputError(f"topology: {type(e).__name__}: {e}") from e
+    except ValueError as e:
+        raise InputError(f"topology: {e}") from e
     return t
 
 

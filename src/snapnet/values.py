@@ -18,6 +18,8 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 
+from .shape import Tagged, check
+
 IPv4Address = ipaddress.IPv4Address
 IPv4Network = ipaddress.IPv4Network
 
@@ -115,13 +117,13 @@ def value_to_json(v):
 def value_from_loose(x):
     """Accept untagged JSON scalars: ints stay ints, strings become
     addresses/prefixes when they parse as such, atoms otherwise.  Tagged
-    dicts and lists (tuples) are handled too."""
+    dicts (of shape `VALUE`) and lists (tuples) are handled too."""
     if isinstance(x, bool):
         return TRUE if x else FALSE
     if isinstance(x, int):
         return check_int_range(x)
     if isinstance(x, dict):
-        return value_from_json(x)
+        return value_from_json(check(x, VALUE))
     if isinstance(x, list):
         return tuple(value_from_loose(e) for e in x)
     if isinstance(x, str):
@@ -134,16 +136,15 @@ def value_from_loose(x):
     raise TypeError(f"cannot interpret {x!r} as a value")
 
 
+# the JSON form of a value, as `value_to_json` writes it
+VALUE = Tagged("t", {"int": {"v": int}, "atom": {"v": str}, "ip": {"v": str},
+                     "prefix": {"v": str}, "tuple": {}})
+VALUE.cases["tuple"]["v"] = [VALUE]
+
+
 def value_from_json(d):
-    t = d["t"]
-    if t == "int":
-        return int(d["v"])
-    if t == "atom":
-        return Atom(d["v"])
-    if t == "ip":
-        return IPv4Address(d["v"])
-    if t == "prefix":
-        return IPv4Network(d["v"])
-    if t == "tuple":
+    """The value of a `VALUE`; OverflowError for an int beyond 64 bits."""
+    if d["t"] == "tuple":
         return tuple(value_from_json(x) for x in d["v"])
-    raise ValueError(f"unknown value tag {t!r}")
+    return {"int": check_int_range, "atom": Atom, "ip": IPv4Address,
+            "prefix": IPv4Network}[d["t"]](d["v"])

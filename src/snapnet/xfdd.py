@@ -41,8 +41,9 @@ from dataclasses import dataclass
 from . import lang
 from .deps import OrderSpec, expr_key
 from .errors import RaceError, UnsupportedCompositionError
+from .shape import Tagged
 from .values import (
-    IPv4Network, canon_key, format_value, in_prefix, test_match,
+    VALUE, IPv4Network, canon_key, format_value, in_prefix, test_match,
     value_from_json, value_to_json, values_equal,
 )
 
@@ -1374,14 +1375,25 @@ def expr_to_json(e):
     raise TypeError(f"not an expr: {e!r}")
 
 
+# the JSON forms `expr_to_json`, `test_to_json` and `atom_to_json` write
+EXPR = Tagged("e", {"lit": {"v": VALUE}, "field": {"name": str},
+                    "tuple": {}})
+EXPR.cases["tuple"]["items"] = [EXPR]
+TEST = Tagged("t", {"fv": {"field": str, "value": VALUE},
+                    "ff": {"f1": str, "f2": str},
+                    "st": {"var": str, "index": EXPR, "rhs": EXPR}})
+ATOM = Tagged("a", {"drop": {}, "mod": {"field": str, "value": VALUE},
+                    "set": {"var": str, "index": EXPR, "rhs": EXPR},
+                    "incr": {"var": str, "index": EXPR},
+                    "decr": {"var": str, "index": EXPR}})
+
+
 def expr_from_json(d):
     if d["e"] == "lit":
         return lang.Lit(value_from_json(d["v"]))
     if d["e"] == "field":
         return lang.FieldRef(d["name"])
-    if d["e"] == "tuple":
-        return lang.TupleExpr(tuple(expr_from_json(x) for x in d["items"]))
-    raise ValueError(f"unknown expr tag {d['e']!r}")
+    return lang.TupleExpr(tuple(expr_from_json(x) for x in d["items"]))
 
 
 def test_to_json(t):
@@ -1400,10 +1412,8 @@ def test_from_json(d):
         return TFieldValue(d["field"], value_from_json(d["value"]))
     if d["t"] == "ff":
         return TFieldField(d["f1"], d["f2"])
-    if d["t"] == "st":
-        return TStateTest(d["var"], expr_from_json(d["index"]),
-                          expr_from_json(d["rhs"]))
-    raise ValueError(f"unknown test tag {d['t']!r}")
+    return TStateTest(d["var"], expr_from_json(d["index"]),
+                      expr_from_json(d["rhs"]))
 
 
 def atom_to_json(x):
@@ -1431,6 +1441,4 @@ def atom_from_json(d):
                              expr_from_json(d["rhs"]))
     if d["a"] == "incr":
         return lang.Incr(d["var"], expr_from_json(d["index"]))
-    if d["a"] == "decr":
-        return lang.Decr(d["var"], expr_from_json(d["index"]))
-    raise ValueError(f"unknown atom tag {d['a']!r}")
+    return lang.Decr(d["var"], expr_from_json(d["index"]))

@@ -1,5 +1,6 @@
 """Command-line interface tests (exit codes, output shapes, seeding)."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import sys
 
 import pytest
 
-from snapnet import cli, rulegen, topo
+from snapnet import cli, opt, rulegen, topo, values
+from snapnet.shape import Tagged
 
 from conftest import TOPO_DIR, policy_path
 
@@ -159,7 +161,8 @@ def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
     _two_switches(capcity=3), _two_switches(both="false"),
     _two_switches(node={"ports": [3]}), _two_switches(link={"capcity": 3}),
     _two_switches(demand={"vol": 3}), _two_switches(loop=True),
-    _two_switches(node={"external_ports": [-1]}, u=-1)],
+    _two_switches(node={"external_ports": [-1]}, u=-1),
+    _two_switches(capacity=10 ** 400)],
     ids=["nodes-not-a-list", "empty", "no-external-port", "nan-capacity",
          "nan-volume", "fractional-port", "bool-port",
          "switch-id-not-a-string", "bool-capacity", "string-volume",
@@ -167,7 +170,7 @@ def _two_switches(capacity=10.0, u=1, volume=1.0, a="A",
          "link-listed-twice", "demands-misspelled", "unknown-key",
          "bidirectional-not-a-bool", "unknown-key-in-a-switch",
          "unknown-key-in-a-link", "unknown-key-in-a-demand", "self-loop",
-         "negative-port"])
+         "negative-port", "capacity-beyond-a-float"])
 def test_malformed_topology_exits_3(tmp_path, capsys, data):
     bad = tmp_path / "topo.json"
     bad.write_text(json.dumps(data))
@@ -224,20 +227,29 @@ def test_placement_not_an_object_exits_3(tmp_path, capsys, content):
     assert not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("line", ['{"port": 1,', '{"port": 1}',
-                                  '{"packet": {}}', '[1, {}]',
-                                  '{"port": 1, "packet": [1]}',
-                                  '{"port": "1", "packet": {}}',
-                                  '{"port": 1, "packet": {"inport": 1.5}}',
-                                  '{"port": 999, "packet": {"inport": 1}}',
-                                  '{"port": 1, "packet": {}, "pkt": {}}'],
-                         ids=["not-json", "no-packet", "no-port",
-                              "not-an-object",
-                              "packet-not-an-object", "port-not-an-int",
-                              "bad-value", "unknown-port", "unknown-key"])
-def test_malformed_trace_line_exits_3(tmp_path, capsys, line):
+@pytest.mark.parametrize("line,says", [
+    ('{"port": 1,', "Expecting property name enclosed in double quotes"),
+    ('{"port": 1}', "missing key 'packet'"),
+    ('{"packet": {}}', "missing key 'port'"),
+    ('[1, {}]', "[1, {}] is not an object"),
+    ('{"port": 1, "packet": [1]}', "packet [1] is not an object"),
+    ('{"port": "1", "packet": {}}', "port '1' is not an int"),
+    ('{"port": 1, "packet": {"inport": 1.5}}',
+     "packet.inport: cannot interpret 1.5 as a value"),
+    ('{"port": 999, "packet": {"inport": 1}}', "no switch exposes port 999"),
+    ('{"port": 1, "packet": {}, "pkt": {}}', "unknown key 'pkt'"),
+    ('{"port": 1, "packet": {"inport": {"t": "int", "v": "1"}}}',
+     "packet.inport: v '1' is not an int"),
+    ('{"port": 1, "packet": {"srcip": {"t": "int", "v": %d}}}' % 2 ** 64,
+     "packet.srcip: integer out of 64-bit signed range: %d" % 2 ** 64)],
+    ids=["not-json", "no-packet", "no-port", "not-an-object",
+         "packet-not-an-object", "port-not-an-int", "bad-value",
+         "unknown-port", "unknown-key", "tagged-int-a-string",
+         "tagged-int-too-large"])
+def test_malformed_trace_line_exits_3(tmp_path, capsys, line, says):
     """simulate names the first malformed line of its trace (here the
-    second; the first is good) and exits 3."""
+    second; the first is good), and the packet field of a bad value, and
+    exits 3."""
     bundle = tmp_path / "bundle"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
@@ -248,8 +260,7 @@ def test_malformed_trace_line_exits_3(tmp_path, capsys, line):
     code, out, err = run_cli(["simulate", "--bundle", str(bundle),
                               "--topo", TOPO, "--trace", str(trace)], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("bad input: trace line 2: ")
-    assert err.count("\n") == 1
+    assert err == f"bad input: trace line 2: {says}\n"
 
 
 @pytest.mark.parametrize("mode", ["serialized", "interleaved"])
@@ -344,12 +355,14 @@ def _weighted_paths(d):
                           for r in d["flows"]])
 
 
-def _set_node(nid, key, value):
-    """Bundle damage: set `key` of diagram.json's node `nid`."""
+def _put(*path, value):
+    """Bundle damage: set the item at `path` of a JSON part to `value`
+    (diagram.json lists node i at index i)."""
     def damage(d):
-        for n in d["nodes"]:
-            if n["id"] == nid:
-                n[key] = value
+        at = d
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = value
         return d
     return damage
 
@@ -367,48 +380,83 @@ def _set_walk(i, nodes):
      "missing key 'mode'"),
     ("placement.json", lambda d: dict(d, placement=dict(
         d["placement"], established=["C5"])),
-     "placement of 'established' is ['C5'], not a switch name"),
+     "placement.established ['C5'] is not a string"),
     ("placement.json", lambda d: dict(d, objective="3.0"),
      "objective '3.0' is not a number"),
+    ("placement.json", lambda d: dict(d, objective=10 ** 400),
+     "objective 1" + "0" * 56 + "... is not a number"),
     ("placement.json", lambda d: dict(d, mode=5),
      'mode 5 is not "ST" or "TE"'),
     ("placement.json", lambda d: dict(d, exact="no"),
      "exact 'no' is not true or false"),
     ("placement.json", lambda d: dict(d, dep=[["established"]]),
-     "dep [['established']] is not a list of [state, state] pairs"),
+     "dep[0] ['established'] is not a list of 2"),
     ("placement.json", lambda d: dict(d, dep="established"),
-     "dep 'established' is not a list of [state, state] pairs"),
+     "dep 'established' is not a list"),
     ("placement.json", lambda d: dict(d, dep=[["established", 1]]),
-     "dep [['established', 1]] is not a list of [state, state] pairs"),
+     "dep[0][1] 1 is not a string"),
     ("placement.json", lambda d: {k: v for k, v in d.items() if k != "dep"},
      "missing key 'dep'"),
-    ("placement.json", lambda d: [d], "not a JSON object"),
+    ("placement.json", lambda d: [d], "is not an object"),
     ("routing.json", lambda d: {}, "missing key 'flows'"),
     ("routing.json", _weighted_paths, "missing key 'nodes'"),
     ("routing.json", _set_walk(0, "I1C1"),
-     "flow (1,2): walk 'I1C1' is not a non-empty list of switch names"),
+     "flows[0].nodes 'I1C1' is not a list"),
     ("routing.json", _set_walk(0, []),
      "flow (1,2): walk [] is not a non-empty list of switch names"),
     ("routing.json", lambda d: dict(d, flows=d["flows"][:1] + d["flows"]),
      "flow (1,2) is listed twice"),
     ("diagram.json", lambda d: {"root": d["root"]}, "missing key 'nodes'"),
-    ("diagram.json", lambda d: dict(d, nodes=3), "not iterable"),
+    ("diagram.json", lambda d: dict(d, nodes=3), "nodes 3 is not a list"),
     ("diagram.json", lambda d: dict(d, nodes=d["nodes"] + d["nodes"][3:4]),
      "a node id is listed twice"),
-    ("diagram.json", _set_node(0, "hi", [1]), "hi [1] is not a node id"),
+    ("diagram.json", _put("nodes", 0, "hi", value=[1]),
+     "nodes[0].hi [1] is not an int"),
+    ("placement.json", _put("version", value=2), "unknown key 'version'"),
+    ("routing.json", _put("version", value=2), "unknown key 'version'"),
+    ("diagram.json", _put("version", value=2), "unknown key 'version'"),
+    ("routing.json", _put("flows", 0, "weight", value=1.0),
+     "unknown key 'weight' in an object at flows[0]"),
+    ("diagram.json", _put("nodes", 0, "weight", value=1),
+     "unknown key 'weight' in an object at nodes[0]"),
+    ("diagram.json", _put("nodes", 0, "test", "op", value="="),
+     "unknown key 'op' in an object at nodes[0].test"),
+    ("routing.json", _put("flows", 0, "u", value=True),
+     "flows[0].u True is not an int"),
+    ("routing.json", _put("flows", 0, "v", value=2.0),
+     "flows[0].v 2.0 is not an int"),
+    ("diagram.json", _put("nodes", 2, "hi", value=1),
+     "unknown key 'hi' in an object at nodes[2]"),
+    ("diagram.json", _put("nodes", 0, "kind", value="bogus"),
+     "nodes[0].kind 'bogus' is not " '"branch" or "leaf"'),
+    ("diagram.json", _put("nodes", 0, "test", "field", value=5),
+     "nodes[0].test.field 5 is not a string"),
+    ("diagram.json", _put("nodes", 0, "test", "value",
+                          value={"t": "int", "v": "7"}),
+     "nodes[0].test.value.v '7' is not an int"),
+    ("diagram.json", _put("nodes", 0, "test", "value",
+                          value={"t": "int", "v": 2 ** 64}),
+     "integer out of 64-bit signed range: 18446744073709551616"),
     ("diagram.json", None, "not found; compile the bundle again"),
     ("program.snap", None, "not found; compile the bundle again"),
     ("program.snap", lambda s: s.replace("default False", "default"),
      "1:29: expected a value literal, found ';'")],
     ids=["placement-no-mode", "placement-value-a-list",
-         "placement-objective-a-string", "placement-mode-a-number",
+         "placement-objective-a-string", "placement-objective-too-large",
+         "placement-mode-a-number",
          "placement-exact-a-string", "dep-pair-of-one",
          "dep-a-string", "dep-pair-with-a-number", "dep-missing",
          "placement-a-list", "routing-no-flows",
          "routing-weighted-paths", "routing-walk-a-string",
          "routing-walk-empty", "routing-flow-twice",
          "diagram-no-nodes", "diagram-nodes-a-number", "diagram-node-twice",
-         "diagram-child-a-list", "diagram-missing",
+         "diagram-child-a-list", "placement-unknown-key",
+         "routing-unknown-key", "diagram-unknown-key",
+         "routing-row-unknown-key", "diagram-node-unknown-key",
+         "diagram-test-unknown-key", "routing-u-a-bool",
+         "routing-v-a-float", "diagram-leaf-with-hi", "diagram-kind-bogus",
+         "diagram-field-a-number", "diagram-int-a-string",
+         "diagram-int-too-large", "diagram-missing",
          "program-missing", "program-does-not-parse"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file and exit 3.  A
@@ -416,7 +464,11 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     before the declarations or the diagram moved there) is one, so is a
     placement.json without `dep` (every bundle written while switch files
     held the groups), and so is a `program.snap` that does not parse: bad
-    input, not a compile error (exit 1)."""
+    input, not a compile error (exit 1).  So is a JSON part not of its
+    table's shape: an unknown key at the top, in a routing row, a node or
+    a test, a `u` that is a bool or a `v` that is a float, a leaf with
+    `hi`, a `kind` that is neither, a test `field` that is a number or
+    an int value that is a string."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
@@ -436,6 +488,164 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
         assert code == 3 and out == ""
         assert err.startswith(f"bad input: {path}: ") and says in err
         assert err.count("\n") == 1
+
+
+# every test, atom, expression and value tag but a tuple value (no source
+# program writes one), and a `dep` of three pairs
+EVERY_TAG = """
+state seen[1] default 0;
+state count[1] default 0;
+state flag[2] default False;
+field srcport : int in {20, 80};
+field dstport : int in {20, 80};
+field srcip : ip in {10.0.1.10, 10.0.3.10};
+field dstip : ip in {10.0.1.10, 10.0.3.10};
+
+seen[0] <- srcport;
+(if seen[0] = dstport then count[srcport]++ else count[dstport]--);
+(if srcip = 10.0.1.10 then flag[srcip][dstip] <- True
+ else (if flag[dstip][srcip] then id else drop));
+(if dstip = 10.0.1.0/24 then outport <- 1 else outport <- 3)
+"""
+
+
+def _is_object(table) -> bool:
+    """Whether `table` is an object's with named keys, not a map's."""
+    return isinstance(table, Tagged) or (isinstance(table, dict)
+                                         and str not in table)
+
+
+def _table_slots(doc, table, path=(), entry=None, required=False):
+    """(path, table, entry, required) for each value of `doc` read
+    through `table`, the top first: `entry` names the table entry the
+    value fills, the same for every value that fills it, and `required`
+    says the value is under a key that its object may not leave out."""
+    yield path, table, entry, required
+    if isinstance(table, Tagged):
+        case = table.cases[doc[table.key]]
+        entries = [(table.key, set(table.cases), (id(table), table.key))]
+        entries += [(k, s, (id(case), k)) for k, s in case.items()]
+    elif isinstance(table, tuple):
+        entries = [(i, s, (id(table), i)) for i, s in enumerate(table)]
+    elif isinstance(table, list):
+        entries = [(i, table[0], (id(table), 0)) for i in range(len(doc))]
+    elif isinstance(table, dict) and str in table:
+        entries = [(k, table[str], (id(table), str)) for k in doc]
+    elif isinstance(table, dict):
+        entries = [(k, s, (id(table), k.rstrip("?")))
+                   for k, s in table.items()]
+    else:
+        entries = []
+    for k, s, filled in entries:
+        key = k.rstrip("?") if isinstance(k, str) else k
+        if isinstance(doc, list) or key in doc:
+            yield from _table_slots(doc[key], s, path + (key,), filled,
+                                    _is_object(table) and k[-1] != "?")
+
+
+def _table_entries(table, seen=None) -> set:
+    """Every entry of `table`, as `_table_slots` names them."""
+    seen = set() if seen is None else seen
+    if id(table) in seen or isinstance(table, (type, set)):
+        return set()
+    seen.add(id(table))
+    if isinstance(table, Tagged):
+        out = {(id(table), table.key)}
+        for case in table.cases.values():
+            out |= {(id(case), k.rstrip("?")) for k in case}
+            for s in case.values():
+                out |= _table_entries(s, seen)
+        return out
+    if isinstance(table, (list, tuple)):
+        items = dict(enumerate(table))
+    else:
+        items = {k.rstrip("?") if isinstance(k, str) else k: s
+                 for k, s in table.items()}
+    out = {(id(table), k) for k in items}
+    for s in items.values():
+        out |= _table_entries(s, seen)
+    return out
+
+
+def _wrong_type(table):
+    """A JSON value of another type than `table` asks for."""
+    if isinstance(table, (dict, Tagged)) or table is dict:
+        return []
+    if isinstance(table, (list, tuple)):
+        return {}
+    if table is bool:
+        return 1
+    return "1" if table in (int, float) else 5
+
+
+def _edited(doc, path, change):
+    """A copy of `doc` with change(container, key) made at `path`."""
+    box = [copy.deepcopy(doc)]
+    at, keys = box, (0, *path)
+    for key in keys[:-1]:
+        at = at[key]
+    change(at, keys[-1])
+    return box[0]
+
+
+def _mutants(doc, table):
+    """(entry, what, mutated copy of `doc`) for each table entry's first
+    value in `doc`: the value of another JSON type, the key deleted if its
+    object may not leave it out, and an unknown key added to an object."""
+    done: set = set()
+    for path, t, entry, required in _table_slots(doc, table):
+        if entry in done:
+            continue
+        done.add(entry)
+        wrong = _wrong_type(t)
+        changes = {"wrong type": lambda at, k: at.__setitem__(k, wrong)}
+        if required:
+            changes["deleted"] = lambda at, k: at.pop(k)
+        if _is_object(t):
+            changes["unknown key"] = lambda at, k: at[k].update(zz=1)
+        for what, change in changes.items():
+            yield entry, f"{what} at {path}", _edited(doc, path, change)
+
+
+def test_every_table_entry_mutated_exits_3(tmp_path, capsys):
+    """For each entry of the topology's table and of each bundle file's
+    table, on a compile that holds every tag but a tuple value, and on
+    example12: the entry's first value swapped for one of another JSON
+    type, the key deleted if it is required, and an unknown key added to
+    each object, each make `check` exit 3 with one `bad input:` line
+    naming the file.  None exits 0 or ends in a traceback."""
+    policy = tmp_path / "every-tag.snap"
+    policy.write_text(EVERY_TAG)
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", str(policy), "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    tfile = tmp_path / "topo.json"
+    parts = [(tfile, topo.TOPOLOGY, topo.to_json(topo.example12()),
+              "topology: "),
+             *((bundle / name, table, json.loads((bundle / name).read_text()),
+                f"{bundle / name}: ")
+               for name, table in (("placement.json", rulegen.PLACEMENT),
+                                   ("diagram.json", rulegen.DIAGRAM),
+                                   ("routing.json", opt.ROUTING)))]
+    tfile.write_text(json.dumps(parts[0][2]))
+    # the entries of a tuple value, which no source program writes
+    untouched = _table_entries(values.VALUE.cases["tuple"],
+                               {id(values.VALUE)})
+    wrong = []
+    for path, table, doc, says in parts:
+        filled = set()
+        for entry, what, mutant in _mutants(doc, table):
+            filled.add(entry)
+            path.write_text(json.dumps(mutant))
+            code, out, err = run_cli(["check", "--bundle", str(bundle),
+                                      "--topo", str(tfile)], capsys)
+            if not (code == 3 and out == "" and err.count("\n") == 1
+                    and err.startswith(f"bad input: {says}")):
+                wrong.append((str(path), what, code, err))
+        path.write_text(json.dumps(doc))
+        assert _table_entries(table) - filled <= untouched, path
+    assert wrong == []
 
 
 def test_tampered_declaration_fails_check_p(tmp_path, capsys):
@@ -561,9 +771,9 @@ def test_groups_are_derived_not_written(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("root, check_code, says", [
-    ("x", 3, "root 'x' is not a node id"),
-    (True, 3, "root True is not a node id"),
-    (1.0, 3, "root 1.0 is not a node id"),
+    ("x", 3, "root 'x' is not an int"),
+    (True, 3, "root True is not an int"),
+    (1.0, 3, "root 1.0 is not an int"),
     (10 ** 6, 2, "root 1000000 is not a node of the bundle")],
     ids=["string", "bool", "float", "no-such-node"])
 def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
@@ -629,9 +839,9 @@ def test_bad_root_fails_check_and_simulate_refuses_it(tmp_path, capsys,
         ["nosuch", "established"]]),
      "dep pair ('nosuch', 'established') names 'nosuch', which the program "
      "does not declare"),
-    ("diagram.json", _set_node(0, "lo", 999),
+    ("diagram.json", _put("nodes", 0, "lo", value=999),
      "node 0 references unknown node 999"),
-    ("diagram.json", _set_node(0, "lo", 0),
+    ("diagram.json", _put("nodes", 0, "lo", value=0),
      "node 0 leads back to node 0, a cycle")],
     ids=["flow-without-walk", "walk-of-no-demand",
          "walk-starts-elsewhere", "walk-ends-elsewhere",
