@@ -299,42 +299,90 @@ def bundle_dot(nodes: dict, root: int) -> str:
 
 # ---------------------------------------------------------------- bundle IO
 
-def _node_to_json(nid: int, node) -> dict:
-    if node[0] == "leaf":
-        return {"id": nid, "kind": "leaf",
-                "elems": [[xfdd.atom_to_json(a) for a in elem]
-                          for elem in node[1]]}
-    return {"id": nid, "kind": "branch", "test": xfdd.test_to_json(node[1]),
-            "hi": node[2], "lo": node[3]}
+def _diagram_to_json(nodes: dict, root: int) -> dict:
+    """diagram.json: each distinct test and atom once, in the `tests` and
+    `atoms` tables in order of first use in node-id order, and the nodes
+    by id, each naming its test or atoms by table index.  A node's id is
+    its position in `nodes`."""
+    tests: dict = {}
+    atoms: dict = {}
+    rows = []
+    for nid in range(len(nodes)):
+        node = nodes[nid]
+        if node[0] == "leaf":
+            rows.append({"kind": "leaf", "elems": [
+                [atoms.setdefault(a, len(atoms)) for a in elem]
+                for elem in node[1]]})
+        else:
+            rows.append({"kind": "branch",
+                         "test": tests.setdefault(node[1], len(tests)),
+                         "hi": node[2], "lo": node[3]})
+    return {"root": root,
+            "tests": [xfdd.test_to_json(t) for t in tests],
+            "atoms": [xfdd.atom_to_json(a) for a in atoms],
+            "nodes": rows}
 
 
 # placement.json and diagram.json, as `write_bundle` writes them
 PLACEMENT = {"mode": {"ST", "TE"}, "objective": float, "exact": bool,
              "placement": {str: str}, "dep": [(str, str)]}
-DIAGRAM = {"root": int, "nodes": [shape.Tagged("kind", {
-    "leaf": {"id": int, "elems": [[xfdd.ATOM]]},
-    "branch": {"id": int, "test": xfdd.TEST, "hi": int, "lo": int}})]}
-
-
-def _node_from_json(d: dict):
-    if d["kind"] == "leaf":
-        return ("leaf", tuple(tuple(xfdd.atom_from_json(a) for a in elem)
-                              for elem in d["elems"]))
-    return ("branch", xfdd.test_from_json(d["test"]), d["hi"], d["lo"])
+DIAGRAM = {"root": int, "tests": [xfdd.TEST], "atoms": [xfdd.ATOM],
+           "nodes": [shape.Tagged("kind", {
+               "leaf": {"elems": [[int]]},
+               "branch": {"test": int, "hi": int, "lo": int}})]}
 
 
 def _diagram_from_json(d: dict) -> dict:
-    nodes = {n["id"]: _node_from_json(n)
-             for n in shape.check(d, DIAGRAM)["nodes"]}
-    if len(nodes) < len(d["nodes"]):
-        raise ValueError("a node id is listed twice")
+    """The root and the nodes (id -> node) of a `DIAGRAM`, each table
+    entry decoded once, so leaves share their atoms; ValueError naming
+    a table entry whose value is bad, and an index that is not one of
+    its table's."""
+    shape.check(d, DIAGRAM)
+
+    def decoded(name, decode) -> list:
+        out = []
+        for i, x in enumerate(d[name]):
+            try:
+                out.append(decode(x))
+            except (OverflowError, ValueError) as e:
+                raise ValueError(f"{name}[{i}]: {e}") from e
+        return out
+
+    tests = decoded("tests", xfdd.test_from_json)
+    atoms = decoded("atoms", xfdd.atom_from_json)
+
+    def entry(table, name, i, where):
+        if not 0 <= i < len(table):
+            raise ValueError(f"{where} {i} is not an index of the "
+                             f"{len(table)} {name}")
+        return table[i]
+
+    nodes = {}
+    for nid, n in enumerate(d["nodes"]):
+        if n["kind"] == "leaf":
+            nodes[nid] = ("leaf", tuple(
+                tuple(entry(atoms, "atoms", k, f"nodes[{nid}].elems[{e}][{j}]")
+                      for j, k in enumerate(elem))
+                for e, elem in enumerate(n["elems"])))
+        else:
+            nodes[nid] = ("branch", entry(tests, "tests", n["test"],
+                                          f"nodes[{nid}].test"),
+                          n["hi"], n["lo"])
     return {"root": d["root"], "nodes": nodes}
 
 
-def _dump(path: str, obj) -> None:
+def _dump(path: str, obj: dict) -> None:
+    """Write `obj` as JSON with sorted keys and no spaces, each item of a
+    top-level list on a line of its own."""
+    compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    fields = []
+    for key in sorted(obj):
+        value = obj[key]
+        fields.append(compact(key) + ":" + (
+            "[\n" + ",\n".join(map(compact, value)) + "\n]"
+            if isinstance(value, list) and value else compact(value)))
     with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write("{\n" + ",\n".join(fields) + "\n}\n")
 
 
 def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
@@ -342,10 +390,11 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
     declarations, with body `id`, to `program.snap`; the mode, objective,
     exactness, placement and the dependency relation `dep` (sorted
     [s, t] pairs) to `placement.json`; the numbered diagram once, to
-    `diagram.json`; and the walks to `routing.json`.  The configs are
-    left out: `load_bundle` derives them.  An older bundle's
-    `switch/*.json` files are removed, and then its `switch/` directory
-    if that leaves it empty."""
+    `diagram.json` (`_diagram_to_json`); and the walks to
+    `routing.json`, each JSON part one compact record per line
+    (`_dump`).  The configs are left out: `load_bundle` derives them.
+    An older bundle's `switch/*.json` files are removed, and then its
+    `switch/` directory if that leaves it empty."""
     swdir = os.path.join(dirpath, "switch")
     if os.path.isdir(swdir):
         for name in os.listdir(swdir):
@@ -363,9 +412,7 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
            "placement": bundle.placement,
            "dep": sorted(list(p) for p in bundle.dep)})
     _dump(os.path.join(dirpath, "diagram.json"),
-          {"root": bundle.root,
-           "nodes": [_node_to_json(nid, bundle.nodes[nid])
-                     for nid in sorted(bundle.nodes)]})
+          _diagram_to_json(bundle.nodes, bundle.root))
     _dump(os.path.join(dirpath, "routing.json"),
           {"flows": opt.routing_to_json(bundle.routing)})
 
@@ -388,8 +435,8 @@ def read_bundle(dirpath: str) -> DeploymentBundle:
     """The bundle `write_bundle` wrote to `dirpath`, without configs.
     InputError names a part that is missing (as in a bundle written
     before that part came) or does not parse, a JSON part not of its
-    table's shape (`PLACEMENT`, `DIAGRAM`, `opt.ROUTING`), and a node or
-    a flow listed twice."""
+    table's shape (`PLACEMENT`, `DIAGRAM`, `opt.ROUTING`), a diagram
+    index that is not one of its table's, and a flow listed twice."""
     prog = _read_part(os.path.join(dirpath, "program.snap"), lambda p: p,
                       parse=lang.parse)
     kw = {"states": prog.states, "fields": prog.fields}

@@ -117,7 +117,8 @@ def value_to_json(v):
 def value_from_loose(x):
     """Accept untagged JSON scalars: ints stay ints, strings become
     addresses/prefixes when they parse as such, atoms otherwise.  Tagged
-    dicts (of shape `VALUE`) and lists (tuples) are handled too."""
+    dicts (of shape `VALUE`) and non-empty lists (tuples) are handled
+    too."""
     if isinstance(x, bool):
         return TRUE if x else FALSE
     if isinstance(x, int):
@@ -125,7 +126,7 @@ def value_from_loose(x):
     if isinstance(x, dict):
         return value_from_json(check(x, VALUE))
     if isinstance(x, list):
-        return tuple(value_from_loose(e) for e in x)
+        return _tuple(value_from_loose(e) for e in x)
     if isinstance(x, str):
         try:
             if "/" in x:
@@ -142,9 +143,18 @@ VALUE = Tagged("t", {"int": {"v": int}, "atom": {"v": str}, "ip": {"v": str},
 VALUE.cases["tuple"]["v"] = [VALUE]
 
 
+def _tuple(items) -> tuple:
+    """tuple(items); ValueError if that is empty, which is no value."""
+    out = tuple(items)
+    if not out:
+        raise ValueError("an empty tuple is not a value")
+    return out
+
+
 def value_from_json(d):
-    """The value of a `VALUE`; OverflowError for an int beyond 64 bits."""
+    """The value of a `VALUE`; OverflowError for an int beyond 64 bits,
+    ValueError for an empty tuple."""
     if d["t"] == "tuple":
-        return tuple(value_from_json(x) for x in d["v"])
+        return _tuple(value_from_json(x) for x in d["v"])
     return {"int": check_int_range, "atom": Atom, "ip": IPv4Address,
             "prefix": IPv4Network}[d["t"]](d["v"])

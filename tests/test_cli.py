@@ -241,11 +241,15 @@ def test_placement_not_an_object_exits_3(tmp_path, capsys, content):
     ('{"port": 1, "packet": {"inport": {"t": "int", "v": "1"}}}',
      "packet.inport: v '1' is not an int"),
     ('{"port": 1, "packet": {"srcip": {"t": "int", "v": %d}}}' % 2 ** 64,
-     "packet.srcip: integer out of 64-bit signed range: %d" % 2 ** 64)],
+     "packet.srcip: integer out of 64-bit signed range: %d" % 2 ** 64),
+    ('{"port": 1, "packet": {"srcip": []}}',
+     "packet.srcip: an empty tuple is not a value"),
+    ('{"port": 1, "packet": {"srcip": {"t": "tuple", "v": []}}}',
+     "packet.srcip: an empty tuple is not a value")],
     ids=["not-json", "no-packet", "no-port", "not-an-object",
          "packet-not-an-object", "port-not-an-int", "bad-value",
          "unknown-port", "unknown-key", "tagged-int-a-string",
-         "tagged-int-too-large"])
+         "tagged-int-too-large", "empty-tuple", "tagged-empty-tuple"])
 def test_malformed_trace_line_exits_3(tmp_path, capsys, line, says):
     """simulate names the first malformed line of its trace (here the
     second; the first is good), and the packet field of a bad value, and
@@ -367,6 +371,19 @@ def _put(*path, value):
     return damage
 
 
+def _inline_tables(d):
+    """A diagram.json in the format that listed each node with its `id`
+    and its test and atoms written out, with no `tests` or `atoms`
+    table."""
+    def inline(i, n):
+        if n["kind"] == "branch":
+            return dict(n, id=i, test=d["tests"][n["test"]])
+        return dict(n, id=i, elems=[[d["atoms"][k] for k in elem]
+                                    for elem in n["elems"]])
+    return {"root": d["root"],
+            "nodes": [inline(i, n) for i, n in enumerate(d["nodes"])]}
+
+
 def _set_walk(i, nodes):
     """Bundle damage: set the walk of routing.json's i-th flow."""
     def damage(d):
@@ -397,19 +414,28 @@ def _set_walk(i, nodes):
      "dep[0][1] 1 is not a string"),
     ("placement.json", lambda d: {k: v for k, v in d.items() if k != "dep"},
      "missing key 'dep'"),
-    ("placement.json", lambda d: [d], "is not an object"),
+    ("placement.json", lambda d: [d],
+     "[{'dep': [], 'exact': True, 'mode': 'ST', 'objective': 12... is not an "
+     "object"),
     ("routing.json", lambda d: {}, "missing key 'flows'"),
-    ("routing.json", _weighted_paths, "missing key 'nodes'"),
+    ("routing.json", _weighted_paths,
+     "missing key 'nodes' in an object at flows[0]"),
     ("routing.json", _set_walk(0, "I1C1"),
      "flows[0].nodes 'I1C1' is not a list"),
     ("routing.json", _set_walk(0, []),
      "flow (1,2): walk [] is not a non-empty list of switch names"),
     ("routing.json", lambda d: dict(d, flows=d["flows"][:1] + d["flows"]),
      "flow (1,2) is listed twice"),
-    ("diagram.json", lambda d: {"root": d["root"]}, "missing key 'nodes'"),
+    ("diagram.json", lambda d: {k: v for k, v in d.items() if k != "nodes"},
+     "missing key 'nodes'"),
     ("diagram.json", lambda d: dict(d, nodes=3), "nodes 3 is not a list"),
-    ("diagram.json", lambda d: dict(d, nodes=d["nodes"] + d["nodes"][3:4]),
-     "a node id is listed twice"),
+    ("diagram.json", _inline_tables, "missing key 'tests'"),
+    ("diagram.json", _put("nodes", 0, "test", value=3),
+     "nodes[0].test 3 is not an index of the 3 tests"),
+    ("diagram.json", _put("nodes", 2, "elems", 0, 0, value=2),
+     "nodes[2].elems[0][0] 2 is not an index of the 2 atoms"),
+    ("diagram.json", _put("nodes", 0, "test", value=-1),
+     "nodes[0].test -1 is not an index of the 3 tests"),
     ("diagram.json", _put("nodes", 0, "hi", value=[1]),
      "nodes[0].hi [1] is not an int"),
     ("placement.json", _put("version", value=2), "unknown key 'version'"),
@@ -419,8 +445,8 @@ def _set_walk(i, nodes):
      "unknown key 'weight' in an object at flows[0]"),
     ("diagram.json", _put("nodes", 0, "weight", value=1),
      "unknown key 'weight' in an object at nodes[0]"),
-    ("diagram.json", _put("nodes", 0, "test", "op", value="="),
-     "unknown key 'op' in an object at nodes[0].test"),
+    ("diagram.json", _put("tests", 0, "op", value="="),
+     "unknown key 'op' in an object at tests[0]"),
     ("routing.json", _put("flows", 0, "u", value=True),
      "flows[0].u True is not an int"),
     ("routing.json", _put("flows", 0, "v", value=2.0),
@@ -429,14 +455,18 @@ def _set_walk(i, nodes):
      "unknown key 'hi' in an object at nodes[2]"),
     ("diagram.json", _put("nodes", 0, "kind", value="bogus"),
      "nodes[0].kind 'bogus' is not " '"branch" or "leaf"'),
-    ("diagram.json", _put("nodes", 0, "test", "field", value=5),
-     "nodes[0].test.field 5 is not a string"),
-    ("diagram.json", _put("nodes", 0, "test", "value",
-                          value={"t": "int", "v": "7"}),
-     "nodes[0].test.value.v '7' is not an int"),
-    ("diagram.json", _put("nodes", 0, "test", "value",
+    ("diagram.json", _put("tests", 0, "field", value=5),
+     "tests[0].field 5 is not a string"),
+    ("diagram.json", _put("tests", 0, "value", value={"t": "int", "v": "7"}),
+     "tests[0].value.v '7' is not an int"),
+    ("diagram.json", _put("tests", 0, "value",
                           value={"t": "int", "v": 2 ** 64}),
-     "integer out of 64-bit signed range: 18446744073709551616"),
+     "tests[0]: integer out of 64-bit signed range: 18446744073709551616"),
+    ("diagram.json", _put("tests", 0, "value", value={"t": "tuple", "v": []}),
+     "tests[0]: an empty tuple is not a value"),
+    ("diagram.json", _put("atoms", 0, "rhs", value={
+        "e": "lit", "v": {"t": "tuple", "v": []}}),
+     "atoms[0]: an empty tuple is not a value"),
     ("diagram.json", None, "not found; compile the bundle again"),
     ("program.snap", None, "not found; compile the bundle again"),
     ("program.snap", lambda s: s.replace("default False", "default"),
@@ -449,26 +479,32 @@ def _set_walk(i, nodes):
          "placement-a-list", "routing-no-flows",
          "routing-weighted-paths", "routing-walk-a-string",
          "routing-walk-empty", "routing-flow-twice",
-         "diagram-no-nodes", "diagram-nodes-a-number", "diagram-node-twice",
-         "diagram-child-a-list", "placement-unknown-key",
-         "routing-unknown-key", "diagram-unknown-key",
+         "diagram-no-nodes", "diagram-nodes-a-number", "diagram-old-format",
+         "diagram-test-past-the-table", "diagram-atom-past-the-table",
+         "diagram-index-minus-one", "diagram-child-a-list",
+         "placement-unknown-key", "routing-unknown-key", "diagram-unknown-key",
          "routing-row-unknown-key", "diagram-node-unknown-key",
          "diagram-test-unknown-key", "routing-u-a-bool",
          "routing-v-a-float", "diagram-leaf-with-hi", "diagram-kind-bogus",
          "diagram-field-a-number", "diagram-int-a-string",
-         "diagram-int-too-large", "diagram-missing",
+         "diagram-int-too-large", "diagram-test-empty-tuple",
+         "diagram-atom-empty-tuple", "diagram-missing",
          "program-missing", "program-does-not-parse"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
-    """simulate and check name the damaged bundle file and exit 3.  A
-    bundle without `program.snap` or `diagram.json` (every bundle written
-    before the declarations or the diagram moved there) is one, so is a
+    """simulate and check name the damaged bundle file, and what is wrong
+    with it in one whole line, and exit 3.  A bundle without
+    `program.snap` or `diagram.json` (every bundle written before the
+    declarations or the diagram moved there) is one, so is a
     placement.json without `dep` (every bundle written while switch files
-    held the groups), and so is a `program.snap` that does not parse: bad
-    input, not a compile error (exit 1).  So is a JSON part not of its
-    table's shape: an unknown key at the top, in a routing row, a node or
-    a test, a `u` that is a bool or a `v` that is a float, a leaf with
-    `hi`, a `kind` that is neither, a test `field` that is a number or
-    an int value that is a string."""
+    held the groups), a diagram.json without the `tests` table (every
+    bundle written while each node held its test and atoms), and a
+    `program.snap` that does not parse: bad input, not a compile error
+    (exit 1).  So is a JSON part not of its table's shape: an unknown key
+    at the top, in a routing row, a node or a test, a `u` that is a bool
+    or a `v` that is a float, a leaf with `hi`, a `kind` that is neither,
+    a test `field` that is a number or an int value that is a string.
+    So is a node's test or atom index past its table or negative, and an
+    empty tuple in a test or an atom."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
@@ -486,8 +522,7 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
         code, out, err = run_cli([*argv, "--bundle", str(bundle),
                                   "--topo", TOPO], capsys)
         assert code == 3 and out == ""
-        assert err.startswith(f"bad input: {path}: ") and says in err
-        assert err.count("\n") == 1
+        assert err == f"bad input: {path}: {says}\n"
 
 
 # every test, atom, expression and value tag but a tuple value (no source
@@ -613,7 +648,9 @@ def test_every_table_entry_mutated_exits_3(tmp_path, capsys):
     example12: the entry's first value swapped for one of another JSON
     type, the key deleted if it is required, and an unknown key added to
     each object, each make `check` exit 3 with one `bad input:` line
-    naming the file.  None exits 0 or ends in a traceback."""
+    naming the file.  None exits 0 or ends in a traceback.  Every entry
+    is reached, those of diagram.json's `tests` and `atoms` tables
+    included, but a tuple value's."""
     policy = tmp_path / "every-tag.snap"
     policy.write_text(EVERY_TAG)
     bundle = tmp_path / "b"
@@ -696,7 +733,8 @@ def test_tampered_declaration_fails_check_p(tmp_path, capsys):
 def test_tampered_diagram_fails_check_p(tmp_path, capsys):
     """The bundle's `diagram.json` holds the pruned, numbered diagram once.
     A leaf changed to send the packet out of port 6 (leaf 3 sends it out
-    of port 1) is a sound bundle on its own, so plain `check` passes it;
+    of port 1), through an atom added to the table so that no other leaf
+    changes, is a sound bundle on its own, so plain `check` passes it;
     `check -p` builds the program's diagram, names the node that differs
     and exits 2."""
     bundle = tmp_path / "b"
@@ -707,10 +745,12 @@ def test_tampered_diagram_fails_check_p(tmp_path, capsys):
     assert code == 0
     path = bundle / "diagram.json"
     d = json.loads(path.read_text())
-    leaf = next(n for n in d["nodes"] if n["id"] == 3)
-    assert leaf["elems"] == [[{"a": "mod", "field": "outport",
-                               "value": {"t": "int", "v": 1}}]]
-    leaf["elems"][0][0]["value"]["v"] = 6
+    leaf = d["nodes"][3]
+    [[k]] = leaf["elems"]
+    assert d["atoms"][k] == {"a": "mod", "field": "outport",
+                             "value": {"t": "int", "v": 1}}
+    d["atoms"].append(dict(d["atoms"][k], value={"t": "int", "v": 6}))
+    leaf["elems"] = [[len(d["atoms"]) - 1]]
     path.write_text(json.dumps(d))
     check = ["check", "--bundle", str(bundle), "--topo", TOPO]
     code, out, _ = run_cli(check, capsys)

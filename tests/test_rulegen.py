@@ -261,15 +261,17 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    seven format changes: the one that keyed the groups by variable (the
+    eight format changes: the one that keyed the groups by variable (the
     last visit before the owner keeps the unresolved entry), the one
     that wrote each flow's routing as one walk, not a list of weighted
     paths, the one that stopped writing xfdd.dot, the one that moved
     the declarations from each switch file's `state_tables` into
     `program.snap`, the one that moved the diagram from the switch
     files' `nodes` into `diagram.json`, the one that left the resolved
-    rules to routing.json's walks, and the one that left the groups to
-    `load_bundle`.  The walk change moved only
+    rules to routing.json's walks, the one that left the groups to
+    `load_bundle`, and the one that gave diagram.json its `tests` and
+    `atoms` tables and wrote every JSON part one compact record per
+    line.  The walk change moved only
     routing.json, so every other file keeps the digest it had before it.
     Both digests were pinned again when xfdd.dot went, with the values
     the commit before wrote for every file but xfdd.dot; again when
@@ -286,16 +288,20 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     `rules.unresolved` list as `groups`, and nothing else; and again when
     the switch files went: program.snap, diagram.json and routing.json
     kept their bytes, placement.json gained only its `dep` key, and the
-    groups a loaded bundle derives equal the 58 the switch files held."""
+    groups a loaded bundle derives equal the 58 the switch files held;
+    and again when the tables came: program.snap kept its bytes,
+    placement.json and routing.json parse to the JSON they held before,
+    and the diagram.json before and after decode to equal nodes and
+    root."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "49486864421e2df0551120a14b364ef4b1801cc00bda5c90b410ead7133738ed")
+        "381d9d06b3094b38df7c5ce12f101384ffda75ac5eb71fc0c64dd5f57ba9d9f4")
     assert bundle_digest(bundle, tmp_path) == (
-        "8b84306b62fdcc11b1c7bcc89b62eb7f349d2401e1df5ef5262d980274390ab4")
+        "6a3a1b4abb18953c91a6106b93804141a381090205386f6040697205ebf76ccb")
     assert sorted(os.listdir(tmp_path)) == BUNDLE_FILES
     loaded = rulegen.load_bundle(str(tmp_path), t)
     assert loaded.configs == bundle.configs
@@ -308,13 +314,23 @@ def test_compiled_rules_follow_the_walks(tmp_path):
     are the compile's: every corpus policy composed with assign-egress, on
     example12 and on generated(20, 3) at budget 64, and the compile above
     whose walks revisit switches, passes validate_bundle, and so does the
-    bundle written and loaded again, whose configs equal the compile's."""
+    bundle written and loaded again, whose configs, diagram, walks,
+    placement, `dep`, objective and exactness equal the compile's.  Written
+    again, the loaded bundle is the same bytes, file for file."""
     def check(bundle, t, name):
         assert rulegen.validate_bundle(bundle, t) == [], name
-        rulegen.write_bundle(bundle, str(tmp_path))
-        loaded = rulegen.load_bundle(str(tmp_path), t)
+        one, two = tmp_path / "one", tmp_path / "two"
+        rulegen.write_bundle(bundle, str(one))
+        loaded = rulegen.load_bundle(str(one), t)
         assert loaded.configs == bundle.configs, name
         assert rulegen.validate_bundle(loaded, t) == [], name
+        for key in ("nodes", "root", "routing", "placement", "dep",
+                    "objective", "exact"):
+            assert getattr(loaded, key) == getattr(bundle, key), (name, key)
+        rulegen.write_bundle(loaded, str(two))
+        for rel in BUNDLE_FILES:
+            assert (one / rel).read_bytes() == (two / rel).read_bytes(), (
+                name, rel)
 
     g20 = topo.generated(20, 3)
     for name in CORPUS:
@@ -377,14 +393,16 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from seven format changes: the one that keyed
+    whole fact list, apart from eight format changes: the one that keyed
     the groups by variable, the one that wrote each flow's routing as one
     walk, not a list of weighted paths, the one that stopped writing
     xfdd.dot, the one that moved the declarations from each switch file's
     `state_tables` into `program.snap`, the one that moved the diagram
     from the switch files' `nodes` into `diagram.json`, the one that left
-    the resolved rules to routing.json's walks, and the one that left the
-    groups to `load_bundle`.  The walk change moved only routing.json, so
+    the resolved rules to routing.json's walks, the one that left the
+    groups to `load_bundle`, and the one that gave diagram.json its
+    `tests` and `atoms` tables and wrote every JSON part one compact
+    record per line.  The walk change moved only routing.json, so
     every other file keeps the digest it had before it.  Both digests
     were pinned again when xfdd.dot went, with the values the commit
     before wrote for every file but xfdd.dot;
@@ -401,8 +419,11 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     `rules.unresolved` list as `groups`, and nothing else; and again when
     the switch files went: program.snap, diagram.json and routing.json
     kept their bytes, placement.json gained only its `dep` key, and the
-    groups a loaded bundle derives equal the 84 the switch files held.
-    Most path facts here are state tests."""
+    groups a loaded bundle derives equal the 84 the switch files held;
+    and again when the tables came: program.snap kept its bytes,
+    placement.json and routing.json parse to the JSON they held before,
+    and the diagram.json before and after decode to equal nodes and
+    root.  Most path facts here are state tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -411,15 +432,15 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "0e3697c4dc1f79b378fffa97ab151fcf90aca73d97b31be05aa4e7d90780de8b")
+        "5bfb560ba5acd801ffd7a1a862aa974df96bb5cfe0bc0e0c604d5867bde5ab90")
     assert bundle_digest(bundle, tmp_path) == (
-        "cf937d992dafa1c1bfda528292d94abfde1697e47963b9c79f6f07a66e377e31")
+        "ecd20c77d328c942938ec440b0003bbb8f072614e8ed7fb720b4f0a9b182ca62")
     # one group per (inport, variable), not one per resume point
     loaded = rulegen.load_bundle(str(tmp_path), t)
     assert loaded.configs == bundle.configs
     assert group_count(loaded) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")
-               if p.is_file()) < 512 * 1024
+               if p.is_file()) < 16 * 1024
 
 
 def test_gen_routing_reads_exec_positions_once_per_flow(monkeypatch):
