@@ -30,10 +30,11 @@ The simulator carries the header with the entry packet as one record,
 fact once: the program's declarations (`program.snap`), the placement
 and the dependency relation (`placement.json`), the pruned and numbered
 diagram (`diagram.json`) and the walks (`routing.json`), as
-`write_bundle` says.  `load_bundle` derives each switch's resolved rules
-and waiting-packet groups from them (`switch_configs`), and the
-simulator cuts each switch's fragment from the diagram and the
-placement.
+`write_bundle` says.  `load_bundle` derives each switch's rules and
+waiting-packet groups from them as a compile does (`gen_routing`): a
+rule is a flow's next hop, and a walk's last switch, which owns the
+flow's egress port, has none.  The simulator cuts each switch's
+fragment from the diagram and the placement.
 """
 
 from __future__ import annotations
@@ -49,22 +50,16 @@ from .errors import InputError, ParseError
 
 
 @dataclass
-class SwitchConfig:
-    switch: str
-    resolved: dict               # (u, v) -> ("fwd", next) | ("emit", v)
-    unresolved: dict             # (u, state var) -> ((w, tag, next), ...)
-
-
-@dataclass
 class DeploymentBundle:
-    """A compiled deployment.  The configs follow from the other fields
-    (`switch_configs`), so a written bundle leaves them out."""
+    """A compiled deployment.  The rules and groups follow from the other
+    fields (`gen_routing`), so a written bundle leaves them out."""
     mode: str
     placement: dict              # state var -> switch id
     routing: dict                # (u, v) -> walk (node, ...)
     nodes: dict                  # nid -> node, the whole program diagram
     root: int
-    configs: dict                # switch id -> SwitchConfig
+    rules: dict                  # switch id -> {(u, v): next hop}
+    groups: dict                 # switch id -> {(u, var): ((w, v, next), ...)}
     states: dict                 # the program's declarations
     fields: dict                 # (`lang.Program.states`, `.fields`)
     dep: frozenset               # `deps.OrderSpec.dep`: pairs (s, t)
@@ -162,28 +157,25 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
 # ---------------------------------------------------------------- routing
 
 def resolved_rules(routing: dict, switches) -> dict:
-    """switch -> {(u, v): rule} for each switch in `switches`, from the
-    walks of `routing` ({(u, v): walk}): a flow's rule at a switch of its
-    walk is fwd to the hop after the switch's last occurrence on the walk
-    (a packet that comes back to a switch leaves it the later way), and
-    emit on v at the walk's last switch.  A rule at a switch outside
-    `switches` is left out."""
+    """switch -> {(u, v): next hop} for each switch in `switches`, from
+    the walks of `routing` ({(u, v): walk}): a flow's rule at a switch of
+    its walk is the hop after the switch's last occurrence on the walk (a
+    packet that comes back to a switch leaves it the later way).  The
+    walk's last switch, which emits on v, and a switch outside `switches`
+    get no rule."""
     out: dict = {sid: {} for sid in switches}
     for (u, v), path in routing.items():
         for a, b in zip(path, path[1:]):
-            if a in out:
-                out[a][(u, v)] = ("fwd", b)
-        if path[-1] in out:
-            out[path[-1]][(u, v)] = ("emit", v)
+            if a in out and a != path[-1]:
+                out[a][(u, v)] = b
     return out
 
 
 def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
     """Per-switch routing tables for `routing` ({(u, v): walk}).
 
-    Resolved rules, keyed (obs_inport, obs_outport): next hop along the
-    flow's walk, with an emit action at the egress switch
-    (`resolved_rules`).
+    Resolved rules, keyed (obs_inport, obs_outport): the next hop along
+    the flow's walk, none at the egress switch (`resolved_rules`).
 
     Unresolved rules, keyed (obs_inport, state variable): a weighted group
     over the candidate walks of flows (u, v_i) that need the
@@ -210,16 +202,6 @@ def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
         unresolved[sid] = {k: tuple(sorted(rows, key=lambda e: (e[1], e[2])))
                            for k, rows in unresolved[sid].items()}
     return resolved_rules(routing, topo.nodes), unresolved
-
-
-def switch_configs(routing: dict, placement: dict, demand, topo,
-                   dep) -> dict:
-    """switch id -> SwitchConfig, for every switch of `topo`: the rules
-    and groups `gen_routing` gives.  A compile and `load_bundle` both
-    build the configs here."""
-    resolved, unresolved = gen_routing(routing, placement, demand, topo, dep)
-    return {sid: SwitchConfig(sid, resolved[sid], unresolved[sid])
-            for sid in sorted(topo.nodes)}
 
 
 # ---------------------------------------------------------------- pipeline
@@ -257,13 +239,14 @@ def compile(prog: lang.Program, topo, fixed: dict | None = None,
     times["P5"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    configs = switch_configs(sol.routing, sol.placement, demand, topo, m.dep)
+    rules, groups = gen_routing(sol.routing, sol.placement, demand, topo,
+                                m.dep)
     times["P6"] = time.monotonic() - t0
 
     return DeploymentBundle(mode="ST" if fixed is None else "TE",
                             placement=dict(sol.placement),
                             routing=sol.routing, nodes=nodes, root=root,
-                            configs=configs, states=prog.states,
+                            rules=rules, groups=groups, states=prog.states,
                             fields=prog.fields, dep=m.dep,
                             objective=sol.objective, exact=sol.exact)
 
@@ -335,8 +318,8 @@ DIAGRAM = {"root": int, "tests": [xfdd.TEST], "atoms": [xfdd.ATOM],
 def _diagram_from_json(d: dict) -> dict:
     """The root and the nodes (id -> node) of a `DIAGRAM`, each table
     entry decoded once, so leaves share their atoms; ValueError naming
-    a table entry whose value is bad, and an index that is not one of
-    its table's."""
+    a table entry whose value is bad, an index that is not one of its
+    table's, and a leaf with no action sequence."""
     shape.check(d, DIAGRAM)
 
     def decoded(name, decode) -> list:
@@ -360,6 +343,9 @@ def _diagram_from_json(d: dict) -> dict:
     nodes = {}
     for nid, n in enumerate(d["nodes"]):
         if n["kind"] == "leaf":
+            if not n["elems"]:
+                raise ValueError(f"nodes[{nid}].elems is empty: a leaf has "
+                                 "at least one action sequence")
             nodes[nid] = ("leaf", tuple(
                 tuple(entry(atoms, "atoms", k, f"nodes[{nid}].elems[{e}][{j}]")
                       for j, k in enumerate(elem))
@@ -392,7 +378,8 @@ def write_bundle(bundle: DeploymentBundle, dirpath: str) -> None:
     [s, t] pairs) to `placement.json`; the numbered diagram once, to
     `diagram.json` (`_diagram_to_json`); and the walks to
     `routing.json`, each JSON part one compact record per line
-    (`_dump`).  The configs are left out: `load_bundle` derives them.
+    (`_dump`).  The rules and groups are left out: `load_bundle`
+    derives them.
     An older bundle's `switch/*.json` files are removed, and then its
     `switch/` directory if that leaves it empty."""
     swdir = os.path.join(dirpath, "switch")
@@ -432,7 +419,8 @@ def _read_part(path: str, decode, parse=json.loads):
 
 
 def read_bundle(dirpath: str) -> DeploymentBundle:
-    """The bundle `write_bundle` wrote to `dirpath`, without configs.
+    """The bundle `write_bundle` wrote to `dirpath`, with no rules or
+    groups.
     InputError names a part that is missing (as in a bundle written
     before that part came) or does not parse, a JSON part not of its
     table's shape (`PLACEMENT`, `DIAGRAM`, `opt.ROUTING`), a diagram
@@ -448,13 +436,14 @@ def read_bundle(dirpath: str) -> DeploymentBundle:
             ("routing.json", lambda d: {"routing": opt.routing_from_json(
                 shape.check(d, opt.ROUTING)["flows"])})):
         kw.update(_read_part(os.path.join(dirpath, name), decode))
-    return DeploymentBundle(configs={}, **kw)
+    return DeploymentBundle(rules={}, groups={}, **kw)
 
 
 def load_bundle(dirpath: str, topo) -> DeploymentBundle:
-    """`read_bundle`, with the configs derived as a compile derives them
-    (`switch_configs`) on `topo`.  A bundle that fails `validate_bundle`
-    raises InputError (`require_valid`) before the derivation reads it."""
+    """`read_bundle`, with the rules and groups derived as a compile
+    derives them (`gen_routing`) on `topo`.  A bundle that fails
+    `validate_bundle` raises InputError (`require_valid`) before the
+    derivation reads it."""
     bundle = read_bundle(dirpath)
     require_valid(bundle, topo)
     dep = bundle.dep
@@ -463,8 +452,8 @@ def load_bundle(dirpath: str, topo) -> DeploymentBundle:
     prog = lang.Program(bundle.states, bundle.fields, None, lang.Id())
     demand = psm.packet_state_map(bundle.nodes, bundle.root, topo, order,
                                   prog)
-    bundle.configs = switch_configs(bundle.routing, bundle.placement,
-                                    demand, topo, dep)
+    bundle.rules, bundle.groups = gen_routing(
+        bundle.routing, bundle.placement, demand, topo, dep)
     return bundle
 
 
@@ -506,10 +495,10 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     must be the walks' cost, each flow's demand times the sum of
     1/capacity over its links, to a relative 1e-9.  No child may lead
     back to a node above it: a packet's walk of the diagram would follow
-    that cycle for ever.  The configs are not checked: a compile and
-    `load_bundle` both derive them from the other fields
-    (`switch_configs`), so a fault in `gen_routing` or `resolved_rules`
-    is not seen here.  Returns a list of problem strings (empty means
+    that cycle for ever.  The rules and groups are not checked: a compile
+    and `load_bundle` both derive them from the other fields
+    (`gen_routing`), so a fault in `gen_routing` or `resolved_rules` is
+    not seen here.  Returns a list of problem strings (empty means
     ok)."""
     declared = set(bundle.states)
     points = state_resume_points(bundle.nodes)

@@ -2,13 +2,18 @@
 
 Loads a deployment bundle onto a topology and executes injected packets
 under the distributed protocol described in the rule generator.  Each
-switch keeps the tables of the variables placed on it, at the defaults
-of the bundle's declarations (`DeploymentBundle.states`) until written,
-and walks its own fragment of the program diagram (`rulegen.split_xfdd`
-cuts it at load) until a leaf or a node it does not hold; the packet body
-in flight is the entry packet, state operations run at their owners
-(opportunistically when an owner is passed en route), and field
-modifications are applied once no state operations remain.
+state variable has one cell table, at the default of the bundle's
+declarations (`DeploymentBundle.states`) until written, which only the
+variable's owner reads and writes.  Each switch walks its own fragment
+of the program diagram (`rulegen.split_xfdd` cuts it at load) until a
+leaf or a node it does not hold; the packet body in flight is the entry
+packet, state operations run at their owners (opportunistically when an
+owner is passed en route), and field modifications are applied once no
+state operations remain.  A final copy is emitted at the switch that owns
+its egress port, and elsewhere sent to the next hop its flow's rule gives
+(`DeploymentBundle.rules`); a blocked one follows its group
+(`DeploymentBundle.groups`).  With neither, `SimNetwork._fallback_next`
+sends it one hop toward its target, outside the compiled plan.
 
 Two execution modes:
   * serialized — each injected packet (and all its forked copies) is
@@ -88,17 +93,14 @@ class _Copy:
 class SimNetwork:
     def __init__(self, bundle: rulegen.DeploymentBundle, topo,
                  seed: int = 0, events: bool = False):
-        # rules then forward over links; each declared variable has an owner
-        rulegen.require_valid(bundle, topo)
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
         # switch -> nid -> node, the fragment the switch runs
         self.frags = rulegen.split_xfdd(bundle.nodes, bundle.root,
                                         bundle.placement, topo)
-        # switch -> var it owns -> canonical index key -> (index, value)
-        self.tables = {sid: {s: {} for s, o in bundle.placement.items()
-                             if o == sid} for sid in bundle.configs}
+        # var -> canonical index key -> (index, value), at the var's owner
+        self.cells = {s: {} for s in bundle.states}
         self.defaults = {s: d.default for s, d in bundle.states.items()}
         self.points = rulegen.state_resume_points(bundle.nodes)
         self.max_hops = len(topo.nodes) * (len(bundle.placement) + 1)
@@ -142,27 +144,24 @@ class SimNetwork:
         """Packet copies sent over links so far."""
         return sum(self.link_sent.values())
 
-    # -- state tables
+    # -- state cells
 
-    def _cell(self, sid: str, var: str, idx: tuple):
-        slot = self.tables[sid][var].get(tuple(canon_key(x) for x in idx))
+    def _cell(self, var: str, idx: tuple):
+        slot = self.cells[var].get(tuple(canon_key(x) for x in idx))
         return slot[1] if slot is not None else self.defaults[var]
 
-    def _store(self, sid: str, var: str, idx: tuple, value):
+    def _store(self, var: str, idx: tuple, value):
         k = tuple(canon_key(x) for x in idx)
-        tab = self.tables[sid][var]
+        tab = self.cells[var]
         if values_equal(value, self.defaults[var]):
             tab.pop(k, None)
         else:
             tab[k] = (idx, value)
 
     def aggregate_state(self) -> dict:
-        """Each variable's cells, from its owner: var -> index key -> value."""
-        out = {s: {} for s in self.defaults}
-        for tables in self.tables.values():
-            for var, tab in tables.items():
-                out[var] = {k: v for k, (_, v) in tab.items()}
-        return out
+        """Each variable's cells: var -> index key -> value."""
+        return {s: {k: v for k, (_, v) in tab.items()}
+                for s, tab in self.cells.items()}
 
     # -- injection / event loop
 
@@ -261,7 +260,7 @@ class SimNetwork:
     def _forward_blocked(self, sid: str, copy: _Copy):
         u, key = copy.inport, copy.resume
         var = self.points[key]
-        rows = self.bundle.configs[sid].unresolved.get((u, var))
+        rows = self.bundle.groups[sid].get((u, var))
         if rows:
             chosen = None
             if copy.outport is not None:
@@ -312,7 +311,7 @@ class SimNetwork:
             test = node[1]
             if isinstance(test, xfdd.TStateTest):
                 idx = eval_index(test.index, body)
-                cell = self._cell(sid, test.var, idx)
+                cell = self._cell(test.var, idx)
                 self.state_reads[sid] += 1
                 if self.events:
                     self._log(sid, body, "state-read", (test.var, idx))
@@ -369,21 +368,21 @@ class SimNetwork:
     def _run_leaf(self, sid: str, copy: _Copy):
         _, nid, ei, _ = copy.resume
         elem = self.frags[sid][nid][1][ei]
-        owns = self.tables[sid]
+        placement = self.bundle.placement
         done = copy.done
         pending = [k for k, a in enumerate(elem)
                    if lang.is_state_op(a) and k not in done]
         for k in pending[:]:
             a = elem[k]
-            if a.var not in owns:
+            if placement[a.var] != sid:
                 continue
             idx = eval_index(a.index, copy.body)
             if isinstance(a, lang.StateSet):
                 val = eval_expr(a.rhs, copy.body)
             else:
-                val = _incr_value(self._cell(sid, a.var, idx),
+                val = _incr_value(self._cell(a.var, idx),
                                   1 if isinstance(a, lang.Incr) else -1)
-            self._store(sid, a.var, idx, val)
+            self._store(a.var, idx, val)
             self.state_writes[sid] += 1
             if self.events:
                 self._log(sid, copy.body, "state-write", (a.var, idx, val))
@@ -419,20 +418,23 @@ class SimNetwork:
             if self.events:
                 self._log(sid, copy.body, "drop", f"unknown egress port {v}")
             return
-        rule = self.bundle.configs[sid].resolved.get((copy.inport, v))
-        if rule is not None and rule[0] == "fwd":
-            self._send(sid, rule[1], copy)
-        else:
-            self._send(sid, self._fallback_next(sid, target), copy)
+        hop = self.bundle.rules[sid].get((copy.inport, v))
+        if hop is None:
+            hop = self._fallback_next(sid, target)
+        self._send(sid, hop, copy)
 
 
 # ---------------------------------------------------------------- loading
 
 def load(bundle, topo, seed: int = 0, events: bool = False) -> SimNetwork:
     """bundle: a DeploymentBundle or a bundle directory path.  `events`
-    records the event trace in `SimNetwork.trace`."""
+    records the event trace in `SimNetwork.trace`.  A bundle that fails
+    `rulegen.validate_bundle` raises InputError, checked once: by
+    `load_bundle` for a directory, here for a bundle in memory."""
     if isinstance(bundle, str):
         bundle = rulegen.load_bundle(bundle, topo)
+    else:
+        rulegen.require_valid(bundle, topo)
     return SimNetwork(bundle, topo, seed=seed, events=events)
 
 

@@ -65,7 +65,10 @@ class TFieldField:
     f2: str
 
     def __post_init__(self):
-        assert self.f1 < self.f2, "field-field tests are canonicalized"
+        if not self.f1 < self.f2:
+            raise ValueError(f"field-field test of {self.f1!r} and "
+                             f"{self.f2!r} is not canonical: f1 must sort "
+                             "before f2")
 
 
 @lang.hash_once

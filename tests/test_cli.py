@@ -467,6 +467,16 @@ def _set_walk(i, nodes):
     ("diagram.json", _put("atoms", 0, "rhs", value={
         "e": "lit", "v": {"t": "tuple", "v": []}}),
      "atoms[0]: an empty tuple is not a value"),
+    ("diagram.json", _put("tests", 0, value={"t": "ff", "f1": "srcip",
+                                             "f2": "dstip"}),
+     "tests[0]: field-field test of 'srcip' and 'dstip' is not canonical: "
+     "f1 must sort before f2"),
+    ("diagram.json", _put("tests", 0, value={"t": "ff", "f1": "srcip",
+                                             "f2": "srcip"}),
+     "tests[0]: field-field test of 'srcip' and 'srcip' is not canonical: "
+     "f1 must sort before f2"),
+    ("diagram.json", _put("nodes", 2, "elems", value=[]),
+     "nodes[2].elems is empty: a leaf has at least one action sequence"),
     ("diagram.json", None, "not found; compile the bundle again"),
     ("program.snap", None, "not found; compile the bundle again"),
     ("program.snap", lambda s: s.replace("default False", "default"),
@@ -488,7 +498,9 @@ def _set_walk(i, nodes):
          "routing-v-a-float", "diagram-leaf-with-hi", "diagram-kind-bogus",
          "diagram-field-a-number", "diagram-int-a-string",
          "diagram-int-too-large", "diagram-test-empty-tuple",
-         "diagram-atom-empty-tuple", "diagram-missing",
+         "diagram-atom-empty-tuple", "diagram-ff-fields-out-of-order",
+         "diagram-ff-same-field-twice", "diagram-leaf-without-sequences",
+         "diagram-missing",
          "program-missing", "program-does-not-parse"])
 def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     """simulate and check name the damaged bundle file, and what is wrong
@@ -503,8 +515,11 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     at the top, in a routing row, a node or a test, a `u` that is a bool
     or a `v` that is a float, a leaf with `hi`, a `kind` that is neither,
     a test `field` that is a number or an int value that is a string.
-    So is a node's test or atom index past its table or negative, and an
-    empty tuple in a test or an atom."""
+    So is a node's test or atom index past its table or negative, an
+    empty tuple in a test or an atom, a field-field test whose fields are
+    not in order (the compiler writes f1 before f2, so the reader does
+    not guess), and a leaf with no action sequence, which the compiler
+    never writes and under which a packet would vanish."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
@@ -792,8 +807,8 @@ def test_dep_that_differs_fails_check_p(tmp_path, capsys, damage, says):
 
 def test_groups_are_derived_not_written(tmp_path, capsys):
     """A compile writes no switch/ directory, so no waiting-packet group
-    can be deleted from a bundle: the loaded C1 config of
-    stateful-fw;assign-egress on example12 has the (1, established)
+    can be deleted from a bundle: the loaded C1 groups of
+    stateful-fw;assign-egress on example12 hold the (1, established)
     group, which sends every flow from port 1 on to `established`'s
     owner C5."""
     bundle = tmp_path / "b"
@@ -805,7 +820,7 @@ def test_groups_are_derived_not_written(tmp_path, capsys):
     t = topo.load(TOPO)
     loaded = rulegen.load_bundle(str(bundle), t)
     assert loaded.placement == {"established": "C5"}
-    group = loaded.configs["C1"].unresolved[(1, "established")]
+    group = loaded.groups["C1"][(1, "established")]
     assert {(v, nh) for _, v, nh in group} == {
         (v, "C5") for u, v in t.demands if u == 1}
 
@@ -932,7 +947,7 @@ from snapnet import cli, simnet
 load = simnet.load
 def load_then_loop(*args, **kwargs):
     net = load(*args, **kwargs)
-    group = net.bundle.configs["C1"].unresolved
+    group = net.bundle.groups["C1"]
     group[1, "established"] = tuple((w, v, "I1")
                                     for w, v, _ in group[1, "established"])
     return net
@@ -970,9 +985,9 @@ def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
 
 def test_config_for_unknown_switch_fails_check(tmp_path, capsys):
     """A bundle that names a switch the topology has none of fails
-    `check`.  The configs are derived for the topology's own switches,
-    so placement.json is where a bundle can name such a switch: here it
-    places `established` on ZZ."""
+    `check`.  The rules and groups are derived for the topology's own
+    switches, so placement.json is where a bundle can name such a
+    switch: here it places `established` on ZZ."""
     bundle = tmp_path / "b"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)

@@ -24,7 +24,7 @@ def compile_named(names, t=None, **kw):
 def group_count(bundle) -> int:
     """Waiting-packet groups over all switches: one per (inport, state
     variable) a switch forwards blocked packets for."""
-    return sum(len(cfg.unresolved) for cfg in bundle.configs.values())
+    return sum(map(len, bundle.groups.values()))
 
 
 def bundle_digest(bundle, dirpath, skip=()) -> str:
@@ -79,15 +79,16 @@ def test_exec_positions_follow_dependencies():
 def test_compile_bundle_structure():
     prog, t, bundle = compile_named(
         ["dns-tunnel-detect", "assign-egress", "assumption"])
-    assert set(bundle.configs) == set(t.nodes)
+    assert set(bundle.rules) == set(bundle.groups) == set(t.nodes)
     assert set(bundle.placement) == {"orphan", "susp-client", "blacklist"}
     assert bundle.states == prog.states and bundle.fields == prog.fields
     assert bundle.states["orphan"].arity == 2  # (dstip, dns-rdata) index
-    # every flow is fully wired: each hop forwards, the egress emits
+    # every flow is fully wired: each hop before the egress switch has a
+    # next hop over a link, and the egress switch, which emits, has none
     for (u, v), path in bundle.routing.items():
         for a in path[:-1]:
-            assert bundle.configs[a].resolved[(u, v)][0] == "fwd"
-        assert bundle.configs[path[-1]].resolved[(u, v)] == ("emit", v)
+            assert (a, bundle.rules[a][(u, v)]) in t.links
+        assert (u, v) not in bundle.rules[path[-1]]
 
 
 def test_validate_bundle_clean_and_detects_damage():
@@ -112,19 +113,18 @@ def test_unresolved_rules_exist_upstream_of_owner():
     for path in bundle.routing.values():
         if owner in path:
             upstream.update(path[:path.index(owner)])
-    with_rules = {sid for sid, cfg in bundle.configs.items()
-                  if cfg.unresolved}
+    with_rules = {sid for sid, groups in bundle.groups.items() if groups}
     assert with_rules and with_rules <= upstream
 
 
 def test_unresolved_groups_are_demand_weighted():
     _, t, bundle = compile_named(
         ["dns-tunnel-detect", "assign-egress", "assumption"])
-    for cfg in bundle.configs.values():
-        for (u, key), rows in cfg.unresolved.items():
+    for sid, groups in bundle.groups.items():
+        for (u, key), rows in groups.items():
             for w, tag, nh in rows:
                 assert w == t.demands[(u, tag)]
-                assert (cfg.switch, nh) in t.links
+                assert (sid, nh) in t.links
 
 
 BUNDLE_FILES = ["diagram.json", "placement.json", "program.snap",
@@ -154,11 +154,7 @@ def test_bundle_round_trip(tmp_path):
     assert b2.routing == b1.routing
     assert (b2.root, b2.nodes) == (b1.root, b1.nodes)
     assert (b2.states, b2.fields) == (b1.states, b1.fields)
-    assert set(b2.configs) == set(b1.configs)
-    for sid in b1.configs:
-        c1, c2 = b1.configs[sid], b2.configs[sid]
-        assert c2.resolved == c1.resolved
-        assert c2.unresolved == c1.unresolved
+    assert (b2.rules, b2.groups) == (b1.rules, b1.groups)
     assert rulegen.validate_bundle(b2, t) == []
 
 
@@ -202,14 +198,14 @@ def test_bundle_write_load_write_is_byte_identical(tmp_path, workload):
 
 def test_smaller_bundle_replaces_a_larger_one(tmp_path):
     """A bundle written over a larger one on another topology loads the
-    smaller bundle's configs, derived for its own topology."""
+    smaller bundle's rules and groups, derived for its own topology."""
     _, _, big = compile_named(["stateful-fw"], topo.generated(16, 7))
     _, t, small = compile_named(["stateful-fw"], topo.generated(8, 7))
     rulegen.write_bundle(big, str(tmp_path))
     rulegen.write_bundle(small, str(tmp_path))
     loaded = rulegen.load_bundle(str(tmp_path), t)
-    assert set(big.configs) > set(small.configs)
-    assert loaded.configs == small.configs
+    assert set(big.rules) > set(small.rules)
+    assert (loaded.rules, loaded.groups) == (small.rules, small.groups)
     assert rulegen.validate_bundle(loaded, t) == []
 
 
@@ -217,7 +213,7 @@ def test_bundle_written_over_an_old_one_leaves_no_switch_files(tmp_path):
     """A bundle written over one of the format whose switch/<id>.json
     files held the groups, and whose placement.json had no `dep`, removes
     those files and the switch/ directory: exactly the four bundle files
-    remain, and they load to the compile's configs."""
+    remain, and they load to the compile's rules and groups."""
     _, t, bundle = compile_named(["stateful-fw", "assign-egress"])
     rulegen.write_bundle(bundle, str(tmp_path))
     path = tmp_path / "placement.json"
@@ -229,7 +225,8 @@ def test_bundle_written_over_an_old_one_leaves_no_switch_files(tmp_path):
             json.dumps({"id": sid, "groups": []}))
     rulegen.write_bundle(bundle, str(tmp_path))
     assert sorted(p.name for p in tmp_path.rglob("*")) == BUNDLE_FILES
-    assert rulegen.load_bundle(str(tmp_path), t).configs == bundle.configs
+    loaded = rulegen.load_bundle(str(tmp_path), t)
+    assert (loaded.rules, loaded.groups) == (bundle.rules, bundle.groups)
 
 
 def test_fixed_placement_forces_te_mode():
@@ -304,7 +301,7 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
         "6a3a1b4abb18953c91a6106b93804141a381090205386f6040697205ebf76ccb")
     assert sorted(os.listdir(tmp_path)) == BUNDLE_FILES
     loaded = rulegen.load_bundle(str(tmp_path), t)
-    assert loaded.configs == bundle.configs
+    assert (loaded.rules, loaded.groups) == (bundle.rules, bundle.groups)
     assert group_count(loaded) == 58
 
 
@@ -314,15 +311,24 @@ def test_compiled_rules_follow_the_walks(tmp_path):
     are the compile's: every corpus policy composed with assign-egress, on
     example12 and on generated(20, 3) at budget 64, and the compile above
     whose walks revisit switches, passes validate_bundle, and so does the
-    bundle written and loaded again, whose configs, diagram, walks,
-    placement, `dep`, objective and exactness equal the compile's.  Written
+    bundle written and loaded again, whose rules, groups, diagram, walks,
+    placement, `dep`, objective and exactness equal the compile's.  Each
+    switch's rules are exactly the next hops of the walks that pass it,
+    from its last visit, and a walk's last switch has none.  Written
     again, the loaded bundle is the same bytes, file for file."""
     def check(bundle, t, name):
         assert rulegen.validate_bundle(bundle, t) == [], name
+        hops = {sid: {} for sid in t.nodes}
+        for flow, path in bundle.routing.items():
+            for a in set(path) - {path[-1]}:
+                last = len(path) - 1 - path[::-1].index(a)
+                hops[a][flow] = path[last + 1]
+        assert bundle.rules == hops, name
         one, two = tmp_path / "one", tmp_path / "two"
         rulegen.write_bundle(bundle, str(one))
         loaded = rulegen.load_bundle(str(one), t)
-        assert loaded.configs == bundle.configs, name
+        assert (loaded.rules, loaded.groups) == (bundle.rules,
+                                                 bundle.groups), name
         assert rulegen.validate_bundle(loaded, t) == [], name
         for key in ("nodes", "root", "routing", "placement", "dep",
                     "objective", "exact"):
@@ -384,7 +390,7 @@ def test_revisited_switch_forwards_the_later_way(tmp_path):
             break
     assert earlier
     a, b = earlier[0]
-    assert loaded.configs[a].resolved[(u, v)] == ("fwd", later[a])
+    assert loaded.rules[a][(u, v)] == later[a]
     assert later[a] != b
 
 
@@ -437,7 +443,7 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
         "ecd20c77d328c942938ec440b0003bbb8f072614e8ed7fb720b4f0a9b182ca62")
     # one group per (inport, variable), not one per resume point
     loaded = rulegen.load_bundle(str(tmp_path), t)
-    assert loaded.configs == bundle.configs
+    assert (loaded.rules, loaded.groups) == (bundle.rules, bundle.groups)
     assert group_count(loaded) == 84
     assert sum(p.stat().st_size for p in tmp_path.rglob("*")
                if p.is_file()) < 16 * 1024

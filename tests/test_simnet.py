@@ -11,6 +11,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from snapnet import interp, lang, rulegen, simnet, topo
+from snapnet.errors import InputError
 from snapnet.values import canon_key, value_to_json
 from snapnet.topo import Link, Node, Topology
 
@@ -171,8 +172,8 @@ def test_all_zero_group_weights_fall_back_to_round_robin():
     t = dataclasses.replace(t, demands=dict.fromkeys(t.demands, 0.0))
     bundle = rulegen.compile(prog, t)
     assert bundle.objective == 0.0
-    weights = [w for c in bundle.configs.values()
-               for rows in c.unresolved.values() for w, _, _ in rows]
+    weights = [w for groups in bundle.groups.values()
+               for rows in groups.values() for w, _, _ in rows]
     assert weights and set(weights) == {0.0}
     assert rulegen.validate_bundle(bundle, t) == []
     net = simnet.load(bundle, t, events=True)
@@ -450,3 +451,30 @@ def test_duplicate_copy_carries_only_state():
     for net in (net_s, net_i):
         assert aggregate_net(net) == aggregate_oracle(store)
     assert store.get("s", (0,)) == 4
+
+
+def test_load_validates_a_bundle_once(tmp_path, monkeypatch):
+    """`simnet.load` runs `validate_bundle` once per bundle: `load_bundle`
+    checks a bundle read from a directory, and `load` itself one given
+    in memory, which it still refuses when it is inconsistent."""
+    prog = lang.compose_all([lang.parse(policy_src("stateful-fw")),
+                             lang.parse(policy_src("assign-egress"))])
+    t = topo.example12()
+    bundle = rulegen.compile(prog, t)
+    rulegen.write_bundle(bundle, str(tmp_path))
+    calls = []
+    real = rulegen.validate_bundle
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rulegen, "validate_bundle", counted)
+    simnet.load(str(tmp_path), t)
+    assert len(calls) == 1
+    simnet.load(bundle, t)
+    assert len(calls) == 2
+    bundle.placement["established"] = "ZZ"
+    with pytest.raises(InputError, match="inconsistent bundle: placement "
+                       "of 'established' on unknown switch 'ZZ'"):
+        simnet.load(bundle, t)
