@@ -13,7 +13,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ParseError
 from .values import (
-    Atom, FALSE, IPv4Address, IPv4Network, TRUE, format_value, is_value,
+    Atom, FALSE, IPv4Address, IPv4Network, TRUE, check_int_range,
+    format_value, is_value,
 )
 
 
@@ -365,20 +366,21 @@ def tokenize(src: str) -> list:
 # ---------------------------------------------------------------- parser
 
 # the value of each numeric token kind, and its name in an error
-_NUMBERS = {"NUM": (int, "number"), "IP": (IPv4Address, "address"),
-            "PREFIX": (IPv4Network, "prefix")}
+_NUMBERS = {"NUM": (lambda text: check_int_range(int(text)), "number"),
+            "IP": (IPv4Address, "address"), "PREFIX": (IPv4Network, "prefix")}
 
 
 def _number(t: Token):
     """The value of a numeric token; a ParseError at the token when its
-    text is no such value (an octet above 255, an empty octet, or a digit
-    other than ASCII 0-9, such as a superscript or an Arabic-Indic one)."""
+    text is no such value (an octet above 255, an empty octet, an integer
+    outside the 64-bit signed range, or a digit other than ASCII 0-9,
+    such as a superscript or an Arabic-Indic one)."""
     make, name = _NUMBERS[t.kind]
     try:
         if not t.text.isascii():
             raise ValueError(f"{t.text!r} has a digit other than 0-9")
         return make(t.text)
-    except ValueError as e:
+    except (OverflowError, ValueError) as e:
         raise ParseError(f"bad {name} literal: {e}", t.line, t.col)
 
 

@@ -526,8 +526,9 @@ def _route(table: dict, unloaded: tuple, src: str, snk: str,
             total += d
             path.extend(nodes[1:])
         else:
-            if len(exec_positions(path, needed, owner, dep)) == len(needed) \
-                    and (best is None or (total, tuple(path)) < best):
+            # the walk holds `visits` in order, and every needed variable
+            # runs on them, so it runs on the walk too
+            if best is None or (total, tuple(path)) < best:
                 best = (total, tuple(path))
     return best[1] if best else None
 

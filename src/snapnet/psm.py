@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import lang
 from .xfdd import (
-    DROP, Context, Contradiction, Poison, TFieldValue, TStateTest,
+    DROP, Context, Contradiction, TFieldValue, TStateTest,
     seq_writes,
 )
 
@@ -46,8 +46,6 @@ def packet_state_map(nodes: dict, root: int, topo, order, prog) -> StateDemand:
         default_vs = [v for v in ports
                       if ctx.imply(TFieldValue("outport", v)) is not False]
         for e in elems:
-            if isinstance(e, Poison):
-                continue
             need = path_vars | seq_writes(e)
             if not need:
                 continue

@@ -20,11 +20,12 @@ Execution protocol (shared with the simulator):
     final output packet would duplicate another copy's are marked
     non-emitting; they only carry state updates.
   * A copy executes its action sequence's state operations at their
-    owners; operations on locally-owned variables encountered en route are
-    applied opportunistically (they address distinct variables, so the
-    per-packet result is order-independent).  Once none remain, the field
-    modifications are applied, the egress port is final, and the packet is
-    routed to it and emitted with the header stripped.
+    owners: whichever switch it stands on runs those it owns (they
+    address distinct variables, so their order does not matter) and
+    forwards it toward the owner of the lowest one left.  Once none
+    remain, the field modifications are applied, the egress port is
+    final, and the packet is routed to it and emitted with the header
+    stripped.
 The simulator carries the header with the entry packet as one record,
 `simnet._Copy`, whose docstring gives its fields.  A bundle says each
 fact once: the program's declarations (`program.snap`), the placement
@@ -105,31 +106,17 @@ def diagram(prog: lang.Program, order) -> tuple:
     return number_nodes(b.arena, b.prune_vacuous(b.to_xfdd_program()))
 
 
-def state_resume_points(nodes: dict) -> dict:
-    """Every resume key at which a packet can be blocked on a state
-    variable, mapped to that variable.  Keys: ("node", nid) for state-test
-    branches; ("leaf", nid, elem, offset) for leaf state operations."""
-    out: dict = {}
-    for nid, node in sorted(nodes.items()):
-        if node[0] == "leaf":
-            for ei, elem in enumerate(node[1]):
-                for k, a in enumerate(elem):
-                    if lang.is_state_op(a):
-                        out[("leaf", nid, ei, k)] = a.var
-        elif isinstance(node[1], xfdd.TStateTest):
-            out[("node", nid)] = node[1].var
-    return out
-
-
 # ---------------------------------------------------------------- splitting
 
 def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
-    """Per-switch fragments (nid -> node).  Ingress switches hold the
-    stateless prefix from the root; the owner of a variable holds every
-    maximal subdiagram rooted at one of its state nodes, continuing through
-    stateless nodes until the next foreign state node; a leaf belongs to
-    every switch owning one of its state atoms (its action sequences are
-    split at foreign-state-atom boundaries at run time)."""
+    """Per-switch fragments (nid -> node): the nodes a switch walks.  An
+    ingress switch holds the stateless prefix from the root; the owner of
+    a variable holds every maximal subdiagram rooted at one of its state
+    tests, continuing through stateless nodes and its own state tests
+    down to the leaves and the next foreign state test, where a packet
+    waits for that test's owner.  A leaf's state operations run wherever
+    the packet's copy stands, at their owners, so leaves need no other
+    holder."""
     frags: dict = {sid: {} for sid in topo.nodes}
 
     def expand(sid: str, nid: int):
@@ -148,60 +135,42 @@ def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
     for sid in topo.nodes:
         if topo.nodes[sid].external_ports:
             expand(sid, root)
-    for (_, nid, *_), s in state_resume_points(nodes).items():
-        if placement.get(s) in frags:
-            expand(placement[s], nid)
+    for nid, node in nodes.items():
+        if node[0] == "branch" and isinstance(node[1], xfdd.TStateTest):
+            expand(placement[node[1].var], nid)
     return frags
 
 
 # ---------------------------------------------------------------- routing
 
-def resolved_rules(routing: dict, switches) -> dict:
-    """switch -> {(u, v): next hop} for each switch in `switches`, from
-    the walks of `routing` ({(u, v): walk}): a flow's rule at a switch of
-    its walk is the hop after the switch's last occurrence on the walk (a
-    packet that comes back to a switch leaves it the later way).  The
-    walk's last switch, which emits on v, and a switch outside `switches`
-    get no rule."""
-    out: dict = {sid: {} for sid in switches}
-    for (u, v), path in routing.items():
-        for a, b in zip(path, path[1:]):
-            if a in out and a != path[-1]:
-                out[a][(u, v)] = b
-    return out
-
-
 def gen_routing(routing: dict, placement: dict, demand, topo, dep) -> tuple:
-    """Per-switch routing tables for `routing` ({(u, v): walk}).
+    """(rules, groups), each switch -> table, from one pass over the hops
+    of each walk of `routing` ({(u, v): walk}).  A packet that comes back
+    to a switch leaves it the later way, so `dict(hops)` gives each switch
+    its hop.
 
-    Resolved rules, keyed (obs_inport, obs_outport): the next hop along
-    the flow's walk, none at the egress switch (`resolved_rules`).
-
-    Unresolved rules, keyed (obs_inport, state variable): a weighted group
-    over the candidate walks of flows (u, v_i) that need the
-    variable and pass this switch before its owner, with weights
-    proportional to the flows' demand volumes; the selection also tags
-    the packet with the chosen path identifier (u, v_i).  A packet blocked
-    at any resume point of the variable uses the one group."""
-    unresolved: dict = {sid: {} for sid in topo.nodes}
-    for (u, v), path in sorted(routing.items()):
+    A rule, keyed (obs_inport, obs_outport), is the flow's next hop; the
+    walk's last switch, which emits on v, has none.  A group, keyed
+    (obs_inport, state variable), has a row (demand, v, next hop) for
+    each flow (u, v) that visits the switch before its stop at the
+    variable's owner (`opt.exec_positions`).  A packet blocked at any
+    resume point of the variable picks a row in proportion to the
+    demands and is tagged with the path identifier (u, v).  The flows
+    run in sorted order, so each group's rows are in order of v."""
+    rules: dict = {sid: {} for sid in topo.nodes}
+    groups: dict = {sid: {} for sid in topo.nodes}
+    for (u, v), walk in sorted(routing.items()):
+        hops = list(zip(walk, walk[1:]))
+        for a, b in dict(hops).items():
+            if a != walk[-1]:
+                rules[a][(u, v)] = b
         w = topo.demands.get((u, v), 0.0)
-        stops = opt.exec_positions(path, demand.states_for(u, v),
-                                   placement, dep)
-        for s, stop in stops.items():
-            # a walk may pass a switch more than once before the owner; a
-            # packet still blocked on s there is on its latest visit, so
-            # keep the hop of the last occurrence
-            last_at: dict = {}
-            for ai in range(stop):
-                last_at[path[ai]] = ai
-            for a, ai in last_at.items():
-                unresolved[a].setdefault((u, s), []).append(
-                    (w, v, path[ai + 1]))
-    for sid in unresolved:
-        unresolved[sid] = {k: tuple(sorted(rows, key=lambda e: (e[1], e[2])))
-                           for k, rows in unresolved[sid].items()}
-    return resolved_rules(routing, topo.nodes), unresolved
+        for s, stop in opt.exec_positions(walk, demand.states_for(u, v),
+                                          placement, dep).items():
+            for a, b in dict(hops[:stop]).items():
+                groups[a].setdefault((u, s), []).append((w, v, b))
+    return rules, {sid: {k: tuple(rows) for k, rows in table.items()}
+                   for sid, table in groups.items()}
 
 
 # ---------------------------------------------------------------- pipeline
@@ -487,23 +456,38 @@ def _back_edges(nodes: dict, root: int) -> list:
 def validate_bundle(bundle: DeploymentBundle, topo) -> list:
     """Structural validators: a placement of exactly the declared
     variables (`bundle.states`) and of those the diagram names, on
-    switches of the topology, a `dep` over declared variables, a root and children that name nodes of the
-    diagram, state tests and operations that index a declared variable
-    with its declared arity, and a walk for exactly the topology's
-    demands, each from u's switch to v's over links of the topology,
-    none of them twice.  Once every demand has such a walk, the objective
-    must be the walks' cost, each flow's demand times the sum of
-    1/capacity over its links, to a relative 1e-9.  No child may lead
-    back to a node above it: a packet's walk of the diagram would follow
-    that cycle for ever.  The rules and groups are not checked: a compile
-    and `load_bundle` both derive them from the other fields
-    (`gen_routing`), so a fault in `gen_routing` or `resolved_rules` is
-    not seen here.  Returns a list of problem strings (empty means
-    ok)."""
+    switches of the topology, a `dep` over declared variables, a root and
+    children that name nodes of the diagram, state tests and operations
+    that index a declared variable with its declared arity, and a walk
+    for exactly the topology's demands, each from u's switch to v's over
+    links of the topology, none of them twice.  Once every demand has
+    such a walk, the objective must be the walks' cost, each flow's
+    demand times the sum of 1/capacity over its links, to a relative
+    1e-9.  No child may lead back to a node above it: a packet's walk of
+    the diagram would follow that cycle for ever.  One pass over the
+    nodes checks them and collects the variables they name.  The rules
+    and groups are not checked: a compile and `load_bundle` both derive
+    them from the other fields (`gen_routing`), so a fault there is not
+    seen here.  Returns a list of problem strings (empty means ok)."""
     declared = set(bundle.states)
-    points = state_resume_points(bundle.nodes)
+    named: set = set()          # the variables the diagram's nodes name
+    node_problems = []
+    for nid, node in sorted(bundle.nodes.items()):
+        if node[0] == "branch":
+            node_problems.extend(
+                f"node {nid} references unknown node {child}"
+                for child in node[2:] if child not in bundle.nodes)
+            used = [node[1]] if isinstance(node[1], xfdd.TStateTest) else []
+        else:
+            used = [a for elem in node[1] for a in elem if lang.is_state_op(a)]
+        for s, n in sorted({(a.var, lang.expr_arity(a.index)) for a in used}):
+            named.add(s)
+            if s in declared and n != bundle.states[s].arity:
+                node_problems.append(
+                    f"node {nid} indexes {s!r} with arity {n}, not the "
+                    f"declared {bundle.states[s].arity}")
     problems = [f"state variable {s!r} is unplaced" for s in sorted(
-        (declared | set(points.values())) - set(bundle.placement))]
+        (declared | named) - set(bundle.placement))]
     for s, sid in sorted(bundle.placement.items()):
         if s not in declared:
             problems.append(f"placement of {s!r}, which the program does "
@@ -515,17 +499,7 @@ def validate_bundle(bundle: DeploymentBundle, topo) -> list:
                     for p in sorted(bundle.dep) for s in p if s not in declared)
     if bundle.root not in bundle.nodes:
         problems.append(f"root {bundle.root} is not a node of the bundle")
-    for nid, node in sorted(bundle.nodes.items()):
-        if node[0] == "branch":
-            problems.extend(f"node {nid} references unknown node {child}"
-                            for child in node[2:] if child not in bundle.nodes)
-            used = [node[1]] if isinstance(node[1], xfdd.TStateTest) else []
-        else:
-            used = [a for elem in node[1] for a in elem if lang.is_state_op(a)]
-        for s, n in sorted({(a.var, lang.expr_arity(a.index)) for a in used}):
-            if s in declared and n != bundle.states[s].arity:
-                problems.append(f"node {nid} indexes {s!r} with arity {n}, "
-                                f"not the declared {bundle.states[s].arity}")
+    problems += node_problems
     problems.extend(f"node {nid} leads back to node {child}, a cycle"
                     for nid, child in _back_edges(bundle.nodes, bundle.root))
     problems.extend(f"flow ({u},{v}) has no walk" for u, v

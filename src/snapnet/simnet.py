@@ -96,13 +96,12 @@ class SimNetwork:
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
-        # switch -> nid -> node, the fragment the switch runs
+        # switch -> nid -> node, the fragment the switch walks
         self.frags = rulegen.split_xfdd(bundle.nodes, bundle.root,
                                         bundle.placement, topo)
         # var -> canonical index key -> (index, value), at the var's owner
         self.cells = {s: {} for s in bundle.states}
         self.defaults = {s: d.default for s, d in bundle.states.items()}
-        self.points = rulegen.state_resume_points(bundle.nodes)
         self.max_hops = len(topo.nodes) * (len(bundle.placement) + 1)
         self.clock = 0
         self.events = events
@@ -257,9 +256,9 @@ class SimNetwork:
         cur[pick] -= total
         return rows[pick]
 
-    def _forward_blocked(self, sid: str, copy: _Copy):
+    def _forward_blocked(self, sid: str, copy: _Copy, var: str):
+        """Send a copy waiting on `var` toward the variable's owner."""
         u, key = copy.inport, copy.resume
-        var = self.points[key]
         rows = self.bundle.groups[sid].get((u, var))
         if rows:
             chosen = None
@@ -282,16 +281,17 @@ class SimNetwork:
     # -- per-switch execution (atomic)
 
     def _process(self, sid: str, copy: _Copy):
+        """Resume a copy where its key says: route it once final, walk the
+        fragment from a node, or run the action sequence's state
+        operations this switch owns and forward the copy with the rest."""
         self.processed[sid] += 1
         key = copy.resume
         if key == DONE:
             self._route_final(sid, copy)
         elif key[0] == "node":
             self._run_nodes(sid, copy, key[1])
-        elif key[1] in self.frags[sid]:
-            self._run_leaf(sid, copy)
         else:
-            self._forward_blocked(sid, copy)
+            self._run_leaf(sid, copy)
 
     def _run_nodes(self, sid: str, copy: _Copy, nid: int):
         """Walk the switch's fragment from node `nid` down to a leaf, which
@@ -303,7 +303,8 @@ class SimNetwork:
             node = nodes.get(nid)
             if node is None:
                 copy.resume = ("node", nid)
-                self._forward_blocked(sid, copy)
+                self._forward_blocked(sid, copy,
+                                      self.bundle.nodes[nid][1].var)
                 return
             if node[0] == "leaf":
                 self._fork(sid, copy, nid)
@@ -345,7 +346,7 @@ class SimNetwork:
     def _fork(self, sid: str, copy: _Copy, nid: int):
         """One copy per action sequence; copies whose output packet would
         duplicate an earlier copy's only carry state updates."""
-        elems = self.frags[sid][nid][1]
+        elems = self.bundle.nodes[nid][1]
         many = len(elems) > 1
         seen: set = set()
         copies = []
@@ -367,7 +368,7 @@ class SimNetwork:
 
     def _run_leaf(self, sid: str, copy: _Copy):
         _, nid, ei, _ = copy.resume
-        elem = self.frags[sid][nid][1][ei]
+        elem = self.bundle.nodes[nid][1][ei]
         placement = self.bundle.placement
         done = copy.done
         pending = [k for k, a in enumerate(elem)
@@ -390,7 +391,7 @@ class SimNetwork:
             pending.remove(k)
         if pending:
             copy.resume = ("leaf", nid, ei, pending[0])
-            self._forward_blocked(sid, copy)
+            self._forward_blocked(sid, copy, elem[pending[0]].var)
             return
         dropped, final = self._final_packet(elem, copy.body)
         if dropped or not copy.emitter:

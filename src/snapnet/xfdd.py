@@ -161,8 +161,6 @@ def canon_seq(atoms: tuple) -> tuple:
             state_ops.append(lang.Incr(a.var, subst_expr(a.index, subst)))
         elif isinstance(a, lang.Decr):
             state_ops.append(lang.Decr(a.var, subst_expr(a.index, subst)))
-        elif isinstance(a, lang.Id):
-            continue
         else:
             raise TypeError(f"not an action atom: {a!r}")
     state_ops.sort(key=lambda a: a.var)   # stable: same-var order preserved
@@ -175,8 +173,6 @@ def canon_seq(atoms: tuple) -> tuple:
 
 
 def seq_writes(atoms: tuple) -> frozenset:
-    if isinstance(atoms, Poison):
-        return frozenset()
     return frozenset(a.var for a in atoms if lang.is_state_op(a))
 
 

@@ -507,15 +507,24 @@ class UncachedBuilder(xfdd.Builder):
 
 # ---------------------------------------------------------------- walker
 
-def workload_programs() -> list:
-    """The programs of the four benchmark workloads, seed 1, as
-    `perfbench/inputs.py` builds them."""
+def workload_inputs():
+    """`perfbench/inputs.py`, the benchmark workloads' seeded inputs,
+    loaded once."""
+    if "perfbench_inputs" in sys.modules:
+        return sys.modules["perfbench_inputs"]
     path = (pathlib.Path(__file__).resolve().parents[1]
             / "perfbench" / "inputs.py")
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs     # its dataclasses look it up
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def workload_programs() -> list:
+    """The programs of the four benchmark workloads, seed 1, as
+    `perfbench/inputs.py` builds them."""
+    inputs = workload_inputs()
     lit = inputs.draw_literals(1)
     return [inputs.build_program(w, lit) for w in inputs.WORKLOADS.values()]
 
@@ -601,17 +610,25 @@ def all_packets(prog):
     return pkts
 
 
-def all_stores(prog):
+def all_stores(prog, indices=(0,)):
+    """Every store that holds 0 or 1 in each cell of s and t at an index
+    of `indices`."""
     st0 = interp.Store.initial(prog)
+    cells = [(var, (i,)) for var in ("s", "t") for i in indices]
     stores = []
-    for sv in (0, 1):
-        for tv in (0, 1):
-            st = st0.set("s", (0,), sv).set("t", (0,), tv)
-            stores.append(st)
+    for vals in itertools.product((0, 1), repeat=len(cells)):
+        st = st0
+        for (var, idx), v in zip(cells, vals):
+            st = st.set(var, idx, v)
+        stores.append(st)
     return stores
 
 
-def random_policy(rng: random.Random, depth: int, counters: bool = True):
+def random_policy(rng: random.Random, depth: int, counters: bool = True,
+                  field_index: bool = False):
+    """A random policy over the universe; with `field_index` each state
+    index is drawn like a right-hand side (a literal or a field), else it
+    is 0 and takes no draw."""
     fields = ["a", "b", "c"]
     svars = ["s", "t"]
 
@@ -620,6 +637,9 @@ def random_policy(rng: random.Random, depth: int, counters: bool = True):
         if r < 0.5:
             return lang.Lit(rng.choice([0, 1]))
         return lang.FieldRef(rng.choice(fields))
+
+    def index():
+        return expr() if field_index else lang.Lit(0)
 
     def pred(d):
         r = rng.random()
@@ -631,7 +651,7 @@ def random_policy(rng: random.Random, depth: int, counters: bool = True):
                 return lang.Drop()
             if k == 2:
                 return lang.Test(rng.choice(fields), rng.choice([0, 1]))
-            return lang.StateTest(rng.choice(svars), lang.Lit(0), expr())
+            return lang.StateTest(rng.choice(svars), index(), expr())
         k = rng.randrange(3)
         if k == 0:
             return lang.Neg(pred(d - 1))
@@ -647,9 +667,9 @@ def random_policy(rng: random.Random, depth: int, counters: bool = True):
                 return lang.Mod(rng.choice(fields), rng.choice([0, 1]))
             if k in (2, 3) and counters:
                 cls = lang.Incr if k == 2 else lang.Decr
-                return cls(rng.choice(svars), lang.Lit(0))
+                return cls(rng.choice(svars), index())
             if k in (1, 2, 3):
-                return lang.StateSet(rng.choice(svars), lang.Lit(0), expr())
+                return lang.StateSet(rng.choice(svars), index(), expr())
             return pred(1)
         k = rng.randrange(4)
         if k == 0:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from snapnet import cli, opt, rulegen, topo, values
+from snapnet import cli, opt, rulegen, simnet, topo, values
 from snapnet.shape import Tagged
 
 from conftest import TOPO_DIR, policy_path
@@ -108,18 +108,52 @@ def test_compile_error_exit_code_names_variable(tmp_path, capsys):
     ("state s[\u00b2] default 0;\nid\n", "1:9"),
     ("state s[\u0663] default 0;\nid\n", "1:9"),
     ("f = \u0663\n", "1:5"),
+    ("field a : int;\na = 99999999999999999999999\n", "2:5"),
+    ("field a : int;\na <- 9223372036854775808\n", "2:6"),
+    ("state s[18446744073709551616] default 0;\nid\n", "1:9"),
 ], ids=["empty-octet", "octet-in-domain", "octet-in-test",
         "superscript-value", "superscript-arity", "arabic-indic-arity",
-        "arabic-indic-value"])
+        "arabic-indic-value", "beyond-64-bits-in-test",
+        "beyond-64-bits-in-mod", "beyond-64-bits-arity"])
 def test_literal_that_is_no_value_exits_1(tmp_path, capsys, src, at):
     """A literal that tokenizes but is no value (an empty octet, an octet
-    above 255, a digit other than ASCII 0-9) is a parse error at the
-    literal: exit 1 and one `error:` line, not a traceback."""
+    above 255, a digit other than ASCII 0-9, an integer outside the 64-bit
+    signed range that a bundle can hold) is a parse error at the literal:
+    exit 1 and one `error:` line, not a traceback."""
     pol = tmp_path / "p.snap"
     pol.write_text(src, encoding="utf-8")
     code, out, err = run_cli(["xfdd", "-p", str(pol)], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {at}: bad ") and err.count("\n") == 1
+
+
+def test_largest_integer_literal_compiles_checks_and_simulates(tmp_path,
+                                                              capsys):
+    """2^63 - 1, the largest literal a bundle holds, compiles to a bundle
+    that `check` passes and `simulate` runs: a packet with that value is
+    sent out port 2, any other out port 1."""
+    big = 2 ** 63 - 1
+    pol = tmp_path / "p.snap"
+    pol.write_text(f"field a : int;\n"
+                   f"if a = {big} then outport <- 2 else outport <- 1\n")
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", str(pol), "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    assert str(big) in (bundle / "diagram.json").read_text()
+    code, out, _ = run_cli(["check", "--bundle", str(bundle), "--topo", TOPO,
+                            "-p", str(pol)], capsys)
+    assert code == 0 and json.loads(out)["ok"] is True
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(
+        json.dumps({"port": 1, "packet": {"inport": 1, "a": a}}) + "\n"
+        for a in (big, 7)))
+    code, out, _ = run_cli(["simulate", "--bundle", str(bundle),
+                            "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 0
+    assert [(e["port"], e["packet"]["a"]) for e in map(
+        json.loads, out.splitlines())] == [(2, {"t": "int", "v": big}),
+                                           (1, {"t": "int", "v": 7})]
 
 
 def test_missing_file_is_io_error(capsys):
@@ -1086,6 +1120,72 @@ def test_place_and_reroute(tmp_path, capsys):
     te = json.loads(out)
     assert te["placement"] == sol["placement"]
     assert te["candidates"] == te["examined"] == 1
+
+
+@pytest.mark.parametrize("command", ["compile", "reroute"])
+def test_disconnected_topology_is_infeasible_exit_2(tmp_path, capsys,
+                                                    command):
+    """Two switches with no link between them: compile searches the
+    placement (ST mode) and reroute keeps the fixed one (TE mode), and
+    neither finds a walk for the flow, so each exits 2 with one
+    `infeasible:` line and writes nothing."""
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps({**_two_switches(), "links": []}))
+    pol = tmp_path / "p.snap"
+    pol.write_text("state s[1] default 0;\ns[0]++; outport <- 2\n")
+    out = tmp_path / "b"
+    argv = [command, "-p", str(pol), "-t", str(tfile)]
+    if command == "compile":
+        argv += ["-o", str(out)]
+        says = "no placement admits an order-respecting routing"
+    else:
+        pfile = tmp_path / "placement.json"
+        pfile.write_text(json.dumps({"placement": {"s": "A"}}))
+        argv += ["--placement", str(pfile)]
+        says = "no order-respecting routing under the fixed placement"
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"infeasible: {says}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_interleaved_output_and_event_file(tmp_path, capsys):
+    """`simulate --mode interleaved --seed` prints what the simulator emits
+    under that seed once every injection has run, and `--events` writes
+    its event trace as JSON lines, in either mode."""
+    pols = ["-p", policy_path("stateful-fw"), "-p",
+            policy_path("assign-egress")]
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", *pols, "-t", TOPO, "-o", str(bundle)],
+                         capsys)
+    assert code == 0
+    hosts = ["10.0.1.10", "10.0.3.10", "10.0.4.11", "10.0.6.10"]
+    rows = [{"port": int(a.split(".")[2]),
+             "packet": {"inport": int(a.split(".")[2]), "srcip": a,
+                        "dstip": b, "srcport": 80, "dstport": 1024}}
+            for a in hosts for b in hosts if a != b]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    t = topo.load(TOPO)
+    for mode in ("serialized", "interleaved"):
+        events = tmp_path / f"{mode}.jsonl"
+        code, out, _ = run_cli(["simulate", "--bundle", str(bundle),
+                                "--topo", TOPO, "--trace", str(trace),
+                                "--mode", mode, "--seed", "5",
+                                "--events", str(events)], capsys)
+        assert code == 0
+        net = simnet.load(str(bundle), t, seed=5, events=True)
+        for port, pkt in simnet.read_trace(str(trace), t):
+            net.inject(port, pkt, mode=mode)
+        net.run()
+        assert net.emissions and [json.loads(line)
+                                  for line in out.splitlines()] == [
+            {"port": port, "packet": {f: values.value_to_json(v)
+                                      for f, v in pkt.items()}}
+            for port, pkt in net.emissions]
+        assert [json.loads(line) for line in
+                events.read_text().splitlines()] == simnet.trace_to_json(
+                    net.trace)
 
 
 def test_empty_placement_routes_a_stateless_program(tmp_path, capsys):

@@ -52,17 +52,6 @@ def test_number_nodes_is_preorder_and_total():
             assert node[2] in nodes and node[3] in nodes
 
 
-def test_state_resume_points():
-    prog = lang.parse("state s[1] default 0;\nstate t[1] default 0;\n"
-                      "field a : small in {0, 1};\n"
-                      "if s[0] = 1 then t[0]++ else a <- 1")
-    nodes, _ = rulegen.diagram(prog, deps.order_spec_program(prog))
-    points = rulegen.state_resume_points(nodes)
-    assert "s" in points.values() and "t" in points.values()
-    kinds = {k[0] for k in points}
-    assert kinds == {"node", "leaf"}
-
-
 def test_exec_positions_follow_dependencies():
     dep = frozenset({("a", "c"), ("b", "c")})
     placement = {"a": "X", "b": "Y", "c": "X"}

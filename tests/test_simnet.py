@@ -1,6 +1,6 @@
 """Distributed simulation tests: differential agreement with the evaluator,
-FIFO links, interleaved quiescence, weighted load splitting, and the
-atomicity probe."""
+FIFO links, interleaved quiescence, weighted load splitting, counters and
+the pinned event trace."""
 
 import dataclasses
 import hashlib
@@ -10,12 +10,13 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from snapnet import interp, lang, rulegen, simnet, topo
+from snapnet import interp, lang, rulegen, simnet, topo, xfdd
 from snapnet.errors import InputError
 from snapnet.values import canon_key, value_to_json
 from snapnet.topo import Link, Node, Topology
 
 from conftest import CORPUS, policy_src
+from helpers import workload_inputs
 
 
 def canon_emissions(pairs):
@@ -190,64 +191,32 @@ def test_all_zero_group_weights_fall_back_to_round_robin():
     assert any(e.kind == "tag" for e in net.trace)
 
 
-RACE_SRC = """
-state hon-ip[1] default False;
-state hon-dstport[1] default False;
-field srcip : ip in {10.1.0.1, 10.1.0.2};
-field dstip : ip in {10.0.3.10};
-field dstport : int in {22, 80};
-(if dstip = 10.0.3.0/25 then %s else id);
-outport <- 3
-"""
-
-
-def _diamond():
-    nodes = {n: Node(n, ()) for n in ["A", "B"]}
-    nodes["E1"] = Node("E1", (1,))
-    nodes["E2"] = Node("E2", (2,))
-    nodes["X"] = Node("X", (3,))
-    links = {}
-    for a, b in [("E1", "A"), ("E2", "B"), ("A", "B"), ("A", "X"),
-                 ("B", "X")]:
-        links[(a, b)] = Link(a, b, 10.0)
-        links[(b, a)] = Link(b, a, 10.0)
-    demands = {(u, v): 1.0 for u in (1, 2, 3) for v in (1, 2, 3) if u != v}
-    t = Topology(nodes, links, demands)
-    t.validate()
-    return t
-
-
-def _race_scenario():
-    p1 = {"inport": 1, "outport": 1, "srcip": IPv4Address("10.1.0.1"),
-          "dstip": IPv4Address("10.0.3.10"), "dstport": 22}
-    p2 = {"inport": 2, "outport": 2, "srcip": IPv4Address("10.1.0.2"),
-          "dstip": IPv4Address("10.0.3.10"), "dstport": 80}
-    return {"packets": [(1, p1), (2, p2)],
-            "vars": ("hon-ip", "hon-dstport"),
-            "index": (1,), "fields": ("srcip", "dstport")}
-
-
-def test_race_probe_atomic_vs_split():
-    """Writes grouped in an atomic block land on one switch and stay
-    mutually consistent under every schedule; splitting the same writes
-    across two switches lets adversarial interleavings mix two packets."""
-    body = "hon-ip[1] <- srcip; hon-dstport[1] <- dstport"
-    t = _diamond()
-    atomic = rulegen.compile(lang.parse(RACE_SRC % ("atomic{ " + body
-                                                    + " }")), t)
-    plain = rulegen.compile(lang.parse(RACE_SRC % body), t,
-                            fixed={"hon-ip": "B", "hon-dstport": "A"})
-    assert len(set(atomic.placement.values())) == 1
-    bad_atomic = bad_plain = 0
-    for seed in range(200):
-        if not simnet.race_probe(simnet.load(atomic, t, seed=seed),
-                                 _race_scenario())["consistent"]:
-            bad_atomic += 1
-        if not simnet.race_probe(simnet.load(plain, t, seed=seed),
-                                 _race_scenario())["consistent"]:
-            bad_plain += 1
-    assert bad_atomic == 0
-    assert bad_plain >= 1
+def test_field_field_test_compiles_and_simulates():
+    """In `s[a] <- 1; if s[b] = 1 ...` the test reads the cell the packet
+    just wrote exactly when a = b, so the diagram tests a = b (a
+    field-field test) before the state.  Compiled on example12, the
+    simulator agrees with the interpreter on every packet of the
+    domain, entering at every port."""
+    prog = lang.parse("state s[1] default 0;\n"
+                      "field a : small in {0, 1, 2};\n"
+                      "field b : small in {0, 1, 2};\n"
+                      "s[a] <- 1; if s[b] = 1 then outport <- 3 "
+                      "else outport <- 4")
+    t = topo.example12()
+    bundle = rulegen.compile(prog, t)
+    assert any(node[0] == "branch" and isinstance(node[1], xfdd.TFieldField)
+               for node in bundle.nodes.values())
+    net = simnet.load(bundle, t)
+    store = interp.Store.initial(prog)
+    for port in t.external_ports():
+        for a in (0, 1, 2):
+            for b in (0, 1, 2):
+                pkt = {"a": a, "b": b, "inport": port, "outport": port}
+                r = interp.eval_program(prog, store, dict(pkt))
+                store = r.store
+                got = net.inject(port, dict(pkt))
+                assert canon_emissions(got) == oracle_emissions(r)
+    assert aggregate_net(net) == aggregate_oracle(store)
 
 
 def test_read_trace_accepts_loose_values(tmp_path):
@@ -342,6 +311,63 @@ def test_event_trace_changes_no_behaviour(corpus_bundles):
             assert a.trace and b.trace == [], name
         traced += [on, on_i]
     assert _run_digest(traced) == TRACE_DIGEST
+
+
+def _behaviour_rows(net) -> list:
+    """What a run did: its event trace, emissions, counters (links and
+    switches in sorted order) and final state, as JSON values."""
+    counters = [net.injected, net.hops] + [
+        sorted([repr(k), n] for k, n in table.items())
+        for table in (net.processed, net.state_reads, net.state_writes,
+                      net.link_sent, net.link_max_queue)]
+    state = {var: sorted([repr(k), value_to_json(v)] for k, v in m.items())
+             for var, m in net.aggregate_state().items()}
+    return [simnet.trace_to_json(net.trace),
+            [[p, {f: value_to_json(v) for f, v in b.items()}]
+             for p, b in net.emissions], counters, state]
+
+
+# The digest of `_behaviour_rows` over the runs below.  Any change to what
+# the simulator does, or in what order, changes it.
+BEHAVIOUR_DIGEST = ("1bad2d16dae53005ea07de7d45e02464"
+                    "c7198b52055fbe6131955dd9f55eff6c")
+
+
+@pytest.mark.pinned
+def test_simulator_behaviour_is_pinned(corpus_bundles):
+    """Every corpus policy with assign-egress on example12, and the
+    simulate-e12 benchmark workload at seed 1, each run serialized and in
+    interleaved bursts of eight with the event trace on: the trace, the
+    emissions, the counters and the final state match a pinned digest."""
+    t, bundles = corpus_bundles
+    ports = t.external_ports()
+    runs = []
+    for name, prog, bundle in bundles:
+        rng = random.Random(name)
+        runs.append((bundle, t, [gen_packet(prog, rng, ports)
+                                 for _ in range(100)]))
+    inputs = workload_inputs()
+    w = inputs.WORKLOADS["simulate-e12"]
+    lit = inputs.draw_literals(1)
+    prog = inputs.build_program(w, lit)
+    te = inputs.build_topology(w)
+    bundle = rulegen.compile(prog, te, **inputs.compile_options(w, prog))
+    runs.append((bundle, te, inputs.packet_trace(lit, prog.field_names(),
+                                                 1, 0, 400)))
+    h = hashlib.sha256()
+    for bundle, tb, trace in runs:
+        serial = simnet.load(bundle, tb, seed=3, events=True)
+        for port, pkt in trace:
+            serial.inject(port, dict(pkt))
+        inter = simnet.load(bundle, tb, seed=3, events=True)
+        for start in range(0, len(trace), 8):
+            for port, pkt in trace[start:start + 8]:
+                inter.inject(port, dict(pkt), mode="interleaved")
+            inter.run()
+        for net in (serial, inter):
+            h.update(json.dumps(_behaviour_rows(net),
+                                sort_keys=True).encode())
+    assert h.hexdigest() == BEHAVIOUR_DIGEST
 
 
 def test_counters_match_the_trace(corpus_bundles):

@@ -306,6 +306,41 @@ def test_counter_differential():
     assert checked > 20
 
 
+def test_field_indexed_state_differential():
+    """State indexed by fields as well as literals, so that a write and a
+    later test of one variable may or may not address one cell: the
+    diagram then decides the index equality first (a field-field test).
+    Over every packet and the 16 stores of two cells per variable, the
+    diagram agrees with the evaluator, and a race is raised exactly where
+    the evaluator is undefined."""
+    rng = random.Random(12)
+    prog0 = universe_prog()
+    pkts = all_packets(prog0)
+    stores = all_stores(prog0, indices=(0, 1))
+    checked = field_field = 0
+    for _ in range(400):
+        pol = random_policy(rng, 3, field_index=True)
+        prog = dataclasses.replace(prog0, body=pol)
+        undef = any(interp.eval_program(prog, st, dict(p)) is UNDEFINED
+                    for st in stores for p in pkts)
+        try:
+            b, root = build(prog)
+        except RaceError:
+            assert undef, lang.pretty_policy(pol)
+            continue
+        except UnsupportedCompositionError:
+            continue
+        assert not undef, lang.pretty_policy(pol)
+        for st in stores:
+            for p in pkts:
+                agree(prog, b, root, st, p)
+        checked += 1
+        nodes, _ = rulegen.number_nodes(b.arena, root)
+        field_field += any(isinstance(n[1], xfdd.TFieldField)
+                           for n in nodes.values() if n[0] == "branch")
+    assert checked > 300 and field_field > 0, (checked, field_field)
+
+
 def test_race_error_names_variable():
     prog = lang.parse(policy_src("conflict-parallel-write"))
     with pytest.raises(RaceError) as ei:
