@@ -270,8 +270,8 @@ def _diagram_to_json(nodes: dict, root: int) -> dict:
                          "test": tests.setdefault(node[1], len(tests)),
                          "hi": node[2], "lo": node[3]})
     return {"root": root,
-            "tests": [xfdd.test_to_json(t) for t in tests],
-            "atoms": [xfdd.atom_to_json(a) for a in atoms],
+            "tests": [xfdd.to_json(t, xfdd.TEST) for t in tests],
+            "atoms": [xfdd.to_json(a, xfdd.ATOM) for a in atoms],
             "nodes": rows}
 
 
@@ -280,8 +280,8 @@ PLACEMENT = {"mode": {"ST", "TE"}, "objective": float, "exact": bool,
              "placement": {str: str}, "dep": [(str, str)]}
 DIAGRAM = {"root": int, "tests": [xfdd.TEST], "atoms": [xfdd.ATOM],
            "nodes": [shape.Tagged("kind", {
-               "leaf": {"elems": [[int]]},
-               "branch": {"test": int, "hi": int, "lo": int}})]}
+               "leaf": (dict, {"elems": [[int]]}),
+               "branch": (dict, {"test": int, "hi": int, "lo": int})})]}
 
 
 def _diagram_from_json(d: dict) -> dict:
@@ -291,17 +291,17 @@ def _diagram_from_json(d: dict) -> dict:
     table's, and a leaf with no action sequence."""
     shape.check(d, DIAGRAM)
 
-    def decoded(name, decode) -> list:
+    def decoded(name, table) -> list:
         out = []
         for i, x in enumerate(d[name]):
             try:
-                out.append(decode(x))
+                out.append(xfdd.from_json(x, table))
             except (OverflowError, ValueError) as e:
                 raise ValueError(f"{name}[{i}]: {e}") from e
         return out
 
-    tests = decoded("tests", xfdd.test_from_json)
-    atoms = decoded("atoms", xfdd.atom_from_json)
+    tests = decoded("tests", xfdd.TEST)
+    atoms = decoded("atoms", xfdd.ATOM)
 
     def entry(table, name, i, where):
         if not 0 <= i < len(table):

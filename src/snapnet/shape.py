@@ -2,11 +2,13 @@
 
 Each table sits beside its input's decoder.  A shape is `str`, `bool`,
 `int`, `float` or `dict`: a JSON string, bool, integer, number (one a
-float can hold) or object, where no integer or number is a bool; a set
-of strings, one of them; `[s]`, a list of s; `(s1, s2)`, a list of
-exactly those; `{str: s}`, an object of s values; another dict, an
-object of exactly its keys, where a key ending in `?` may be left out;
-or a `Tagged`.  A table that holds itself is closed after it is built.
+float can hold) or object, where no integer or number is a bool;
+`object`, any JSON value (a value's slot, which its decoder reads with
+`values.value_from_json`); a set of strings, one of them; `[s]`, a list
+of s; `(s1, s2)`, a list of exactly those; `{str: s}`, an object of s
+values; another dict, an object of exactly its keys, where a key ending
+in `?` may be left out; or a `Tagged`.  A table that holds itself is
+closed after it is built.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ _NAMES = {str: "a string", bool: "true or false", int: "an int",
 
 
 class Tagged:
-    """An object whose `key` selects its shape: `cases` maps each tag to
-    the shape of the object's other keys."""
+    """An object whose `key` selects its case: `cases` maps each tag to
+    the class such an object stands for and the shape of its other keys,
+    which are that class's fields."""
 
     def __init__(self, key: str, cases: dict):
         self.key, self.cases = key, cases
@@ -32,12 +35,14 @@ def check(value, shape, where: str = ""):
     that has not by its path from the top of the input (`where`, "" at
     the top), its key and its value.  An object's missing keys are
     reported before its unknown ones."""
+    if shape is object:
+        return value
     if isinstance(shape, Tagged):
         tag, cases = shape.key, shape.cases
         shape = {tag: set(cases)}
         if isinstance(value, dict) and tag in value:
             check(value[tag], shape[tag], f"{where}.{tag}" if where else tag)
-            shape.update(cases[value[tag]])
+            shape.update(cases[value[tag]][1])
     typ = (str if isinstance(shape, set) else list if isinstance(
         shape, (list, tuple)) else shape if isinstance(shape, type) else dict)
     # to Python, a bool is an int

@@ -49,7 +49,7 @@ from . import lang, rulegen, xfdd
 from .errors import EvalError, InputError
 from .interp import _incr_value, eval_expr, eval_index, pkt_key
 from .shape import check
-from .values import (canon_key, test_match, value_from_loose, value_to_json,
+from .values import (canon_key, test_match, value_from_json, value_to_json,
                      values_equal)
 
 
@@ -471,14 +471,16 @@ def trace_to_json(events: list) -> list:
             for e in events]
 
 
-# a trace line; `value_from_loose` reads each packet value
+# a trace line; `value_from_json` reads each packet value
 TRACE_LINE = {"port": int, "packet": dict}
 
 
 def read_trace(path: str, topo) -> list:
     """Trace input: JSON lines, each of shape `TRACE_LINE`, with an
-    external port of `topo`; InputError naming the line, and the packet
-    field whose value is bad, if one is not."""
+    external port of `topo` and each packet value in its JSON form
+    (`values.value_to_json`); InputError naming the line, and the packet
+    field whose value is bad, if one is not, or if the packet's `inport`
+    is not the line's `port`."""
     ports = set(topo.external_ports())
     out = []
     with open(path) as f:
@@ -488,15 +490,20 @@ def read_trace(path: str, topo) -> list:
                 continue
             try:
                 d = check(json.loads(line), TRACE_LINE)
-                if d["port"] not in ports:
-                    raise InputError(f"no switch exposes port {d['port']}")
+                port = d["port"]
+                if port not in ports:
+                    raise InputError(f"no switch exposes port {port}")
                 pkt = {}
                 for field, v in d["packet"].items():
                     try:
-                        pkt[field] = value_from_loose(v)
-                    except (OverflowError, TypeError, ValueError) as e:
+                        pkt[field] = value_from_json(v)
+                    except (OverflowError, ValueError) as e:
                         raise InputError(f"packet.{field}: {e}") from e
-                out.append((d["port"], pkt))
+                # the diagram tests `inport`, the rules route from `port`
+                if pkt.get("inport", port) != port:
+                    raise InputError(f"packet.inport {d['packet']['inport']!r}"
+                                     f" is not the line's port {port}")
+                out.append((port, pkt))
             except json.JSONDecodeError as e:
                 raise InputError(f"trace line {n}: {e.msg}") from e
             except ValueError as e:

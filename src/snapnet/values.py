@@ -8,6 +8,10 @@ A value is one of:
   * IPv4Network    -- prefix literal such as 10.0.6.0/24
   * tuple          -- non-empty tuple of values
 
+A value has one JSON form, which bundles, traces and `snapnet simulate`'s
+output share (`value_to_json`, `value_from_json`): 80, true, "tcp",
+"10.0.1.10", "10.0.6.0/24", ["10.0.1.10", 80].
+
 Booleans are represented as the atoms ``True``/``False`` rather than Python
 bools: ``True == 1`` and ``hash(True) == hash(1)`` in Python, which would
 silently conflate store cells indexed by 1 vs True.
@@ -17,8 +21,6 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-
-from .shape import Tagged, check
 
 IPv4Address = ipaddress.IPv4Address
 IPv4Network = ipaddress.IPv4Network
@@ -101,60 +103,41 @@ def format_value(v) -> str:
 
 
 def value_to_json(v):
+    """The JSON form of a value, in bundles, traces and output alike: an
+    int; true or false for the atoms True and False; a string for any
+    other atom, an address or a prefix; a list for a tuple."""
     if isinstance(v, int):
-        return {"t": "int", "v": v}
+        return v
     if isinstance(v, Atom):
-        return {"t": "atom", "v": v.name}
-    if isinstance(v, IPv4Address):
-        return {"t": "ip", "v": str(v)}
-    if isinstance(v, IPv4Network):
-        return {"t": "prefix", "v": str(v)}
+        return {"True": True, "False": False}.get(v.name, v.name)
+    if isinstance(v, (IPv4Address, IPv4Network)):
+        return str(v)
     if isinstance(v, tuple):
-        return {"t": "tuple", "v": [value_to_json(x) for x in v]}
+        return [value_to_json(x) for x in v]
     raise TypeError(f"not a value: {v!r}")
 
 
-def value_from_loose(x):
-    """Accept untagged JSON scalars: ints stay ints, strings become
-    addresses/prefixes when they parse as such, atoms otherwise.  Tagged
-    dicts (of shape `VALUE`) and non-empty lists (tuples) are handled
-    too."""
+def value_from_json(x):
+    """The value whose JSON form (`value_to_json`) is `x`: a string is a
+    prefix if it holds a `/`, else an address if it parses as one, else
+    an atom.  ValueError if `x` is no value's form (an object, a float,
+    null, an empty list, or a string of digits, dots and slashes that is
+    no address or prefix, such as "80"); OverflowError for an int beyond
+    64 bits."""
     if isinstance(x, bool):
         return TRUE if x else FALSE
     if isinstance(x, int):
         return check_int_range(x)
-    if isinstance(x, dict):
-        return value_from_json(check(x, VALUE))
     if isinstance(x, list):
-        return _tuple(value_from_loose(e) for e in x)
+        out = tuple(value_from_json(e) for e in x)
+        if not out:
+            raise ValueError("an empty tuple is not a value")
+        return out
     if isinstance(x, str):
         try:
-            if "/" in x:
-                return IPv4Network(x)
-            return IPv4Address(x)
+            return IPv4Network(x) if "/" in x else IPv4Address(x)
         except ValueError:
+            if set(x) <= set("0123456789./"):
+                raise ValueError(f"{x!r} is not an address or a prefix")
             return Atom(x)
-    raise TypeError(f"cannot interpret {x!r} as a value")
-
-
-# the JSON form of a value, as `value_to_json` writes it
-VALUE = Tagged("t", {"int": {"v": int}, "atom": {"v": str}, "ip": {"v": str},
-                     "prefix": {"v": str}, "tuple": {}})
-VALUE.cases["tuple"]["v"] = [VALUE]
-
-
-def _tuple(items) -> tuple:
-    """tuple(items); ValueError if that is empty, which is no value."""
-    out = tuple(items)
-    if not out:
-        raise ValueError("an empty tuple is not a value")
-    return out
-
-
-def value_from_json(d):
-    """The value of a `VALUE`; OverflowError for an int beyond 64 bits,
-    ValueError for an empty tuple."""
-    if d["t"] == "tuple":
-        return _tuple(value_from_json(x) for x in d["v"])
-    return {"int": check_int_range, "atom": Atom, "ip": IPv4Address,
-            "prefix": IPv4Network}[d["t"]](d["v"])
+    raise ValueError(f"cannot interpret {x!r} as a value")

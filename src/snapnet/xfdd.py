@@ -32,6 +32,11 @@ each other, and sequential composition checks the per-output-packet runs
 of the second operand pairwise.  Reads that were statically resolved
 against pending updates still count as reads (they are reads in the
 corresponding run's log).
+
+A test, an action atom and an expression each have one JSON form, a
+case of `TEST`, `ATOM` or `EXPR` that names its class and whose keys
+are that class's fields; one writer and one reader (`to_json`,
+`from_json`) walk the tables.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .deps import OrderSpec, expr_key
 from .errors import RaceError, UnsupportedCompositionError
 from .shape import Tagged
 from .values import (
-    VALUE, IPv4Network, canon_key, format_value, in_prefix, test_match,
+    IPv4Network, canon_key, format_value, in_prefix, test_match,
     value_from_json, value_to_json, values_equal,
 )
 
@@ -1320,19 +1325,12 @@ class Builder:
                      if lang.is_state_op(x) and x.var == var][:n]
             for x in moved:
                 src[0].remove(x)
-            # insert before dst's ops on var (stable by-var canonical order)
-            pos = 0
-            for k, x in enumerate(dst[0]):
-                if lang.is_state_op(x):
-                    if x.var >= var:
-                        pos = k
-                        break
-                    pos = k + 1
-                else:
-                    pos = k
-                    break
-            else:
-                pos = len(dst[0])
+            # insert before dst's ops on var: dst writes var, and its
+            # sequence is canonical (state ops sorted by variable, then
+            # mods or a drop), so a state op on a variable >= var is found
+            # before any mod or drop
+            pos = next(k for k, x in enumerate(dst[0])
+                       if lang.is_state_op(x) and x.var >= var)
             dst[0][pos:pos] = moved
         # each move keeps both sequences canonical (state ops stably sorted
         # by variable, then mods or drop), so none needs canon_seq again
@@ -1364,80 +1362,51 @@ def validate(arena: Arena, root: int, prog: lang.Program,
 
 # -------------------------------------------------------------- serialization
 
-def expr_to_json(e):
-    if isinstance(e, lang.Lit):
-        return {"e": "lit", "v": value_to_json(e.value)}
-    if isinstance(e, lang.FieldRef):
-        return {"e": "field", "name": e.name}
-    if isinstance(e, lang.TupleExpr):
-        return {"e": "tuple", "items": [expr_to_json(x) for x in e.items]}
-    raise TypeError(f"not an expr: {e!r}")
+# The JSON forms of an expression, a test and an action atom, which
+# `to_json` writes and `from_json` reads: each case names its class, and
+# its keys are that class's fields; `object` marks a value's slot.
+EXPR = Tagged("e", {"lit": (lang.Lit, {"value": object}),
+                    "field": (lang.FieldRef, {"name": str}),
+                    "tuple": (lang.TupleExpr, {})})
+EXPR.cases["tuple"][1]["items"] = [EXPR]
+TEST = Tagged("t", {
+    "fv": (TFieldValue, {"field": str, "value": object}),
+    "ff": (TFieldField, {"f1": str, "f2": str}),
+    "st": (TStateTest, {"var": str, "index": EXPR, "rhs": EXPR})})
+ATOM = Tagged("a", {
+    "drop": (_Drop, {}),
+    "mod": (lang.Mod, {"field": str, "value": object}),
+    "set": (lang.StateSet, {"var": str, "index": EXPR, "rhs": EXPR}),
+    "incr": (lang.Incr, {"var": str, "index": EXPR}),
+    "decr": (lang.Decr, {"var": str, "index": EXPR})})
 
 
-# the JSON forms `expr_to_json`, `test_to_json` and `atom_to_json` write
-EXPR = Tagged("e", {"lit": {"v": VALUE}, "field": {"name": str},
-                    "tuple": {}})
-EXPR.cases["tuple"]["items"] = [EXPR]
-TEST = Tagged("t", {"fv": {"field": str, "value": VALUE},
-                    "ff": {"f1": str, "f2": str},
-                    "st": {"var": str, "index": EXPR, "rhs": EXPR}})
-ATOM = Tagged("a", {"drop": {}, "mod": {"field": str, "value": VALUE},
-                    "set": {"var": str, "index": EXPR, "rhs": EXPR},
-                    "incr": {"var": str, "index": EXPR},
-                    "decr": {"var": str, "index": EXPR}})
+def to_json(x, table):
+    """The JSON form of `x` under `table`: EXPR, TEST, ATOM or a part of
+    one."""
+    if table is object:
+        return value_to_json(x)
+    if isinstance(table, list):
+        return [to_json(y, table[0]) for y in x]
+    if isinstance(table, Tagged):
+        for tag, (cls, fields) in table.cases.items():
+            if type(x) is cls:
+                return {table.key: tag, **{k: to_json(getattr(x, k), s)
+                                           for k, s in fields.items()}}
+        raise TypeError(f"no case of {table.key!r} holds {x!r}")
+    return x
 
 
-def expr_from_json(d):
-    if d["e"] == "lit":
-        return lang.Lit(value_from_json(d["v"]))
-    if d["e"] == "field":
-        return lang.FieldRef(d["name"])
-    return lang.TupleExpr(tuple(expr_from_json(x) for x in d["items"]))
-
-
-def test_to_json(t):
-    if isinstance(t, TFieldValue):
-        return {"t": "fv", "field": t.field, "value": value_to_json(t.value)}
-    if isinstance(t, TFieldField):
-        return {"t": "ff", "f1": t.f1, "f2": t.f2}
-    if isinstance(t, TStateTest):
-        return {"t": "st", "var": t.var, "index": expr_to_json(t.index),
-                "rhs": expr_to_json(t.rhs)}
-    raise TypeError(f"not a test: {t!r}")
-
-
-def test_from_json(d):
-    if d["t"] == "fv":
-        return TFieldValue(d["field"], value_from_json(d["value"]))
-    if d["t"] == "ff":
-        return TFieldField(d["f1"], d["f2"])
-    return TStateTest(d["var"], expr_from_json(d["index"]),
-                      expr_from_json(d["rhs"]))
-
-
-def atom_to_json(x):
-    if x is DROP:
-        return {"a": "drop"}
-    if isinstance(x, lang.Mod):
-        return {"a": "mod", "field": x.field, "value": value_to_json(x.value)}
-    if isinstance(x, lang.StateSet):
-        return {"a": "set", "var": x.var, "index": expr_to_json(x.index),
-                "rhs": expr_to_json(x.rhs)}
-    if isinstance(x, lang.Incr):
-        return {"a": "incr", "var": x.var, "index": expr_to_json(x.index)}
-    if isinstance(x, lang.Decr):
-        return {"a": "decr", "var": x.var, "index": expr_to_json(x.index)}
-    raise TypeError(f"not an atom: {x!r}")
-
-
-def atom_from_json(d):
-    if d["a"] == "drop":
-        return DROP
-    if d["a"] == "mod":
-        return lang.Mod(d["field"], value_from_json(d["value"]))
-    if d["a"] == "set":
-        return lang.StateSet(d["var"], expr_from_json(d["index"]),
-                             expr_from_json(d["rhs"]))
-    if d["a"] == "incr":
-        return lang.Incr(d["var"], expr_from_json(d["index"]))
-    return lang.Decr(d["var"], expr_from_json(d["index"]))
+def from_json(d, table):
+    """What `to_json` wrote as `d` under `table`, which `d` has
+    (`shape.check`); ValueError for a value that is none, or for a test
+    that is not canonical, and OverflowError for an int beyond 64
+    bits."""
+    if table is object:
+        return value_from_json(d)
+    if isinstance(table, list):
+        return tuple(from_json(y, table[0]) for y in d)
+    if isinstance(table, Tagged):
+        cls, fields = table.cases[d[table.key]]
+        return cls(**{k: from_json(d[k], s) for k, s in fields.items()})
+    return d

@@ -7,8 +7,9 @@ former per-switch shortlist loop, a diagram
 builder without computed tables, a program's flow demand map as a
 compile's P1-P3 give it, the benchmark workloads' programs, a
 brute-force diagram walker (independent of
-the compiler's own machinery) and a random policy generator over a
-small universe of fields, values, and state variables."""
+the compiler's own machinery), a random policy generator over a
+small universe of fields, values, and state variables, and a line
+topology with two ports on one switch."""
 
 import heapq
 import importlib.util
@@ -18,6 +19,7 @@ import random
 import sys
 
 from snapnet import deps, interp, lang, opt, psm, rulegen, xfdd
+from snapnet.topo import Link, Node, Topology
 from snapnet.errors import EvalError, RaceError, UnsupportedCompositionError
 from snapnet.values import test_match, values_equal
 
@@ -527,6 +529,32 @@ def workload_programs() -> list:
     inputs = workload_inputs()
     lit = inputs.draw_literals(1)
     return [inputs.build_program(w, lit) for w in inputs.WORKLOADS.values()]
+
+
+# a packet from port 1 writes `seen`, so the flows from port 1, (1, 2)
+# included, visit its owner, and the others, (2, 1) included, need not
+SEEN_FROM_PORT_1 = """state seen[1] default False;
+field srcip : ip in {10.0.0.1, 10.0.0.2};
+field dst : small in {1, 2, 3};
+(if inport = 1 then seen[srcip] <- True else id);
+if dst = 1 then outport <- 1 else if dst = 2 then outport <- 2
+else outport <- 3
+"""
+
+
+def two_port_line() -> Topology:
+    """The line S1-S3-S2, where S1 exposes ports 1 and 2 and S2 port 3:
+    links of capacity 10, and a demand of 1 between every two ports."""
+    nodes = {"S1": Node("S1", (1, 2)), "S3": Node("S3", ()),
+             "S2": Node("S2", (3,))}
+    links = {}
+    for a, b in [("S1", "S3"), ("S3", "S2")]:
+        links[(a, b)] = Link(a, b, 10.0)
+        links[(b, a)] = Link(b, a, 10.0)
+    t = Topology(nodes, links, {(u, v): 1.0 for u in (1, 2, 3)
+                                for v in (1, 2, 3) if u != v})
+    t.validate()
+    return t
 
 
 def demand_map(prog, t) -> tuple:

@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from snapnet import cli, opt, rulegen, simnet, topo, values
+from snapnet import cli, interp, lang, opt, rulegen, simnet, topo, values
 from snapnet.shape import Tagged
 
 from conftest import TOPO_DIR, policy_path
+from helpers import SEEN_FROM_PORT_1, two_port_line
 
 TOPO = os.path.join(TOPO_DIR, "example12.json")
 
@@ -22,14 +23,17 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-def test_deps_command(capsys):
-    code, out, _ = run_cli(["deps", "-p", policy_path("dns-tunnel-detect")],
-                           capsys)
+def test_deps_command(tmp_path, capsys):
+    dot = tmp_path / "deps.dot"
+    code, out, _ = run_cli(["deps", "-p", policy_path("dns-tunnel-detect"),
+                            "--dot", str(dot)], capsys)
     assert code == 0
     d = json.loads(out)
     assert d["groups"] == [["orphan"], ["susp-client"], ["blacklist"]]
     assert ["orphan", "susp-client"] in d["dep"]
     assert d["tied"] == []
+    assert dot.read_text().startswith("digraph deps {\n")
+    assert '  "orphan" -> "susp-client";\n' in dot.read_text()
     code, out, _ = run_cli(["deps", "-p", policy_path("many-ip-domains")],
                            capsys)
     assert code == 0
@@ -48,11 +52,15 @@ def test_map_command(capsys):
 
 
 def test_xfdd_command_writes_dot(tmp_path, capsys):
+    """`xfdd` writes the diagram's dot text to -o, or else to stdout."""
     dot = tmp_path / "d.dot"
     code, _, _ = run_cli(["xfdd", "-p", policy_path("stateful-fw"),
                           "-o", str(dot)], capsys)
     assert code == 0
     assert dot.read_text().startswith("digraph")
+    code, out, _ = run_cli(["xfdd", "-p", policy_path("stateful-fw")],
+                           capsys)
+    assert code == 0 and out == dot.read_text()
 
 
 def test_compile_simulate_check_pipeline(tmp_path, capsys):
@@ -152,8 +160,7 @@ def test_largest_integer_literal_compiles_checks_and_simulates(tmp_path,
                             "--topo", TOPO, "--trace", str(trace)], capsys)
     assert code == 0
     assert [(e["port"], e["packet"]["a"]) for e in map(
-        json.loads, out.splitlines())] == [(2, {"t": "int", "v": big}),
-                                           (1, {"t": "int", "v": 7})]
+        json.loads, out.splitlines())] == [(2, big), (1, 7)]
 
 
 def test_missing_file_is_io_error(capsys):
@@ -273,21 +280,41 @@ def test_placement_not_an_object_exits_3(tmp_path, capsys, content):
     ('{"port": 999, "packet": {"inport": 1}}', "no switch exposes port 999"),
     ('{"port": 1, "packet": {}, "pkt": {}}', "unknown key 'pkt'"),
     ('{"port": 1, "packet": {"inport": {"t": "int", "v": "1"}}}',
-     "packet.inport: v '1' is not an int"),
+     "packet.inport: cannot interpret {'t': 'int', 'v': '1'} as a value"),
     ('{"port": 1, "packet": {"srcip": {"t": "int", "v": %d}}}' % 2 ** 64,
-     "packet.srcip: integer out of 64-bit signed range: %d" % 2 ** 64),
+     "packet.srcip: cannot interpret {'t': 'int', 'v': %d} as a value"
+     % 2 ** 64),
     ('{"port": 1, "packet": {"srcip": []}}',
      "packet.srcip: an empty tuple is not a value"),
     ('{"port": 1, "packet": {"srcip": {"t": "tuple", "v": []}}}',
-     "packet.srcip: an empty tuple is not a value")],
+     "packet.srcip: cannot interpret {'t': 'tuple', 'v': []} as a value"),
+    ('{"port": 1, "packet": {"srcip": null}}',
+     "packet.srcip: cannot interpret None as a value"),
+    ('{"port": 1, "packet": {"srcip": %d}}' % 2 ** 64,
+     "packet.srcip: integer out of 64-bit signed range: %d" % 2 ** 64),
+    ('{"port": 1, "packet": {"srcport": "80"}}',
+     "packet.srcport: '80' is not an address or a prefix"),
+    ('{"port": 1, "packet": {"srcip": "10.0.0.300"}}',
+     "packet.srcip: '10.0.0.300' is not an address or a prefix"),
+    ('{"port": 1, "packet": {"srcip": "10.0.6.1/24"}}',
+     "packet.srcip: '10.0.6.1/24' is not an address or a prefix"),
+    ('{"port": 1, "packet": {"inport": 3, "outport": 1}}',
+     "packet.inport 3 is not the line's port 1")],
     ids=["not-json", "no-packet", "no-port", "not-an-object",
          "packet-not-an-object", "port-not-an-int", "bad-value",
          "unknown-port", "unknown-key", "tagged-int-a-string",
-         "tagged-int-too-large", "empty-tuple", "tagged-empty-tuple"])
+         "tagged-int-too-large", "empty-tuple", "tagged-empty-tuple",
+         "null-value", "int-too-large", "number-a-string",
+         "address-past-255", "prefix-with-host-bits", "inport-not-port"])
 def test_malformed_trace_line_exits_3(tmp_path, capsys, line, says):
     """simulate names the first malformed line of its trace (here the
     second; the first is good), and the packet field of a bad value, and
-    exits 3."""
+    exits 3.  A value has one JSON form (`values.value_to_json`): an
+    object such as an older tagged value, null, an empty list, an int
+    beyond 64 bits and a string of digits and dots that is no address or
+    prefix are none.  A packet's `inport` that is not the line's `port`
+    is refused too: the diagram would test the one and the rules route
+    from the other."""
     bundle = tmp_path / "bundle"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
@@ -492,14 +519,21 @@ def _set_walk(i, nodes):
     ("diagram.json", _put("tests", 0, "field", value=5),
      "tests[0].field 5 is not a string"),
     ("diagram.json", _put("tests", 0, "value", value={"t": "int", "v": "7"}),
-     "tests[0].value.v '7' is not an int"),
-    ("diagram.json", _put("tests", 0, "value",
-                          value={"t": "int", "v": 2 ** 64}),
+     "tests[0]: cannot interpret {'t': 'int', 'v': '7'} as a value"),
+    ("diagram.json", _put("tests", 0, "value", value=7.0),
+     "tests[0]: cannot interpret 7.0 as a value"),
+    ("diagram.json", _put("tests", 0, "value", value=None),
+     "tests[0]: cannot interpret None as a value"),
+    ("diagram.json", _put("tests", 0, "value", value=2 ** 64),
      "tests[0]: integer out of 64-bit signed range: 18446744073709551616"),
-    ("diagram.json", _put("tests", 0, "value", value={"t": "tuple", "v": []}),
+    ("diagram.json", _put("tests", 0, "value", value="80"),
+     "tests[0]: '80' is not an address or a prefix"),
+    ("diagram.json", _put("tests", 0, "value", value="10.0.0.300"),
+     "tests[0]: '10.0.0.300' is not an address or a prefix"),
+    ("diagram.json", _put("tests", 0, "value", value=[]),
      "tests[0]: an empty tuple is not a value"),
-    ("diagram.json", _put("atoms", 0, "rhs", value={
-        "e": "lit", "v": {"t": "tuple", "v": []}}),
+    ("diagram.json", _put("atoms", 0, "rhs", value={"e": "lit",
+                                                    "value": []}),
      "atoms[0]: an empty tuple is not a value"),
     ("diagram.json", _put("tests", 0, value={"t": "ff", "f1": "srcip",
                                              "f2": "dstip"}),
@@ -531,7 +565,9 @@ def _set_walk(i, nodes):
          "diagram-test-unknown-key", "routing-u-a-bool",
          "routing-v-a-float", "diagram-leaf-with-hi", "diagram-kind-bogus",
          "diagram-field-a-number", "diagram-int-a-string",
-         "diagram-int-too-large", "diagram-test-empty-tuple",
+         "diagram-value-a-float", "diagram-value-null",
+         "diagram-int-too-large", "diagram-value-number-a-string",
+         "diagram-value-address-past-255", "diagram-test-empty-tuple",
          "diagram-atom-empty-tuple", "diagram-ff-fields-out-of-order",
          "diagram-ff-same-field-twice", "diagram-leaf-without-sequences",
          "diagram-missing",
@@ -548,9 +584,11 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, part, damage, says):
     (exit 1).  So is a JSON part not of its table's shape: an unknown key
     at the top, in a routing row, a node or a test, a `u` that is a bool
     or a `v` that is a float, a leaf with `hi`, a `kind` that is neither,
-    a test `field` that is a number or an int value that is a string.
-    So is a node's test or atom index past its table or negative, an
-    empty tuple in a test or an atom, a field-field test whose fields are
+    a test `field` that is a number.  So is a value in no value's JSON
+    form: an object, such as an older bundle's tagged value, a float,
+    null, an int beyond 64 bits, a string of digits and dots that is no
+    address, and an empty tuple in a test or an atom.  So is a node's
+    test or atom index past its table or negative, a field-field test whose fields are
     not in order (the compiler writes f1 before f2, so the reader does
     not guess), and a leaf with no action sequence, which the compiler
     never writes and under which a packet would vanish."""
@@ -606,7 +644,7 @@ def _table_slots(doc, table, path=(), entry=None, required=False):
     says the value is under a key that its object may not leave out."""
     yield path, table, entry, required
     if isinstance(table, Tagged):
-        case = table.cases[doc[table.key]]
+        case = table.cases[doc[table.key]][1]
         entries = [(table.key, set(table.cases), (id(table), table.key))]
         entries += [(k, s, (id(case), k)) for k, s in case.items()]
     elif isinstance(table, tuple):
@@ -635,7 +673,7 @@ def _table_entries(table, seen=None) -> set:
     seen.add(id(table))
     if isinstance(table, Tagged):
         out = {(id(table), table.key)}
-        for case in table.cases.values():
+        for _, case in table.cases.values():
             out |= {(id(case), k.rstrip("?")) for k in case}
             for s in case.values():
                 out |= _table_entries(s, seen)
@@ -652,7 +690,10 @@ def _table_entries(table, seen=None) -> set:
 
 
 def _wrong_type(table):
-    """A JSON value of another type than `table` asks for."""
+    """A JSON value of another type than `table` asks for; for a value's
+    slot, one that is no value's form."""
+    if table is object:
+        return None
     if isinstance(table, (dict, Tagged)) or table is dict:
         return []
     if isinstance(table, (list, tuple)):
@@ -693,13 +734,13 @@ def _mutants(doc, table):
 
 def test_every_table_entry_mutated_exits_3(tmp_path, capsys):
     """For each entry of the topology's table and of each bundle file's
-    table, on a compile that holds every tag but a tuple value, and on
-    example12: the entry's first value swapped for one of another JSON
-    type, the key deleted if it is required, and an unknown key added to
-    each object, each make `check` exit 3 with one `bad input:` line
-    naming the file.  None exits 0 or ends in a traceback.  Every entry
-    is reached, those of diagram.json's `tests` and `atoms` tables
-    included, but a tuple value's."""
+    table, on a compile that holds every tag, and on example12: the
+    entry's first value swapped for one of another JSON type (for a
+    value's slot, null), the key deleted if it is required, and an
+    unknown key added to each object, each make `check` exit 3 with one
+    `bad input:` line naming the file.  None exits 0 or ends in a
+    traceback.  Every entry is reached, those of diagram.json's `tests`
+    and `atoms` tables included."""
     policy = tmp_path / "every-tag.snap"
     policy.write_text(EVERY_TAG)
     bundle = tmp_path / "b"
@@ -715,9 +756,6 @@ def test_every_table_entry_mutated_exits_3(tmp_path, capsys):
                                    ("diagram.json", rulegen.DIAGRAM),
                                    ("routing.json", opt.ROUTING)))]
     tfile.write_text(json.dumps(parts[0][2]))
-    # the entries of a tuple value, which no source program writes
-    untouched = _table_entries(values.VALUE.cases["tuple"],
-                               {id(values.VALUE)})
     wrong = []
     for path, table, doc, says in parts:
         filled = set()
@@ -730,7 +768,7 @@ def test_every_table_entry_mutated_exits_3(tmp_path, capsys):
                     and err.startswith(f"bad input: {says}")):
                 wrong.append((str(path), what, code, err))
         path.write_text(json.dumps(doc))
-        assert _table_entries(table) - filled <= untouched, path
+        assert _table_entries(table) <= filled, path
     assert wrong == []
 
 
@@ -796,9 +834,8 @@ def test_tampered_diagram_fails_check_p(tmp_path, capsys):
     d = json.loads(path.read_text())
     leaf = d["nodes"][3]
     [[k]] = leaf["elems"]
-    assert d["atoms"][k] == {"a": "mod", "field": "outport",
-                             "value": {"t": "int", "v": 1}}
-    d["atoms"].append(dict(d["atoms"][k], value={"t": "int", "v": 6}))
+    assert d["atoms"][k] == {"a": "mod", "field": "outport", "value": 1}
+    d["atoms"].append(dict(d["atoms"][k], value=6))
     leaf["elems"] = [[len(d["atoms"]) - 1]]
     path.write_text(json.dumps(d))
     check = ["check", "--bundle", str(bundle), "--topo", TOPO]
@@ -1017,6 +1054,52 @@ def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
                         "crossed 24 links and loops on I1->C1\n")
 
 
+def test_two_ports_on_one_switch(tmp_path, capsys):
+    """On the line S1-S3-S2, S1 exposes ports 1 and 2, and a packet from
+    port 1 writes `seen`.  The search places `seen` on S1, where the
+    flows (1, 2) and (2, 1) never leave their switch, and the four walks
+    of two links each cost 0.8; `simulate` agrees with the interpreter.
+    With `seen` fixed on S2, the flow (1, 2) would have to leave S1 and
+    come back, which no walk does, so `reroute` exits 2."""
+    tfile, pol = tmp_path / "line.json", tmp_path / "seen.snap"
+    tfile.write_text(json.dumps(topo.to_json(two_port_line())))
+    pol.write_text(SEEN_FROM_PORT_1)
+    bundle = tmp_path / "b"
+    code, out, _ = run_cli(["compile", "-p", str(pol), "-t", str(tfile),
+                            "-o", str(bundle)], capsys)
+    assert code == 0
+    info = json.loads(out)
+    assert info["placement"] == {"seen": "S1"}
+    assert info["objective"] == pytest.approx(0.8)
+    prog = lang.parse(SEEN_FROM_PORT_1)
+    store = interp.Store.initial(prog)
+    pkts = [(port, {"inport": port, "outport": port, "srcip": src,
+                    "dst": dst})
+            for port in (1, 2, 3) for src in ("10.0.0.1", "10.0.0.2")
+            for dst in (1, 2, 3)]
+    want = []
+    for port, pkt in pkts:
+        r = interp.eval_program(prog, store, {
+            f: values.value_from_json(v) for f, v in pkt.items()})
+        store = r.store
+        want += [{"port": q["outport"], "packet": {
+            f: values.value_to_json(v) for f, v in q.items()}}
+            for q in r.packets.values()]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps({"port": port, "packet": pkt}) + "\n"
+                             for port, pkt in pkts))
+    code, out, _ = run_cli(["simulate", "--bundle", str(bundle), "--topo",
+                            str(tfile), "--trace", str(trace)], capsys)
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == want
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"seen": "S2"}))
+    code, out, err = run_cli(["reroute", "-p", str(pol), "-t", str(tfile),
+                              "--placement", str(pfile)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+
 def test_config_for_unknown_switch_fails_check(tmp_path, capsys):
     """A bundle that names a switch the topology has none of fails
     `check`.  The rules and groups are derived for the topology's own
@@ -1071,12 +1154,16 @@ def test_simulate_inconsistent_bundle_exits_3(tmp_path, capsys):
 
 
 def test_export_lp(tmp_path, capsys):
+    """`export-lp` writes the model to -o, or else to stdout."""
     lp = tmp_path / "m.lp"
     code, _, _ = run_cli(["export-lp", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(lp)], capsys)
     assert code == 0
     text = lp.read_text()
     assert text.startswith("Minimize") and text.rstrip().endswith("End")
+    code, out, _ = run_cli(["export-lp", "-p", policy_path("stateful-fw"),
+                            "-t", TOPO], capsys)
+    assert code == 0 and out == text
 
 
 def test_export_lp_with_placement_fixes_the_placement(tmp_path, capsys):

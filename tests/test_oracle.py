@@ -17,9 +17,11 @@ import numpy as np                                          # noqa: E402
 from scipy.optimize import Bounds, LinearConstraint, milp   # noqa: E402
 from scipy.sparse import coo_array                          # noqa: E402
 
-from snapnet import opt, topo                               # noqa: E402
+from snapnet import lang, opt, topo                         # noqa: E402
+from snapnet.errors import InfeasibleError                  # noqa: E402
 
 from conftest import CORPUS                                 # noqa: E402
+from helpers import SEEN_FROM_PORT_1, demand_map, two_port_line  # noqa: E402
 from test_opt import model_for                              # noqa: E402
 
 _TERM = re.compile(r"([+-]?)\s*(\d[\d.eE+-]*)\s+([A-Za-z]\w*)")
@@ -138,3 +140,19 @@ def test_highs_equals_the_builtin_solver_on_small_generated_topologies(
     best, builtin = _agrees(model_for([name, "assign-egress"],
                                       t=topo.generated(n, seed)), budget=64)
     assert best == pytest.approx(builtin, abs=1e-6)
+
+
+def test_highs_finds_state_away_from_a_same_switch_flow_infeasible():
+    """On the line S1-S3-S2, where S1 exposes ports 1 and 2 and a packet
+    from port 1 writes `seen`: HiGHS agrees with the search's 0.8 in ST
+    mode, and with `seen` fixed on S2 finds the TE model infeasible, as
+    the built-in router does, since the flow (1, 2) cannot leave S1 and
+    come back."""
+    t = two_port_line()
+    order, demand = demand_map(lang.parse(SEEN_FROM_PORT_1), t)
+    best, builtin = _agrees(opt.build_milp(t, demand, order))
+    assert best == pytest.approx(0.8) and builtin == pytest.approx(0.8)
+    te = opt.build_milp(t, demand, order, fixed={"seen": "S2"})
+    assert highs_optimum(opt.export_lp(te)) is None
+    with pytest.raises(InfeasibleError):
+        opt.solve_builtin(te)

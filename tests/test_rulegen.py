@@ -247,7 +247,7 @@ REVISIT_FIXED = {"orphan": "C5", "susp-client": "C1", "blacklist": "D4"}
 def test_revisiting_walk_bundle_is_pinned(tmp_path):
     """The bundle of a TE compile in which 20 of the 30 walks revisit a
     switch, byte for byte as rule generation first wrote it, apart from
-    eight format changes: the one that keyed the groups by variable (the
+    nine format changes: the one that keyed the groups by variable (the
     last visit before the owner keeps the unresolved entry), the one
     that wrote each flow's routing as one walk, not a list of weighted
     paths, the one that stopped writing xfdd.dot, the one that moved
@@ -255,9 +255,10 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     `program.snap`, the one that moved the diagram from the switch
     files' `nodes` into `diagram.json`, the one that left the resolved
     rules to routing.json's walks, the one that left the groups to
-    `load_bundle`, and the one that gave diagram.json its `tests` and
+    `load_bundle`, the one that gave diagram.json its `tests` and
     `atoms` tables and wrote every JSON part one compact record per
-    line.  The walk change moved only
+    line, and the one that wrote each value in its one untagged JSON
+    form.  The walk change moved only
     routing.json, so every other file keeps the digest it had before it.
     Both digests were pinned again when xfdd.dot went, with the values
     the commit before wrote for every file but xfdd.dot; again when
@@ -278,16 +279,19 @@ def test_revisiting_walk_bundle_is_pinned(tmp_path):
     and again when the tables came: program.snap kept its bytes,
     placement.json and routing.json parse to the JSON they held before,
     and the diagram.json before and after decode to equal nodes and
-    root."""
+    root; and again when values lost their tags: program.snap,
+    placement.json and routing.json kept their bytes, and diagram.json
+    parses to the JSON before with each tagged value untagged and each
+    literal's `v` key named `value`."""
     _, t, bundle = compile_named(["dns-tunnel-detect", "assign-egress"],
                                  fixed=REVISIT_FIXED)
     walks = bundle.routing.values()
     assert sum(len(set(p)) < len(p) for p in walks) == 20
     assert len(walks) == 30
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "381d9d06b3094b38df7c5ce12f101384ffda75ac5eb71fc0c64dd5f57ba9d9f4")
+        "4df5aaa88a43fb74eb7bf813ce6634ef531aff5b03543e0ad0f2abcf2c3194a5")
     assert bundle_digest(bundle, tmp_path) == (
-        "6a3a1b4abb18953c91a6106b93804141a381090205386f6040697205ebf76ccb")
+        "2891d4f569f8e34aa3f4c2f560691c78eeacbcd4471803c09c6c6022ccfdf9da")
     assert sorted(os.listdir(tmp_path)) == BUNDLE_FILES
     loaded = rulegen.load_bundle(str(tmp_path), t)
     assert (loaded.rules, loaded.groups) == (bundle.rules, bundle.groups)
@@ -388,16 +392,17 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     """The corpus twin of the benchmark's compose-e12: three stateful
     applications and assign-egress with every variable on D4, byte for
     byte as written while each path context was still rebuilt from its
-    whole fact list, apart from eight format changes: the one that keyed
+    whole fact list, apart from nine format changes: the one that keyed
     the groups by variable, the one that wrote each flow's routing as one
     walk, not a list of weighted paths, the one that stopped writing
     xfdd.dot, the one that moved the declarations from each switch file's
     `state_tables` into `program.snap`, the one that moved the diagram
     from the switch files' `nodes` into `diagram.json`, the one that left
     the resolved rules to routing.json's walks, the one that left the
-    groups to `load_bundle`, and the one that gave diagram.json its
-    `tests` and `atoms` tables and wrote every JSON part one compact
-    record per line.  The walk change moved only routing.json, so
+    groups to `load_bundle`, the one that gave diagram.json its `tests`
+    and `atoms` tables and wrote every JSON part one compact record per
+    line, and the one that wrote each value in its one untagged JSON
+    form.  The walk change moved only routing.json, so
     every other file keeps the digest it had before it.  Both digests
     were pinned again when xfdd.dot went, with the values the commit
     before wrote for every file but xfdd.dot;
@@ -418,7 +423,11 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
     and again when the tables came: program.snap kept its bytes,
     placement.json and routing.json parse to the JSON they held before,
     and the diagram.json before and after decode to equal nodes and
-    root.  Most path facts here are state tests."""
+    root; and again when values lost their tags: program.snap,
+    placement.json and routing.json kept their bytes, and diagram.json
+    parses to the JSON before with each tagged value untagged and each
+    literal's `v` key named `value`.  Most path facts here are state
+    tests."""
     names = ["dns-tunnel-detect", "stateful-fw", "heavy-hitter-detection",
              "assign-egress"]
     prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
@@ -427,9 +436,9 @@ def test_state_heavy_composition_bundle_is_pinned(tmp_path):
                              fixed={s: "D4" for s in sorted(prog.states)})
     assert set(bundle.placement.values()) == {"D4"}
     assert bundle_digest(bundle, tmp_path, skip={"routing.json"}) == (
-        "5bfb560ba5acd801ffd7a1a862aa974df96bb5cfe0bc0e0c604d5867bde5ab90")
+        "b5acf546ba80867623eea5c816d0bf2fca4d920ca153e2359c8c3bdfcf523ad4")
     assert bundle_digest(bundle, tmp_path) == (
-        "ecd20c77d328c942938ec440b0003bbb8f072614e8ed7fb720b4f0a9b182ca62")
+        "c1c574a5c1b759d600b6803e2976fbff623e3844c4f033d7da0f6abe78b82bce")
     # one group per (inport, variable), not one per resume point
     loaded = rulegen.load_bundle(str(tmp_path), t)
     assert (loaded.rules, loaded.groups) == (bundle.rules, bundle.groups)

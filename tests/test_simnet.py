@@ -10,9 +10,9 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from snapnet import interp, lang, rulegen, simnet, topo, xfdd
-from snapnet.errors import InputError
-from snapnet.values import canon_key, value_to_json
+from snapnet import interp, lang, rulegen, simnet, topo, values, xfdd
+from snapnet.errors import EvalError, InputError
+from snapnet.values import canon_key
 from snapnet.topo import Link, Node, Topology
 
 from conftest import CORPUS, policy_src
@@ -264,32 +264,51 @@ def _counters(net):
             net.state_writes, net.link_sent, net.link_max_queue)
 
 
+def _canon_packet(pkt: dict) -> dict:
+    return {f: canon_key(v) for f, v in pkt.items()}
+
+
+def _event_rows(net) -> list:
+    """A run's event trace and emissions, each value as its `canon_key`,
+    so the digests below do not depend on a value's JSON form."""
+    return [[[e.time, e.switch, e.kind, repr(e.detail),
+              _canon_packet(e.packet)] for e in net.trace],
+            [[p, _canon_packet(b)] for p, b in net.emissions]]
+
+
 def _run_digest(nets) -> str:
     """SHA-256 over the event traces and emissions of `nets`, in order."""
     h = hashlib.sha256()
     for net in nets:
-        emitted = [[p, {f: value_to_json(v) for f, v in b.items()}]
-                   for p, b in net.emissions]
-        for rows in (simnet.trace_to_json(net.trace), emitted):
+        for rows in _event_rows(net):
             h.update(json.dumps(rows, sort_keys=True).encode())
     return h.hexdigest()
 
 
 # The digest of every event and emission of the traced runs below.  Any
 # change to what the simulator does, or in what order, changes it.
-TRACE_DIGEST = ("d1189e7c9b5b64b576558c9e021a5036"
-                "68705152ae76ace2c52f7c2c4a425374")
+TRACE_DIGEST = ("d2689a2e49fed8df5a4dd3a186fe79b2"
+                "36b34c0daf5e21e1e55f9a2aa3a7b8c9")
+
+
+# a leaf of two action sequences, whose copies fork
+TWO_SEQUENCES = ("state s[1] default 0;\nfield a : small in {0, 1};\n"
+                 "field b : small in {0, 1};\n"
+                 "outport <- 2; (id + (a <- 1; s[0]++))")
 
 
 @pytest.mark.pinned
 def test_event_trace_changes_no_behaviour(corpus_bundles):
     """Recording the trace or not gives the same emissions, final state
-    and counters, serialized and interleaved; the traced runs match the
-    pinned digest."""
+    and counters, serialized and interleaved, on the corpus and on a
+    program whose leaf forks two copies; the corpus's traced runs match
+    the pinned digest."""
     t, bundles = corpus_bundles
     ports = t.external_ports()
+    fork = lang.parse(TWO_SEQUENCES)
     traced = []
-    for name, prog, bundle in bundles:
+    for name, prog, bundle in bundles + [
+            ("two sequences", fork, rulegen.compile(fork, t))]:
         rng = random.Random(name)
         trace = [gen_packet(prog, rng, ports) for _ in range(200)]
         on = simnet.load(bundle, t, seed=3, events=True)
@@ -310,27 +329,27 @@ def test_event_trace_changes_no_behaviour(corpus_bundles):
             assert _counters(a) == _counters(b), name
             assert a.trace and b.trace == [], name
         traced += [on, on_i]
-    assert _run_digest(traced) == TRACE_DIGEST
+    assert any(e.kind == "fork" for net in traced[-2:] for e in net.trace)
+    assert _run_digest(traced[:-2]) == TRACE_DIGEST
 
 
 def _behaviour_rows(net) -> list:
     """What a run did: its event trace, emissions, counters (links and
-    switches in sorted order) and final state, as JSON values."""
+    switches in sorted order) and final state, each value as its
+    `canon_key`."""
     counters = [net.injected, net.hops] + [
         sorted([repr(k), n] for k, n in table.items())
         for table in (net.processed, net.state_reads, net.state_writes,
                       net.link_sent, net.link_max_queue)]
-    state = {var: sorted([repr(k), value_to_json(v)] for k, v in m.items())
+    state = {var: sorted([repr(k), canon_key(v)] for k, v in m.items())
              for var, m in net.aggregate_state().items()}
-    return [simnet.trace_to_json(net.trace),
-            [[p, {f: value_to_json(v) for f, v in b.items()}]
-             for p, b in net.emissions], counters, state]
+    return _event_rows(net) + [counters, state]
 
 
 # The digest of `_behaviour_rows` over the runs below.  Any change to what
 # the simulator does, or in what order, changes it.
-BEHAVIOUR_DIGEST = ("1bad2d16dae53005ea07de7d45e02464"
-                    "c7198b52055fbe6131955dd9f55eff6c")
+BEHAVIOUR_DIGEST = ("ed3c75f5bc4a809460da4a8a27edcaf9"
+                    "fc6a44eada81ce23425c4e33551efde8")
 
 
 @pytest.mark.pinned
@@ -441,7 +460,7 @@ def test_trace_stays_empty_without_events(deployed):
 
 
 def test_duplicate_copy_carries_only_state():
-    """In `outport <- 2; (id + (a <- 1; s[0]++))` one leaf holds two action
+    """In `TWO_SEQUENCES` one leaf holds two action
     sequences, and on a packet with a = 1 both give the same packet.  The
     interpreter's packet set holds it once; the simulator emits it once
     too, from the first copy, and the second copy only increments s."""
@@ -453,9 +472,7 @@ def test_duplicate_copy_carries_only_state():
         links[(b, a)] = Link(b, a, 10.0)
     t = Topology(nodes, links, {(1, 2): 1.0, (2, 1): 1.0})
     t.validate()
-    prog = lang.parse("state s[1] default 0;\nfield a : small in {0, 1};\n"
-                      "field b : small in {0, 1};\n"
-                      "outport <- 2; (id + (a <- 1; s[0]++))")
+    prog = lang.parse(TWO_SEQUENCES)
     bundle = rulegen.compile(prog, t)
     pkts = [{"a": a, "b": b, "inport": 1, "outport": 1}
             for a in (0, 1) for b in (0, 1)]
@@ -504,3 +521,85 @@ def test_load_validates_a_bundle_once(tmp_path, monkeypatch):
     with pytest.raises(InputError, match="inconsistent bundle: placement "
                        "of 'established' on unknown switch 'ZZ'"):
         simnet.load(bundle, t)
+
+
+def test_rules_that_loop_end_in_an_eval_error():
+    """A packet copy may cross switches x (state variables + 1) links:
+    with C1's rule for flow (1, 2) turned back to I1, a stateless
+    program's packet from port 1 bounces between I1 and C1 until it
+    crosses its twelfth link on example12, and the next raises."""
+    prog = lang.parse(policy_src("assign-egress"))
+    t = topo.example12()
+    bundle = rulegen.compile(prog, t)
+    assert bundle.rules["I1"][(1, 2)] == "C1"
+    bundle.rules["C1"][(1, 2)] = "I1"
+    net = simnet.load(bundle, t)
+    pkt = {"inport": 1, "outport": 1, "dstip": IPv4Address("10.0.2.10")}
+    with pytest.raises(EvalError, match="^a packet from port 1 crossed 12 "
+                       "links and loops on I1->C1$"):
+        net.inject(1, pkt)
+
+
+def test_packet_for_a_port_no_switch_exposes_is_dropped():
+    """`outport <- 99` on example12, whose ports are 1 to 6: the
+    interpreter returns the packet, and the simulator drops it at its
+    ingress switch, as the event trace says."""
+    prog = lang.parse("outport <- 99")
+    t = topo.example12()
+    net = simnet.load(rulegen.compile(prog, t), t, events=True)
+    pkt = {"inport": 1, "outport": 1}
+    r = interp.eval_program(prog, interp.Store.initial(prog), dict(pkt))
+    assert list(r.packets.values()) == [{"inport": 1, "outport": 99}]
+    assert net.inject(1, dict(pkt)) == []
+    assert [(e.switch, e.kind, e.detail) for e in net.trace] == [
+        ("I1", "ingress", 1), ("I1", "drop", "unknown egress port 99")]
+
+
+# tuple values in a cell and in a test's right-hand side, and a tuple index
+TUPLES = """state last[1] default 0;
+state s[2] default 0;
+field srcip : ip in {10.0.1.10, 10.0.3.10};
+field dstip : ip in {10.0.1.10, 10.0.3.10};
+field dstport : int in {20, 80};
+s[(srcip, dstip)]++;
+if last[srcip] = (srcip, dstport) then outport <- 3
+else (last[srcip] <- (srcip, dstport); outport <- 4)
+"""
+
+
+def test_tuple_values_round_trip_and_simulate(tmp_path):
+    """A program that stores and tests tuples compiles on example12; its
+    bundle, written and loaded, holds the compile's diagram, and run
+    from it serialized and interleaved the simulator agrees with the
+    interpreter on every packet and on the final state, whose tuple
+    values read back from their JSON form."""
+    prog = lang.parse(TUPLES)
+    t = topo.example12()
+    compiled = rulegen.compile(prog, t)
+    rulegen.write_bundle(compiled, str(tmp_path))
+    bundle = rulegen.load_bundle(str(tmp_path), t)
+    assert (bundle.root, bundle.nodes) == (compiled.root, compiled.nodes)
+    rng = random.Random(11)
+    trace = [gen_packet(prog, rng, t.external_ports()) for _ in range(60)]
+    store = interp.Store.initial(prog)
+    want = []
+    serial = simnet.load(bundle, t)
+    inter = simnet.load(bundle, t, seed=2)
+    for port, pkt in trace:
+        r = interp.eval_program(prog, store, dict(pkt))
+        store = r.store
+        want += oracle_emissions(r)
+        assert canon_emissions(serial.inject(port, dict(pkt))) == (
+            oracle_emissions(r))
+        inter.inject(port, dict(pkt), mode="interleaved")
+        inter.run()
+    assert canon_emissions(inter.emissions) == sorted(want)
+    for net in (serial, inter):
+        assert aggregate_net(net) == aggregate_oracle(store)
+    cells = list(serial.aggregate_state()["last"].values())
+    assert cells and all(isinstance(v, tuple) and values.is_value(v)
+                         for v in cells)
+    for v in cells:
+        assert values.value_from_json(json.loads(json.dumps(
+            values.value_to_json(v)))) == v
+    assert "=(10.0.1.10, " in repr(store)

@@ -4,12 +4,13 @@ canonicalization, and pruning."""
 
 import dataclasses
 import hashlib
+import json
 import random
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
-from snapnet import deps, interp, lang, rulegen, values, xfdd
+from snapnet import deps, interp, lang, rulegen, shape, values, xfdd
 from snapnet.errors import RaceError, UnsupportedCompositionError
 from snapnet.interp import UNDEFINED
 
@@ -430,15 +431,30 @@ def test_diagram_nodes_are_hash_consed():
 
 
 def test_json_round_trip_for_tests_and_atoms():
-    t1 = xfdd.TFieldValue("a", 1)
-    t2 = xfdd.TStateTest("s", lang.TupleExpr((lang.FieldRef("a"),
-                                              lang.Lit(3))), lang.Lit(0))
-    for t in (t1, t2):
-        assert xfdd.test_from_json(xfdd.test_to_json(t)) == t
+    """Each test and atom reads back equal from the JSON its table gives
+    it, whose keys are its class's fields and whose values have their
+    one JSON form (`values.value_to_json`)."""
+    pair = lang.Lit((IPv4Address("10.0.1.10"), 80))
+    tests = (xfdd.TFieldValue("a", 1),
+             xfdd.TFieldValue("dstip", IPv4Network("10.0.6.0/24")),
+             xfdd.make_ff("b", "a"),
+             xfdd.TStateTest("s", lang.TupleExpr((lang.FieldRef("a"),
+                                                  lang.Lit(3))), pair))
     atoms = (lang.Mod("a", 1), lang.StateSet("s", lang.Lit(0), lang.Lit(2)),
-             lang.Incr("s", lang.Lit(0)), xfdd.DROP)
-    for a in atoms:
-        assert xfdd.atom_from_json(xfdd.atom_to_json(a)) == a
+             lang.StateSet("s", pair, lang.Lit(values.TRUE)),
+             lang.Incr("s", lang.Lit(0)), lang.Decr("s", lang.Lit(0)),
+             xfdd.DROP)
+    for x, table in [(t, xfdd.TEST) for t in tests] + [
+            (a, xfdd.ATOM) for a in atoms]:
+        d = json.loads(json.dumps(xfdd.to_json(x, table)))
+        assert xfdd.from_json(shape.check(d, table), table) == x
+    assert xfdd.to_json(tests[3], xfdd.TEST) == {
+        "t": "st", "var": "s",
+        "index": {"e": "tuple", "items": [{"e": "field", "name": "a"},
+                                          {"e": "lit", "value": 3}]},
+        "rhs": {"e": "lit", "value": ["10.0.1.10", 80]}}
+    assert xfdd.to_json(atoms[2], xfdd.ATOM)["rhs"] == {"e": "lit",
+                                                        "value": True}
 
 
 def _hashed_nodes(span, n: int) -> list:
