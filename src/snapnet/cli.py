@@ -171,7 +171,7 @@ def cmd_simulate(args) -> int:
     t = topo.load(args.topology)
     net = simnet.load(args.bundle, t, seed=args.seed,
                       events=bool(args.events))
-    injections = simnet.read_trace(args.trace, t)
+    injections = simnet.read_trace(args.trace, t, net.bundle.fields)
     emitted = []
     try:
         for port, pkt in injections:

@@ -2,9 +2,14 @@
 
 This is the oracle every other stage is tested against: the denotational
 equations (store x packet-set x log, with conflict detection via log
-consistency), one function per equation, dispatched on the policy node's
-type.  A result's packets are keyed by `pkt_key`; each packet's key is
-computed once and handed down with the packet.
+consistency).  A policy is compiled once into a tree of closures, one
+closure per node, each the equation of its node's type (Feeley and
+Lapalme, "Using Closures for Code Generation", 1987): the node's literal
+keys, prefix tests, index and right-hand-side evaluators and log entries
+are fixed when its closure is built, and it calls its children's
+closures.  A program holds its compiled policy (`eval_program`), built on
+its first evaluation.  A result's packets are keyed by `pkt_key`; each
+packet's key is computed once and handed down with the packet.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 from . import lang
 from .errors import EvalError
 from .values import (
-    canon_key, check_int_range, format_value, test_match, values_equal,
+    IPv4Address, IPv4Network, canon_key, check_int_range, format_value,
+    values_equal,
 )
 
 
@@ -166,154 +172,218 @@ def _incr_value(old, delta: int):
     return check_int_range(old + delta)
 
 
-# One function per equation.  Each takes the packet's key (`pkt_key(pkt)`)
-# along with the packet, so a key is computed once per packet: at `eval`
-# for the input, and at `_mod` for the one packet it makes.
+def _compile(p):
+    """The closure `run(m, pkt, key)` for policy node p, built once: the
+    equation of p's node type with p's literals, tests and log entries
+    fixed and its children compiled.  `key` is `pkt_key(pkt)`, computed
+    once per packet: by `eval` for the input, and by a modification for
+    the one packet it makes.  `run` returns UNDEFINED or the tuple
+    (store, packets, log) of an `EvalResult`."""
+    t = type(p)
+    if t is lang.Id:
+        def run(m, pkt, key):
+            return m, {key: pkt}, ()
+    elif t is lang.Drop:
+        def run(m, pkt, key):
+            return m, {}, ()
+    elif t is lang.Test:
+        field, match = p.field, _matcher(p.value)
 
-def _id(p, m, pkt, key):
-    return EvalResult(m, {key: pkt}, ())
+        def run(m, pkt, key):
+            if field not in pkt:
+                raise EvalError(f"unknown field {field!r}")
+            return m, {key: pkt} if match(pkt[field]) else {}, ()
+    elif t is lang.StateTest:
+        var, index, rhs = p.var, _index(p.index), _expr_key(p.rhs)
+        log = (("R", var),)
 
+        def run(m, pkt, key):
+            ok = canon_key(m.get(var, index(pkt))) == rhs(pkt)
+            return m, {key: pkt} if ok else {}, log
+    elif t is lang.Mod:
+        field, value = p.field, p.value
+        entry = ((field, canon_key(value)),)
 
-def _drop(p, m, pkt, key):
-    return EvalResult(m, {}, ())
+        def run(m, pkt, key):
+            if field not in pkt:
+                raise EvalError(f"unknown field {field!r}")
+            new = dict(pkt)
+            new[field] = value
+            # Field names are unique, so the key's entries sort by field
+            # alone and replacing the field's entry in place keeps the key
+            # sorted.
+            i = bisect_left(key, (field,))
+            return m, {key[:i] + entry + key[i + 1:]: new}, ()
+    elif t is lang.StateSet:
+        var, index, rhs = p.var, _index(p.index), _expr(p.rhs)
+        log = (("W", var),)
 
+        def run(m, pkt, key):
+            return m.set(var, index(pkt), rhs(pkt)), {key: pkt}, log
+    elif t is lang.Incr or t is lang.Decr:
+        var, index = p.var, _index(p.index)
+        delta = 1 if t is lang.Incr else -1
+        log = (("W", var),)
 
-def _test(p, m, pkt, key):
-    if p.field not in pkt:
-        raise EvalError(f"unknown field {p.field!r}")
-    ok = test_match(pkt[p.field], p.value)
-    return EvalResult(m, {key: pkt} if ok else {}, ())
+        def run(m, pkt, key):
+            idx = index(pkt)
+            m2 = m.set(var, idx, _incr_value(m.get(var, idx), delta))
+            return m2, {key: pkt}, log
+    elif t is lang.Neg:
+        inner = _compile(p.p)
 
+        def run(m, pkt, key):
+            r = inner(m, pkt, key)
+            if r is UNDEFINED:
+                return r
+            return m, {} if key in r[1] else {key: pkt}, r[2]
+    elif t is lang.Or:
+        left, right = _compile(p.p), _compile(p.q)
 
-def _state_test(p, m, pkt, key):
-    cell = m.get(p.var, eval_index(p.index, pkt))
-    ok = values_equal(cell, eval_expr(p.rhs, pkt))
-    return EvalResult(m, {key: pkt} if ok else {}, (("R", p.var),))
-
-
-def _mod(p, m, pkt, key):
-    if p.field not in pkt:
-        raise EvalError(f"unknown field {p.field!r}")
-    new = dict(pkt)
-    new[p.field] = p.value
-    # Field names are unique, so the key's entries sort by field alone and
-    # replacing the field's entry in place keeps the key sorted.
-    i = bisect_left(key, (p.field,))
-    new_key = key[:i] + ((p.field, canon_key(p.value)),) + key[i + 1:]
-    return EvalResult(m, {new_key: new}, ())
-
-
-def _state_set(p, m, pkt, key):
-    m2 = m.set(p.var, eval_index(p.index, pkt), eval_expr(p.rhs, pkt))
-    return EvalResult(m2, {key: pkt}, (("W", p.var),))
-
-
-def _incr_decr(p, m, pkt, key):
-    idx = eval_index(p.index, pkt)
-    delta = 1 if type(p) is lang.Incr else -1
-    m2 = m.set(p.var, idx, _incr_value(m.get(p.var, idx), delta))
-    return EvalResult(m2, {key: pkt}, (("W", p.var),))
-
-
-def _neg(p, m, pkt, key):
-    r = _eval(p.p, m, pkt, key)
-    if r is UNDEFINED:
-        return UNDEFINED
-    return EvalResult(m, {} if key in r.packets else {key: pkt}, r.log)
-
-
-def _or(p, m, pkt, key):
-    r1 = _eval(p.p, m, pkt, key)
-    r2 = _eval(p.q, m, pkt, key)
-    if r1 is UNDEFINED or r2 is UNDEFINED:
-        return UNDEFINED
-    return EvalResult(m, {**r1.packets, **r2.packets}, r1.log + r2.log)
-
-
-def _and(p, m, pkt, key):
-    r1 = _eval(p.p, m, pkt, key)
-    r2 = _eval(p.q, m, pkt, key)
-    if r1 is UNDEFINED or r2 is UNDEFINED:
-        return UNDEFINED
-    out = {k: v for k, v in r1.packets.items() if k in r2.packets}
-    return EvalResult(m, out, r1.log + r2.log)
-
-
-def _par(p, m, pkt, key):
-    r1 = _eval(p.p, m, pkt, key)
-    r2 = _eval(p.q, m, pkt, key)
-    if r1 is UNDEFINED or r2 is UNDEFINED:
-        return UNDEFINED
-    if not consistent(r1.log, r2.log):
-        return UNDEFINED
-    return EvalResult(merge(m, r1.store, r2.store),
-                      {**r1.packets, **r2.packets}, r1.log + r2.log)
-
-
-def _seq(p, m, pkt, key):
-    r1 = _eval(p.p, m, pkt, key)
-    if r1 is UNDEFINED:
-        return UNDEFINED
-    runs = []
-    for k in sorted(r1.packets):
-        r = _eval(p.q, r1.store, r1.packets[k], k)
-        if r is UNDEFINED:
-            return UNDEFINED
-        runs.append(r)
-    if not runs:
-        return EvalResult(r1.store, {}, r1.log)
-    if len(runs) == 1:    # merge_many of one store is that store
-        r = runs[0]
-        return EvalResult(r.store, r.packets, r1.log + r.log)
-    for i in range(len(runs)):
-        for j in range(i + 1, len(runs)):
-            if not consistent(runs[i].log, runs[j].log):
+        def run(m, pkt, key):
+            r1 = left(m, pkt, key)
+            r2 = right(m, pkt, key)
+            if r1 is UNDEFINED or r2 is UNDEFINED:
                 return UNDEFINED
-    packets = {}
-    log = r1.log
-    for r in runs:
-        packets.update(r.packets)
-        log = log + r.log
-    return EvalResult(merge_many(r1.store, [r.store for r in runs]),
-                      packets, log)
+            return m, {**r1[1], **r2[1]}, r1[2] + r2[2]
+    elif t is lang.And:
+        left, right = _compile(p.p), _compile(p.q)
+
+        def run(m, pkt, key):
+            r1 = left(m, pkt, key)
+            r2 = right(m, pkt, key)
+            if r1 is UNDEFINED or r2 is UNDEFINED:
+                return UNDEFINED
+            both = r2[1]
+            return (m, {k: v for k, v in r1[1].items() if k in both},
+                    r1[2] + r2[2])
+    elif t is lang.Par:
+        left, right = _compile(p.p), _compile(p.q)
+
+        def run(m, pkt, key):
+            r1 = left(m, pkt, key)
+            r2 = right(m, pkt, key)
+            if r1 is UNDEFINED or r2 is UNDEFINED:
+                return UNDEFINED
+            if not consistent(r1[2], r2[2]):
+                return UNDEFINED
+            return (merge(m, r1[0], r2[0]), {**r1[1], **r2[1]},
+                    r1[2] + r2[2])
+    elif t is lang.Seq:
+        first, then = _compile(p.p), _compile(p.q)
+
+        def run(m, pkt, key):
+            r1 = first(m, pkt, key)
+            if r1 is UNDEFINED:
+                return r1
+            m1, packets1, log1 = r1
+            if len(packets1) < 2:
+                if not packets1:
+                    return r1
+                # merge_many of one store is that store
+                ((k, q),) = packets1.items()
+                r = then(m1, q, k)
+                if r is UNDEFINED:
+                    return r
+                return r[0], r[1], log1 + r[2]
+            runs = []
+            for k in sorted(packets1):
+                r = then(m1, packets1[k], k)
+                if r is UNDEFINED:
+                    return r
+                runs.append(r)
+            for i in range(len(runs)):
+                for j in range(i + 1, len(runs)):
+                    if not consistent(runs[i][2], runs[j][2]):
+                        return UNDEFINED
+            packets = {}
+            log = log1
+            for r in runs:
+                packets.update(r[1])
+                log = log + r[2]
+            return merge_many(m1, [r[0] for r in runs]), packets, log
+    elif t is lang.If:
+        cond, then, els = _compile(p.cond), _compile(p.then), _compile(p.els)
+
+        def run(m, pkt, key):
+            rc = cond(m, pkt, key)
+            if rc is UNDEFINED:
+                return rc
+            rb = (then if rc[1] else els)(m, pkt, key)
+            if rb is UNDEFINED:
+                return rb
+            return rb[0], rb[1], rc[2] + rb[2]
+    elif t is lang.Atomic:
+        run = _compile(p.p)
+    else:
+        def run(m, pkt, key):
+            raise EvalError(f"not a policy: {p!r}")
+    return run
 
 
-def _if(p, m, pkt, key):
-    rc = _eval(p.cond, m, pkt, key)
-    if rc is UNDEFINED:
-        return UNDEFINED
-    rb = _eval(p.then if rc.packets else p.els, m, pkt, key)
-    if rb is UNDEFINED:
-        return UNDEFINED
-    return EvalResult(rb.store, rb.packets, rc.log + rb.log)
+def _matcher(value):
+    """The field test `f = value` as a predicate on f's value: containment
+    when value is a prefix (`values.test_match`), else equal keys."""
+    if isinstance(value, IPv4Network):
+        mask, base = int(value.netmask), int(value.network_address)
+        return lambda v: isinstance(v, IPv4Address) and int(v) & mask == base
+    want = canon_key(value)
+    return lambda v: canon_key(v) == want
 
 
-def _atomic(p, m, pkt, key):
-    return _eval(p.p, m, pkt, key)
+def _expr(e):
+    """`eval_expr(e, ·)` as a closure built once."""
+    t = type(e)
+    if t is lang.Lit:
+        value = e.value
+        return lambda pkt: value
+    if t is lang.FieldRef:
+        name = e.name
+
+        def field(pkt):
+            if name not in pkt:
+                raise EvalError(f"unknown field {name!r}")
+            return pkt[name]
+        return field
+    if t is lang.TupleExpr:
+        items = tuple(map(_expr, e.items))
+        return lambda pkt: tuple(item(pkt) for item in items)
+    return lambda pkt: eval_expr(e, pkt)    # raises: not an expression
 
 
-_RULES = {
-    lang.Id: _id, lang.Drop: _drop, lang.Test: _test,
-    lang.StateTest: _state_test, lang.Mod: _mod, lang.StateSet: _state_set,
-    lang.Incr: _incr_decr, lang.Decr: _incr_decr, lang.Neg: _neg,
-    lang.Or: _or, lang.And: _and, lang.Par: _par, lang.Seq: _seq,
-    lang.If: _if, lang.Atomic: _atomic,
-}
+def _expr_key(e):
+    """`canon_key(eval_expr(e, ·))` as a closure built once."""
+    if type(e) is lang.Lit:
+        want = canon_key(e.value)
+        return lambda pkt: want
+    value = _expr(e)
+    return lambda pkt: canon_key(value(pkt))
 
 
-def _eval(p, m: Store, pkt: dict, key: tuple):
-    rule = _RULES.get(type(p))
-    if rule is None:
-        raise EvalError(f"not a policy: {p!r}")
-    return rule(p, m, pkt, key)
+def _index(e):
+    """`eval_index(e, ·)` as a closure built once."""
+    value = _expr(e)
+    if type(e) is lang.TupleExpr:
+        return value
+    return lambda pkt: (value(pkt),)
+
+
+def _result(r):
+    return r if r is UNDEFINED else EvalResult(*r)
 
 
 def eval(p, m: Store, pkt: dict):
-    """The semantics equations; returns EvalResult or UNDEFINED."""
-    return _eval(p, m, pkt, pkt_key(pkt))
+    """The semantics equations; returns EvalResult or UNDEFINED.  Compiles
+    p on every call: `eval_program` compiles a program once."""
+    return _result(_compile(p)(m, pkt, pkt_key(pkt)))
 
 
 def eval_program(prog: lang.Program, m: Store, pkt: dict):
     """The program's policy (its assumption, then its body) on one
-    packet."""
-    return eval(prog.policy, m, pkt)
+    packet.  The program holds its compiled policy, built on its first
+    evaluation, so the closures live and die with it."""
+    run = prog.__dict__.get("_run")
+    if run is None:
+        run = _compile(prog.policy)
+        object.__setattr__(prog, "_run", run)   # a frozen dataclass
+    return _result(run(m, pkt, pkt_key(pkt)))

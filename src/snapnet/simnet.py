@@ -439,29 +439,6 @@ def load(bundle, topo, seed: int = 0, events: bool = False) -> SimNetwork:
     return SimNetwork(bundle, topo, seed=seed, events=events)
 
 
-# ---------------------------------------------------------------- probes
-
-def race_probe(net: SimNetwork, scenario: dict) -> dict:
-    """Inject the scenario's packets under one interleaved schedule and
-    report whether the observed pair of state cells describes a single
-    packet.  scenario keys: packets [(port, pkt), ...], vars (v1, v2),
-    index (tuple), fields (f1, f2)."""
-    for port, pkt in scenario["packets"]:
-        net.inject(port, pkt, mode="interleaved")
-    net.run()
-    v1, v2 = scenario["vars"]
-    f1, f2 = scenario["fields"]
-    key = tuple(canon_key(x) for x in scenario["index"])
-    state = net.aggregate_state()
-    got1 = state.get(v1, {}).get(key)
-    got2 = state.get(v2, {}).get(key)
-    consistent = any(
-        got1 is not None and got2 is not None
-        and values_equal(got1, pkt[f1]) and values_equal(got2, pkt[f2])
-        for _, pkt in scenario["packets"])
-    return {"consistent": consistent, "values": (got1, got2)}
-
-
 # ---------------------------------------------------------------- traces
 
 def trace_to_json(events: list) -> list:
@@ -475,13 +452,19 @@ def trace_to_json(events: list) -> list:
 TRACE_LINE = {"port": int, "packet": dict}
 
 
-def read_trace(path: str, topo) -> list:
+def read_trace(path: str, topo, fields: dict) -> list:
     """Trace input: JSON lines, each of shape `TRACE_LINE`, with an
     external port of `topo` and each packet value in its JSON form
     (`values.value_to_json`); InputError naming the line, and the packet
-    field whose value is bad, if one is not, or if the packet's `inport`
-    is not the line's `port`."""
+    field whose value is bad, if one is not, if a value lies outside its
+    field's declared domain (`fields`: name -> `lang.FieldDecl`, as in
+    `DeploymentBundle.fields`), or if the packet's `inport` is not the
+    line's `port`."""
     ports = set(topo.external_ports())
+    # the compiler drops tests that these domains decide, so a packet
+    # outside one could leave where the interpreter drops it
+    domains = {f: {canon_key(v) for v in d.domain}
+               for f, d in fields.items() if d.domain is not None}
     out = []
     with open(path) as f:
         for n, line in enumerate(f, 1):
@@ -499,6 +482,10 @@ def read_trace(path: str, topo) -> list:
                         pkt[field] = value_from_json(v)
                     except (OverflowError, ValueError) as e:
                         raise InputError(f"packet.{field}: {e}") from e
+                    if (field in domains
+                            and canon_key(pkt[field]) not in domains[field]):
+                        raise InputError(f"packet.{field} {v!r} is not in "
+                                         "the declared domain")
                 # the diagram tests `inport`, the rules route from `port`
                 if pkt.get("inport", port) != port:
                     raise InputError(f"packet.inport {d['packet']['inport']!r}"

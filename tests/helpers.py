@@ -1,4 +1,4 @@
-"""Shared test utilities: the reference evaluator's former isinstance
+"""Shared test utilities: the semantics equations as an isinstance
 chain, the router's former closure-cost Dijkstra, a Builder whose
 sequencing split restricts both halves and joins them as the split did
 before its ITE walk and decides a test wherever it meets one, the
@@ -8,8 +8,9 @@ builder without computed tables, a program's flow demand map as a
 compile's P1-P3 give it, the benchmark workloads' programs, a
 brute-force diagram walker (independent of
 the compiler's own machinery), a random policy generator over a
-small universe of fields, values, and state variables, and a line
-topology with two ports on one switch."""
+small universe of fields, values, and state variables, a line
+topology with two ports on one switch, and a probe that reads the
+simulator's state after one interleaved schedule."""
 
 import heapq
 import importlib.util
@@ -18,19 +19,19 @@ import pathlib
 import random
 import sys
 
-from snapnet import deps, interp, lang, opt, psm, rulegen, xfdd
+from snapnet import deps, interp, lang, opt, psm, rulegen, simnet, xfdd
 from snapnet.topo import Link, Node, Topology
 from snapnet.errors import EvalError, RaceError, UnsupportedCompositionError
-from snapnet.values import test_match, values_equal
+from snapnet.values import canon_key, test_match, values_equal
 
 
 # ---------------------------------------------------------------- reference
 
 def reference_eval(p, m, pkt):
-    """The semantics equations as one isinstance chain that recomputes
-    each result packet's key, as `interp.eval` was written before it
-    dispatched on node type and handed each packet's key down; kept only
-    to check `interp.eval` against."""
+    """The semantics equations as one isinstance chain, walked on every
+    call, that recomputes each result packet's key: the specification
+    that `interp.eval` and `interp.eval_program`, which compile a policy
+    into closures and hand each packet's key down, are checked against."""
     def one(q):
         return {interp.pkt_key(q): q}
 
@@ -709,3 +710,26 @@ def random_policy(rng: random.Random, depth: int, counters: bool = True,
         return lang.Atomic(pol(d - 1))
 
     return pol(depth)
+
+
+# ---------------------------------------------------------------- probes
+
+def race_probe(net: simnet.SimNetwork, scenario: dict) -> dict:
+    """Inject the scenario's packets under one interleaved schedule and
+    report whether the observed pair of state cells describes a single
+    packet.  scenario keys: packets [(port, pkt), ...], vars (v1, v2),
+    index (tuple), fields (f1, f2)."""
+    for port, pkt in scenario["packets"]:
+        net.inject(port, pkt, mode="interleaved")
+    net.run()
+    v1, v2 = scenario["vars"]
+    f1, f2 = scenario["fields"]
+    key = tuple(canon_key(x) for x in scenario["index"])
+    state = net.aggregate_state()
+    got1 = state.get(v1, {}).get(key)
+    got2 = state.get(v2, {}).get(key)
+    consistent = any(
+        got1 is not None and got2 is not None
+        and values_equal(got1, pkt[f1]) and values_equal(got2, pkt[f2])
+        for _, pkt in scenario["packets"])
+    return {"consistent": consistent, "values": (got1, got2)}

@@ -21,8 +21,8 @@ from snapnet.topo import Link, Node, Topology
 
 from conftest import CORPUS, policy_src
 from helpers import (
-    all_packets, all_stores, demand_map, eval_xfdd, random_policy,
-    universe_prog,
+    all_packets, all_stores, demand_map, eval_xfdd, race_probe,
+    random_policy, universe_prog,
 )
 
 
@@ -417,11 +417,11 @@ def test_criterion_7_atomic_block_prevents_cross_packet_mixing():
                 "index": (1,), "fields": ("srcip", "dstport")}
     bad_atomic = bad_split = 0
     for seed in range(200):
-        if not simnet.race_probe(simnet.load(atomic, t, seed=seed),
-                                 dict(scenario))["consistent"]:
+        if not race_probe(simnet.load(atomic, t, seed=seed),
+                          dict(scenario))["consistent"]:
             bad_atomic += 1
-        if not simnet.race_probe(simnet.load(split, t, seed=seed),
-                                 dict(scenario))["consistent"]:
+        if not race_probe(simnet.load(split, t, seed=seed),
+                          dict(scenario))["consistent"]:
             bad_split += 1
     assert bad_atomic == 0
     assert bad_split >= 1

@@ -82,7 +82,7 @@ def test_compile_simulate_check_pipeline(tmp_path, capsys):
         "port": 1, "packet": {"inport": 1, "outport": 1,
                               "srcip": "10.0.1.10", "dstip": "10.0.6.10",
                               "srcport": 53, "dstport": 53,
-                              "dns-rdata": "10.9.0.1"}}) + "\n")
+                              "dns-rdata": "10.0.3.10"}}) + "\n")
     code, out, _ = run_cli(["simulate", "--bundle", str(bundle),
                             "--topo", TOPO, "--trace", str(trace)], capsys)
     assert code == 0
@@ -299,13 +299,21 @@ def test_placement_not_an_object_exits_3(tmp_path, capsys, content):
     ('{"port": 1, "packet": {"srcip": "10.0.6.1/24"}}',
      "packet.srcip: '10.0.6.1/24' is not an address or a prefix"),
     ('{"port": 1, "packet": {"inport": 3, "outport": 1}}',
-     "packet.inport 3 is not the line's port 1")],
+     "packet.inport 3 is not the line's port 1"),
+    ('{"port": 1, "packet": {"inport": 1, "srcip": "-5"}}',
+     "packet.srcip '-5' is not in the declared domain"),
+    ('{"port": 1, "packet": {"inport": 1, "dstip": 7}}',
+     "packet.dstip 7 is not in the declared domain"),
+    ('{"port": 1, "packet": {"inport": 1, "dstip": "10.0.9.10"}}',
+     "packet.dstip '10.0.9.10' is not in the declared domain")],
     ids=["not-json", "no-packet", "no-port", "not-an-object",
          "packet-not-an-object", "port-not-an-int", "bad-value",
          "unknown-port", "unknown-key", "tagged-int-a-string",
          "tagged-int-too-large", "empty-tuple", "tagged-empty-tuple",
          "null-value", "int-too-large", "number-a-string",
-         "address-past-255", "prefix-with-host-bits", "inport-not-port"])
+         "address-past-255", "prefix-with-host-bits", "inport-not-port",
+         "atom-outside-domain", "int-outside-domain",
+         "address-outside-domain"])
 def test_malformed_trace_line_exits_3(tmp_path, capsys, line, says):
     """simulate names the first malformed line of its trace (here the
     second; the first is good), and the packet field of a bad value, and
@@ -314,7 +322,9 @@ def test_malformed_trace_line_exits_3(tmp_path, capsys, line, says):
     beyond 64 bits and a string of digits and dots that is no address or
     prefix are none.  A packet's `inport` that is not the line's `port`
     is refused too: the diagram would test the one and the rules route
-    from the other."""
+    from the other.  So is a value outside its field's declared domain,
+    whatever its kind: stateful-fw declares `srcip` and `dstip` over its
+    twelve hosts."""
     bundle = tmp_path / "bundle"
     code, _, _ = run_cli(["compile", "-p", policy_path("stateful-fw"),
                           "-t", TOPO, "-o", str(bundle)], capsys)
@@ -326,6 +336,35 @@ def test_malformed_trace_line_exits_3(tmp_path, capsys, line, says):
                               "--topo", TOPO, "--trace", str(trace)], capsys)
     assert code == 3 and out == ""
     assert err == f"bad input: trace line 2: {says}\n"
+
+
+def test_trace_value_outside_its_domain_exits_3(tmp_path, capsys):
+    """The compiler prunes a test by its field's declared domain, so a
+    packet outside the domain would leave the deployment where the
+    interpreter drops it: with `srcport` in {53, 80}, the diagram never
+    tests `srcport = 80` and sends srcport 1024 to port 2.  simulate
+    refuses such a trace line and exits 3."""
+    pol = tmp_path / "ports.snap"
+    pol.write_text("field srcport : int in {53, 80};\n"
+                   "if srcport = 53 then outport <- 1\n"
+                   "else (if srcport = 80 then outport <- 2 else drop)\n")
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", str(pol), "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    pkt = {"inport": 1, "outport": 1, "srcport": 1024}
+    prog = lang.parse(pol.read_text())
+    assert interp.eval_program(prog, interp.Store.initial(prog),
+                               dict(pkt)).packets == {}
+    net = simnet.load(str(bundle), topo.load(TOPO))
+    assert [port for port, _ in net.inject(1, dict(pkt))] == [2]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 1, "packet": pkt}) + "\n")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err == ("bad input: trace line 1: packet.srcport 1024 is not in "
+                   "the declared domain\n")
 
 
 @pytest.mark.parametrize("mode", ["serialized", "interleaved"])
@@ -1262,7 +1301,8 @@ def test_simulate_interleaved_output_and_event_file(tmp_path, capsys):
                                 "--events", str(events)], capsys)
         assert code == 0
         net = simnet.load(str(bundle), t, seed=5, events=True)
-        for port, pkt in simnet.read_trace(str(trace), t):
+        for port, pkt in simnet.read_trace(str(trace), t,
+                                           net.bundle.fields):
             net.inject(port, pkt, mode=mode)
         net.run()
         assert net.emissions and [json.loads(line)

@@ -1,14 +1,18 @@
 """Reference-evaluator tests: merge rules, fan-out, conflicts, counters."""
 
+import gc
 import random
+import types
+import weakref
 
 import pytest
 
-from snapnet import interp, lang
+from snapnet import interp, lang, topo
 from snapnet.errors import EvalError
 from snapnet.interp import UNDEFINED, Store
 from snapnet.values import Atom, IPv4Address, IPv4Network, TRUE
 
+from conftest import CORPUS, policy_src
 from helpers import (
     UNIVERSE_SRC, all_packets, all_stores, random_policy, reference_eval,
     universe_prog,
@@ -186,3 +190,54 @@ def test_eval_matches_reference_on_random_policies():
                 assert got.log == want.log, p
                 fan_out += len(want.packets) > 1
     assert undefined and fan_out
+
+
+@pytest.mark.parametrize("names", [[name, "assign-egress"] for name in CORPUS]
+                         + [["assumption", "assign-egress"]],
+                         ids=CORPUS + ["assumption"])
+def test_eval_program_matches_reference_on_example_policies(names):
+    """The compiled program gives the semantics equations' results on each
+    example policy that compiles with assign-egress on example12, and on
+    the assumption, whose program is the `Seq` of assumption and body:
+    200 seeded packets threaded through both stores."""
+    prog = lang.compose_all([lang.parse(policy_src(n)) for n in names])
+    ports = topo.example12().external_ports()
+    rng = random.Random(" ".join(names))
+    got_store = want_store = Store.initial(prog)
+    passed = 0
+    for _ in range(200):
+        pkt = {f: rng.choice(prog.domain_of(f) or ports)
+               for f in prog.field_names()}
+        got = interp.eval_program(prog, got_store, dict(pkt))
+        want = reference_eval(prog.policy, want_store, dict(pkt))
+        assert (got is UNDEFINED) == (want is UNDEFINED)
+        if want is UNDEFINED:
+            continue
+        assert got.packets == want.packets
+        assert got.store.cells == want.store.cells
+        assert got.log == want.log
+        got_store, want_store = got.store, want.store
+        passed += bool(want.packets)
+    assert passed
+
+
+def _compiled_closures() -> int:
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, types.FunctionType)
+               and o.__module__ == interp.__name__
+               and "<locals>" in o.__qualname__)
+
+
+def test_compiled_program_dies_with_its_program():
+    """A program holds its compiled policy and nothing else does: once the
+    program is gone, so are it and its closures."""
+    gc.collect()
+    before = _compiled_closures()
+    prog = lang.parse(UNIVERSE_SRC + "\nif s[0] = 0 then s[0]++ else drop")
+    assert interp.eval_program(prog, Store.initial(prog), dict(PKT)).packets
+    assert _compiled_closures() > before
+    ref = weakref.ref(prog)
+    del prog
+    gc.collect()
+    assert ref() is None
+    assert _compiled_closures() == before

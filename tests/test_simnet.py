@@ -227,7 +227,7 @@ def test_read_trace_accepts_loose_values(tmp_path):
                                "flag": True, "proto": "tcp", "n": 7}},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    out = simnet.read_trace(str(path), topo.example12())
+    out = simnet.read_trace(str(path), topo.example12(), {})
     assert len(out) == 1
     port, pkt = out[0]
     assert port == 1
