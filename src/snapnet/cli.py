@@ -12,7 +12,8 @@ simulated packet that crosses more links than any walk may (a loop).
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
-A routing over link capacity is reported on stderr and still exits 0.
+A routing over link capacity, and an `outport` the program sets that no
+switch exposes, are reported on stderr and still exit 0.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from . import deps, interp, lang, opt, psm, rulegen, simnet, topo
 from .errors import CompileError, EvalError, InfeasibleError, InputError
 from .shape import check
-from .values import value_to_json
+from .values import canon_key, format_value, value_to_json
 
 PHASES = [
     ("P1", "state dependency"),
@@ -60,6 +61,22 @@ def _warn_overloaded(t, routing: dict) -> None:
               file=sys.stderr)
 
 
+def _warn_unexposed(t, nodes: dict) -> None:
+    """One stderr line per `outport` that a leaf of the diagram sets and
+    no switch of `t` exposes: the interpreter returns such a packet and
+    the simulator drops it.  (A sequence that drops the packet holds no
+    modification.)  The exit code stays 0."""
+    exposed = set(t.external_ports())
+    unexposed = {a.value for node in nodes.values() if node[0] == "leaf"
+                 for elem in node[1] for a in elem
+                 if type(a) is lang.Mod and a.field == "outport"
+                 and a.value not in exposed}
+    for v in sorted(unexposed, key=canon_key):
+        print(f"warning: the program sets outport {format_value(v)}, which "
+              "no switch exposes; the simulator drops such packets",
+              file=sys.stderr)
+
+
 def _fixed_placement(args) -> dict | None:
     if getattr(args, "placement", None) is None:
         return None
@@ -83,6 +100,7 @@ def cmd_compile(args) -> int:
                              budget=args.budget, phase_times=times)
     _print_phases(times)
     _warn_overloaded(t, bundle.routing)
+    _warn_unexposed(t, bundle.nodes)
     rulegen.write_bundle(bundle, args.output)
     print(json.dumps({"placement": bundle.placement,
                       "objective": bundle.objective,
@@ -141,10 +159,11 @@ def cmd_place(args) -> int:
     change), so it takes no search budget."""
     prog = _load_program(args.policy)
     t = topo.load(args.topology)
-    order, demand, _ = _demand(prog, t)
+    order, demand, (nodes, _) = _demand(prog, t)
     m = opt.build_milp(t, demand, order, fixed=_fixed_placement(args))
     sol = opt.solve_builtin(m, budget=getattr(args, "budget", 4096))
     _warn_overloaded(t, sol.routing)
+    _warn_unexposed(t, nodes)
     print(json.dumps({"placement": sol.placement,
                       "routing": opt.routing_to_json(sol.routing),
                       "objective": sol.objective, "exact": sol.exact,

@@ -21,7 +21,6 @@ from . import lang
 from .errors import EvalError
 from .values import (
     IPv4Address, IPv4Network, canon_key, check_int_range, format_value,
-    values_equal,
 )
 
 
@@ -78,13 +77,19 @@ class Store:
         return cell[1] if cell is not None else decl.default
 
     def set(self, var: str, idx: tuple, value) -> "Store":
+        """The store with cell var[idx] set to value; this store itself
+        when the cell already holds a value of the same canonical key."""
         decl = self.decls[var]
         if len(idx) != decl.arity:
             raise EvalError(f"state {var}: index arity {len(idx)} != {decl.arity}")
-        new_var = dict(self.cells[var])
         k = self._key(idx)
-        if values_equal(value, decl.default):
-            new_var.pop(k, None)
+        cell = self.cells[var].get(k)
+        want = canon_key(value)
+        if want == canon_key(cell[1] if cell is not None else decl.default):
+            return self
+        new_var = dict(self.cells[var])
+        if want == canon_key(decl.default):
+            del new_var[k]
         else:
             new_var[k] = (idx, value)
         cells = dict(self.cells)
@@ -148,23 +153,6 @@ def merge_many(m: Store, stores: list) -> Store:
 
 
 # ---------------------------------------------------------------- eval
-
-def eval_expr(e, pkt: dict):
-    if isinstance(e, lang.Lit):
-        return e.value
-    if isinstance(e, lang.FieldRef):
-        if e.name not in pkt:
-            raise EvalError(f"unknown field {e.name!r}")
-        return pkt[e.name]
-    if isinstance(e, lang.TupleExpr):
-        return tuple(eval_expr(x, pkt) for x in e.items)
-    raise EvalError(f"not an expression: {e!r}")
-
-
-def eval_index(e, pkt: dict) -> tuple:
-    v = eval_expr(e, pkt)
-    return v if isinstance(e, lang.TupleExpr) else (v,)
-
 
 def _incr_value(old, delta: int):
     if isinstance(old, bool) or not isinstance(old, int):
@@ -324,15 +312,20 @@ def _compile(p):
 def _matcher(value):
     """The field test `f = value` as a predicate on f's value: containment
     when value is a prefix (`values.test_match`), else equal keys."""
-    if isinstance(value, IPv4Network):
+    t = type(value)
+    if t is IPv4Network:
         mask, base = int(value.netmask), int(value.network_address)
         return lambda v: isinstance(v, IPv4Address) and int(v) & mask == base
+    if t is int or t is IPv4Address:
+        # equal keys: the same type and the same int or address
+        return lambda v: type(v) is t and v == value
     want = canon_key(value)
     return lambda v: canon_key(v) == want
 
 
 def _expr(e):
-    """`eval_expr(e, ·)` as a closure built once."""
+    """The value of expression e on a packet, as a closure built once: a
+    literal's value, a field's value, or a tuple of its items' values."""
     t = type(e)
     if t is lang.Lit:
         value = e.value
@@ -348,11 +341,14 @@ def _expr(e):
     if t is lang.TupleExpr:
         items = tuple(map(_expr, e.items))
         return lambda pkt: tuple(item(pkt) for item in items)
-    return lambda pkt: eval_expr(e, pkt)    # raises: not an expression
+
+    def bad(pkt):
+        raise EvalError(f"not an expression: {e!r}")
+    return bad
 
 
 def _expr_key(e):
-    """`canon_key(eval_expr(e, ·))` as a closure built once."""
+    """`canon_key` of `_expr(e)`'s value, as a closure built once."""
     if type(e) is lang.Lit:
         want = canon_key(e.value)
         return lambda pkt: want
@@ -361,7 +357,8 @@ def _expr_key(e):
 
 
 def _index(e):
-    """`eval_index(e, ·)` as a closure built once."""
+    """The index tuple expression e gives on a packet, as a closure built
+    once: a tuple expression's value, else the 1-tuple of e's value."""
     value = _expr(e)
     if type(e) is lang.TupleExpr:
         return value

@@ -15,6 +15,14 @@ its egress port, and elsewhere sent to the next hop its flow's rule gives
 (`DeploymentBundle.groups`).  With neither, `SimNetwork._fallback_next`
 sends it one hop toward its target, outside the compiled plan.
 
+Each node of the diagram is compiled once, at load, into a step whose
+test kind is decided then, from the interpreter's own closures
+(`interp._matcher`, `_expr_key`, `_index`); a state test compares
+canonical keys.  A leaf's action sequences are compiled the first time
+a copy reaches the leaf, into their state operations' positions, owners
+and index and right-hand-side closures.  No step refers to the network,
+so a network no longer referenced is freed at once.
+
 Two execution modes:
   * serialized — each injected packet (and all its forked copies) is
     driven to emission or drop before the next injection starts;
@@ -47,10 +55,9 @@ from dataclasses import dataclass
 
 from . import lang, rulegen, xfdd
 from .errors import EvalError, InputError
-from .interp import _incr_value, eval_expr, eval_index, pkt_key
+from .interp import _expr, _expr_key, _incr_value, _index, _matcher, pkt_key
 from .shape import check
-from .values import (canon_key, test_match, value_from_json, value_to_json,
-                     values_equal)
+from .values import canon_key, value_from_json, value_to_json
 
 
 # ---------------------------------------------------------------- network
@@ -67,7 +74,7 @@ class TraceEvent:
 DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Copy:
     """One in-flight packet copy: the entry packet and the header the
     protocol (see `rulegen`) carries with it from switch to switch, and
@@ -90,6 +97,56 @@ class _Copy:
     hops: int
 
 
+# how `SimNetwork._run_nodes` decides a step
+_LEAF, _FIELD, _FIELDS, _STATE = range(4)
+
+
+def _step(node) -> tuple:
+    """A diagram node as a pre-dispatched step, built once from the
+    interpreter's closures: (kind, field or var, matcher or (index,
+    rhs key), hi, lo), or for a field-field test (kind, f1, f2, hi, lo).
+    A test of no known kind keeps its test, to raise if a copy meets it."""
+    if node[0] == "leaf":
+        return (_LEAF, None, None, None, None)
+    test, hi, lo = node[1], node[2], node[3]
+    t = type(test)
+    if t is xfdd.TFieldValue:
+        return (_FIELD, test.field, _matcher(test.value), hi, lo)
+    if t is xfdd.TFieldField:
+        return (_FIELDS, test.f1, test.f2, hi, lo)
+    if t is xfdd.TStateTest:
+        return (_STATE, test.var, (_index(test.index), _expr_key(test.rhs)),
+                hi, lo)
+    return (None, None, test, hi, lo)
+
+
+def _sequence(elem: tuple, placement: dict) -> tuple:
+    """An action sequence compiled once: (state ops, dropped, mods).  Each
+    state operation is (position, owner, var, index, rhs, delta), with
+    rhs None for ++ and --, and `mods` the (field, value) pairs of its
+    modifications in order."""
+    ops = []
+    for k, a in enumerate(elem):
+        if lang.is_state_op(a):
+            t = type(a)
+            ops.append((k, placement[a.var], a.var, _index(a.index),
+                        _expr(a.rhs) if t is lang.StateSet else None,
+                        1 if t is lang.Incr else -1))
+    mods = tuple((a.field, a.value) for a in elem if type(a) is lang.Mod)
+    return tuple(ops), bool(elem) and elem[-1] is xfdd.DROP, mods
+
+
+def _final(seq: tuple, body: dict):
+    """The packet action sequence `seq` leaves of `body`, None if it drops."""
+    _, dropped, mods = seq
+    if dropped:
+        return None
+    out = dict(body)
+    for field, value in mods:
+        out[field] = value
+    return out
+
+
 class SimNetwork:
     def __init__(self, bundle: rulegen.DeploymentBundle, topo,
                  seed: int = 0, events: bool = False):
@@ -99,9 +156,16 @@ class SimNetwork:
         # switch -> nid -> node, the fragment the switch walks
         self.frags = rulegen.split_xfdd(bundle.nodes, bundle.root,
                                         bundle.placement, topo)
+        # nid -> step, one per diagram node; a fragment decides membership
+        self._steps = {nid: _step(node) for nid, node in bundle.nodes.items()}
+        self._sequences: dict = {}         # leaf nid -> compiled sequences
+        self._ports = {sid: frozenset(n.external_ports)
+                       for sid, n in topo.nodes.items()}
         # var -> canonical index key -> (index, value), at the var's owner
         self.cells = {s: {} for s in bundle.states}
         self.defaults = {s: d.default for s, d in bundle.states.items()}
+        self._default_keys = {s: canon_key(v)
+                              for s, v in self.defaults.items()}
         self.max_hops = len(topo.nodes) * (len(bundle.placement) + 1)
         self.clock = 0
         self.events = events
@@ -123,16 +187,16 @@ class SimNetwork:
     # -- bookkeeping
 
     def _tiebreak(self, serial: int) -> int:
-        if self._mode == "serialized":
-            return 0
         h = hashlib.blake2b(f"{self.seed}:{serial}".encode(),
                             digest_size=8).digest()
         return int.from_bytes(h, "big")
 
     def _schedule(self, t: int, fn):
+        """Serialized mode runs one packet at a time, so its events need
+        no tie-break."""
         self._serial += 1
-        heapq.heappush(self._events,
-                       (t, self._tiebreak(self._serial), self._serial, fn))
+        tb = 0 if self._mode == "serialized" else self._tiebreak(self._serial)
+        heapq.heappush(self._events, (t, tb, self._serial, fn))
 
     def _log(self, sid: str, body: dict, kind: str, detail=None):
         self.trace.append(TraceEvent(self.clock, sid, dict(body),
@@ -146,13 +210,13 @@ class SimNetwork:
     # -- state cells
 
     def _cell(self, var: str, idx: tuple):
-        slot = self.cells[var].get(tuple(canon_key(x) for x in idx))
+        slot = self.cells[var].get(tuple(map(canon_key, idx)))
         return slot[1] if slot is not None else self.defaults[var]
 
     def _store(self, var: str, idx: tuple, value):
-        k = tuple(canon_key(x) for x in idx)
+        k = tuple(map(canon_key, idx))
         tab = self.cells[var]
-        if values_equal(value, self.defaults[var]):
+        if canon_key(value) == self._default_keys[var]:
             tab.pop(k, None)
         else:
             tab[k] = (idx, value)
@@ -297,107 +361,114 @@ class SimNetwork:
         """Walk the switch's fragment from node `nid` down to a leaf, which
         forks the copy, or to a node the switch does not hold, where the
         copy is tagged with that resume point and forwarded."""
-        nodes = self.frags[sid]
+        frag = self.frags[sid]
+        steps = self._steps
         body = copy.body
         while True:
-            node = nodes.get(nid)
-            if node is None:
+            if nid not in frag:
                 copy.resume = ("node", nid)
-                self._forward_blocked(sid, copy,
-                                      self.bundle.nodes[nid][1].var)
+                self._forward_blocked(sid, copy, steps[nid][1])
                 return
-            if node[0] == "leaf":
-                self._fork(sid, copy, nid)
-                return
-            test = node[1]
-            if isinstance(test, xfdd.TStateTest):
-                idx = eval_index(test.index, body)
-                cell = self._cell(test.var, idx)
-                self.state_reads[sid] += 1
-                if self.events:
-                    self._log(sid, body, "state-read", (test.var, idx))
-                ok = values_equal(cell, eval_expr(test.rhs, body))
+            kind, arg, test, hi, lo = steps[nid]
             # a packet without the tested field fails as in the reference
             # interpreter
-            elif isinstance(test, xfdd.TFieldValue):
+            if kind is _FIELD:
                 try:
-                    ok = test_match(body[test.field], test.value)
+                    value = body[arg]
                 except KeyError:
-                    raise EvalError(f"unknown field {test.field!r}") from None
-            elif isinstance(test, xfdd.TFieldField):
+                    raise EvalError(f"unknown field {arg!r}") from None
+                ok = test(value)
+            elif kind is _STATE:
+                index, rhs = test
+                idx = index(body)
+                slot = self.cells[arg].get(tuple(map(canon_key, idx)))
+                cell = (canon_key(slot[1]) if slot is not None
+                        else self._default_keys[arg])
+                self.state_reads[sid] += 1
+                if self.events:
+                    self._log(sid, body, "state-read", (arg, idx))
+                ok = cell == rhs(body)
+            elif kind is _LEAF:
+                self._fork(sid, copy, nid)
+                return
+            elif kind is _FIELDS:
                 try:
-                    ok = values_equal(body[test.f1], body[test.f2])
+                    ok = canon_key(body[arg]) == canon_key(body[test])
                 except KeyError as e:
                     raise EvalError(f"unknown field {e.args[0]!r}") from None
             else:
                 raise EvalError(f"cannot evaluate test {test!r}")
-            nid = node[2] if ok else node[3]
+            nid = hi if ok else lo
 
-    def _final_packet(self, elem: tuple, body: dict):
-        """(dropped, final packet) preview for one action sequence."""
-        if elem and elem[-1] is xfdd.DROP:
-            return True, None
-        out = dict(body)
-        for a in elem:
-            if isinstance(a, lang.Mod):
-                out[a.field] = a.value
-        return False, out
+    def _sequences_of(self, nid: int) -> tuple:
+        """Leaf `nid`'s action sequences, each compiled (`_sequence`) the
+        first time a copy reaches the leaf."""
+        seqs = self._sequences.get(nid)
+        if seqs is None:
+            placement = self.bundle.placement
+            seqs = self._sequences[nid] = tuple(
+                _sequence(elem, placement)
+                for elem in self.bundle.nodes[nid][1])
+        return seqs
 
     def _fork(self, sid: str, copy: _Copy, nid: int):
         """One copy per action sequence; copies whose output packet would
-        duplicate an earlier copy's only carry state updates."""
-        elems = self.bundle.nodes[nid][1]
-        many = len(elems) > 1
+        duplicate an earlier copy's only carry state updates.  A leaf of
+        one sequence goes on with the copy itself."""
+        seqs = self._sequences_of(nid)
+        if len(seqs) == 1:
+            copy.resume = ("leaf", nid, 0, 0)
+            self._run_leaf(sid, copy)
+            return
         seen: set = set()
         copies = []
-        for ei, elem in enumerate(elems):
+        for ei, seq in enumerate(seqs):
             emitter = True
-            if many:
-                dropped, final = self._final_packet(elem, copy.body)
-                if not dropped:
-                    key = pkt_key(final)
-                    emitter = key not in seen
-                    seen.add(key)
+            final = _final(seq, copy.body)
+            if final is not None:
+                key = pkt_key(final)
+                emitter = key not in seen
+                seen.add(key)
             copies.append(_Copy(dict(copy.body), copy.inport, copy.outport,
                                 ("leaf", nid, ei, 0), set(), emitter,
                                 copy.hops))
-        if many and self.events:
+        if self.events:
             self._log(sid, copy.body, "fork", (nid, len(copies)))
         for c in copies:
             self._run_leaf(sid, c)
 
     def _run_leaf(self, sid: str, copy: _Copy):
         _, nid, ei, _ = copy.resume
-        elem = self.bundle.nodes[nid][1][ei]
-        placement = self.bundle.placement
+        seq = self._sequences_of(nid)[ei]
+        body = copy.body
         done = copy.done
-        pending = [k for k, a in enumerate(elem)
-                   if lang.is_state_op(a) and k not in done]
-        for k in pending[:]:
-            a = elem[k]
-            if placement[a.var] != sid:
+        blocked = None      # (position, var): the first op owned elsewhere
+        for k, owner, var, index, rhs, delta in seq[0]:
+            if k in done:
                 continue
-            idx = eval_index(a.index, copy.body)
-            if isinstance(a, lang.StateSet):
-                val = eval_expr(a.rhs, copy.body)
+            if owner != sid:
+                if blocked is None:
+                    blocked = (k, var)
+                continue
+            idx = index(body)
+            if rhs is not None:
+                val = rhs(body)
             else:
-                val = _incr_value(self._cell(a.var, idx),
-                                  1 if isinstance(a, lang.Incr) else -1)
-            self._store(a.var, idx, val)
+                val = _incr_value(self._cell(var, idx), delta)
+            self._store(var, idx, val)
             self.state_writes[sid] += 1
             if self.events:
-                self._log(sid, copy.body, "state-write", (a.var, idx, val))
+                self._log(sid, body, "state-write", (var, idx, val))
             done.add(k)
-            pending.remove(k)
-        if pending:
-            copy.resume = ("leaf", nid, ei, pending[0])
-            self._forward_blocked(sid, copy, elem[pending[0]].var)
+        if blocked is not None:
+            copy.resume = ("leaf", nid, ei, blocked[0])
+            self._forward_blocked(sid, copy, blocked[1])
             return
-        dropped, final = self._final_packet(elem, copy.body)
-        if dropped or not copy.emitter:
+        final = _final(seq, body)
+        if final is None or not copy.emitter:
             if self.events:
-                self._log(sid, copy.body, "drop",
-                          "dropped" if dropped else "duplicate-copy")
+                self._log(sid, body, "drop",
+                          "dropped" if final is None else "duplicate-copy")
             return
         copy.body = final
         copy.outport = final.get("outport")
@@ -406,8 +477,7 @@ class SimNetwork:
 
     def _route_final(self, sid: str, copy: _Copy):
         v = copy.outport
-        ports = self.topo.nodes[sid].external_ports
-        if v in ports:
+        if v in self._ports[sid]:
             # header stripped: the emitted packet is the bare body
             self.emissions.append((v, dict(copy.body)))
             if self.events:

@@ -27,6 +27,24 @@ from snapnet.values import canon_key, test_match, values_equal
 
 # ---------------------------------------------------------------- reference
 
+def reference_expr(e, pkt):
+    """An expression's value on a packet, as one isinstance chain."""
+    if isinstance(e, lang.Lit):
+        return e.value
+    if isinstance(e, lang.FieldRef):
+        if e.name not in pkt:
+            raise EvalError(f"unknown field {e.name!r}")
+        return pkt[e.name]
+    if isinstance(e, lang.TupleExpr):
+        return tuple(reference_expr(x, pkt) for x in e.items)
+    raise EvalError(f"not an expression: {e!r}")
+
+
+def reference_index(e, pkt) -> tuple:
+    v = reference_expr(e, pkt)
+    return v if isinstance(e, lang.TupleExpr) else (v,)
+
+
 def reference_eval(p, m, pkt):
     """The semantics equations as one isinstance chain, walked on every
     call, that recomputes each result packet's key: the specification
@@ -46,8 +64,8 @@ def reference_eval(p, m, pkt):
         ok = test_match(pkt[p.field], p.value)
         return R(m, one(pkt) if ok else {}, ())
     if isinstance(p, lang.StateTest):
-        cell = m.get(p.var, interp.eval_index(p.index, pkt))
-        ok = values_equal(cell, interp.eval_expr(p.rhs, pkt))
+        cell = m.get(p.var, reference_index(p.index, pkt))
+        ok = values_equal(cell, reference_expr(p.rhs, pkt))
         return R(m, one(pkt) if ok else {}, (("R", p.var),))
     if isinstance(p, lang.Mod):
         if p.field not in pkt:
@@ -56,11 +74,11 @@ def reference_eval(p, m, pkt):
         new[p.field] = p.value
         return R(m, one(new), ())
     if isinstance(p, lang.StateSet):
-        m2 = m.set(p.var, interp.eval_index(p.index, pkt),
-                   interp.eval_expr(p.rhs, pkt))
+        m2 = m.set(p.var, reference_index(p.index, pkt),
+                   reference_expr(p.rhs, pkt))
         return R(m2, one(pkt), (("W", p.var),))
     if isinstance(p, (lang.Incr, lang.Decr)):
-        idx = interp.eval_index(p.index, pkt)
+        idx = reference_index(p.index, pkt)
         delta = 1 if isinstance(p, lang.Incr) else -1
         m2 = m.set(p.var, idx, interp._incr_value(m.get(p.var, idx), delta))
         return R(m2, one(pkt), (("W", p.var),))
@@ -572,9 +590,9 @@ def eval_test(t, store, pkt):
     if isinstance(t, xfdd.TFieldField):
         return values_equal(pkt[t.f1], pkt[t.f2])
     if isinstance(t, xfdd.TStateTest):
-        idx = interp.eval_index(t.index, pkt)
+        idx = reference_index(t.index, pkt)
         return values_equal(store.get(t.var, idx),
-                            interp.eval_expr(t.rhs, pkt))
+                            reference_expr(t.rhs, pkt))
     raise TypeError(t)
 
 
@@ -587,10 +605,10 @@ def apply_seq(atoms, store, pkt):
         if isinstance(a, lang.Mod):
             pkt[a.field] = a.value
         elif isinstance(a, lang.StateSet):
-            store = store.set(a.var, interp.eval_index(a.index, pkt),
-                              interp.eval_expr(a.rhs, pkt))
+            store = store.set(a.var, reference_index(a.index, pkt),
+                              reference_expr(a.rhs, pkt))
         elif isinstance(a, (lang.Incr, lang.Decr)):
-            idx = interp.eval_index(a.index, pkt)
+            idx = reference_index(a.index, pkt)
             old = store.get(a.var, idx)
             delta = 1 if isinstance(a, lang.Incr) else -1
             store = store.set(a.var, idx, old + delta)

@@ -1374,6 +1374,32 @@ def test_over_capacity_routing_warns_and_exits_0(tmp_path, capsys):
                for p in json.loads(out)["problems"])
 
 
+def test_unexposed_outport_warns_and_exits_0(tmp_path, capsys):
+    """`outport <- 99` on example12, whose ports are 1 to 6: the
+    simulator drops such a packet where the interpreter returns it, so
+    `compile` and `reroute` say so on stderr, once, and still exit 0 with
+    their usual JSON; the exposed port 1 is not named."""
+    policy = tmp_path / "p.snap"
+    policy.write_text("outport <- 99 + outport <- 1")
+    argv = ["-p", str(policy), "-t", TOPO]
+    line = ("warning: the program sets outport 99, which no switch "
+            "exposes; the simulator drops such packets")
+    code, out, err = run_cli(["compile", *argv, "-o", str(tmp_path / "b")],
+                             capsys)
+    assert code == 0
+    assert set(json.loads(out)) == {"placement", "objective", "exact",
+                                    "output"}
+    assert [l for l in err.splitlines() if l.startswith("warning:")] \
+        == [line]
+    pfile = tmp_path / "placement.json"
+    pfile.write_text("{}")
+    code, out, err = run_cli(["reroute", *argv, "--placement", str(pfile)],
+                             capsys)
+    assert code == 0 and json.loads(out)["placement"] == {}
+    assert [l for l in err.splitlines() if l.startswith("warning:")] \
+        == [line]
+
+
 def test_console_entry_point_help():
     r = subprocess.run([sys.executable, "-m", "snapnet.cli", "--help"],
                        capture_output=True, text=True)

@@ -48,6 +48,14 @@ def test_prefix_match():
     hit = interp.eval(prog.body, st, {"f": IPv4Address("10.0.1.10")})
     miss = interp.eval(prog.body, st, {"f": IPv4Address("10.0.2.10")})
     assert len(hit.packets) == 1 and not miss.packets
+    # an address literal matches the address, never the int of its bits,
+    # and an int literal the int, never the address
+    addr = IPv4Address("10.0.1.10")
+    for literal, value, ok in ((addr, addr, True), (addr, int(addr), False),
+                               (int(addr), int(addr), True),
+                               (int(addr), addr, False)):
+        r = interp.eval(lang.Test("f", literal), st, {"f": value})
+        assert len(r.packets) == ok, (literal, value)
 
 
 def test_state_test_reads_default():
@@ -63,6 +71,26 @@ def test_state_set_and_default_elision():
     back = run("s[0] <- 0", PKT, r.store)
     assert back.store.var_map("s") == {}  # default again: elided
     assert back.store == Store.initial(lang.parse(UNIVERSE_SRC + "\nid"))
+
+
+def test_a_write_that_changes_nothing_returns_the_same_store():
+    """A write that leaves its cell's canonical key as it was returns the
+    store itself, so results share it; a write of an address with an
+    int's bits changes the cell.  Merge and equality give what they give
+    on a fresh store with the same cells."""
+    m = Store.initial(universe_prog())
+    assert m.set("s", (0,), 0) is m          # the default, never stored
+    m1 = m.set("s", (0,), 1)
+    assert m1 is not m and m.var_map("s") == {}
+    assert m1.set("s", (0,), 1) is m1
+    assert m1.set("s", (0,), IPv4Address("0.0.0.1")) != m1
+    assert m1.set("s", (0,), 0) == m and m1.get("s", (0,)) == 1
+    m2 = m.set("t", (0,), 2)
+    fresh = Store(m.decls, dict(m.cells))
+    assert (interp.merge(m, m.set("s", (0,), 0), m2)
+            == interp.merge(m, fresh, m2) == m2)
+    assert interp.merge(m, m1, m1.set("s", (0,), 1)) == m1
+    assert interp.merge(m1, m1.set("s", (0,), 1), m2) == m2
 
 
 def test_counters():

@@ -3,9 +3,11 @@ FIFO links, interleaved quiescence, weighted load splitting, counters and
 the pinned event trace."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
 from ipaddress import IPv4Address
 
 import pytest
@@ -331,6 +333,34 @@ def test_event_trace_changes_no_behaviour(corpus_bundles):
         traced += [on, on_i]
     assert any(e.kind == "fork" for net in traced[-2:] for e in net.trace)
     assert _run_digest(traced[:-2]) == TRACE_DIGEST
+
+
+def test_dropped_network_is_freed_at_once(corpus_bundles):
+    """A network holds no reference cycle, so its last reference frees
+    it even with the cyclic collector off: on every corpus bundle, after
+    packets run serialized and interleaved, with and without the event
+    trace.  A step that captured the network would keep it alive."""
+    t, bundles = corpus_bundles
+    ports = t.external_ports()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, prog, bundle in bundles:
+            rng = random.Random(name)
+            trace = [gen_packet(prog, rng, ports) for _ in range(40)]
+            for events in (False, True):
+                for mode in ("serialized", "interleaved"):
+                    net = simnet.load(bundle, t, seed=3, events=events)
+                    for port, pkt in trace:
+                        net.inject(port, dict(pkt), mode=mode)
+                    net.run()
+                    assert net.processed and net.emissions, name
+                    ref = weakref.ref(net)
+                    del net
+                    assert ref() is None, (name, events, mode)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _behaviour_rows(net) -> list:
