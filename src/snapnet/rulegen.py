@@ -1,6 +1,6 @@
 """Distributed data-plane generation.
 
-Says which part of the compiled program diagram each switch runs
+Says which switch runs each state test of the compiled program diagram
 (`split_xfdd`), defines the in-network header protocol that lets a
 packet's processing resume on the next switch, and emits per-switch
 routing tables: each flow's rules follow its one designated walk, and
@@ -11,11 +11,11 @@ Execution protocol (shared with the simulator):
   * The packet body in flight is the ENTRY packet: branch tests and the
     canonical leaf state operations are all expressed relative to it, so
     field modifications are deferred until the packet's effect is final.
-  * A switch executes diagram nodes from its fragment until it reaches a
-    node it does not hold (a state test on a foreign variable); it then
-    tags the packet with that resume point and forwards it toward the
-    variable's owner, by the switch's group for the packet's inport and
-    that variable (every resume point of one variable shares it).
+  * A switch may run every diagram node except a state test of a
+    variable placed on another switch.  At such a test it tags the
+    packet with that resume point and forwards it toward the variable's
+    owner, by the switch's group for the packet's inport and that
+    variable (every resume point of one variable shares it).
   * Reaching a leaf forks one copy per action sequence.  Copies whose
     final output packet would duplicate another copy's are marked
     non-emitting; they only carry state updates.
@@ -34,8 +34,7 @@ diagram (`diagram.json`) and the walks (`routing.json`), as
 `write_bundle` says.  `load_bundle` derives each switch's rules and
 waiting-packet groups from them as a compile does (`gen_routing`): a
 rule is a flow's next hop, and a walk's last switch, which owns the
-flow's egress port, has none.  The simulator cuts each switch's
-fragment from the diagram and the placement.
+flow's egress port, has none.
 """
 
 from __future__ import annotations
@@ -108,37 +107,12 @@ def diagram(prog: lang.Program, order) -> tuple:
 
 # ---------------------------------------------------------------- splitting
 
-def split_xfdd(nodes: dict, root: int, placement: dict, topo) -> dict:
-    """Per-switch fragments (nid -> node): the nodes a switch walks.  An
-    ingress switch holds the stateless prefix from the root; the owner of
-    a variable holds every maximal subdiagram rooted at one of its state
-    tests, continuing through stateless nodes and its own state tests
-    down to the leaves and the next foreign state test, where a packet
-    waits for that test's owner.  A leaf's state operations run wherever
-    the packet's copy stands, at their owners, so leaves need no other
-    holder."""
-    frags: dict = {sid: {} for sid in topo.nodes}
-
-    def expand(sid: str, nid: int):
-        frag = frags[sid]
-        if nid in frag:
-            return
-        node = nodes[nid]
-        if (node[0] == "branch" and isinstance(node[1], xfdd.TStateTest)
-                and placement.get(node[1].var) != sid):
-            return                      # foreign boundary: resume point
-        frag[nid] = node
-        if node[0] == "branch":
-            expand(sid, node[2])
-            expand(sid, node[3])
-
-    for sid in topo.nodes:
-        if topo.nodes[sid].external_ports:
-            expand(sid, root)
-    for nid, node in nodes.items():
-        if node[0] == "branch" and isinstance(node[1], xfdd.TStateTest):
-            expand(placement[node[1].var], nid)
-    return frags
+def split_xfdd(nodes: dict, placement: dict) -> dict:
+    """Each state test's owner, {nid: switch}.  Only these nodes are tied
+    to a switch: a copy runs every other node wherever it stands, as the
+    execution protocol above says."""
+    return {nid: placement[node[1].var] for nid, node in nodes.items()
+            if node[0] == "branch" and isinstance(node[1], xfdd.TStateTest)}
 
 
 # ---------------------------------------------------------------- routing

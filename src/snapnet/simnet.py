@@ -4,9 +4,9 @@ Loads a deployment bundle onto a topology and executes injected packets
 under the distributed protocol described in the rule generator.  Each
 state variable has one cell table, at the default of the bundle's
 declarations (`DeploymentBundle.states`) until written, which only the
-variable's owner reads and writes.  Each switch walks its own fragment
-of the program diagram (`rulegen.split_xfdd` cuts it at load) until a
-leaf or a node it does not hold; the packet body in flight is the entry
+variable's owner reads and writes.  A switch walks the program diagram
+until a leaf or a state test of a variable placed on another switch
+(`rulegen.split_xfdd`); the packet body in flight is the entry
 packet, state operations run at their owners (opportunistically when an
 owner is passed en route), and field modifications are applied once no
 state operations remain.  A final copy is emitted at the switch that owns
@@ -17,11 +17,12 @@ sends it one hop toward its target, outside the compiled plan.
 
 Each node of the diagram is compiled once, at load, into a step whose
 test kind is decided then, from the interpreter's own closures
-(`interp._matcher`, `_expr_key`, `_index`); a state test compares
-canonical keys.  A leaf's action sequences are compiled the first time
-a copy reaches the leaf, into their state operations' positions, owners
-and index and right-hand-side closures.  No step refers to the network,
-so a network no longer referenced is freed at once.
+(`interp._matcher`, `_expr_key`, `_index`); a state test holds its
+owner and compares canonical keys.  A leaf's action sequences are
+compiled the first time a copy reaches the leaf, into their state
+operations' positions, owners and index and right-hand-side closures.
+No step refers to the network, so a network no longer referenced is
+freed at once.
 
 Two execution modes:
   * serialized — each injected packet (and all its forked copies) is
@@ -30,8 +31,8 @@ Two execution modes:
     switch-visit per event, with a seeded deterministic tie-break among
     concurrent events, so cross-packet interleavings are reproducible.
 
-Per-switch processing is atomic: one packet's walk of a switch's fragment,
-and the leaf actions it runs there, is never interleaved with another
+Per-switch processing is atomic: one packet's walk of the diagram on a
+switch, and the leaf actions it runs there, is never interleaved with another
 packet's on the same switch.  Links deliver in FIFO order with a uniform
 latency of one tick.  A copy may cross switches x (state variables + 1)
 links, as many as the model's `loop_` rows let a walk enter its switches;
@@ -101,11 +102,12 @@ class _Copy:
 _LEAF, _FIELD, _FIELDS, _STATE = range(4)
 
 
-def _step(node) -> tuple:
+def _step(node, owner) -> tuple:
     """A diagram node as a pre-dispatched step, built once from the
-    interpreter's closures: (kind, field or var, matcher or (index,
-    rhs key), hi, lo), or for a field-field test (kind, f1, f2, hi, lo).
-    A test of no known kind keeps its test, to raise if a copy meets it."""
+    interpreter's closures: (kind, field or var, matcher or (owner,
+    index, rhs key), hi, lo), or for a field-field test (kind, f1, f2,
+    hi, lo).  `owner` is a state test's switch.  A test of no known kind
+    keeps its test, to raise if a copy meets it."""
     if node[0] == "leaf":
         return (_LEAF, None, None, None, None)
     test, hi, lo = node[1], node[2], node[3]
@@ -115,8 +117,8 @@ def _step(node) -> tuple:
     if t is xfdd.TFieldField:
         return (_FIELDS, test.f1, test.f2, hi, lo)
     if t is xfdd.TStateTest:
-        return (_STATE, test.var, (_index(test.index), _expr_key(test.rhs)),
-                hi, lo)
+        return (_STATE, test.var,
+                (owner, _index(test.index), _expr_key(test.rhs)), hi, lo)
     return (None, None, test, hi, lo)
 
 
@@ -153,15 +155,14 @@ class SimNetwork:
         self.bundle = bundle
         self.topo = topo
         self.seed = seed
-        # switch -> nid -> node, the fragment the switch walks
-        self.frags = rulegen.split_xfdd(bundle.nodes, bundle.root,
-                                        bundle.placement, topo)
-        # nid -> step, one per diagram node; a fragment decides membership
-        self._steps = {nid: _step(node) for nid, node in bundle.nodes.items()}
+        owners = rulegen.split_xfdd(bundle.nodes, bundle.placement)
+        # nid -> step, one per diagram node
+        self._steps = {nid: _step(node, owners.get(nid))
+                       for nid, node in bundle.nodes.items()}
         self._sequences: dict = {}         # leaf nid -> compiled sequences
         self._ports = {sid: frozenset(n.external_ports)
                        for sid, n in topo.nodes.items()}
-        # var -> canonical index key -> (index, value), at the var's owner
+        # var -> canonical index key -> value, at the var's owner
         self.cells = {s: {} for s in bundle.states}
         self.defaults = {s: d.default for s, d in bundle.states.items()}
         self._default_keys = {s: canon_key(v)
@@ -210,8 +211,8 @@ class SimNetwork:
     # -- state cells
 
     def _cell(self, var: str, idx: tuple):
-        slot = self.cells[var].get(tuple(map(canon_key, idx)))
-        return slot[1] if slot is not None else self.defaults[var]
+        return self.cells[var].get(tuple(map(canon_key, idx)),
+                                   self.defaults[var])
 
     def _store(self, var: str, idx: tuple, value):
         k = tuple(map(canon_key, idx))
@@ -219,12 +220,11 @@ class SimNetwork:
         if canon_key(value) == self._default_keys[var]:
             tab.pop(k, None)
         else:
-            tab[k] = (idx, value)
+            tab[k] = value
 
     def aggregate_state(self) -> dict:
         """Each variable's cells: var -> index key -> value."""
-        return {s: {k: v for k, (_, v) in tab.items()}
-                for s, tab in self.cells.items()}
+        return {s: dict(tab) for s, tab in self.cells.items()}
 
     # -- injection / event loop
 
@@ -346,7 +346,7 @@ class SimNetwork:
 
     def _process(self, sid: str, copy: _Copy):
         """Resume a copy where its key says: route it once final, walk the
-        fragment from a node, or run the action sequence's state
+        diagram from a node, or run the action sequence's state
         operations this switch owns and forward the copy with the rest."""
         self.processed[sid] += 1
         key = copy.resume
@@ -358,17 +358,12 @@ class SimNetwork:
             self._run_leaf(sid, copy)
 
     def _run_nodes(self, sid: str, copy: _Copy, nid: int):
-        """Walk the switch's fragment from node `nid` down to a leaf, which
-        forks the copy, or to a node the switch does not hold, where the
-        copy is tagged with that resume point and forwarded."""
-        frag = self.frags[sid]
+        """Walk the diagram from node `nid` down to a leaf, which forks the
+        copy, or to a state test another switch owns, where the copy is
+        tagged with that resume point and forwarded."""
         steps = self._steps
         body = copy.body
         while True:
-            if nid not in frag:
-                copy.resume = ("node", nid)
-                self._forward_blocked(sid, copy, steps[nid][1])
-                return
             kind, arg, test, hi, lo = steps[nid]
             # a packet without the tested field fails as in the reference
             # interpreter
@@ -379,10 +374,14 @@ class SimNetwork:
                     raise EvalError(f"unknown field {arg!r}") from None
                 ok = test(value)
             elif kind is _STATE:
-                index, rhs = test
+                owner, index, rhs = test
+                if owner != sid:
+                    copy.resume = ("node", nid)
+                    self._forward_blocked(sid, copy, arg)
+                    return
                 idx = index(body)
-                slot = self.cells[arg].get(tuple(map(canon_key, idx)))
-                cell = (canon_key(slot[1]) if slot is not None
+                value = self.cells[arg].get(tuple(map(canon_key, idx)))
+                cell = (canon_key(value) if value is not None
                         else self._default_keys[arg])
                 self.state_reads[sid] += 1
                 if self.events:
@@ -501,11 +500,19 @@ def load(bundle, topo, seed: int = 0, events: bool = False) -> SimNetwork:
     """bundle: a DeploymentBundle or a bundle directory path.  `events`
     records the event trace in `SimNetwork.trace`.  A bundle that fails
     `rulegen.validate_bundle` raises InputError, checked once: by
-    `load_bundle` for a directory, here for a bundle in memory."""
+    `load_bundle` for a directory, here for a bundle in memory.  So does
+    a bundle in memory whose rules or groups lack a switch of `topo`, as
+    `rulegen.read_bundle` leaves them."""
     if isinstance(bundle, str):
         bundle = rulegen.load_bundle(bundle, topo)
     else:
         rulegen.require_valid(bundle, topo)
+        bare = [sid for sid in sorted(topo.nodes)
+                if sid not in bundle.rules or sid not in bundle.groups]
+        if bare:
+            raise InputError(f"the bundle has no rules or groups for switch "
+                             f"{bare[0]!r}; read a bundle directory with "
+                             "rulegen.load_bundle, which derives them")
     return SimNetwork(bundle, topo, seed=seed, events=events)
 
 

@@ -9,8 +9,10 @@ compile's P1-P3 give it, the benchmark workloads' programs, a
 brute-force diagram walker (independent of
 the compiler's own machinery), a random policy generator over a
 small universe of fields, values, and state variables, a line
-topology with two ports on one switch, and a probe that reads the
-simulator's state after one interleaved schedule."""
+topology with two ports on one switch, random packets and the canonical
+forms in which the simulator's and the interpreter's emissions and
+cells are compared, and a probe that reads the simulator's state after
+one interleaved schedule."""
 
 import heapq
 import importlib.util
@@ -528,18 +530,23 @@ class UncachedBuilder(xfdd.Builder):
 
 # ---------------------------------------------------------------- walker
 
-def workload_inputs():
-    """`perfbench/inputs.py`, the benchmark workloads' seeded inputs,
-    loaded once."""
-    if "perfbench_inputs" in sys.modules:
-        return sys.modules["perfbench_inputs"]
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, loaded once."""
+    key = "perfbench_" + name
+    if key in sys.modules:
+        return sys.modules[key]
     path = (pathlib.Path(__file__).resolve().parents[1]
-            / "perfbench" / "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs     # its dataclasses look it up
-    spec.loader.exec_module(inputs)
-    return inputs
+            / "perfbench" / f"{name}.py")
+    spec = importlib.util.spec_from_file_location(key, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[key] = module       # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_inputs():
+    """`perfbench/inputs.py`, the benchmark workloads' seeded inputs."""
+    return perfbench_module("inputs")
 
 
 def workload_programs() -> list:
@@ -728,6 +735,46 @@ def random_policy(rng: random.Random, depth: int, counters: bool = True,
         return lang.Atomic(pol(d - 1))
 
     return pol(depth)
+
+
+# ---------------------------------------------------------------- simulation
+
+def gen_packet(prog, rng, ports):
+    """A random packet: each field from its domain, or a port when it has
+    none, then the port it enters at, drawn in that order."""
+    pkt = {}
+    for f in prog.field_names():
+        d = prog.domain_of(f)
+        pkt[f] = rng.choice(d) if d else rng.choice(ports)
+    port = rng.choice(ports)
+    pkt["inport"] = port
+    return port, pkt
+
+
+def canon_emissions(pairs):
+    """(port, packet) pairs as a sorted list of canonical keys."""
+    return sorted((p, tuple(sorted((f, canon_key(v)) for f, v in b.items())))
+                  for p, b in pairs)
+
+
+def oracle_emissions(result):
+    """The interpreter's output packets as `canon_emissions` gives the
+    simulator's."""
+    return sorted((q["outport"],
+                   tuple(sorted((f, canon_key(v)) for f, v in q.items())))
+                  for q in result.packets.values())
+
+
+def aggregate_oracle(store):
+    """An interpreter store's cells: var -> index key -> canonical value."""
+    return {var: {k: canon_key(v) for k, (i, v) in store.cells[var].items()}
+            for var in store.cells}
+
+
+def aggregate_net(net):
+    """A simulator's cells as `aggregate_oracle` gives the interpreter's."""
+    return {var: {k: canon_key(v) for k, v in m.items()}
+            for var, m in net.aggregate_state().items()}
 
 
 # ---------------------------------------------------------------- probes

@@ -16,39 +16,18 @@ import pytest
 from snapnet import deps, interp, lang, opt, rulegen, simnet, topo, xfdd
 from snapnet.errors import RaceError
 from snapnet.interp import UNDEFINED
-from snapnet.values import canon_key
 from snapnet.topo import Link, Node, Topology
 
 from conftest import CORPUS, policy_src
 from helpers import (
-    all_packets, all_stores, demand_map, eval_xfdd, race_probe,
-    random_policy, universe_prog,
+    aggregate_net, aggregate_oracle, all_packets, all_stores,
+    canon_emissions, demand_map, eval_xfdd, gen_packet, oracle_emissions,
+    race_probe, random_policy, universe_prog,
 )
 
 
 def _compose(names):
     return lang.compose_all([lang.parse(policy_src(n)) for n in names])
-
-
-def _canon_pairs(pairs):
-    return sorted((p, tuple(sorted((f, canon_key(v)) for f, v in b.items())))
-                  for p, b in pairs)
-
-
-def _oracle_pairs(result):
-    return sorted((q["outport"],
-                   tuple(sorted((f, canon_key(v)) for f, v in q.items())))
-                  for q in result.packets.values())
-
-
-def _gen_packet(prog, rng, ports):
-    pkt = {}
-    for f in prog.field_names():
-        d = prog.domain_of(f)
-        pkt[f] = rng.choice(d) if d else rng.choice(ports)
-    port = rng.choice(ports)
-    pkt["inport"] = port
-    return port, pkt
 
 
 def test_criterion_1_distributed_equivalence_over_policy_corpus():
@@ -67,18 +46,13 @@ def test_criterion_1_distributed_equivalence_over_policy_corpus():
         store = interp.Store.initial(prog)
         rng = random.Random(name)
         for _ in range(1000):
-            port, pkt = _gen_packet(prog, rng, ports)
+            port, pkt = gen_packet(prog, rng, ports)
             r = interp.eval_program(prog, store, dict(pkt))
             assert r is not UNDEFINED, name
             store = r.store
             got = net.inject(port, dict(pkt), mode="serialized")
-            assert _canon_pairs(got) == _oracle_pairs(r), name
-        agg = {var: {k: canon_key(v) for k, v in m.items()}
-               for var, m in net.aggregate_state().items()}
-        oracle = {var: {k: canon_key(v)
-                        for k, (i, v) in store.cells[var].items()}
-                  for var in store.cells}
-        assert agg == oracle, name
+            assert canon_emissions(got) == oracle_emissions(r), name
+        assert aggregate_net(net) == aggregate_oracle(store), name
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"corpus run took {elapsed:.1f}s"
     print(f"CRITERION 1: PASS ({len(CORPUS)} policies x 1000 packets, "

@@ -13,44 +13,15 @@ from ipaddress import IPv4Address
 import pytest
 
 from snapnet import interp, lang, rulegen, simnet, topo, values, xfdd
-from snapnet.errors import EvalError, InputError
+from snapnet.errors import EvalError, InfeasibleError, InputError
 from snapnet.values import canon_key
 from snapnet.topo import Link, Node, Topology
 
 from conftest import CORPUS, policy_src
-from helpers import workload_inputs
-
-
-def canon_emissions(pairs):
-    return sorted((p, tuple(sorted((f, canon_key(v)) for f, v in b.items())))
-                  for p, b in pairs)
-
-
-def oracle_emissions(result):
-    return sorted((q["outport"],
-                   tuple(sorted((f, canon_key(v)) for f, v in q.items())))
-                  for q in result.packets.values())
-
-
-def aggregate_oracle(store):
-    return {var: {k: canon_key(v) for k, (i, v) in store.cells[var].items()}
-            for var in store.cells}
-
-
-def aggregate_net(net):
-    agg = net.aggregate_state()
-    return {var: {k: canon_key(v) for k, v in m.items()}
-            for var, m in agg.items()}
-
-
-def gen_packet(prog, rng, ports):
-    pkt = {}
-    for f in prog.field_names():
-        d = prog.domain_of(f)
-        pkt[f] = rng.choice(d) if d else rng.choice(ports)
-    port = rng.choice(ports)
-    pkt["inport"] = port
-    return port, pkt
+from helpers import (
+    aggregate_net, aggregate_oracle, canon_emissions, gen_packet,
+    oracle_emissions, workload_inputs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,45 +95,6 @@ def test_interleaved_run_drains_all_links(deployed):
     net.run()
     assert all(not q for q in net._linkq.values())
     assert not net._events
-
-
-def _wrr_topology():
-    nodes = {"E1": Node("E1", (1,)), "E2": Node("E2", (2,)),
-             "E3": Node("E3", (3,)), "A": Node("A", ()),
-             "B": Node("B", ()), "O": Node("O", ())}
-    links = {}
-    for a, b in [("E1", "A"), ("E1", "B"), ("A", "O"), ("B", "O"),
-                 ("O", "E2"), ("O", "E3")]:
-        links[(a, b)] = Link(a, b, 10.0)
-        links[(b, a)] = Link(b, a, 10.0)
-    demands = {(1, 2): 3.0, (1, 3): 1.0, (2, 1): 0.5, (3, 1): 0.5,
-               (2, 3): 0.5, (3, 2): 0.5}
-    t = Topology(nodes, links, demands)
-    t.validate()
-    return t
-
-
-def test_unresolved_split_is_demand_proportional():
-    """A packet whose egress is unknown until a downstream state test picks
-    a candidate path by weighted round-robin: over 1000 packets the split
-    matches the 3:1 demand ratio to within one packet."""
-    prog = lang.parse("state seen[1] default 0;\n"
-                      "if seen[0] = 0 then outport <- 2 else outport <- 3;"
-                      " seen[0]++")
-    t = _wrr_topology()
-    bundle = rulegen.compile(prog, t)
-    net = simnet.load(bundle, t, events=True)
-    counts = {2: 0, 3: 0}
-    for _ in range(1000):
-        before = len(net.trace)
-        net.inject(1, {"inport": 1, "outport": 1}, mode="serialized")
-        for e in net.trace[before:]:
-            if e.kind == "tag" and e.switch == "E1":
-                counts[e.detail[1]] += 1
-    total = counts[2] + counts[3]
-    assert total == 1000
-    assert abs(counts[2] - 750) <= 1
-    assert abs(counts[3] - 250) <= 1
 
 
 def test_all_zero_group_weights_fall_back_to_round_robin():
@@ -376,6 +308,20 @@ def _behaviour_rows(net) -> list:
     return _event_rows(net) + [counters, state]
 
 
+def _serial_and_bursts(bundle, t, trace) -> tuple:
+    """Two traced networks that ran `trace`: one serialized, and one in
+    interleaved bursts of eight, each burst drained before the next."""
+    serial = simnet.load(bundle, t, seed=3, events=True)
+    for port, pkt in trace:
+        serial.inject(port, dict(pkt))
+    inter = simnet.load(bundle, t, seed=3, events=True)
+    for start in range(0, len(trace), 8):
+        for port, pkt in trace[start:start + 8]:
+            inter.inject(port, dict(pkt), mode="interleaved")
+        inter.run()
+    return serial, inter
+
+
 # The digest of `_behaviour_rows` over the runs below.  Any change to what
 # the simulator does, or in what order, changes it.
 BEHAVIOUR_DIGEST = ("ed3c75f5bc4a809460da4a8a27edcaf9"
@@ -405,15 +351,7 @@ def test_simulator_behaviour_is_pinned(corpus_bundles):
                                                  1, 0, 400)))
     h = hashlib.sha256()
     for bundle, tb, trace in runs:
-        serial = simnet.load(bundle, tb, seed=3, events=True)
-        for port, pkt in trace:
-            serial.inject(port, dict(pkt))
-        inter = simnet.load(bundle, tb, seed=3, events=True)
-        for start in range(0, len(trace), 8):
-            for port, pkt in trace[start:start + 8]:
-                inter.inject(port, dict(pkt), mode="interleaved")
-            inter.run()
-        for net in (serial, inter):
+        for net in _serial_and_bursts(bundle, tb, trace):
             h.update(json.dumps(_behaviour_rows(net),
                                 sort_keys=True).encode())
     assert h.hexdigest() == BEHAVIOUR_DIGEST
@@ -448,6 +386,38 @@ def test_counters_match_the_trace(corpus_bundles):
             assert net.state_reads[sid] == reads, (name, sid)
             assert net.state_writes[sid] == writes, (name, sid)
         assert sum(net.processed.values()) == 200 + net.hops, name
+
+
+def test_state_is_read_and_written_only_at_its_owner(corpus_bundles):
+    """Every state read and write happens at the switch the placement
+    gives its variable: on each corpus policy with assign-egress at its
+    searched placement, and at up to three random fixed placements over
+    example12 that admit a routing, serialized and in interleaved
+    bursts."""
+    t, bundles = corpus_bundles
+    ports = t.external_ports()
+    switches = sorted(t.nodes)
+    pick = random.Random(0)
+    runs = list(bundles)
+    for name, prog, _ in bundles:
+        for _ in range(3):
+            fixed = {s: pick.choice(switches) for s in prog.states}
+            try:
+                runs.append((name, prog,
+                             rulegen.compile(prog, t, fixed=fixed)))
+            except InfeasibleError:
+                pass
+    assert len(runs) > 2 * len(bundles)
+    for name, prog, bundle in runs:
+        rng = random.Random(name)
+        trace = [gen_packet(prog, rng, ports) for _ in range(100)]
+        for net in _serial_and_bursts(bundle, t, trace):
+            ops = [e for e in net.trace
+                   if e.kind in ("state-read", "state-write")]
+            assert ops, name
+            for e in ops:
+                assert e.switch == bundle.placement[e.detail[0]], (
+                    name, bundle.placement, e.kind, e.switch, e.detail)
 
 
 def test_link_queue_depth_counts_packets_in_flight():
@@ -551,6 +521,25 @@ def test_load_validates_a_bundle_once(tmp_path, monkeypatch):
     with pytest.raises(InputError, match="inconsistent bundle: placement "
                        "of 'established' on unknown switch 'ZZ'"):
         simnet.load(bundle, t)
+
+
+def test_load_refuses_a_bundle_without_rule_tables(tmp_path):
+    """`rulegen.read_bundle` leaves the rules and groups out, as a written
+    bundle does; `load` refuses such a bundle, which no packet could
+    cross, and names `load_bundle`, which derives them."""
+    prog = lang.compose_all([lang.parse(policy_src("stateful-fw")),
+                             lang.parse(policy_src("assign-egress"))])
+    t = topo.example12()
+    rulegen.write_bundle(rulegen.compile(prog, t), str(tmp_path))
+    bare = rulegen.read_bundle(str(tmp_path))
+    with pytest.raises(InputError, match="no rules or groups for switch "
+                       "'C1'.*rulegen.load_bundle"):
+        simnet.load(bare, t)
+    net = simnet.load(rulegen.load_bundle(str(tmp_path), t), t)
+    port, pkt = gen_packet(prog, random.Random(1), t.external_ports())
+    r = interp.eval_program(prog, interp.Store.initial(prog), dict(pkt))
+    assert canon_emissions(net.inject(port, dict(pkt))) == (
+        oracle_emissions(r))
 
 
 def test_rules_that_loop_end_in_an_eval_error():
