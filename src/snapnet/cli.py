@@ -8,7 +8,8 @@ placement, and diagram.json; each switch's forwarding rules and
 waiting-packet groups are derived from those at load), 3 usage errors
 (an unknown option, a missing required one, a --budget below 1), I/O
 errors, malformed topology, placement, trace or bundle files, and a
-simulated packet that crosses more links than any walk may (a loop).
+simulated packet that crosses more links than any walk may (a loop) or
+takes a counter past the 64-bit signed range.
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
@@ -198,8 +199,9 @@ def cmd_simulate(args) -> int:
         if args.mode == "interleaved":
             net.run()
             emitted = net.emissions
-    except EvalError as e:
-        # a trace packet without a field the diagram tests, or a loop
+    except (EvalError, OverflowError) as e:
+        # a trace packet without a field the diagram tests, a loop, or a
+        # counter incremented past the 64-bit signed range
         raise InputError(f"simulation: {e}") from e
     for port, pkt in emitted:
         print(json.dumps({"port": port,

@@ -1,14 +1,17 @@
-"""Policy language: AST, recursive-descent parser, and pretty-printer.
+"""Policy language: AST, tokenizer, recursive-descent parser, and
+pretty-printer.
 
 Grammar summary (full EBNF in docs/grammar.md).  Operator precedence from
 loosest to tightest binding (`_OPS`, read by the parser and the printer):
 `+`  `|`  `;`  `&`  `!`.  `if ... then ... else`
 branches extend as far right as possible, so a sequenced `if` needs parens:
-`(if a then p else q); r`.
+`(if a then p else q); r`.  A token, a span and a ParseError are at
+`line:column`; a column counts characters from the start of its line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ParseError
@@ -269,97 +272,65 @@ class Token:
     col: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+# an identifier's tail: letters, digits, `_` and `.`, and each `-` that a
+# letter, digit or `_` follows (`\w` is exactly `str.isalnum()` or `_`)
+_IDENT_TAIL = re.compile(r"(?:[\w.]|-(?=\w))*")
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "._"
+def _digits(src: str, i: int) -> int:
+    """The end of the run of digits (`str.isdigit`) that starts at i."""
+    n = len(src)
+    while i < n and src[i].isdigit():
+        i += 1
+    return i
 
 
 def tokenize(src: str) -> list:
+    """The tokens of src, each at its line and at its column, which
+    counts characters from the start of its line (from 1)."""
     toks: list = []
-    i, line, col = 0, 1, 1
+    i, line, start = 0, 1, 0        # start: the offset its line starts at
     n = len(src)
     while i < n:
         c = src[i]
         if c == "\n":
             i += 1
-            line += 1
-            col = 1
+            line, start = line + 1, i
             continue
         if c in " \t\r":
             i += 1
-            col += 1
             continue
         if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
+            i = src.find("\n", i)
+            if i < 0:
+                i = n
             continue
-        start_line, start_col = line, col
+        col = i - start + 1
         if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            # dotted-quad lookahead: 10.0.6.0 or 10.0.6.0/24
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                k = j
-                dots = 0
-                while k < n and (src[k].isdigit() or src[k] == "."):
-                    if src[k] == ".":
-                        dots += 1
-                    k += 1
-                if dots == 3:
-                    text = src[i:k]
-                    if k < n and src[k] == "/" and k + 1 < n and src[k + 1].isdigit():
-                        k += 1
-                        m = k
-                        while m < n and src[m].isdigit():
-                            m += 1
-                        toks.append(Token("PREFIX", text + "/" + src[k:m],
-                                          start_line, start_col))
-                        col += m - i
-                        i = m
-                        continue
-                    toks.append(Token("IP", text, start_line, start_col))
-                    col += k - i
-                    i = k
-                    continue
-                raise ParseError(f"malformed address literal near {src[i:k]!r}",
-                                 start_line, start_col)
-            toks.append(Token("NUM", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n:
-                if _is_ident_char(src[j]):
-                    j += 1
-                elif (src[j] == "-" and j + 1 < n
-                      and (src[j + 1].isalnum() or src[j + 1] == "_")):
-                    j += 2
-                else:
-                    break
-            text = src[i:j]
-            kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-            toks.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = src[i:i + 2]
-        if two in ("<-", "++", "--"):
-            toks.append(Token("SYM", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in ";+|&!(){}[]=,:":
-            toks.append(Token("SYM", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+            kind, j = "NUM", _digits(src, i)
+            # a dotted quad, 10.0.6.0, or a prefix, 10.0.6.0/24
+            if src[j:j + 1] == "." and src[j + 1:j + 2].isdigit():
+                kind, dots = "IP", 0
+                while src[j:j + 1] == ".":
+                    j = _digits(src, j + 1)
+                    dots += 1
+                if dots != 3:
+                    raise ParseError("malformed address literal near "
+                                     f"{src[i:j]!r}", line, col)
+                if src[j:j + 1] == "/" and src[j + 1:j + 2].isdigit():
+                    kind, j = "PREFIX", _digits(src, j + 1)
+        elif c.isalpha() or c == "_":
+            j = _IDENT_TAIL.match(src, i + 1).end()
+            kind = "KEYWORD" if src[i:j] in KEYWORDS else "IDENT"
+        elif src.startswith(("<-", "++", "--"), i):
+            kind, j = "SYM", i + 2
+        elif c in ";+|&!(){}[]=,:":
+            kind, j = "SYM", i + 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+        toks.append(Token(kind, src[i:j], line, col))
+        i = j
+    toks.append(Token("EOF", "", line, n - start + 1))
     return toks
 
 
@@ -368,6 +339,10 @@ def tokenize(src: str) -> list:
 # the value of each numeric token kind, and its name in an error
 _NUMBERS = {"NUM": (lambda text: check_int_range(int(text)), "number"),
             "IP": (IPv4Address, "address"), "PREFIX": (IPv4Network, "prefix")}
+
+
+def _error(t: Token, msg: str) -> ParseError:
+    return ParseError(msg, t.line, t.col)
 
 
 def _number(t: Token):
@@ -381,7 +356,7 @@ def _number(t: Token):
             raise ValueError(f"{t.text!r} has a digit other than 0-9")
         return make(t.text)
     except (OverflowError, ValueError) as e:
-        raise ParseError(f"bad {name} literal: {e}", t.line, t.col)
+        raise _error(t, f"bad {name} literal: {e}")
 
 
 class _Parser:
@@ -392,8 +367,8 @@ class _Parser:
         self.fields: dict = {}
 
     # -- token helpers
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -405,34 +380,34 @@ class _Parser:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
-                             t.line, t.col)
-        return self.next()
+    def accept(self, kind: str, text: str | None = None) -> Token | None:
+        """The next token, consumed, if it is of this kind (and text)."""
+        if self.at(kind, text):
+            return self.next()
+        return None
 
-    def err(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        t = self.accept(kind, text)
+        if t is None:
+            t = self.peek()
+            raise _error(t, f"expected {text or kind!r}, "
+                            f"found {t.text or t.kind!r}")
+        return t
 
     # -- program
     def program(self) -> Program:
-        while self.at("KEYWORD", "state") or self.at("KEYWORD", "field"):
-            if self.at("KEYWORD", "state"):
-                self.state_decl()
-            else:
-                self.field_decl()
+        while t := (self.accept("KEYWORD", "state")
+                    or self.accept("KEYWORD", "field")):
+            (self.state_decl if t.text == "state" else self.field_decl)()
         assumption = None
-        if self.at("KEYWORD", "assume"):
-            self.next()
+        if self.accept("KEYWORD", "assume"):
             # Parsed at predicate level (no bare `;`), so the terminating
             # `;` is unambiguous.  Sequencing inside parentheses still works.
+            first = self.peek()
             assumption = self.predicate()
             self.expect("SYM", ";")
             if not is_predicate(assumption):
-                raise self.err("assumption must be a predicate")
+                raise _error(first, "assumption must be a predicate")
         body = self.policy()
         self.expect("EOF")
         prog = Program(states=dict(self.states), fields=dict(self.fields),
@@ -441,63 +416,57 @@ class _Parser:
         return prog
 
     def state_decl(self) -> None:
-        self.expect("KEYWORD", "state")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         self.expect("SYM", "[")
-        arity = _number(self.expect("NUM"))
+        num = self.expect("NUM")
+        arity = _number(num)
         self.expect("SYM", "]")
         self.expect("KEYWORD", "default")
         default = self.literal()
         self.expect("SYM", ";")
         if arity < 1:
-            raise self.err(f"state {name}: arity must be >= 1")
-        if name in self.states:
-            raise self.err(f"duplicate state declaration {name}")
-        self.states[name] = StateDecl(name, arity, default)
+            raise _error(num, f"state {name.text}: arity must be >= 1")
+        if name.text in self.states:
+            raise _error(name, f"duplicate state declaration {name.text}")
+        self.states[name.text] = StateDecl(name.text, arity, default)
 
     def field_decl(self) -> None:
-        self.expect("KEYWORD", "field")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         kind = None
         domain = None
-        if self.at("SYM", ":"):
-            self.next()
+        if self.accept("SYM", ":"):
             kind = self.expect("IDENT").text
-        if self.at("KEYWORD", "in"):
-            self.next()
+        if self.accept("KEYWORD", "in"):
             self.expect("SYM", "{")
             vals = [self.literal()]
-            while self.at("SYM", ","):
-                self.next()
+            while self.accept("SYM", ","):
                 vals.append(self.literal())
             self.expect("SYM", "}")
             domain = tuple(vals)
         self.expect("SYM", ";")
-        if name in self.fields:
-            raise self.err(f"duplicate field declaration {name}")
-        self.fields[name] = FieldDecl(name, kind, domain)
+        if name.text in self.fields:
+            raise _error(name, f"duplicate field declaration {name.text}")
+        self.fields[name.text] = FieldDecl(name.text, kind, domain)
 
     # -- literals / exprs
     def literal(self):
-        t = self.peek()
+        t = self.next()
         if t.kind in _NUMBERS:
-            self.next()
             return _number(t)
         if t.kind == "KEYWORD" and t.text in ("True", "False"):
-            self.next()
             return TRUE if t.text == "True" else FALSE
         if t.kind == "IDENT":
-            self.next()
             return Atom(t.text)
-        raise self.err(f"expected a value literal, found {t.text or t.kind!r}")
+        raise _error(t, "expected a value literal, "
+                        f"found {t.text or t.kind!r}")
 
     def test_value(self):
         """Value position of `f = v` / `f <- v`: bare idents are atoms, but a
         declared field name here is almost certainly a mistake."""
         t = self.peek()
         if t.kind == "IDENT" and self._known_field(t.text):
-            raise self.err(f"field {t.text!r} in value position "
-                           "(field-to-field tests are not source syntax)")
+            raise _error(t, f"field {t.text!r} in value position "
+                            "(field-to-field tests are not source syntax)")
         return self.literal()
 
     def _known_field(self, name: str) -> bool:
@@ -506,11 +475,9 @@ class _Parser:
     def expr(self) -> Expr:
         t = self.peek()
         sp = Span(t.line, t.col)
-        if self.at("SYM", "("):
-            self.next()
+        if self.accept("SYM", "("):
             items = [self.expr()]
-            while self.at("SYM", ","):
-                self.next()
+            while self.accept("SYM", ","):
                 items.append(self.expr())
             self.expect("SYM", ")")
             if len(items) == 1:
@@ -533,48 +500,41 @@ class _Parser:
         """A left-associative chain of ops[0]'s operator over chains of
         ops[1:]; with no operators left, a `!` or a primary."""
         if not ops:
-            if self.at("SYM", "!"):
-                t = self.next()
+            if t := self.accept("SYM", "!"):
                 return Neg(self.chain(ops), span=Span(t.line, t.col))
             return self.primary()
         (sym, node), rest = ops[0], ops[1:]
         p = self.chain(rest)
-        while self.at("SYM", sym):
-            t = self.next()
+        while t := self.accept("SYM", sym):
             p = node(p, self.chain(rest), span=Span(t.line, t.col))
         return p
 
     def primary(self) -> Policy:
         t = self.peek()
         sp = Span(t.line, t.col)
-        if self.at("SYM", "("):
-            self.next()
+        if self.accept("SYM", "("):
             p = self.policy()
             self.expect("SYM", ")")
             return p
-        if self.at("KEYWORD", "id"):
-            self.next()
+        if self.accept("KEYWORD", "id"):
             return Id(span=sp)
-        if self.at("KEYWORD", "drop"):
-            self.next()
+        if self.accept("KEYWORD", "drop"):
             return Drop(span=sp)
-        if self.at("KEYWORD", "if"):
-            self.next()
+        if self.accept("KEYWORD", "if"):
             cond = self.policy()
             self.expect("KEYWORD", "then")
             then = self.policy()
             self.expect("KEYWORD", "else")
             els = self.policy()
             return If(cond, then, els, span=sp)
-        if self.at("KEYWORD", "atomic"):
-            self.next()
+        if self.accept("KEYWORD", "atomic"):
             self.expect("SYM", "{")
             body = self.policy()
             self.expect("SYM", "}")
             return Atomic(body, span=sp)
         if t.kind == "IDENT":
             return self.name_form()
-        raise self.err(f"expected a policy, found {t.text or t.kind!r}")
+        raise _error(t, f"expected a policy, found {t.text or t.kind!r}")
 
     def name_form(self) -> Policy:
         t = self.expect("IDENT")
@@ -582,33 +542,26 @@ class _Parser:
         name = t.text
         if self.at("SYM", "["):
             idx = self.brackets(sp)
-            if self.at("SYM", "<-"):
-                self.next()
+            if self.accept("SYM", "<-"):
                 return StateSet(name, idx, self.expr(), span=sp)
-            if self.at("SYM", "++"):
-                self.next()
+            if self.accept("SYM", "++"):
                 return Incr(name, idx, span=sp)
-            if self.at("SYM", "--"):
-                self.next()
+            if self.accept("SYM", "--"):
                 return Decr(name, idx, span=sp)
-            if self.at("SYM", "="):
-                self.next()
+            if self.accept("SYM", "="):
                 return StateTest(name, idx, self.expr(), span=sp)
             # bare s[e] in test position means s[e] = True
             return StateTest(name, idx, Lit(TRUE), span=sp)
-        if self.at("SYM", "="):
-            self.next()
+        if self.accept("SYM", "="):
             return Test(name, self.test_value(), span=sp)
-        if self.at("SYM", "<-"):
-            self.next()
+        if self.accept("SYM", "<-"):
             return Mod(name, self.test_value(), span=sp)
-        raise self.err(f"dangling identifier {name!r} "
-                       "(expected '=', '<-', or '[')")
+        raise _error(self.peek(), f"dangling identifier {name!r} "
+                                  "(expected '=', '<-', or '[')")
 
     def brackets(self, sp: Span) -> Expr:
         parts = []
-        while self.at("SYM", "["):
-            self.next()
+        while self.accept("SYM", "["):
             parts.append(self.expr())
             self.expect("SYM", "]")
         if len(parts) == 1:

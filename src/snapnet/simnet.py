@@ -18,11 +18,10 @@ sends it one hop toward its target, outside the compiled plan.
 Each node of the diagram is compiled once, at load, into a step whose
 test kind is decided then, from the interpreter's own closures
 (`interp._matcher`, `_expr_key`, `_index`); a state test holds its
-owner and compares canonical keys.  A leaf's action sequences are
-compiled the first time a copy reaches the leaf, into their state
-operations' positions, owners and index and right-hand-side closures.
-No step refers to the network, so a network no longer referenced is
-freed at once.
+owner and compares canonical keys, and a leaf holds its action
+sequences, each compiled into its state operations' positions, owners
+and index and right-hand-side closures.  No step refers to the network,
+so a network no longer referenced is freed at once.
 
 Two execution modes:
   * serialized — each injected packet (and all its forked copies) is
@@ -102,14 +101,17 @@ class _Copy:
 _LEAF, _FIELD, _FIELDS, _STATE = range(4)
 
 
-def _step(node, owner) -> tuple:
+def _step(node, owner, placement: dict) -> tuple:
     """A diagram node as a pre-dispatched step, built once from the
     interpreter's closures: (kind, field or var, matcher or (owner,
-    index, rhs key), hi, lo), or for a field-field test (kind, f1, f2,
-    hi, lo).  `owner` is a state test's switch.  A test of no known kind
-    keeps its test, to raise if a copy meets it."""
+    index, rhs key), hi, lo), for a field-field test (kind, f1, f2, hi,
+    lo), or for a leaf (kind, None, its compiled sequences, None, None).
+    `owner` is a state test's switch.  A test of no known kind keeps its
+    test, to raise if a copy meets it."""
     if node[0] == "leaf":
-        return (_LEAF, None, None, None, None)
+        return (_LEAF, None,
+                tuple(_sequence(elem, placement) for elem in node[1]),
+                None, None)
     test, hi, lo = node[1], node[2], node[3]
     t = type(test)
     if t is xfdd.TFieldValue:
@@ -157,9 +159,8 @@ class SimNetwork:
         self.seed = seed
         owners = rulegen.split_xfdd(bundle.nodes, bundle.placement)
         # nid -> step, one per diagram node
-        self._steps = {nid: _step(node, owners.get(nid))
+        self._steps = {nid: _step(node, owners.get(nid), bundle.placement)
                        for nid, node in bundle.nodes.items()}
-        self._sequences: dict = {}         # leaf nid -> compiled sequences
         self._ports = {sid: frozenset(n.external_ports)
                        for sid, n in topo.nodes.items()}
         # var -> canonical index key -> value, at the var's owner
@@ -388,7 +389,7 @@ class SimNetwork:
                     self._log(sid, body, "state-read", (arg, idx))
                 ok = cell == rhs(body)
             elif kind is _LEAF:
-                self._fork(sid, copy, nid)
+                self._fork(sid, copy, nid, test)
                 return
             elif kind is _FIELDS:
                 try:
@@ -399,22 +400,11 @@ class SimNetwork:
                 raise EvalError(f"cannot evaluate test {test!r}")
             nid = hi if ok else lo
 
-    def _sequences_of(self, nid: int) -> tuple:
-        """Leaf `nid`'s action sequences, each compiled (`_sequence`) the
-        first time a copy reaches the leaf."""
-        seqs = self._sequences.get(nid)
-        if seqs is None:
-            placement = self.bundle.placement
-            seqs = self._sequences[nid] = tuple(
-                _sequence(elem, placement)
-                for elem in self.bundle.nodes[nid][1])
-        return seqs
-
-    def _fork(self, sid: str, copy: _Copy, nid: int):
-        """One copy per action sequence; copies whose output packet would
-        duplicate an earlier copy's only carry state updates.  A leaf of
-        one sequence goes on with the copy itself."""
-        seqs = self._sequences_of(nid)
+    def _fork(self, sid: str, copy: _Copy, nid: int, seqs: tuple):
+        """One copy per action sequence of leaf `nid`, `seqs`; copies
+        whose output packet would duplicate an earlier copy's only carry
+        state updates.  A leaf of one sequence goes on with the copy
+        itself."""
         if len(seqs) == 1:
             copy.resume = ("leaf", nid, 0, 0)
             self._run_leaf(sid, copy)
@@ -438,7 +428,7 @@ class SimNetwork:
 
     def _run_leaf(self, sid: str, copy: _Copy):
         _, nid, ei, _ = copy.resume
-        seq = self._sequences_of(nid)[ei]
+        seq = self._steps[nid][2][ei]
         body = copy.body
         done = copy.done
         blocked = None      # (position, var): the first op owned elsewhere

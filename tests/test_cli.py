@@ -387,6 +387,27 @@ def test_trace_packet_missing_a_tested_field_exits_3(tmp_path, capsys,
     assert err == "bad input: simulation: unknown field 'dstip'\n"
 
 
+@pytest.mark.parametrize("mode", ["serialized", "interleaved"])
+def test_counter_overflow_ends_simulate_with_exit_3(tmp_path, capsys, mode):
+    """A packet that increments a counter past the 64-bit signed range
+    ends simulate with one line and exit 3, not a traceback."""
+    pol = tmp_path / "count.snap"
+    pol.write_text(f"state s[1] default {2 ** 63 - 1};\n"
+                   "s[0]++; outport <- 2\n")
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", str(pol), "-t", TOPO,
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"port": 1, "packet": {"inport": 1, "outport": 1}}\n')
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", TOPO, "--trace", str(trace),
+                              "--mode", mode], capsys)
+    assert code == 3 and out == ""
+    assert err == ("bad input: simulation: integer out of 64-bit signed "
+                   f"range: {2 ** 63}\n")
+
+
 def _run_child(argv, tmp_path) -> tuple:
     """(exit code, stdout, peak RSS in MB) of `snapnet argv` in a child
     process of its own."""

@@ -134,6 +134,65 @@ def test_parse_error_has_position():
         raise AssertionError("expected a ParseError")
 
 
+def _parse_error(src: str) -> str:
+    with pytest.raises(ParseError) as e:
+        lang.parse(src)
+    return str(e.value)
+
+
+def test_declaration_errors_point_at_what_they_name():
+    """An error raised once a declaration or the assumption has been read
+    to its `;` points at the arity, the second name or the assumption,
+    not at the token after the `;`."""
+    assert _parse_error("state s[0] default 0;\nid") == (
+        "1:9: state s: arity must be >= 1")
+    assert _parse_error(
+        "state s[1] default 0;\nstate s[1] default 0;\nid") == (
+        "2:7: duplicate state declaration s")
+    assert _parse_error("field a;\nfield a : int;\nid") == (
+        "2:7: duplicate field declaration a")
+    assert _parse_error(
+        "field a : small in {0, 1};\nassume a <- 0;\nid") == (
+        "2:8: assumption must be a predicate")
+    assert _parse_error("field a;\nassume (a = 0; a <- 1);\nid") == (
+        "2:8: assumption must be a predicate")
+
+
+def test_unknown_field_and_one_item_index():
+    """An undeclared field in a test or a modification is an error at its
+    name; a parenthesized index of one item is that item."""
+    assert _parse_error("field a;\nb = 1") == "2:1: unknown field 'b'"
+    assert _parse_error("field a;\na = 1; b <- 1") == (
+        "2:8: unknown field 'b'")
+    prog = lang.parse("state s[1] default 0;\ns[(1)] <- 2")
+    assert prog.body == lang.parse("state s[1] default 0;\ns[1] <- 2").body
+
+
+def _tokens(src: str) -> list:
+    return [(t.kind, t.text, t.line, t.col) for t in lang.tokenize(src)]
+
+
+def test_tokenizer_edges():
+    """A `-` joins an identifier when a letter, a digit or `_` follows it;
+    a dotted quad has exactly three dots; a column counts characters
+    from the start of its line, so the end of input after a final
+    comment is where the comment ends."""
+    assert _tokens("a-_b =\ta-1") == [
+        ("IDENT", "a-_b", 1, 1), ("SYM", "=", 1, 6), ("IDENT", "a-1", 1, 8),
+        ("EOF", "", 1, 11)]
+    assert _tokens("x--\n  # c\n10.0.6.0/24") == [
+        ("IDENT", "x", 1, 1), ("SYM", "--", 1, 2),
+        ("PREFIX", "10.0.6.0/24", 3, 1), ("EOF", "", 3, 12)]
+    assert _parse_error("field a-.b;\nid") == "1:8: unexpected character '-'"
+    assert _parse_error("field a;\na = 1.2.3.4.5") == (
+        "2:5: malformed address literal near '1.2.3.4.5'")
+    assert _parse_error("field a;\na = 10.0..1").startswith(
+        "2:5: bad address literal: ")
+    assert _parse_error("field a;\nif a = 1 then id # c") == (
+        "2:21: expected 'else', found 'EOF'")
+    assert _tokens("id # c")[-1] == ("EOF", "", 1, 7)
+
+
 def test_compose_merges_declarations():
     a = lang.parse("state s[1] default 0;\nfield f : small in {0, 1};\n"
                    "s[0] <- 1")
