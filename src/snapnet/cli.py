@@ -8,8 +8,9 @@ placement, and diagram.json; each switch's forwarding rules and
 waiting-packet groups are derived from those at load), 3 usage errors
 (an unknown option, a missing required one, a --budget below 1), I/O
 errors, malformed topology, placement, trace or bundle files, and a
-simulated packet that crosses more links than any walk may (a loop) or
-takes a counter past the 64-bit signed range.
+simulated packet that crosses more links than any walk may (a loop),
+meets a switch it cannot reach, or takes a counter past the 64-bit signed
+range.
 `place` and `compile` search the placement (ST mode), and `export-lp`
 writes that model; `reroute`, and `compile` and `export-lp` given
 `--placement`, hold the placement fixed and only route (TE mode).
@@ -26,7 +27,9 @@ import sys
 import time
 
 from . import deps, interp, lang, opt, psm, rulegen, simnet, topo
-from .errors import CompileError, EvalError, InfeasibleError, InputError
+from .errors import (
+    CompileError, EvalError, InfeasibleError, InputError, ParseError,
+)
 from .shape import check
 from .values import canon_key, format_value, value_to_json
 
@@ -41,11 +44,20 @@ PHASES = [
 
 
 def _load_program(paths: list) -> lang.Program:
-    progs = []
-    for p in paths:
-        with open(p) as f:
-            progs.append(lang.parse(f.read()))
-    return lang.compose_all(progs)
+    """The programs in paths composed in order, one file at a time; an
+    error names its file: `path:line:col: ...`, or `path: ...` for a
+    declaration that conflicts with an earlier file's."""
+    prog = None
+    for path in paths:
+        with open(path) as f:
+            text = f.read()
+        try:
+            p = lang.parse(text)
+            prog = p if prog is None else lang.compose(prog, p)
+        except ParseError as e:
+            sep = " " if e.line is None else ""
+            raise CompileError(f"{path}:{sep}{e}") from None
+    return prog
 
 
 def _print_phases(times: dict) -> None:

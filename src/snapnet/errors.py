@@ -6,14 +6,17 @@ class CompileError(Exception):
 
 
 class ParseError(CompileError):
-    def __init__(self, msg: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {msg}")
+    """A program that does not parse or check, at `line:col` if the error
+    has a position (a conflict between composed programs has none)."""
+
+    def __init__(self, msg: str, line=None, col=None):
+        super().__init__(msg if line is None else f"{line}:{col}: {msg}")
         self.line = line
         self.col = col
 
 
 class EvalError(Exception):
-    """Runtime error in the reference evaluator (bad arity, overflow, ...)."""
+    """Runtime error in the reference evaluator (a missing field, ...)."""
 
 
 class RaceError(CompileError):

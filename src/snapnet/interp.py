@@ -10,6 +10,11 @@ are fixed when its closure is built, and it calls its children's
 closures.  A program holds its compiled policy (`eval_program`), built on
 its first evaluation.  A result's packets are keyed by `pkt_key`; each
 packet's key is computed once and handed down with the packet.
+
+A policy comes from `lang.parse`, the one place a program is checked: a
+state index has its variable's arity, and an operand of `!`, `|` or `&`
+or an `if` condition is a predicate, which only reads state and so is
+never UNDEFINED.  The closures check neither again.
 """
 
 from __future__ import annotations
@@ -71,8 +76,6 @@ class Store:
 
     def get(self, var: str, idx: tuple):
         decl = self.decls[var]
-        if len(idx) != decl.arity:
-            raise EvalError(f"state {var}: index arity {len(idx)} != {decl.arity}")
         cell = self.cells[var].get(self._key(idx))
         return cell[1] if cell is not None else decl.default
 
@@ -80,8 +83,6 @@ class Store:
         """The store with cell var[idx] set to value; this store itself
         when the cell already holds a value of the same canonical key."""
         decl = self.decls[var]
-        if len(idx) != decl.arity:
-            raise EvalError(f"state {var}: index arity {len(idx)} != {decl.arity}")
         k = self._key(idx)
         cell = self.cells[var].get(k)
         want = canon_key(value)
@@ -144,8 +145,7 @@ def merge(m: Store, m1: Store, m2: Store) -> Store:
 
 
 def merge_many(m: Store, stores: list) -> Store:
-    if not stores:
-        return m
+    """`merge` folded from the right over one or more stores."""
     acc = stores[-1]
     for s in reversed(stores[:-1]):
         acc = merge(m, s, acc)
@@ -155,7 +155,7 @@ def merge_many(m: Store, stores: list) -> Store:
 # ---------------------------------------------------------------- eval
 
 def _incr_value(old, delta: int):
-    if isinstance(old, bool) or not isinstance(old, int):
+    if not isinstance(old, int):
         raise EvalError(f"++/-- on non-integer cell value {old!r}")
     return check_int_range(old + delta)
 
@@ -222,8 +222,6 @@ def _compile(p):
 
         def run(m, pkt, key):
             r = inner(m, pkt, key)
-            if r is UNDEFINED:
-                return r
             return m, {} if key in r[1] else {key: pkt}, r[2]
     elif t is lang.Or:
         left, right = _compile(p.p), _compile(p.q)
@@ -231,8 +229,6 @@ def _compile(p):
         def run(m, pkt, key):
             r1 = left(m, pkt, key)
             r2 = right(m, pkt, key)
-            if r1 is UNDEFINED or r2 is UNDEFINED:
-                return UNDEFINED
             return m, {**r1[1], **r2[1]}, r1[2] + r2[2]
     elif t is lang.And:
         left, right = _compile(p.p), _compile(p.q)
@@ -240,8 +236,6 @@ def _compile(p):
         def run(m, pkt, key):
             r1 = left(m, pkt, key)
             r2 = right(m, pkt, key)
-            if r1 is UNDEFINED or r2 is UNDEFINED:
-                return UNDEFINED
             both = r2[1]
             return (m, {k: v for k, v in r1[1].items() if k in both},
                     r1[2] + r2[2])
@@ -295,8 +289,6 @@ def _compile(p):
 
         def run(m, pkt, key):
             rc = cond(m, pkt, key)
-            if rc is UNDEFINED:
-                return rc
             rb = (then if rc[1] else els)(m, pkt, key)
             if rb is UNDEFINED:
                 return rb
@@ -304,8 +296,7 @@ def _compile(p):
     elif t is lang.Atomic:
         run = _compile(p.p)
     else:
-        def run(m, pkt, key):
-            raise EvalError(f"not a policy: {p!r}")
+        raise EvalError(f"not a policy: {p!r}")
     return run
 
 
@@ -341,10 +332,7 @@ def _expr(e):
     if t is lang.TupleExpr:
         items = tuple(map(_expr, e.items))
         return lambda pkt: tuple(item(pkt) for item in items)
-
-    def bad(pkt):
-        raise EvalError(f"not an expression: {e!r}")
-    return bad
+    raise EvalError(f"not an expression: {e!r}")
 
 
 def _expr_key(e):

@@ -7,17 +7,22 @@ loosest to tightest binding (`_OPS`, read by the parser and the printer):
 branches extend as far right as possible, so a sequenced `if` needs parens:
 `(if a then p else q); r`.  A token, a span and a ParseError are at
 `line:column`; a column counts characters from the start of its line.
+
+`parse` is the one place a program is checked (`_validate`, listed in
+docs/grammar.md): a parsed program is valid, `compose` keeps it valid,
+and no later stage checks again what the checks guarantee.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .errors import ParseError
 from .values import (
     Atom, FALSE, IPv4Address, IPv4Network, TRUE, check_int_range,
-    format_value, is_value,
+    format_value,
 )
 
 
@@ -264,8 +269,7 @@ KEYWORDS = {
     "state", "field", "default", "assume", "in", "True", "False",
 }
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # IDENT NUM IP PREFIX SYM KEYWORD EOF
     text: str
     line: int
@@ -341,8 +345,8 @@ _NUMBERS = {"NUM": (lambda text: check_int_range(int(text)), "number"),
             "IP": (IPv4Address, "address"), "PREFIX": (IPv4Network, "prefix")}
 
 
-def _error(t: Token, msg: str) -> ParseError:
-    return ParseError(msg, t.line, t.col)
+def _error(at: Token | Span, msg: str) -> ParseError:
+    return ParseError(msg, at.line, at.col)
 
 
 def _number(t: Token):
@@ -576,44 +580,26 @@ def expr_arity(e: Expr) -> int:
 def _validate(prog: Program) -> None:
     known_fields = set(prog.field_names())
 
-    def check_expr(e: Expr, sp):
-        if isinstance(e, FieldRef) and e.name not in known_fields:
-            raise _spanned(f"unknown field {e.name!r}", sp or e.span)
-        if isinstance(e, TupleExpr):
-            for x in e.items:
-                check_expr(x, sp)
-
-    def check_state(n, sp):
-        decl = prog.states.get(n.var)
-        if decl is None:
-            raise _spanned(f"undeclared state variable {n.var!r}", sp)
-        if expr_arity(n.index) != decl.arity:
-            raise _spanned(
-                f"state {n.var!r} has arity {decl.arity}, "
-                f"index has arity {expr_arity(n.index)}", sp)
-
     def go(p):
-        sp = getattr(p, "span", None)
+        sp = p.span
         if isinstance(p, (Test, Mod)):
             if p.field not in known_fields:
-                raise _spanned(f"unknown field {p.field!r}", sp)
-            if not is_value(p.value):
-                raise _spanned(f"bad value in {p.field!r} test/mod", sp)
-        elif isinstance(p, (StateTest, StateSet)):
-            check_state(p, sp)
-            check_expr(p.index, sp)
-            check_expr(p.rhs, sp)
-        elif isinstance(p, (Incr, Decr)):
-            check_state(p, sp)
-            check_expr(p.index, sp)
+                raise _error(sp, f"unknown field {p.field!r}")
+        elif isinstance(p, (StateTest, StateSet, Incr, Decr)):
+            decl = prog.states.get(p.var)
+            if decl is None:
+                raise _error(sp, f"undeclared state variable {p.var!r}")
+            if expr_arity(p.index) != decl.arity:
+                raise _error(sp, f"state {p.var!r} has arity {decl.arity}, "
+                                 f"index has arity {expr_arity(p.index)}")
         elif isinstance(p, Neg):
             if not is_predicate(p.p):
-                raise _spanned("negation of a non-predicate", sp)
+                raise _error(sp, "negation of a non-predicate")
             go(p.p)
         elif isinstance(p, (Or, And)):
             if not (is_predicate(p.p) and is_predicate(p.q)):
                 op = "|" if isinstance(p, Or) else "&"
-                raise _spanned(f"non-predicate operand of {op!r}", sp)
+                raise _error(sp, f"non-predicate operand of {op!r}")
             go(p.p)
             go(p.q)
         elif isinstance(p, (Par, Seq)):
@@ -621,13 +607,13 @@ def _validate(prog: Program) -> None:
             go(p.q)
         elif isinstance(p, If):
             if not is_predicate(p.cond):
-                raise _spanned("if-condition must be a predicate", sp)
+                raise _error(sp, "if-condition must be a predicate")
             go(p.cond)
             go(p.then)
             go(p.els)
         elif isinstance(p, Atomic):
             if _has_atomic(p.p):
-                raise _spanned("nested atomic block", sp)
+                raise _error(sp, "nested atomic block")
             go(p.p)
 
     if prog.assumption is not None:
@@ -647,30 +633,24 @@ def _has_atomic(p: Policy) -> bool:
     return False
 
 
-def _spanned(msg: str, sp: Span | None) -> ParseError:
-    if sp is None:
-        sp = Span(0, 0)
-    return ParseError(msg, sp.line, sp.col)
-
-
 def parse(text: str) -> Program:
     return _Parser(tokenize(text)).program()
 
 
 def compose(a: Program, b: Program) -> Program:
     """Sequence two programs: declarations merged (duplicates must agree),
-    assumptions conjoined, bodies sequenced (`id` bodies elided)."""
+    assumptions conjoined, bodies sequenced (`id` bodies elided).  The
+    result of two valid programs is valid, as fields and assumptions only
+    join; a conflicting declaration is a ParseError without a position."""
     states = dict(a.states)
     for name, d in b.states.items():
         if name in states and states[name] != d:
-            raise ParseError(f"conflicting declarations for state {name!r}",
-                             0, 0)
+            raise ParseError(f"conflicting declarations for state {name!r}")
         states[name] = d
     fields = dict(a.fields)
     for name, d in b.fields.items():
         if name in fields and fields[name] != d:
-            raise ParseError(f"conflicting declarations for field {name!r}",
-                             0, 0)
+            raise ParseError(f"conflicting declarations for field {name!r}")
         fields[name] = d
     if a.assumption is None:
         assumption = b.assumption
@@ -684,10 +664,8 @@ def compose(a: Program, b: Program) -> Program:
         body = a.body
     else:
         body = Seq(a.body, b.body)
-    prog = Program(states=states, fields=fields, assumption=assumption,
+    return Program(states=states, fields=fields, assumption=assumption,
                    body=body)
-    _validate(prog)
-    return prog
 
 
 def compose_all(progs: list) -> Program:

@@ -106,8 +106,7 @@ def _step(node, owner, placement: dict) -> tuple:
     interpreter's closures: (kind, field or var, matcher or (owner,
     index, rhs key), hi, lo), for a field-field test (kind, f1, f2, hi,
     lo), or for a leaf (kind, None, its compiled sequences, None, None).
-    `owner` is a state test's switch.  A test of no known kind keeps its
-    test, to raise if a copy meets it."""
+    `owner` is a state test's switch."""
     if node[0] == "leaf":
         return (_LEAF, None,
                 tuple(_sequence(elem, placement) for elem in node[1]),
@@ -121,7 +120,7 @@ def _step(node, owner, placement: dict) -> tuple:
     if t is xfdd.TStateTest:
         return (_STATE, test.var,
                 (owner, _index(test.index), _expr_key(test.rhs)), hi, lo)
-    return (None, None, test, hi, lo)
+    raise TypeError(f"not a test: {test!r}")
 
 
 def _sequence(elem: tuple, placement: dict) -> tuple:
@@ -391,13 +390,11 @@ class SimNetwork:
             elif kind is _LEAF:
                 self._fork(sid, copy, nid, test)
                 return
-            elif kind is _FIELDS:
+            else:   # _FIELDS
                 try:
                     ok = canon_key(body[arg]) == canon_key(body[test])
                 except KeyError as e:
                     raise EvalError(f"unknown field {e.args[0]!r}") from None
-            else:
-                raise EvalError(f"cannot evaluate test {test!r}")
             nid = hi if ok else lo
 
     def _fork(self, sid: str, copy: _Copy, nid: int, seqs: tuple):

@@ -14,7 +14,9 @@ output share (`value_to_json`, `value_from_json`): 80, true, "tcp",
 
 Booleans are represented as the atoms ``True``/``False`` rather than Python
 bools: ``True == 1`` and ``hash(True) == hash(1)`` in Python, which would
-silently conflate store cells indexed by 1 vs True.
+silently conflate store cells indexed by 1 vs True.  Values enter through
+the parser and `value_from_json`, which both make these atoms, so no
+later function checks for a bool again.
 """
 
 from __future__ import annotations
@@ -41,16 +43,6 @@ TRUE = Atom("True")
 FALSE = Atom("False")
 
 
-def is_value(v) -> bool:
-    if isinstance(v, bool):
-        return False
-    if isinstance(v, (int, Atom, IPv4Address, IPv4Network)):
-        return True
-    if isinstance(v, tuple):
-        return len(v) >= 1 and all(is_value(x) for x in v)
-    return False
-
-
 def check_int_range(n: int) -> int:
     if not (INT_MIN <= n <= INT_MAX):
         raise OverflowError(f"integer out of 64-bit signed range: {n}")
@@ -59,8 +51,6 @@ def check_int_range(n: int) -> int:
 
 def canon_key(v):
     """Deterministic total-order key over all values (type-tagged)."""
-    if isinstance(v, bool):  # defensive: bools should never appear
-        raise TypeError("raw bool is not a value; use values.TRUE/FALSE")
     if isinstance(v, int):
         return (0, v)
     if isinstance(v, Atom):

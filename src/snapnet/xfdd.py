@@ -248,9 +248,7 @@ def annotated(atoms: tuple, qw: frozenset, qr: frozenset, pops: tuple):
 def _pure_drop_elems(elems: frozenset) -> bool:
     if len(elems) != 1:
         return False
-    e = next(iter(elems))
-    if isinstance(e, Poison):
-        return False
+    e = next(iter(elems))   # a Poison is never DROP_SEQ
     atoms = e.atoms if isinstance(e, AnnotatedSeq) else e
     return atoms == DROP_SEQ
 
@@ -781,11 +779,10 @@ class Builder:
     def _cond(self, dc: int, dt: int, de: int) -> int:
         """If dc then dt else de, as the evaluator runs it: dt where a leaf
         of the predicate dc passes the packet, de where it drops it.  `!a`
-        is if a then drop else id."""
+        is if a then drop else id.  The parser made the condition a
+        predicate, so each leaf of dc is `{()}` or `{DROP_SEQ}`."""
 
         def branch(elems: frozenset, c: Context) -> int:
-            if elems not in ({()}, {DROP_SEQ}):
-                raise ValueError("condition is not a predicate diagram")
             return self._seq_leaf({()}, dt if () in elems else de, c)
 
         return self._walk(dc, self.empty_ctx(), branch)
@@ -1161,9 +1158,6 @@ class Builder:
                 atoms = canon_seq(ops_j + e_mods + q)
                 out.add(annotated(atoms, seq_writes(q), reads,
                                   self._pops(ops_j)))
-            if not qelems:
-                out.update(poisons or {annotated(
-                    canon_seq(e), frozenset(), reads, self._pops(e_ops))})
             r = self._resolved[k] = a.leaf(out)
             return r
 
@@ -1246,18 +1240,15 @@ class Builder:
                 return ("test", eq[1])
             return eq
         # increments pending: only literal-int arithmetic is representable
-        if not (isinstance(rhs, lang.Lit) and isinstance(rhs.value, int)
-                and not isinstance(rhs.value, bool)):
+        if not (isinstance(rhs, lang.Lit) and isinstance(rhs.value, int)):
             raise UnsupportedCompositionError(
                 var, "increment composed against a non-literal test")
         want = rhs.value - delta
         if cell_expr is None:
             return ("test", TStateTest(var, idx, lang.Lit(want)))
         if isinstance(cell_expr, lang.Lit):
-            if isinstance(cell_expr.value, int) and not isinstance(
-                    cell_expr.value, bool):
-                return cell_expr.value == want
-            return False
+            # a cell that holds no int fails the test (its ++ raises)
+            return values_equal(cell_expr.value, want)
         if isinstance(cell_expr, lang.FieldRef):
             return ("test", TFieldValue(cell_expr.name, want))
         raise UnsupportedCompositionError(
@@ -1341,13 +1332,12 @@ class Builder:
 
 def validate(arena: Arena, root: int, prog: lang.Program,
              order: OrderSpec) -> None:
-    """Debug check: strictly increasing test order and satisfiable paths."""
+    """Debug check on a diagram that passed `Builder.check_races`: strictly
+    increasing test order and satisfiable paths."""
 
     def go(i: int, ctx: Context, last_key):
         if arena.is_leaf(i):
             for e in arena.elems(i):
-                if isinstance(e, Poison):
-                    continue
                 assert e == canon_seq(e), f"non-canonical leaf element {e}"
             return
         t = arena.test_of(i)

@@ -127,12 +127,28 @@ def test_literal_that_is_no_value_exits_1(tmp_path, capsys, src, at):
     """A literal that tokenizes but is no value (an empty octet, an octet
     above 255, a digit other than ASCII 0-9, an integer outside the 64-bit
     signed range that a bundle can hold) is a parse error at the literal:
-    exit 1 and one `error:` line, not a traceback."""
+    exit 1 and one `error:` line, not a traceback, that names the file."""
     pol = tmp_path / "p.snap"
     pol.write_text(src, encoding="utf-8")
     code, out, err = run_cli(["xfdd", "-p", str(pol)], capsys)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {at}: bad ") and err.count("\n") == 1
+    assert err.startswith(f"error: {pol}:{at}: bad ") and err.count("\n") == 1
+
+
+def test_error_names_the_file_it_comes_from(tmp_path, capsys):
+    """With several `-p` files, a parse error names its file before its
+    position, and a declaration that conflicts with an earlier file
+    names the file that brings it, without a position."""
+    a, b = tmp_path / "a.snap", tmp_path / "b.snap"
+    a.write_text("field f : small in {0, 1};\nid\n")
+    b.write_text("field f : small in {0, 1};\nif f = 0 then id\n")
+    code, out, err = run_cli(["xfdd", "-p", str(a), "-p", str(b)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {b}:3:1: expected 'else', found 'EOF'\n"
+    b.write_text("field f : small in {0, 2};\nf <- 0\n")
+    code, out, err = run_cli(["xfdd", "-p", str(a), "-p", str(b)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {b}: conflicting declarations for field 'f'\n"
 
 
 def test_largest_integer_literal_compiles_checks_and_simulates(tmp_path,
@@ -1114,6 +1130,28 @@ def test_forwarding_loop_ends_simulate_with_exit_3(tmp_path, capsys):
                         "crossed 24 links and loops on I1->C1\n")
 
 
+def test_packet_toward_a_switch_it_cannot_reach_exits_3(tmp_path, capsys):
+    """The only link runs from A to B, and the only demand is from port 1
+    on A to port 2 on B.  A packet from port 2 that the program sends out
+    port 1 has no rule and no walk back to A, so simulate exits 3 and
+    says so."""
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps(_two_switches(both=False)))
+    pol = tmp_path / "p.snap"
+    pol.write_text("if inport = 2 then outport <- 1 else outport <- 2\n")
+    bundle = tmp_path / "b"
+    code, _, _ = run_cli(["compile", "-p", str(pol), "-t", str(tfile),
+                          "-o", str(bundle)], capsys)
+    assert code == 0
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"port": 2, "packet": {"inport": 2}}) + "\n")
+    code, out, err = run_cli(["simulate", "--bundle", str(bundle),
+                              "--topo", str(tfile), "--trace", str(trace)],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == "bad input: simulation: switch B cannot reach A\n"
+
+
 def test_two_ports_on_one_switch(tmp_path, capsys):
     """On the line S1-S3-S2, S1 exposes ports 1 and 2, and a packet from
     port 1 writes `seen`.  The search places `seen` on S1, where the
@@ -1293,6 +1331,25 @@ def test_disconnected_topology_is_infeasible_exit_2(tmp_path, capsys,
     code, stdout, err = run_cli(argv, capsys)
     assert code == 2 and stdout == ""
     assert err.startswith(f"infeasible: {says}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_stateless_flow_without_a_walk_fails_a_shortlist_search(tmp_path,
+                                                                capsys):
+    """A search over a shortlist (budget 1, below the two placements)
+    routes the flows that need no state once, before any placement: on
+    two unlinked switches the flow from port 1 needs no state and has no
+    walk, so the compile exits 2 and writes nothing."""
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps({**_two_switches(), "links": []}))
+    pol = tmp_path / "p.snap"
+    pol.write_text("state s[1] default 0;\n"
+                   "(if inport = 2 then s[0]++ else id); outport <- 2\n")
+    out = tmp_path / "b"
+    code, stdout, err = run_cli(["compile", "-p", str(pol), "-t", str(tfile),
+                                 "-o", str(out), "--budget", "1"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "infeasible: a stateless flow has no path\n"
     assert not out.exists()
 
 

@@ -109,6 +109,20 @@ def test_counter_overflow():
         interp.eval_program(prog, near, dict(PKT))
 
 
+@pytest.mark.parametrize("src", ["a = 0", "a <- 1", "s[a] <- 1", "s[0] = a"],
+                         ids=["test", "mod", "index", "rhs"])
+def test_a_packet_without_a_read_field_raises(src):
+    """A packet without a field that a test, a modification or an
+    expression reads is an EvalError that names the field, in the
+    compiled interpreter as in the semantics equations."""
+    prog = lang.parse(UNIVERSE_SRC + "\n" + src)
+    st, pkt = Store.initial(prog), {"b": 0, "c": 0}
+    with pytest.raises(EvalError, match="^unknown field 'a'$"):
+        interp.eval_program(prog, st, dict(pkt))
+    with pytest.raises(EvalError, match="^unknown field 'a'$"):
+        reference_eval(prog.policy, st, dict(pkt))
+
+
 def test_par_multicast_and_store_merge():
     r = run("(a <- 1; s[0] <- 1) + (b <- 1; t[0] <- 2)", PKT)
     assert sorted(p["a"] for p in r.packet_list()) == [0, 1]
@@ -117,7 +131,8 @@ def test_par_multicast_and_store_merge():
 
 
 def test_par_write_write_conflict_is_undefined():
-    assert run("(s[0] <- 1) + (s[0] <- 2)", PKT) is UNDEFINED
+    r = run("(s[0] <- 1) + (s[0] <- 2)", PKT)
+    assert r is UNDEFINED and repr(r) == "Undefined"
 
 
 def test_par_read_write_conflict_is_undefined():

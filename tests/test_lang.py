@@ -168,6 +168,44 @@ def test_unknown_field_and_one_item_index():
     assert prog.body == lang.parse("state s[1] default 0;\ns[1] <- 2").body
 
 
+@pytest.mark.parametrize("src, says", [
+    ("state s[2] default 0;\ns[0] = 1",
+     "2:1: state 's' has arity 2, index has arity 1"),
+    ("state s[2] default 0;\ns[0] <- 1",
+     "2:1: state 's' has arity 2, index has arity 1"),
+    ("state s[1] default 0;\ns[0][1]++",
+     "2:1: state 's' has arity 1, index has arity 2"),
+    ("state s[1] default 0;\ns[(0, 1)]--",
+     "2:1: state 's' has arity 1, index has arity 2"),
+    ("field a;\n!(a <- 0)", "2:1: negation of a non-predicate"),
+    ("field a;\na = 0 | a <- 1", "2:7: non-predicate operand of '|'"),
+    ("field a;\nid & (a <- 1)", "2:4: non-predicate operand of '&'"),
+    ("field a;\nif (a = 0; a = 1) then id else id",
+     "2:1: if-condition must be a predicate"),
+    ("field a;\nb <- 1", "2:1: unknown field 'b'"),
+    ("state s[1] default 0;\n"
+     "atomic { if s[0] = 1 then atomic { id } else id }",
+     "2:1: nested atomic block"),
+], ids=["test-arity", "write-arity", "incr-arity", "decr-arity",
+        "negated-write", "or-write", "and-write", "sequenced-condition",
+        "undeclared-field", "nested-atomic"])
+def test_parse_refuses_what_later_stages_do_not_check(src, says):
+    """`parse` is the one place a program is checked: the interpreter
+    reads a state index without checking its arity, and reads the
+    outcome of `!`, `|`, `&` and an `if` condition as never UNDEFINED,
+    because a predicate only reads state."""
+    assert _parse_error(src) == says
+
+
+def test_an_undeclared_name_in_an_expression_is_an_atom():
+    """An expression names a field only when the field is declared (or
+    implicit): any other name is an atom, so no expression reads an
+    unknown field."""
+    prog = lang.parse("field a;\nstate s[1] default 0;\ns[b] <- a")
+    assert prog.body.index == lang.Lit(Atom("b"))
+    assert prog.body.rhs == lang.FieldRef("a")
+
+
 def _tokens(src: str) -> list:
     return [(t.kind, t.text, t.line, t.col) for t in lang.tokenize(src)]
 
@@ -212,13 +250,17 @@ def test_compose_elides_id_bodies():
 
 
 def test_compose_rejects_conflicting_declarations():
+    """A conflict is the one way two valid programs fail to compose, and
+    it has no position: it is in neither program alone."""
     a = lang.parse("field f : small in {0, 1};\nid")
     b = lang.parse("field f : small in {0, 2};\nid")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError,
+                       match="^conflicting declarations for field 'f'$"):
         lang.compose(a, b)
     c = lang.parse("state s[1] default 0;\ns[0] <- 1")
     d = lang.parse("state s[2] default 0;\ns[0][0] <- 1")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError,
+                       match="^conflicting declarations for state 's'$"):
         lang.compose(c, d)
 
 

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from ipaddress import IPv4Address
 
 import pytest
 
-from snapnet import lang, psm, rulegen, topo
+from snapnet import deps, lang, psm, rulegen, topo
+from snapnet.xfdd import TFieldField, TFieldValue
 
 from conftest import CORPUS, policy_src
 from helpers import demand_map
@@ -114,3 +116,25 @@ def test_bundle_domains_bound_the_flow_map(tmp_path):
     loaded = rulegen.load_bundle(str(tmp_path), t)
     assert len(psm.packet_state_map(loaded.nodes, loaded.root, t, order,
                                     None).flows) == 36
+
+
+def test_a_side_that_contradicts_its_path_charges_no_flow():
+    """Under dstip = 10.0.0.1 and srcip != 10.0.0.1, `imply` leaves
+    dstip = srcip open, yet its hi side contradicts the path: a bundle's
+    diagram may branch there, and the leaf on that side, which no packet
+    reaches, charges no flow.  Walked from the field-field test alone,
+    the same leaf charges s to every flow to port 2."""
+    prog = lang.parse("field srcip;\nfield dstip;\nstate s[1] default 0;\nid")
+    a1 = IPv4Address("10.0.0.1")
+    write = (lang.StateSet("s", lang.Lit(0), lang.Lit(1)),
+             lang.Mod("outport", 2))
+    nodes = {0: ("branch", TFieldValue("dstip", a1), 1, 4),
+             1: ("branch", TFieldValue("srcip", a1), 4, 2),
+             2: ("branch", TFieldField("dstip", "srcip"), 3, 4),
+             3: ("leaf", (write,)),
+             4: ("leaf", ((),))}
+    t = topo.example12()
+    order = deps.order_spec_program(prog)
+    assert psm.packet_state_map(nodes, 0, t, order, prog).flows == {}
+    assert psm.packet_state_map(nodes, 2, t, order, prog).flows == {
+        (u, 2): ("s",) for u in t.external_ports()}

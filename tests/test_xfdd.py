@@ -11,7 +11,7 @@ from ipaddress import IPv4Address, IPv4Network
 import pytest
 
 from snapnet import deps, interp, lang, rulegen, shape, values, xfdd
-from snapnet.errors import RaceError, UnsupportedCompositionError
+from snapnet.errors import ParseError, RaceError, UnsupportedCompositionError
 from snapnet.interp import UNDEFINED
 
 from conftest import ALL_POLICIES, policy_src
@@ -272,11 +272,10 @@ def test_no_leaf_holds_a_bare_drop_beside_another_outcome():
     lang.Neg(lang.Mod("a", 1))], ids=["if-mod", "if-or-mod", "neg-mod"])
 def test_a_condition_that_is_no_predicate_is_refused(body):
     """The parser refuses an If condition or a `!` operand that is not a
-    predicate; a Program built without the parser meets the Builder's
-    own check, a ValueError."""
-    prog = dataclasses.replace(universe_prog(), body=body)
-    with pytest.raises(ValueError, match="predicate"):
-        build(prog)
+    predicate, so the Builder, which reads every leaf of a condition's
+    diagram as a pass or a drop, never meets one."""
+    with pytest.raises(ParseError, match="predicate"):
+        lang.parse(UNIVERSE_SRC + lang.pretty_policy(body))
 
 
 def test_counter_differential():
@@ -378,6 +377,72 @@ def test_unsupported_increment_composition_is_reported():
                       "s[0]++; if s[0] = a then id else drop")
     with pytest.raises(UnsupportedCompositionError):
         build(prog)
+
+
+# The inner sequence of each of the first three tests a = b before s, and
+# the modifications in front fix a, b or both.
+@pytest.mark.parametrize("body", [
+    "a <- 1; (s[a] <- 1; if s[b] = 1 then c <- 1 else id)",
+    "b <- 0; (s[a] <- 1; if s[b] = 1 then c <- 1 else id)",
+    "(a <- 1; b <- 1); (s[a] <- 1; if s[b] = 1 then c <- 1 else id)",
+    "s[0] <- 1; s[0]++; if s[0] = 2 then c <- 1 else id",
+    "s[0] <- (a, b); if s[0] = 1 then c <- 1 else id",
+    "s[0] <- ((a, b), c); if s[0] = ((a, 1), c) then c <- 1 else id",
+], ids=["a-fixed", "b-fixed", "both-fixed", "incremented-literal",
+        "tuple-against-int", "nested-tuples"])
+def test_sequencing_decides_through_mods_and_pending_writes(body):
+    """A test after a modification or a state write is decided through
+    them: a field-field test whose fields a modification fixed, and a
+    state test against a cell a pending write fixed.  The diagram agrees
+    with the evaluator on every packet and every store."""
+    prog = lang.parse(UNIVERSE_SRC + body)
+    b, root = build(prog)
+    for st in all_stores(prog, indices=(0, 1)):
+        for p in all_packets(prog):
+            agree(prog, b, root, st, p)
+
+
+@pytest.mark.parametrize("src, says", [
+    ("state s[1] default 0;\nfield a : small in {0, 1};\n"
+     "s[0] <- (a, a); s[0]++; if s[0] = 1 then id else drop",
+     "increment composed over a structured stored value"),
+    ("state s[1] default 0;\nfield f : ip;\n"
+     "s[10.0.0.0/8] <- 1; if s[f] = 1 then id else drop",
+     "prefix literal in an index-equality decision"),
+    ("state s[1] default 0;\nfield f : ip;\nfield g : ip;\n"
+     "f <- 10.0.0.0/8; (s[f] <- 1; if s[g] = 1 then id else drop)",
+     "prefix-valued field in a field-field test"),
+], ids=["incremented-tuple", "prefix-index", "prefix-valued-field"])
+def test_compositions_no_test_can_decide_are_reported(src, says):
+    """A test after a write that no diagram test can decide (a tuple cell
+    plus one, or an index equal to a prefix) is an
+    UnsupportedCompositionError that names the variable or field."""
+    with pytest.raises(UnsupportedCompositionError, match=says):
+        build(lang.parse(src))
+
+
+def test_a_one_sided_prefix_write_never_collides():
+    """Beside an unmodified copy, a copy whose field is set to a prefix is
+    a second packet: no address equals a prefix, so no test decides
+    whether the two coincide, and the diagram agrees with the
+    evaluator."""
+    prog = lang.parse("field f : ip;\nfield g : small in {0, 1};\n"
+                      "(f <- 10.0.0.0/8 + id); g <- 1")
+    b, root = build(prog)
+    st = interp.Store.initial(prog)
+    for f in ("10.0.0.1", "11.0.0.1"):
+        agree(prog, b, root, st, {"f": IPv4Address(f), "g": 0,
+                                  "inport": 0, "outport": 0})
+
+
+def test_check_races_refuses_two_runs_that_write_one_variable():
+    """The final check refuses a leaf where two runs write one variable
+    even when no Poison marks it."""
+    b, _ = build(universe_prog())
+    write = lang.StateSet("s", lang.Lit(0), lang.Lit(1))
+    leaf = b.arena.leaf({(write,), (write, lang.Mod("a", 1))})
+    with pytest.raises(RaceError, match="'s'"):
+        b.check_races(leaf)
 
 
 def test_canon_seq_mods_fold_and_sort():
@@ -815,3 +880,66 @@ def test_context_add_equals_the_rebuilt_closure():
             for f in prog.fields:
                 assert ctx.value_of(f) == ref.value_of(f), (ref.facts, f)
     assert min(seen.values()) >= 30, seen
+
+
+CTX2_HI_SRC = """
+field srcip;
+field dstip;
+state s[1] default 0;
+s[srcip] <- 1;
+if s[dstip] = 1
+then (if dstip = 10.0.0.1 then (if srcip = 10.0.0.1 then drop else id)
+      else id)
+else id
+"""
+
+
+def test_ctx2_drops_a_side_that_imply_leaves_open():
+    """`Context.imply` is incomplete on both sides, so `Builder._ctx2`
+    tries each side's fact as well.  With dstip = 10.0.0.1 and
+    srcip != 10.0.0.1, imply leaves dstip = srcip open, yet its hi side
+    contradicts; the program that meets it compiles to a diagram that
+    agrees with the evaluator.  With a in {1, 2, 3}, d in {1, 2}, a = 1
+    and a != d, imply leaves d = 2 open, yet its lo side contradicts.
+    Facts that leave a field no value, which `add` does not notice
+    (c in {1, 2, 3} unequal to a = 2, to b = 1 and to 3), contradict
+    both sides of a test on c: `_ctx2` raises Contradiction naming it."""
+    prog = lang.parse(CTX2_HI_SRC)
+    b, root = build(prog)
+    ctx = (xfdd.Context(prog)
+           .add(xfdd.TFieldValue("dstip", IPv4Address("10.0.0.1")), True)
+           .add(xfdd.TFieldValue("srcip", IPv4Address("10.0.0.1")), False))
+    t = xfdd.TFieldField("dstip", "srcip")
+    assert ctx.imply(t) is None
+    hi, lo = b._ctx2(ctx, t)
+    assert hi is None and lo is not None
+    addrs = [IPv4Address(a) for a in ("10.0.0.1", "10.0.0.2")]
+    m0 = interp.Store.initial(prog)
+    for cells in ((), (addrs[0],), (addrs[1],), addrs):
+        st = m0
+        for a in cells:
+            st = st.set("s", (a,), 1)
+        for src in addrs:
+            for dst in addrs:
+                agree(prog, b, root, st, {"srcip": src, "dstip": dst,
+                                          "inport": 0, "outport": 0})
+    prog = lang.parse("field a in {1, 2, 3};\nfield d in {1, 2};\nid")
+    ctx = (xfdd.Context(prog).add(xfdd.TFieldValue("a", 1), True)
+           .add(xfdd.TFieldField("a", "d"), False))
+    t = xfdd.TFieldValue("d", 2)
+    assert ctx.imply(t) is None
+    hi, lo = build(prog)[0]._ctx2(ctx, t)
+    assert hi is not None and lo is None
+    prog = lang.parse("field a in {1, 2};\nfield b in {1, 2};\n"
+                      "field c in {1, 2, 3};\nid")
+    ctx = xfdd.Context(prog)
+    for fact, polarity in ((xfdd.TFieldValue("a", 2), True),
+                           (xfdd.TFieldValue("b", 1), True),
+                           (xfdd.TFieldValue("c", 3), False),
+                           (xfdd.TFieldField("a", "c"), False),
+                           (xfdd.TFieldField("b", "c"), False)):
+        ctx = ctx.add(fact, polarity)
+    t = xfdd.TFieldValue("c", 1)
+    assert ctx.imply(t) is None
+    with pytest.raises(xfdd.Contradiction, match="^c = 1$"):
+        build(prog)[0]._ctx2(ctx, t)
